@@ -156,11 +156,34 @@ _DEFAULTS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _non_finite(value, path: str) -> list[str]:
+    """Paths of the NaN and infinite numbers anywhere inside ``value``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return [path]
+    if isinstance(value, dict):
+        return [p for key, v in value.items() for p in _non_finite(v, f"{path}.{key}")]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _non_finite(v, f"{path}[{i}]")]
+    return []
+
+
 def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     """Check a raw config dict; never executes numerics."""
-    problems: list[str] = []
     if not isinstance(raw, dict):
         return None, ["config must be a JSON object"]
+    # json parses NaN and Infinity; refuse them before any payload is built
+    problems = [f"non-finite number at {p}" for p in _non_finite(raw, "config")]
+    problems += [
+        f"{key} must be a JSON object"
+        for key in ("flow", "grid")
+        if not isinstance(raw.get(key, {}), dict)
+    ]
+    if problems:
+        return None, problems
     for required in ("experiment", "seed", "shape"):
         if required not in raw:
             problems.append(f"missing field: {required}")
@@ -170,11 +193,15 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
             f"unknown experiment {experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
         )
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         problems.append("seed must be an integer")
     shape = None
     raw_shape = raw.get("shape")
-    if raw_shape is not None:
+    if raw_shape is not None and (
+        not isinstance(raw_shape, list) or not all(_is_int(n) for n in raw_shape)
+    ):
+        problems.append("shape must be a list of integers")
+    elif raw_shape is not None:
         try:
             shape = BlockShape(raw_shape)
         except (TypeError, ValueError) as exc:
@@ -223,21 +250,21 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     ):
         problems.append("grid.r entries must be positive")
     nodes = grid.get("nodes")
-    if nodes is not None and (not isinstance(nodes, int) or nodes < 1):
+    if nodes is not None and (not _is_int(nodes) or nodes < 1):
         problems.append("grid.nodes must be a positive integer or null")
     t0 = grid.get("t0", 1.0)
     if not isinstance(t0, (int, float)) or t0 <= 0:
         problems.append("grid.t0 must be positive")
     instances = raw.get("instances", _DEFAULTS["instances"])
-    if not isinstance(instances, int) or instances < 1:
+    if not _is_int(instances) or instances < 1:
         problems.append("instances must be a positive integer")
     module_rank = raw.get("module_rank", _DEFAULTS["module_rank"])
-    if not isinstance(module_rank, int) or module_rank < 1:
+    if not _is_int(module_rank) or module_rank < 1:
         problems.append("module_rank must be a positive integer")
     if (
         experiment == "stone"
         and flow.get("kind") == "explicit"
-        and isinstance(module_rank, int)
+        and _is_int(module_rank)
         and module_rank != 1
     ):
         problems.append("stone with an explicit flow requires module_rank = 1")

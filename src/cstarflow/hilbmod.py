@@ -1,13 +1,18 @@
 """Hilbert modules ``E = A^k`` over the block algebra and their operators.
 
-Module vectors are k-tuples of algebra elements with the A-valued inner
-product ``<v, w> = sum_i w_i* v_i`` (linear in the first variable, right
-A-linear).  Adjointable operators on E form ``M_k(A)``, stored as a k x k
-grid of algebra elements; flattening the grid blockwise identifies the
-operator algebra with a direct sum of full matrix blocks of size
-``k * n_b``, which is how norms, positivity and complex powers are
-computed.  At finite dimension every module map with an adjoint is
-bounded, so no unbounded-operator bookkeeping appears anywhere.
+Module vectors carry the A-valued inner product ``<v, w> = sum_i w_i* v_i``
+(linear in the first variable, right A-linear).  Adjointable operators on
+E form ``M_k(A)``, a direct sum of full matrix blocks of size ``k n_b``,
+and are stored that way: one algebra element over
+``BlockShape(k n_1, ..., k n_m)`` (``ModuleOperator.flat``) plus the rank
+k, so norms, positivity and complex powers go through the spectral layer
+of :mod:`cstarflow.algebra`.  A vector is stored as one stacked
+``(k n_b) x n_b`` matrix per block (``ModuleVector.stacked``, slot i in
+rows ``i n_b`` to ``(i+1) n_b``), so ``S v`` and ``<v, w>`` are one
+matmul per block.  The grid and tuple ``entries``, and the constructors
+taking them, are derived conveniences.  At finite dimension every module
+map with an adjoint is bounded, so no unbounded-operator bookkeeping
+appears anywhere.
 
 Sub-C*-algebras of the operator algebra are handled through an
 orthonormal Hilbert-Schmidt basis of the span generated by a finite set
@@ -26,40 +31,82 @@ from .algebra import (
     POS_TOL_FACTOR,
     AlgebraElement,
     BlockShape,
+    _frozen,
+    eigenvalues,
+    herm_calculus,
     identity,
+    is_strictly_positive,
+    power,
     zeros,
 )
-from .errors import EigFailureError, NotStrictlyPositiveError, ShapeMismatchError
+from .errors import NotStrictlyPositiveError, ShapeMismatchError
 
 SPAN_TOL = 1e-9
 
 
+def _flat_shape(shape: BlockShape, k: int) -> BlockShape:
+    return BlockShape(k * n for n in shape)
+
+
 @dataclass(frozen=True, eq=False)
 class ModuleVector:
-    """Element of ``E = A^k``: a tuple of algebra elements."""
+    """Element of ``E = A^k``: one stacked ``(k n_b) x n_b`` matrix per block."""
 
-    entries: tuple[AlgebraElement, ...]
+    shape: BlockShape
+    k: int
+    stacked: tuple[np.ndarray, ...]
 
     def __init__(self, entries: Sequence[AlgebraElement]):
+        """Vector with the given k slots."""
         entries = tuple(entries)
         if not entries:
             raise ValueError("module vector needs at least one entry")
         shape = entries[0].shape
         if any(e.shape != shape for e in entries):
             raise ShapeMismatchError("module vector entries over different shapes")
-        object.__setattr__(self, "entries", entries)
+        self._store(
+            shape,
+            len(entries),
+            [np.vstack([e.blocks[b] for e in entries]) for b in range(shape.num_blocks)],
+        )
+
+    def _store(self, shape: BlockShape, k: int, stacked: Sequence[np.ndarray]) -> None:
+        mats = tuple(_frozen(b) for b in stacked)
+        if len(mats) != shape.num_blocks or any(
+            m.shape != (k * n, n) for n, m in zip(shape, mats)
+        ):
+            raise ShapeMismatchError("stacked blocks do not match the module")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "stacked", mats)
+
+    @classmethod
+    def from_stacked(
+        cls, shape: BlockShape, k: int, stacked: Sequence[np.ndarray]
+    ) -> "ModuleVector":
+        """Vector whose block b is the ``(k n_b) x n_b`` matrix ``stacked[b]``."""
+        v = object.__new__(cls)
+        v._store(shape, k, stacked)
+        return v
 
     @property
-    def k(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[AlgebraElement, ...]:
+        """The k slots as algebra elements."""
+        return tuple(
+            AlgebraElement(
+                self.shape, [sb[i * n : (i + 1) * n] for n, sb in zip(self.shape, self.stacked)]
+            )
+            for i in range(self.k)
+        )
 
-    @property
-    def shape(self) -> BlockShape:
-        return self.entries[0].shape
+    def _like(self, stacked: Sequence[np.ndarray]) -> "ModuleVector":
+        return ModuleVector.from_stacked(self.shape, self.k, stacked)
 
     def times(self, a: AlgebraElement) -> "ModuleVector":
         """Right module action ``v . a``."""
-        return ModuleVector([e @ a for e in self.entries])
+        if a.shape != self.shape:
+            raise ShapeMismatchError("module and algebra element over different shapes")
+        return self._like([vb @ ab for vb, ab in zip(self.stacked, a.blocks)])
 
     def norm(self) -> float:
         """Module norm ``norm(<v, v>)**0.5``."""
@@ -67,14 +114,14 @@ class ModuleVector:
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         _same_module(self, other)
-        return ModuleVector([a + b for a, b in zip(self.entries, other.entries)])
+        return self._like([a + b for a, b in zip(self.stacked, other.stacked)])
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         _same_module(self, other)
-        return ModuleVector([a - b for a, b in zip(self.entries, other.entries)])
+        return self._like([a - b for a, b in zip(self.stacked, other.stacked)])
 
     def __mul__(self, c: complex) -> "ModuleVector":
-        return ModuleVector([c * e for e in self.entries])
+        return self._like([c * b for b in self.stacked])
 
     __rmul__ = __mul__
 
@@ -87,19 +134,19 @@ def _same_module(v, w) -> None:
 def inner(v: ModuleVector, w: ModuleVector) -> AlgebraElement:
     """A-valued inner product ``sum_i w_i* v_i``, linear in ``v``."""
     _same_module(v, w)
-    out = zeros(v.shape)
-    for a, b in zip(v.entries, w.entries):
-        out = out + (b.star() @ a)
-    return out
+    return AlgebraElement(v.shape, [b.conj().T @ a for a, b in zip(v.stacked, w.stacked)])
 
 
 @dataclass(frozen=True, eq=False)
 class ModuleOperator:
-    """Adjointable operator on ``E = A^k``: a k x k grid of algebra elements."""
+    """Adjointable operator on ``E = A^k``, stored as its flattened element."""
 
-    entries: tuple[tuple[AlgebraElement, ...], ...]
+    flat: AlgebraElement
+    k: int
+    shape: BlockShape
 
     def __init__(self, entries: Sequence[Sequence[AlgebraElement]]):
+        """Operator with the given k x k grid of algebra elements."""
         grid = tuple(tuple(row) for row in entries)
         k = len(grid)
         if k < 1 or any(len(row) != k for row in grid):
@@ -107,121 +154,95 @@ class ModuleOperator:
         shape = grid[0][0].shape
         if any(e.shape != shape for row in grid for e in row):
             raise ShapeMismatchError("operator entries over different shapes")
-        object.__setattr__(self, "entries", grid)
+        flats = [
+            np.block([[e.blocks[b] for e in row] for row in grid])
+            for b in range(shape.num_blocks)
+        ]
+        self._store(AlgebraElement(_flat_shape(shape, k), flats), k)
+
+    def _store(self, flat: AlgebraElement, k: int) -> None:
+        dims = flat.shape.block_dims
+        if k < 1 or any(n % k for n in dims):
+            raise ShapeMismatchError(f"flattened blocks {dims} do not fit module rank {k}")
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "shape", BlockShape(n // k for n in dims))
+
+    @classmethod
+    def from_flat(cls, flat: AlgebraElement, k: int) -> "ModuleOperator":
+        """Operator of rank ``k`` whose flattened element is ``flat``."""
+        s = object.__new__(cls)
+        s._store(flat, k)
+        return s
 
     @property
-    def k(self) -> int:
-        return len(self.entries)
-
-    @property
-    def shape(self) -> BlockShape:
-        return self.entries[0][0].shape
+    def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:
+        """The k x k grid of algebra elements, cut out of the flat blocks."""
+        dims, k = self.shape.block_dims, self.k
+        return tuple(
+            tuple(
+                AlgebraElement(
+                    self.shape,
+                    [
+                        f[i * n : (i + 1) * n, j * n : (j + 1) * n]
+                        for n, f in zip(dims, self.flat.blocks)
+                    ],
+                )
+                for j in range(k)
+            )
+            for i in range(k)
+        )
 
     def star(self) -> "ModuleOperator":
         """Adjoint: ``(S*)_{ij} = (S_{ji})*``."""
-        k = self.k
-        return ModuleOperator(
-            [[self.entries[j][i].star() for j in range(k)] for i in range(k)]
-        )
+        return ModuleOperator.from_flat(self.flat.star(), self.k)
 
     def flatten(self) -> list[np.ndarray]:
         """One dense ``(k n_b) x (k n_b)`` matrix per algebra block."""
-        out = []
-        for b in range(self.shape.num_blocks):
-            out.append(
-                np.block(
-                    [[e.blocks[b] for e in row] for row in self.entries]
-                )
-            )
-        return out
+        return list(self.flat.blocks)
 
     def norm(self) -> float:
         """Operator norm on E: largest singular value over flattened blocks."""
-        return max(float(np.linalg.norm(f, 2)) for f in self.flatten())
+        return self.flat.norm()
 
     def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
         _same_module(self, other)
-        return ModuleOperator(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return ModuleOperator.from_flat(self.flat + other.flat, self.k)
 
     def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
         _same_module(self, other)
-        return ModuleOperator(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return ModuleOperator.from_flat(self.flat - other.flat, self.k)
 
     def __mul__(self, c: complex) -> "ModuleOperator":
-        return ModuleOperator([[c * e for e in row] for row in self.entries])
+        return ModuleOperator.from_flat(c * self.flat, self.k)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        if isinstance(other, ModuleVector):
-            _same_module(self, other)
-            return ModuleVector(
-                [
-                    _sum_elements([e @ v for e, v in zip(row, other.entries)])
-                    for row in self.entries
-                ]
-            )
         _same_module(self, other)
-        k = self.k
-        return ModuleOperator(
-            [
-                [
-                    _sum_elements(
-                        [self.entries[i][m] @ other.entries[m][j] for m in range(k)]
-                    )
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ]
-        )
+        if isinstance(other, ModuleVector):
+            return other._like([f @ vb for f, vb in zip(self.flat.blocks, other.stacked)])
+        return ModuleOperator.from_flat(self.flat @ other.flat, self.k)
 
     def __repr__(self) -> str:
         return f"ModuleOperator(k={self.k}, dims={self.shape.block_dims})"
 
 
-def _sum_elements(elems: list[AlgebraElement]) -> AlgebraElement:
-    out = elems[0]
-    for e in elems[1:]:
-        out = out + e
-    return out
-
-
 def operator_from_flat(shape: BlockShape, k: int, flats: Sequence[np.ndarray]) -> ModuleOperator:
-    """Inverse of ``ModuleOperator.flatten``."""
-    grid = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            blocks = []
-            for n, f in zip(shape.block_dims, flats):
-                blocks.append(f[i * n : (i + 1) * n, j * n : (j + 1) * n])
-            row.append(AlgebraElement(shape, blocks))
-        grid.append(row)
-    return ModuleOperator(grid)
+    """Operator with the given ``(k n_b) x (k n_b)`` blocks; inverse of ``flatten``."""
+    return ModuleOperator.from_flat(AlgebraElement(_flat_shape(shape, k), flats), k)
 
 
 def identity_operator(shape: BlockShape, k: int) -> ModuleOperator:
-    one, zero = identity(shape), zeros(shape)
-    return ModuleOperator([[one if i == j else zero for j in range(k)] for i in range(k)])
+    return ModuleOperator.from_flat(identity(_flat_shape(shape, k)), k)
 
 
 def zero_operator(shape: BlockShape, k: int) -> ModuleOperator:
-    zero = zeros(shape)
-    return ModuleOperator([[zero for _ in range(k)] for _ in range(k)])
+    return ModuleOperator.from_flat(zeros(_flat_shape(shape, k)), k)
 
 
 def zero_vector(shape: BlockShape, k: int) -> ModuleVector:
-    return ModuleVector([zeros(shape) for _ in range(k)])
+    return ModuleVector.from_stacked(shape, k, [np.zeros((k * n, n), dtype=complex) for n in shape])
 
 
 def op_adjoint(s: ModuleOperator) -> ModuleOperator:
@@ -233,100 +254,68 @@ def is_unitary(s: ModuleOperator, tol: float = 1e-10) -> bool:
     return (s.star() @ s - one).norm() <= tol and (s @ s.star() - one).norm() <= tol
 
 
-def _flat_eigh(s: ModuleOperator):
-    vals, vecs = [], []
-    for f in s.flatten():
-        try:
-            lam, u = np.linalg.eigh((f + f.conj().T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise EigFailureError(str(exc)) from exc
-        vals.append(lam)
-        vecs.append(u)
-    return vals, vecs
-
-
 def strictly_positive(s: ModuleOperator, pos_tol_factor: float = POS_TOL_FACTOR) -> bool:
     """Hermitian with spectrum above ``1e-10 * norm`` on every block."""
-    if (s - s.star()).norm() > 1e-10 * max(s.norm(), 1e-300):
-        return False
-    vals, _ = _flat_eigh(s)
-    lo = min(float(np.min(v)) for v in vals)
-    return lo > pos_tol_factor * s.norm()
+    return is_strictly_positive(s.flat, pos_tol_factor)
 
 
 def op_power(t: ModuleOperator, z: complex) -> ModuleOperator:
-    """Complex power ``T**z`` of a strictly positive module operator."""
-    if not strictly_positive(t):
-        raise NotStrictlyPositiveError("module operator is not strictly positive")
-    vals, vecs = _flat_eigh(t)
-    flats = [
-        (u * np.exp(z * np.log(lam.astype(complex)))) @ u.conj().T
-        for lam, u in zip(vals, vecs)
-    ]
-    return operator_from_flat(t.shape, t.k, flats)
+    """Complex power ``T**z`` of a strictly positive module operator.
+
+    Raises ``NotStrictlyPositiveError`` (from ``algebra.power``) otherwise.
+    """
+    return ModuleOperator.from_flat(power(t.flat, z), t.k)
 
 
 def op_log(t: ModuleOperator) -> ModuleOperator:
     """Hermitian logarithm of a strictly positive module operator."""
     if not strictly_positive(t):
         raise NotStrictlyPositiveError("module operator is not strictly positive")
-    vals, vecs = _flat_eigh(t)
-    flats = [(u * np.log(lam)) @ u.conj().T for lam, u in zip(vals, vecs)]
-    return operator_from_flat(t.shape, t.k, flats)
+    return ModuleOperator.from_flat(herm_calculus(t.flat, np.log), t.k)
 
 
 def op_exp(h: ModuleOperator) -> ModuleOperator:
     """Exponential of a Hermitian module operator; strictly positive."""
-    vals, vecs = _flat_eigh(h)
-    flats = [(u * np.exp(lam)) @ u.conj().T for lam, u in zip(vals, vecs)]
-    return operator_from_flat(h.shape, h.k, flats)
+    return ModuleOperator.from_flat(herm_calculus(h.flat, np.exp), h.k)
 
 
 def condition_number(t: ModuleOperator) -> float:
-    vals, _ = _flat_eigh(t)
-    hi = max(float(np.max(v)) for v in vals)
-    lo = min(float(np.min(v)) for v in vals)
+    lam = eigenvalues(t.flat)
+    lo = float(np.min(lam))
     if lo <= 0:
         return float("inf")
-    return hi / lo
+    return float(np.max(lam)) / lo
 
 
 def operator_vec(s: ModuleOperator) -> np.ndarray:
     """Hilbert-Schmidt coordinates of an operator (flattened blocks)."""
-    return np.concatenate([f.ravel() for f in s.flatten()])
+    return np.concatenate([f.ravel() for f in s.flat.blocks])
 
 
 def vector_coordinates(v: ModuleVector) -> np.ndarray:
     """Complex coordinates of a module vector, slot-major then blockwise."""
-    return np.concatenate([b.ravel() for e in v.entries for b in e.blocks])
+    return np.concatenate([sb.reshape(v.k, -1) for sb in v.stacked], axis=1).ravel()
 
 
 def vector_from_coordinates(shape: BlockShape, k: int, coords: np.ndarray) -> ModuleVector:
-    entries, pos = [], 0
-    for _ in range(k):
-        blocks = []
-        for n in shape.block_dims:
-            blocks.append(coords[pos : pos + n * n].reshape(n, n))
-            pos += n * n
-        entries.append(AlgebraElement(shape, blocks))
-    return ModuleVector(entries)
+    """Inverse of ``vector_coordinates``."""
+    slots = np.asarray(coords).reshape(k, -1)
+    cuts = np.cumsum([n * n for n in shape])[:-1]
+    cols = np.split(slots, cuts, axis=1)
+    return ModuleVector.from_stacked(shape, k, [c.reshape(k * n, n) for n, c in zip(shape, cols)])
 
 
 def operator_matrix(s: ModuleOperator) -> np.ndarray:
     """Matrix of ``v -> S v`` in the ``vector_coordinates`` basis."""
-    dims = s.shape.block_dims
-    cell = sum(n * n for n in dims)
+    cell = s.shape.dim
     d = s.k * cell
     out = np.zeros((d, d), dtype=complex)
-    for i in range(s.k):
-        for j in range(s.k):
-            pos = 0
-            for b, n in enumerate(dims):
-                blk = np.kron(s.entries[i][j].blocks[b], np.eye(n))
-                r = i * cell + pos
-                c = j * cell + pos
-                out[r : r + n * n, c : c + n * n] = blk
-                pos += n * n
+    pos = 0
+    for n, f in zip(s.shape, s.flat.blocks):
+        # kron(f, I_n) is S acting on this block's rows, indexed slot-major
+        idx = (np.arange(s.k)[:, None] * cell + pos + np.arange(n * n)).ravel()
+        out[np.ix_(idx, idx)] = np.kron(f, np.eye(n))
+        pos += n * n
     return out
 
 
@@ -455,10 +444,8 @@ def affiliation_test(
     and every basis element ``b`` (Hilbert-Schmidt projection residual
     below ``tol * norm(b)``), together with a Lipschitz probe at two
     nearby times standing in for norm continuity.  ``alpha`` must be
-    strictly positive.
+    strictly positive (``NotStrictlyPositiveError`` otherwise).
     """
-    if not strictly_positive(alpha):
-        raise NotStrictlyPositiveError("affiliation test needs a strictly positive operator")
     log_norm = op_log(alpha).norm()
     for t in t_samples:
         u = op_power(alpha, 1j * float(t))

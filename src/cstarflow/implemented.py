@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import AlgebraElement, spectral
 from .errors import (
     IllConditionedError,
     InvarianceViolationError,
@@ -30,11 +31,9 @@ from .hilbmod import (
     ModuleOperator,
     ModuleVector,
     SubalgebraBasis,
-    _flat_eigh,
     condition_number,
     inner,
     op_power,
-    operator_from_flat,
     strictly_positive,
 )
 from .stone import Localization, PositiveFunctional, induce
@@ -103,16 +102,17 @@ def _spectral_continuation(
     s: ModuleOperator, t: ModuleOperator, x: ModuleOperator, z: complex
 ) -> ModuleOperator:
     """Continuation through the joint spectral data of log S and log T."""
-    s_vals, s_vecs = _flat_eigh(s)
-    t_vals, t_vecs = _flat_eigh(t)
+    sd, td = spectral(s.flat), spectral(t.flat)
     out = []
-    for lam, ws, mu, wt, xb in zip(s_vals, s_vecs, t_vals, t_vecs, x.flatten()):
+    for lam, ws, mu, wt, xb in zip(
+        sd.eigenvalues, sd.eigenvectors, td.eigenvalues, td.eigenvectors, x.flat.blocks
+    ):
         sigma = np.log(lam.astype(complex))
         tau = np.log(mu.astype(complex))
         nu = sigma[:, None] - tau[None, :]
         xhat = ws.conj().T @ xb @ wt
         out.append(ws @ (np.exp(1j * z * nu) * xhat) @ wt.conj().T)
-    return operator_from_flat(x.shape, x.k, out)
+    return ModuleOperator.from_flat(AlgebraElement(x.flat.shape, out), x.k)
 
 
 def implemented_continuation_check(f: ImplementedFlow, z: complex, x: ModuleOperator) -> float:

@@ -31,7 +31,15 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, BlockShape, identity, is_strictly_positive
+from .algebra import (
+    AlgebraElement,
+    BlockShape,
+    eigenvalues,
+    herm_calculus,
+    identity,
+    is_strictly_positive,
+    spectral,
+)
 from .errors import (
     BranchAmbiguityError,
     FamilyNotFaithfulError,
@@ -43,7 +51,6 @@ from .hilbmod import (
     ModuleOperator,
     ModuleVector,
     op_exp,
-    operator_from_flat,
     operator_matrix,
     strictly_positive,
     vector_coordinates,
@@ -64,7 +71,7 @@ class PositiveFunctional:
         scale = max(r.norm(), 1e-300)
         if (r - r.star()).norm() > 1e-12 * scale:
             raise ValueError("density element is not Hermitian")
-        lo = min(float(np.min(np.linalg.eigvalsh((b + b.conj().T) / 2))) for b in r.blocks)
+        lo = float(np.min(eigenvalues(r)))
         if lo < -1e-12 * scale:
             raise ValueError(f"density element has negative eigenvalue {lo:.3e}")
 
@@ -134,12 +141,12 @@ class SampledUnitaryGroup:
 def _principal_log_phases(u: ModuleOperator) -> ModuleOperator:
     """Hermitian phase matrix of a unitary: ``-i log u`` on (-pi, pi]."""
     flats = []
-    for f in u.flatten():
+    for f in u.flat.blocks:
         t, z = scipy.linalg.schur(f, output="complex")
         phases = np.angle(np.diagonal(t))
         k = (z * phases) @ z.conj().T
         flats.append((k + k.conj().T) / 2.0)
-    return operator_from_flat(u.shape, u.k, flats)
+    return ModuleOperator.from_flat(AlgebraElement(u.flat.shape, flats), u.k)
 
 
 def recover_generator(
@@ -163,7 +170,8 @@ def _recover_with_trace(
         scale = max(1.0, log_t.norm())
         if (log_t - 2.0 * log_half).norm() <= tol * scale:
             k_op = (1.0 / t) * log_t
-            resid = (u(t) - _unitary_of(k_op, t)).norm()
+            u_k = herm_calculus(k_op.flat, lambda lam: np.exp(1j * t * lam))
+            resid = (u(t).flat - u_k).norm()
             if resid > 1e-9:
                 raise NotAGroupError(
                     f"u(t0) differs from exp(i t0 K) by {resid:.3e}"
@@ -174,15 +182,6 @@ def _recover_with_trace(
     raise BranchAmbiguityError(
         f"halving did not stabilize after {max_halvings} steps from t0={t0}"
     )
-
-
-def _unitary_of(k_op: ModuleOperator, t: float) -> ModuleOperator:
-    """``exp(itK)`` for Hermitian ``K``."""
-    from .hilbmod import _flat_eigh
-
-    vals, vecs = _flat_eigh(k_op)
-    flats = [(u * np.exp(1j * t * lam)) @ u.conj().T for lam, u in zip(vals, vecs)]
-    return operator_from_flat(k_op.shape, k_op.k, flats)
 
 
 def stone(u: SampledUnitaryGroup, t0: float = 1.0) -> ModuleOperator:
@@ -222,9 +221,7 @@ def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[f
 def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
     """Structured recovery record: t0 used, halvings, residuals, spectrum."""
     t_op, t_used, halvings = _stone_with_trace(u, t0)
-    spectrum = np.sort(
-        np.concatenate([np.linalg.eigvalsh(f) for f in t_op.flatten()])
-    )
+    spectrum = np.sort(eigenvalues(t_op.flat))
     return {
         "t0_used": t_used,
         "halvings": halvings,
@@ -271,7 +268,8 @@ def localize(omega: PositiveFunctional, shape: BlockShape, k: int, gns_tol: floa
         for n, rb in zip(shape.block_dims, omega.rho.blocks):
             cells.append(np.kron(np.eye(n), rb.T))
     gram = scipy.linalg.block_diag(*cells)
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    sd = spectral(AlgebraElement(BlockShape([gram.shape[0]]), [gram]))
+    w, v = sd.eigenvalues[0], sd.eigenvectors[0]
     top = float(np.max(w))
     if top <= 0.0:
         raise ZeroFunctionalError("positive functional vanishes on the module")
@@ -359,34 +357,13 @@ def vector_smear(t_op: ModuleOperator, v: ModuleVector, r: float, z: complex = 0
     """
     if r <= 0:
         raise ValueError("smearing width r must be positive")
-    from .hilbmod import _flat_eigh
-
-    vals, vecs = _flat_eigh(t_op)
+    sd = spectral(t_op.flat)
+    if any(np.any(lam <= 0) for lam in sd.eigenvalues):
+        raise ValueError("vector smear needs a strictly positive operator")
     z = complex(z)
-    k, dims = t_op.k, t_op.shape.block_dims
-    stacked = _stack_blocks(v, k, dims)
-    out_blocks = []
-    for lam, u, vb in zip(vals, vecs, stacked):
-        if np.any(lam <= 0):
-            raise ValueError("vector smear needs a strictly positive operator")
+
+    def factor(lam):
         kappa = np.log(lam)
-        factor = np.exp(1j * kappa * z - kappa * kappa / (4.0 * r * r))
-        out_blocks.append((u * factor) @ (u.conj().T @ vb))
-    return _unstack_blocks(v.shape, k, out_blocks)
+        return np.exp(1j * kappa * z - kappa * kappa / (4.0 * r * r))
 
-
-def _stack_blocks(v: ModuleVector, k: int, dims: tuple[int, ...]) -> list[np.ndarray]:
-    return [
-        np.vstack([v.entries[i].blocks[b] for i in range(k)])
-        for b in range(len(dims))
-    ]
-
-
-def _unstack_blocks(shape: BlockShape, k: int, stacked: list[np.ndarray]) -> ModuleVector:
-    entries = []
-    for i in range(k):
-        blocks = []
-        for n, sb in zip(shape.block_dims, stacked):
-            blocks.append(sb[i * n : (i + 1) * n, :])
-        entries.append(AlgebraElement(shape, blocks))
-    return ModuleVector(entries)
+    return ModuleOperator.from_flat(sd.apply(factor), t_op.k) @ v

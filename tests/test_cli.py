@@ -76,6 +76,46 @@ class TestValidate:
         _, problems = validate(raw)
         assert any("module_rank" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"grid": {"r": [float("nan")]}},
+            {"grid": {"t0": float("inf")}},
+            {"flow": {"kind": "random", "norm": float("-inf")}},
+            {
+                "flow": {
+                    "kind": "explicit",
+                    "h_left": {"blocks": [[[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]},
+                }
+            },
+        ],
+    )
+    def test_non_finite_rejected(self, extra):
+        config, problems = validate({"experiment": "converge", "seed": 1, "shape": [2], **extra})
+        assert config is None
+        assert any("non-finite" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", True),
+            ("shape", [True]),
+            ("instances", True),
+            ("module_rank", True),
+            ("grid", {"nodes": True}),
+        ],
+    )
+    def test_boolean_for_integer_rejected(self, field, value):
+        raw = {"experiment": "verify", "seed": 1, "shape": [2], field: value}
+        config, problems = validate(raw)
+        assert config is None
+        assert problems
+
+    @pytest.mark.parametrize("field", ["flow", "grid"])
+    def test_non_object_section_rejected(self, field):
+        _, problems = validate({"experiment": "verify", "seed": 1, "shape": [2], field: 5})
+        assert any(field in p for p in problems)
+
     def test_load_config_raises_with_problems(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"experiment": "nope"}))
@@ -103,6 +143,30 @@ class TestMain:
         cfg.write_text(json.dumps({"experiment": "banana"}))
         assert main(["validate", str(cfg)]) == 2
         assert "CONFIG_INVALID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # json parses NaN: this payload used to crash validate with LinAlgError
+            '{"experiment": "converge", "seed": 1, "shape": [2], "flow": {"kind": "explicit",'
+            ' "h_left": {"blocks": [[[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}}}',
+            # used to validate ok and then crash run with ValueError
+            '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [NaN]}}',
+            '{"experiment": "verify", "seed": 1, "shape": [2], "grid": {"z_im": [Infinity]}}',
+            '{"experiment": "verify", "seed": true, "shape": [2]}',
+            '{"experiment": "verify", "seed": 1, "shape": [true]}',
+        ],
+        ids=["nan_payload", "nan_r", "inf_z_im", "bool_seed", "bool_shape"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_outside_input_exits_two(self, text, command, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        argv = [command, str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err and all(line.startswith("CONFIG_INVALID: ") for line in err.splitlines())
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

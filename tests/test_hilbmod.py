@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarflow import (
     AlgebraElement,
@@ -13,22 +15,33 @@ from cstarflow import (
     affiliation_test,
     identity,
     identity_operator,
+    induce,
     inner,
     is_unitary,
+    localize,
     matrix_unit_operators,
     op_exp,
     op_power,
     strictly_positive,
     zeros,
 )
-from cstarflow.hilbmod import operator_from_flat, operator_vec, vector_coordinates
+from cstarflow.hilbmod import (
+    operator_from_flat,
+    operator_vec,
+    vector_coordinates,
+    vector_from_coordinates,
+)
+from cstarflow.serialize import dumps, loads, operator_from_payload, operator_to_payload
 from cstarflow.sampling import (
     random_element,
     random_operator,
     random_positive_operator,
+    random_state,
     random_vector,
     rng,
 )
+
+EPS = np.finfo(float).eps
 
 
 def unit_first_slot(shape: BlockShape, k: int) -> ModuleVector:
@@ -262,3 +275,137 @@ class TestModuleInvariants:
 
         back = operator_from_flat(shape, 2, _unvec_flats(shape, 2, operator_vec(s)))
         assert (back - s).norm() == 0.0
+
+
+# Reference implementations over the k x k grid of algebra elements: the
+# summation order the flat and stacked products replace.
+
+
+def _sum_elements(elems):
+    out = elems[0]
+    for e in elems[1:]:
+        out = out + e
+    return out
+
+
+def grid_product(s, t):
+    k = s.k
+    return ModuleOperator(
+        [
+            [_sum_elements([s.entries[i][m] @ t.entries[m][j] for m in range(k)]) for j in range(k)]
+            for i in range(k)
+        ]
+    )
+
+
+def grid_apply(s, v):
+    return ModuleVector(
+        [_sum_elements([e @ x for e, x in zip(row, v.entries)]) for row in s.entries]
+    )
+
+
+def slot_inner(v, w):
+    out = zeros(v.shape)
+    for a, b in zip(v.entries, w.entries):
+        out = out + (b.star() @ a)
+    return out
+
+
+class TestFlatAgainstGrid:
+    SHAPE = BlockShape([3, 2])
+
+    def bound(self, k, x_norm, y_norm):
+        # a sum of k * max(n) products, with headroom 8, in float64
+        return 8 * k * max(self.SHAPE) * EPS * x_norm * y_norm
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_operator_product(self, k):
+        r = rng(100 + k)
+        s, t = random_operator(r, self.SHAPE, k), random_operator(r, self.SHAPE, k)
+        diff = (s @ t - grid_product(s, t)).norm()
+        assert diff <= self.bound(k, s.norm(), t.norm())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_operator_on_vector(self, k):
+        r = rng(110 + k)
+        s, v = random_operator(r, self.SHAPE, k), random_vector(r, self.SHAPE, k)
+        diff = (s @ v - grid_apply(s, v)).norm()
+        assert diff <= self.bound(k, s.norm(), v.norm())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_inner(self, k):
+        r = rng(120 + k)
+        v, w = random_vector(r, self.SHAPE, k), random_vector(r, self.SHAPE, k)
+        diff = (inner(v, w) - slot_inner(v, w)).norm()
+        assert diff <= self.bound(k, v.norm(), w.norm())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_grid_round_trips_bitwise(self, k):
+        r = rng(130 + k)
+        s, v = random_operator(r, self.SHAPE, k), random_vector(r, self.SHAPE, k)
+        for a, b in zip(ModuleOperator(s.entries).flat.blocks, s.flat.blocks):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(ModuleVector(v.entries).stacked, v.stacked):
+            np.testing.assert_array_equal(a, b)
+        back = vector_from_coordinates(self.SHAPE, k, vector_coordinates(v))
+        for a, b in zip(back.stacked, v.stacked):
+            np.testing.assert_array_equal(a, b)
+
+
+# Module-layer properties over random seeds, block shapes and ranks.
+SMALL_MODULES = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2)]),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(SMALL_MODULES)
+def test_induce_star_homomorphism_hypothesis(module):
+    seed, dims, k = module
+    r = rng(seed)
+    shape = BlockShape(dims)
+    loc = localize(random_state(r, shape), shape, k)
+    s, t = random_operator(r, shape, k), random_operator(r, shape, k)
+    prod = induce(loc, s @ t)
+    assert np.linalg.norm(prod - induce(loc, s) @ induce(loc, t), 2) <= 1e-9 * max(
+        1.0, np.linalg.norm(prod, 2)
+    )
+    assert np.linalg.norm(induce(loc, s.star()) - induce(loc, s).conj().T, 2) <= 1e-10 * max(
+        1.0, s.norm()
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(SMALL_MODULES)
+def test_adjoint_pairing_hypothesis(module):
+    seed, dims, k = module
+    r = rng(seed)
+    shape = BlockShape(dims)
+    s = random_operator(r, shape, k)
+    v, w = random_vector(r, shape, k), random_vector(r, shape, k)
+    rhs = inner(v, s.star() @ w)
+    assert (inner(s @ v, w) - rhs).norm() <= 1e-10 * max(1.0, rhs.norm())
+
+
+@settings(max_examples=30, deadline=None)
+@given(SMALL_MODULES)
+def test_cstar_identity_hypothesis(module):
+    seed, dims, k = module
+    s = random_operator(rng(seed), BlockShape(dims), k)
+    n2 = s.norm() ** 2
+    assert abs((s.star() @ s).norm() - n2) <= 1e-10 * max(n2, 1e-30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SMALL_MODULES)
+def test_operator_payload_roundtrip_hypothesis(module):
+    seed, dims, k = module
+    s = random_operator(rng(seed), BlockShape(dims), k)
+    payload = operator_to_payload(s)
+    assert len(payload["entries"]) == k and all(len(row) == k for row in payload["entries"])
+    back = operator_from_payload(loads(dumps(payload)))
+    assert back.k == k
+    for a, b in zip(back.flat.blocks, s.flat.blocks):
+        np.testing.assert_array_equal(a, b)
