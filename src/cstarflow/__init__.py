@@ -38,7 +38,6 @@ from .composition import (
     tensor_flow,
 )
 from .continuation import (
-    QuadratureRule,
     SmearingPlan,
     Strip,
     continue_exact,

@@ -5,7 +5,8 @@ The ambient algebra is a direct sum of full complex matrix blocks,
 blocks; the norm is the largest singular value over the blocks, which is
 the C*-norm of the direct sum.  Hermitian functional calculus and complex
 powers of strictly positive elements are built on blockwise
-eigendecompositions.
+eigendecompositions, and so is ``sandwich``, the one kernel behind every
+two-sided spectral map ``x -> U (F o (U* x V)) V*``.
 
 Tolerances follow double-precision headroom at desk scale (block
 dimensions up to 64): ``HERM_TOL`` and ``POS_TOL_FACTOR`` are relative
@@ -230,6 +231,21 @@ def spectral(h: HermitianElement | AlgebraElement) -> SpectralDecomposition:
         vals.append(lam)
         vecs.append(_frozen(u))
     return SpectralDecomposition(x.shape, tuple(vals), tuple(vecs))
+
+
+def sandwich(left: SpectralDecomposition, right: SpectralDecomposition, x: AlgebraElement,
+             factor: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> AlgebraElement:
+    """``U (F o (U* x V)) V*`` blockwise, with ``F = factor(lam, mu)`` entrywise.
+
+    ``U, lam`` and ``V, mu`` are the eigendata of ``left`` and ``right``, so
+    ``F = exp(iz(lam_j - mu_k))`` gives ``exp(izH_l) x exp(-izH_r)``.
+    """
+    if not left.shape == right.shape == x.shape:
+        raise ShapeMismatchError("element and eigendata live over different shapes")
+    parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
+    return AlgebraElement(x.shape, [
+        u @ (factor(lam, mu) * (u.conj().T @ xb @ v)) @ v.conj().T for lam, u, mu, v, xb in parts
+    ])
 
 
 def herm_calculus(h: HermitianElement | AlgebraElement, f) -> AlgebraElement:

@@ -16,6 +16,7 @@ produce byte-identical CSVs on one platform.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -27,7 +28,9 @@ import numpy as np
 from . import sampling
 from .algebra import AlgebraElement, BlockShape, HermitianElement, herm_calculus
 from .continuation import (
+    MAX_NODES,
     SmearingPlan,
+    admissible_nodes,
     continue_exact,
     core_rescale,
     min_nodes,
@@ -160,6 +163,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _non_finite(value, path: str) -> list[str]:
     """Paths of the NaN and infinite numbers anywhere inside ``value``."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -169,6 +176,20 @@ def _non_finite(value, path: str) -> list[str]:
     if isinstance(value, list):
         return [p for i, v in enumerate(value) for p in _non_finite(v, f"{path}[{i}]")]
     return []
+
+
+def _node_budget(nu_max: float, r_list: list, z_im: list) -> list[str]:
+    """One problem per ``(r, z_im)`` whose admissible node count is above the cap."""
+    problems = []
+    for r, im in itertools.product(r_list, z_im):
+        try:
+            count = admissible_nodes(nu_max, r, complex(0.0, im))
+        except OverflowError:  # the budget squared is infinite
+            count = math.inf
+        if count > MAX_NODES:
+            problems.append(f"grid.r = {r!r} with z_im = {im!r} needs {count} Gauss-Hermite"
+                            f" nodes, above the cap of {MAX_NODES}")
+    return problems
 
 
 def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
@@ -228,7 +249,7 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     elif flow.get("kind") != "random":
         problems.append(f"unknown flow kind {flow.get('kind')!r}")
     norm = flow.get("norm", 2.0)
-    if not isinstance(norm, (int, float)) or norm <= 0:
+    if not _is_num(norm) or norm <= 0:
         problems.append("flow norm must be a positive number")
     element = None
     if "element" in raw:
@@ -241,19 +262,17 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     grid = {**_DEFAULTS["grid"], **raw.get("grid", {})}
     for key in ("r", "z_re", "z_im"):
         vals = grid.get(key)
-        if not isinstance(vals, list) or not vals or not all(
-            isinstance(v, (int, float)) for v in vals
-        ):
+        if not isinstance(vals, list) or not vals or not all(_is_num(v) for v in vals):
             problems.append(f"grid.{key} must be a nonempty list of numbers")
     if grid.get("r") and isinstance(grid["r"], list) and any(
-        isinstance(v, (int, float)) and v <= 0 for v in grid["r"]
+        _is_num(v) and v <= 0 for v in grid["r"]
     ):
         problems.append("grid.r entries must be positive")
     nodes = grid.get("nodes")
-    if nodes is not None and (not _is_int(nodes) or nodes < 1):
-        problems.append("grid.nodes must be a positive integer or null")
+    if nodes is not None and (not _is_int(nodes) or not 1 <= nodes <= MAX_NODES):
+        problems.append(f"grid.nodes must be a positive integer up to {MAX_NODES} or null")
     t0 = grid.get("t0", 1.0)
-    if not isinstance(t0, (int, float)) or t0 <= 0:
+    if not _is_num(t0) or t0 <= 0:
         problems.append("grid.t0 must be positive")
     instances = raw.get("instances", _DEFAULTS["instances"])
     if not _is_int(instances) or instances < 1:
@@ -271,6 +290,11 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     output = raw.get("output", _DEFAULTS["output"])
     if not isinstance(output, str):
         problems.append("output must be a string path")
+    if experiment == "converge" and not problems:
+        # nu_max as the run will see it: the payload norms, or 2 * norm for random flows
+        right = h_right if h_right is not None else h_left
+        nu_max = h_left.norm() + right.norm() if h_left is not None else 2.0 * norm
+        problems += _node_budget(nu_max, grid["r"], grid["z_im"])
     if problems:
         return None, problems
     return (

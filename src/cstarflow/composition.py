@@ -7,8 +7,9 @@ The two-variable smear
 
     x(n, z) = (n^2/pi) * iint exp(-n^2((s-z)^2 + (t-z)^2)) alpha_s(beta_t(x)) ds dt
 
-is evaluated with a tensorized Gauss-Hermite rule, one substitution per
-axis, and by Fubini agrees with the composition of one-variable smears.
+is, by Fubini, the composition of the one-variable smears, so it is
+evaluated as iterated one-axis Gauss-Hermite rules: ``beta``'s node sum
+inside ``alpha``'s, each a node sum of phases in the joint eigenbasis.
 
 Tensor products are realized on the Kronecker algebra: the minimal
 C*-tensor norm is the unique one on matrix algebras, so
@@ -18,13 +19,12 @@ model the whole construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraElement, BlockShape, HermitianElement
-from .continuation import _hermgauss, continue_exact, min_nodes
+from .continuation import SmearingPlan, continue_exact, min_nodes, smear_quadrature
 from .errors import NodesTooFewError, NotCommutingError, ShapeMismatchError
 from .flows import FlowGenerator
 
@@ -83,22 +83,6 @@ def gamma_continuation_check(p: CommutingPair, z: complex, x: AlgebraElement) ->
     return max((gz - ab).norm(), (gz - ba).norm())
 
 
-def _propagators(g: FlowGenerator, points: np.ndarray):
-    """Left and right conjugation factors of ``g`` at an array of times."""
-    left, right = [], []
-    for lam, ul, mu, ur in zip(
-        g.spectral_left.eigenvalues,
-        g.spectral_left.eigenvectors,
-        g.spectral_right.eigenvalues,
-        g.spectral_right.eigenvectors,
-    ):
-        phases_l = np.exp(1j * np.outer(points, lam))
-        phases_r = np.exp(-1j * np.outer(points, mu))
-        left.append(np.einsum("jk,ik,lk->ijl", ul, phases_l, ul.conj()))
-        right.append(np.einsum("jk,ik,lk->ijl", ur, phases_r, ur.conj()))
-    return left, right
-
-
 def double_smear(
     p: CommutingPair,
     x: AlgebraElement,
@@ -108,9 +92,11 @@ def double_smear(
 ) -> AlgebraElement:
     """Two-variable Gaussian smear of ``x`` along the commuting pair.
 
-    Uses a tensorized Gauss-Hermite rule over the (s, t) grid; node
-    counts default to the one-axis admissibility rule per flow and may
-    only be raised (``NodesTooFewError`` otherwise).
+    Iterates the one-axis rules, ``beta``'s with ``nodes[1]`` nodes inside
+    ``alpha``'s with ``nodes[0]``, so the work grows with the sum of the
+    node counts, not their product.  Node counts default to the one-axis
+    admissibility rule per flow and may only be raised
+    (``NodesTooFewError`` otherwise).
     """
     if n <= 0:
         raise ValueError("smearing index n must be positive")
@@ -120,22 +106,8 @@ def double_smear(
         nodes = (need_s, need_t)
     if nodes[0] < need_s or nodes[1] < need_t:
         raise NodesTooFewError(f"axis node counts {nodes} below ({need_s}, {need_t})")
-    s_pts, s_w = _hermgauss(nodes[0])
-    t_pts, t_w = _hermgauss(nodes[1])
-    growth = math.exp(2.0 * n * n * z.imag * z.imag) / math.pi
-    cs = s_w * np.exp(2j * n * z.imag * s_pts)
-    ct = t_w * np.exp(2j * n * z.imag * t_pts)
-    la, ra = _propagators(p.alpha, z.real + s_pts / n)
-    lb, rb = _propagators(p.beta, z.real + t_pts / n)
-    out = []
-    for b, xb in enumerate(x.blocks):
-        inner = np.einsum("jab,bc,jcd->jad", lb[b], xb, rb[b])
-        acc = np.zeros_like(xb)
-        for i in range(nodes[0]):
-            for j in range(nodes[1]):
-                acc += (cs[i] * ct[j]) * (la[b][i] @ inner[j] @ ra[b][i])
-        out.append(growth * acc)
-    return AlgebraElement(x.shape, out)
+    inner = smear_quadrature(p.beta, x, SmearingPlan(n, z, nodes[1]))
+    return smear_quadrature(p.alpha, inner, SmearingPlan(n, z, nodes[0]))
 
 
 def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

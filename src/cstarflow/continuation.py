@@ -9,13 +9,16 @@ center ``z`` is
 
     x(r, z) = (r / sqrt(pi)) * integral exp(-r^2 (t - z)^2) alpha_t(x) dt
 
-evaluated two independent ways: Gauss-Hermite quadrature after centering
-the contour at ``Re z`` (the complex shift is handled analytically by
-the factor ``exp(2ir(Im z)s + r^2(Im z)^2)``, valid because the
-integrand is entire), and a closed form in the joint eigenbasis of the
-generators, where entry ``(j, k)`` picks up the Gaussian Fourier factor
-``exp(i nu z - nu^2 / (4 r^2))`` with ``nu = lam_j - mu_k``.  The
-closed form doubles as the brute-force oracle for the quadrature.
+evaluated two independent ways, each as an entrywise factor on ``x`` in
+the joint eigenbasis of the generators (``algebra.sandwich``), with
+``nu = lam_j - mu_k``: a Gauss-Hermite node sum of phases
+``sum_j c_j exp(i t_j nu)`` over ``t_j = Re z + s_j / r`` (the complex
+shift is handled analytically by the weight factor
+``exp(2ir(Im z)s_j + r^2(Im z)^2)``, valid because the integrand is
+entire), and the closed-form Gaussian Fourier factor
+``exp(i nu z - nu^2 / (4 r^2))``.  The two share only the
+eigendecomposition, so the closed form doubles as the brute-force oracle
+for the quadrature.
 
 The smear obeys ``norm(x(r, z)) <= norm(x) exp(r^2 (Im z)^2)`` and
 ``alpha_y(x(r, z)) = x(r, z + y)``.
@@ -23,7 +26,6 @@ The smear obeys ``norm(x(r, z)) <= norm(x) exp(r^2 (Im z)^2)`` and
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,13 +33,16 @@ from functools import lru_cache
 import numpy as np
 import scipy.special
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, sandwich
 from .errors import NodesTooFewError, NotSeparatingError
 from .flows import FlowGenerator, conjugate
 
 QUAD_TARGET = 1e-8
 NODE_FACTOR = 4
 DEGENERATE_R = 1e6
+# Phase tables are nodes x n per block: at n = 64 the cap keeps each at
+# 16 MiB, far above the largest plan in the tests and benchmarks (1057).
+MAX_NODES = 2**14
 
 
 @dataclass(frozen=True)
@@ -51,10 +56,6 @@ class Strip:
         return lo <= y.imag <= hi
 
 
-class QuadratureRule(enum.Enum):
-    GAUSS_HERMITE = "gauss-hermite"
-
-
 @dataclass(frozen=True)
 class SmearingPlan:
     """Quadrature configuration for evaluating a smear ``x(r, z)``."""
@@ -62,13 +63,14 @@ class SmearingPlan:
     r: float
     z: complex
     nodes: int
-    rule: QuadratureRule = QuadratureRule.GAUSS_HERMITE
 
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("smearing width r must be positive")
         if self.nodes < 1:
             raise ValueError("node count must be positive")
+        if self.nodes > MAX_NODES:
+            raise ValueError(f"node count {self.nodes} above the cap of {MAX_NODES}")
 
     @staticmethod
     def for_flow(g: FlowGenerator, r: float, z: complex = 0.0) -> "SmearingPlan":
@@ -77,13 +79,17 @@ class SmearingPlan:
 
 
 def min_nodes(g: FlowGenerator, r: float, z: complex) -> int:
-    """Admissible Gauss-Hermite node count.
+    """Admissible Gauss-Hermite node count for the flow ``g``."""
+    return admissible_nodes(g.generator_norm(), r, z)
 
-    ``16 + ceil(4 (nu_max/(2r) + r |Im z|)^2)`` with
+
+def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
+    """Admissible Gauss-Hermite node count for frequencies up to ``nu_max``.
+
+    ``16 + ceil(4 (nu_max/(2r) + r |Im z|)^2)``, where a flow's
     ``nu_max = norm(H_l) + norm(H_r)``: the node count has to dominate
     the squared oscillation/growth budget of the shifted integrand.
     """
-    nu_max = g.generator_norm()
     budget = nu_max / (2.0 * r) + r * abs(complex(z).imag)
     return 16 + math.ceil(NODE_FACTOR * budget * budget)
 
@@ -106,8 +112,9 @@ def continue_exact(g: FlowGenerator, z: complex, x: AlgebraElement) -> AlgebraEl
 def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) -> AlgebraElement:
     """Gauss-Hermite approximation of the smear ``x(r, z)``.
 
-    Raises ``NodesTooFewError`` when the plan fails the admissibility
-    rule; for admissible plans the quadrature error is below
+    The node sum is one (n x nodes) @ (nodes x n) product of phase tables
+    per block.  Raises ``NodesTooFewError`` when the plan fails the
+    admissibility rule; for admissible plans the quadrature error is below
     ``QUAD_TARGET`` relative to ``norm(x) exp(r^2 (Im z)^2)``.
     """
     r, z = plan.r, complex(plan.z)
@@ -121,12 +128,12 @@ def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) ->
     s, w = _hermgauss(plan.nodes)
     growth = math.exp(r * r * z.imag * z.imag)
     coeff = w * np.exp(2j * r * z.imag * s) * (growth / math.sqrt(math.pi))
-    acc = [np.zeros((n, n), dtype=complex) for n in x.shape]
-    for ci, si in zip(coeff, s):
-        term = conjugate(g, z.real + si / r, x)
-        for a, b in zip(acc, term.blocks):
-            a += ci * b
-    return AlgebraElement(x.shape, acc)
+    t = z.real + s / r
+
+    def node_sum(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.outer(lam, t)) @ (coeff[:, None] * np.exp(-1j * np.outer(t, mu)))
+
+    return sandwich(g.spectral_left, g.spectral_right, x, node_sum)
 
 
 def smear_oracle(g: FlowGenerator, x: AlgebraElement, r: float, z: complex) -> AlgebraElement:
@@ -134,19 +141,12 @@ def smear_oracle(g: FlowGenerator, x: AlgebraElement, r: float, z: complex) -> A
     if r <= 0:
         raise ValueError("smearing width r must be positive")
     z = complex(z)
-    out = []
-    for lam, ul, mu, ur, xb in zip(
-        g.spectral_left.eigenvalues,
-        g.spectral_left.eigenvectors,
-        g.spectral_right.eigenvalues,
-        g.spectral_right.eigenvectors,
-        x.blocks,
-    ):
+
+    def gaussian_fourier(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
         nu = lam[:, None] - mu[None, :]
-        factor = np.exp(1j * nu * z - nu * nu / (4.0 * r * r))
-        xhat = ul.conj().T @ xb @ ur
-        out.append(ul @ (factor * xhat) @ ur.conj().T)
-    return AlgebraElement(x.shape, out)
+        return np.exp(1j * nu * z - nu * nu / (4.0 * r * r))
+
+    return sandwich(g.spectral_left, g.spectral_right, x, gaussian_fourier)
 
 
 def three_lines_check(g: FlowGenerator, x: AlgebraElement, z: complex, samples: int) -> float:

@@ -27,6 +27,7 @@ from .algebra import (
     BlockShape,
     HermitianElement,
     SpectralDecomposition,
+    sandwich,
     spectral,
     zeros,
 )
@@ -84,20 +85,8 @@ def conjugate(g: FlowGenerator, z: complex, x: AlgebraElement) -> AlgebraElement
     This single code path serves both real-time evaluation and analytic
     continuation; at finite dimension the map is entire in ``z``.
     """
-    if x.shape != g.shape:
-        raise ShapeMismatchError("element and flow live over different shapes")
-    out = []
-    for lam, ul, mu, ur, xb in zip(
-        g.spectral_left.eigenvalues,
-        g.spectral_left.eigenvectors,
-        g.spectral_right.eigenvalues,
-        g.spectral_right.eigenvectors,
-        x.blocks,
-    ):
-        el = (ul * np.exp(1j * z * lam)) @ ul.conj().T
-        er = (ur * np.exp(-1j * z * mu)) @ ur.conj().T
-        out.append(el @ xb @ er)
-    return AlgebraElement(x.shape, out)
+    left, right = g.spectral_left, g.spectral_right
+    return sandwich(left, right, x, lambda lam, mu: np.exp(1j * z * (lam[:, None] - mu[None, :])))
 
 
 def evaluate(g: FlowGenerator, t: float, x: AlgebraElement) -> AlgebraElement:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, spectral
+from .algebra import sandwich, spectral
 from .errors import (
     IllConditionedError,
     InvarianceViolationError,
@@ -102,17 +102,13 @@ def _spectral_continuation(
     s: ModuleOperator, t: ModuleOperator, x: ModuleOperator, z: complex
 ) -> ModuleOperator:
     """Continuation through the joint spectral data of log S and log T."""
-    sd, td = spectral(s.flat), spectral(t.flat)
-    out = []
-    for lam, ws, mu, wt, xb in zip(
-        sd.eigenvalues, sd.eigenvectors, td.eigenvalues, td.eigenvectors, x.flat.blocks
-    ):
-        sigma = np.log(lam.astype(complex))
-        tau = np.log(mu.astype(complex))
-        nu = sigma[:, None] - tau[None, :]
-        xhat = ws.conj().T @ xb @ wt
-        out.append(ws @ (np.exp(1j * z * nu) * xhat) @ wt.conj().T)
-    return ModuleOperator.from_flat(AlgebraElement(x.flat.shape, out), x.k)
+
+    def log_phase(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        nu = np.log(lam.astype(complex))[:, None] - np.log(mu.astype(complex))[None, :]
+        return np.exp(1j * z * nu)
+
+    flat = sandwich(spectral(s.flat), spectral(t.flat), x.flat, log_phase)
+    return ModuleOperator.from_flat(flat, x.k)
 
 
 def implemented_continuation_check(f: ImplementedFlow, z: complex, x: ModuleOperator) -> float:

@@ -103,6 +103,12 @@ class TestValidate:
             ("instances", True),
             ("module_rank", True),
             ("grid", {"nodes": True}),
+            # booleans where a float is required
+            ("flow", {"kind": "random", "norm": True}),
+            ("grid", {"r": [True]}),
+            ("grid", {"z_re": [True]}),
+            ("grid", {"z_im": [False]}),
+            ("grid", {"t0": True}),
         ],
     )
     def test_boolean_for_integer_rejected(self, field, value):
@@ -110,6 +116,35 @@ class TestValidate:
         config, problems = validate(raw)
         assert config is None
         assert problems
+
+    @pytest.mark.parametrize(
+        "grid, flow, needle",
+        [
+            ({"r": [0.001], "z_im": [1.0]}, {}, "grid.r = 0.001 with z_im = 1.0 needs 16000033 "),
+            ({"r": [1000.0], "z_im": [1.0]}, {}, "grid.r = 1000.0 with z_im = 1.0 needs 4000033 "),
+            ({"nodes": 1000000000}, {}, "grid.nodes"),
+            ({"r": [1e-300], "z_im": [0.0]}, {}, "grid.r = 1e-300 with z_im = 0.0 needs inf "),
+            # an explicit flow's budget comes from its payload norms: 2 * norm(diag(1, -1))
+            (
+                {"r": [0.01], "z_im": [0.0]},
+                {"kind": "explicit", "h_left": {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}},
+                "grid.r = 0.01 with z_im = 0.0 needs 40016 ",
+            ),
+        ],
+        ids=["tiny_r", "huge_r", "huge_nodes", "overflowing_r", "explicit_payload"],
+    )
+    def test_node_budget_rejected(self, grid, flow, needle):
+        raw = {"experiment": "converge", "seed": 1, "shape": [2], "grid": grid, "flow": flow}
+        config, problems = validate(raw)
+        assert config is None
+        assert any(needle in p for p in problems)
+
+    def test_node_budget_checks_every_grid_point(self):
+        raw = {"experiment": "converge", "seed": 1, "shape": [2],
+               "grid": {"r": [0.05, 0.01], "z_im": [0.0, 0.5]}}
+        _, problems = validate(raw)
+        # nu_max = 4: r = 0.05 asks for about 6400 nodes, r = 0.01 for about 160000
+        assert len(problems) == 2 and all("grid.r = 0.01 " in p for p in problems)
 
     @pytest.mark.parametrize("field", ["flow", "grid"])
     def test_non_object_section_rejected(self, field):
@@ -155,8 +190,13 @@ class TestMain:
             '{"experiment": "verify", "seed": 1, "shape": [2], "grid": {"z_im": [Infinity]}}',
             '{"experiment": "verify", "seed": true, "shape": [2]}',
             '{"experiment": "verify", "seed": 1, "shape": [true]}',
+            # used to validate ok and then ask for millions of quadrature nodes
+            '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [0.001], "z_im": [1.0]}}',
+            '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [1000.0], "z_im": [1.0]}}',
+            '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"nodes": 1000000000}}',
         ],
-        ids=["nan_payload", "nan_r", "inf_z_im", "bool_seed", "bool_shape"],
+        ids=["nan_payload", "nan_r", "inf_z_im", "bool_seed", "bool_shape",
+             "tiny_r", "huge_r", "huge_nodes"],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_outside_input_exits_two(self, text, command, capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Commuting pairs, product flows, double smears, tensor products."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cstarflow import (
+    AlgebraElement,
     BlockShape,
     CommutingPair,
     FlowGenerator,
@@ -15,12 +18,14 @@ from cstarflow import (
     gamma_continuation_check,
     identity,
     left_companion,
+    min_nodes,
     product_flow,
     smear_oracle,
     tensor_continuation_check,
     tensor_element,
     tensor_flow,
 )
+from cstarflow.continuation import _hermgauss
 from cstarflow.sampling import (
     random_commuting_flows,
     random_element,
@@ -29,6 +34,8 @@ from cstarflow.sampling import (
 )
 
 from conftest import diag_flow
+
+EPS = np.finfo(float).eps
 
 
 def diagonal_pair(*pairs):
@@ -132,6 +139,58 @@ class TestDoubleSmear:
         lhs = continue_exact(gamma, z, double_smear(pair, x, n, 0.0))
         rhs = double_smear(pair, x, n, z)
         assert (lhs - rhs).norm() <= 1e-8 * max(1.0, rhs.norm())
+
+
+def _propagators(g, points):
+    """Left and right conjugation factors of ``g`` at an array of times."""
+    left, right = [], []
+    for lam, ul, mu, ur in zip(
+        g.spectral_left.eigenvalues,
+        g.spectral_left.eigenvectors,
+        g.spectral_right.eigenvalues,
+        g.spectral_right.eigenvectors,
+    ):
+        phases_l = np.exp(1j * np.outer(points, lam))
+        phases_r = np.exp(-1j * np.outer(points, mu))
+        left.append(np.einsum("jk,ik,lk->ijl", ul, phases_l, ul.conj()))
+        right.append(np.einsum("jk,ik,lk->ijl", ur, phases_r, ur.conj()))
+    return left, right
+
+
+def node_pair_double_smear(p, x, n, z, nodes):
+    """The tensor rule: one term per (s, t) node pair."""
+    s_pts, s_w = _hermgauss(nodes[0])
+    t_pts, t_w = _hermgauss(nodes[1])
+    growth = math.exp(2.0 * n * n * z.imag * z.imag) / math.pi
+    cs = s_w * np.exp(2j * n * z.imag * s_pts)
+    ct = t_w * np.exp(2j * n * z.imag * t_pts)
+    la, ra = _propagators(p.alpha, z.real + s_pts / n)
+    lb, rb = _propagators(p.beta, z.real + t_pts / n)
+    out = []
+    for b, xb in enumerate(x.blocks):
+        inner = np.einsum("jab,bc,jcd->jad", lb[b], xb, rb[b])
+        acc = np.zeros_like(xb)
+        for i in range(nodes[0]):
+            for j in range(nodes[1]):
+                acc += (cs[i] * ct[j]) * (la[b][i] @ inner[j] @ ra[b][i])
+        out.append(growth * acc)
+    return AlgebraElement(x.shape, out)
+
+
+class TestDoubleSmearAgainstNodePairs:
+    SHAPE = BlockShape([3, 2])
+
+    @pytest.mark.parametrize("n, z", [(1.0, 0.0j), (2.0, 0.1 + 0.3j), (0.5, -0.2 - 0.4j)])
+    def test_iterated_rules_match_node_pairs(self, n, z):
+        r = rng(40)
+        alpha, beta = random_commuting_flows(r, self.SHAPE, 1.0)
+        pair = CommutingPair(alpha, beta)
+        x = random_element(r, self.SHAPE)
+        nodes = (min_nodes(alpha, n, z), min_nodes(beta, n, z) + 3)
+        diff = (double_smear(pair, x, n, z, nodes) - node_pair_double_smear(pair, x, n, z, nodes)).norm()
+        # same bound as the one-axis reference, on the two-variable envelope
+        envelope = x.norm() * math.exp(2.0 * n * n * z.imag * z.imag)
+        assert diff <= 64 * max(self.SHAPE) * EPS * envelope
 
 
 class TestTensor:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarflow import (
     AlgebraElement,
@@ -14,6 +16,7 @@ from cstarflow import (
     NotSeparatingError,
     SmearingPlan,
     Strip,
+    conjugate,
     continue_exact,
     core_rescale,
     evaluate,
@@ -25,9 +28,12 @@ from cstarflow import (
     weak_continuation_check,
     zeros,
 )
+from cstarflow.continuation import MAX_NODES, QUAD_TARGET, _hermgauss
 from cstarflow.sampling import random_element, random_flow, rng
 
 from conftest import diag_flow, e12
+
+EPS = np.finfo(float).eps
 
 
 class TestStrip:
@@ -119,6 +125,11 @@ class TestSmearQuadrature:
         x = e12()
         out = smear_quadrature(g, x, SmearingPlan(1e13, 0.0, 16))
         assert (out - x).norm() == 0.0
+
+    def test_node_cap(self):
+        assert SmearingPlan(1.0, 0.5j, MAX_NODES).nodes == MAX_NODES
+        with pytest.raises(ValueError, match="cap"):
+            SmearingPlan(1.0, 0.5j, MAX_NODES + 1)
 
     def test_large_node_counts_stay_accurate(self):
         # r |Im z| large pushes the admissible rule past 400 nodes, where
@@ -378,3 +389,83 @@ class TestContinuationInvariants:
             e2 = (smear_oracle(g, x, 2 * rr, 0.0) - x).norm()
             assert 0.2 <= e2 / e1 <= 0.3
             rr *= 2.0
+
+
+def per_node_quadrature(g, x, plan):
+    """The node-by-node sum ``sum_j c_j conjugate(g, t_j, x)``."""
+    r, z = plan.r, complex(plan.z)
+    s, w = _hermgauss(plan.nodes)
+    growth = math.exp(r * r * z.imag * z.imag)
+    coeff = w * np.exp(2j * r * z.imag * s) * (growth / math.sqrt(math.pi))
+    acc = [np.zeros((n, n), dtype=complex) for n in x.shape]
+    for ci, si in zip(coeff, s):
+        term = conjugate(g, z.real + si / r, x)
+        for a, b in zip(acc, term.blocks):
+            a += ci * b
+    return AlgebraElement(x.shape, acc)
+
+
+class TestNodeSumAgainstPerNode:
+    SHAPE = BlockShape([3, 2])
+
+    @pytest.mark.parametrize(
+        "rr, z",
+        [
+            (0.25, 0.0),
+            (0.25, 0.3 + 0.5j),
+            (1.0, -0.5 + 1.0j),
+            (4.0, 0.2 - 0.5j),
+            (16.0, -0.7j),
+        ],
+    )
+    def test_phase_table_sum_matches_per_node_sum(self, rr, z):
+        r = rng(30)
+        g = random_flow(r, self.SHAPE, 3.0)
+        x = random_element(r, self.SHAPE)
+        plan = SmearingPlan.for_flow(g, rr, z)
+        assert plan.nodes <= 605
+        diff = (smear_quadrature(g, x, plan) - per_node_quadrature(g, x, plan)).norm()
+        # rounding of sums over max(n) entries, headroom 64, on the smear's envelope
+        envelope = x.norm() * math.exp(rr * rr * complex(z).imag ** 2)
+        assert diff <= 64 * max(self.SHAPE) * EPS * envelope
+
+
+# Smear properties over random seeds, block shapes, widths and centers.
+SMEARS = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2)]),
+    st.floats(0.25, 4.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SMEARS, st.floats(-2.0, 2.0))
+def test_smear_covariance_hypothesis(smear, y):
+    seed, dims, rr, re, im = smear
+    r = rng(seed)
+    shape = BlockShape(dims)
+    g = random_flow(r, shape, 2.0)
+    x = random_element(r, shape)
+    z = complex(re, im)
+    tol = 2 * QUAD_TARGET * x.norm() * math.exp(rr * rr * im * im)
+    quad = smear_quadrature(g, x, SmearingPlan.for_flow(g, rr, z))
+    shifted = smear_quadrature(g, x, SmearingPlan.for_flow(g, rr, z + y))
+    assert (evaluate(g, y, quad) - shifted).norm() <= tol
+    oracle = evaluate(g, y, smear_oracle(g, x, rr, z))
+    assert (oracle - smear_oracle(g, x, rr, z + y)).norm() <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(SMEARS)
+def test_smear_norm_bound_hypothesis(smear):
+    seed, dims, rr, re, im = smear
+    r = rng(seed)
+    shape = BlockShape(dims)
+    g = random_flow(r, shape, 2.0)
+    x = random_element(r, shape)
+    z = complex(re, im)
+    bound = x.norm() * math.exp(rr * rr * im * im) * (1 + 1e-8)
+    assert smear_quadrature(g, x, SmearingPlan.for_flow(g, rr, z)).norm() <= bound
+    assert smear_oracle(g, x, rr, z).norm() <= bound
