@@ -6,7 +6,9 @@ config (including its seed) fully determines every artifact.  Each run
 writes one CSV of raw measurements plus a ``report.json`` listing every
 check as (name, measured, bound, passed); the exit status is 0 iff all
 tolerances were met, 1 on a tolerance failure (report still written),
-2 on an invalid config.
+2 on an invalid config, and 3 on a numerical breakdown (any other
+library error raised during the run; ``report.json`` then records
+``"status": "error"`` and the exception type).
 
 Floats are written with shortest round-trip representation and random
 data comes from a counter-based Philox stream, so identical configs
@@ -39,7 +41,7 @@ from .continuation import (
     three_lines_check,
 )
 from .composition import CommutingPair, gamma_continuation_check, tensor_continuation_check, tensor_flow
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, CstarflowError
 from .flows import FlowGenerator, evaluate, left_companion, right_companion
 from .hilbmod import (
     ModuleOperator,
@@ -67,6 +69,10 @@ from .stone import (
 )
 
 EXPERIMENTS = ("verify", "converge", "stone", "tensor", "implemented")
+
+# Budget on the flattened dense size sum_b (k n_b)^2 of one module operator:
+# 2**18 complex entries (4 MiB) admits a block of n = 64 at module rank k = 4.
+MAX_FLAT_SIZE = 2**18
 
 CSV_COLUMNS = {
     "verify": ("check", "instance", "measured", "bound", "passed"),
@@ -280,6 +286,13 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     module_rank = raw.get("module_rank", _DEFAULTS["module_rank"])
     if not _is_int(module_rank) or module_rank < 1:
         problems.append("module_rank must be a positive integer")
+    elif shape is not None:
+        size = sum((module_rank * n) ** 2 for n in shape)
+        if experiment == "tensor":  # the tensor square has blocks n_i n_j
+            size = shape.dim**2
+        if size > MAX_FLAT_SIZE:
+            problems.append(f"shape {list(shape)} at module_rank {module_rank} has flattened"
+                            f" dense size {size}, above the budget of {MAX_FLAT_SIZE}")
     if (
         experiment == "stone"
         and flow.get("kind") == "explicit"
@@ -592,6 +605,19 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, quiet: bool =
     return report
 
 
+def _write_error_report(out: Path, config: ScenarioConfig, exc: Exception) -> None:
+    """``report.json`` of a run that a library error broke off."""
+    out.mkdir(parents=True, exist_ok=True)
+    error = {
+        "experiment": config.experiment,
+        "seed": config.seed,
+        "passed": False,
+        "status": "error",
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
+    (out / "report.json").write_text(json.dumps(error, indent=2, sort_keys=True) + "\n")
+
+
 def list_experiments() -> str:
     lines = ["available experiments:"]
     descriptions = {
@@ -643,7 +669,14 @@ def main(argv: list[str] | None = None) -> int:
         for p in exc.problems:
             print(f"CONFIG_INVALID: {p}", file=sys.stderr)
         return 2
-    report = run(config, args.out, args.quiet)
+    try:
+        report = run(config, args.out, args.quiet)
+    except ConfigInvalidError:
+        raise
+    except CstarflowError as exc:
+        print(f"NUMERICAL_BREAKDOWN: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _write_error_report(Path(args.out if args.out is not None else config.output), config, exc)
+        return 3
     return 0 if report.passed else 1
 
 

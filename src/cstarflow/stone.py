@@ -10,17 +10,23 @@ otherwise (finite differences are kept as an independent test oracle
 only; the logarithm route has spectral accuracy).
 
 The localization machinery turns a positive functional ``omega`` on the
-algebra (a block density element ``rho`` with ``omega(a) = sum_k
-tr(rho_k a_k)``) into a concrete Hilbert space: the Gram form
-``omega(<v, w>)`` on a standard basis of E is eigendecomposed, its
-numerically nonzero part (relative cutoff ``GNS_TOL``) is kept, and
+algebra (a block density element ``rho`` with ``omega(a) = sum_b
+tr(rho_b a_b)``) into a concrete Hilbert space.  The Gram form
+``omega(<v, w>)`` on E is a direct sum of Kronecker products
+``I (x) rho_b^T``, so only the densities are eigendecomposed: each block
+keeps the eigenvalues of ``rho_b`` above ``GNS_TOL`` times the largest
+eigenvalue over all blocks, in a factor ``C_b = U_b diag(sqrt(w_b))`` of
+size ``n_b x r_b``.  The map ``L(v) = (v_b C_b)_b`` onto C^d, with
+``v_b`` the stacked ``k n_b x n_b`` block of v and ``d = k sum_b n_b r_b``,
+satisfies
 
-    <L(v), L(w)> = omega(<v, w>)
+    <L(v), L(w)> = omega(<v, w>).
 
-holds for the resulting map ``L`` onto C^d.  Module operators induce
-d x d matrices through ``S_w L(v) = L(S v)``; the induction is a
-*-homomorphism, compatible with complex powers of strictly positive
-operators, and a faithful family of states separates operators.
+A module operator with flattened blocks ``F_b`` induces the d x d matrix
+``S_w = (+)_b F_b (x) I_{r_b}`` through ``S_w L(v) = L(S v)``; the
+induction is a *-homomorphism, compatible with complex powers of
+strictly positive operators, and a faithful family of states separates
+operators.
 """
 
 from __future__ import annotations
@@ -51,9 +57,7 @@ from .hilbmod import (
     ModuleOperator,
     ModuleVector,
     op_exp,
-    operator_matrix,
     strictly_positive,
-    vector_coordinates,
 )
 
 GNS_TOL = 1e-10
@@ -191,21 +195,22 @@ def stone(u: SampledUnitaryGroup, t0: float = 1.0) -> ModuleOperator:
     grid ``|t| <= 10`` at tolerance 1e-8 and raises ``NotAGroupError``
     when the evaluator is inconsistent with any positive generator.
     """
-    t_op, _, _ = _stone_with_trace(u, t0)
+    t_op, _, _, _ = _stone_with_trace(u, t0)
     return t_op
 
 
-def _stone_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, float, int]:
-    from .hilbmod import op_power
-
+def _stone_with_trace(
+    u: SampledUnitaryGroup, t0: float
+) -> tuple[ModuleOperator, float, int, list[tuple[float, float]]]:
     k_op, t_used, halvings = _recover_with_trace(u, t0, 8, 1e-8)
     t_op = op_exp(k_op)
     if not strictly_positive(t_op):
         raise NotAGroupError("recovered operator is not strictly positive")
-    for t, err in _residual_grid(u, t_op):
+    grid = _residual_grid(u, t_op)
+    for t, err in grid:
         if err > 1e-8:
             raise NotAGroupError(f"evaluator differs from T^(it) at t={t}: {err:.3e}")
-    return t_op, t_used, halvings
+    return t_op, t_used, halvings, grid
 
 
 def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[float, float]]:
@@ -220,12 +225,12 @@ def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[f
 
 def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
     """Structured recovery record: t0 used, halvings, residuals, spectrum."""
-    t_op, t_used, halvings = _stone_with_trace(u, t0)
+    t_op, t_used, halvings, grid = _stone_with_trace(u, t0)
     spectrum = np.sort(eigenvalues(t_op.flat))
     return {
         "t0_used": t_used,
         "halvings": halvings,
-        "residual_grid": [[t, err] for t, err in _residual_grid(u, t_op)],
+        "residual_grid": [[t, err] for t, err in grid],
         "T_spectrum": [float(v) for v in spectrum],
     }
 
@@ -234,73 +239,89 @@ def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
 class Localization:
     """GNS data of a positive functional on the module ``E = A^k``.
 
-    ``lam`` maps module-vector coordinates onto C^d with
-    ``<lam v, lam w> = omega(<v, w>)``; its range is all of C^d by
-    construction.
+    ``factors[b]`` is ``C_b = U_b diag(sqrt(w_b))``, of size ``n_b x r_b``,
+    over the eigenvalues ``w_b`` of ``rho_b`` above ``cutoff``, so
+    ``C_b C_b* = rho_b`` up to the dropped eigenvalues.  ``apply`` maps
+    E onto C^d with ``<L v, L w> = omega(<v, w>)``.
     """
 
     omega: PositiveFunctional
     shape: BlockShape
     k: int
-    lam: np.ndarray
-    lam_pinv: np.ndarray = field(repr=False)
+    factors: tuple[np.ndarray, ...] = field(repr=False)
+    cutoff: float
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """Kept rank ``r_b`` of each block."""
+        return tuple(c.shape[1] for c in self.factors)
 
     @property
     def d(self) -> int:
-        return self.lam.shape[0]
+        return self.k * sum(n * r for n, r in zip(self.shape, self.ranks))
 
     def apply(self, v: ModuleVector) -> np.ndarray:
-        """The map ``Lambda_omega`` on a module vector."""
-        return self.lam @ vector_coordinates(v)
+        """The map ``Lambda_omega`` on a module vector: ``ravel(v_b C_b)`` per block."""
+        return np.concatenate([(sb @ c).ravel() for sb, c in zip(v.stacked, self.factors)])
 
 
 def localize(omega: PositiveFunctional, shape: BlockShape, k: int, gns_tol: float = GNS_TOL) -> Localization:
     """Build the localization of ``E = A^k`` at a positive functional.
 
-    The Gram form of ``omega`` on the standard basis of E is
-    block-diagonal with one copy of ``rho_b`` transposed per module slot
-    and matrix row; eigenvalues below ``gns_tol`` times the largest are
-    treated as genuine kernel (``ZeroFunctionalError`` if nothing
-    remains).
+    The Gram form of ``omega`` on E is ``(+)_b I (x) rho_b^T``, so each
+    block is localized through its own density: ``rho_b`` is
+    eigendecomposed once, eigenvalues at or below ``gns_tol`` times the
+    largest over all blocks are treated as genuine kernel, and the rest
+    give the factor ``C_b`` of rank ``r_b``.  The localized dimension is
+    ``d = k sum_b n_b r_b`` (``ZeroFunctionalError`` if nothing remains).
     """
-    cells = []
-    for _ in range(k):
-        for n, rb in zip(shape.block_dims, omega.rho.blocks):
-            cells.append(np.kron(np.eye(n), rb.T))
-    gram = scipy.linalg.block_diag(*cells)
-    sd = spectral(AlgebraElement(BlockShape([gram.shape[0]]), [gram]))
-    w, v = sd.eigenvalues[0], sd.eigenvectors[0]
-    top = float(np.max(w))
+    if omega.shape != shape:
+        raise ValueError("functional and module live over different shapes")
+    sd = spectral(omega.rho)
+    top = max(float(np.max(w)) for w in sd.eigenvalues)
     if top <= 0.0:
         raise ZeroFunctionalError("positive functional vanishes on the module")
-    keep = w > gns_tol * top
-    if not np.any(keep):
+    cutoff = gns_tol * top
+    factors = []
+    for w, u in zip(sd.eigenvalues, sd.eigenvectors):
+        keep = w > cutoff
+        factors.append(u[:, keep] * np.sqrt(w[keep]))
+    if not any(c.shape[1] for c in factors):
         raise ZeroFunctionalError("no Gram eigenvalue above the rank cutoff")
-    w_kept = w[keep]
-    v_kept = v[:, keep]
-    lam = (np.sqrt(w_kept)[:, None]) * v_kept.conj().T
-    lam_pinv = v_kept / np.sqrt(w_kept)[None, :]
-    return Localization(omega, shape, int(k), lam, lam_pinv)
+    return Localization(omega, shape, int(k), tuple(factors), cutoff)
+
+
+def _check_factors(loc: Localization) -> None:
+    """``IllDefinedError`` unless every ``C_b C_b*`` reproduces ``rho_b``.
+
+    The factors may differ from the density only by the eigenvalues the
+    cutoff dropped, plus rounding of ``1e-9 max(1, norm(rho_b))``.
+    """
+    for b, (c, rb) in enumerate(zip(loc.factors, loc.omega.rho.blocks)):
+        defect = float(np.linalg.norm(c @ c.conj().T - rb, 2))
+        bound = loc.cutoff + 1e-9 * max(1.0, float(np.linalg.norm(rb, 2)))
+        if defect > bound:
+            raise IllDefinedError(
+                f"localization factor of block {b} misses its density by {defect:.3e}"
+                f" (bound {bound:.3e})"
+            )
 
 
 def induce(loc: Localization, s: ModuleOperator) -> np.ndarray:
     """The induced matrix ``S_omega`` with ``S_omega L(v) = L(S v)``.
 
-    Raises ``IllDefinedError`` when the defining relation has no exact
-    solution (a non-adjointable input or a broken localization); the
-    map is a *-homomorphism and satisfies ``(S*)_omega = (S_omega)*``.
+    In the block form ``S_omega = (+)_b F_b (x) I_{r_b}`` for the flattened
+    blocks ``F_b`` of S, so the defining relation holds by construction
+    and the map is a *-homomorphism with ``(S*)_omega = (S_omega)*``.
+    Raises ``IllDefinedError`` when the localization itself is broken,
+    i.e. its factors do not reproduce the density.
     """
     if s.shape != loc.shape or s.k != loc.k:
         raise ValueError("operator and localization live over different modules")
-    m = operator_matrix(s)
-    s_omega = loc.lam @ m @ loc.lam_pinv
-    resid = float(np.linalg.norm(s_omega @ loc.lam - loc.lam @ m, 2))
-    scale = max(1.0, s.norm()) * max(1.0, float(np.linalg.norm(loc.lam, 2)))
-    if resid > 1e-9 * scale:
-        raise IllDefinedError(
-            f"induced operator ill-defined: defining-relation residual {resid:.3e}"
-        )
-    return s_omega
+    _check_factors(loc)
+    return scipy.linalg.block_diag(
+        *(np.kron(f, np.eye(r)) for f, r in zip(s.flat.blocks, loc.ranks) if r)
+    )
 
 
 def separating_check(
@@ -312,7 +333,10 @@ def separating_check(
     """Do all induced operators of a faithful family agree?
 
     The family must contain a faithful combination (the summed density
-    positive definite), else ``FamilyNotFaithfulError``.  When every
+    positive definite), else ``FamilyNotFaithfulError``.  Each induced
+    operator is ``(+)_b F_b (x) I_{r_b}`` and ``norm(F (x) I) = norm(F)``,
+    so ``R_omega`` and ``S_omega`` are compared through their flattened
+    blocks on the blocks a state sees (``r_b > 0``).  When every
     ``R_omega = S_omega`` within tolerance the operators agree globally
     within 1e-8, which is verified as a consistency guard.
     """
@@ -326,11 +350,11 @@ def separating_check(
     if not is_strictly_positive(total):
         raise FamilyNotFaithfulError("summed density is not positive definite")
     for st in states:
-        loc = localize(st, r.shape, r.k)
-        r_om, s_om = induce(loc, r), induce(loc, s)
-        if np.linalg.norm(r_om - s_om, 2) > tol * max(
-            1.0, np.linalg.norm(r_om, 2), np.linalg.norm(s_om, 2)
-        ):
+        seen = [rank > 0 for rank in localize(st, r.shape, r.k).ranks]
+        pairs = [(fr, fs) for fr, fs, on in zip(r.flat.blocks, s.flat.blocks, seen) if on]
+        gap = max(np.linalg.norm(fr - fs, 2) for fr, fs in pairs)
+        scale = max(1.0, *(np.linalg.norm(f, 2) for pair in pairs for f in pair))
+        if gap > tol * scale:
             return False
     gap = (r - s).norm()
     if gap > 1e-8 * max(1.0, r.norm(), s.norm()):

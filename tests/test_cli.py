@@ -6,10 +6,25 @@ from pathlib import Path
 
 import pytest
 
-from cstarflow.cli import EXPERIMENTS, load_config, main, run, validate
-from cstarflow.errors import ConfigInvalidError
+from cstarflow.cli import EXPERIMENTS, MAX_FLAT_SIZE, load_config, main, run, validate
+from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+WORKLOADS = ROOT / "benchmarks" / "workloads.py"
+
+
+def _workload_specs() -> list[dict]:
+    # exec the source rather than import it, so nothing is written next to it
+    namespace = {"__name__": "benchmark_workloads"}
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), namespace)
+    return [
+        raw
+        for name in namespace["WORKLOADS"]
+        for seed in (1, 2)
+        for spec in namespace["scenario_specs"](name, seed, CONFIG_DIR)
+        for raw in spec["configs"]
+    ]
 
 
 class TestValidate:
@@ -146,6 +161,36 @@ class TestValidate:
         # nu_max = 4: r = 0.05 asks for about 6400 nodes, r = 0.01 for about 160000
         assert len(problems) == 2 and all("grid.r = 0.01 " in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "shape, k, size",
+        [([100000], 1, 10**10), ([64], 9, 576**2), ([300, 300, 300], 1, 270000)],
+    )
+    def test_size_budget_rejected(self, shape, k, size):
+        raw = {"experiment": "stone", "seed": 1, "shape": shape, "module_rank": k}
+        config, problems = validate(raw)
+        assert config is None and size > MAX_FLAT_SIZE
+        assert any(f"dense size {size}, above the budget of {MAX_FLAT_SIZE}" in p
+                   for p in problems)
+
+    def test_size_budget_counts_the_tensor_square(self):
+        # tensor builds blocks n_i n_j, so [64] has size 4096^2, not 64^2
+        _, problems = validate({"experiment": "tensor", "seed": 1, "shape": [64]})
+        assert any(f"dense size {4096**2}, above the budget" in p for p in problems)
+        assert validate({"experiment": "tensor", "seed": 1, "shape": [16, 16]})[1] == []
+
+    @pytest.mark.parametrize("shape, k", [([64], 4), ([256], 2), ([512], 1)])
+    def test_size_budget_admits_the_limit(self, shape, k):
+        # (k n)^2 = 65536, 262144 = MAX_FLAT_SIZE and 262144 again
+        raw = {"experiment": "stone", "seed": 1, "shape": shape, "module_rank": k}
+        assert validate(raw)[1] == []
+
+    def test_bundled_and_workload_configs_validate(self):
+        raws = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
+        raws += _workload_specs()
+        assert len(raws) > 5
+        for raw in raws:
+            assert validate(raw)[1] == [], raw
+
     @pytest.mark.parametrize("field", ["flow", "grid"])
     def test_non_object_section_rejected(self, field):
         _, problems = validate({"experiment": "verify", "seed": 1, "shape": [2], field: 5})
@@ -194,9 +239,12 @@ class TestMain:
             '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [0.001], "z_im": [1.0]}}',
             '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [1000.0], "z_im": [1.0]}}',
             '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"nodes": 1000000000}}',
+            # used to validate ok and then allocate dense 100000 x 100000 blocks
+            '{"experiment": "verify", "seed": 1, "shape": [100000]}',
+            '{"experiment": "stone", "seed": 1, "shape": [64], "module_rank": 9}',
         ],
         ids=["nan_payload", "nan_r", "inf_z_im", "bool_seed", "bool_shape",
-             "tiny_r", "huge_r", "huge_nodes"],
+             "tiny_r", "huge_r", "huge_nodes", "huge_shape", "huge_rank"],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_outside_input_exits_two(self, text, command, capsys, tmp_path):
@@ -245,6 +293,25 @@ class TestMain:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "verify", "seed": 1, "shape": [2]}))
         assert cli_mod.main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+
+    def test_numerical_breakdown_exits_three(self, tmp_path, monkeypatch, capsys):
+        import cstarflow.cli as cli_mod
+
+        def breaks(config):
+            raise BranchAmbiguityError("halving did not stabilize after 8 steps from t0=1.0")
+
+        monkeypatch.setattr(cli_mod, "_exp_stone", breaks)
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "NUMERICAL_BREAKDOWN: BranchAmbiguityError: halving did not stabilize after 8 steps"
+            " from t0=1.0"
+        ]
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["passed"] is False
+        assert report["error"]["type"] == "BranchAmbiguityError"
+        assert report["experiment"] == "stone" and report["seed"] == 918
+        assert not (out / "stone.csv").exists()
 
 
 class TestArtifacts:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarflow import (
     AlgebraElement,
@@ -30,6 +33,8 @@ from cstarflow import (
     stone,
     vector_smear,
 )
+from cstarflow.stone import GNS_TOL
+from cstarflow.hilbmod import operator_matrix, vector_from_coordinates
 from cstarflow.sampling import (
     random_operator,
     random_positive_operator,
@@ -241,14 +246,24 @@ class TestInduce:
         smallest = np.linalg.svd(mat, compute_uv=False)[-1]
         assert smallest > 1e-6
 
+    def test_cut_block_of_heavy_functional_still_induces(self):
+        # the cutoff is relative to the largest eigenvalue over all blocks, so
+        # the light block of a heavy functional is cut whole; the guard allows it
+        shape = BlockShape([2, 2])
+        rho = AlgebraElement.from_blocks([np.diag([1e3, 1.0]), np.diag([5e-8, 0.0])])
+        loc = localize(PositiveFunctional(rho), shape, 1)
+        assert loc.ranks == (2, 0) and loc.d == 4
+        s = random_operator(rng(16), shape, 1)
+        np.testing.assert_array_equal(induce(loc, s), np.kron(s.flat.blocks[0], np.eye(2)))
+
     def test_broken_localization_rejected(self):
         shape = BlockShape([2])
         r = rng(9)
         omega = random_state(r, shape)
         loc = localize(omega, shape, 1)
-        # drop one direction the Gram form does not kill; the remaining
-        # rows no longer carry an invariant subspace for generic S
-        broken = Localization(omega, shape, 1, loc.lam[:-1], loc.lam_pinv[:, :-1])
+        # drop one kept column of the factor: C C* then misses rho by an
+        # eigenvalue the cutoff keeps, so L no longer carries the Gram form
+        broken = Localization(omega, shape, 1, (loc.factors[0][:, :-1],), loc.cutoff)
         s = random_operator(r, shape, 1)
         with pytest.raises(IllDefinedError):
             induce(broken, s)
@@ -305,3 +320,95 @@ class TestSmearedCoreTransport:
         ]
         assert 0.2 <= errs[1] / errs[0] <= 0.3
         assert 0.2 <= errs[2] / errs[1] <= 0.3
+
+
+# Dense Gram-form localization, kept as the oracle of the block form: the
+# d x d Gram matrix of omega(<v, w>) in ``vector_coordinates`` is
+# eigendecomposed whole, and S induces ``lam @ operator_matrix(S) @ lam_pinv``.
+def dense_gram(omega: PositiveFunctional, shape: BlockShape, k: int) -> np.ndarray:
+    cells = [np.kron(np.eye(n), rb.T) for _ in range(k) for n, rb in zip(shape, omega.rho.blocks)]
+    return scipy.linalg.block_diag(*cells)
+
+
+def dense_localize(omega: PositiveFunctional, shape: BlockShape, k: int):
+    w, v = np.linalg.eigh(dense_gram(omega, shape, k))
+    keep = w > GNS_TOL * np.max(w)
+    lam = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
+    lam_pinv = v[:, keep] / np.sqrt(w[keep])[None, :]
+    return lam, lam_pinv
+
+
+def block_map_matrix(loc: Localization) -> np.ndarray:
+    """Matrix of ``loc.apply`` in the ``vector_coordinates`` basis."""
+    dim = loc.k * loc.shape.dim
+    return np.stack(
+        [loc.apply(vector_from_coordinates(loc.shape, loc.k, e)) for e in np.eye(dim)], axis=1
+    )
+
+
+def oracle_state(r, dims, rank, dead_block):
+    """Random state of the given rank, with block ``dead_block`` unseen."""
+    blocks = list(random_state(r, BlockShape(dims), rank).rho.blocks)
+    if dead_block is not None:
+        blocks[dead_block] = np.zeros_like(blocks[dead_block])
+    return PositiveFunctional(AlgebraElement.from_blocks(blocks))
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize(
+        "dims, k, rank, dead_block",
+        [
+            ([3, 2], 2, None, None),
+            ([4], 1, None, None),
+            ([2, 2, 3], 3, None, None),
+            ([2, 2, 3], 3, 1, None),
+            ([3, 2], 2, None, 1),
+        ],
+        ids=["faithful_32_k2", "faithful_4_k1", "faithful_223_k3", "rank_one_223_k3",
+             "dead_block_32_k2"],
+    )
+    def test_block_form_matches_dense_up_to_unitary(self, dims, k, rank, dead_block):
+        r = rng(200 + len(dims) + k)
+        shape = BlockShape(dims)
+        omega = oracle_state(r, dims, rank, dead_block)
+        loc = localize(omega, shape, k)
+        lam, lam_pinv = dense_localize(omega, shape, k)
+        assert loc.d == lam.shape[0]
+        l_block = block_map_matrix(loc)
+        w = l_block @ lam_pinv
+        assert np.linalg.norm(w.conj().T @ w - np.eye(loc.d), 2) <= 1e-12
+        assert np.linalg.norm(l_block - w @ lam, 2) <= 1e-12
+        for s in (random_operator(r, shape, k), random_positive_operator(r, shape, k, cond=100.0)):
+            s_dense = lam @ operator_matrix(s) @ lam_pinv
+            gap = np.linalg.norm(w @ s_dense @ w.conj().T - induce(loc, s), 2)
+            assert gap <= 1e-12 * max(1.0, s.norm())
+
+    def test_block_map_carries_the_gram_matrix(self):
+        r = rng(210)
+        shape = BlockShape([3, 2])
+        omega = oracle_state(r, [3, 2], 2, None)
+        l_block = block_map_matrix(localize(omega, shape, 2))
+        # omega(<v, w>) = w* G v in coordinates, and <L v, L w> = w* L* L v
+        gram = dense_gram(omega, shape, 2)
+        assert np.linalg.norm(l_block.conj().T @ l_block - gram, 2) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2), (3, 2)]),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 2]),
+)
+def test_localize_gram_identity_and_rank_hypothesis(seed, dims, k, rank):
+    r = rng(seed)
+    shape = BlockShape(dims)
+    omega = random_state(r, shape, rank)
+    loc = localize(omega, shape, k)
+    kept = tuple(n if rank is None else min(rank, n) for n in dims)
+    assert loc.ranks == kept
+    assert loc.d == k * sum(n * m for n, m in zip(dims, kept))
+    v, w = random_vector(r, shape, k), random_vector(r, shape, k)
+    lhs = complex(np.vdot(loc.apply(w), loc.apply(v)))
+    rhs = omega.value(inner(v, w))
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, v.norm() * w.norm())
