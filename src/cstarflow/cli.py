@@ -290,6 +290,8 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
         size = sum((module_rank * n) ** 2 for n in shape)
         if experiment == "tensor":  # the tensor square has blocks n_i n_j
             size = shape.dim**2
+        elif experiment == "implemented":  # the closure keeps a D x D basis, D = size
+            size = size**2
         if size > MAX_FLAT_SIZE:
             problems.append(f"shape {list(shape)} at module_rank {module_rank} has flattened"
                             f" dense size {size}, above the budget of {MAX_FLAT_SIZE}")

@@ -17,7 +17,12 @@ appears anywhere.
 Sub-C*-algebras of the operator algebra are handled through an
 orthonormal Hilbert-Schmidt basis of the span generated by a finite set
 of operators; membership tests are orthogonal projections onto that
-span, which keeps them basis-independent.
+span, which keeps them basis-independent.  The span is closed in rounds
+of left multiplication by the generators and their adjoints, all in
+Hilbert-Schmidt coordinates: each round forms its products with one
+batched matmul per block, projects them against the kept rows by block
+classical Gram-Schmidt run twice, and the closure stops when a round
+adds nothing or the span fills the whole operator algebra.
 """
 
 from __future__ import annotations
@@ -322,10 +327,19 @@ def operator_matrix(s: ModuleOperator) -> np.ndarray:
 class SubalgebraBasis:
     """Orthonormal Hilbert-Schmidt basis of a generated *-subalgebra.
 
-    The span of the generators is closed under adjoints and products,
-    orthonormalized, and required to act nondegenerately: the unit of
-    the span (its Hilbert-Schmidt projection of the identity) must be
-    the identity operator.
+    The span is closed in rounds of left multiplication.  Round 0
+    absorbs the letters ``G u G*``, the generators and their adjoints;
+    each later round absorbs ``g q`` for every letter g and every
+    direction q that the previous round added.  That reaches every word
+    in the letters, and the words span the generated *-algebra.
+    Candidates come in chunks of at most ``dim M_k(A)`` rows.  Each chunk
+    is projected against the kept rows by block classical Gram-Schmidt
+    run twice, ``C <- C - (C Q*) Q``, and only the rows left above the
+    tolerance are then kept or dropped one by one, in order.  The
+    closure stops when a round adds nothing or the span fills
+    ``M_k(A)``.  The span is then required to act nondegenerately: its
+    unit (the Hilbert-Schmidt projection of the identity) must be the
+    identity operator.
     """
 
     def __init__(self, generators: Sequence[ModuleOperator], span_tol: float = SPAN_TOL):
@@ -352,31 +366,28 @@ class SubalgebraBasis:
         return len(self.basis)
 
     def _build(self) -> None:
-        scale = max(max(g.norm() for g in self.generators), 1.0)
-        tol = self.span_tol * scale
-        rows: list[np.ndarray] = []
-        ops: list[ModuleOperator] = []
-        pending = list(self.generators) + [g.star() for g in self.generators]
-        while pending:
-            cand = pending.pop(0)
-            vec = operator_vec(cand)
-            for _ in range(2):  # twice-is-enough reorthogonalization
-                for row in rows:
-                    vec = vec - np.vdot(row, vec) * row
-            nrm = float(np.linalg.norm(vec))
-            if nrm <= tol:
-                continue
-            vec = vec / nrm
-            new_flats = _unvec_flats(self._shape, self._k, vec)
-            new_op = operator_from_flat(self._shape, self._k, new_flats)
-            rows.append(vec)
-            ops.append(new_op)
-            pending.append(new_op.star())
-            for other in ops:
-                pending.append(new_op @ other)
-                pending.append(other @ new_op)
-        self.basis = tuple(ops)
-        self._q = np.stack(rows)
+        # a candidate adds a direction iff its residual exceeds tol
+        tol = self.span_tol * max(max(g.norm() for g in self.generators), 1.0)
+        dims = [self._k * n for n in self._shape.block_dims]
+        full = sum(m * m for m in dims)
+        gens = np.stack([operator_vec(g) for g in self.generators])
+        letters = np.concatenate([gens, _adjoint_rows(gens, dims)])
+        q = np.empty((0, full), dtype=complex)
+        chunks = (letters[lo : lo + full] for lo in range(0, len(letters), full))
+        while True:
+            start = len(q)
+            for cand in chunks:
+                q = _absorb(q, cand, tol)
+                if len(q) == full:
+                    break
+            if len(q) in (start, full):
+                break
+            chunks = _left_products(letters, q[start:], dims, full)
+        self._q = q
+        self.basis = tuple(
+            operator_from_flat(self._shape, self._k, _unvec_flats(self._shape, self._k, row))
+            for row in q
+        )
 
     def _check_nondegenerate(self) -> None:
         one = identity_operator(self._shape, self._k)
@@ -391,32 +402,83 @@ class SubalgebraBasis:
         proj, _ = self.project(identity_operator(self._shape, self._k))
         return proj
 
+    def _split(self, s: ModuleOperator) -> tuple[np.ndarray, float]:
+        vec = operator_vec(s)
+        proj_vec = self._q.T @ (self._q.conj() @ vec)
+        return proj_vec, float(np.linalg.norm(vec - proj_vec))
+
     def project(self, s: ModuleOperator) -> tuple[ModuleOperator, float]:
         """Orthogonal HS projection onto the span and the residual norm."""
-        vec = operator_vec(s)
-        coeffs = self._q.conj() @ vec
-        proj_vec = self._q.T @ coeffs
-        resid = float(np.linalg.norm(vec - proj_vec))
+        proj_vec, resid = self._split(s)
         proj = operator_from_flat(
             self._shape, self._k, _unvec_flats(self._shape, self._k, proj_vec)
         )
         return proj, resid
 
     def residual(self, s: ModuleOperator) -> float:
-        return self.project(s)[1]
+        """HS distance from ``s`` to the span."""
+        return self._split(s)[1]
 
     def contains(self, s: ModuleOperator, tol: float | None = None) -> bool:
         tol = self.span_tol if tol is None else tol
         return self.residual(s) <= tol * max(1.0, s.norm())
 
 
+def _block_views(rows: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """Views ``(c, m_b, m_b)`` of the flat blocks of HS coordinate rows."""
+    cuts = np.cumsum([0] + [m * m for m in dims])
+    return [rows[:, lo:hi].reshape(-1, m, m) for m, lo, hi in zip(dims, cuts, cuts[1:])]
+
+
+def _adjoint_rows(rows: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """HS coordinates of the adjoints of the operators in ``rows``."""
+    out = np.empty_like(rows)
+    for src, dst in zip(_block_views(rows, dims), _block_views(out, dims)):
+        dst[...] = src.conj().transpose(0, 2, 1)
+    return out
+
+
+def _left_products(letters: np.ndarray, new: np.ndarray, dims: Sequence[int], size: int):
+    """Rows of ``g q`` for every letter g and every new direction q.
+
+    Ordered by q, then g, and formed ``size`` rows at a time with one
+    batched matmul per block, so no chunk is larger than ``size`` rows.
+    """
+    total = len(letters) * len(new)
+    g_blocks, q_blocks = _block_views(letters, dims), _block_views(new, dims)
+    for lo in range(0, total, size):
+        pairs = np.arange(lo, min(lo + size, total))
+        g, q = pairs % len(letters), pairs // len(letters)
+        out = np.empty((len(pairs), letters.shape[1]), dtype=complex)
+        for gb, qb, ob in zip(g_blocks, q_blocks, _block_views(out, dims)):
+            np.matmul(gb[g], qb[q], out=ob)
+        yield out
+
+
+def _absorb(q: np.ndarray, cand: np.ndarray, tol: float) -> np.ndarray:
+    """``q`` plus the orthonormal directions that ``cand`` adds to its span.
+
+    Block classical Gram-Schmidt, twice (Giraud, Langou, Rozloznik and
+    van den Eshof, Numer. Math. 2005), then the surviving rows in order
+    against the directions this block has added so far.
+    """
+    for _ in range(2):
+        cand = cand - (cand @ q.conj().T) @ q
+    cand = cand[np.linalg.norm(cand, axis=1) > tol]
+    added = np.empty_like(cand)
+    r = 0
+    for vec in cand:
+        for _ in range(2):
+            vec = vec - (added[:r] @ vec.conj()).conj() @ added[:r]
+        nrm = float(np.linalg.norm(vec))
+        if nrm > tol:
+            added[r] = vec / nrm
+            r += 1
+    return np.concatenate([q, added[:r]])
+
+
 def _unvec_flats(shape: BlockShape, k: int, vec: np.ndarray) -> list[np.ndarray]:
-    flats, pos = [], 0
-    for n in shape.block_dims:
-        size = (k * n) * (k * n)
-        flats.append(vec[pos : pos + size].reshape(k * n, k * n))
-        pos += size
-    return flats
+    return [b[0] for b in _block_views(vec[None], [k * n for n in shape.block_dims])]
 
 
 def matrix_unit_operators(shape: BlockShape, k: int) -> list[ModuleOperator]:

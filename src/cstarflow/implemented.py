@@ -35,6 +35,7 @@ from .hilbmod import (
     inner,
     op_power,
     strictly_positive,
+    vector_from_coordinates,
 )
 from .stone import Localization, PositiveFunctional, induce
 
@@ -130,10 +131,19 @@ def implemented_continuation_check(f: ImplementedFlow, z: complex, x: ModuleOper
 def localized_middle_check(
     loc: Localization, s: ModuleOperator, x: ModuleOperator, t: ModuleOperator
 ) -> float:
-    """Residual of ``S_w x_w T_w = (S x T)_w`` under a localization."""
+    """Residual of ``S_w x_w T_w L(v) = L(S x T v)`` under a localization ``L``.
+
+    The relation is checked through the map itself, with v running over
+    the standard basis of the module; the result is the spectral norm of
+    the difference of the two sides as matrices over that basis.
+    """
     lhs = induce(loc, s) @ induce(loc, x) @ induce(loc, t)
-    rhs = induce(loc, middle_multiplier(s, x, t))
-    return float(np.linalg.norm(lhs - rhs, 2))
+    y = middle_multiplier(s, x, t)
+    units = np.eye(loc.k * loc.shape.dim)
+    vs = [vector_from_coordinates(loc.shape, loc.k, e) for e in units]
+    images = np.column_stack([loc.apply(v) for v in vs])
+    rhs = np.column_stack([loc.apply(y @ v) for v in vs])
+    return float(np.linalg.norm(lhs @ images - rhs, 2))
 
 
 def vector_functionals(

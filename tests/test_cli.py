@@ -178,6 +178,23 @@ class TestValidate:
         assert any(f"dense size {4096**2}, above the budget" in p for p in problems)
         assert validate({"experiment": "tensor", "seed": 1, "shape": [16, 16]})[1] == []
 
+    def test_size_budget_counts_the_closure_square(self, capsys, tmp_path):
+        # implemented closes a D x D basis with D = sum (k n)^2: 65536 here
+        raw = {"experiment": "implemented", "seed": 1, "shape": [64], "module_rank": 4}
+        _, problems = validate(raw)
+        assert any(f"dense size {65536**2}, above the budget" in p for p in problems)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err and all(line.startswith("CONFIG_INVALID: ") for line in err.splitlines())
+        assert not (tmp_path / "out").exists()
+        # D = 256 and D = 512 (D^2 = MAX_FLAT_SIZE) are admitted, D = 576 is not
+        assert validate({**raw, "shape": [8], "module_rank": 2})[1] == []
+        assert validate({**raw, "shape": [16, 16], "module_rank": 1})[1] == []
+        assert validate({**raw, "shape": [12], "module_rank": 2})[1] != []
+
     @pytest.mark.parametrize("shape, k", [([64], 4), ([256], 2), ([512], 1)])
     def test_size_budget_admits_the_limit(self, shape, k):
         # (k n)^2 = 65536, 262144 = MAX_FLAT_SIZE and 262144 again

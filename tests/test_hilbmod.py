@@ -26,6 +26,8 @@ from cstarflow import (
     zeros,
 )
 from cstarflow.hilbmod import (
+    SPAN_TOL,
+    _unvec_flats,
     operator_from_flat,
     operator_vec,
     vector_coordinates,
@@ -409,3 +411,107 @@ def test_operator_payload_roundtrip_hypothesis(module):
     assert back.k == k
     for a, b in zip(back.flat.blocks, s.flat.blocks):
         np.testing.assert_array_equal(a, b)
+
+
+# Reference closure: the one-candidate-at-a-time loop that the rounds of
+# left multiplication replace.  Each new element is multiplied against
+# every earlier one, in both orders, with its adjoint queued as well.
+
+
+def sequential_closure(generators, span_tol=SPAN_TOL):
+    shape, k = generators[0].shape, generators[0].k
+    tol = span_tol * max(max(g.norm() for g in generators), 1.0)
+    rows, ops = [], []
+    pending = list(generators) + [g.star() for g in generators]
+    while pending:
+        vec = operator_vec(pending.pop(0))
+        for _ in range(2):
+            for row in rows:
+                vec = vec - np.vdot(row, vec) * row
+        nrm = float(np.linalg.norm(vec))
+        if nrm <= tol:
+            continue
+        vec = vec / nrm
+        new_op = operator_from_flat(shape, k, _unvec_flats(shape, k, vec))
+        rows.append(vec)
+        ops.append(new_op)
+        pending.append(new_op.star())
+        for other in ops:
+            pending.append(new_op @ other)
+            pending.append(other @ new_op)
+    return np.stack(rows)
+
+
+def diagonal_units(shape, k):
+    gens = []
+    for b, n in enumerate(shape.block_dims):
+        for j in range(k * n):
+            flats = [np.zeros((k * m, k * m), dtype=complex) for m in shape.block_dims]
+            flats[b][j, j] = 1.0
+            gens.append(operator_from_flat(shape, k, flats))
+    return gens
+
+
+def span_inside_generators():
+    shape = BlockShape([2])
+    d1 = AlgebraElement.from_blocks([np.diag([0.7, -0.2])])
+    d2 = AlgebraElement.from_blocks([np.diag([-0.1, 0.4])])
+    z = zeros(shape)
+    return [
+        ModuleOperator([[d1, z], [z, d2]]),
+        ModuleOperator([[d2, z], [z, d1]]),
+        identity_operator(shape, 2),
+    ]
+
+
+CLOSURE_CASES = {
+    "matrix_units": lambda: matrix_unit_operators(BlockShape([2, 2]), 2),
+    "random_one_block": lambda: [random_operator(rng(20), BlockShape([2]), 2) for _ in range(2)],
+    "random_two_blocks": lambda: [random_operator(rng(21), BlockShape([2, 3]), 2) for _ in range(2)],
+    "diagonal": lambda: diagonal_units(BlockShape([2, 3]), 2),
+    "scalars": lambda: [identity_operator(BlockShape([2, 3]), 2)],
+    "span_inside": span_inside_generators,
+}
+
+
+class TestClosureAgainstSequential:
+    @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+    def test_same_dim_and_projector(self, case):
+        gens = CLOSURE_CASES[case]()
+        basis = SubalgebraBasis(gens)
+        ref = sequential_closure(gens)
+        assert basis.dim == len(ref) == len(basis._q)
+        proj, proj_ref = basis._q.T @ basis._q.conj(), ref.T @ ref.conj()
+        assert np.max(np.abs(proj - proj_ref)) <= 1e-12
+
+    def test_rows_are_orthonormal(self):
+        q = SubalgebraBasis(CLOSURE_CASES["random_two_blocks"]())._q
+        assert np.max(np.abs(q.conj() @ q.T - np.eye(len(q)))) <= 1e-12
+
+    def test_closure_makes_no_operator_products(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("closure multiplied ModuleOperators")
+
+        gens = CLOSURE_CASES["random_two_blocks"]()
+        monkeypatch.setattr(ModuleOperator, "__matmul__", refuse)
+        assert SubalgebraBasis(gens).dim == 16 + 36
+
+    def test_roadmap_size_closes(self):
+        # matrix units of M_16: dimension 256, the whole algebra
+        shape = BlockShape([8])
+        basis = SubalgebraBasis(matrix_unit_operators(shape, 2))
+        assert basis.dim == 256
+        assert (basis.unit() - identity_operator(shape, 2)).norm() <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2))
+def test_closure_under_adjoints_and_products_hypothesis(seed, count, n, k):
+    r = rng(seed)
+    shape = BlockShape([n])
+    basis = SubalgebraBasis([random_operator(r, shape, k) for _ in range(count)])
+    for a in basis.basis:
+        assert basis.residual(a.star()) <= 1e-9
+        for b in basis.basis:
+            ab = a @ b
+            assert basis.residual(ab) <= 1e-9 * max(1.0, ab.norm())

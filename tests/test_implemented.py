@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import cstarflow.implemented as implemented_mod
 from cstarflow import (
     AlgebraElement,
     BlockShape,
@@ -241,6 +243,26 @@ class TestLocalizedMiddle:
         x = random_operator(r, shape, 2)
         scale = max(1.0, s.norm() * x.norm() * t.norm())
         assert localized_middle_check(loc, s, x, t) <= 1e-9 * scale
+
+    def test_check_sees_a_map_that_does_not_intertwine(self, monkeypatch):
+        # kron(I, F_b) is a *-homomorphism too, but it does not satisfy
+        # S_w L(v) = L(S v); a check made through L has to notice
+        r = rng(13)
+        shape = BlockShape([2, 3])
+        loc = localize(random_state(r, shape), shape, 2)
+        s = random_positive_operator(r, shape, 2, cond=100.0)
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        x = random_operator(r, shape, 2)
+        scale = max(1.0, s.norm() * x.norm() * t.norm())
+        assert localized_middle_check(loc, s, x, t) <= 1e-9 * scale
+
+        def swapped(loc, op):
+            return scipy.linalg.block_diag(
+                *(np.kron(np.eye(rk), f) for f, rk in zip(op.flat.blocks, loc.ranks) if rk)
+            )
+
+        monkeypatch.setattr(implemented_mod, "induce", swapped)
+        assert localized_middle_check(loc, s, x, t) > 1e-3 * scale
 
     def test_converse_direction_forces_global_identity(self):
         # agreement of the localized middle products over a faithful
