@@ -72,6 +72,9 @@ EXPERIMENTS = ("verify", "converge", "stone", "tensor", "implemented")
 
 # Budget on the flattened dense size sum_b (k n_b)^2 of one module operator:
 # 2**18 complex entries (4 MiB) admits a block of n = 64 at module rank k = 4.
+# tensor is held to dim(A (x) A) = (sum_b n_b^2)^2, and implemented to D^2,
+# the size of its D x D Hilbert-Schmidt closure basis, D = sum_b (k n_b)^2
+# (so D <= 512).
 MAX_FLAT_SIZE = 2**18
 
 CSV_COLUMNS = {
@@ -288,13 +291,16 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
         problems.append("module_rank must be a positive integer")
     elif shape is not None:
         size = sum((module_rank * n) ** 2 for n in shape)
+        what = f"shape {list(shape)} at module_rank {module_rank} has flattened"
         if experiment == "tensor":  # the tensor square has blocks n_i n_j
+            what = f"shape {list(shape)} has dimension {shape.dim}, so A (x) A has"
             size = shape.dim**2
         elif experiment == "implemented":  # the closure keeps a D x D basis, D = size
+            what = (f"shape {list(shape)} at module_rank {module_rank} has closure dimension"
+                    f" D = {size}, so the D x D closure basis has")
             size = size**2
         if size > MAX_FLAT_SIZE:
-            problems.append(f"shape {list(shape)} at module_rank {module_rank} has flattened"
-                            f" dense size {size}, above the budget of {MAX_FLAT_SIZE}")
+            problems.append(f"{what} dense size {size}, above the budget of {MAX_FLAT_SIZE}")
     if (
         experiment == "stone"
         and flow.get("kind") == "explicit"

@@ -17,16 +17,14 @@ appears anywhere.
 Sub-C*-algebras of the operator algebra are handled through an
 orthonormal Hilbert-Schmidt basis of the span generated by a finite set
 of operators; membership tests are orthogonal projections onto that
-span, which keeps them basis-independent.  The span is closed in rounds
-of left multiplication by the generators and their adjoints, all in
-Hilbert-Schmidt coordinates: each round forms its products with one
-batched matmul per block, projects them against the kept rows by block
-classical Gram-Schmidt run twice, and the closure stops when a round
-adds nothing or the span fills the whole operator algebra.
+span, which keeps them basis-independent.  The span is closed one
+candidate at a time, in Hilbert-Schmidt coordinates, and the closure
+stops as soon as the span fills the whole operator algebra.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -327,19 +325,18 @@ def operator_matrix(s: ModuleOperator) -> np.ndarray:
 class SubalgebraBasis:
     """Orthonormal Hilbert-Schmidt basis of a generated *-subalgebra.
 
-    The span is closed in rounds of left multiplication.  Round 0
-    absorbs the letters ``G u G*``, the generators and their adjoints;
-    each later round absorbs ``g q`` for every letter g and every
-    direction q that the previous round added.  That reaches every word
-    in the letters, and the words span the generated *-algebra.
-    Candidates come in chunks of at most ``dim M_k(A)`` rows.  Each chunk
-    is projected against the kept rows by block classical Gram-Schmidt
-    run twice, ``C <- C - (C Q*) Q``, and only the rows left above the
-    tolerance are then kept or dropped one by one, in order.  The
-    closure stops when a round adds nothing or the span fills
-    ``M_k(A)``.  The span is then required to act nondegenerately: its
-    unit (the Hilbert-Schmidt projection of the identity) must be the
-    identity operator.
+    Candidates are taken from a queue, first the generators and their
+    adjoints; each kept direction queues its adjoint and its products
+    with every kept direction, in both orders, so the span is closed
+    under adjoints and products.  A product is formed only when it is
+    taken from the queue.  Each candidate is projected against the kept
+    rows by classical Gram-Schmidt run twice, ``v <- v - Q^T (Q* v)``,
+    and adds a direction iff its residual exceeds
+    ``span_tol * max(1, max ||g||)``.  The closure stops when the queue
+    is empty or the span fills ``M_k(A)``, where every candidate left
+    would be dropped.  The span is then required to act
+    nondegenerately: its unit (the Hilbert-Schmidt projection of the
+    identity) must be the identity operator.
     """
 
     def __init__(self, generators: Sequence[ModuleOperator], span_tol: float = SPAN_TOL):
@@ -366,28 +363,34 @@ class SubalgebraBasis:
         return len(self.basis)
 
     def _build(self) -> None:
-        # a candidate adds a direction iff its residual exceeds tol
         tol = self.span_tol * max(max(g.norm() for g in self.generators), 1.0)
-        dims = [self._k * n for n in self._shape.block_dims]
-        full = sum(m * m for m in dims)
-        gens = np.stack([operator_vec(g) for g in self.generators])
-        letters = np.concatenate([gens, _adjoint_rows(gens, dims)])
-        q = np.empty((0, full), dtype=complex)
-        chunks = (letters[lo : lo + full] for lo in range(0, len(letters), full))
-        while True:
-            start = len(q)
-            for cand in chunks:
-                q = _absorb(q, cand, tol)
-                if len(q) == full:
-                    break
-            if len(q) in (start, full):
-                break
-            chunks = _left_products(letters, q[start:], dims, full)
-        self._q = q
-        self.basis = tuple(
-            operator_from_flat(self._shape, self._k, _unvec_flats(self._shape, self._k, row))
-            for row in q
-        )
+        full = sum((self._k * n) ** 2 for n in self._shape.block_dims)
+        q = np.empty((full, full), dtype=complex)
+        ops: list[ModuleOperator] = []
+        # (a, b) stands for the candidate a @ b, formed only when popped;
+        # b is None for a candidate given outright
+        pending = deque((g, None) for g in self.generators)
+        pending.extend((g.star(), None) for g in self.generators)
+        while pending and len(ops) < full:  # a full span is all of M_k(A)
+            a, b = pending.popleft()
+            vec = operator_vec(a if b is None else a @ b)
+            rows = q[: len(ops)]
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                vec = vec - rows.T @ (rows.conj() @ vec)
+            nrm = float(np.linalg.norm(vec))
+            if nrm <= tol:
+                continue
+            vec = vec / nrm
+            q[len(ops)] = vec
+            new_flats = _unvec_flats(self._shape, self._k, vec)
+            new_op = operator_from_flat(self._shape, self._k, new_flats)
+            ops.append(new_op)
+            pending.append((new_op.star(), None))
+            for other in ops:
+                pending.append((new_op, other))
+                pending.append((other, new_op))
+        self.basis = tuple(ops)
+        self._q = q[: len(ops)].copy()
 
     def _check_nondegenerate(self) -> None:
         one = identity_operator(self._shape, self._k)
@@ -424,61 +427,13 @@ class SubalgebraBasis:
         return self.residual(s) <= tol * max(1.0, s.norm())
 
 
-def _block_views(rows: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
-    """Views ``(c, m_b, m_b)`` of the flat blocks of HS coordinate rows."""
-    cuts = np.cumsum([0] + [m * m for m in dims])
-    return [rows[:, lo:hi].reshape(-1, m, m) for m, lo, hi in zip(dims, cuts, cuts[1:])]
-
-
-def _adjoint_rows(rows: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """HS coordinates of the adjoints of the operators in ``rows``."""
-    out = np.empty_like(rows)
-    for src, dst in zip(_block_views(rows, dims), _block_views(out, dims)):
-        dst[...] = src.conj().transpose(0, 2, 1)
-    return out
-
-
-def _left_products(letters: np.ndarray, new: np.ndarray, dims: Sequence[int], size: int):
-    """Rows of ``g q`` for every letter g and every new direction q.
-
-    Ordered by q, then g, and formed ``size`` rows at a time with one
-    batched matmul per block, so no chunk is larger than ``size`` rows.
-    """
-    total = len(letters) * len(new)
-    g_blocks, q_blocks = _block_views(letters, dims), _block_views(new, dims)
-    for lo in range(0, total, size):
-        pairs = np.arange(lo, min(lo + size, total))
-        g, q = pairs % len(letters), pairs // len(letters)
-        out = np.empty((len(pairs), letters.shape[1]), dtype=complex)
-        for gb, qb, ob in zip(g_blocks, q_blocks, _block_views(out, dims)):
-            np.matmul(gb[g], qb[q], out=ob)
-        yield out
-
-
-def _absorb(q: np.ndarray, cand: np.ndarray, tol: float) -> np.ndarray:
-    """``q`` plus the orthonormal directions that ``cand`` adds to its span.
-
-    Block classical Gram-Schmidt, twice (Giraud, Langou, Rozloznik and
-    van den Eshof, Numer. Math. 2005), then the surviving rows in order
-    against the directions this block has added so far.
-    """
-    for _ in range(2):
-        cand = cand - (cand @ q.conj().T) @ q
-    cand = cand[np.linalg.norm(cand, axis=1) > tol]
-    added = np.empty_like(cand)
-    r = 0
-    for vec in cand:
-        for _ in range(2):
-            vec = vec - (added[:r] @ vec.conj()).conj() @ added[:r]
-        nrm = float(np.linalg.norm(vec))
-        if nrm > tol:
-            added[r] = vec / nrm
-            r += 1
-    return np.concatenate([q, added[:r]])
-
-
 def _unvec_flats(shape: BlockShape, k: int, vec: np.ndarray) -> list[np.ndarray]:
-    return [b[0] for b in _block_views(vec[None], [k * n for n in shape.block_dims])]
+    flats, pos = [], 0
+    for n in shape.block_dims:
+        size = (k * n) * (k * n)
+        flats.append(vec[pos : pos + size].reshape(k * n, k * n))
+        pos += size
+    return flats
 
 
 def matrix_unit_operators(shape: BlockShape, k: int) -> list[ModuleOperator]:

@@ -413,9 +413,10 @@ def test_operator_payload_roundtrip_hypothesis(module):
         np.testing.assert_array_equal(a, b)
 
 
-# Reference closure: the one-candidate-at-a-time loop that the rounds of
-# left multiplication replace.  Each new element is multiplied against
-# every earlier one, in both orders, with its adjoint queued as well.
+# Reference closure: the loop as it was before the stop at full span, the
+# lazy products and the matrix-vector projection.  Each new element is
+# multiplied against every earlier one, in both orders, with its adjoint
+# queued as well, and every candidate is projected one vdot at a time.
 
 
 def sequential_closure(generators, span_tol=SPAN_TOL):
@@ -488,13 +489,14 @@ class TestClosureAgainstSequential:
         q = SubalgebraBasis(CLOSURE_CASES["random_two_blocks"]())._q
         assert np.max(np.abs(q.conj() @ q.T - np.eye(len(q)))) <= 1e-12
 
-    def test_closure_makes_no_operator_products(self, monkeypatch):
+    def test_full_span_stops_before_any_product(self, monkeypatch):
+        # the matrix units span M_k(A) by themselves; no queued product is formed
         def refuse(self, other):
             raise AssertionError("closure multiplied ModuleOperators")
 
-        gens = CLOSURE_CASES["random_two_blocks"]()
+        gens = CLOSURE_CASES["matrix_units"]()
         monkeypatch.setattr(ModuleOperator, "__matmul__", refuse)
-        assert SubalgebraBasis(gens).dim == 16 + 36
+        assert SubalgebraBasis(gens).dim == 16 + 16
 
     def test_roadmap_size_closes(self):
         # matrix units of M_16: dimension 256, the whole algebra
