@@ -21,7 +21,6 @@ from .algebra import (
     identity,
     is_strictly_positive,
     mul,
-    op_norm,
     power,
     spectral,
     star,
@@ -85,13 +84,11 @@ from .hilbmod import (
     inner,
     is_unitary,
     matrix_unit_operators,
-    op_adjoint,
     op_exp,
     op_log,
     op_power,
     strictly_positive,
     zero_operator,
-    zero_vector,
 )
 from .implemented import (
     ImplementedFlow,

@@ -16,7 +16,10 @@ input.  Eigenvalues are returned in ascending order; the ordering never
 affects any result, only the reproducibility of intermediate dumps.
 
 All values are immutable after construction and every operation is a
-pure function, so everything here is safe for concurrent use.
+pure function, so everything here is safe for concurrent use.  Because
+the blocks are read-only, an element computes its norm and its
+eigendecomposition at most once and keeps them: the stored values cannot
+go stale, and a race between two threads only repeats the same pure work.
 """
 
 from __future__ import annotations
@@ -25,12 +28,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import EigFailureError, NotStrictlyPositiveError, ShapeMismatchError
 
 HERM_TOL = 1e-10
 EIG_TOL = 1e-9
 POS_TOL_FACTOR = 1e-10
+
+# LAPACK's divide-and-conquer SVD, called for singular values only.
+_gesdd = lapack.zgesdd
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -82,6 +89,8 @@ class AlgebraElement:
                 raise ShapeMismatchError(f"block of shape {b.shape}, expected ({n}, {n})")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", mats)
+        object.__setattr__(self, "_norm", None)
+        object.__setattr__(self, "_spectral", None)
 
     @staticmethod
     def from_blocks(blocks: Sequence[np.ndarray]) -> "AlgebraElement":
@@ -93,8 +102,17 @@ class AlgebraElement:
         return AlgebraElement(self.shape, [b.conj().T for b in self.blocks])
 
     def norm(self) -> float:
-        """C*-norm: largest singular value over the blocks."""
-        return max(float(np.linalg.norm(b, 2)) for b in self.blocks)
+        """C*-norm: largest singular value over the blocks.
+
+        Each block's largest singular value comes from LAPACK ``zgesdd``
+        with singular values only, and the result is kept on the element,
+        so the SVDs run on the first call only.  Raises ``EigFailureError``
+        when LAPACK reports a failure (a NaN entry, or no convergence) or
+        returns a NaN singular value (an infinite entry).
+        """
+        if self._norm is None:
+            object.__setattr__(self, "_norm", max(_largest_singular_value(b) for b in self.blocks))
+        return self._norm
 
     def hs_dot(self, other: "AlgebraElement") -> complex:
         """Hilbert-Schmidt pairing ``sum_k tr(self_k* other_k)``."""
@@ -131,6 +149,16 @@ class AlgebraElement:
         return f"AlgebraElement(dims={self.shape.block_dims}, norm={self.norm():.6g})"
 
 
+def _largest_singular_value(b: np.ndarray) -> float:
+    _, s, _, info = _gesdd(b, compute_uv=0)
+    if info != 0:
+        raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block failed"
+                              f" (LAPACK zgesdd info = {info})")
+    if np.isnan(s[0]):  # LAPACK's answer to an infinite entry
+        raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block are NaN")
+    return float(s[0])
+
+
 def _same_shape(x: AlgebraElement, y: AlgebraElement) -> None:
     if x.shape != y.shape:
         raise ShapeMismatchError(f"shapes differ: {x.shape} vs {y.shape}")
@@ -152,10 +180,6 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Blockwise matrix product; submultiplicative for the C*-norm."""
     _same_shape(x, y)
     return AlgebraElement(x.shape, [a @ b for a, b in zip(x.blocks, y.blocks)])
-
-
-def op_norm(x: AlgebraElement) -> float:
-    return x.norm()
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +242,19 @@ def _symmetrized_blocks(h: AlgebraElement) -> list[np.ndarray]:
 
 
 def spectral(h: HermitianElement | AlgebraElement) -> SpectralDecomposition:
-    """Eigendecompose ``(H + H*)/2`` blockwise."""
+    """Eigendecompose ``(H + H*)/2`` blockwise.
+
+    The decomposition is kept on the element (on ``h.value`` for a
+    ``HermitianElement``), so each element is decomposed at most once and
+    every later call returns the same ``SpectralDecomposition``.
+    """
     x = h.value if isinstance(h, HermitianElement) else h
+    if x._spectral is None:
+        object.__setattr__(x, "_spectral", _eigendecompose(x))
+    return x._spectral
+
+
+def _eigendecompose(x: AlgebraElement) -> SpectralDecomposition:
     vals, vecs = [], []
     for b in _symmetrized_blocks(x):
         try:

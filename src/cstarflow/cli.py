@@ -409,10 +409,11 @@ def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
         resid = (evaluate(g, s, evaluate(g, t, x)) - evaluate(g, s + t, x)).norm()
         record("group_law", i, resid / x.norm(), 1e-9)
 
-        resid = (continue_exact(g, -z, continue_exact(g, z, x)) - x).norm()
+        xz = continue_exact(g, z, x)
+        resid = (continue_exact(g, -z, xz) - x).norm()
         record("inverse", i, resid / x.norm(), 1e-9)
 
-        comp = continue_exact(g, y, continue_exact(g, z, x))
+        comp = continue_exact(g, y, xz)
         direct = continue_exact(g, y + z, x)
         scale = max(direct.norm(), x.norm())
         record("composition_same_side", i, (comp - direct).norm() / scale, 1e-9)
@@ -424,7 +425,7 @@ def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
         record("semi_mult_right", i, (rhs - evaluate(g, t, a @ b)).norm() / (a.norm() * b.norm()), 1e-9)
 
         viol = three_lines_check(g, x, z, 25)
-        scale = max(x.norm(), continue_exact(g, z, x).norm())
+        scale = max(x.norm(), xz.norm())
         record("three_lines", i, viol / scale, 1e-9)
 
     checks = [Check(name, measured, 1e-9) for name, measured in sorted(worst.items())]

@@ -20,6 +20,7 @@ model the whole construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,13 +66,21 @@ class CommutingPair:
     def shape(self) -> BlockShape:
         return self.alpha.shape
 
+    @cached_property
+    def product(self) -> FlowGenerator:
+        """Generator of ``gamma_t = alpha_t beta_t``, built on first use."""
+        return FlowGenerator(
+            HermitianElement(self.alpha.h_left.value + self.beta.h_left.value),
+            HermitianElement(self.alpha.h_right.value + self.beta.h_right.value),
+        )
+
 
 def product_flow(p: CommutingPair) -> FlowGenerator:
-    """Generator of ``gamma_t = alpha_t beta_t``: the sidewise sums."""
-    return FlowGenerator(
-        HermitianElement(p.alpha.h_left.value + p.beta.h_left.value),
-        HermitianElement(p.alpha.h_right.value + p.beta.h_right.value),
-    )
+    """Generator of ``gamma_t = alpha_t beta_t``: the sidewise sums.
+
+    The pair builds it once and returns the same flow on every call.
+    """
+    return p.product
 
 
 def gamma_continuation_check(p: CommutingPair, z: complex, x: AlgebraElement) -> float:

@@ -10,7 +10,11 @@ class ShapeMismatchError(CstarflowError):
 
 
 class EigFailureError(CstarflowError):
-    """An eigendecomposition did not converge."""
+    """An eigendecomposition or a singular-value decomposition failed.
+
+    LAPACK reported a failure (no convergence, or a NaN entry in the
+    input) or returned NaN (an infinite entry in the input).
+    """
 
 
 class NotStrictlyPositiveError(CstarflowError):

@@ -1,11 +1,12 @@
 """One-parameter flows ``alpha_t(x) = exp(itH_l) x exp(-itH_r)``.
 
 A flow is represented by its generator pair ``(H_l, H_r)`` of Hermitian
-elements, never by sampled maps; evaluation goes through the cached
+elements, never by sampled maps; evaluation goes through the
 eigendecompositions of the generators, which makes every flow entire in
-the parameter for free.  Two-sided unitary conjugation is isometric, so
-the contractivity axiom is automatic and the constructor does not admit
-non-isometric flows.
+the parameter for free.  ``algebra.spectral`` keeps each decomposition on
+its generator, so companion flows and automorphisms share one.  Two-sided
+unitary conjugation is isometric, so the contractivity axiom is automatic
+and the constructor does not admit non-isometric flows.
 
 With ``H_l = H_r`` the flow is an automorphism group.  The companion
 flows ``(H_l, H_l)`` and ``(H_r, H_r)`` make every flow in this family
@@ -18,7 +19,6 @@ semi-multiplicative:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,11 +57,11 @@ class FlowGenerator:
             for a, b in zip(self.h_left.value.blocks, self.h_right.value.blocks)
         )
 
-    @cached_property
+    @property
     def spectral_left(self) -> SpectralDecomposition:
         return spectral(self.h_left)
 
-    @cached_property
+    @property
     def spectral_right(self) -> SpectralDecomposition:
         return spectral(self.h_right)
 

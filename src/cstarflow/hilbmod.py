@@ -205,7 +205,10 @@ class ModuleOperator:
         return list(self.flat.blocks)
 
     def norm(self) -> float:
-        """Operator norm on E: largest singular value over flattened blocks."""
+        """Operator norm on E: largest singular value over flattened blocks.
+
+        Kept on ``flat`` after the first call, like every element norm.
+        """
         return self.flat.norm()
 
     def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
@@ -242,14 +245,6 @@ def identity_operator(shape: BlockShape, k: int) -> ModuleOperator:
 
 def zero_operator(shape: BlockShape, k: int) -> ModuleOperator:
     return ModuleOperator.from_flat(zeros(_flat_shape(shape, k)), k)
-
-
-def zero_vector(shape: BlockShape, k: int) -> ModuleVector:
-    return ModuleVector.from_stacked(shape, k, [np.zeros((k * n, n), dtype=complex) for n in shape])
-
-
-def op_adjoint(s: ModuleOperator) -> ModuleOperator:
-    return s.star()
 
 
 def is_unitary(s: ModuleOperator, tol: float = 1e-10) -> bool:

@@ -6,9 +6,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstarflow.algebra as algebra
 from cstarflow import (
     AlgebraElement,
     BlockShape,
+    EigFailureError,
     HermitianElement,
     NotStrictlyPositiveError,
     ShapeMismatchError,
@@ -22,6 +24,8 @@ from cstarflow import (
 from cstarflow.sampling import random_element, random_hermitian, rng
 
 from conftest import e12
+
+EPS = np.finfo(float).eps
 
 
 class TestStar:
@@ -84,6 +88,32 @@ class TestOpNorm:
         assert oracle == 5.0
         assert x.norm() == pytest.approx(oracle, rel=1e-14)
 
+    def test_second_call_does_not_reach_lapack(self, monkeypatch):
+        calls = []
+
+        def counting(b, **kwargs):
+            calls.append(b.shape)
+            return scipy.linalg.lapack.zgesdd(b, **kwargs)
+
+        monkeypatch.setattr(algebra, "_gesdd", counting)
+        x = random_element(rng(4), BlockShape([3, 2]))
+        first = x.norm()
+        assert calls == [(3, 3), (2, 2)]
+        assert x.norm() == first
+        assert calls == [(3, 3), (2, 2)]
+
+    def test_nan_entry_is_a_numerical_breakdown(self):
+        x = AlgebraElement.from_blocks([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]])
+        with pytest.raises(EigFailureError, match=r"2x2 block.*info = -4"):
+            x.norm()
+
+    def test_infinite_entry_is_a_numerical_breakdown(self):
+        # LAPACK returns info = 0 and NaN singular values here; a later finite
+        # block must not hide the NaN behind max()
+        x = AlgebraElement.from_blocks([np.eye(1), [[np.inf, 2.0], [3.0, 4j]]])
+        with pytest.raises(EigFailureError, match=r"2x2 block are NaN"):
+            x.norm()
+
 
 class TestHermCalculus:
     def test_identity_function(self):
@@ -137,6 +167,22 @@ class TestPower:
     def test_rejects_kernel(self):
         with pytest.raises(NotStrictlyPositiveError):
             power(AlgebraElement.from_blocks([np.diag([1.0, 0.0])]), 0.5)
+
+    def test_grid_of_exponents_decomposes_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(b):
+            calls.append(b.shape)
+            return eigh(b)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        t = herm_calculus(random_hermitian(rng(5), BlockShape([3]), 1.0), np.exp)
+        assert calls == [(3, 3)]  # decomposing the exponent h
+        root = power(t, 0.5)
+        power(t, 1j)
+        assert calls == [(3, 3), (3, 3)]
+        assert (root @ root - t).norm() <= 1e-12 * t.norm()
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotStrictlyPositiveError):
@@ -213,6 +259,21 @@ def test_cstar_identity_hypothesis(data):
     x = AlgebraElement.from_blocks(blocks)
     n2 = x.norm() ** 2
     assert abs((x.star() @ x).norm() - n2) <= 1e-10 * max(n2, 1e-30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_norm_is_largest_block_singular_value_hypothesis(data):
+    dims = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    entries = st.floats(-1e3, 1e3, allow_nan=False)
+    blocks = [
+        np.array(data.draw(st.lists(entries, min_size=2 * n * n, max_size=2 * n * n)))
+        .view(complex).reshape(n, n)
+        for n in dims
+    ]
+    x = AlgebraElement.from_blocks(blocks)
+    oracle = max(np.linalg.norm(b, 2) for b in blocks)
+    assert abs(x.norm() - oracle) <= 4 * max(dims) * EPS * oracle
 
 
 @settings(max_examples=30, deadline=None)

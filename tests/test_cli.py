@@ -330,6 +330,23 @@ class TestMain:
         assert report["experiment"] == "stone" and report["seed"] == 918
         assert not (out / "stone.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_continuation_exits_three(self, tmp_path, capsys):
+        # exp(iz(lam - mu)) overflows at Im z = 1e3, and the norm of the result fails
+        raw = json.loads((CONFIG_DIR / "verify.json").read_text())
+        raw["grid"]["z_im"] = [1e3]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("NUMERICAL_BREAKDOWN: EigFailureError: ")
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["passed"] is False
+        assert report["error"]["type"] == "EigFailureError"
+        assert not (out / "verify.csv").exists()
+
 
 class TestArtifacts:
     def test_converge_worked_value_in_csv(self, tmp_path):

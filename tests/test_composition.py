@@ -68,6 +68,10 @@ class TestProductFlow:
             composed = evaluate(pair.alpha, t, evaluate(pair.beta, t, x))
             assert (evaluate(gamma, t, x) - composed).norm() <= 1e-12
 
+    def test_built_once_per_pair(self):
+        pair = CommutingPair(*random_commuting_flows(rng(2), BlockShape([2, 3]), 1.0))
+        assert product_flow(pair) is product_flow(pair)
+
     def test_non_commuting_rejected(self):
         h1 = HermitianElement.from_blocks([np.array([[0.0, 1.0], [1.0, 0.0]])])
         h2 = HermitianElement.from_blocks([np.diag([1.0, -1.0])])

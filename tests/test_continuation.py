@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cstarflow import (
     AlgebraElement,
     BlockShape,
+    EigFailureError,
     FlowGenerator,
     HermitianElement,
     NodesTooFewError,
@@ -175,7 +176,42 @@ class TestSmearOracle:
             assert (lhs - rhs).norm() <= 1e-10 * max(1.0, rhs.norm())
 
 
+def pointwise_three_lines(g: FlowGenerator, x: AlgebraElement, z: complex, samples: int) -> float:
+    """Reference: continue x to each strip point, rotate back, take the norm."""
+    z = complex(z)
+    bound = max(x.norm(), continue_exact(g, z, x).norm())
+    m = max(2, math.ceil(math.sqrt(samples)))
+    worst = -math.inf
+    for u in np.linspace(0.0, 1.0, m):
+        for v in np.linspace(0.0, 1.0, m):
+            y = complex(-2.0 + 4.0 * u, v * z.imag)
+            worst = max(worst, continue_exact(g, y, x).norm() - bound)
+    return worst
+
+
 class TestThreeLines:
+    @pytest.mark.parametrize("dims", [[3, 2], [4]])
+    @pytest.mark.parametrize("z", [1.3, 0.4 + 0.8j, -0.7 - 1.1j])
+    def test_batched_norms_match_pointwise_reference(self, dims, z):
+        r = rng(12)
+        shape = BlockShape(dims)
+        for _ in range(5):
+            g = random_flow(r, shape, 2.0)
+            x = random_element(r, shape)
+            scale = max(x.norm(), continue_exact(g, z, x).norm())
+            batched = three_lines_check(g, x, z, 25)
+            assert abs(batched - pointwise_three_lines(g, x, z, 25)) <= 64 * max(dims) * EPS * scale
+
+    def test_failed_batched_svd_is_a_numerical_breakdown(self, monkeypatch):
+        def fails(a, compute_uv=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        g = random_flow(rng(13), BlockShape([2]), 1.0)
+        x = random_element(rng(14), BlockShape([2]))
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        with pytest.raises(EigFailureError, match="25 stacked 2x2 strip blocks"):
+            three_lines_check(g, x, 0.5j, 25)
+
     def test_real_z_degenerates_to_isometry(self):
         r = rng(7)
         g = random_flow(r, BlockShape([2, 2]), 2.0)

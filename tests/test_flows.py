@@ -54,6 +54,15 @@ class TestEvaluate:
 
 
 class TestCompanions:
+    def test_companion_shares_the_eigendata(self):
+        g = random_flow(rng(1), BlockShape([2, 3]), 1.0)
+        assert left_companion(g).spectral_left is g.spectral_left
+        assert right_companion(g).spectral_right is g.spectral_right
+
+    def test_automorphism_decomposes_its_generator_once(self):
+        g = FlowGenerator.automorphism(random_hermitian(rng(2), BlockShape([3]), 1.0))
+        assert g.spectral_left is g.spectral_right
+
     def test_automorphism_case_collapses(self):
         h = random_hermitian(rng(2), BlockShape([2, 2]), 1.0)
         g = FlowGenerator(h, h)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstarflow.algebra as algebra
 from cstarflow import (
     AlgebraElement,
     BlockShape,
@@ -105,6 +107,20 @@ class TestOperatorBasics:
         t = random_positive_operator(rng(3), BlockShape([2]), 2, cond=30.0)
         for s in (0.5, -2.0):
             assert is_unitary(op_power(t, 1j * s))
+
+    def test_norm_is_kept_on_the_operator(self, monkeypatch):
+        calls = []
+
+        def counting(b, **kwargs):
+            calls.append(b.shape)
+            return scipy.linalg.lapack.zgesdd(b, **kwargs)
+
+        monkeypatch.setattr(algebra, "_gesdd", counting)
+        s = random_operator(rng(5), BlockShape([2, 1]), 2)
+        first = s.norm()
+        assert calls == [(4, 4), (2, 2)]
+        assert s.norm() == first and s.flat.norm() == first
+        assert calls == [(4, 4), (2, 2)]
 
     def test_adjoint_pairing(self):
         r = rng(4)
