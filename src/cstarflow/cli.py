@@ -8,7 +8,9 @@ check as (name, measured, bound, passed); the exit status is 0 iff all
 tolerances were met, 1 on a tolerance failure (report still written),
 2 on an invalid config, and 3 on a numerical breakdown (any other
 library error raised during the run; ``report.json`` then records
-``"status": "error"`` and the exception type).
+``"status": "error"`` and the exception type).  One table,
+``EXPERIMENTS``, maps each experiment name to its runner, CSV columns
+and description.
 
 Floats are written with shortest round-trip representation and random
 data comes from a counter-based Philox stream, so identical configs
@@ -18,6 +20,7 @@ produce byte-identical CSVs on one platform.
 from __future__ import annotations
 
 import argparse
+import difflib
 import itertools
 import json
 import math
@@ -42,7 +45,7 @@ from .continuation import (
 )
 from .composition import CommutingPair, gamma_continuation_check, tensor_continuation_check, tensor_flow
 from .errors import ConfigInvalidError, CstarflowError
-from .flows import FlowGenerator, evaluate, left_companion, right_companion
+from .flows import FlowGenerator, check_group_law, evaluate, left_companion, right_companion
 from .hilbmod import (
     ModuleOperator,
     SubalgebraBasis,
@@ -68,22 +71,12 @@ from .stone import (
     stone,
 )
 
-EXPERIMENTS = ("verify", "converge", "stone", "tensor", "implemented")
-
 # Budget on the flattened dense size sum_b (k n_b)^2 of one module operator:
 # 2**18 complex entries (4 MiB) admits a block of n = 64 at module rank k = 4.
 # tensor is held to dim(A (x) A) = (sum_b n_b^2)^2, and implemented to D^2,
 # the size of its D x D Hilbert-Schmidt closure basis, D = sum_b (k n_b)^2
 # (so D <= 512).
 MAX_FLAT_SIZE = 2**18
-
-CSV_COLUMNS = {
-    "verify": ("check", "instance", "measured", "bound", "passed"),
-    "converge": ("r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
-    "stone": ("t", "residual"),
-    "tensor": ("kind", "instance", "z_re", "z_im", "residual"),
-    "implemented": ("check", "z_re", "z_im", "residual"),
-}
 
 
 @dataclass
@@ -201,6 +194,19 @@ def _node_budget(nu_max: float, r_list: list, z_im: list) -> list[str]:
     return problems
 
 
+def _unknown_keys(raw: dict) -> list[str]:
+    """One problem per top-level, ``flow.*`` or ``grid.*`` key that no field has."""
+    known = {*_DEFAULTS, "experiment", "seed", "shape", "element", "flow.h_left", "flow.h_right"}
+    known |= {f"{section}.{key}" for section in ("flow", "grid") for key in _DEFAULTS[section]}
+    given = [*raw, *(f"{section}.{key}" for section in ("flow", "grid") for key in raw.get(section, {}))]
+    problems = []
+    for key in given:
+        if key not in known:
+            near = difflib.get_close_matches(key, known, n=1)
+            problems.append(f"unknown key {key}" + (f"; did you mean {near[0]}?" if near else ""))
+    return problems
+
+
 def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     """Check a raw config dict; never executes numerics."""
     if not isinstance(raw, dict):
@@ -214,19 +220,21 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     ]
     if problems:
         return None, problems
+    problems = _unknown_keys(raw)
+    resolved = resolved_defaults(raw)
     for required in ("experiment", "seed", "shape"):
-        if required not in raw:
+        if required not in resolved:
             problems.append(f"missing field: {required}")
-    experiment = raw.get("experiment")
-    if experiment is not None and experiment not in EXPERIMENTS:
+    experiment = resolved.get("experiment")
+    if experiment is not None and (not isinstance(experiment, str) or experiment not in EXPERIMENTS):
         problems.append(
             f"unknown experiment {experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
         )
-    seed = raw.get("seed")
+    seed = resolved.get("seed")
     if seed is not None and not _is_int(seed):
         problems.append("seed must be an integer")
     shape = None
-    raw_shape = raw.get("shape")
+    raw_shape = resolved.get("shape")
     if raw_shape is not None and (
         not isinstance(raw_shape, list) or not all(_is_int(n) for n in raw_shape)
     ):
@@ -236,9 +244,9 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
             shape = BlockShape(raw_shape)
         except (TypeError, ValueError) as exc:
             problems.append(f"bad shape: {exc}")
-    flow = {**_DEFAULTS["flow"], **raw.get("flow", {})}
+    flow = resolved["flow"]
     h_left = h_right = None
-    if flow.get("kind") == "explicit":
+    if flow["kind"] == "explicit":
         if "h_left" not in flow:
             problems.append("explicit flow needs an h_left payload")
         else:
@@ -255,38 +263,38 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
                 problems.append(f"{name} payload does not conform to the declared shape")
             elif not h.is_hermitian():
                 problems.append(f"{name} payload is not Hermitian within tolerance")
-    elif flow.get("kind") != "random":
-        problems.append(f"unknown flow kind {flow.get('kind')!r}")
-    norm = flow.get("norm", 2.0)
+    elif flow["kind"] != "random":
+        problems.append(f"unknown flow kind {flow['kind']!r}")
+    norm = flow["norm"]
     if not _is_num(norm) or norm <= 0:
         problems.append("flow norm must be a positive number")
     element = None
-    if "element" in raw:
+    if "element" in resolved:
         try:
-            element = element_from_payload(raw["element"])
+            element = element_from_payload(resolved["element"])
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"bad element payload: {exc}")
         if shape is not None and element is not None and element.shape != shape:
             problems.append("element payload does not conform to the declared shape")
-    grid = {**_DEFAULTS["grid"], **raw.get("grid", {})}
+    grid = resolved["grid"]
     for key in ("r", "z_re", "z_im"):
-        vals = grid.get(key)
+        vals = grid[key]
         if not isinstance(vals, list) or not vals or not all(_is_num(v) for v in vals):
             problems.append(f"grid.{key} must be a nonempty list of numbers")
-    if grid.get("r") and isinstance(grid["r"], list) and any(
+    if grid["r"] and isinstance(grid["r"], list) and any(
         _is_num(v) and v <= 0 for v in grid["r"]
     ):
         problems.append("grid.r entries must be positive")
-    nodes = grid.get("nodes")
+    nodes = grid["nodes"]
     if nodes is not None and (not _is_int(nodes) or not 1 <= nodes <= MAX_NODES):
         problems.append(f"grid.nodes must be a positive integer up to {MAX_NODES} or null")
-    t0 = grid.get("t0", 1.0)
+    t0 = grid["t0"]
     if not _is_num(t0) or t0 <= 0:
         problems.append("grid.t0 must be positive")
-    instances = raw.get("instances", _DEFAULTS["instances"])
+    instances = resolved["instances"]
     if not _is_int(instances) or instances < 1:
         problems.append("instances must be a positive integer")
-    module_rank = raw.get("module_rank", _DEFAULTS["module_rank"])
+    module_rank = resolved["module_rank"]
     if not _is_int(module_rank) or module_rank < 1:
         problems.append("module_rank must be a positive integer")
     elif shape is not None:
@@ -303,12 +311,12 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
             problems.append(f"{what} dense size {size}, above the budget of {MAX_FLAT_SIZE}")
     if (
         experiment == "stone"
-        and flow.get("kind") == "explicit"
+        and flow["kind"] == "explicit"
         and _is_int(module_rank)
         and module_rank != 1
     ):
         problems.append("stone with an explicit flow requires module_rank = 1")
-    output = raw.get("output", _DEFAULTS["output"])
+    output = resolved["output"]
     if not isinstance(output, str):
         problems.append("output must be a string path")
     if experiment == "converge" and not problems:
@@ -341,30 +349,28 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     )
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def _read(path: str | Path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalidError([f"cannot read config: {exc}"]) from exc
-    config, problems = validate(raw)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    config, problems = validate(_read(path))
     if problems:
         raise ConfigInvalidError(problems)
     return config
 
 
 def resolved_defaults(raw: dict) -> dict:
-    """Echo of the config with all defaults filled in."""
-    out = {
-        "experiment": raw.get("experiment"),
-        "seed": raw.get("seed"),
-        "shape": raw.get("shape"),
+    """The config with every default filled in; the one place defaults are merged."""
+    return {
+        **_DEFAULTS,
+        **raw,
         "flow": {**_DEFAULTS["flow"], **raw.get("flow", {})},
         "grid": {**_DEFAULTS["grid"], **raw.get("grid", {})},
-        "instances": raw.get("instances", _DEFAULTS["instances"]),
-        "module_rank": raw.get("module_rank", _DEFAULTS["module_rank"]),
-        "output": raw.get("output", _DEFAULTS["output"]),
     }
-    return out
 
 
 def _fmt(v) -> str:
@@ -382,14 +388,20 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _sample_elements(r: np.random.Generator, shape: BlockShape, count: int) -> list[AlgebraElement]:
     return [sampling.random_element(r, shape, 1.0) for _ in range(count)]
 
 
 # ----------------------------------------------------------------- experiments
+# Each runner returns (checks, CSV rows, extra files): the extra files map a
+# file name in the output directory to the JSON payload written there.
 
 
-def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
+def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     grid = cfg.z_grid()
     rows: list[tuple] = []
@@ -406,8 +418,7 @@ def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
         z = grid[i % len(grid)]
         y = complex(float(r.uniform(-1.0, 1.0)), float(r.uniform(0.0, 1.0)) * z.imag)
 
-        resid = (evaluate(g, s, evaluate(g, t, x)) - evaluate(g, s + t, x)).norm()
-        record("group_law", i, resid / x.norm(), 1e-9)
+        record("group_law", i, check_group_law(g, s, t, [x]) / x.norm(), 1e-9)
 
         xz = continue_exact(g, z, x)
         resid = (continue_exact(g, -z, xz) - x).norm()
@@ -429,10 +440,10 @@ def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
         record("three_lines", i, viol / scale, 1e-9)
 
     checks = [Check(name, measured, 1e-9) for name, measured in sorted(worst.items())]
-    return checks, rows
+    return checks, rows, {}
 
 
-def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
+def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
@@ -479,7 +490,7 @@ def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
     checks.append(Check("core_rescale_cap_x", max(cap_x, 0.0), 1e-12))
     checks.append(Check("core_rescale_cap_continuation", max(cap_ax, 0.0), 1e-12))
     checks.append(Check("core_rescale_convergence", (rescaled[-1] - x).norm(), 1e-6))
-    return checks, rows
+    return checks, rows, {}
 
 
 def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
@@ -527,10 +538,10 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     perturbed = t_op + 1e-3 * identity_operator(cfg.shape, k)
     detected = not separating_check(t_op, perturbed, [omega])
     checks.append(Check("separating_detects", 0.0 if detected else 1.0, 0.0))
-    return checks, rows, report
+    return checks, rows, {"recovery.json": report}
 
 
-def _exp_tensor(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
+def _exp_tensor(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     rows: list[tuple] = []
     comm_worst = tens_worst = 0.0
@@ -554,10 +565,10 @@ def _exp_tensor(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
         Check("commuting_continuation", comm_worst, 1e-8),
         Check("tensor_continuation", tens_worst, 1e-8),
     ]
-    return checks, rows
+    return checks, rows, {}
 
 
-def _exp_implemented(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
+def _exp_implemented(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     k = cfg.module_rank
     s_op = sampling.random_positive_operator(r, cfg.shape, k, cond=1e3)
@@ -580,32 +591,33 @@ def _exp_implemented(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple]]:
         Check("continuation_formula", cont_worst, 1e-8),
         Check("localized_middle", mid_worst, 1e-9),
     ]
-    return checks, rows
+    return checks, rows, {}
+
+
+EXPERIMENTS = {
+    "verify": (_exp_verify, ("check", "instance", "measured", "bound", "passed"),
+               "group laws, inverses, same-side composition, semi-multiplicativity, strip bound"),
+    "converge": (_exp_converge, ("r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
+                 "smearing quadrature vs closed form, norm bound, convergence rate, core rescaling"),
+    "stone": (_exp_stone, ("t", "residual"),
+              "generator recovery round trip, continuation, localization and separation"),
+    "tensor": (_exp_tensor, ("kind", "instance", "z_re", "z_im", "residual"),
+               "commuting-pair product continuation and tensor-product continuation"),
+    "implemented": (_exp_implemented, ("check", "z_re", "z_im", "residual"),
+                    "implemented-flow continuation formula and localized middle products"),
+}
 
 
 def run(config: ScenarioConfig, out_dir: str | Path | None = None, quiet: bool = False) -> ExitReport:
     """Execute a scenario; writes artifacts and returns the report."""
     out = Path(out_dir) if out_dir is not None else Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    report = ExitReport(config.experiment, config.seed)
-    extra_json = None
-    if config.experiment == "verify":
-        checks, rows = _exp_verify(config)
-    elif config.experiment == "converge":
-        checks, rows = _exp_converge(config)
-    elif config.experiment == "stone":
-        checks, rows, extra_json = _exp_stone(config)
-    elif config.experiment == "tensor":
-        checks, rows = _exp_tensor(config)
-    elif config.experiment == "implemented":
-        checks, rows = _exp_implemented(config)
-    else:  # pragma: no cover - validate() rejects unknown names
-        raise ConfigInvalidError([f"unknown experiment {config.experiment!r}"])
-    report.checks.extend(checks)
-    _write_csv(out / f"{config.experiment}.csv", CSV_COLUMNS[config.experiment], rows)
-    (out / "report.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-    if extra_json is not None:
-        (out / "recovery.json").write_text(json.dumps(extra_json, indent=2, sort_keys=True) + "\n")
+    runner, columns, _ = EXPERIMENTS[config.experiment]
+    checks, rows, extra_files = runner(config)
+    report = ExitReport(config.experiment, config.seed, checks)
+    _write_csv(out / f"{config.experiment}.csv", columns, rows)
+    for name, payload in {"report.json": report.as_dict(), **extra_files}.items():
+        _write_json(out / name, payload)
     if not quiet:
         for c in report.checks:
             status = "pass" if c.passed else "FAIL"
@@ -617,28 +629,20 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, quiet: bool =
 def _write_error_report(out: Path, config: ScenarioConfig, exc: Exception) -> None:
     """``report.json`` of a run that a library error broke off."""
     out.mkdir(parents=True, exist_ok=True)
-    error = {
+    _write_json(out / "report.json", {
         "experiment": config.experiment,
         "seed": config.seed,
         "passed": False,
         "status": "error",
         "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    (out / "report.json").write_text(json.dumps(error, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def list_experiments() -> str:
-    lines = ["available experiments:"]
-    descriptions = {
-        "verify": "group laws, inverses, same-side composition, semi-multiplicativity, strip bound",
-        "converge": "smearing quadrature vs closed form, norm bound, convergence rate, core rescaling",
-        "stone": "generator recovery round trip, continuation, localization and separation",
-        "tensor": "commuting-pair product continuation and tensor-product continuation",
-        "implemented": "implemented-flow continuation formula and localized middle products",
-    }
-    for name in EXPERIMENTS:
-        lines.append(f"  {name:<12} {descriptions[name]}")
-    return "\n".join(lines)
+    return "\n".join(
+        ["available experiments:"]
+        + [f"  {name:<12} {description}" for name, (_, _, description) in EXPERIMENTS.items()]
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -657,31 +661,21 @@ def main(argv: list[str] | None = None) -> int:
         print(list_experiments())
         return 0
 
+    try:
+        raw = _read(args.config)
+        config, problems = validate(raw)
+    except ConfigInvalidError as exc:
+        problems = exc.problems
+    if problems:
+        for p in problems:
+            print(f"CONFIG_INVALID: {p}", file=sys.stderr)
+        return 2
     if args.command == "validate":
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"CONFIG_INVALID: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        _, problems = validate(raw)
-        if problems:
-            for p in problems:
-                print(f"CONFIG_INVALID: {p}", file=sys.stderr)
-            return 2
         print("ok")
         print(json.dumps(resolved_defaults(raw), indent=2, sort_keys=True))
         return 0
-
-    try:
-        config = load_config(args.config)
-    except ConfigInvalidError as exc:
-        for p in exc.problems:
-            print(f"CONFIG_INVALID: {p}", file=sys.stderr)
-        return 2
     try:
         report = run(config, args.out, args.quiet)
-    except ConfigInvalidError:
-        raise
     except CstarflowError as exc:
         print(f"NUMERICAL_BREAKDOWN: {type(exc).__name__}: {exc}", file=sys.stderr)
         _write_error_report(Path(args.out if args.out is not None else config.output), config, exc)
@@ -689,5 +683,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if report.passed else 1
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

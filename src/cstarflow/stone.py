@@ -56,7 +56,9 @@ from .errors import (
 from .hilbmod import (
     ModuleOperator,
     ModuleVector,
+    identity_operator,
     op_exp,
+    op_power,
     strictly_positive,
 )
 
@@ -72,11 +74,10 @@ class PositiveFunctional:
 
     def __post_init__(self):
         r = self.rho
-        scale = max(r.norm(), 1e-300)
-        if (r - r.star()).norm() > 1e-12 * scale:
+        if not r.is_hermitian(1e-12):
             raise ValueError("density element is not Hermitian")
         lo = float(np.min(eigenvalues(r)))
-        if lo < -1e-12 * scale:
+        if lo < -1e-12 * max(r.norm(), 1e-300):
             raise ValueError(f"density element has negative eigenvalue {lo:.3e}")
 
     @property
@@ -114,7 +115,7 @@ class SampledUnitaryGroup:
     def probe(self, t0: float) -> None:
         """Cheap group-invariant checks; raises ``NotAGroupError``."""
         u0 = self(0.0)
-        one = self._identity_like(u0)
+        one = identity_operator(u0.shape, u0.k)
         if (u0 - one).norm() > 1e-10:
             raise NotAGroupError("u(0) differs from the identity")
         for m in PROBE_MULTIPLES:
@@ -129,16 +130,8 @@ class SampledUnitaryGroup:
             raise NotAGroupError("u(2 t0) differs from u(t0)^2")
 
     @staticmethod
-    def _identity_like(u: ModuleOperator) -> ModuleOperator:
-        from .hilbmod import identity_operator
-
-        return identity_operator(u.shape, u.k)
-
-    @staticmethod
     def from_positive(t_op: ModuleOperator) -> "SampledUnitaryGroup":
         """The group ``t -> T**(it)`` of a strictly positive operator."""
-        from .hilbmod import op_power
-
         return SampledUnitaryGroup(lambda t: op_power(t_op, 1j * t))
 
 
@@ -214,8 +207,6 @@ def _stone_with_trace(
 
 
 def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[float, float]]:
-    from .hilbmod import op_power
-
     out = []
     for t in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0):
         err = (u(t) - op_power(t_op, 1j * t)).norm()
@@ -377,13 +368,14 @@ def vector_smear(t_op: ModuleOperator, v: ModuleVector, r: float, z: complex = 0
 
     Closed form in the eigenbasis of the flattened operator: the
     coordinate at log-eigenvalue ``kappa`` picks up
-    ``exp(i kappa z - kappa^2 / (4 r^2))``.
+    ``exp(i kappa z - kappa^2 / (4 r^2))``.  ``T`` must pass the
+    positivity rule of ``op_power`` (``ValueError`` otherwise).
     """
     if r <= 0:
         raise ValueError("smearing width r must be positive")
-    sd = spectral(t_op.flat)
-    if any(np.any(lam <= 0) for lam in sd.eigenvalues):
+    if not strictly_positive(t_op):
         raise ValueError("vector smear needs a strictly positive operator")
+    sd = spectral(t_op.flat)
     z = complex(z)
 
     def factor(lam):

@@ -38,6 +38,12 @@ class TestValidate:
         _, problems = validate({"experiment": "banana", "seed": 1, "shape": [2]})
         assert any("banana" in p and "verify" in p for p in problems)
 
+    @pytest.mark.parametrize("name", [["verify"], {"verify": 1}, 3])
+    def test_non_string_experiment_lists_choices(self, name):
+        _, problems = validate({"experiment": name, "seed": 1, "shape": [2]})
+        assert problems == [f"unknown experiment {name!r}; choose one of"
+                            " verify, converge, stone, tensor, implemented"]
+
     def test_valid_config_resolves(self):
         config, problems = validate({"experiment": "verify", "seed": 1, "shape": [2, 3]})
         assert problems == []
@@ -213,6 +219,20 @@ class TestValidate:
         _, problems = validate({"experiment": "verify", "seed": 1, "shape": [2], field: 5})
         assert any(field in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "extra, problem",
+        [
+            ({"instanses": 5}, "unknown key instanses; did you mean instances?"),
+            ({"grd": {}}, "unknown key grd; did you mean grid?"),
+            ({"flow": {"nrm": 1.0}}, "unknown key flow.nrm; did you mean flow.norm?"),
+            ({"grid": {"node": 64}}, "unknown key grid.node; did you mean grid.nodes?"),
+            ({"qqqqqq": 1}, "unknown key qqqqqq"),
+        ],
+    )
+    def test_unknown_key_names_the_nearest(self, extra, problem):
+        config, problems = validate({"experiment": "verify", "seed": 1, "shape": [2], **extra})
+        assert config is None and problems == [problem]
+
     def test_load_config_raises_with_problems(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"experiment": "nope"}))
@@ -259,9 +279,16 @@ class TestMain:
             # used to validate ok and then allocate dense 100000 x 100000 blocks
             '{"experiment": "verify", "seed": 1, "shape": [100000]}',
             '{"experiment": "stone", "seed": 1, "shape": [64], "module_rank": 9}',
+            # misspelled keys used to be ignored silently, leaving the default in force
+            '{"experiment": "verify", "seed": 1, "shape": [2], "instanses": 5}',
+            '{"experiment": "verify", "seed": 1, "shape": [2], "grd": {"r": [1.0]}}',
+            '{"experiment": "verify", "seed": 1, "shape": [2], "flow": {"nrm": 1.0}}',
+            '{"experiment": "verify", "seed": 1, "shape": [2], "grid": {"z_imag": [0.5]}}',
+            '{"experiment": "verify", "seed": 1, "shape": [2], "qqqqqq": 1}',
         ],
         ids=["nan_payload", "nan_r", "inf_z_im", "bool_seed", "bool_shape",
-             "tiny_r", "huge_r", "huge_nodes", "huge_shape", "huge_rank"],
+             "tiny_r", "huge_r", "huge_nodes", "huge_shape", "huge_rank",
+             "unknown_top", "unknown_section", "unknown_flow", "unknown_grid", "unknown_no_match"],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_outside_input_exits_two(self, text, command, capsys, tmp_path):
@@ -314,10 +341,10 @@ class TestMain:
     def test_numerical_breakdown_exits_three(self, tmp_path, monkeypatch, capsys):
         import cstarflow.cli as cli_mod
 
-        def breaks(config):
+        def breaks(u, t0):
             raise BranchAmbiguityError("halving did not stabilize after 8 steps from t0=1.0")
 
-        monkeypatch.setattr(cli_mod, "_exp_stone", breaks)
+        monkeypatch.setattr(cli_mod, "recovery_report", breaks)
         out = tmp_path / "out"
         assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -367,6 +394,14 @@ class TestArtifacts:
         assert recovery["T_spectrum"] == pytest.approx([1.0, math.e], rel=1e-9)
         assert recovery["halvings"] == 0
         assert max(err for _, err in recovery["residual_grid"]) <= 1e-8
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_csv_has_the_table_columns(self, name, tmp_path):
+        run(load_config(CONFIG_DIR / f"{name}.json"), tmp_path, quiet=True)
+        _, columns, _ = EXPERIMENTS[name]
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == ",".join(columns)
+        assert len(lines) > 1 and all(len(line.split(",")) == len(columns) for line in lines)
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_two_runs_byte_identical(self, name, tmp_path):

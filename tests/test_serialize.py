@@ -4,8 +4,10 @@ import json
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cstarflow import BlockShape, FlowGenerator, HermitianElement
+from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement
 from cstarflow.sampling import random_element, random_flow, random_operator, rng
 from cstarflow.serialize import (
     dumps,
@@ -67,3 +69,33 @@ def test_operator_roundtrip():
     back = operator_from_payload(loads(dumps(operator_to_payload(s))))
     assert (back - s).norm() == 0.0
     assert back.k == s.k
+
+
+def assert_same_bits(x: AlgebraElement, y: AlgebraElement) -> None:
+    assert x.shape == y.shape
+    for a, b in zip(x.blocks, y.blocks):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2)]),
+    st.integers(1, 3),
+    st.floats(1e-300, 1e300),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8),
+)
+def test_payload_roundtrip_bitwise_hypothesis(seed, dims, k, scale, doubles):
+    r, shape = rng(seed), BlockShape(dims)
+    # any finite doubles, -0.0 and subnormals included, in a 2 x 2 block
+    raw = np.array(doubles).view(complex).reshape(2, 2)
+    for x in (AlgebraElement.from_blocks([raw]), scale * random_element(r, shape)):
+        assert_same_bits(element_from_payload(loads(dumps(element_to_payload(x)))), x)
+    g = random_flow(r, shape, scale)
+    back = flow_from_payload(loads(dumps(flow_to_payload(g))))
+    assert_same_bits(back.h_left.value, g.h_left.value)
+    assert_same_bits(back.h_right.value, g.h_right.value)
+    s = scale * random_operator(r, shape, k)
+    back_op = operator_from_payload(loads(dumps(operator_to_payload(s))))
+    assert back_op.k == k
+    assert_same_bits(back_op.flat, s.flat)

@@ -15,6 +15,7 @@ from cstarflow import (
     Localization,
     ModuleOperator,
     NotAGroupError,
+    NotStrictlyPositiveError,
     PositiveFunctional,
     SampledUnitaryGroup,
     ZeroFunctionalError,
@@ -320,6 +321,15 @@ class TestSmearedCoreTransport:
         ]
         assert 0.2 <= errs[1] / errs[0] <= 0.3
         assert 0.2 <= errs[2] / errs[1] <= 0.3
+
+    def test_vector_smear_refuses_what_op_power_refuses(self):
+        # 1e-12 > 0, but below the 1e-10 * norm floor that op_power applies
+        t_op = diag_module_operator(1.0, 1e-12)
+        v = random_vector(rng(15), BlockShape([2]), 1)
+        with pytest.raises(NotStrictlyPositiveError):
+            op_power(t_op, 1j)
+        with pytest.raises(ValueError, match="strictly positive"):
+            vector_smear(t_op, v, 1.0)
 
 
 # Dense Gram-form localization, kept as the oracle of the block form: the
