@@ -99,11 +99,13 @@ from .implemented import (
     vector_functionals,
 )
 from .stone import (
+    InducedOperator,
     Localization,
     PositiveFunctional,
     SampledUnitaryGroup,
     hermitian_matrix_power,
     induce,
+    induced_power_check,
     localize,
     recover_generator,
     recovery_report,

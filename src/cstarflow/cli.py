@@ -63,19 +63,18 @@ from .implemented import (
 from .serialize import element_from_payload
 from .stone import (
     SampledUnitaryGroup,
-    hermitian_matrix_power,
-    induce,
+    _stone_and_report,
+    induced_power_check,
     localize,
-    recovery_report,
     separating_check,
-    stone,
 )
 
 # Budget on the flattened dense size sum_b (k n_b)^2 of one module operator:
 # 2**18 complex entries (4 MiB) admits a block of n = 64 at module rank k = 4.
-# tensor is held to dim(A (x) A) = (sum_b n_b^2)^2, and implemented to D^2,
-# the size of its D x D Hilbert-Schmidt closure basis, D = sum_b (k n_b)^2
-# (so D <= 512).
+# tensor is held to dim(A (x) A) = (sum_b n_b^2)^2; implemented to D^2, the
+# size of its D x D Hilbert-Schmidt closure basis, D = sum_b (k n_b)^2 (so
+# D <= 512); stone to sum_b (k n_b^2)^2, its per-block residual matrices over
+# the standard basis at full rank (so n <= 16 at k = 2).
 MAX_FLAT_SIZE = 2**18
 
 
@@ -303,6 +302,10 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
         if experiment == "tensor":  # the tensor square has blocks n_i n_j
             what = f"shape {list(shape)} has dimension {shape.dim}, so A (x) A has"
             size = shape.dim**2
+        elif experiment == "stone":  # residuals over the k n_b^2 basis vectors of each block
+            size = sum((module_rank * n * n) ** 2 for n in shape)
+            what = (f"shape {list(shape)} at module_rank {module_rank} checks each block over its"
+                    f" k n_b^2 basis vectors, so the residual matrices sum_b (k n_b^2)^2 have")
         elif experiment == "implemented":  # the closure keeps a D x D basis, D = size
             what = (f"shape {list(shape)} at module_rank {module_rank} has closure dimension"
                     f" D = {size}, so the D x D closure basis has")
@@ -502,8 +505,7 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     else:
         t_op = sampling.random_positive_operator(r, cfg.shape, k, cond=1e3)
     u = SampledUnitaryGroup.from_positive(t_op)
-    report = recovery_report(u, cfg.t0)
-    t_rec = stone(u, cfg.t0)
+    t_rec, report = _stone_and_report(u, cfg.t0)
     rows = [(t, err) for t, err in report["residual_grid"]]
     checks = [
         Check("recovery_error", (t_rec - t_op).norm() / t_op.norm(), 1e-8),
@@ -527,12 +529,7 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
         gram_worst = max(gram_worst, abs(lhs - rhs) / max(1.0, v.norm() * w.norm()))
     checks.append(Check("gram_identity", gram_worst, 1e-10))
 
-    t_om = induce(loc, t_op)
-    power_worst = 0.0
-    for z in (0.5, 1j, 1 + 1j):
-        lhs = induce(loc, op_power(t_op, z))
-        rhs = hermitian_matrix_power(t_om, z)
-        power_worst = max(power_worst, float(np.linalg.norm(lhs - rhs, 2)))
+    power_worst = max(induced_power_check(loc, t_op, z) for z in (0.5, 1j, 1 + 1j))
     checks.append(Check("induced_power", power_worst, 1e-8))
 
     perturbed = t_op + 1e-3 * identity_operator(cfg.shape, k)

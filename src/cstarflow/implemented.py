@@ -35,9 +35,8 @@ from .hilbmod import (
     inner,
     op_power,
     strictly_positive,
-    vector_from_coordinates,
 )
-from .stone import Localization, PositiveFunctional, induce
+from .stone import Localization, PositiveFunctional, induce, intertwining_residual
 
 COND_LIMIT = 1e6
 INVARIANCE_TOL = 1e-8
@@ -133,17 +132,15 @@ def localized_middle_check(
 ) -> float:
     """Residual of ``S_w x_w T_w L(v) = L(S x T v)`` under a localization ``L``.
 
-    The relation is checked through the map itself, with v running over
-    the standard basis of the module; the result is the spectral norm of
-    the difference of the two sides as matrices over that basis.
+    The induced operators are composed factor by factor, associated as
+    ``S_w (x_w T_w)`` while ``middle_multiplier`` forms ``(S x) T``, so the
+    two sides share no product.  The relation is checked through the map
+    itself, with v running over the standard basis of the module; the
+    result is the spectral norm of the difference of the two sides as
+    matrices over that basis.
     """
-    lhs = induce(loc, s) @ induce(loc, x) @ induce(loc, t)
-    y = middle_multiplier(s, x, t)
-    units = np.eye(loc.k * loc.shape.dim)
-    vs = [vector_from_coordinates(loc.shape, loc.k, e) for e in units]
-    images = np.column_stack([loc.apply(v) for v in vs])
-    rhs = np.column_stack([loc.apply(y @ v) for v in vs])
-    return float(np.linalg.norm(lhs @ images - rhs, 2))
+    lhs = induce(loc, s) @ (induce(loc, x) @ induce(loc, t))
+    return intertwining_residual(loc, lhs, middle_multiplier(s, x, t))
 
 
 def vector_functionals(

@@ -22,16 +22,22 @@ satisfies
 
     <L(v), L(w)> = omega(<v, w>).
 
-A module operator with flattened blocks ``F_b`` induces the d x d matrix
-``S_w = (+)_b F_b (x) I_{r_b}`` through ``S_w L(v) = L(S v)``; the
-induction is a *-homomorphism, compatible with complex powers of
-strictly positive operators, and a faithful family of states separates
-operators.
+A module operator with flattened blocks ``F_b`` induces the operator
+``S_w = (+)_b F_b (x) I_{r_b}`` on C^d through ``S_w L(v) = L(S v)``.
+It is held as its Kronecker factors (``InducedOperator``), never as a
+d x d matrix: it acts on ``L(v)`` as ``F_b Y_b`` on each block, with
+``Y_b`` the ``k n_b x r_b`` block of ``L(v)``; products and complex
+powers act factor by factor, since ``(F (x) I)**z = F**z (x) I``; and its
+norm is the largest ``norm(F_b)`` over the blocks a state sees, since
+``norm(F (x) I) = norm(F)``.  The induction is a *-homomorphism,
+compatible with complex powers of strictly positive operators
+(``induced_power_check`` verifies this through the map L), and a
+faithful family of states separates operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -188,13 +194,16 @@ def stone(u: SampledUnitaryGroup, t0: float = 1.0) -> ModuleOperator:
     grid ``|t| <= 10`` at tolerance 1e-8 and raises ``NotAGroupError``
     when the evaluator is inconsistent with any positive generator.
     """
-    t_op, _, _, _ = _stone_with_trace(u, t0)
-    return t_op
+    return _stone_and_report(u, t0)[0]
 
 
-def _stone_with_trace(
-    u: SampledUnitaryGroup, t0: float
-) -> tuple[ModuleOperator, float, int, list[tuple[float, float]]]:
+def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
+    """Structured recovery record: t0 used, halvings, residuals, spectrum."""
+    return _stone_and_report(u, t0)[1]
+
+
+def _stone_and_report(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, dict]:
+    """The recovered ``T`` of ``stone`` and the record of ``recovery_report``, from one recovery."""
     k_op, t_used, halvings = _recover_with_trace(u, t0, 8, 1e-8)
     t_op = op_exp(k_op)
     if not strictly_positive(t_op):
@@ -203,7 +212,13 @@ def _stone_with_trace(
     for t, err in grid:
         if err > 1e-8:
             raise NotAGroupError(f"evaluator differs from T^(it) at t={t}: {err:.3e}")
-    return t_op, t_used, halvings, grid
+    spectrum = np.sort(eigenvalues(t_op.flat))
+    return t_op, {
+        "t0_used": t_used,
+        "halvings": halvings,
+        "residual_grid": [[t, err] for t, err in grid],
+        "T_spectrum": [float(v) for v in spectrum],
+    }
 
 
 def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[float, float]]:
@@ -212,18 +227,6 @@ def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[f
         err = (u(t) - op_power(t_op, 1j * t)).norm()
         out.append((t, float(err)))
     return out
-
-
-def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
-    """Structured recovery record: t0 used, halvings, residuals, spectrum."""
-    t_op, t_used, halvings, grid = _stone_with_trace(u, t0)
-    spectrum = np.sort(eigenvalues(t_op.flat))
-    return {
-        "t0_used": t_used,
-        "halvings": halvings,
-        "residual_grid": [[t, err] for t, err in grid],
-        "T_spectrum": [float(v) for v in spectrum],
-    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +254,16 @@ class Localization:
     def d(self) -> int:
         return self.k * sum(n * r for n, r in zip(self.shape, self.ranks))
 
+    def apply_block(self, b: int, vb: np.ndarray) -> np.ndarray:
+        """Block b of ``L(v)`` from the stacked block ``v_b``: ``ravel(v_b C_b)``.
+
+        ``vb`` may carry leading axes, one vector per index.
+        """
+        return (vb @ self.factors[b]).reshape(*vb.shape[:-2], -1)
+
     def apply(self, v: ModuleVector) -> np.ndarray:
-        """The map ``Lambda_omega`` on a module vector: ``ravel(v_b C_b)`` per block."""
-        return np.concatenate([(sb @ c).ravel() for sb, c in zip(v.stacked, self.factors)])
+        """The map ``Lambda_omega`` on a module vector, block by block."""
+        return np.concatenate([self.apply_block(b, sb) for b, sb in enumerate(v.stacked)])
 
 
 def localize(omega: PositiveFunctional, shape: BlockShape, k: int, gns_tol: float = GNS_TOL) -> Localization:
@@ -298,21 +308,108 @@ def _check_factors(loc: Localization) -> None:
             )
 
 
-def induce(loc: Localization, s: ModuleOperator) -> np.ndarray:
-    """The induced matrix ``S_omega`` with ``S_omega L(v) = L(S v)``.
+@dataclass(frozen=True, eq=False)
+class InducedOperator:
+    """``S_w = (+)_b F_b (x) I_{r_b}`` on C^d, held as its Kronecker factors.
 
-    In the block form ``S_omega = (+)_b F_b (x) I_{r_b}`` for the flattened
-    blocks ``F_b`` of S, so the defining relation holds by construction
-    and the map is a *-homomorphism with ``(S*)_omega = (S_omega)*``.
-    Raises ``IllDefinedError`` when the localization itself is broken,
-    i.e. its factors do not reproduce the density.
+    ``factors[b]`` is the flattened block ``F_b`` of S, of size ``k n_b``,
+    and ``ranks[b]`` the kept rank ``r_b`` of the localization; a block
+    with ``r_b = 0`` acts on nothing.  A localized vector is the
+    concatenation over b of ``ravel(Y_b)`` with ``Y_b`` of size
+    ``k n_b x r_b``, on which ``F_b (x) I`` acts as ``F_b Y_b``.
+    """
+
+    factors: tuple[np.ndarray, ...] = field(repr=False)
+    ranks: tuple[int, ...]
+
+    def __matmul__(self, other: "InducedOperator") -> "InducedOperator":
+        if other.ranks != self.ranks:
+            raise ValueError("induced operators of different localizations")
+        return replace(self, factors=tuple(a @ b for a, b in zip(self.factors, other.factors)))
+
+    def apply_block(self, b: int, y: np.ndarray) -> np.ndarray:
+        """``F_b (x) I`` on the ``k n_b r_b`` entries of block b, along the last axis of y."""
+        f = self.factors[b]
+        return (f @ y.reshape(*y.shape[:-1], f.shape[0], -1)).reshape(y.shape)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """``S_w y`` for a localized vector y, along its last axis."""
+        out, pos = [], 0
+        for b, (f, r) in enumerate(zip(self.factors, self.ranks)):
+            out.append(self.apply_block(b, y[..., pos : pos + f.shape[0] * r]))
+            pos += f.shape[0] * r
+        return np.concatenate(out, axis=-1)
+
+    def power(self, z: complex) -> "InducedOperator":
+        """``S_w**z`` for positive definite factors, by ``hermitian_matrix_power`` on each seen ``F_b``."""
+        factors = tuple(hermitian_matrix_power(f, z) if r else f for f, r in zip(self.factors, self.ranks))
+        return replace(self, factors=factors)
+
+    def norm(self) -> float:
+        """Operator norm: the largest ``norm(F_b)`` over the blocks with ``r_b > 0``."""
+        return max(float(np.linalg.norm(f, 2)) for f, r in zip(self.factors, self.ranks) if r)
+
+    def to_dense(self) -> np.ndarray:
+        """The d x d matrix, for tests and small d only."""
+        blocks = []
+        for f, r in zip(self.factors, self.ranks):
+            m = f.shape[0]
+            cell = np.zeros((m, r, m, r), dtype=complex)
+            cell[:, np.arange(r), :, np.arange(r)] = f
+            blocks.append(cell.reshape(m * r, m * r))
+        d = sum(b.shape[0] for b in blocks)
+        out = np.zeros((d, d), dtype=complex)
+        pos = 0
+        for b in blocks:
+            out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
+            pos += b.shape[0]
+        return out
+
+
+def induce(loc: Localization, s: ModuleOperator) -> InducedOperator:
+    """The induced operator ``S_omega`` with ``S_omega L(v) = L(S v)``.
+
+    ``S_omega = (+)_b F_b (x) I_{r_b}`` for the flattened blocks ``F_b`` of
+    S, returned as its factors and the kept ranks (no d x d matrix is
+    built), so the defining relation holds by construction and the map
+    is a *-homomorphism.  Raises ``IllDefinedError`` when the
+    localization itself is broken, i.e. its factors do not reproduce the
+    density.
     """
     if s.shape != loc.shape or s.k != loc.k:
         raise ValueError("operator and localization live over different modules")
     _check_factors(loc)
-    return scipy.linalg.block_diag(
-        *(np.kron(f, np.eye(r)) for f, r in zip(s.flat.blocks, loc.ranks) if r)
-    )
+    return InducedOperator(s.flat.blocks, loc.ranks)
+
+
+def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOperator) -> float:
+    """Spectral norm of ``a_om L(v) - L(a v)`` as matrices over the standard basis of the module.
+
+    Both sides go through the map L.  A basis vector of block b has its
+    images in the entries of block b, so the difference is block diagonal
+    and its norm is the largest over the blocks a state sees, each a
+    ``k n_b r_b x k n_b^2`` matrix over the ``k n_b^2`` basis vectors of
+    the block, taken together.
+    """
+    worst = 0.0
+    for b, (f, n, r) in enumerate(zip(a.flat.blocks, loc.shape, loc.ranks)):
+        if r:
+            m = f.shape[0]
+            units = np.eye(m * n, dtype=complex).reshape(m * n, m, n)
+            diff = a_om.apply_block(b, loc.apply_block(b, units)) - loc.apply_block(b, f @ units)
+            worst = max(worst, float(np.linalg.norm(diff, 2)))
+    return worst
+
+
+def induced_power_check(loc: Localization, t: ModuleOperator, z: complex) -> float:
+    """Residual of ``(T_omega)**z L(v) = L(T**z v)`` over the standard basis of the module.
+
+    The right side goes through the module: ``op_power`` and then L.  The
+    left side raises each Kronecker factor of ``T_omega`` with
+    ``hermitian_matrix_power``, a dense oracle at size ``k n_b`` rather
+    than d, and applies it to ``L(v)``.  T must be strictly positive.
+    """
+    return intertwining_residual(loc, induce(loc, t).power(z), op_power(t, z))
 
 
 def separating_check(
@@ -324,10 +421,10 @@ def separating_check(
     """Do all induced operators of a faithful family agree?
 
     The family must contain a faithful combination (the summed density
-    positive definite), else ``FamilyNotFaithfulError``.  Each induced
-    operator is ``(+)_b F_b (x) I_{r_b}`` and ``norm(F (x) I) = norm(F)``,
-    so ``R_omega`` and ``S_omega`` are compared through their flattened
-    blocks on the blocks a state sees (``r_b > 0``).  When every
+    positive definite), else ``FamilyNotFaithfulError``.  ``R_omega`` and
+    ``S_omega`` are compared through the norm of the induced operator of
+    ``R - S``, which by linearity is their difference; each norm is taken
+    on the Kronecker factors of the blocks a state sees.  When every
     ``R_omega = S_omega`` within tolerance the operators agree globally
     within 1e-8, which is verified as a consistency guard.
     """
@@ -340,14 +437,13 @@ def separating_check(
         total = total + st.rho
     if not is_strictly_positive(total):
         raise FamilyNotFaithfulError("summed density is not positive definite")
+    diff = r - s
     for st in states:
-        seen = [rank > 0 for rank in localize(st, r.shape, r.k).ranks]
-        pairs = [(fr, fs) for fr, fs, on in zip(r.flat.blocks, s.flat.blocks, seen) if on]
-        gap = max(np.linalg.norm(fr - fs, 2) for fr, fs in pairs)
-        scale = max(1.0, *(np.linalg.norm(f, 2) for pair in pairs for f in pair))
-        if gap > tol * scale:
+        loc = localize(st, r.shape, r.k)
+        scale = max(1.0, induce(loc, r).norm(), induce(loc, s).norm())
+        if induce(loc, diff).norm() > tol * scale:
             return False
-    gap = (r - s).norm()
+    gap = diff.norm()
     if gap > 1e-8 * max(1.0, r.norm(), s.norm()):
         raise FamilyNotFaithfulError(
             f"induced operators agree but the originals differ by {gap:.3e}"
@@ -356,7 +452,7 @@ def separating_check(
 
 
 def hermitian_matrix_power(m: np.ndarray, z: complex, pos_tol: float = 1e-12) -> np.ndarray:
-    """Complex power of a positive-definite dense matrix (for induced operators)."""
+    """Complex power of a positive-definite dense matrix (the factors of induced operators)."""
     lam, u = np.linalg.eigh((m + m.conj().T) / 2.0)
     if np.min(lam) <= pos_tol * max(float(np.max(np.abs(lam))), 1e-300):
         raise ValueError("matrix power needs a positive definite input")

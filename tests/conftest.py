@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement
+from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement, InducedOperator
 from cstarflow.sampling import rng
 
 
@@ -25,3 +25,19 @@ def diag_flow(*diag: float) -> FlowGenerator:
     """Automorphism flow of a single diagonal block."""
     h = HermitianElement.from_blocks([np.diag(diag).astype(complex)])
     return FlowGenerator(h, h)
+
+
+class SwappedInduced(InducedOperator):
+    """Acts as ``(+)_b I_{r_b} (x) F_b`` in place of ``(+)_b F_b (x) I_{r_b}``."""
+
+    def apply_block(self, b, y):
+        f = self.factors[b]
+        rows = y.reshape(*y.shape[:-1], -1, f.shape[0])
+        return (rows @ f.T).reshape(y.shape)
+
+
+@pytest.fixture
+def swapped_induce():
+    """A stand-in for ``induce`` that is a *-homomorphism, with products and
+    powers factor by factor, but does not satisfy ``S_w L(v) = L(S v)``."""
+    return lambda loc, op: SwappedInduced(op.flat.blocks, loc.ranks)

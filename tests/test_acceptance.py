@@ -259,9 +259,9 @@ def test_criterion_7_localization():
     omega = random_state(r, shape)
     loc = localize(omega, shape, k)
     s = random_positive_operator(r, shape, k, cond=100.0)
-    s_om = induce(loc, s)
+    s_om = induce(loc, s).to_dense()
     for z in (0.5, 1j, 1 + 1j):
-        lhs = induce(loc, op_power(s, z))
+        lhs = induce(loc, op_power(s, z)).to_dense()
         rhs = hermitian_matrix_power(s_om, z)
         worst_power = max(worst_power, float(np.linalg.norm(lhs - rhs, 2)))
     report(7, "induced complex powers commute with localization", worst_power, 1e-8)

@@ -1,5 +1,6 @@
 """CLI harness: config validation, experiment runs, determinism."""
 
+import importlib
 import json
 import math
 from pathlib import Path
@@ -172,7 +173,9 @@ class TestValidate:
         [([100000], 1, 10**10), ([64], 9, 576**2), ([300, 300, 300], 1, 270000)],
     )
     def test_size_budget_rejected(self, shape, k, size):
-        raw = {"experiment": "stone", "seed": 1, "shape": shape, "module_rank": k}
+        # the flattened rule sum_b (k n_b)^2; stone counts its residual
+        # matrices instead (test_size_budget_counts_the_stone_residuals)
+        raw = {"experiment": "verify", "seed": 1, "shape": shape, "module_rank": k}
         config, problems = validate(raw)
         assert config is None and size > MAX_FLAT_SIZE
         assert any(f"dense size {size}, above the budget of {MAX_FLAT_SIZE}" in p
@@ -204,8 +207,32 @@ class TestValidate:
     @pytest.mark.parametrize("shape, k", [([64], 4), ([256], 2), ([512], 1)])
     def test_size_budget_admits_the_limit(self, shape, k):
         # (k n)^2 = 65536, 262144 = MAX_FLAT_SIZE and 262144 again
-        raw = {"experiment": "stone", "seed": 1, "shape": shape, "module_rank": k}
+        raw = {"experiment": "verify", "seed": 1, "shape": shape, "module_rank": k}
         assert validate(raw)[1] == []
+
+    def test_size_budget_counts_the_stone_residuals(self, capsys, tmp_path):
+        # stone checks each block over its k n_b^2 basis vectors: sum_b (k n_b^2)^2,
+        # 131072^2 here (the flattened size is exactly the budget, and a dense
+        # d x d induced operator would have taken 256 GiB)
+        raw = {"experiment": "stone", "seed": 1, "shape": [256], "module_rank": 2}
+        _, problems = validate(raw)
+        assert problems == [
+            f"shape [256] at module_rank 2 checks each block over its k n_b^2 basis vectors,"
+            f" so the residual matrices sum_b (k n_b^2)^2 have dense size {131072**2},"
+            f" above the budget of {MAX_FLAT_SIZE}"
+        ]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err and all(line.startswith("CONFIG_INVALID: ") for line in err.splitlines())
+        assert not (tmp_path / "out").exists()
+        # the gns workload, 200^2 + 72^2; n = 16 at k = 2 is exactly the budget
+        assert validate({**raw, "shape": [10, 6]})[1] == []
+        assert validate({**raw, "shape": [16]})[1] == []
+        assert validate({**raw, "shape": [17]})[1] != []
+        assert validate({**raw, "shape": [64], "module_rank": 4})[1] != []
 
     def test_bundled_and_workload_configs_validate(self):
         raws = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
@@ -344,7 +371,7 @@ class TestMain:
         def breaks(u, t0):
             raise BranchAmbiguityError("halving did not stabilize after 8 steps from t0=1.0")
 
-        monkeypatch.setattr(cli_mod, "recovery_report", breaks)
+        monkeypatch.setattr(cli_mod, "_stone_and_report", breaks)
         out = tmp_path / "out"
         assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -394,6 +421,36 @@ class TestArtifacts:
         assert recovery["T_spectrum"] == pytest.approx([1.0, math.e], rel=1e-9)
         assert recovery["halvings"] == 0
         assert max(err for _, err in recovery["residual_grid"]) <= 1e-8
+
+    def test_stone_recovers_the_generator_once(self, tmp_path, monkeypatch):
+        stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
+        calls = []
+        recover = stone_mod._recover_with_trace
+
+        def counted(*args):
+            calls.append(args)
+            return recover(*args)
+
+        monkeypatch.setattr(stone_mod, "_recover_with_trace", counted)
+        assert run(load_config(CONFIG_DIR / "stone.json"), tmp_path, quiet=True).passed
+        assert len(calls) == 1
+
+    def test_stone_powers_only_kronecker_factors(self, tmp_path, monkeypatch):
+        # the induced_power oracle works at size k n_b = 20, never at d = 272
+        stone_mod = importlib.import_module("cstarflow.stone")
+        sizes = []
+        power = stone_mod.hermitian_matrix_power
+
+        def spy(m, z, *args):
+            sizes.append(m.shape)
+            return power(m, z, *args)
+
+        monkeypatch.setattr(stone_mod, "hermitian_matrix_power", spy)
+        config, problems = validate({"experiment": "stone", "seed": 1, "shape": [10, 6],
+                                     "module_rank": 2})
+        assert problems == []
+        assert run(config, tmp_path, quiet=True).passed
+        assert sorted(set(sizes)) == [(12, 12), (20, 20)]
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_csv_has_the_table_columns(self, name, tmp_path):

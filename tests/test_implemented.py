@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import cstarflow.implemented as implemented_mod
 from cstarflow import (
@@ -244,7 +243,7 @@ class TestLocalizedMiddle:
         scale = max(1.0, s.norm() * x.norm() * t.norm())
         assert localized_middle_check(loc, s, x, t) <= 1e-9 * scale
 
-    def test_check_sees_a_map_that_does_not_intertwine(self, monkeypatch):
+    def test_check_sees_a_map_that_does_not_intertwine(self, monkeypatch, swapped_induce):
         # kron(I, F_b) is a *-homomorphism too, but it does not satisfy
         # S_w L(v) = L(S v); a check made through L has to notice
         r = rng(13)
@@ -256,12 +255,7 @@ class TestLocalizedMiddle:
         scale = max(1.0, s.norm() * x.norm() * t.norm())
         assert localized_middle_check(loc, s, x, t) <= 1e-9 * scale
 
-        def swapped(loc, op):
-            return scipy.linalg.block_diag(
-                *(np.kron(np.eye(rk), f) for f, rk in zip(op.flat.blocks, loc.ranks) if rk)
-            )
-
-        monkeypatch.setattr(implemented_mod, "induce", swapped)
+        monkeypatch.setattr(implemented_mod, "induce", swapped_induce)
         assert localized_middle_check(loc, s, x, t) > 1e-3 * scale
 
     def test_converse_direction_forces_global_identity(self):

@@ -1,5 +1,7 @@
 """Generator recovery, localization, induced operators, separation."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,7 @@ from cstarflow import (
     hermitian_matrix_power,
     identity_operator,
     induce,
+    induced_power_check,
     inner,
     localize,
     matrix_unit_operators,
@@ -43,6 +46,8 @@ from cstarflow.sampling import (
     random_vector,
     rng,
 )
+
+stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
 
 
 def diag_module_operator(*vals: float) -> ModuleOperator:
@@ -206,7 +211,7 @@ class TestInduce:
         shape = BlockShape([2])
         omega = random_state(rng(5), shape)
         loc = localize(omega, shape, 2)
-        one_om = induce(loc, identity_operator(shape, 2))
+        one_om = induce(loc, identity_operator(shape, 2)).to_dense()
         np.testing.assert_allclose(one_om, np.eye(loc.d), atol=1e-12)
 
     def test_power_compatibility(self):
@@ -215,9 +220,9 @@ class TestInduce:
         omega = random_state(r, shape)
         loc = localize(omega, shape, 2)
         s = random_positive_operator(r, shape, 2, cond=100.0)
-        s_om = induce(loc, s)
+        s_om = induce(loc, s).to_dense()
         for z in (0.5, 1j, 1 + 1j):
-            lhs = induce(loc, op_power(s, z))
+            lhs = induce(loc, op_power(s, z)).to_dense()
             rhs = hermitian_matrix_power(s_om, z)
             assert np.linalg.norm(lhs - rhs, 2) <= 1e-8 * max(1.0, np.linalg.norm(rhs, 2))
 
@@ -227,11 +232,12 @@ class TestInduce:
         omega = random_state(r, shape)
         loc = localize(omega, shape, 1)
         s, t = random_operator(r, shape, 1), random_operator(r, shape, 1)
-        prod = induce(loc, s @ t)
-        assert np.linalg.norm(prod - induce(loc, s) @ induce(loc, t), 2) <= 1e-9 * max(
+        prod = induce(loc, s @ t).to_dense()
+        assert np.linalg.norm(prod - (induce(loc, s) @ induce(loc, t)).to_dense(), 2) <= 1e-9 * max(
             1.0, np.linalg.norm(prod, 2)
         )
-        assert np.linalg.norm(induce(loc, s.star()) - induce(loc, s).conj().T, 2) <= 1e-10 * max(
+        s_om = induce(loc, s).to_dense()
+        assert np.linalg.norm(induce(loc, s.star()).to_dense() - s_om.conj().T, 2) <= 1e-10 * max(
             1.0, s.norm()
         )
 
@@ -242,7 +248,7 @@ class TestInduce:
         loc = localize(omega, shape, 1)
         columns = []
         for unit in matrix_unit_operators(shape, 1):
-            columns.append(induce(loc, unit).ravel())
+            columns.append(induce(loc, unit).to_dense().ravel())
         mat = np.stack(columns, axis=1)
         smallest = np.linalg.svd(mat, compute_uv=False)[-1]
         assert smallest > 1e-6
@@ -255,7 +261,7 @@ class TestInduce:
         loc = localize(PositiveFunctional(rho), shape, 1)
         assert loc.ranks == (2, 0) and loc.d == 4
         s = random_operator(rng(16), shape, 1)
-        np.testing.assert_array_equal(induce(loc, s), np.kron(s.flat.blocks[0], np.eye(2)))
+        np.testing.assert_array_equal(induce(loc, s).to_dense(), np.kron(s.flat.blocks[0], np.eye(2)))
 
     def test_broken_localization_rejected(self):
         shape = BlockShape([2])
@@ -268,6 +274,46 @@ class TestInduce:
         s = random_operator(r, shape, 1)
         with pytest.raises(IllDefinedError):
             induce(broken, s)
+
+
+class TestInducedPowerCheck:
+    def test_factor_power_matches_the_dense_power(self):
+        # the full d x d oracle at small d: hermitian_matrix_power of the dense T_w
+        r = rng(17)
+        shape = BlockShape([2, 3])
+        loc = localize(random_state(r, shape), shape, 2)
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        t_om = induce(loc, t)
+        for z in (0.5, 1j, 1 + 1j):
+            dense = hermitian_matrix_power(kron_reference(loc, t), z)
+            gap = np.linalg.norm(t_om.power(z).to_dense() - dense, 2)
+            assert gap <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
+            assert induced_power_check(loc, t, z) <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
+
+    def test_rank_deficient_state_and_unseen_block(self):
+        r = rng(18)
+        shape = BlockShape([3, 2])
+        loc = localize(oracle_state(r, [3, 2], 1, 1), shape, 2)
+        assert loc.ranks == (1, 0)
+        t = random_positive_operator(r, shape, 2, cond=1e3)
+        for z in (0.5, 1j, 1 + 1j):
+            assert induced_power_check(loc, t, z) <= 1e-12 * t.norm()
+
+    def test_check_sees_a_map_that_does_not_intertwine(self, monkeypatch, swapped_induce):
+        # I (x) F_b is a *-homomorphism too, and its powers are the I (x) F_b**z,
+        # but it does not satisfy S_w L(v) = L(S v); a check made through L has
+        # to notice
+        r = rng(19)
+        shape = BlockShape([2, 3])
+        loc = localize(random_state(r, shape), shape, 2)
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        scale = max(1.0, t.norm())
+        for z in (0.5, 1j, 1 + 1j):
+            assert induced_power_check(loc, t, z) <= 1e-12 * scale
+
+        monkeypatch.setattr(stone_mod, "induce", swapped_induce)
+        for z in (0.5, 1j, 1 + 1j):
+            assert induced_power_check(loc, t, z) > 1e-3 * scale
 
 
 class TestSeparatingCheck:
@@ -302,11 +348,11 @@ class TestSmearedCoreTransport:
         t_op = random_positive_operator(r, shape, k, cond=50.0)
         omega = random_state(r, shape)
         loc = localize(omega, shape, k)
-        t_om = induce(loc, t_op)
+        t_om = induce(loc, t_op).to_dense()
         a = random_vector(r, shape, k)
         for z in (0.5j, 1.0 - 0.5j):
             smeared = vector_smear(t_op, a, 2.0, 0.0)
-            lhs = induce(loc, op_power(t_op, 1j * z)) @ loc.apply(smeared)
+            lhs = induce(loc, op_power(t_op, 1j * z)).apply(loc.apply(smeared))
             rhs = hermitian_matrix_power(t_om, 1j * z) @ loc.apply(smeared)
             scale = max(1.0, float(np.linalg.norm(rhs)))
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * scale
@@ -346,6 +392,13 @@ def dense_localize(omega: PositiveFunctional, shape: BlockShape, k: int):
     lam = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
     lam_pinv = v[:, keep] / np.sqrt(w[keep])[None, :]
     return lam, lam_pinv
+
+
+def kron_reference(loc: Localization, s: ModuleOperator) -> np.ndarray:
+    """The induced operator as the dense (+)_b kron(F_b, I_{r_b})."""
+    return scipy.linalg.block_diag(
+        *(np.kron(f, np.eye(rk)) for f, rk in zip(s.flat.blocks, loc.ranks) if rk)
+    )
 
 
 def block_map_matrix(loc: Localization) -> np.ndarray:
@@ -390,7 +443,7 @@ class TestDenseOracle:
         assert np.linalg.norm(l_block - w @ lam, 2) <= 1e-12
         for s in (random_operator(r, shape, k), random_positive_operator(r, shape, k, cond=100.0)):
             s_dense = lam @ operator_matrix(s) @ lam_pinv
-            gap = np.linalg.norm(w @ s_dense @ w.conj().T - induce(loc, s), 2)
+            gap = np.linalg.norm(w @ s_dense @ w.conj().T - induce(loc, s).to_dense(), 2)
             assert gap <= 1e-12 * max(1.0, s.norm())
 
     def test_block_map_carries_the_gram_matrix(self):
@@ -422,3 +475,45 @@ def test_localize_gram_identity_and_rank_hypothesis(seed, dims, k, rank):
     lhs = complex(np.vdot(loc.apply(w), loc.apply(v)))
     rhs = omega.value(inner(v, w))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, v.norm() * w.norm())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2), (3, 2)]),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 2]),
+    st.booleans(),
+)
+def test_induced_operator_matches_kron_reference_hypothesis(seed, dims, k, rank, dead):
+    r = rng(seed)
+    shape = BlockShape(dims)
+    dead_block = 0 if dead and len(dims) > 1 else None
+    loc = localize(oracle_state(r, list(dims), rank, dead_block), shape, k)
+    s, t = random_operator(r, shape, k), random_operator(r, shape, k)
+    s_om, t_om = induce(loc, s), induce(loc, t)
+    ref_s, ref_t = kron_reference(loc, s), kron_reference(loc, t)
+    np.testing.assert_array_equal(s_om.to_dense(), ref_s)
+    norm_s, norm_t = np.linalg.norm(ref_s, 2), np.linalg.norm(ref_t, 2)
+    prod = (s_om @ t_om).to_dense()
+    assert np.linalg.norm(prod - ref_s @ ref_t, 2) <= 1e-12 * max(1.0, norm_s * norm_t)
+    ys = r.normal(size=(3, loc.d)) + 1j * r.normal(size=(3, loc.d))
+    for y in (ys[0], ys):  # one vector, and a stack of vectors along the first axis
+        gap = np.linalg.norm(s_om.apply(y) - y @ ref_s.T)
+        assert gap <= 1e-12 * max(1.0, norm_s * np.linalg.norm(y))
+    assert abs(s_om.norm() - norm_s) <= 1e-12 * max(1.0, norm_s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2), (3, 2)]),
+    st.integers(1, 3),
+    st.floats(1.0, 1e3),
+    st.floats(0.25, 2.0),
+)
+def test_stone_round_trip_hypothesis(seed, dims, k, cond, t0):
+    # cond up to 1e3, as the stone experiment draws T; recovery_error bound
+    t_op = random_positive_operator(rng(seed), BlockShape(dims), k, cond=cond)
+    t_rec = stone(SampledUnitaryGroup.from_positive(t_op), t0)
+    assert (t_rec - t_op).norm() <= 1e-8 * t_op.norm()
