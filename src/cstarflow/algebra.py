@@ -6,7 +6,9 @@ blocks; the norm is the largest singular value over the blocks, which is
 the C*-norm of the direct sum.  Hermitian functional calculus and complex
 powers of strictly positive elements are built on blockwise
 eigendecompositions, and so is ``sandwich``, the one kernel behind every
-two-sided spectral map ``x -> U (F o (U* x V)) V*``.
+two-sided spectral map ``x -> U (F o (U* x V)) V*``.  Checks over a grid
+of G parameters work on ``(G, n, n)`` stacks of blocks: ``sandwich_blocks``
+and ``power`` form them, and ``stacked_norms`` takes their norms.
 
 Tolerances follow double-precision headroom at desk scale (block
 dimensions up to 64): ``HERM_TOL`` and ``POS_TOL_FACTOR`` are relative
@@ -17,9 +19,10 @@ affects any result, only the reproducibility of intermediate dumps.
 
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe for concurrent use.  Because
-the blocks are read-only, an element computes its norm and its
-eigendecomposition at most once and keeps them: the stored values cannot
-go stale, and a race between two threads only repeats the same pure work.
+the blocks are read-only, an element computes its norm, its Hermitian
+defect ``norm(x - x*)`` and its eigendecomposition at most once and keeps
+them: the stored values cannot go stale, and a race between two threads
+only repeats the same pure work.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ class AlgebraElement:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", mats)
         object.__setattr__(self, "_norm", None)
+        object.__setattr__(self, "_herm_defect", None)
         object.__setattr__(self, "_spectral", None)
 
     @staticmethod
@@ -123,8 +127,16 @@ class AlgebraElement:
         return complex(sum(np.trace(b) for b in self.blocks))
 
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        scale = max(self.norm(), 1e-300)
-        return (self - self.star()).norm() <= tol * scale
+        """``norm(x - x*) <= tol * norm(x)``.
+
+        The defect ``norm(x - x*)`` is kept on the element like the norm,
+        so only the first call takes singular values; the tolerance is
+        applied on every call.
+        """
+        if self._herm_defect is None:
+            defect = max(_largest_singular_value(b - b.conj().T) for b in self.blocks)
+            object.__setattr__(self, "_herm_defect", defect)
+        return self._herm_defect <= tol * max(self.norm(), 1e-300)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_shape(self, other)
@@ -157,6 +169,39 @@ def _largest_singular_value(b: np.ndarray) -> float:
     if np.isnan(s[0]):  # LAPACK's answer to an infinite entry
         raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block are NaN")
     return float(s[0])
+
+
+def stacked_norms(stacks: Iterable[np.ndarray], what: str = "blocks") -> np.ndarray:
+    """C*-norms of a stack of elements, one per leading index.
+
+    ``stacks`` holds one ``(G, n, n)`` array per block; the result is the
+    largest singular value over the blocks at each of the G indices,
+    taken with one batched singular-value call per block.  Raises
+    ``EigFailureError`` when that call fails or returns NaN; ``what``
+    names the stacked blocks in the message.
+    """
+    norms = None
+    for b in stacks:
+        try:
+            s = np.linalg.svd(b, compute_uv=False)[:, 0]
+        except np.linalg.LinAlgError as exc:
+            raise EigFailureError(f"singular values of {_stacked(b, what)} failed: {exc}") from exc
+        if np.isnan(s).any():
+            raise EigFailureError(f"singular values of {_stacked(b, what)} are NaN")
+        norms = s if norms is None else np.maximum(norms, s)
+    return norms
+
+
+def _stacked(b: np.ndarray, what: str) -> str:
+    return f"{b.shape[0]} stacked {b.shape[1]}x{b.shape[2]} {what}"
+
+
+def as_z_grid(z: complex | Sequence[complex]) -> tuple[np.ndarray, bool]:
+    """A scalar or a sequence of z as a 1-D complex grid, and whether it was scalar."""
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError(f"z must be a scalar or a sequence, not an array of shape {zs.shape}")
+    return zs.reshape(-1), zs.ndim == 0
 
 
 def _same_shape(x: AlgebraElement, y: AlgebraElement) -> None:
@@ -217,11 +262,13 @@ class SpectralDecomposition:
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
         """``f`` applied to the eigenvalues in the eigenbasis."""
-        out = []
-        for lam, u in zip(self.eigenvalues, self.eigenvectors):
-            fl = _apply_scalar_function(f, lam)
-            out.append((u * fl) @ u.conj().T)
-        return AlgebraElement(self.shape, out)
+        return AlgebraElement(self.shape, self._calculus(
+            [_apply_scalar_function(f, lam) for lam in self.eigenvalues]
+        ))
+
+    def _calculus(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """``U diag(v) U*`` per block; a leading stack axis of ``v`` carries through."""
+        return [(u * v[..., None, :]) @ u.conj().T for v, u in zip(values, self.eigenvectors)]
 
     def reconstruct(self) -> AlgebraElement:
         return self.apply(lambda lam: lam)
@@ -275,12 +322,26 @@ def sandwich(left: SpectralDecomposition, right: SpectralDecomposition, x: Algeb
     ``U, lam`` and ``V, mu`` are the eigendata of ``left`` and ``right``, so
     ``F = exp(iz(lam_j - mu_k))`` gives ``exp(izH_l) x exp(-izH_r)``.
     """
-    if not left.shape == right.shape == x.shape:
-        raise ShapeMismatchError("element and eigendata live over different shapes")
-    parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
-    return AlgebraElement(x.shape, [
+    return AlgebraElement(x.shape, sandwich_blocks(left, right, x.blocks, factor))
+
+
+def sandwich_blocks(left: SpectralDecomposition, right: SpectralDecomposition,
+                    blocks: Sequence[np.ndarray],
+                    factor: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
+    """The kernel of ``sandwich`` on raw blocks.
+
+    The expression broadcasts: when ``factor`` returns a ``(G, n, n)``
+    stack, or the blocks are stacks, each block of the result is the
+    ``(G, n, n)`` stack of the G sandwiches, while a single block is
+    rotated into the eigenbasis once.
+    """
+    dims = tuple(b.shape[-1] for b in blocks)
+    if not left.shape == right.shape or dims != left.shape.block_dims:
+        raise ShapeMismatchError("blocks and eigendata live over different shapes")
+    parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, blocks)
+    return [
         u @ (factor(lam, mu) * (u.conj().T @ xb @ v)) @ v.conj().T for lam, u, mu, v, xb in parts
-    ])
+    ]
 
 
 def herm_calculus(h: HermitianElement | AlgebraElement, f) -> AlgebraElement:
@@ -301,13 +362,15 @@ def is_strictly_positive(t: AlgebraElement, pos_tol_factor: float = POS_TOL_FACT
     return bool(np.min(lam) > pos_tol_factor * t.norm())
 
 
-def power(t: AlgebraElement, z: complex) -> AlgebraElement:
+def power(t: AlgebraElement, z: complex | Sequence[complex]) -> AlgebraElement | list[np.ndarray]:
     """Complex power ``T**z`` of a strictly positive element.
 
     Computed as ``exp(z * log lam)`` on the spectrum, so ``T**0 = 1``,
     ``T**1 = T`` and the group law ``T**y T**z = T**(y+z)`` hold up to
     rounding.  Raises ``NotStrictlyPositiveError`` when the spectrum is
-    not bounded below by ``POS_TOL_FACTOR * norm(T)``.
+    not bounded below by ``POS_TOL_FACTOR * norm(T)``.  For a sequence
+    of G exponents the result is one ``(G, n, n)`` stack of powers per
+    block, in the order of ``z``; the positivity rule runs once.
     """
     if not t.is_hermitian():
         raise NotStrictlyPositiveError("element is not Hermitian")
@@ -315,4 +378,6 @@ def power(t: AlgebraElement, z: complex) -> AlgebraElement:
     lo = min(float(np.min(lam)) for lam in sd.eigenvalues)
     if lo <= POS_TOL_FACTOR * t.norm():
         raise NotStrictlyPositiveError(f"minimum eigenvalue {lo:.3e} too small")
-    return sd.apply(lambda lam: np.exp(z * np.log(lam)))
+    z = np.asarray(z)
+    blocks = sd._calculus([np.exp(np.multiply.outer(z, np.log(lam))) for lam in sd.eigenvalues])
+    return blocks if z.ndim else AlgebraElement(t.shape, blocks)

@@ -69,13 +69,19 @@ from .stone import (
     separating_check,
 )
 
-# Budget on the flattened dense size sum_b (k n_b)^2 of one module operator:
-# 2**18 complex entries (4 MiB) admits a block of n = 64 at module rank k = 4.
-# tensor is held to dim(A (x) A) = (sum_b n_b^2)^2; implemented to D^2, the
-# size of its D x D Hilbert-Schmidt closure basis, D = sum_b (k n_b)^2 (so
-# D <= 512); stone to sum_b (k n_b^2)^2, its per-block residual matrices over
-# the standard basis at full rank (so n <= 16 at k = 2).
+# Budget on the dense size of one element or module operator: 2**18 complex
+# entries (4 MiB) admits a block of n = 512 in verify and converge, which use
+# no module and are held to sum_b n_b^2. tensor is held to
+# dim(A (x) A) = (sum_b n_b^2)^2; implemented to D^2, the size of its D x D
+# Hilbert-Schmidt closure basis, D = sum_b (k n_b)^2 (so D <= 512); stone to
+# sum_b (k n_b^2)^2, its per-block residual matrices over the standard basis at
+# full rank (so n <= 16 at k = 2).
 MAX_FLAT_SIZE = 2**18
+# Budget on the z-grid checks of tensor and implemented, which hold one stacked
+# residual per grid point: grid points x dense size per point, dim(A)^2 for
+# tensor and D for implemented. 2**22 complex entries is 64 MiB per stack, and
+# a check holds about three at its peak; tensor at [16, 16] may take 16 points.
+MAX_GRID_SIZE = 2**22
 
 
 @dataclass
@@ -297,21 +303,29 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     if not _is_int(module_rank) or module_rank < 1:
         problems.append("module_rank must be a positive integer")
     elif shape is not None:
-        size = sum((module_rank * n) ** 2 for n in shape)
-        what = f"shape {list(shape)} at module_rank {module_rank} has flattened"
+        # verify and converge build no module, only the algebra's own blocks
+        size, what = shape.dim, f"shape {list(shape)} has"
+        point_size = None  # dense size of one point of a check's stacked z-grid
         if experiment == "tensor":  # the tensor square has blocks n_i n_j
             what = f"shape {list(shape)} has dimension {shape.dim}, so A (x) A has"
-            size = shape.dim**2
+            size = point_size = shape.dim**2
         elif experiment == "stone":  # residuals over the k n_b^2 basis vectors of each block
             size = sum((module_rank * n * n) ** 2 for n in shape)
             what = (f"shape {list(shape)} at module_rank {module_rank} checks each block over its"
                     f" k n_b^2 basis vectors, so the residual matrices sum_b (k n_b^2)^2 have")
-        elif experiment == "implemented":  # the closure keeps a D x D basis, D = size
+        elif experiment == "implemented":  # the closure keeps a D x D basis
+            point_size = sum((module_rank * n) ** 2 for n in shape)
             what = (f"shape {list(shape)} at module_rank {module_rank} has closure dimension"
-                    f" D = {size}, so the D x D closure basis has")
-            size = size**2
+                    f" D = {point_size}, so the D x D closure basis has")
+            size = point_size**2
         if size > MAX_FLAT_SIZE:
             problems.append(f"{what} dense size {size}, above the budget of {MAX_FLAT_SIZE}")
+        if point_size is not None and all(isinstance(grid[key], list) for key in ("z_re", "z_im")):
+            points = len(grid["z_re"]) * len(grid["z_im"])
+            if points * point_size > MAX_GRID_SIZE:
+                problems.append(f"the z-grid of {points} points at stacked dense size {point_size}"
+                                f" per point holds {points * point_size} entries, above the grid"
+                                f" budget of {MAX_GRID_SIZE}")
     if (
         experiment == "stone"
         and flow["kind"] == "explicit"
@@ -547,15 +561,13 @@ def _exp_tensor(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
         alpha, beta = sampling.random_commuting_flows(r, cfg.shape, cfg.flow_norm)
         pair = CommutingPair(alpha, beta)
         x = sampling.random_element(r, cfg.shape, 1.0)
-        for z in grid:
-            resid = gamma_continuation_check(pair, z, x)
+        for z, resid in zip(grid, gamma_continuation_check(pair, grid, x).tolist()):
             rows.append(("commuting", i, z.real, z.imag, resid))
             comm_worst = max(comm_worst, resid)
         tf = tensor_flow(sampling.random_flow(r, cfg.shape, cfg.flow_norm),
                          sampling.random_flow(r, cfg.shape, cfg.flow_norm))
         y = sampling.random_element(r, cfg.shape, 1.0)
-        for z in grid:
-            resid = tensor_continuation_check(tf, z, x, y)
+        for z, resid in zip(grid, tensor_continuation_check(tf, grid, x, y).tolist()):
             rows.append(("tensor", i, z.real, z.imag, resid))
             tens_worst = max(tens_worst, resid)
     checks = [
@@ -577,8 +589,8 @@ def _exp_implemented(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dic
     loc = localize(omega, cfg.shape, k)
     rows: list[tuple] = []
     cont_worst = mid_worst = 0.0
-    for z in cfg.z_grid():
-        resid = implemented_continuation_check(flow, z, x)
+    grid = cfg.z_grid()
+    for z, resid in zip(grid, implemented_continuation_check(flow, grid, x).tolist()):
         rows.append(("continuation_formula", z.real, z.imag, resid))
         cont_worst = max(cont_worst, resid / max(1.0, x.norm()))
     resid = localized_middle_check(loc, s_op, x, t_op)

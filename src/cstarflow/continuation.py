@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.special
 
-from .algebra import AlgebraElement, sandwich
-from .errors import EigFailureError, NodesTooFewError, NotSeparatingError
+from .algebra import AlgebraElement, sandwich, stacked_norms
+from .errors import NodesTooFewError, NotSeparatingError
 from .flows import FlowGenerator, conjugate
 
 QUAD_TARGET = 1e-8
@@ -161,8 +161,9 @@ def three_lines_check(g: FlowGenerator, x: AlgebraElement, z: complex, samples: 
     ``alpha_y(x) = U (F_y o X) V*`` with ``X = U* x V`` and
     ``F_y = exp(iy(lam_j - mu_k))``, and the unitaries ``U, V`` leave the
     norm unchanged, so each block rotates ``x`` once and takes the norms
-    at all grid points with one batched singular-value call.  Raises
-    ``EigFailureError`` when that call fails.
+    at all grid points with one batched singular-value call
+    (``algebra.stacked_norms``).  Raises ``EigFailureError`` when that
+    call fails or returns NaN.
     """
     if samples < 1:
         raise ValueError("need at least one strip sample")
@@ -171,16 +172,12 @@ def three_lines_check(g: FlowGenerator, x: AlgebraElement, z: complex, samples: 
     grid = np.linspace(0.0, 1.0, max(2, math.ceil(math.sqrt(samples))))
     y = ((-2.0 + 4.0 * grid)[:, None] + 1j * (grid * z.imag)[None, :]).ravel()
     left, right = g.spectral_left, g.spectral_right
-    norms = np.zeros(y.size)
     parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
-    for lam, u, mu, v, xb in parts:
-        phases = np.exp(1j * y[:, None, None] * (lam[:, None] - mu[None, :]))
-        try:
-            s = np.linalg.svd(phases * (u.conj().T @ xb @ v), compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise EigFailureError(f"singular values of {y.size} stacked {len(lam)}x{len(mu)}"
-                                  f" strip blocks failed: {exc}") from exc
-        norms = np.maximum(norms, s[:, 0])
+    norms = stacked_norms(
+        (np.exp(1j * y[:, None, None] * (lam[:, None] - mu[None, :])) * (u.conj().T @ xb @ v)
+         for lam, u, mu, v, xb in parts),
+        "strip blocks",
+    )
     return float(np.max(norms)) - bound
 
 

@@ -19,6 +19,7 @@ semi-multiplicative:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .algebra import (
     HermitianElement,
     SpectralDecomposition,
     sandwich,
+    sandwich_blocks,
     spectral,
     zeros,
 )
@@ -79,14 +81,29 @@ class FlowGenerator:
         return FlowGenerator(z, z)
 
 
+def _phases(z):
+    """Entrywise factor ``exp(iz(lam_j - mu_k))``; a ``(G, 1, 1)`` array ``z`` gives a stack."""
+    return lambda lam, mu: np.exp(1j * z * (lam[:, None] - mu[None, :]))
+
+
 def conjugate(g: FlowGenerator, z: complex, x: AlgebraElement) -> AlgebraElement:
     """``exp(izH_l) x exp(-izH_r)`` for any complex ``z``.
 
     This single code path serves both real-time evaluation and analytic
     continuation; at finite dimension the map is entire in ``z``.
     """
-    left, right = g.spectral_left, g.spectral_right
-    return sandwich(left, right, x, lambda lam, mu: np.exp(1j * z * (lam[:, None] - mu[None, :])))
+    return sandwich(g.spectral_left, g.spectral_right, x, _phases(z))
+
+
+def conjugate_stack(
+    g: FlowGenerator, zs: np.ndarray, blocks: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """``conjugate`` at every point of the 1-D grid ``zs``: one ``(G, n, n)`` stack per block.
+
+    ``blocks`` are the blocks of one element, rotated into the eigenbasis
+    once, or stacks with one element per grid point.
+    """
+    return sandwich_blocks(g.spectral_left, g.spectral_right, blocks, _phases(zs[:, None, None]))
 
 
 def evaluate(g: FlowGenerator, t: float, x: AlgebraElement) -> AlgebraElement:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement, InducedOperator
 from cstarflow.sampling import rng
@@ -8,6 +9,19 @@ from cstarflow.sampling import rng
 @pytest.fixture
 def shape23():
     return BlockShape([2, 3])
+
+
+# z-grids of 1-9 points that mix real, imaginary and complex z
+Z_POINTS = st.one_of(
+    st.floats(-1.5, 1.5).map(complex),
+    st.floats(-1.0, 1.0).map(lambda b: complex(0.0, b)),
+    st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.0, 1.0)),
+)
+Z_GRIDS = st.lists(Z_POINTS, min_size=1, max_size=9)
+
+
+def failing_svd(a, compute_uv=True):
+    raise np.linalg.LinAlgError("SVD did not converge")
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -21,6 +21,7 @@ from cstarflow import (
     spectral,
     zeros,
 )
+from cstarflow.algebra import stacked_norms
 from cstarflow.sampling import random_element, random_hermitian, rng
 
 from conftest import e12
@@ -114,6 +115,21 @@ class TestOpNorm:
         with pytest.raises(EigFailureError, match=r"2x2 block are NaN"):
             x.norm()
 
+    def test_stacked_norms_are_the_element_norms(self):
+        r = rng(6)
+        elements = [random_element(r, BlockShape([3, 2])) for _ in range(4)]
+        stacks = [np.stack([x.blocks[b] for x in elements]) for b in range(2)]
+        norms = stacked_norms(stacks)
+        assert norms.shape == (4,)
+        for got, x in zip(norms, elements):
+            assert abs(got - x.norm()) <= 8 * 3 * EPS * x.norm()
+
+    def test_stacked_infinite_entry_is_a_numerical_breakdown(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(EigFailureError, match="3 stacked 2x2 grid blocks are NaN"):
+            stacked_norms([np.zeros((3, 1, 1)), stack], "grid blocks")
+
 
 class TestHermCalculus:
     def test_identity_function(self):
@@ -187,6 +203,30 @@ class TestPower:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotStrictlyPositiveError):
             power(e12(), 0.5)
+
+    def test_second_power_takes_no_singular_values(self, monkeypatch):
+        calls = []
+
+        def counting(b, **kwargs):
+            calls.append(b.shape)
+            return scipy.linalg.lapack.zgesdd(b, **kwargs)
+
+        t = herm_calculus(random_hermitian(rng(7), BlockShape([3, 2]), 1.0), np.exp)
+        monkeypatch.setattr(algebra, "_gesdd", counting)
+        power(t, 0.5)
+        assert calls == [(3, 3), (2, 2)] * 2  # the Hermitian defect and the norm
+        power(t, 1j)
+        assert calls == [(3, 3), (2, 2)] * 2
+
+    def test_grid_of_exponents_gives_the_stacked_powers(self):
+        t = herm_calculus(random_hermitian(rng(8), BlockShape([3, 2]), 1.0), np.exp)
+        grid = [0.5, 1j, -0.25 + 0.75j]
+        stacks = power(t, grid)
+        assert [s.shape for s in stacks] == [(3, 3, 3), (3, 2, 2)]
+        for g, z in enumerate(grid):
+            one = power(t, z)
+            for stack, block in zip(stacks, one.blocks):
+                assert np.abs(stack[g] - block).max() <= 16 * EPS * one.norm()
 
 
 class TestStrictPositivity:

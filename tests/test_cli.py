@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cstarflow.cli import EXPERIMENTS, MAX_FLAT_SIZE, load_config, main, run, validate
+from cstarflow.cli import EXPERIMENTS, MAX_FLAT_SIZE, MAX_GRID_SIZE, load_config, main, run, validate
 from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,10 +170,10 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "shape, k, size",
-        [([100000], 1, 10**10), ([64], 9, 576**2), ([300, 300, 300], 1, 270000)],
+        [([100000], 1, 10**10), ([576], 1, 576**2), ([300, 300, 300], 1, 270000)],
     )
     def test_size_budget_rejected(self, shape, k, size):
-        # the flattened rule sum_b (k n_b)^2; stone counts its residual
+        # verify uses no module: the rule sum_b n_b^2; stone counts its residual
         # matrices instead (test_size_budget_counts_the_stone_residuals)
         raw = {"experiment": "verify", "seed": 1, "shape": shape, "module_rank": k}
         config, problems = validate(raw)
@@ -204,11 +204,42 @@ class TestValidate:
         assert validate({**raw, "shape": [16, 16], "module_rank": 1})[1] == []
         assert validate({**raw, "shape": [12], "module_rank": 2})[1] != []
 
-    @pytest.mark.parametrize("shape, k", [([64], 4), ([256], 2), ([512], 1)])
+    @pytest.mark.parametrize(
+        "shape, k", [([256], 1), ([256, 256, 256, 256], 1), ([512], 1), ([64], 9)]
+    )
     def test_size_budget_admits_the_limit(self, shape, k):
-        # (k n)^2 = 65536, 262144 = MAX_FLAT_SIZE and 262144 again
+        # sum_b n_b^2 = 65536, 262144 = MAX_FLAT_SIZE and 262144 again; verify
+        # builds no module, so module_rank 9 leaves [64] at 4096
         raw = {"experiment": "verify", "seed": 1, "shape": shape, "module_rank": k}
         assert validate(raw)[1] == []
+
+    def test_grid_budget_counts_the_stacked_grid(self, capsys, tmp_path):
+        # tensor stacks dim(A)^2 = 2**18 entries per grid point at [16, 16]
+        raw = {"experiment": "tensor", "seed": 1, "shape": [16, 16],
+               "grid": {"z_re": [-1.0, 0.0, 1.0, 2.0, 3.0], "z_im": [-0.5, 0.0, 0.5, 1.0]}}
+        assert validate(raw)[1] == [
+            f"the z-grid of 20 points at stacked dense size {2**18} per point holds"
+            f" {20 * 2**18} entries, above the grid budget of {MAX_GRID_SIZE}"
+        ]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err and all(line.startswith("CONFIG_INVALID: ") for line in err.splitlines())
+        assert not (tmp_path / "out").exists()
+        # 16 points is exactly the budget; the default grid has 9
+        square = {"z_re": [0.0, 1.0, 2.0, 3.0], "z_im": [0.0, 0.5, 1.0, 1.5]}
+        assert validate({**raw, "grid": square})[1] == []
+        # implemented stacks D = 512 entries per point at [16, 16]
+        wide = {"z_re": list(range(100)), "z_im": list(range(90))}
+        raw = {"experiment": "implemented", "seed": 1, "shape": [16, 16], "grid": wide}
+        assert validate(raw)[1] == [
+            f"the z-grid of 9000 points at stacked dense size 512 per point holds"
+            f" 4608000 entries, above the grid budget of {MAX_GRID_SIZE}"
+        ]
+        # the other experiments stack no grid
+        assert validate({**raw, "experiment": "verify"})[1] == []
 
     def test_size_budget_counts_the_stone_residuals(self, capsys, tmp_path):
         # stone checks each block over its k n_b^2 basis vectors: sum_b (k n_b^2)^2,

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarflow import (
     AlgebraElement,
     BlockShape,
     CommutingPair,
+    EigFailureError,
     FlowGenerator,
     HermitianElement,
     NotCommutingError,
@@ -25,6 +28,7 @@ from cstarflow import (
     tensor_element,
     tensor_flow,
 )
+from cstarflow.composition import _kron
 from cstarflow.continuation import _hermgauss
 from cstarflow.sampling import (
     random_commuting_flows,
@@ -33,7 +37,7 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import diag_flow
+from conftest import Z_GRIDS, diag_flow, failing_svd
 
 EPS = np.finfo(float).eps
 
@@ -43,6 +47,21 @@ def diagonal_pair(*pairs):
     alpha = diag_flow(*pairs[0])
     beta = diag_flow(*pairs[1])
     return CommutingPair(alpha, beta)
+
+
+def pointwise_gamma(p, z, x):
+    """The per-z residual of the product-flow factorization, and its scale."""
+    gz = continue_exact(product_flow(p), z, x)
+    ab = continue_exact(p.alpha, z, continue_exact(p.beta, z, x))
+    ba = continue_exact(p.beta, z, continue_exact(p.alpha, z, x))
+    return max((gz - ab).norm(), (gz - ba).norm()), max(x.norm(), gz.norm(), ab.norm(), ba.norm())
+
+
+def pointwise_tensor(tf, z, x, y):
+    """The per-z residual of the tensor flow on ``x (x) y``, and its scale."""
+    lhs = continue_exact(tf.product, z, tensor_element(x, y))
+    rhs = tensor_element(continue_exact(tf.alpha, z, x), continue_exact(tf.beta, z, y))
+    return (lhs - rhs).norm(), max(lhs.norm(), rhs.norm())
 
 
 class TestProductFlow:
@@ -101,6 +120,39 @@ class TestGammaContinuation:
         z = 0.4 - 0.6j
         gamma_z = continue_exact(product_flow(pair), z, x)
         assert (gamma_z - continue_exact(alpha, z, x)).norm() <= 1e-13 * max(1.0, gamma_z.norm())
+
+
+class TestGammaGrid:
+    @settings(max_examples=25, deadline=None)
+    @given(grid=Z_GRIDS, seed=st.integers(0, 2**16),
+           dims=st.sampled_from([[2], [3, 2], [1, 2, 2]]))
+    def test_grid_matches_pointwise_oracle(self, grid, seed, dims):
+        r = rng(seed)
+        shape = BlockShape(dims)
+        pair = CommutingPair(*random_commuting_flows(r, shape, 2.0))
+        x = random_element(r, shape)
+        got = gamma_continuation_check(pair, grid, x)
+        assert got.shape == (len(grid),)
+        for z, resid in zip(grid, got):
+            want, scale = pointwise_gamma(pair, z, x)
+            assert abs(resid - want) <= 64 * max(dims) * EPS * scale
+
+    def test_scalar_z_is_the_one_point_grid(self):
+        r = rng(19)
+        pair = CommutingPair(*random_commuting_flows(r, BlockShape([3, 2]), 2.0))
+        x = random_element(r, BlockShape([3, 2]))
+        got = gamma_continuation_check(pair, 0.4 - 0.7j, x)
+        assert type(got) is float
+        assert got == gamma_continuation_check(pair, [0.4 - 0.7j], x)[0]
+
+    def test_failed_batched_svd_is_a_numerical_breakdown(self, monkeypatch):
+        r = rng(20)
+        pair = CommutingPair(*random_commuting_flows(r, BlockShape([2]), 1.0))
+        x = random_element(r, BlockShape([2]))
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        # two residuals per grid point
+        with pytest.raises(EigFailureError, match="6 stacked 2x2 residual blocks"):
+            gamma_continuation_check(pair, [0.5j, 1.0, -1.0 + 0.5j], x)
 
 
 class TestDoubleSmear:
@@ -232,6 +284,49 @@ class TestTensor:
         w = random_element(r, tf.product.shape)
         for t in (0.4, -2.2):
             assert abs(evaluate(tf.product, t, w).norm() - w.norm()) <= 1e-10 * w.norm()
+
+
+class TestTensorGrid:
+    @settings(max_examples=25, deadline=None)
+    @given(grid=Z_GRIDS, seed=st.integers(0, 2**16), dims=st.sampled_from([[2], [2, 1], [3]]))
+    def test_grid_matches_pointwise_oracle(self, grid, seed, dims):
+        r = rng(seed)
+        shape = BlockShape(dims)
+        tf = tensor_flow(random_flow(r, shape, 1.5), random_flow(r, shape, 1.5))
+        x, y = random_element(r, shape), random_element(r, shape)
+        got = tensor_continuation_check(tf, grid, x, y)
+        assert got.shape == (len(grid),)
+        for z, resid in zip(grid, got):
+            want, scale = pointwise_tensor(tf, z, x, y)
+            assert abs(resid - want) <= 64 * max(dims) ** 2 * EPS * scale
+
+    def test_scalar_z_is_the_one_point_grid(self):
+        r = rng(21)
+        shape = BlockShape([2, 1])
+        tf = tensor_flow(random_flow(r, shape, 1.5), random_flow(r, shape, 1.5))
+        x, y = random_element(r, shape), random_element(r, shape)
+        got = tensor_continuation_check(tf, -0.3 + 0.5j, x, y)
+        assert type(got) is float
+        assert got == tensor_continuation_check(tf, [-0.3 + 0.5j], x, y)[0]
+
+    def test_failed_batched_svd_is_a_numerical_breakdown(self, monkeypatch):
+        r = rng(22)
+        shape = BlockShape([2])
+        tf = tensor_flow(random_flow(r, shape, 1.0), random_flow(r, shape, 1.0))
+        x, y = random_element(r, shape), random_element(r, shape)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(EigFailureError, match="2 stacked 4x4 residual blocks"):
+            tensor_continuation_check(tf, [0.5j, 1.0], x, y)
+
+    def test_kronecker_products_match_numpy_bit_for_bit(self):
+        r = rng(23)
+        x, y = random_element(r, BlockShape([2, 3])), random_element(r, BlockShape([1, 2]))
+        want = [np.kron(a, b) for a in x.blocks for b in y.blocks]
+        assert all(np.array_equal(got, w) for got, w in zip(tensor_element(x, y).blocks, want))
+        a = np.stack([random_element(r, BlockShape([2])).blocks[0] for _ in range(3)])
+        b = np.stack([random_element(r, BlockShape([3])).blocks[0] for _ in range(3)])
+        assert np.array_equal(_kron(a, b), np.stack([np.kron(p, q) for p, q in zip(a, b)]))
+        assert np.array_equal(_kron(np.eye(2), y.blocks[1]), np.kron(np.eye(2), y.blocks[1]))
 
 
 class TestCompositionInvariants:

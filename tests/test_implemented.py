@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cstarflow.implemented as implemented_mod
 from cstarflow import (
     AlgebraElement,
     BlockShape,
+    EigFailureError,
+    FlowGenerator,
+    HermitianElement,
     IllConditionedError,
     ImplementedFlow,
     InvarianceViolationError,
     ModuleOperator,
     NotInAlgebraError,
     SubalgebraBasis,
+    continue_exact,
     identity_operator,
     implemented_continuation_check,
     implemented_evaluate,
@@ -21,6 +27,7 @@ from cstarflow import (
     localized_middle_check,
     matrix_unit_operators,
     middle_multiplier,
+    op_log,
     op_power,
     separating_check,
     vector_functionals,
@@ -33,6 +40,10 @@ from cstarflow.sampling import (
     random_vector,
     rng,
 )
+
+from conftest import Z_GRIDS, failing_svd
+
+EPS = np.finfo(float).eps
 
 
 def diag_op(*vals: float) -> ModuleOperator:
@@ -135,6 +146,55 @@ class TestMiddleMultiplier:
         xb = x.entries[0][0].blocks[0]
         want = np.diag([2.0, 3.0]) @ xb @ np.diag([5.0, 7.0])
         np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def pointwise_implemented(f, z, x):
+    """The per-z residual of the two continuation routes, and its scale.
+
+    Route one is the flow generated by ``(log S, log T)``; route two the
+    product of complex powers.
+    """
+    logs = FlowGenerator(HermitianElement(op_log(f.s).flat), HermitianElement(op_log(f.t).flat))
+    lhs = continue_exact(logs, z, x.flat)
+    rhs = (op_power(f.s, 1j * z) @ x @ op_power(f.t, -1j * z)).flat
+    return (lhs - rhs).norm(), max(x.norm(), lhs.norm(), rhs.norm())
+
+
+def random_implemented(seed: int, dims, k: int):
+    r = rng(seed)
+    shape = BlockShape(dims)
+    f = ImplementedFlow(
+        random_positive_operator(r, shape, k, cond=1e3),
+        random_positive_operator(r, shape, k, cond=1e3),
+        full_basis(shape, k),
+    )
+    return f, random_operator(r, shape, k, norm=1.0)
+
+
+class TestContinuationGrid:
+    @settings(max_examples=25, deadline=None)
+    @given(grid=Z_GRIDS, seed=st.integers(0, 2**16),
+           module=st.sampled_from([([2], 1), ([2], 2), ([2, 1], 2)]))
+    def test_grid_matches_pointwise_oracle(self, grid, seed, module):
+        dims, k = module
+        f, x = random_implemented(seed, dims, k)
+        got = implemented_continuation_check(f, grid, x)
+        assert got.shape == (len(grid),)
+        for z, resid in zip(grid, got):
+            want, scale = pointwise_implemented(f, z, x)
+            assert abs(resid - want) <= 64 * k * max(dims) * EPS * scale
+
+    def test_scalar_z_is_the_one_point_grid(self):
+        f, x = random_implemented(8, [2, 1], 2)
+        got = implemented_continuation_check(f, 0.6 + 0.8j, x)
+        assert type(got) is float
+        assert got == implemented_continuation_check(f, [0.6 + 0.8j], x)[0]
+
+    def test_failed_batched_svd_is_a_numerical_breakdown(self, monkeypatch):
+        f, x = random_implemented(9, [2], 2)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(EigFailureError, match="2 stacked 4x4 residual blocks"):
+            implemented_continuation_check(f, [1j, -0.5], x)
 
 
 class TestContinuationFormula:
