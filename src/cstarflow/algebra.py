@@ -115,7 +115,7 @@ class AlgebraElement:
         returns a NaN singular value (an infinite entry).
         """
         if self._norm is None:
-            object.__setattr__(self, "_norm", max(_largest_singular_value(b) for b in self.blocks))
+            object.__setattr__(self, "_norm", max(largest_singular_value(b) for b in self.blocks))
         return self._norm
 
     def hs_dot(self, other: "AlgebraElement") -> complex:
@@ -134,7 +134,7 @@ class AlgebraElement:
         applied on every call.
         """
         if self._herm_defect is None:
-            defect = max(_largest_singular_value(b - b.conj().T) for b in self.blocks)
+            defect = max(largest_singular_value(b - b.conj().T) for b in self.blocks)
             object.__setattr__(self, "_herm_defect", defect)
         return self._herm_defect <= tol * max(self.norm(), 1e-300)
 
@@ -161,7 +161,8 @@ class AlgebraElement:
         return f"AlgebraElement(dims={self.shape.block_dims}, norm={self.norm():.6g})"
 
 
-def _largest_singular_value(b: np.ndarray) -> float:
+def largest_singular_value(b: np.ndarray) -> float:
+    """Spectral norm of one matrix by ``zgesdd``; ``EigFailureError`` on a failure or NaN."""
     _, s, _, info = _gesdd(b, compute_uv=0)
     if info != 0:
         raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block failed"
@@ -354,12 +355,12 @@ def eigenvalues(h: HermitianElement | AlgebraElement) -> np.ndarray:
     return np.concatenate([lam for lam in spectral(h).eigenvalues])
 
 
-def is_strictly_positive(t: AlgebraElement, pos_tol_factor: float = POS_TOL_FACTOR) -> bool:
-    """True iff Hermitian within tolerance with spectrum > ``1e-10 * norm``."""
+def is_strictly_positive(t: AlgebraElement) -> bool:
+    """True iff Hermitian within tolerance with spectrum > ``POS_TOL_FACTOR * norm``."""
     if not t.is_hermitian():
         return False
     lam = eigenvalues(t)
-    return bool(np.min(lam) > pos_tol_factor * t.norm())
+    return bool(np.min(lam) > POS_TOL_FACTOR * t.norm())
 
 
 def power(t: AlgebraElement, z: complex | Sequence[complex]) -> AlgebraElement | list[np.ndarray]:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, BlockShape, HermitianElement, herm_calculus
+from .algebra import AlgebraElement, BlockShape, HermitianElement, herm_calculus, power, stacked_norms
 from .continuation import (
     MAX_NODES,
     SmearingPlan,
@@ -53,7 +53,6 @@ from .hilbmod import (
     inner,
     matrix_unit_operators,
     op_log,
-    op_power,
 )
 from .implemented import (
     ImplementedFlow,
@@ -526,10 +525,10 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
         Check("residual_grid", max(err for _, err in rows), 1e-8),
     ]
     log_norm = op_log(t_op).norm()
-    cont_worst = 0.0
-    for z in cfg.z_grid():
-        err = (op_power(t_op, 1j * z) - op_power(t_rec, 1j * z)).norm()
-        cont_worst = max(cont_worst, err / math.exp(abs(z.imag) * log_norm))
+    zs = np.array(cfg.z_grid())
+    pairs = zip(power(t_op.flat, 1j * zs), power(t_rec.flat, 1j * zs))
+    errs = stacked_norms((a - b for a, b in pairs), "continuation blocks")
+    cont_worst = max(err / math.exp(abs(z.imag) * log_norm) for z, err in zip(zs, errs.tolist()))
     checks.append(Check("continuation", cont_worst, 1e-8))
 
     omega = sampling.random_state(r, cfg.shape)

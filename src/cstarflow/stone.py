@@ -50,7 +50,10 @@ from .algebra import (
     herm_calculus,
     identity,
     is_strictly_positive,
+    largest_singular_value,
+    power,
     spectral,
+    stacked_norms,
 )
 from .errors import (
     BranchAmbiguityError,
@@ -69,7 +72,9 @@ from .hilbmod import (
 )
 
 GNS_TOL = 1e-10
+POWER_POS_TOL = 1e-12
 PROBE_MULTIPLES = (1, 2, 10)
+RESIDUAL_TIMES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,11 +227,11 @@ def _stone_and_report(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator
 
 
 def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[float, float]]:
-    out = []
-    for t in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0):
-        err = (u(t) - op_power(t_op, 1j * t)).norm()
-        out.append((t, float(err)))
-    return out
+    """``norm(u(t) - T**(it))`` on the probe grid: one ``power`` grid call and one ``stacked_norms``."""
+    samples = [u(t).flat.blocks for t in RESIDUAL_TIMES]
+    powers = power(t_op.flat, 1j * np.array(RESIDUAL_TIMES))
+    errs = stacked_norms(np.stack(ub) - pb for ub, pb in zip(zip(*samples), powers))
+    return list(zip(RESIDUAL_TIMES, errs.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,8 +304,8 @@ def _check_factors(loc: Localization) -> None:
     cutoff dropped, plus rounding of ``1e-9 max(1, norm(rho_b))``.
     """
     for b, (c, rb) in enumerate(zip(loc.factors, loc.omega.rho.blocks)):
-        defect = float(np.linalg.norm(c @ c.conj().T - rb, 2))
-        bound = loc.cutoff + 1e-9 * max(1.0, float(np.linalg.norm(rb, 2)))
+        defect = largest_singular_value(c @ c.conj().T - rb)
+        bound = loc.cutoff + 1e-9 * max(1.0, largest_singular_value(rb))
         if defect > bound:
             raise IllDefinedError(
                 f"localization factor of block {b} misses its density by {defect:.3e}"
@@ -347,7 +352,7 @@ class InducedOperator:
 
     def norm(self) -> float:
         """Operator norm: the largest ``norm(F_b)`` over the blocks with ``r_b > 0``."""
-        return max(float(np.linalg.norm(f, 2)) for f, r in zip(self.factors, self.ranks) if r)
+        return max(largest_singular_value(f) for f, r in zip(self.factors, self.ranks) if r)
 
     def to_dense(self) -> np.ndarray:
         """The d x d matrix, for tests and small d only."""
@@ -389,16 +394,15 @@ def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOpe
     images in the entries of block b, so the difference is block diagonal
     and its norm is the largest over the blocks a state sees, each a
     ``k n_b r_b x k n_b^2`` matrix over the ``k n_b^2`` basis vectors of
-    the block, taken together.
+    the block, taken together (one ``stacked_norms`` call).
     """
-    worst = 0.0
+    diffs = []
     for b, (f, n, r) in enumerate(zip(a.flat.blocks, loc.shape, loc.ranks)):
         if r:
             m = f.shape[0]
             units = np.eye(m * n, dtype=complex).reshape(m * n, m, n)
-            diff = a_om.apply_block(b, loc.apply_block(b, units)) - loc.apply_block(b, f @ units)
-            worst = max(worst, float(np.linalg.norm(diff, 2)))
-    return worst
+            diffs.append(a_om.apply_block(b, loc.apply_block(b, units)) - loc.apply_block(b, f @ units))
+    return float(stacked_norms((d[None] for d in diffs), "intertwining residual blocks")[0])
 
 
 def induced_power_check(loc: Localization, t: ModuleOperator, z: complex) -> float:
@@ -451,10 +455,13 @@ def separating_check(
     return True
 
 
-def hermitian_matrix_power(m: np.ndarray, z: complex, pos_tol: float = 1e-12) -> np.ndarray:
-    """Complex power of a positive-definite dense matrix (the factors of induced operators)."""
-    lam, u = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if np.min(lam) <= pos_tol * max(float(np.max(np.abs(lam))), 1e-300):
+def hermitian_matrix_power(m: np.ndarray, z: complex) -> np.ndarray:
+    """Complex power of a positive-definite dense matrix (the factors of induced operators).
+
+    An oracle, so it uses LAPACK ``zheev``, not the ``zheevd`` behind ``algebra.spectral``.
+    """
+    lam, u = scipy.linalg.eigh((m + m.conj().T) / 2.0, driver="ev")
+    if np.min(lam) <= POWER_POS_TOL * max(float(np.max(np.abs(lam))), 1e-300):
         raise ValueError("matrix power needs a positive definite input")
     return (u * np.exp(z * np.log(lam.astype(complex)))) @ u.conj().T
 

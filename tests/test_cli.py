@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cstarflow.cli import EXPERIMENTS, MAX_FLAT_SIZE, MAX_GRID_SIZE, load_config, main, run, validate
@@ -413,6 +414,23 @@ class TestMain:
         assert report["status"] == "error" and report["passed"] is False
         assert report["error"]["type"] == "BranchAmbiguityError"
         assert report["experiment"] == "stone" and report["seed"] == 918
+        assert not (out / "stone.csv").exists()
+
+    def test_breakdown_in_a_localization_norm_exits_three(self, tmp_path, monkeypatch, capsys):
+        # a NaN out of the induced-power oracle reaches the spectral norm of
+        # the intertwining residual, which must report it as a breakdown
+        stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
+
+        def nan_power(m, z):
+            return np.full(m.shape, np.nan, dtype=complex)
+
+        monkeypatch.setattr(stone_mod, "hermitian_matrix_power", nan_power)
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("NUMERICAL_BREAKDOWN: EigFailureError: ")
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["error"]["type"] == "EigFailureError"
         assert not (out / "stone.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

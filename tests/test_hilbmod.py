@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstarflow.algebra as algebra
+import cstarflow.hilbmod as hilbmod
 from cstarflow import (
     AlgebraElement,
     BlockShape,
@@ -23,11 +24,13 @@ from cstarflow import (
     localize,
     matrix_unit_operators,
     op_exp,
+    op_log,
     op_power,
     strictly_positive,
     zeros,
 )
 from cstarflow.hilbmod import (
+    AFFILIATION_TOL,
     SPAN_TOL,
     _unvec_flats,
     operator_from_flat,
@@ -99,7 +102,7 @@ class TestOperatorBasics:
                 [zeros(shape), zeros(shape)],
             ]
         )
-        vals = np.linalg.eigvalsh(p.flatten()[0])
+        vals = np.linalg.eigvalsh(p.flat.blocks[0])
         assert np.min(vals) >= -1e-14  # positive
         assert not strictly_positive(p)  # but with kernel
 
@@ -508,12 +511,25 @@ class TestClosureAgainstSequential:
 
     def test_full_span_stops_before_any_product(self, monkeypatch):
         # the matrix units span M_k(A) by themselves; no queued product is formed
-        def refuse(self, other):
-            raise AssertionError("closure multiplied ModuleOperators")
+        def refuse(*args):
+            raise AssertionError("closure formed a product")
 
         gens = CLOSURE_CASES["matrix_units"]()
-        monkeypatch.setattr(ModuleOperator, "__matmul__", refuse)
+        monkeypatch.setattr(hilbmod, "_row_product", refuse)
         assert SubalgebraBasis(gens).dim == 16 + 16
+
+    def test_products_go_through_the_row_helper(self, monkeypatch):
+        # the control for the test above: a closure that needs products forms them there
+        calls = []
+        product = hilbmod._row_product
+
+        def counted(*args):
+            calls.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(hilbmod, "_row_product", counted)
+        assert SubalgebraBasis(CLOSURE_CASES["random_one_block"]()).dim == 16
+        assert calls
 
     def test_roadmap_size_closes(self):
         # matrix units of M_16: dimension 256, the whole algebra
@@ -534,3 +550,87 @@ def test_closure_under_adjoints_and_products_hypothesis(seed, count, n, k):
         for b in basis.basis:
             ab = a @ b
             assert basis.residual(ab) <= 1e-9 * max(1.0, ab.norm())
+
+
+# Reference probes: the per-element loops that ``SubalgebraBasis.leaks``
+# replaced.  Each basis element is built as an operator, moved by
+# operator products and projected on its own.
+
+
+def sequential_leaks(basis, lefts, rights=None):
+    rights = rights or [None] * len(lefts)
+    return np.array([
+        [basis.residual(left @ b if right is None else left @ b @ right) for b in basis.basis]
+        for left, right in zip(lefts, rights)
+    ])
+
+
+def sequential_affiliation(alpha, basis, t_samples, tol=AFFILIATION_TOL):
+    log_norm = op_log(alpha).norm()
+    for t in t_samples:
+        u = op_power(alpha, 1j * float(t))
+        for b in basis.basis:
+            if basis.residual(u @ b) > tol * max(b.norm(), 1e-300):
+                return False
+    delta = 1e-3 / max(1.0, log_norm)
+    u_delta = op_power(alpha, 1j * delta)
+    for b in basis.basis:
+        drift = (u_delta @ b - b).norm()
+        if drift > delta * log_norm * b.norm() * (1.0 + 1e-8) + 1e-12:
+            return False
+    return True
+
+
+def carrier_positive(basis, seed):
+    """``exp(h)`` for a random Hermitian ``h`` of norm 1 inside the span."""
+    r = rng(seed)
+    coeffs = r.standard_normal(basis.dim) + 1j * r.standard_normal(basis.dim)
+    x = operator_from_flat(basis.shape, basis.k, _unvec_flats(basis.shape, basis.k, coeffs @ basis._q))
+    h = x + x.star()
+    return op_exp((1.0 / h.norm()) * h)
+
+
+PROBE_GRID = [0.5, -1.0, 3.0]
+
+
+class TestLeaksAgainstSequential:
+    @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+    def test_leaks_match_the_per_element_loop(self, case):
+        basis = SubalgebraBasis(CLOSURE_CASES[case]())
+        r = rng(40)
+        s = random_positive_operator(r, basis.shape, basis.k, cond=50.0)
+        t = random_positive_operator(r, basis.shape, basis.k, cond=50.0)
+        zs = 1j * np.array(PROBE_GRID)
+        got = basis.leaks(algebra.power(s.flat, zs), algebra.power(t.flat, -zs))
+        want = sequential_leaks(basis, [op_power(s, z) for z in zs], [op_power(t, -z) for z in zs])
+        assert got.shape == want.shape == (len(PROBE_GRID), basis.dim)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        left_only = basis.leaks(algebra.power(s.flat, zs))
+        np.testing.assert_allclose(left_only, sequential_leaks(basis, [op_power(s, z) for z in zs]),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+    def test_affiliation_verdicts_match(self, case):
+        basis = SubalgebraBasis(CLOSURE_CASES[case]())
+        inside = carrier_positive(basis, 41)
+        generic = random_positive_operator(rng(42), basis.shape, basis.k, cond=40.0)
+        assert affiliation_test(inside, basis, PROBE_GRID)
+        for alpha in (inside, generic):
+            for grid in (PROBE_GRID, []):  # no sampled time: the Lipschitz probe alone
+                assert affiliation_test(alpha, basis, grid) == sequential_affiliation(alpha, basis, grid)
+
+    def test_failing_diagonal_carrier(self):
+        basis = SubalgebraBasis(diagonal_units(BlockShape([2]), 1))
+        mix = ModuleOperator([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
+        assert not affiliation_test(mix, basis, PROBE_GRID)
+        assert not sequential_affiliation(mix, basis, PROBE_GRID)
+        zs = 1j * np.array(PROBE_GRID)
+        got = basis.leaks(algebra.power(mix.flat, zs))
+        np.testing.assert_allclose(got, sequential_leaks(basis, [op_power(mix, z) for z in zs]),
+                                   rtol=0.0, atol=1e-12)
+        assert got.max() > 1e-3
+
+    def test_basis_operators_are_the_rows(self):
+        basis = SubalgebraBasis(CLOSURE_CASES["random_two_blocks"]())
+        assert len(basis.basis) == basis.dim
+        np.testing.assert_array_equal(np.stack([operator_vec(b) for b in basis.basis]), basis._q)

@@ -42,6 +42,7 @@ from cstarflow.sampling import (
 )
 
 from conftest import Z_GRIDS, failing_svd
+from test_hilbmod import CLOSURE_CASES, carrier_positive
 
 EPS = np.finfo(float).eps
 
@@ -122,6 +123,47 @@ class TestImplementedEvaluate:
         s = diag_op(1e7, 1.0)
         with pytest.raises(IllConditionedError):
             ImplementedFlow(s, s, full_basis(shape, 1))
+
+
+def sequential_probe(s, t, basis):
+    """The per-element invariance probe ``ImplementedFlow`` replaced: the first failing time, or None."""
+    for tp in implemented_mod.PROBE_TIMES:
+        us, ut_inv = op_power(s, 1j * tp), op_power(t, -1j * tp)
+        for b in basis.basis:
+            if basis.residual(us @ b @ ut_inv) > implemented_mod.INVARIANCE_TOL * max(1.0, b.norm()):
+                return tp
+    return None
+
+
+def probe_verdict(s, t, basis):
+    """The probe time ``ImplementedFlow`` fails at, or None; checked against the per-element loop."""
+    tp = sequential_probe(s, t, basis)
+    if tp is None:
+        ImplementedFlow(s, t, basis)
+    else:
+        with pytest.raises(InvarianceViolationError, match=f"at t={tp} "):
+            ImplementedFlow(s, t, basis)
+    return tp
+
+
+class TestProbeAgainstSequential:
+    @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+    def test_verdicts_match_the_per_element_loop(self, case):
+        basis = SubalgebraBasis(CLOSURE_CASES[case]())
+        r = rng(50)
+        pairs = [
+            (carrier_positive(basis, 51), carrier_positive(basis, 52)),
+            (random_positive_operator(r, basis.shape, basis.k, cond=50.0),
+             random_positive_operator(r, basis.shape, basis.k, cond=50.0)),
+        ]
+        assert probe_verdict(*pairs[0], basis) is None
+        probe_verdict(*pairs[1], basis)  # fails for the proper carriers, passes for the full ones
+
+    def test_failing_diagonal_carrier(self):
+        shape = BlockShape([2])
+        mix = ModuleOperator([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
+        one = identity_operator(shape, 1)
+        assert probe_verdict(mix, one, diagonal_basis(shape, 1)) == implemented_mod.PROBE_TIMES[0]
 
 
 class TestMiddleMultiplier:

@@ -316,6 +316,23 @@ class TestInducedPowerCheck:
             assert induced_power_check(loc, t, z) > 1e-3 * scale
 
 
+    def test_oracle_sees_a_faulty_numpy_eigh(self, monkeypatch):
+        # the module side goes through numpy's eigh; the oracle must not, or a
+        # fault there cancels between the two sides and the check reads 0.0
+        r = rng(3)
+        shape = BlockShape([2, 3])
+        loc = localize(random_state(r, shape), shape, 2)
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        eigh = np.linalg.eigh
+
+        def faulty(a):
+            lam, u = eigh(a)
+            return 1.001 * lam, u
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        assert induced_power_check(loc, t, 0.5) > 1e-4 * t.norm()
+
+
 class TestSeparatingCheck:
     def test_equal_operators(self):
         shape = BlockShape([2])
