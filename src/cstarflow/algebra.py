@@ -264,7 +264,7 @@ class SpectralDecomposition:
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
         """``f`` applied to the eigenvalues in the eigenbasis."""
         return AlgebraElement(self.shape, self._calculus(
-            [_apply_scalar_function(f, lam) for lam in self.eigenvalues]
+            [np.broadcast_to(np.asarray(f(lam), dtype=complex), lam.shape) for lam in self.eigenvalues]
         ))
 
     def _calculus(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -273,16 +273,6 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> AlgebraElement:
         return self.apply(lambda lam: lam)
-
-
-def _apply_scalar_function(f, lam: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(lam), dtype=complex)
-        if out.shape == lam.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(v)) for v in lam])
 
 
 def _symmetrized_blocks(h: AlgebraElement) -> list[np.ndarray]:

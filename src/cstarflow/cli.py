@@ -9,8 +9,11 @@ tolerances were met, 1 on a tolerance failure (report still written),
 2 on an invalid config, and 3 on a numerical breakdown (any other
 library error raised during the run; ``report.json`` then records
 ``"status": "error"`` and the exception type).  One table,
-``EXPERIMENTS``, maps each experiment name to its runner, CSV columns
-and description.
+``EXPERIMENTS``, maps each experiment name to its record: runner, CSV
+columns, description and ``costs``.  ``costs(config)`` lists what a run
+of the config will meet (dense size, stacked grid size, quadrature nodes,
+growth exponent, work), each against one of five budgets; ``validate``
+checks them all in one loop and refuses a config over any of them.
 
 Floats are written with shortest round-trip representation and random
 data comes from a counter-based Philox stream, so identical configs
@@ -25,8 +28,9 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -68,19 +72,29 @@ from .stone import (
     separating_check,
 )
 
-# Budget on the dense size of one element or module operator: 2**18 complex
-# entries (4 MiB) admits a block of n = 512 in verify and converge, which use
-# no module and are held to sum_b n_b^2. tensor is held to
-# dim(A (x) A) = (sum_b n_b^2)^2; implemented to D^2, the size of its D x D
-# Hilbert-Schmidt closure basis, D = sum_b (k n_b)^2 (so D <= 512); stone to
-# sum_b (k n_b^2)^2, its per-block residual matrices over the standard basis at
-# full rank (so n <= 16 at k = 2).
+# Budgets; each experiment's costs function says what it counts against them.
+# Dense size of the largest element, module operator or residual a run holds:
+# 2**18 complex entries (4 MiB), a block of n = 512 in verify.
 MAX_FLAT_SIZE = 2**18
-# Budget on the z-grid checks of tensor and implemented, which hold one stacked
-# residual per grid point: grid points x dense size per point, dim(A)^2 for
-# tensor and D for implemented. 2**22 complex entries is 64 MiB per stack, and
-# a check holds about three at its peak; tensor at [16, 16] may take 16 points.
+# Stacked z-grid of tensor and implemented, grid points x dense size per point:
+# 2**22 complex entries is 64 MiB per stack, and a check holds about three.
 MAX_GRID_SIZE = 2**22
+# Growth exponent of one factor a run forms, |Im z| nu for a continuation or
+# r^2 (Im z)^2 for a smear envelope. It is derived from the float range, not a
+# setting: a product of two such factors stays finite.
+MAX_GROWTH = 0.5 * math.log(sys.float_info.max)
+# Work of verify and tensor: instances x dense entries per instance.
+MAX_WORK = 2**27
+# Spectral spread of the random positive operators of stone and implemented,
+# whose log then has norm at most ln(COND) / 2.
+COND = 1e3
+# (name, limit, unit of the value) of each budget, as the refusal message says them
+SIZE = ("budget", MAX_FLAT_SIZE, "")
+GRID = ("grid budget", MAX_GRID_SIZE, " entries")
+NODES = ("cap", MAX_NODES, " Gauss-Hermite nodes")
+GROWTH = ("growth budget", MAX_GROWTH, "")
+WORK = ("work budget", MAX_WORK, " entries")
+Cost = tuple[tuple[str, float, str], float, str]
 
 
 @dataclass
@@ -94,12 +108,7 @@ class Check:
         return self.measured <= self.bound
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -129,7 +138,7 @@ class ScenarioConfig:
     flow_kind: str
     flow_norm: float
     h_left: AlgebraElement | None
-    h_right: AlgebraElement | None
+    h_right: AlgebraElement | None  # h_left when the payload gives no h_right
     element: AlgebraElement | None
     r_list: list[float]
     z_re: list[float]
@@ -142,12 +151,18 @@ class ScenarioConfig:
 
     def flow(self, r: np.random.Generator) -> FlowGenerator:
         if self.flow_kind == "explicit":
-            right = self.h_right if self.h_right is not None else self.h_left
-            return FlowGenerator(HermitianElement(self.h_left), HermitianElement(right))
+            return FlowGenerator(HermitianElement(self.h_left), HermitianElement(self.h_right))
         return sampling.random_flow(r, self.shape, self.flow_norm)
+
+    def nu_max(self) -> float:
+        """The frequency budget of ``flow``: the payload norms, or 2 * norm for random flows."""
+        return self.h_left.norm() + self.h_right.norm() if self.flow_kind == "explicit" else 2.0 * self.flow_norm
 
     def z_grid(self) -> list[complex]:
         return [complex(re, im) for re in self.z_re for im in self.z_im]
+
+    def im_max(self) -> float:
+        return max(abs(im) for im in self.z_im)
 
 
 _DEFAULTS = {
@@ -182,20 +197,6 @@ def _non_finite(value, path: str) -> list[str]:
     if isinstance(value, list):
         return [p for i, v in enumerate(value) for p in _non_finite(v, f"{path}[{i}]")]
     return []
-
-
-def _node_budget(nu_max: float, r_list: list, z_im: list) -> list[str]:
-    """One problem per ``(r, z_im)`` whose admissible node count is above the cap."""
-    problems = []
-    for r, im in itertools.product(r_list, z_im):
-        try:
-            count = admissible_nodes(nu_max, r, complex(0.0, im))
-        except OverflowError:  # the budget squared is infinite
-            count = math.inf
-        if count > MAX_NODES:
-            problems.append(f"grid.r = {r!r} with z_im = {im!r} needs {count} Gauss-Hermite"
-                            f" nodes, above the cap of {MAX_NODES}")
-    return problems
 
 
 def _unknown_keys(raw: dict) -> list[str]:
@@ -301,68 +302,28 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     module_rank = resolved["module_rank"]
     if not _is_int(module_rank) or module_rank < 1:
         problems.append("module_rank must be a positive integer")
-    elif shape is not None:
-        # verify and converge build no module, only the algebra's own blocks
-        size, what = shape.dim, f"shape {list(shape)} has"
-        point_size = None  # dense size of one point of a check's stacked z-grid
-        if experiment == "tensor":  # the tensor square has blocks n_i n_j
-            what = f"shape {list(shape)} has dimension {shape.dim}, so A (x) A has"
-            size = point_size = shape.dim**2
-        elif experiment == "stone":  # residuals over the k n_b^2 basis vectors of each block
-            size = sum((module_rank * n * n) ** 2 for n in shape)
-            what = (f"shape {list(shape)} at module_rank {module_rank} checks each block over its"
-                    f" k n_b^2 basis vectors, so the residual matrices sum_b (k n_b^2)^2 have")
-        elif experiment == "implemented":  # the closure keeps a D x D basis
-            point_size = sum((module_rank * n) ** 2 for n in shape)
-            what = (f"shape {list(shape)} at module_rank {module_rank} has closure dimension"
-                    f" D = {point_size}, so the D x D closure basis has")
-            size = point_size**2
-        if size > MAX_FLAT_SIZE:
-            problems.append(f"{what} dense size {size}, above the budget of {MAX_FLAT_SIZE}")
-        if point_size is not None and all(isinstance(grid[key], list) for key in ("z_re", "z_im")):
-            points = len(grid["z_re"]) * len(grid["z_im"])
-            if points * point_size > MAX_GRID_SIZE:
-                problems.append(f"the z-grid of {points} points at stacked dense size {point_size}"
-                                f" per point holds {points * point_size} entries, above the grid"
-                                f" budget of {MAX_GRID_SIZE}")
-    if (
-        experiment == "stone"
-        and flow["kind"] == "explicit"
-        and _is_int(module_rank)
-        and module_rank != 1
-    ):
+    if experiment == "stone" and flow["kind"] == "explicit" and _is_int(module_rank) and module_rank != 1:
         problems.append("stone with an explicit flow requires module_rank = 1")
+    if experiment in ("tensor", "implemented") and flow["kind"] == "explicit":
+        problems.append(f"{experiment} draws its own random flows and takes no explicit flow")
     output = resolved["output"]
     if not isinstance(output, str):
         problems.append("output must be a string path")
-    if experiment == "converge" and not problems:
-        # nu_max as the run will see it: the payload norms, or 2 * norm for random flows
-        right = h_right if h_right is not None else h_left
-        nu_max = h_left.norm() + right.norm() if h_left is not None else 2.0 * norm
-        problems += _node_budget(nu_max, grid["r"], grid["z_im"])
     if problems:
         return None, problems
-    return (
-        ScenarioConfig(
-            experiment=experiment,
-            seed=seed,
-            shape=shape,
-            flow_kind=flow["kind"],
-            flow_norm=float(norm),
-            h_left=h_left,
-            h_right=h_right,
-            element=element,
-            r_list=[float(v) for v in grid["r"]],
-            z_re=[float(v) for v in grid["z_re"]],
-            z_im=[float(v) for v in grid["z_im"]],
-            nodes=nodes,
-            t0=float(t0),
-            instances=instances,
-            module_rank=module_rank,
-            output=output,
-        ),
-        [],
+    config = ScenarioConfig(
+        experiment=experiment, seed=seed, shape=shape, flow_kind=flow["kind"], flow_norm=float(norm),
+        h_left=h_left, h_right=h_right if h_right is not None else h_left, element=element,
+        r_list=[float(v) for v in grid["r"]], z_re=[float(v) for v in grid["z_re"]],
+        z_im=[float(v) for v in grid["z_im"]], nodes=nodes, t0=float(t0), instances=instances,
+        module_rank=module_rank, output=output,
     )
+    problems = [
+        f"{text} {value}{unit}, above the {name} of {limit}"
+        for (name, limit, unit), value, text in EXPERIMENTS[experiment].costs(config)
+        if not value <= limit  # a cost of nan (inf times 0) is refused too
+    ]
+    return (None, problems) if problems else (config, [])
 
 
 def _read(path: str | Path) -> dict:
@@ -414,7 +375,23 @@ def _sample_elements(r: np.random.Generator, shape: BlockShape, count: int) -> l
 
 # ----------------------------------------------------------------- experiments
 # Each runner returns (checks, CSV rows, extra files): the extra files map a
-# file name in the output directory to the JSON payload written there.
+# file name in the output directory to the JSON payload written there. Each
+# costs function returns one (budget, value, text) entry per quantity the run
+# will meet, with ``text`` naming it in the refusal message.
+
+
+def _grid(cfg: ScenarioConfig, point_size: int) -> Cost:
+    points = len(cfg.z_re) * len(cfg.z_im)
+    return (GRID, points * point_size, f"the z-grid of {points} points at stacked dense size"
+            f" {point_size} per point holds")
+
+
+def _growth(what: str, im: float, nu: float) -> Cost:
+    return GROWTH, im * nu, f"{what} reaches |Im z| = {im!r} at nu = {nu!r}, growth exponent"
+
+
+def _work(cfg: ScenarioConfig, each: int) -> Cost:
+    return WORK, cfg.instances * each, f"{cfg.instances} instances at {each} entries each touch"
 
 
 def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
@@ -457,6 +434,14 @@ def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
 
     checks = [Check(name, measured, 1e-9) for name, measured in sorted(worst.items())]
     return checks, rows, {}
+
+
+def _costs_verify(cfg: ScenarioConfig) -> list[Cost]:
+    # no module, only the algebra's own blocks; inverse and composition_same_side reach 2 Im z
+    dim = cfg.shape.dim
+    return [(SIZE, dim, f"shape {list(cfg.shape)} has dense size"),
+            _growth("the inverse check", 2.0 * cfg.im_max(), cfg.nu_max()),
+            _work(cfg, dim)]
 
 
 def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
@@ -509,6 +494,22 @@ def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     return checks, rows, {}
 
 
+def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
+    nu = cfg.nu_max()
+    costs = [(SIZE, cfg.shape.dim, f"shape {list(cfg.shape)} has dense size"),
+             _growth("the continuation", cfg.im_max(), nu)]
+    for r, im in itertools.product(cfg.r_list, cfg.z_im):
+        try:
+            count = admissible_nodes(nu, r, complex(0.0, im))
+        except OverflowError:  # the node budget squared is infinite
+            count = math.inf
+        where = f"grid.r = {r!r} with z_im = {im!r}"
+        costs.append((NODES, count, f"{where} needs"))
+        costs.append((GROWTH, (r * im) * (r * im),
+                      f"the smear envelope exp(r^2 (Im z)^2) at {where} has growth exponent"))
+    return costs
+
+
 def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     k = cfg.module_rank
@@ -516,7 +517,7 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
         t_alg = herm_calculus(HermitianElement(cfg.h_left), np.exp)
         t_op = ModuleOperator([[t_alg]])
     else:
-        t_op = sampling.random_positive_operator(r, cfg.shape, k, cond=1e3)
+        t_op = sampling.random_positive_operator(r, cfg.shape, k, cond=COND)
     u = SampledUnitaryGroup.from_positive(t_op)
     t_rec, report = _stone_and_report(u, cfg.t0)
     rows = [(t, err) for t, err in report["residual_grid"]]
@@ -551,6 +552,17 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     return checks, rows, {"recovery.json": report}
 
 
+def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:
+    # residuals over the k n_b^2 basis vectors of each block; log T is h_left,
+    # or a random operator of norm at most ln(COND) / 2
+    k = cfg.module_rank
+    nu = cfg.h_left.norm() if cfg.flow_kind == "explicit" else 0.5 * math.log(COND)
+    return [(SIZE, sum((k * n * n) ** 2 for n in cfg.shape),
+             f"shape {list(cfg.shape)} at module_rank {k} checks each block over its k n_b^2 basis"
+             f" vectors, so the residual matrices sum_b (k n_b^2)^2 have dense size"),
+            _growth("T^(iz)", cfg.im_max(), nu)]
+
+
 def _exp_tensor(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     rows: list[tuple] = []
@@ -576,11 +588,20 @@ def _exp_tensor(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     return checks, rows, {}
 
 
+def _costs_tensor(cfg: ScenarioConfig) -> list[Cost]:
+    # the tensor square has blocks n_i n_j; its flow pairs two random flows, so nu is twice nu_max
+    dim = cfg.shape.dim
+    return [(SIZE, dim**2, f"shape {list(cfg.shape)} has dimension {dim}, so A (x) A has dense size"),
+            _grid(cfg, dim**2),
+            _growth("the tensor flow", cfg.im_max(), 2.0 * cfg.nu_max()),
+            _work(cfg, len(cfg.z_re) * len(cfg.z_im) * dim**2)]
+
+
 def _exp_implemented(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     k = cfg.module_rank
-    s_op = sampling.random_positive_operator(r, cfg.shape, k, cond=1e3)
-    t_op = sampling.random_positive_operator(r, cfg.shape, k, cond=1e3)
+    s_op = sampling.random_positive_operator(r, cfg.shape, k, cond=COND)
+    t_op = sampling.random_positive_operator(r, cfg.shape, k, cond=COND)
     basis = SubalgebraBasis(matrix_unit_operators(cfg.shape, k))
     flow = ImplementedFlow(s_op, t_op, basis)
     x = sampling.random_operator(r, cfg.shape, k, 1.0)
@@ -602,17 +623,34 @@ def _exp_implemented(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dic
     return checks, rows, {}
 
 
+def _costs_implemented(cfg: ScenarioConfig) -> list[Cost]:
+    # the closure keeps a D x D basis; nu = norm(log S) + norm(log T) <= ln(COND)
+    d = sum((cfg.module_rank * n) ** 2 for n in cfg.shape)
+    return [(SIZE, d * d, f"shape {list(cfg.shape)} at module_rank {cfg.module_rank} has closure"
+                          f" dimension D = {d}, so the D x D closure basis has dense size"),
+            _grid(cfg, d),
+            _growth("the implemented flow", cfg.im_max(), math.log(COND))]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    runner: Callable[[ScenarioConfig], tuple[list[Check], list[tuple], dict]]
+    columns: tuple[str, ...]
+    description: str
+    costs: Callable[[ScenarioConfig], list[Cost]]
+
+
 EXPERIMENTS = {
-    "verify": (_exp_verify, ("check", "instance", "measured", "bound", "passed"),
-               "group laws, inverses, same-side composition, semi-multiplicativity, strip bound"),
-    "converge": (_exp_converge, ("r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
-                 "smearing quadrature vs closed form, norm bound, convergence rate, core rescaling"),
-    "stone": (_exp_stone, ("t", "residual"),
-              "generator recovery round trip, continuation, localization and separation"),
-    "tensor": (_exp_tensor, ("kind", "instance", "z_re", "z_im", "residual"),
-               "commuting-pair product continuation and tensor-product continuation"),
-    "implemented": (_exp_implemented, ("check", "z_re", "z_im", "residual"),
-                    "implemented-flow continuation formula and localized middle products"),
+    "verify": Experiment(_exp_verify, ("check", "instance", "measured", "bound", "passed"),
+        "group laws, inverses, same-side composition, semi-multiplicativity, strip bound", _costs_verify),
+    "converge": Experiment(_exp_converge, ("r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
+        "smearing quadrature vs closed form, norm bound, convergence rate, core rescaling", _costs_converge),
+    "stone": Experiment(_exp_stone, ("t", "residual"),
+        "generator recovery round trip, continuation, localization and separation", _costs_stone),
+    "tensor": Experiment(_exp_tensor, ("kind", "instance", "z_re", "z_im", "residual"),
+        "commuting-pair product continuation and tensor-product continuation", _costs_tensor),
+    "implemented": Experiment(_exp_implemented, ("check", "z_re", "z_im", "residual"),
+        "implemented-flow continuation formula and localized middle products", _costs_implemented),
 }
 
 
@@ -620,10 +658,10 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, quiet: bool =
     """Execute a scenario; writes artifacts and returns the report."""
     out = Path(out_dir) if out_dir is not None else Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    runner, columns, _ = EXPERIMENTS[config.experiment]
-    checks, rows, extra_files = runner(config)
+    experiment = EXPERIMENTS[config.experiment]
+    checks, rows, extra_files = experiment.runner(config)
     report = ExitReport(config.experiment, config.seed, checks)
-    _write_csv(out / f"{config.experiment}.csv", columns, rows)
+    _write_csv(out / f"{config.experiment}.csv", experiment.columns, rows)
     for name, payload in {"report.json": report.as_dict(), **extra_files}.items():
         _write_json(out / name, payload)
     if not quiet:
@@ -649,7 +687,7 @@ def _write_error_report(out: Path, config: ScenarioConfig, exc: Exception) -> No
 def list_experiments() -> str:
     return "\n".join(
         ["available experiments:"]
-        + [f"  {name:<12} {description}" for name, (_, _, description) in EXPERIMENTS.items()]
+        + [f"  {name:<12} {experiment.description}" for name, experiment in EXPERIMENTS.items()]
     )
 
 

@@ -48,6 +48,7 @@ from .errors import NotStrictlyPositiveError, ShapeMismatchError
 
 SPAN_TOL = 1e-9
 AFFILIATION_TOL = 1e-8
+UNITARY_TOL = 1e-10
 
 
 def _flat_shape(shape: BlockShape, k: int) -> BlockShape:
@@ -246,9 +247,9 @@ def zero_operator(shape: BlockShape, k: int) -> ModuleOperator:
     return ModuleOperator.from_flat(zeros(_flat_shape(shape, k)), k)
 
 
-def is_unitary(s: ModuleOperator, tol: float = 1e-10) -> bool:
+def is_unitary(s: ModuleOperator) -> bool:
     one = identity_operator(s.shape, s.k)
-    return (s.star() @ s - one).norm() <= tol and (s @ s.star() - one).norm() <= tol
+    return (s.star() @ s - one).norm() <= UNITARY_TOL and (s @ s.star() - one).norm() <= UNITARY_TOL
 
 
 def strictly_positive(s: ModuleOperator) -> bool:

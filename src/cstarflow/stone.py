@@ -48,7 +48,6 @@ from .algebra import (
     BlockShape,
     eigenvalues,
     herm_calculus,
-    identity,
     is_strictly_positive,
     largest_singular_value,
     power,
@@ -73,6 +72,11 @@ from .hilbmod import (
 
 GNS_TOL = 1e-10
 POWER_POS_TOL = 1e-12
+# recovery halves t0 at most MAX_HALVINGS times, until log u(t) = 2 log u(t/2)
+# within RECOVERY_TOL relative to max(1, norm(log u(t)))
+MAX_HALVINGS = 8
+RECOVERY_TOL = 1e-8
+SEPARATING_TOL = 1e-9
 PROBE_MULTIPLES = (1, 2, 10)
 RESIDUAL_TIMES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)
 
@@ -98,16 +102,6 @@ class PositiveFunctional:
     def value(self, a: AlgebraElement) -> complex:
         """``sum_k tr(rho_k a_k)``."""
         return complex(sum(np.trace(r @ b) for r, b in zip(self.rho.blocks, a.blocks)))
-
-    def total_mass(self) -> float:
-        return self.value(identity(self.shape)).real
-
-    def as_state(self) -> "PositiveFunctional":
-        """Normalize so the total trace of the density is one."""
-        mass = self.total_mass()
-        if mass <= 0:
-            raise ZeroFunctionalError("cannot normalize a vanishing functional")
-        return PositiveFunctional((1.0 / mass) * self.rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,26 +151,21 @@ def _principal_log_phases(u: ModuleOperator) -> ModuleOperator:
     return ModuleOperator.from_flat(AlgebraElement(u.flat.shape, flats), u.k)
 
 
-def recover_generator(
-    u: SampledUnitaryGroup, t0: float, max_halvings: int = 8, tol: float = 1e-8
-) -> ModuleOperator:
+def recover_generator(u: SampledUnitaryGroup, t0: float) -> ModuleOperator:
     """Hermitian ``K`` with ``u_t = exp(itK)``, branch-checked by halving."""
-    k_op, _, _ = _recover_with_trace(u, t0, max_halvings, tol)
-    return k_op
+    return _recover_with_trace(u, t0)[0]
 
 
-def _recover_with_trace(
-    u: SampledUnitaryGroup, t0: float, max_halvings: int, tol: float
-) -> tuple[ModuleOperator, float, int]:
+def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, float, int]:
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     u.probe(t0)
     t = float(t0)
     log_t = _principal_log_phases(u(t))
-    for halvings in range(max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         log_half = _principal_log_phases(u(t / 2.0))
         scale = max(1.0, log_t.norm())
-        if (log_t - 2.0 * log_half).norm() <= tol * scale:
+        if (log_t - 2.0 * log_half).norm() <= RECOVERY_TOL * scale:
             k_op = (1.0 / t) * log_t
             u_k = herm_calculus(k_op.flat, lambda lam: np.exp(1j * t * lam))
             resid = (u(t).flat - u_k).norm()
@@ -188,7 +177,7 @@ def _recover_with_trace(
         t /= 2.0
         log_t = log_half
     raise BranchAmbiguityError(
-        f"halving did not stabilize after {max_halvings} steps from t0={t0}"
+        f"halving did not stabilize after {MAX_HALVINGS} steps from t0={t0}"
     )
 
 
@@ -209,7 +198,7 @@ def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
 
 def _stone_and_report(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, dict]:
     """The recovered ``T`` of ``stone`` and the record of ``recovery_report``, from one recovery."""
-    k_op, t_used, halvings = _recover_with_trace(u, t0, 8, 1e-8)
+    k_op, t_used, halvings = _recover_with_trace(u, t0)
     t_op = op_exp(k_op)
     if not strictly_positive(t_op):
         raise NotAGroupError("recovered operator is not strictly positive")
@@ -271,12 +260,12 @@ class Localization:
         return np.concatenate([self.apply_block(b, sb) for b, sb in enumerate(v.stacked)])
 
 
-def localize(omega: PositiveFunctional, shape: BlockShape, k: int, gns_tol: float = GNS_TOL) -> Localization:
+def localize(omega: PositiveFunctional, shape: BlockShape, k: int) -> Localization:
     """Build the localization of ``E = A^k`` at a positive functional.
 
     The Gram form of ``omega`` on E is ``(+)_b I (x) rho_b^T``, so each
     block is localized through its own density: ``rho_b`` is
-    eigendecomposed once, eigenvalues at or below ``gns_tol`` times the
+    eigendecomposed once, eigenvalues at or below ``GNS_TOL`` times the
     largest over all blocks are treated as genuine kernel, and the rest
     give the factor ``C_b`` of rank ``r_b``.  The localized dimension is
     ``d = k sum_b n_b r_b`` (``ZeroFunctionalError`` if nothing remains).
@@ -287,7 +276,7 @@ def localize(omega: PositiveFunctional, shape: BlockShape, k: int, gns_tol: floa
     top = max(float(np.max(w)) for w in sd.eigenvalues)
     if top <= 0.0:
         raise ZeroFunctionalError("positive functional vanishes on the module")
-    cutoff = gns_tol * top
+    cutoff = GNS_TOL * top
     factors = []
     for w, u in zip(sd.eigenvalues, sd.eigenvectors):
         keep = w > cutoff
@@ -416,12 +405,7 @@ def induced_power_check(loc: Localization, t: ModuleOperator, z: complex) -> flo
     return intertwining_residual(loc, induce(loc, t).power(z), op_power(t, z))
 
 
-def separating_check(
-    r: ModuleOperator,
-    s: ModuleOperator,
-    states: Sequence[PositiveFunctional],
-    tol: float = 1e-9,
-) -> bool:
+def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[PositiveFunctional]) -> bool:
     """Do all induced operators of a faithful family agree?
 
     The family must contain a faithful combination (the summed density
@@ -445,7 +429,7 @@ def separating_check(
     for st in states:
         loc = localize(st, r.shape, r.k)
         scale = max(1.0, induce(loc, r).norm(), induce(loc, s).norm())
-        if induce(loc, diff).norm() > tol * scale:
+        if induce(loc, diff).norm() > SEPARATING_TOL * scale:
             return False
     gap = diff.norm()
     if gap > 1e-8 * max(1.0, r.norm(), s.norm()):

@@ -8,8 +8,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cstarflow.cli import EXPERIMENTS, MAX_FLAT_SIZE, MAX_GRID_SIZE, load_config, main, run, validate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cstarflow.algebra import BlockShape
+from cstarflow.cli import (
+    COND,
+    EXPERIMENTS,
+    MAX_FLAT_SIZE,
+    MAX_GRID_SIZE,
+    MAX_GROWTH,
+    load_config,
+    main,
+    run,
+    validate,
+)
 from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError
+from cstarflow.hilbmod import op_log
+from cstarflow.sampling import random_hermitian, random_positive_operator, rng
+from cstarflow.serialize import element_to_payload
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -237,10 +254,15 @@ class TestValidate:
         raw = {"experiment": "implemented", "seed": 1, "shape": [16, 16], "grid": wide}
         assert validate(raw)[1] == [
             f"the z-grid of 9000 points at stacked dense size 512 per point holds"
-            f" 4608000 entries, above the grid budget of {MAX_GRID_SIZE}"
+            f" 4608000 entries, above the grid budget of {MAX_GRID_SIZE}",
+            f"the implemented flow reaches |Im z| = 89.0 at nu = {math.log(COND)!r}, growth"
+            f" exponent {89.0 * math.log(COND)!r}, above the growth budget of {MAX_GROWTH}",
         ]
-        # the other experiments stack no grid
-        assert validate({**raw, "experiment": "verify"})[1] == []
+        # the other experiments stack no grid; z_im up to 89 still leaves the float range
+        assert validate({**raw, "experiment": "verify"})[1] == [
+            "the inverse check reaches |Im z| = 178.0 at nu = 4.0, growth exponent 712.0,"
+            f" above the growth budget of {MAX_GROWTH}"
+        ]
 
     def test_size_budget_counts_the_stone_residuals(self, capsys, tmp_path):
         # stone checks each block over its k n_b^2 basis vectors: sum_b (k n_b^2)^2,
@@ -265,6 +287,77 @@ class TestValidate:
         assert validate({**raw, "shape": [16]})[1] == []
         assert validate({**raw, "shape": [17]})[1] != []
         assert validate({**raw, "shape": [64], "module_rank": 4})[1] != []
+
+    def test_growth_budget_names_z_and_nu(self):
+        # log T of a random stone operator has norm at most ln(COND) / 2
+        _, problems = validate({"experiment": "stone", "seed": 1, "shape": [2], "grid": {"z_im": [400]}})
+        nu = 0.5 * math.log(COND)
+        assert problems == [f"T^(iz) reaches |Im z| = 400.0 at nu = {nu!r}, growth exponent"
+                            f" {400.0 * nu!r}, above the growth budget of {MAX_GROWTH}"]
+        # the smear envelope exp(r^2 (Im z)^2) is a factor of its own, next to the continuation
+        _, problems = validate({"experiment": "converge", "seed": 1, "shape": [2],
+                                "grid": {"r": [18.0, 32.0], "z_im": [1.0]}})
+        assert problems == ["the smear envelope exp(r^2 (Im z)^2) at grid.r = 32.0 with z_im = 1.0 has"
+                            f" growth exponent 1024.0, above the growth budget of {MAX_GROWTH}"]
+        assert math.isfinite(math.exp(MAX_GROWTH) ** 2)
+
+    @pytest.mark.parametrize(
+        "experiment, grid",
+        [
+            ("stone", {"z_im": [-100.0, 100.0]}),
+            ("converge", {"r": [18.0], "z_im": [1.0]}),
+            ("verify", {"z_im": [-44.0, 44.0]}),
+            ("tensor", {"z_im": [-44.0, 44.0]}),
+            ("implemented", {"z_im": [-51.0, 51.0]}),
+        ],
+    )
+    def test_growth_budget_admits_configs_that_run_without_overflow(self, experiment, grid, capfd,
+                                                                    tmp_path):
+        # just inside the budget: the run ends in a verdict, with nothing on stderr
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "seed": 1, "shape": [2], "grid": grid,
+                                   "instances": 2}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) in (0, 1)
+        assert capfd.readouterr().err == ""
+
+    def test_work_budget_counts_instances(self):
+        raw = {"experiment": "verify", "seed": 1, "shape": [2], "instances": 10**12}
+        assert validate(raw)[1] == [f"{10**12} instances at 4 entries each touch {4 * 10**12} entries,"
+                                    f" above the work budget of {2**27}"]
+        # tensor counts its stacked z-grid per instance: 9 points of 4^2 entries at [2]
+        raw = {**raw, "experiment": "tensor", "instances": 2**27 // 144 + 1}
+        assert validate(raw)[1] == [f"{2**27 // 144 + 1} instances at 144 entries each touch"
+                                    f" {(2**27 // 144 + 1) * 144} entries, above the work budget of {2**27}"]
+        assert validate({**raw, "instances": 2**27 // 144})[1] == []
+
+    @pytest.mark.parametrize("experiment", ["tensor", "implemented"])
+    def test_explicit_flow_refused_where_ignored(self, experiment):
+        payload = {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}
+        raw = {"experiment": experiment, "seed": 1, "shape": [2],
+               "flow": {"kind": "explicit", "h_left": payload}}
+        assert validate(raw)[1] == [f"{experiment} draws its own random flows and takes no explicit flow"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        norm=st.floats(0.1, 10.0),
+        kind=st.sampled_from(["random", "left", "pair"]),
+        k=st.integers(1, 2),
+    )
+    def test_nu_is_the_one_the_run_meets(self, seed, dims, norm, kind, k):
+        r = rng(seed)
+        shape = BlockShape(dims)
+        flow = {"kind": "random", "norm": norm}
+        if kind != "random":
+            h_left, h_right = (element_to_payload(random_hermitian(r, shape, norm).value) for _ in range(2))
+            flow = {"kind": "explicit", "h_left": h_left, **({"h_right": h_right} if kind == "pair" else {})}
+        cfg, problems = validate({"experiment": "verify", "seed": seed, "shape": dims, "flow": flow})
+        assert problems == []
+        assert cfg.nu_max() == pytest.approx(cfg.flow(rng(seed)).generator_norm(), rel=1e-12)
+        # stone and implemented draw with cond = COND: norm(log T) <= ln(COND) / 2
+        log_norm = op_log(random_positive_operator(r, shape, k, cond=COND)).norm()
+        assert log_norm <= 0.5 * math.log(COND) + 1e-12
 
     def test_bundled_and_workload_configs_validate(self):
         raws = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
@@ -344,10 +437,19 @@ class TestMain:
             '{"experiment": "verify", "seed": 1, "shape": [2], "flow": {"nrm": 1.0}}',
             '{"experiment": "verify", "seed": 1, "shape": [2], "grid": {"z_imag": [0.5]}}',
             '{"experiment": "verify", "seed": 1, "shape": [2], "qqqqqq": 1}',
+            # used to validate ok and then end in an OverflowError traceback
+            '{"experiment": "stone", "seed": 1, "shape": [2], "grid": {"z_im": [400]}}',
+            '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [32], "z_im": [1]}}',
+            # used to validate ok and then run without end
+            '{"experiment": "verify", "seed": 1, "shape": [2], "instances": 1000000000000}',
+            # used to run on random flows, dropping the payload
+            '{"experiment": "tensor", "seed": 1, "shape": [2], "flow": {"kind": "explicit",'
+            ' "h_left": {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}}}',
         ],
         ids=["nan_payload", "nan_r", "inf_z_im", "bool_seed", "bool_shape",
              "tiny_r", "huge_r", "huge_nodes", "huge_shape", "huge_rank",
-             "unknown_top", "unknown_section", "unknown_flow", "unknown_grid", "unknown_no_match"],
+             "unknown_top", "unknown_section", "unknown_flow", "unknown_grid", "unknown_no_match",
+             "stone_growth", "converge_envelope_growth", "huge_instances", "tensor_explicit_flow"],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_outside_input_exits_two(self, text, command, capsys, tmp_path):
@@ -433,22 +535,17 @@ class TestMain:
         assert report["status"] == "error" and report["error"]["type"] == "EigFailureError"
         assert not (out / "stone.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_overflowing_continuation_exits_three(self, tmp_path, capsys):
-        # exp(iz(lam - mu)) overflows at Im z = 1e3, and the norm of the result fails
+    def test_overflowing_continuation_exits_two(self, tmp_path, capsys):
+        # exp(iz(lam - mu)) overflows at Im z = 1e3: the growth budget refuses it before any numerics
         raw = json.loads((CONFIG_DIR / "verify.json").read_text())
         raw["grid"]["z_im"] = [1e3]
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("NUMERICAL_BREAKDOWN: EigFailureError: ")
-        report = json.loads((out / "report.json").read_text())
-        assert report["status"] == "error" and report["passed"] is False
-        assert report["error"]["type"] == "EigFailureError"
-        assert not (out / "verify.csv").exists()
+        assert len(err) == 1 and err[0].startswith("CONFIG_INVALID: ")
+        assert not out.exists()
 
 
 class TestArtifacts:
@@ -504,7 +601,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_csv_has_the_table_columns(self, name, tmp_path):
         run(load_config(CONFIG_DIR / f"{name}.json"), tmp_path, quiet=True)
-        _, columns, _ = EXPERIMENTS[name]
+        columns = EXPERIMENTS[name].columns
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         assert lines[0] == ",".join(columns)
         assert len(lines) > 1 and all(len(line.split(",")) == len(columns) for line in lines)
