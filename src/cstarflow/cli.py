@@ -7,8 +7,9 @@ writes one CSV of raw measurements plus a ``report.json`` listing every
 check as (name, measured, bound, passed); the exit status is 0 iff all
 tolerances were met, 1 on a tolerance failure (report still written),
 2 on an invalid config, and 3 on a numerical breakdown (any other
-library error raised during the run; ``report.json`` then records
-``"status": "error"`` and the exception type).  One table,
+library error, or a numpy ``LinAlgError`` or ``FloatingPointError``,
+raised during the run; ``report.json`` then records ``"status":
+"error"`` and the exception type).  One table,
 ``EXPERIMENTS``, maps each experiment name to its record: runner, CSV
 columns, description and ``costs``.  ``costs(config)`` lists what a run
 of the config will meet (dense size, stacked grid size, quadrature nodes,
@@ -65,6 +66,7 @@ from .implemented import (
 )
 from .serialize import element_from_payload
 from .stone import (
+    PROBES,
     SampledUnitaryGroup,
     _stone_and_report,
     induced_power_check,
@@ -304,6 +306,8 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
         problems.append("module_rank must be a positive integer")
     if experiment == "stone" and flow["kind"] == "explicit" and _is_int(module_rank) and module_rank != 1:
         problems.append("stone with an explicit flow requires module_rank = 1")
+    if experiment == "stone" and "h_right" in flow:
+        problems.append("stone takes log T from flow.h_left alone and no flow.h_right")
     if experiment in ("tensor", "implemented") and flow["kind"] == "explicit":
         problems.append(f"{experiment} draws its own random flows and takes no explicit flow")
     output = resolved["output"]
@@ -553,13 +557,18 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
 
 
 def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:
-    # residuals over the k n_b^2 basis vectors of each block; log T is h_left,
-    # or a random operator of norm at most ln(COND) / 2
+    # the flattened factors, their grid of powers and the probe stack of the
+    # localization checks; log T is h_left, or a random operator of norm at
+    # most ln(COND) / 2
     k = cfg.module_rank
     nu = cfg.h_left.norm() if cfg.flow_kind == "explicit" else 0.5 * math.log(COND)
-    return [(SIZE, sum((k * n * n) ** 2 for n in cfg.shape),
-             f"shape {list(cfg.shape)} at module_rank {k} checks each block over its k n_b^2 basis"
-             f" vectors, so the residual matrices sum_b (k n_b^2)^2 have dense size"),
+    factors = sum((k * n) ** 2 for n in cfg.shape)
+    probes = PROBES * sum(k * n * n for n in cfg.shape)
+    return [(SIZE, factors, f"shape {list(cfg.shape)} at module_rank {k} has flattened blocks of"
+                            f" size k n_b, so the factors sum_b (k n_b)^2 have dense size"),
+            (SIZE, probes, f"shape {list(cfg.shape)} at module_rank {k} checks each block on"
+                           f" {PROBES} probe vectors of k n_b^2 entries, so the probe stack has dense size"),
+            _grid(cfg, factors),
             _growth("T^(iz)", cfg.im_max(), nu)]
 
 
@@ -722,7 +731,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         report = run(config, args.out, args.quiet)
-    except CstarflowError as exc:
+    except (CstarflowError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"NUMERICAL_BREAKDOWN: {type(exc).__name__}: {exc}", file=sys.stderr)
         _write_error_report(Path(args.out if args.out is not None else config.output), config, exc)
         return 3

@@ -13,7 +13,8 @@ class EigFailureError(CstarflowError):
     """An eigendecomposition or a singular-value decomposition failed.
 
     LAPACK reported a failure (no convergence, or a NaN entry in the
-    input) or returned NaN (an infinite entry in the input).
+    input) or returned NaN (an infinite entry in the input), or a
+    randomized norm estimate met a non-finite probe norm.
     """
 
 

@@ -361,18 +361,20 @@ class SubalgebraBasis:
         tol = SPAN_TOL * max(max(g.norm() for g in generators), 1.0)
         full = sum((k * n) ** 2 for n in shape)
         q = np.empty((full, full), dtype=complex)
+        q_conj = np.empty_like(q)  # the conjugated rows, kept as they are kept
         kept = 0
         # candidate streams, drawn in order; each kept row appends its own
         # stream while the loop runs, and a row is formed only when drawn
         streams = [map(operator_vec, chain(generators, (g.star() for g in generators)))]
         for vec in chain.from_iterable(streams):
-            rows = q[:kept]
+            rows, rows_conj = q[:kept], q_conj[:kept]
             for _ in range(2):  # classical Gram-Schmidt, twice
-                vec = vec - rows.T @ (rows.conj() @ vec)
+                vec = vec - rows.T @ (rows_conj @ vec)
             nrm = float(np.linalg.norm(vec))
             if nrm <= tol:
                 continue
             q[kept] = vec / nrm
+            q_conj[kept] = q[kept].conj()
             streams.append(_candidates(shape, k, q, kept))
             kept += 1
             if kept == full:  # a full span is all of M_k(A)

@@ -20,13 +20,13 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _gaussian(r: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
-    m = n if m is None else m
-    return (r.standard_normal((n, m)) + 1j * r.standard_normal((n, m))) / np.sqrt(2.0)
+def gaussian(r: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """I.i.d. standard complex Gaussian entries, with ``E|g|**2 = 1``."""
+    return (r.standard_normal(shape) + 1j * r.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def random_element(r: np.random.Generator, shape: BlockShape, norm: float | None = None) -> AlgebraElement:
-    x = AlgebraElement(shape, [_gaussian(r, n) for n in shape])
+    x = AlgebraElement(shape, [gaussian(r, (n, n)) for n in shape])
     if norm is not None and x.norm() > 0:
         x = (norm / x.norm()) * x
     return x
@@ -35,7 +35,7 @@ def random_element(r: np.random.Generator, shape: BlockShape, norm: float | None
 def random_hermitian(r: np.random.Generator, shape: BlockShape, norm: float = 1.0) -> HermitianElement:
     blocks = []
     for n in shape:
-        g = _gaussian(r, n)
+        g = gaussian(r, (n, n))
         blocks.append((g + g.conj().T) / 2.0)
     h = AlgebraElement(shape, blocks)
     if h.norm() > 0:
@@ -56,7 +56,7 @@ def random_flow(
 
 
 def random_unitary(r: np.random.Generator, n: int) -> np.ndarray:
-    q, rr = np.linalg.qr(_gaussian(r, n))
+    q, rr = np.linalg.qr(gaussian(r, (n, n)))
     return q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
 
 
@@ -126,7 +126,7 @@ def random_state(r: np.random.Generator, shape: BlockShape, rank: int | None = N
     blocks = []
     for n in shape:
         m = n if rank is None else min(rank, n)
-        g = _gaussian(r, n, m)
+        g = gaussian(r, (n, m))
         blocks.append(g @ g.conj().T)
     rho = AlgebraElement(shape, blocks)
     mass = sum(np.trace(b).real for b in rho.blocks)

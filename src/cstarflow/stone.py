@@ -33,10 +33,18 @@ norm is the largest ``norm(F_b)`` over the blocks a state sees, since
 compatible with complex powers of strictly positive operators
 (``induced_power_check`` verifies this through the map L), and a
 faithful family of states separates operators.
+
+The checks through L (``induced_power_check`` here and
+``implemented.localized_middle_check``) report a randomized upper
+estimate of the norm of the difference of the two sides over the whole
+module, from ``PROBES = 10`` seeded complex Gaussian probes per block
+scaled by ``PROBE_ALPHA = 4``: it falls below that norm with probability
+at most ``(pi/32)**10 < 1e-10`` (``intertwining_residual``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -56,6 +64,7 @@ from .algebra import (
 )
 from .errors import (
     BranchAmbiguityError,
+    EigFailureError,
     FamilyNotFaithfulError,
     IllDefinedError,
     NotAGroupError,
@@ -79,6 +88,11 @@ RECOVERY_TOL = 1e-8
 SEPARATING_TOL = 1e-9
 PROBE_MULTIPLES = (1, 2, 10)
 RESIDUAL_TIMES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)
+# intertwining_residual: PROBES Gaussian probes per block, scaled by PROBE_ALPHA,
+# miss the norm with probability at most (pi / 32)**10 < 1e-10
+PROBES = 10
+PROBE_ALPHA = 4.0
+PROBE_SEED = 2011
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,30 +391,54 @@ def induce(loc: Localization, s: ModuleOperator) -> InducedOperator:
 
 
 def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOperator) -> float:
-    """Spectral norm of ``a_om L(v) - L(a v)`` as matrices over the standard basis of the module.
+    """Randomized upper estimate of the norm of ``v -> a_om L(v) - L(a v)`` on the module.
 
-    Both sides go through the map L.  A basis vector of block b has its
-    images in the entries of block b, so the difference is block diagonal
-    and its norm is the largest over the blocks a state sees, each a
-    ``k n_b r_b x k n_b^2`` matrix over the ``k n_b^2`` basis vectors of
-    the block, taken together (one ``stacked_norms`` call).
+    Both sides go through the map L.  A vector of block b has its images
+    in the entries of block b, so the difference R is block diagonal and
+    its norm is the largest over the blocks a state sees.  Each such block
+    is applied to ``PROBES`` complex Gaussian probes of shape
+    ``(k n_b, n_b)``, drawn from a ``sampling.rng(PROBE_SEED)`` stream of
+    their own, and the estimate is ``PROBE_ALPHA sqrt(2/pi) max_i
+    norm(R w_i)`` over the probes and blocks.
+
+    The estimate bounds ``norm(R)`` from above except with probability at
+    most ``(pi / (2 PROBE_ALPHA**2))**PROBES = (pi/32)**10``, about 8.3e-11
+    (Halko, Martinsson & Tropp, *Finding structure with randomness*, SIAM
+    Review 53 (2011), Lemma 4.1, and Dixon, SIAM J. Numer. Anal. 20 (1983),
+    for real probes).  The constant for complex probes: let v be a top
+    right singular vector of the worst block, so ``norm(R w) >= norm(R)
+    |v* w|``.  The entries of w are standard complex Gaussians with
+    ``E|w_j|**2 = 1``, so ``v* w`` is one too and ``|v* w|**2`` is Exp(1).
+    One probe gives an estimate below ``norm(R)`` only if ``|v* w|**2 <
+    t = pi / (2 PROBE_ALPHA**2)``, with probability ``1 - exp(-t) <= t``,
+    and independent probes all do so with probability at most
+    ``t**PROBES``.  The probes are fixed, so the same inputs always give
+    the same value; the probability is over the choice of stream.  A
+    non-finite probe norm raises ``EigFailureError``.
     """
-    diffs = []
+    from .sampling import gaussian, rng  # sampling imports this module
+
+    stream = rng(PROBE_SEED)
+    worst = 0.0
     for b, (f, n, r) in enumerate(zip(a.flat.blocks, loc.shape, loc.ranks)):
         if r:
-            m = f.shape[0]
-            units = np.eye(m * n, dtype=complex).reshape(m * n, m, n)
-            diffs.append(a_om.apply_block(b, loc.apply_block(b, units)) - loc.apply_block(b, f @ units))
-    return float(stacked_norms((d[None] for d in diffs), "intertwining residual blocks")[0])
+            w = gaussian(stream, (PROBES, f.shape[0], n))
+            diff = a_om.apply_block(b, loc.apply_block(b, w)) - loc.apply_block(b, f @ w)
+            norms = np.linalg.norm(diff, axis=-1)
+            if not np.isfinite(norms).all():
+                raise EigFailureError(f"norms of the {PROBES} probe residuals of block {b} are not finite")
+            worst = max(worst, float(np.max(norms)))
+    return PROBE_ALPHA * math.sqrt(2.0 / math.pi) * worst
 
 
 def induced_power_check(loc: Localization, t: ModuleOperator, z: complex) -> float:
-    """Residual of ``(T_omega)**z L(v) = L(T**z v)`` over the standard basis of the module.
+    """Randomized upper estimate of the residual of ``(T_omega)**z L(v) = L(T**z v)``.
 
     The right side goes through the module: ``op_power`` and then L.  The
     left side raises each Kronecker factor of ``T_omega`` with
     ``hermitian_matrix_power``, a dense oracle at size ``k n_b`` rather
-    than d, and applies it to ``L(v)``.  T must be strictly positive.
+    than d, and applies it to ``L(v)``.  T must be strictly positive.  The
+    norm over the module is estimated by ``intertwining_residual``.
     """
     return intertwining_residual(loc, induce(loc, t).power(z), op_power(t, z))
 

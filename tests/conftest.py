@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement, InducedOperator
+from cstarflow.algebra import stacked_norms
 from cstarflow.sampling import rng
 
 
@@ -55,3 +56,19 @@ def swapped_induce():
     """A stand-in for ``induce`` that is a *-homomorphism, with products and
     powers factor by factor, but does not satisfy ``S_w L(v) = L(S v)``."""
     return lambda loc, op: SwappedInduced(op.flat.blocks, loc.ranks)
+
+
+def exact_intertwining_residual(loc, a_om, a) -> float:
+    """Spectral norm of ``a_om L(v) - L(a v)`` as matrices over the standard basis of the module.
+
+    The oracle of ``stone.intertwining_residual``: each block is the exact
+    ``k n_b r_b x k n_b^2`` matrix over the ``k n_b^2`` basis vectors of the
+    block, and the norm is the largest over the blocks a state sees.
+    """
+    diffs = []
+    for b, (f, n, r) in enumerate(zip(a.flat.blocks, loc.shape, loc.ranks)):
+        if r:
+            m = f.shape[0]
+            units = np.eye(m * n, dtype=complex).reshape(m * n, m, n)
+            diffs.append(a_om.apply_block(b, loc.apply_block(b, units)) - loc.apply_block(b, f @ units))
+    return float(stacked_norms((d[None] for d in diffs), "intertwining residual blocks")[0])

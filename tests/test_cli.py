@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError
 from cstarflow.hilbmod import op_log
 from cstarflow.sampling import random_hermitian, random_positive_operator, rng
 from cstarflow.serialize import element_to_payload
+from cstarflow.stone import PROBES
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -265,28 +267,37 @@ class TestValidate:
         ]
 
     def test_size_budget_counts_the_stone_residuals(self, capsys, tmp_path):
-        # stone checks each block over its k n_b^2 basis vectors: sum_b (k n_b^2)^2,
-        # 131072^2 here (the flattened size is exactly the budget, and a dense
-        # d x d induced operator would have taken 256 GiB)
-        raw = {"experiment": "stone", "seed": 1, "shape": [256], "module_rank": 2}
+        # stone holds its flattened factors, sum_b (k n_b)^2, and checks each
+        # block on PROBES probe vectors of k n_b^2 entries; [64] at k = 9 is
+        # over the budget on both counts
+        raw = {"experiment": "stone", "seed": 1, "shape": [64], "module_rank": 9}
         _, problems = validate(raw)
         assert problems == [
-            f"shape [256] at module_rank 2 checks each block over its k n_b^2 basis vectors,"
-            f" so the residual matrices sum_b (k n_b^2)^2 have dense size {131072**2},"
+            f"shape [64] at module_rank 9 has flattened blocks of size k n_b, so the factors"
+            f" sum_b (k n_b)^2 have dense size {576**2}, above the budget of {MAX_FLAT_SIZE}",
+            f"shape [64] at module_rank 9 checks each block on {PROBES} probe vectors of k n_b^2"
+            f" entries, so the probe stack has dense size {PROBES * 9 * 64**2},"
+            f" above the budget of {MAX_FLAT_SIZE}",
+        ]
+        # [128] at k = 2 has factors 256^2, but its probe stack is too large
+        oversized = {**raw, "shape": [128], "module_rank": 2}
+        assert validate(oversized)[1] == [
+            f"shape [128] at module_rank 2 checks each block on {PROBES} probe vectors of k n_b^2"
+            f" entries, so the probe stack has dense size {PROBES * 2 * 128**2},"
             f" above the budget of {MAX_FLAT_SIZE}"
         ]
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(raw))
-        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err and all(line.startswith("CONFIG_INVALID: ") for line in err.splitlines())
-        assert not (tmp_path / "out").exists()
-        # the gns workload, 200^2 + 72^2; n = 16 at k = 2 is exactly the budget
-        assert validate({**raw, "shape": [10, 6]})[1] == []
-        assert validate({**raw, "shape": [16]})[1] == []
-        assert validate({**raw, "shape": [17]})[1] != []
-        assert validate({**raw, "shape": [64], "module_rank": 4})[1] != []
+        for case in (raw, oversized):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(case))
+            for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert err and all(line.startswith("CONFIG_INVALID: ") for line in err.splitlines())
+            assert not (tmp_path / "out").exists()
+        # the gns workload, [16] at k = 2, and [64] at k = 4: factors 256^2, probes 10 * 4 * 64^2
+        assert validate({**raw, "shape": [10, 6], "module_rank": 2})[1] == []
+        assert validate({**raw, "shape": [16], "module_rank": 2})[1] == []
+        assert validate({**raw, "module_rank": 4})[1] == []
 
     def test_growth_budget_names_z_and_nu(self):
         # log T of a random stone operator has norm at most ln(COND) / 2
@@ -445,11 +456,16 @@ class TestMain:
             # used to run on random flows, dropping the payload
             '{"experiment": "tensor", "seed": 1, "shape": [2], "flow": {"kind": "explicit",'
             ' "h_left": {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}}}',
+            # used to validate the h_right payload and then drop it
+            '{"experiment": "stone", "seed": 1, "shape": [2], "flow": {"kind": "explicit",'
+            ' "h_left": {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]},'
+            ' "h_right": {"blocks": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}}}',
         ],
         ids=["nan_payload", "nan_r", "inf_z_im", "bool_seed", "bool_shape",
              "tiny_r", "huge_r", "huge_nodes", "huge_shape", "huge_rank",
              "unknown_top", "unknown_section", "unknown_flow", "unknown_grid", "unknown_no_match",
-             "stone_growth", "converge_envelope_growth", "huge_instances", "tensor_explicit_flow"],
+             "stone_growth", "converge_envelope_growth", "huge_instances", "tensor_explicit_flow",
+             "stone_h_right"],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_outside_input_exits_two(self, text, command, capsys, tmp_path):
@@ -533,6 +549,24 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("NUMERICAL_BREAKDOWN: EigFailureError: ")
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "error" and report["error"]["type"] == "EigFailureError"
+        assert not (out / "stone.csv").exists()
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+    def test_numpy_error_in_a_runner_exits_three(self, error, tmp_path, monkeypatch, capsys):
+        # numpy's own errors are not library errors, but a run they break off
+        # is a numerical breakdown all the same
+        def failing_schur(*args, **kwargs):
+            raise error("Schur form did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"NUMERICAL_BREAKDOWN: {error.__name__}: Schur form did not converge"
+        ]
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["passed"] is False
+        assert report["error"]["type"] == error.__name__
         assert not (out / "stone.csv").exists()
 
     def test_overflowing_continuation_exits_two(self, tmp_path, capsys):

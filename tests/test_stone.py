@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstarflow.implemented as implemented_mod
 from cstarflow import (
     AlgebraElement,
     BlockShape,
@@ -39,6 +40,7 @@ from cstarflow import (
 )
 from cstarflow.stone import GNS_TOL
 from cstarflow.hilbmod import operator_matrix, vector_from_coordinates
+from cstarflow.implemented import localized_middle_check, middle_multiplier
 from cstarflow.sampling import (
     random_operator,
     random_positive_operator,
@@ -46,6 +48,8 @@ from cstarflow.sampling import (
     random_vector,
     rng,
 )
+
+from conftest import exact_intertwining_residual
 
 stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
 
@@ -332,6 +336,16 @@ class TestInducedPowerCheck:
         monkeypatch.setattr(np.linalg, "eigh", faulty)
         assert induced_power_check(loc, t, 0.5) > 1e-4 * t.norm()
 
+    def test_same_inputs_give_the_same_float(self):
+        # the probes come from a stream of their own, drawn afresh on each call
+        r = rng(20)
+        shape = BlockShape([2, 3])
+        loc = localize(random_state(r, shape), shape, 2)
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        first = induced_power_check(loc, t, 1 + 1j)
+        assert type(first) is float
+        assert induced_power_check(loc, t, 1 + 1j) == first
+
 
 class TestSeparatingCheck:
     def test_equal_operators(self):
@@ -534,3 +548,32 @@ def test_stone_round_trip_hypothesis(seed, dims, k, cond, t0):
     t_op = random_positive_operator(rng(seed), BlockShape(dims), k, cond=cond)
     t_rec = stone(SampledUnitaryGroup.from_positive(t_op), t0)
     assert (t_rec - t_op).norm() <= 1e-8 * t_op.norm()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2), (3, 2)]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([None, 1]),
+    st.booleans(),
+)
+def test_intertwining_estimate_bounds_the_exact_residual_hypothesis(seed, dims, k, rank, dead):
+    # the probe bound holds for one linear map R; at rounding level the two
+    # sides are not one, so the module side is moved by an operator E and
+    # R is v -> -L(E v), up to rounding
+    r = rng(seed)
+    shape = BlockShape(dims)
+    dead_block = 0 if dead and len(dims) > 1 else None
+    loc = localize(oracle_state(r, list(dims), rank, dead_block), shape, k)
+    s, t = (random_positive_operator(r, shape, k, cond=100.0) for _ in range(2))
+    x, e = random_operator(r, shape, k), random_operator(r, shape, k, 1e-3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stone_mod, "op_power", lambda op, z: op_power(op, z) + e)
+        for z in (0.5, 1j, 1 + 1j):
+            exact = exact_intertwining_residual(loc, induce(loc, t).power(z), op_power(t, z) + e)
+            assert induced_power_check(loc, t, z) >= exact > 0.0
+        mp.setattr(implemented_mod, "middle_multiplier", lambda s, x, t: middle_multiplier(s, x, t) + e)
+        lhs = induce(loc, s) @ (induce(loc, x) @ induce(loc, t))
+        exact = exact_intertwining_residual(loc, lhs, middle_multiplier(s, x, t) + e)
+        assert localized_middle_check(loc, s, x, t) >= exact > 0.0
