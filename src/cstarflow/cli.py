@@ -9,8 +9,10 @@ tolerances were met, 1 on a tolerance failure (report still written),
 2 on an invalid config, and 3 on a numerical breakdown (any other
 library error, or a numpy ``LinAlgError`` or ``FloatingPointError``,
 raised during the run; ``report.json`` then records ``"status":
-"error"`` and the exception type).  One table,
-``EXPERIMENTS``, maps each experiment name to its record: runner, CSV
+"error"`` and the exception type).  One table, ``KEYS``, maps each
+config key to its default and its rules; ``validate`` reads it for unknown
+keys, the default echo, per-key problems and the ``ScenarioConfig``.
+Another, ``EXPERIMENTS``, maps each experiment name to its record: runner, CSV
 columns, description and ``costs``.  ``costs(config)`` lists what a run
 of the config will meet (dense size, stacked grid size, quadrature nodes,
 growth exponent, work), each against one of five budgets; ``validate``
@@ -25,13 +27,12 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import itertools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -145,8 +146,6 @@ class ScenarioConfig:
     r_list: list[float]
     z_re: list[float]
     z_im: list[float]
-    nodes: int | None
-    t0: float
     instances: int
     module_rank: int
     output: str
@@ -167,27 +166,67 @@ class ScenarioConfig:
         return max(abs(im) for im in self.z_im)
 
 
-_DEFAULTS = {
-    "flow": {"kind": "random", "norm": 2.0},
-    "grid": {
-        "r": [0.5, 1.0, 2.0, 4.0],
-        "z_re": [-1.0, 0.0, 1.0],
-        "z_im": [-0.5, 0.0, 0.5],
-        "nodes": None,
-        "t0": 1.0,
-    },
-    "instances": 25,
-    "module_rank": 1,
-    "output": "out",
-}
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and bool(v) and all(_is_num(x) for x in v)
+
+
+def _ints(v) -> bool:
+    return isinstance(v, list) and all(_is_int(n) for n in v)
+
+
+def _count(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+def _floats(v: list) -> list[float]:
+    return [float(x) for x in v]
+
+
+class Key(NamedTuple):
+    """A config key's ``ScenarioConfig`` field (None: ``validate`` parses it), default
+    (None: absent unless given), rules (accepts, problem) and conversion to the field."""
+
+    field: str | None
+    default: object
+    rules: tuple = ()
+    convert: Callable = lambda v: v
+
+
+REQUIRED = object()  # the default of a key every config gives
+SECTIONS = ("flow", "grid")
+KEYS = {
+    "experiment": Key("experiment", REQUIRED, ((lambda v: isinstance(v, str) and v in EXPERIMENTS,
+                                                "unknown experiment {!r}; choose one of {experiments}"),)),
+    "seed": Key("seed", REQUIRED, ((_is_int, "seed must be an integer"),)),
+    "shape": Key(None, REQUIRED, ((_ints, "shape must be a list of integers"),)),
+    "element": Key(None, None),
+    "flow.kind": Key("flow_kind", "random", ((lambda v: v in ("random", "explicit"), "unknown flow kind {!r}"),)),
+    "flow.norm": Key("flow_norm", 2.0, ((lambda v: _is_num(v) and v > 0, "flow norm must be a positive number"),),
+                     float),
+    "flow.h_left": Key(None, None),
+    "flow.h_right": Key(None, None),
+    "grid.r": Key("r_list", [0.5, 1.0, 2.0, 4.0], (
+        (_numbers, "grid.r must be a nonempty list of numbers"),
+        (lambda v: not isinstance(v, list) or not any(_is_num(x) and x <= 0 for x in v),
+         "grid.r entries must be positive"),
+    ), _floats),
+    "grid.z_re": Key("z_re", [-1.0, 0.0, 1.0], ((_numbers, "grid.z_re must be a nonempty list of numbers"),),
+                     _floats),
+    "grid.z_im": Key("z_im", [-0.5, 0.0, 0.5], ((_numbers, "grid.z_im must be a nonempty list of numbers"),),
+                     _floats),
+    "instances": Key("instances", 25, ((_count, "instances must be a positive integer"),)),
+    "module_rank": Key("module_rank", 1, ((_count, "module_rank must be a positive integer"),)),
+    "output": Key("output", "out", ((lambda v: isinstance(v, str), "output must be a string path"),)),
+}
+DEFAULTS = {key: k.default for key, k in KEYS.items() if k.default is not None and k.default is not REQUIRED}
 
 
 def _non_finite(value, path: str) -> list[str]:
@@ -201,17 +240,19 @@ def _non_finite(value, path: str) -> list[str]:
     return []
 
 
-def _unknown_keys(raw: dict) -> list[str]:
-    """One problem per top-level, ``flow.*`` or ``grid.*`` key that no field has."""
-    known = {*_DEFAULTS, "experiment", "seed", "shape", "element", "flow.h_left", "flow.h_right"}
-    known |= {f"{section}.{key}" for section in ("flow", "grid") for key in _DEFAULTS[section]}
-    given = [*raw, *(f"{section}.{key}" for section in ("flow", "grid") for key in raw.get(section, {}))]
+def _given(raw: dict) -> tuple[dict, list[str]]:
+    """The keys a config gives, dotted inside their section, and one problem per key the table lacks.
+
+    A key is known at its own level only; the section names are nearest-key candidates too.
+    """
+    top = {key: v for key, v in raw.items() if key not in SECTIONS}
+    inner = {f"{section}.{key}": v for section in SECTIONS for key, v in raw.get(section, {}).items()}
     problems = []
-    for key in given:
-        if key not in known:
-            near = difflib.get_close_matches(key, known, n=1)
-            problems.append(f"unknown key {key}" + (f"; did you mean {near[0]}?" if near else ""))
-    return problems
+    unknown = [key for key in top if key not in KEYS or "." in key] + [key for key in inner if key not in KEYS]
+    for key in unknown:
+        near = difflib.get_close_matches(key, [*KEYS, *SECTIONS], n=1)
+        problems.append(f"unknown key {key}" + (f"; did you mean {near[0]}?" if near else ""))
+    return {**top, **inner}, problems
 
 
 def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
@@ -220,108 +261,58 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
         return None, ["config must be a JSON object"]
     # json parses NaN and Infinity; refuse them before any payload is built
     problems = [f"non-finite number at {p}" for p in _non_finite(raw, "config")]
-    problems += [
-        f"{key} must be a JSON object"
-        for key in ("flow", "grid")
-        if not isinstance(raw.get(key, {}), dict)
-    ]
+    problems += [f"{key} must be a JSON object" for key in SECTIONS if not isinstance(raw.get(key, {}), dict)]
     if problems:
         return None, problems
-    problems = _unknown_keys(raw)
-    resolved = resolved_defaults(raw)
-    for required in ("experiment", "seed", "shape"):
-        if required not in resolved:
-            problems.append(f"missing field: {required}")
-    experiment = resolved.get("experiment")
-    if experiment is not None and (not isinstance(experiment, str) or experiment not in EXPERIMENTS):
-        problems.append(
-            f"unknown experiment {experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
-        )
-    seed = resolved.get("seed")
-    if seed is not None and not _is_int(seed):
-        problems.append("seed must be an integer")
+    given, problems = _given(raw)
+    values = {**DEFAULTS, **given}
+    problems += [f"missing field: {key}" for key, k in KEYS.items() if k.default is REQUIRED and key not in values]
+    problems += [problem.format(values[key], experiments=", ".join(EXPERIMENTS))
+                 for key, k in KEYS.items() if key in values
+                 for accepts, problem in k.rules if not accepts(values[key])]
     shape = None
-    raw_shape = resolved.get("shape")
-    if raw_shape is not None and (
-        not isinstance(raw_shape, list) or not all(_is_int(n) for n in raw_shape)
-    ):
-        problems.append("shape must be a list of integers")
-    elif raw_shape is not None:
+    if _ints(values.get("shape")):
         try:
-            shape = BlockShape(raw_shape)
+            shape = BlockShape(values["shape"])
         except (TypeError, ValueError) as exc:
             problems.append(f"bad shape: {exc}")
-    flow = resolved["flow"]
-    h_left = h_right = None
-    if flow["kind"] == "explicit":
-        if "h_left" not in flow:
-            problems.append("explicit flow needs an h_left payload")
-        else:
-            try:
-                h_left = element_from_payload(flow["h_left"])
-                if "h_right" in flow:
-                    h_right = element_from_payload(flow["h_right"])
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"bad flow payload: {exc}")
-        for name, h in (("h_left", h_left), ("h_right", h_right)):
-            if h is None:
-                continue
-            if shape is not None and h.shape != shape:
-                problems.append(f"{name} payload does not conform to the declared shape")
-            elif not h.is_hermitian():
-                problems.append(f"{name} payload is not Hermitian within tolerance")
-    elif flow["kind"] != "random":
-        problems.append(f"unknown flow kind {flow['kind']!r}")
-    norm = flow["norm"]
-    if not _is_num(norm) or norm <= 0:
-        problems.append("flow norm must be a positive number")
-    element = None
-    if "element" in resolved:
+    h_left = h_right = element = None
+    explicit = values["flow.kind"] == "explicit"
+    if explicit and "flow.h_left" not in values:
+        problems.append("explicit flow needs an h_left payload")
+    elif explicit:
         try:
-            element = element_from_payload(resolved["element"])
+            h_left = element_from_payload(values["flow.h_left"])
+            if "flow.h_right" in values:
+                h_right = element_from_payload(values["flow.h_right"])
+        except (KeyError, TypeError, ValueError) as exc:
+            problems.append(f"bad flow payload: {exc}")
+    for name, h in (("h_left", h_left), ("h_right", h_right)):
+        if h is None:
+            continue
+        if shape is not None and h.shape != shape:
+            problems.append(f"{name} payload does not conform to the declared shape")
+        elif not h.is_hermitian():
+            problems.append(f"{name} payload is not Hermitian within tolerance")
+    if "element" in values:
+        try:
+            element = element_from_payload(values["element"])
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"bad element payload: {exc}")
         if shape is not None and element is not None and element.shape != shape:
             problems.append("element payload does not conform to the declared shape")
-    grid = resolved["grid"]
-    for key in ("r", "z_re", "z_im"):
-        vals = grid[key]
-        if not isinstance(vals, list) or not vals or not all(_is_num(v) for v in vals):
-            problems.append(f"grid.{key} must be a nonempty list of numbers")
-    if grid["r"] and isinstance(grid["r"], list) and any(
-        _is_num(v) and v <= 0 for v in grid["r"]
-    ):
-        problems.append("grid.r entries must be positive")
-    nodes = grid["nodes"]
-    if nodes is not None and (not _is_int(nodes) or not 1 <= nodes <= MAX_NODES):
-        problems.append(f"grid.nodes must be a positive integer up to {MAX_NODES} or null")
-    t0 = grid["t0"]
-    if not _is_num(t0) or t0 <= 0:
-        problems.append("grid.t0 must be positive")
-    instances = resolved["instances"]
-    if not _is_int(instances) or instances < 1:
-        problems.append("instances must be a positive integer")
-    module_rank = resolved["module_rank"]
-    if not _is_int(module_rank) or module_rank < 1:
-        problems.append("module_rank must be a positive integer")
-    if experiment == "stone" and flow["kind"] == "explicit" and _is_int(module_rank) and module_rank != 1:
+    experiment, module_rank = values.get("experiment"), values["module_rank"]
+    if experiment == "stone" and explicit and _is_int(module_rank) and module_rank != 1:
         problems.append("stone with an explicit flow requires module_rank = 1")
-    if experiment == "stone" and "h_right" in flow:
+    if experiment == "stone" and "flow.h_right" in values:
         problems.append("stone takes log T from flow.h_left alone and no flow.h_right")
-    if experiment in ("tensor", "implemented") and flow["kind"] == "explicit":
+    if experiment in ("tensor", "implemented") and explicit:
         problems.append(f"{experiment} draws its own random flows and takes no explicit flow")
-    output = resolved["output"]
-    if not isinstance(output, str):
-        problems.append("output must be a string path")
     if problems:
         return None, problems
-    config = ScenarioConfig(
-        experiment=experiment, seed=seed, shape=shape, flow_kind=flow["kind"], flow_norm=float(norm),
-        h_left=h_left, h_right=h_right if h_right is not None else h_left, element=element,
-        r_list=[float(v) for v in grid["r"]], z_re=[float(v) for v in grid["z_re"]],
-        z_im=[float(v) for v in grid["z_im"]], nodes=nodes, t0=float(t0), instances=instances,
-        module_rank=module_rank, output=output,
-    )
+    config = ScenarioConfig(**{k.field: k.convert(values[key]) for key, k in KEYS.items() if k.field},
+                            shape=shape, h_left=h_left, h_right=h_right if h_right is not None else h_left,
+                            element=element)
     problems = [
         f"{text} {value}{unit}, above the {name} of {limit}"
         for (name, limit, unit), value, text in EXPERIMENTS[experiment].costs(config)
@@ -346,12 +337,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def resolved_defaults(raw: dict) -> dict:
     """The config with every default filled in; the one place defaults are merged."""
-    return {
-        **_DEFAULTS,
-        **raw,
-        "flow": {**_DEFAULTS["flow"], **raw.get("flow", {})},
-        "grid": {**_DEFAULTS["grid"], **raw.get("grid", {})},
-    }
+    resolved = {section: {} for section in SECTIONS}
+    for key, v in {**DEFAULTS, **_given(raw)[0]}.items():
+        section, _, name = key.rpartition(".")
+        (resolved[section] if section else resolved)[name] = v
+    return resolved
 
 
 def _fmt(v) -> str:
@@ -457,7 +447,7 @@ def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     quad_worst = norm_worst = 0.0
     errs: dict[float, float] = {}
     for rr in cfg.r_list:
-        nodes = max(min_nodes(g, rr, z), cfg.nodes or 0)
+        nodes = min_nodes(g, rr, z)
         plan = SmearingPlan(rr, z, nodes)
         quad = smear_quadrature(g, x, plan)
         oracle = smear_oracle(g, x, rr, z)
@@ -499,10 +489,11 @@ def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
 
 
 def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
-    nu = cfg.nu_max()
+    # the run is at z = (z_re[0], z_im[0]) alone
+    nu, im = cfg.nu_max(), cfg.z_im[0]
     costs = [(SIZE, cfg.shape.dim, f"shape {list(cfg.shape)} has dense size"),
-             _growth("the continuation", cfg.im_max(), nu)]
-    for r, im in itertools.product(cfg.r_list, cfg.z_im):
+             _growth("the continuation", abs(im), nu)]
+    for r in cfg.r_list:
         try:
             count = admissible_nodes(nu, r, complex(0.0, im))
         except OverflowError:  # the node budget squared is infinite
@@ -523,7 +514,7 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     else:
         t_op = sampling.random_positive_operator(r, cfg.shape, k, cond=COND)
     u = SampledUnitaryGroup.from_positive(t_op)
-    t_rec, report = _stone_and_report(u, cfg.t0)
+    t_rec, report = _stone_and_report(u, 1.0)
     rows = [(t, err) for t, err in report["residual_grid"]]
     checks = [
         Check("recovery_error", (t_rec - t_op).norm() / t_op.norm(), 1e-8),
@@ -547,7 +538,7 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
         gram_worst = max(gram_worst, abs(lhs - rhs) / max(1.0, v.norm() * w.norm()))
     checks.append(Check("gram_identity", gram_worst, 1e-10))
 
-    power_worst = max(induced_power_check(loc, t_op, z) for z in (0.5, 1j, 1 + 1j))
+    power_worst = float(induced_power_check(loc, t_op, (0.5, 1j, 1 + 1j)).max())
     checks.append(Check("induced_power", power_worst, 1e-8))
 
     perturbed = t_op + 1e-3 * identity_operator(cfg.shape, k)
@@ -653,7 +644,8 @@ EXPERIMENTS = {
     "verify": Experiment(_exp_verify, ("check", "instance", "measured", "bound", "passed"),
         "group laws, inverses, same-side composition, semi-multiplicativity, strip bound", _costs_verify),
     "converge": Experiment(_exp_converge, ("r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
-        "smearing quadrature vs closed form, norm bound, convergence rate, core rescaling", _costs_converge),
+        "smearing quadrature vs closed form at z = z_re[0] + i z_im[0], norm bound, convergence rate,"
+        " core rescaling", _costs_converge),
     "stone": Experiment(_exp_stone, ("t", "residual"),
         "generator recovery round trip, continuation, localization and separation", _costs_stone),
     "tensor": Experiment(_exp_tensor, ("kind", "instance", "z_re", "z_im", "residual"),

@@ -6,8 +6,9 @@ module operator ``T``; this module recovers ``T`` from a sampled group.
 Recovery takes the principal matrix logarithm of ``u(t0)`` and guards
 the branch with a halving consistency check: the step is accepted only
 once ``log u(t0) = 2 log u(t0/2)`` within tolerance, halving ``t0``
-otherwise (finite differences are kept as an independent test oracle
-only; the logarithm route has spectral accuracy).
+otherwise, and then checks the accepted branch once more at a time off
+the dyadic lattice (finite differences are kept as an independent test
+oracle only; the logarithm route has spectral accuracy).
 
 The localization machinery turns a positive functional ``omega`` on the
 algebra (a block density element ``rho`` with ``omega(a) = sum_b
@@ -54,6 +55,7 @@ import scipy.linalg
 from .algebra import (
     AlgebraElement,
     BlockShape,
+    as_z_grid,
     eigenvalues,
     herm_calculus,
     is_strictly_positive,
@@ -85,6 +87,9 @@ POWER_POS_TOL = 1e-12
 # within RECOVERY_TOL relative to max(1, norm(log u(t)))
 MAX_HALVINGS = 8
 RECOVERY_TOL = 1e-8
+# an accepted branch K is also checked at OFF_LATTICE * t, off the dyadic
+# lattice of t that halving and RESIDUAL_TIMES sample
+OFF_LATTICE = 0.3
 SEPARATING_TOL = 1e-9
 PROBE_MULTIPLES = (1, 2, 10)
 RESIDUAL_TIMES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)
@@ -171,6 +176,16 @@ def recover_generator(u: SampledUnitaryGroup, t0: float) -> ModuleOperator:
 
 
 def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, float, int]:
+    """``K``, the time t it was accepted at, and the halvings spent.
+
+    Halving cannot see an eigenvalue of ``K = log u(t) / t`` off by
+    ``4 pi m / t``, and neither can u at any multiple of t/2, such as the
+    ``RESIDUAL_TIMES`` from t0 = 1.  So u(c t) must also match
+    ``exp(i c t K)`` within 1e-9 at ``c = OFF_LATTICE``, or
+    ``BranchAmbiguityError`` is raised.  That moves the phase of the alias
+    by ``4 pi m c``, so c = 0.3 still misses m a multiple of 5: an
+    eigenvalue off by a multiple of ``20 pi / t``.
+    """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     u.probe(t0)
@@ -186,6 +201,12 @@ def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperat
             if resid > 1e-9:
                 raise NotAGroupError(
                     f"u(t0) differs from exp(i t0 K) by {resid:.3e}"
+                )
+            s = OFF_LATTICE * t
+            gap = (u(s).flat - herm_calculus(k_op.flat, lambda lam: np.exp(1j * s * lam))).norm()
+            if gap > 1e-9:
+                raise BranchAmbiguityError(
+                    f"the logarithm accepted at t={t} misses u({s}) by {gap:.3e}: an aliased branch"
                 )
             return k_op, t, halvings
         t /= 2.0
@@ -348,10 +369,14 @@ class InducedOperator:
             pos += f.shape[0] * r
         return np.concatenate(out, axis=-1)
 
+    def powers(self, zs: np.ndarray) -> list["InducedOperator"]:
+        """``S_w**z`` for each z of a grid: one ``hermitian_matrix_power`` call per seen ``F_b``."""
+        stacks = [hermitian_matrix_power(f, zs) if r else [f] * len(zs) for f, r in zip(self.factors, self.ranks)]
+        return [replace(self, factors=factors) for factors in zip(*stacks)]
+
     def power(self, z: complex) -> "InducedOperator":
-        """``S_w**z`` for positive definite factors, by ``hermitian_matrix_power`` on each seen ``F_b``."""
-        factors = tuple(hermitian_matrix_power(f, z) if r else f for f, r in zip(self.factors, self.ranks))
-        return replace(self, factors=factors)
+        """``S_w**z``: ``powers`` on the one-point grid."""
+        return self.powers(np.array([z], dtype=complex))[0]
 
     def norm(self) -> float:
         """Operator norm: the largest ``norm(F_b)`` over the blocks with ``r_b > 0``."""
@@ -431,16 +456,23 @@ def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOpe
     return PROBE_ALPHA * math.sqrt(2.0 / math.pi) * worst
 
 
-def induced_power_check(loc: Localization, t: ModuleOperator, z: complex) -> float:
+def induced_power_check(
+    loc: Localization, t: ModuleOperator, z: complex | Sequence[complex]
+) -> float | np.ndarray:
     """Randomized upper estimate of the residual of ``(T_omega)**z L(v) = L(T**z v)``.
 
     The right side goes through the module: ``op_power`` and then L.  The
     left side raises each Kronecker factor of ``T_omega`` with
     ``hermitian_matrix_power``, a dense oracle at size ``k n_b`` rather
     than d, and applies it to ``L(v)``.  T must be strictly positive.  The
-    norm over the module is estimated by ``intertwining_residual``.
+    norm over the module is estimated by ``intertwining_residual``.  A
+    scalar z gives one float; a sequence of z gives one residual per point,
+    in order, and each seen factor is decomposed once for the whole grid.
     """
-    return intertwining_residual(loc, induce(loc, t).power(z), op_power(t, z))
+    zs, scalar = as_z_grid(z)
+    t_oms = induce(loc, t).powers(zs)
+    resid = np.array([intertwining_residual(loc, t_om, op_power(t, zi)) for t_om, zi in zip(t_oms, zs)])
+    return float(resid[0]) if scalar else resid
 
 
 def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[PositiveFunctional]) -> bool:
@@ -477,15 +509,19 @@ def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[Posi
     return True
 
 
-def hermitian_matrix_power(m: np.ndarray, z: complex) -> np.ndarray:
+def hermitian_matrix_power(m: np.ndarray, z: complex | Sequence[complex]) -> np.ndarray:
     """Complex power of a positive-definite dense matrix (the factors of induced operators).
 
-    An oracle, so it uses LAPACK ``zheev``, not the ``zheevd`` behind ``algebra.spectral``.
+    A sequence of z gives the ``(G, n, n)`` stack of powers, in order, from
+    one decomposition.  An oracle, so it uses LAPACK ``zheev``, not the
+    ``zheevd`` behind ``algebra.spectral``.
     """
+    zs, scalar = as_z_grid(z)
     lam, u = scipy.linalg.eigh((m + m.conj().T) / 2.0, driver="ev")
     if np.min(lam) <= POWER_POS_TOL * max(float(np.max(np.abs(lam))), 1e-300):
         raise ValueError("matrix power needs a positive definite input")
-    return (u * np.exp(z * np.log(lam.astype(complex)))) @ u.conj().T
+    powers = (u * np.exp(np.multiply.outer(zs, np.log(lam.astype(complex))))[:, None, :]) @ u.conj().T
+    return powers[0] if scalar else powers
 
 
 def vector_smear(t_op: ModuleOperator, v: ModuleVector, r: float, z: complex = 0.0) -> ModuleVector:

@@ -21,9 +21,11 @@ from cstarflow.cli import (
     MAX_GROWTH,
     load_config,
     main,
+    resolved_defaults,
     run,
     validate,
 )
+from cstarflow.continuation import MAX_NODES
 from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError
 from cstarflow.hilbmod import op_log
 from cstarflow.sampling import random_hermitian, random_positive_operator, rng
@@ -122,7 +124,7 @@ class TestValidate:
         "extra",
         [
             {"grid": {"r": [float("nan")]}},
-            {"grid": {"t0": float("inf")}},
+            {"grid": {"z_re": [0.0, float("inf")]}},
             {"flow": {"kind": "random", "norm": float("-inf")}},
             {
                 "flow": {
@@ -144,13 +146,13 @@ class TestValidate:
             ("shape", [True]),
             ("instances", True),
             ("module_rank", True),
-            ("grid", {"nodes": True}),
             # booleans where a float is required
+            ("grid", {"r": [1.0, True]}),
             ("flow", {"kind": "random", "norm": True}),
             ("grid", {"r": [True]}),
             ("grid", {"z_re": [True]}),
             ("grid", {"z_im": [False]}),
-            ("grid", {"t0": True}),
+            ("grid", {"z_re": [False, 0.0]}),
         ],
     )
     def test_boolean_for_integer_rejected(self, field, value):
@@ -164,7 +166,8 @@ class TestValidate:
         [
             ({"r": [0.001], "z_im": [1.0]}, {}, "grid.r = 0.001 with z_im = 1.0 needs 16000033 "),
             ({"r": [1000.0], "z_im": [1.0]}, {}, "grid.r = 1000.0 with z_im = 1.0 needs 4000033 "),
-            ({"nodes": 1000000000}, {}, "grid.nodes"),
+            # a node count is no longer a key: the run takes the admissible count
+            ({"nodes": 1000000000}, {}, "unknown key grid.nodes"),
             ({"r": [1e-300], "z_im": [0.0]}, {}, "grid.r = 1e-300 with z_im = 0.0 needs inf "),
             # an explicit flow's budget comes from its payload norms: 2 * norm(diag(1, -1))
             (
@@ -182,11 +185,16 @@ class TestValidate:
         assert any(needle in p for p in problems)
 
     def test_node_budget_checks_every_grid_point(self):
+        # converge runs at z_im[0] alone, so every r is budgeted there and nowhere else
         raw = {"experiment": "converge", "seed": 1, "shape": [2],
                "grid": {"r": [0.05, 0.01], "z_im": [0.0, 0.5]}}
-        _, problems = validate(raw)
         # nu_max = 4: r = 0.05 asks for about 6400 nodes, r = 0.01 for about 160000
-        assert len(problems) == 2 and all("grid.r = 0.01 " in p for p in problems)
+        assert validate(raw)[1] == [f"grid.r = 0.01 with z_im = 0.0 needs 160016 Gauss-Hermite nodes,"
+                                    f" above the cap of {MAX_NODES}"]
+        _, problems = validate({**raw, "grid": {"r": [0.05, 0.01], "z_im": [0.5, 0.0]}})
+        assert len(problems) == 1 and problems[0].startswith("grid.r = 0.01 with z_im = 0.5 needs ")
+        # a z_im the run never reaches is not refused, even far outside every budget
+        assert validate({**raw, "grid": {"r": [0.5], "z_im": [0.0, 1e3]}})[1] == []
 
     @pytest.mark.parametrize(
         "shape, k, size",
@@ -388,13 +396,51 @@ class TestValidate:
             ({"instanses": 5}, "unknown key instanses; did you mean instances?"),
             ({"grd": {}}, "unknown key grd; did you mean grid?"),
             ({"flow": {"nrm": 1.0}}, "unknown key flow.nrm; did you mean flow.norm?"),
-            ({"grid": {"node": 64}}, "unknown key grid.node; did you mean grid.nodes?"),
+            ({"grid": {"node": 64}}, "unknown key grid.node; did you mean grid.z_re?"),
             ({"qqqqqq": 1}, "unknown key qqqqqq"),
         ],
     )
     def test_unknown_key_names_the_nearest(self, extra, problem):
         config, problems = validate({"experiment": "verify", "seed": 1, "shape": [2], **extra})
         assert config is None and problems == [problem]
+
+    @pytest.mark.parametrize(
+        "grid, problem",
+        [({"nodes": 64}, "unknown key grid.nodes; did you mean grid.z_re?"),
+         ({"t0": 1.0}, "unknown key grid.t0; did you mean grid.r?")],
+    )
+    def test_removed_keys_are_unknown(self, grid, problem, capsys, tmp_path):
+        raw = {"experiment": "converge", "seed": 1, "shape": [2], "grid": grid}
+        assert validate(raw)[1] == [problem]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"CONFIG_INVALID: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "raw, problems",
+        [
+            ({"experiment": None, "seed": 1, "shape": [2]},
+             ["unknown experiment None; choose one of verify, converge, stone, tensor, implemented"]),
+            ({"experiment": "verify", "seed": None, "shape": [2]}, ["seed must be an integer"]),
+            ({"experiment": "verify", "seed": 1, "shape": None}, ["shape must be a list of integers"]),
+            ({"experiment": "verify", "seed": 1, "shape": [2], "grid.r": [1.0]},
+             ["unknown key grid.r; did you mean grid.r?"]),
+        ],
+        ids=["null_experiment", "null_seed", "null_shape", "dotted_top_level_key"],
+    )
+    def test_null_or_misplaced_key_refused(self, raw, problems):
+        # a null required key used to end in a traceback, or to run unseeded; a
+        # dotted key belongs inside its section
+        assert validate(raw) == (None, problems)
+
+    def test_echoed_config_validates_and_echoes_unchanged(self):
+        raws = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
+        raws += _workload_specs()
+        for raw in raws:
+            echoed = resolved_defaults(raw)
+            assert validate(echoed)[1] == [], raw
+            assert resolved_defaults(echoed) == echoed
 
     def test_load_config_raises_with_problems(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -438,6 +484,7 @@ class TestMain:
             # used to validate ok and then ask for millions of quadrature nodes
             '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [0.001], "z_im": [1.0]}}',
             '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [1000.0], "z_im": [1.0]}}',
+            # grid.nodes is no longer a key
             '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"nodes": 1000000000}}',
             # used to validate ok and then allocate dense 100000 x 100000 blocks
             '{"experiment": "verify", "seed": 1, "shape": [100000]}',
@@ -534,13 +581,31 @@ class TestMain:
         assert report["experiment"] == "stone" and report["seed"] == 918
         assert not (out / "stone.csv").exists()
 
+    def test_aliased_stone_generator_exits_three(self, tmp_path, capsys):
+        # log T = diag(11, -11): the principal logarithm of u(1) is off by 4 pi, which
+        # halving and the residual grid cannot see; the check at t = 0.3 does
+        raw = json.loads((CONFIG_DIR / "stone.json").read_text())
+        raw["flow"]["h_left"] = {"blocks": [[[11.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-11.0, 0.0]]]}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "NUMERICAL_BREAKDOWN: BranchAmbiguityError: the logarithm accepted at t=1.0 misses u(0.3)"
+            " by 1.902e+00: an aliased branch"
+        ]
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "error" and report["passed"] is False
+        assert report["error"]["type"] == "BranchAmbiguityError"
+        assert not (out / "stone.csv").exists()
+
     def test_breakdown_in_a_localization_norm_exits_three(self, tmp_path, monkeypatch, capsys):
         # a NaN out of the induced-power oracle reaches the spectral norm of
         # the intertwining residual, which must report it as a breakdown
         stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
 
-        def nan_power(m, z):
-            return np.full(m.shape, np.nan, dtype=complex)
+        def nan_power(m, z):  # one power per z of a grid, like the oracle
+            return np.full(np.shape(z) + m.shape, np.nan, dtype=complex)
 
         monkeypatch.setattr(stone_mod, "hermitian_matrix_power", nan_power)
         out = tmp_path / "out"

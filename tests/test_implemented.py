@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstarflow.implemented as implemented_mod
+from cstarflow.algebra import stacked_norms
 from cstarflow import (
     AlgebraElement,
     BlockShape,
@@ -164,6 +165,18 @@ class TestProbeAgainstSequential:
         mix = ModuleOperator([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
         one = identity_operator(shape, 1)
         assert probe_verdict(mix, one, diagonal_basis(shape, 1)) == implemented_mod.PROBE_TIMES[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2)]),
+       k=st.integers(1, 2), count=st.integers(1, 3), hermitian=st.booleans())
+def test_carrier_basis_elements_have_norm_at_most_one_hypothesis(seed, dims, k, count, hermitian):
+    # the invariance probe's bound INVARIANCE_TOL * max(1, norm(b)) is INVARIANCE_TOL
+    # itself: the rows are Hilbert-Schmidt orthonormal, so norm(b) <= 1
+    r = rng(seed)
+    gens = [random_operator(r, BlockShape(dims), k) for _ in range(count)]
+    basis = SubalgebraBasis([g + g.star() for g in gens] if hermitian else gens)
+    assert stacked_norms(basis.flats).max() <= 1 + 1e-12
 
 
 class TestMiddleMultiplier:

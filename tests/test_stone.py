@@ -106,6 +106,17 @@ class TestRecoverGenerator:
         with pytest.raises(BranchAmbiguityError):
             recover_generator(SampledUnitaryGroup(u_t), 1.0)
 
+    def test_aliased_generator_is_refused(self):
+        # u(1) has phases +-11, whose principal logarithm is +-(11 - 4 pi); halving
+        # agrees, and so does every multiple of 1/2, but u(0.3) does not
+        u = SampledUnitaryGroup.from_positive(op_exp(diag_module_operator(11.0, -11.0)))
+        for recover in (lambda: recover_generator(u, 1.0), lambda: stone(u)):
+            with pytest.raises(BranchAmbiguityError, match=r"accepted at t=1\.0 misses u\(0\.3\) by 1\.902e\+00"):
+                recover()
+        # from t0 = 1/2 the halving check sees the wrap, and the true generator is kept
+        k = recover_generator(u, 0.5)
+        np.testing.assert_allclose(k.entries[0][0].blocks[0], np.diag([11.0, -11.0]), atol=1e-9)
+
     def test_finite_difference_oracle(self):
         # independent route: K ~ (u(h) - u(-h)) / (2ih) with O(h^2) bias
         r = rng(15)
@@ -335,6 +346,27 @@ class TestInducedPowerCheck:
 
         monkeypatch.setattr(np.linalg, "eigh", faulty)
         assert induced_power_check(loc, t, 0.5) > 1e-4 * t.norm()
+
+    def test_grid_matches_pointwise_and_decomposes_each_factor_once(self, monkeypatch):
+        r = rng(21)
+        shape = BlockShape([2, 3])
+        loc = localize(oracle_state(r, [2, 3], 2, 1), shape, 2)
+        assert loc.ranks == (2, 0)
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        zs = (0.5, 1j, 1 + 1j, -0.25 - 0.5j)
+        pointwise = [induced_power_check(loc, t, z) for z in zs]
+        sizes = []
+        power = stone_mod.hermitian_matrix_power
+
+        def spy(m, z):
+            sizes.append(m.shape)
+            return power(m, z)
+
+        monkeypatch.setattr(stone_mod, "hermitian_matrix_power", spy)
+        grid = induced_power_check(loc, t, zs)
+        assert grid.shape == (4,) and grid.tolist() == pointwise
+        # one decomposition of the one seen factor, of size k n_b = 4, for the whole grid
+        assert sizes == [(4, 4)]
 
     def test_same_inputs_give_the_same_float(self):
         # the probes come from a stream of their own, drawn afresh on each call
