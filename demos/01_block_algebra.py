@@ -29,14 +29,16 @@ print("\nexp(iH) for a random Hermitian H:")
 print("  unitarity defect =", (u.star() @ u - one).norm())
 
 # Complex powers of strictly positive elements obey the group law.
+# power takes a grid of exponents and returns one stack of powers per block.
 t = herm_calculus(h, np.exp)
-lhs = power(t, 0.3 + 0.4j) @ power(t, 0.7 - 0.4j)
+stacks = power(t, [0.3 + 0.4j, 0.7 - 0.4j, 0.0, 1.0])
+t_y, t_z, t_0, t_1 = (AlgebraElement(shape, blocks) for blocks in zip(*stacks))
 print("\ncomplex powers of T = exp(H):")
-print("  T^0 defect        =", (power(t, 0.0) - one).norm())
-print("  group-law defect  =", (lhs - power(t, 1.0)).norm())
+print("  T^0 defect        =", (t_0 - one).norm())
+print("  group-law defect  =", (t_y @ t_z - t_1).norm())
 
 # The square root of a diagonal element is the entrywise square root.
 d = AlgebraElement.from_blocks([np.diag([4.0, 9.0]), np.diag([1.0, 16.0, 25.0])])
 print("\nsqrt(diag(4, 9) + diag(1, 16, 25)) blocks:")
-for blk in power(d, 0.5).blocks:
-    print(" ", np.real(np.diagonal(blk)))
+for stack in power(d, [0.5]):
+    print(" ", np.real(np.diagonal(stack[0])))

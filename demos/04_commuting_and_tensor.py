@@ -27,7 +27,7 @@ pair = CommutingPair(alpha, beta)
 x = random_element(r, shape)
 
 z = 0.3 + 0.4j
-print("product-flow continuation residual at z:", gamma_continuation_check(pair, z, x))
+print("product-flow continuation residual at z:", gamma_continuation_check(pair, [z], x)[0])
 
 gamma = product_flow(pair)
 print("gamma generator norm:", gamma.generator_norm())
@@ -47,6 +47,6 @@ shape_b = BlockShape([2])
 tf = tensor_flow(random_flow(r, shape_b, 1.0), random_flow(r, shape_b, 1.0))
 u = random_element(r, shape_b)
 v = random_element(r, shape_b)
-print("\ntensor continuation residual:", tensor_continuation_check(tf, z, u, v))
+print("\ntensor continuation residual:", tensor_continuation_check(tf, [z], u, v)[0])
 w = tensor_element(u, v)
 print("Kronecker norm multiplicativity:", abs(w.norm() - u.norm() * v.norm()))

@@ -43,9 +43,9 @@ rhs = implemented_evaluate(flow, 0.7, x @ x)
 print("semi-multiplicativity residual:", (lhs - rhs).norm())
 
 # Two ways to continue the flow agree.
-for z in (0.5j, 1.0 + 1.0j):
-    print(f"continuation routes at z = {z}:",
-          implemented_continuation_check(flow, z, x))
+zs = (0.5j, 1.0 + 1.0j)
+for z, resid in zip(zs, implemented_continuation_check(flow, zs, x)):
+    print(f"continuation routes at z = {z}:", resid)
 
 # Localizations turn middle products into middle products.
 omega = random_state(r, shape)

@@ -197,12 +197,12 @@ def _stacked(b: np.ndarray, what: str) -> str:
     return f"{b.shape[0]} stacked {b.shape[1]}x{b.shape[2]} {what}"
 
 
-def as_z_grid(z: complex | Sequence[complex]) -> tuple[np.ndarray, bool]:
-    """A scalar or a sequence of z as a 1-D complex grid, and whether it was scalar."""
+def as_z_grid(z: Sequence[complex]) -> np.ndarray:
+    """A sequence of z as a 1-D complex grid; ``ValueError`` for any other shape."""
     zs = np.asarray(z, dtype=complex)
-    if zs.ndim > 1:
-        raise ValueError(f"z must be a scalar or a sequence, not an array of shape {zs.shape}")
-    return zs.reshape(-1), zs.ndim == 0
+    if zs.ndim != 1:
+        raise ValueError(f"z must be a 1-D grid, not an array of shape {zs.shape}")
+    return zs
 
 
 def _same_shape(x: AlgebraElement, y: AlgebraElement) -> None:
@@ -353,22 +353,21 @@ def is_strictly_positive(t: AlgebraElement) -> bool:
     return bool(np.min(lam) > POS_TOL_FACTOR * t.norm())
 
 
-def power(t: AlgebraElement, z: complex | Sequence[complex]) -> AlgebraElement | list[np.ndarray]:
-    """Complex power ``T**z`` of a strictly positive element.
+def power(t: AlgebraElement, z: Sequence[complex]) -> list[np.ndarray]:
+    """Complex powers ``T**z`` of a strictly positive element over a 1-D grid of z.
 
     Computed as ``exp(z * log lam)`` on the spectrum, so ``T**0 = 1``,
     ``T**1 = T`` and the group law ``T**y T**z = T**(y+z)`` hold up to
     rounding.  Raises ``NotStrictlyPositiveError`` when the spectrum is
-    not bounded below by ``POS_TOL_FACTOR * norm(T)``.  For a sequence
-    of G exponents the result is one ``(G, n, n)`` stack of powers per
-    block, in the order of ``z``; the positivity rule runs once.
+    not bounded below by ``POS_TOL_FACTOR * norm(T)``.  For G exponents
+    the result is one ``(G, n, n)`` stack of powers per block, in the
+    order of ``z``; the positivity rule runs once.
     """
+    zs = as_z_grid(z)
     if not t.is_hermitian():
         raise NotStrictlyPositiveError("element is not Hermitian")
     sd = spectral(t)
     lo = min(float(np.min(lam)) for lam in sd.eigenvalues)
     if lo <= POS_TOL_FACTOR * t.norm():
         raise NotStrictlyPositiveError(f"minimum eigenvalue {lo:.3e} too small")
-    z = np.asarray(z)
-    blocks = sd._calculus([np.exp(np.multiply.outer(z, np.log(lam))) for lam in sd.eigenvalues])
-    return blocks if z.ndim else AlgebraElement(t.shape, blocks)
+    return sd._calculus([np.exp(np.multiply.outer(zs, np.log(lam))) for lam in sd.eigenvalues])

@@ -99,6 +99,11 @@ GROWTH = ("growth budget", MAX_GROWTH, "")
 WORK = ("work budget", MAX_WORK, " entries")
 Cost = tuple[tuple[str, float, str], float, str]
 
+# convergence_ratio reads the smear errors at widths r and 2r, and skips the pair when
+# either is at most RATIO_FLOOR * norm(x): the smear error of an element the flow fixes
+# is rounding noise, about 1e-15 norm(x), and a ratio of noise says nothing
+RATIO_FLOOR = 1e-12
+
 
 @dataclass
 class Check:
@@ -278,6 +283,8 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
             problems.append(f"bad shape: {exc}")
     h_left = h_right = element = None
     explicit = values["flow.kind"] == "explicit"
+    problems += [f"{key} payload needs flow.kind explicit" for key in ("flow.h_left", "flow.h_right")
+                 if key in values and not explicit]
     if explicit and "flow.h_left" not in values:
         problems.append("explicit flow needs an h_left payload")
     elif explicit:
@@ -301,6 +308,8 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
             problems.append(f"bad element payload: {exc}")
         if shape is not None and element is not None and element.shape != shape:
             problems.append("element payload does not conform to the declared shape")
+        elif element is not None and not any(b.any() for b in element.blocks):
+            problems.append("element payload is zero, and converge divides by its norm")
     experiment, module_rank = values.get("experiment"), values["module_rank"]
     if experiment == "stone" and explicit and _is_int(module_rank) and module_rank != 1:
         problems.append("stone with an explicit flow requires module_rank = 1")
@@ -442,63 +451,56 @@ def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
-    z = complex(cfg.z_re[0], cfg.z_im[0])
+    # the smear errors at z = 0, their ratios and the approximants do not depend on z
+    errs = {rr: (smear_oracle(g, x, rr, 0.0) - x).norm() for rr in cfg.r_list}
+    ratio_excess = 0.0
+    floor, top = RATIO_FLOOR * x.norm(), 1e-2 * x.norm()
+    for rr in cfg.r_list:
+        if 2 * rr in errs and errs[rr] <= top and min(errs[rr], errs[2 * rr]) > floor:
+            ratio = errs[2 * rr] / errs[rr]
+            ratio_excess = max(ratio_excess, 0.2 - ratio, ratio - 0.3)
+    ys = [smear_oracle(g, x, min(cfg.r_list) * 2.0**j, 0.0) for j in range(16)]
     rows: list[tuple] = []
     quad_worst = norm_worst = 0.0
-    errs: dict[float, float] = {}
-    for rr in cfg.r_list:
-        nodes = min_nodes(g, rr, z)
-        plan = SmearingPlan(rr, z, nodes)
-        quad = smear_quadrature(g, x, plan)
-        oracle = smear_oracle(g, x, rr, z)
-        err_quad = (quad - oracle).norm()
-        err_smear = (smear_oracle(g, x, rr, 0.0) - x).norm()
-        errs[rr] = err_smear
-        envelope = x.norm() * math.exp(rr * rr * z.imag * z.imag)
-        bound_rhs = envelope * (1.0 + 1e-8)
-        rows.append((rr, nodes, err_quad, err_smear, bound_rhs))
-        quad_worst = max(quad_worst, err_quad / envelope)
-        norm_worst = max(norm_worst, quad.norm() / bound_rhs)
+    cap_x = cap_ax = conv = -math.inf
+    for z in cfg.z_grid():
+        for rr in cfg.r_list:
+            nodes = min_nodes(g, rr, z)
+            quad = smear_quadrature(g, x, SmearingPlan(rr, z, nodes))
+            err_quad = (quad - smear_oracle(g, x, rr, z)).norm()
+            envelope = x.norm() * math.exp(rr * rr * z.imag * z.imag)
+            bound_rhs = envelope * (1.0 + 1e-8)
+            rows.append((z.real, z.imag, rr, nodes, err_quad, errs[rr], bound_rhs))
+            quad_worst = max(quad_worst, err_quad / envelope)
+            norm_worst = max(norm_worst, quad.norm() / bound_rhs)
+        ax = continue_exact(g, z, x)
+        rescaled = core_rescale(x, ax, [(y, continue_exact(g, z, y)) for y in ys])
+        cap_x = max(cap_x, max((y.norm() - x.norm()) / x.norm() for y in rescaled))
+        cap_ax = max(cap_ax, max((continue_exact(g, z, y).norm() - ax.norm()) / ax.norm()
+                                 for y in rescaled))
+        conv = max(conv, (rescaled[-1] - x).norm())
     checks = [
         Check("quad_vs_oracle", quad_worst, 1e-8),
         Check("norm_bound", norm_worst, 1.0),
+        Check("convergence_ratio", max(ratio_excess, 0.0), 0.0),
+        Check("core_rescale_cap_x", max(cap_x, 0.0), 1e-12),
+        Check("core_rescale_cap_continuation", max(cap_ax, 0.0), 1e-12),
+        Check("core_rescale_convergence", conv, 1e-6),
     ]
-    ratio_excess = 0.0
-    for rr in cfg.r_list:
-        if 2 * rr in errs and errs[rr] <= 1e-2 * x.norm():
-            ratio = errs[2 * rr] / errs[rr]
-            ratio_excess = max(ratio_excess, 0.2 - ratio, ratio - 0.3)
-    checks.append(Check("convergence_ratio", max(ratio_excess, 0.0), 0.0))
-
-    ax = continue_exact(g, z, x)
-    approx = []
-    rr = min(cfg.r_list)
-    for _ in range(16):
-        y = smear_oracle(g, x, rr, 0.0)
-        approx.append((y, continue_exact(g, z, y)))
-        rr *= 2.0
-    rescaled = core_rescale(x, ax, approx)
-    cap_x = max((y.norm() - x.norm()) / x.norm() for y in rescaled)
-    cap_ax = max(
-        (continue_exact(g, z, y).norm() - ax.norm()) / ax.norm() for y in rescaled
-    )
-    checks.append(Check("core_rescale_cap_x", max(cap_x, 0.0), 1e-12))
-    checks.append(Check("core_rescale_cap_continuation", max(cap_ax, 0.0), 1e-12))
-    checks.append(Check("core_rescale_convergence", (rescaled[-1] - x).norm(), 1e-6))
     return checks, rows, {}
 
 
 def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
-    # the run is at z = (z_re[0], z_im[0]) alone
-    nu, im = cfg.nu_max(), cfg.z_im[0]
+    # every z of the grid runs, so the costs are taken at max|z_im|
+    nu, im = cfg.nu_max(), cfg.im_max()
     costs = [(SIZE, cfg.shape.dim, f"shape {list(cfg.shape)} has dense size"),
-             _growth("the continuation", abs(im), nu)]
+             _growth("the continuation", im, nu)]
     for r in cfg.r_list:
         try:
             count = admissible_nodes(nu, r, complex(0.0, im))
         except OverflowError:  # the node budget squared is infinite
             count = math.inf
-        where = f"grid.r = {r!r} with z_im = {im!r}"
+        where = f"grid.r = {r!r} with max|z_im| = {im!r}"
         costs.append((NODES, count, f"{where} needs"))
         costs.append((GROWTH, (r * im) * (r * im),
                       f"the smear envelope exp(r^2 (Im z)^2) at {where} has growth exponent"))
@@ -643,8 +645,9 @@ class Experiment:
 EXPERIMENTS = {
     "verify": Experiment(_exp_verify, ("check", "instance", "measured", "bound", "passed"),
         "group laws, inverses, same-side composition, semi-multiplicativity, strip bound", _costs_verify),
-    "converge": Experiment(_exp_converge, ("r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
-        "smearing quadrature vs closed form at z = z_re[0] + i z_im[0], norm bound, convergence rate,"
+    "converge": Experiment(_exp_converge,
+        ("z_re", "z_im", "r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
+        "smearing quadrature vs closed form and norm bound at every z, convergence rate,"
         " core rescaling", _costs_converge),
     "stone": Experiment(_exp_stone, ("t", "residual"),
         "generator recovery round trip, continuation, localization and separation", _costs_stone),

@@ -84,27 +84,22 @@ def product_flow(p: CommutingPair) -> FlowGenerator:
     return p.product
 
 
-def gamma_continuation_check(
-    p: CommutingPair, z: complex | Sequence[complex], x: AlgebraElement
-) -> float | np.ndarray:
-    """Residual of ``gamma_z = alpha_z beta_z = beta_z alpha_z`` on ``x``.
+def gamma_continuation_check(p: CommutingPair, z: Sequence[complex], x: AlgebraElement) -> np.ndarray:
+    """Residual of ``gamma_z = alpha_z beta_z = beta_z alpha_z`` on ``x``, per z of a 1-D grid.
 
-    A scalar ``z`` gives one float; a sequence of z gives one residual
-    per point, in order.  Each continuation is formed over the whole grid
-    as one ``(G, n, n)`` stack per block, so ``x`` is rotated into each
-    of the three eigenbases once, and the 2G residual norms take one
-    batched singular-value call per block (``EigFailureError`` if it
-    fails).
+    Each continuation is formed over the whole grid as one ``(G, n, n)``
+    stack per block, so ``x`` is rotated into each of the three
+    eigenbases once, and the 2G residual norms take one batched
+    singular-value call per block (``EigFailureError`` if it fails).
     """
-    zs, scalar = as_z_grid(z)
+    zs = as_z_grid(z)
     gz = conjugate_stack(product_flow(p), zs, x.blocks)
     ab = conjugate_stack(p.alpha, zs, conjugate_stack(p.beta, zs, x.blocks))
     ba = conjugate_stack(p.beta, zs, conjugate_stack(p.alpha, zs, x.blocks))
     both = stacked_norms(
         (np.concatenate([g - a, g - b]) for g, a, b in zip(gz, ab, ba)), "residual blocks"
     )
-    resid = np.maximum(both[: len(zs)], both[len(zs) :])
-    return float(resid[0]) if scalar else resid
+    return np.maximum(both[: len(zs)], both[len(zs) :])
 
 
 def double_smear(
@@ -182,21 +177,18 @@ def tensor_flow(alpha: FlowGenerator, beta: FlowGenerator) -> TensorFlow:
 
 
 def tensor_continuation_check(
-    tf: TensorFlow, z: complex | Sequence[complex], x: AlgebraElement, y: AlgebraElement
-) -> float | np.ndarray:
-    """Residual of ``(alpha (x) beta)_z (x (x) y) = alpha_z(x) (x) beta_z(y)``.
+    tf: TensorFlow, z: Sequence[complex], x: AlgebraElement, y: AlgebraElement
+) -> np.ndarray:
+    """Residual of ``(alpha (x) beta)_z (x (x) y) = alpha_z(x) (x) beta_z(y)``, per z of a 1-D grid.
 
-    A scalar ``z`` gives one float; a sequence of z gives one residual
-    per point, in order.  ``x (x) y`` is formed once, each side is formed
-    over the whole grid as one ``(G, n, n)`` stack per block (the right
-    side as Kronecker products of stacks), and the residual norms take
-    one batched singular-value call per block (``EigFailureError`` if it
-    fails).
+    ``x (x) y`` is formed once, each side is formed over the whole grid as
+    one ``(G, n, n)`` stack per block (the right side as Kronecker
+    products of stacks), and the residual norms take one batched
+    singular-value call per block (``EigFailureError`` if it fails).
     """
-    zs, scalar = as_z_grid(z)
+    zs = as_z_grid(z)
     lhs = conjugate_stack(tf.product, zs, tensor_element(x, y).blocks)
     ax = conjugate_stack(tf.alpha, zs, x.blocks)
     by = conjugate_stack(tf.beta, zs, y.blocks)
     rhs = [_kron(a, b) for a in ax for b in by]
-    resid = stacked_norms((left - right for left, right in zip(lhs, rhs)), "residual blocks")
-    return float(resid[0]) if scalar else resid
+    return stacked_norms((left - right for left, right in zip(lhs, rhs)), "residual blocks")

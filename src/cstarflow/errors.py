@@ -47,7 +47,7 @@ class ZeroFunctionalError(CstarflowError):
 
 
 class IllDefinedError(CstarflowError):
-    """Induced operator does not satisfy its defining relation."""
+    """Localization factors miss their density, so induced operators would break their defining relation."""
 
 
 class FamilyNotFaithfulError(CstarflowError):

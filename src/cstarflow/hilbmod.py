@@ -258,11 +258,12 @@ def strictly_positive(s: ModuleOperator) -> bool:
 
 
 def op_power(t: ModuleOperator, z: complex) -> ModuleOperator:
-    """Complex power ``T**z`` of a strictly positive module operator.
+    """Complex power ``T**z`` of a strictly positive module operator, at one z.
 
-    Raises ``NotStrictlyPositiveError`` (from ``algebra.power``) otherwise.
+    The one-point grid of ``algebra.power``; raises ``NotStrictlyPositiveError``
+    (from there) otherwise.
     """
-    return ModuleOperator.from_flat(power(t.flat, z), t.k)
+    return ModuleOperator.from_flat(AlgebraElement(t.flat.shape, [b[0] for b in power(t.flat, [z])]), t.k)
 
 
 def op_log(t: ModuleOperator) -> ModuleOperator:

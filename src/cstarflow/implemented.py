@@ -100,27 +100,23 @@ def middle_multiplier(s: ModuleOperator, x: ModuleOperator, t: ModuleOperator) -
     return s @ x @ t
 
 
-def implemented_continuation_check(
-    f: ImplementedFlow, z: complex | Sequence[complex], x: ModuleOperator
-) -> float | np.ndarray:
-    """Residual between the two continuation routes at ``z``.
+def implemented_continuation_check(f: ImplementedFlow, z: Sequence[complex], x: ModuleOperator) -> np.ndarray:
+    """Residual between the two continuation routes, per z of a 1-D grid.
 
     Route one runs through the joint eigenbases of the implementing
     pair; route two is the closed middle product
     ``S**(iz) x T**(-iz)`` assembled from complex powers.  The two
     agree up to rounding for well-conditioned pairs.
 
-    A scalar ``z`` gives one float; a sequence of z gives one residual
-    per point, in order.  The carrier test runs once, ``x`` is rotated
-    into the joint eigenbasis once, S and T are raised to every
-    ``+-iz`` in one ``algebra.power`` call each, and the residual norms
-    take one batched singular-value call per block (``EigFailureError``
-    if it fails).
+    The carrier test runs once, ``x`` is rotated into the joint
+    eigenbasis once, S and T are raised to every ``+-iz`` in one
+    ``algebra.power`` call each, and the residual norms take one batched
+    singular-value call per block (``EigFailureError`` if it fails).
     """
     if f.basis.residual(x) > SPAN_TOL * max(1.0, x.norm()):
         raise NotInAlgebraError("element lies outside the carrier span")
     _same_module(x, f.s)
-    zs, scalar = as_z_grid(z)
+    zs = as_z_grid(z)
 
     def log_phase(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
         nu = np.log(lam.astype(complex))[:, None] - np.log(mu.astype(complex))[None, :]
@@ -129,8 +125,7 @@ def implemented_continuation_check(
     lhs = sandwich_blocks(spectral(f.s.flat), spectral(f.t.flat), x.flat.blocks, log_phase)
     s_pow, t_pow = power(f.s.flat, 1j * zs), power(f.t.flat, -1j * zs)
     rhs = [sz @ xb @ tz for sz, xb, tz in zip(s_pow, x.flat.blocks, t_pow)]
-    resid = stacked_norms((left - right for left, right in zip(lhs, rhs)), "residual blocks")
-    return float(resid[0]) if scalar else resid
+    return stacked_norms((left - right for left, right in zip(lhs, rhs)), "residual blocks")
 
 
 def localized_middle_check(

@@ -266,6 +266,10 @@ class Localization:
     over the eigenvalues ``w_b`` of ``rho_b`` above ``cutoff``, so
     ``C_b C_b* = rho_b`` up to the dropped eigenvalues.  ``apply`` maps
     E onto C^d with ``<L v, L w> = omega(<v, w>)``.
+
+    Construction raises ``IllDefinedError`` unless every ``C_b C_b*``
+    reproduces ``rho_b``: they may differ only by the eigenvalues the
+    cutoff dropped, plus rounding of ``1e-9 max(1, norm(rho_b))``.
     """
 
     omega: PositiveFunctional
@@ -273,6 +277,16 @@ class Localization:
     k: int
     factors: tuple[np.ndarray, ...] = field(repr=False)
     cutoff: float
+
+    def __post_init__(self):
+        for b, (c, rb) in enumerate(zip(self.factors, self.omega.rho.blocks)):
+            defect = largest_singular_value(c @ c.conj().T - rb)
+            bound = self.cutoff + 1e-9 * max(1.0, largest_singular_value(rb))
+            if defect > bound:
+                raise IllDefinedError(
+                    f"localization factor of block {b} misses its density by {defect:.3e}"
+                    f" (bound {bound:.3e})"
+                )
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -321,22 +335,6 @@ def localize(omega: PositiveFunctional, shape: BlockShape, k: int) -> Localizati
     return Localization(omega, shape, int(k), tuple(factors), cutoff)
 
 
-def _check_factors(loc: Localization) -> None:
-    """``IllDefinedError`` unless every ``C_b C_b*`` reproduces ``rho_b``.
-
-    The factors may differ from the density only by the eigenvalues the
-    cutoff dropped, plus rounding of ``1e-9 max(1, norm(rho_b))``.
-    """
-    for b, (c, rb) in enumerate(zip(loc.factors, loc.omega.rho.blocks)):
-        defect = largest_singular_value(c @ c.conj().T - rb)
-        bound = loc.cutoff + 1e-9 * max(1.0, largest_singular_value(rb))
-        if defect > bound:
-            raise IllDefinedError(
-                f"localization factor of block {b} misses its density by {defect:.3e}"
-                f" (bound {bound:.3e})"
-            )
-
-
 @dataclass(frozen=True, eq=False)
 class InducedOperator:
     """``S_w = (+)_b F_b (x) I_{r_b}`` on C^d, held as its Kronecker factors.
@@ -369,14 +367,10 @@ class InducedOperator:
             pos += f.shape[0] * r
         return np.concatenate(out, axis=-1)
 
-    def powers(self, zs: np.ndarray) -> list["InducedOperator"]:
+    def powers(self, zs: Sequence[complex]) -> list["InducedOperator"]:
         """``S_w**z`` for each z of a grid: one ``hermitian_matrix_power`` call per seen ``F_b``."""
         stacks = [hermitian_matrix_power(f, zs) if r else [f] * len(zs) for f, r in zip(self.factors, self.ranks)]
         return [replace(self, factors=factors) for factors in zip(*stacks)]
-
-    def power(self, z: complex) -> "InducedOperator":
-        """``S_w**z``: ``powers`` on the one-point grid."""
-        return self.powers(np.array([z], dtype=complex))[0]
 
     def norm(self) -> float:
         """Operator norm: the largest ``norm(F_b)`` over the blocks with ``r_b > 0``."""
@@ -405,13 +399,10 @@ def induce(loc: Localization, s: ModuleOperator) -> InducedOperator:
     ``S_omega = (+)_b F_b (x) I_{r_b}`` for the flattened blocks ``F_b`` of
     S, returned as its factors and the kept ranks (no d x d matrix is
     built), so the defining relation holds by construction and the map
-    is a *-homomorphism.  Raises ``IllDefinedError`` when the
-    localization itself is broken, i.e. its factors do not reproduce the
-    density.
+    is a *-homomorphism.
     """
     if s.shape != loc.shape or s.k != loc.k:
         raise ValueError("operator and localization live over different modules")
-    _check_factors(loc)
     return InducedOperator(s.flat.blocks, loc.ranks)
 
 
@@ -456,23 +447,19 @@ def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOpe
     return PROBE_ALPHA * math.sqrt(2.0 / math.pi) * worst
 
 
-def induced_power_check(
-    loc: Localization, t: ModuleOperator, z: complex | Sequence[complex]
-) -> float | np.ndarray:
-    """Randomized upper estimate of the residual of ``(T_omega)**z L(v) = L(T**z v)``.
+def induced_power_check(loc: Localization, t: ModuleOperator, z: Sequence[complex]) -> np.ndarray:
+    """Randomized upper estimate of the residual of ``(T_omega)**z L(v) = L(T**z v)``, per z of a 1-D grid.
 
     The right side goes through the module: ``op_power`` and then L.  The
     left side raises each Kronecker factor of ``T_omega`` with
     ``hermitian_matrix_power``, a dense oracle at size ``k n_b`` rather
     than d, and applies it to ``L(v)``.  T must be strictly positive.  The
-    norm over the module is estimated by ``intertwining_residual``.  A
-    scalar z gives one float; a sequence of z gives one residual per point,
-    in order, and each seen factor is decomposed once for the whole grid.
+    norm over the module is estimated by ``intertwining_residual``, and
+    each seen factor is decomposed once for the whole grid.
     """
-    zs, scalar = as_z_grid(z)
+    zs = as_z_grid(z)
     t_oms = induce(loc, t).powers(zs)
-    resid = np.array([intertwining_residual(loc, t_om, op_power(t, zi)) for t_om, zi in zip(t_oms, zs)])
-    return float(resid[0]) if scalar else resid
+    return np.array([intertwining_residual(loc, t_om, op_power(t, zi)) for t_om, zi in zip(t_oms, zs)])
 
 
 def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[PositiveFunctional]) -> bool:
@@ -509,19 +496,18 @@ def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[Posi
     return True
 
 
-def hermitian_matrix_power(m: np.ndarray, z: complex | Sequence[complex]) -> np.ndarray:
-    """Complex power of a positive-definite dense matrix (the factors of induced operators).
+def hermitian_matrix_power(m: np.ndarray, z: Sequence[complex]) -> np.ndarray:
+    """Complex powers of a positive-definite dense matrix (the factors of induced operators).
 
-    A sequence of z gives the ``(G, n, n)`` stack of powers, in order, from
+    A 1-D grid of z gives the ``(G, n, n)`` stack of powers, in order, from
     one decomposition.  An oracle, so it uses LAPACK ``zheev``, not the
     ``zheevd`` behind ``algebra.spectral``.
     """
-    zs, scalar = as_z_grid(z)
+    zs = as_z_grid(z)
     lam, u = scipy.linalg.eigh((m + m.conj().T) / 2.0, driver="ev")
     if np.min(lam) <= POWER_POS_TOL * max(float(np.max(np.abs(lam))), 1e-300):
         raise ValueError("matrix power needs a positive definite input")
-    powers = (u * np.exp(np.multiply.outer(zs, np.log(lam.astype(complex))))[:, None, :]) @ u.conj().T
-    return powers[0] if scalar else powers
+    return (u * np.exp(np.multiply.outer(zs, np.log(lam.astype(complex))))[:, None, :]) @ u.conj().T
 
 
 def vector_smear(t_op: ModuleOperator, v: ModuleVector, r: float, z: complex = 0.0) -> ModuleVector:

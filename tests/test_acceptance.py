@@ -187,8 +187,7 @@ def test_criterion_5_commuting_and_tensor():
         alpha, beta = random_commuting_flows(r, BlockShape([2, 2]), 2.0)
         pair = CommutingPair(alpha, beta)
         x = random_element(r, BlockShape([2, 2]), 1.0)
-        for z in grid:
-            worst_comm = max(worst_comm, gamma_continuation_check(pair, z, x))
+        worst_comm = max(worst_comm, float(gamma_continuation_check(pair, grid, x).max()))
     report(5, "commuting-pair product continuation on 3x3 grid", worst_comm, 1e-8)
 
     worst_tensor = 0.0
@@ -198,8 +197,7 @@ def test_criterion_5_commuting_and_tensor():
         )
         x = random_element(r, BlockShape([2]), 1.0)
         y = random_element(r, BlockShape([2]), 1.0)
-        for z in grid:
-            worst_tensor = max(worst_tensor, tensor_continuation_check(tf, z, x, y))
+        worst_tensor = max(worst_tensor, float(tensor_continuation_check(tf, grid, x, y).max()))
     report(5, "tensor-product continuation on 3x3 grid", worst_tensor, 1e-8)
 
 
@@ -260,9 +258,9 @@ def test_criterion_7_localization():
     loc = localize(omega, shape, k)
     s = random_positive_operator(r, shape, k, cond=100.0)
     s_om = induce(loc, s).to_dense()
-    for z in (0.5, 1j, 1 + 1j):
+    zs = (0.5, 1j, 1 + 1j)
+    for z, rhs in zip(zs, hermitian_matrix_power(s_om, zs)):
         lhs = induce(loc, op_power(s, z)).to_dense()
-        rhs = hermitian_matrix_power(s_om, z)
         worst_power = max(worst_power, float(np.linalg.norm(lhs - rhs, 2)))
     report(7, "induced complex powers commute with localization", worst_power, 1e-8)
 
@@ -296,10 +294,9 @@ def test_criterion_8_implemented_flows():
         t_op = random_positive_operator(r, shape, k, cond=1e3)
         flow = ImplementedFlow(s_op, t_op, basis)
         x = random_operator(r, shape, k, norm=1.0)
-        for re in (-1.0, 0.0, 1.0):
-            for im in (-1.0, 0.0, 1.0):
-                resid = implemented_continuation_check(flow, complex(re, im), x)
-                worst_cont = max(worst_cont, resid / max(1.0, x.norm()))
+        grid = [complex(re, im) for re in (-1.0, 0.0, 1.0) for im in (-1.0, 0.0, 1.0)]
+        resid = float(implemented_continuation_check(flow, grid, x).max())
+        worst_cont = max(worst_cont, resid / max(1.0, x.norm()))
         omega = random_state(r, shape)
         loc = localize(omega, shape, k)
         scale = max(1.0, s_op.norm() * x.norm() * t_op.norm())

@@ -29,6 +29,11 @@ from conftest import e12
 EPS = np.finfo(float).eps
 
 
+def power_at(t, z):
+    """``T**z`` at one z: the one-point grid of ``power`` as an element."""
+    return AlgebraElement(t.shape, [stack[0] for stack in power(t, [z])])
+
+
 class TestStar:
     def test_matrix_unit(self):
         out = e12().star()
@@ -162,27 +167,27 @@ class TestPower:
     def test_identity_any_exponent(self):
         one = identity(BlockShape([2, 2]))
         for z in (0.0, 1.0, 0.5, 2.0 + 1.0j, -3.0j):
-            assert (power(one, z) - one).norm() <= 1e-12
+            assert (power_at(one, z) - one).norm() <= 1e-12
 
     def test_diagonal_square_root(self):
         t = AlgebraElement.from_blocks([np.diag([4.0, 9.0])])
-        np.testing.assert_allclose(power(t, 0.5).blocks[0], np.diag([2.0, 3.0]), atol=1e-12)
+        np.testing.assert_allclose(power_at(t, 0.5).blocks[0], np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_imaginary_power_phase_oracle(self):
         t = AlgebraElement.from_blocks([np.diag([np.e, 1.0])])
-        out = power(t, 1j * np.pi)
+        out = power_at(t, 1j * np.pi)
         # oracle: entrywise exp(z ln lam) = diag(exp(i pi), 1)
         np.testing.assert_allclose(out.blocks[0], np.diag([-1.0 + 0.0j, 1.0 + 0.0j]), atol=1e-12)
 
     def test_zeroth_and_first_power(self):
         h = random_hermitian(rng(6), BlockShape([3]), 1.0)
         tpos = herm_calculus(h, np.exp)
-        assert (power(tpos, 0) - identity(BlockShape([3]))).norm() <= 1e-12
-        assert (power(tpos, 1) - tpos).norm() <= 1e-10 * tpos.norm()
+        assert (power_at(tpos, 0) - identity(BlockShape([3]))).norm() <= 1e-12
+        assert (power_at(tpos, 1) - tpos).norm() <= 1e-10 * tpos.norm()
 
     def test_rejects_kernel(self):
         with pytest.raises(NotStrictlyPositiveError):
-            power(AlgebraElement.from_blocks([np.diag([1.0, 0.0])]), 0.5)
+            power(AlgebraElement.from_blocks([np.diag([1.0, 0.0])]), [0.5])
 
     def test_grid_of_exponents_decomposes_once(self, monkeypatch):
         calls = []
@@ -195,14 +200,14 @@ class TestPower:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         t = herm_calculus(random_hermitian(rng(5), BlockShape([3]), 1.0), np.exp)
         assert calls == [(3, 3)]  # decomposing the exponent h
-        root = power(t, 0.5)
-        power(t, 1j)
+        root = power_at(t, 0.5)
+        power(t, [1j])
         assert calls == [(3, 3), (3, 3)]
         assert (root @ root - t).norm() <= 1e-12 * t.norm()
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotStrictlyPositiveError):
-            power(e12(), 0.5)
+            power(e12(), [0.5])
 
     def test_second_power_takes_no_singular_values(self, monkeypatch):
         calls = []
@@ -213,9 +218,9 @@ class TestPower:
 
         t = herm_calculus(random_hermitian(rng(7), BlockShape([3, 2]), 1.0), np.exp)
         monkeypatch.setattr(algebra, "_gesdd", counting)
-        power(t, 0.5)
+        power(t, [0.5])
         assert calls == [(3, 3), (2, 2)] * 2  # the Hermitian defect and the norm
-        power(t, 1j)
+        power(t, [1j])
         assert calls == [(3, 3), (2, 2)] * 2
 
     def test_grid_of_exponents_gives_the_stacked_powers(self):
@@ -224,9 +229,15 @@ class TestPower:
         stacks = power(t, grid)
         assert [s.shape for s in stacks] == [(3, 3, 3), (3, 2, 2)]
         for g, z in enumerate(grid):
-            one = power(t, z)
+            one = power_at(t, z)
             for stack, block in zip(stacks, one.blocks):
                 assert np.abs(stack[g] - block).max() <= 16 * EPS * one.norm()
+
+    @pytest.mark.parametrize("z", [0.5, [[0.5, 1j]]], ids=["scalar", "2-D"])
+    def test_exponents_other_than_a_1d_grid_are_refused(self, z):
+        t = herm_calculus(random_hermitian(rng(9), BlockShape([2]), 1.0), np.exp)
+        with pytest.raises(ValueError, match="z must be a 1-D grid"):
+            power(t, z)
 
 
 class TestStrictPositivity:
@@ -270,8 +281,8 @@ class TestInvariants:
             t = herm_calculus(h, np.exp)
             y = complex(r.uniform(-1, 1), r.uniform(-1, 1))
             z = complex(r.uniform(-1, 1), r.uniform(-1, 1))
-            lhs = power(t, y) @ power(t, z)
-            rhs = power(t, y + z)
+            lhs = power_at(t, y) @ power_at(t, z)
+            rhs = power_at(t, y + z)
             assert (lhs - rhs).norm() <= 1e-10 * rhs.norm()
 
     def test_unitary_exponentials(self):

@@ -164,16 +164,16 @@ class TestValidate:
     @pytest.mark.parametrize(
         "grid, flow, needle",
         [
-            ({"r": [0.001], "z_im": [1.0]}, {}, "grid.r = 0.001 with z_im = 1.0 needs 16000033 "),
-            ({"r": [1000.0], "z_im": [1.0]}, {}, "grid.r = 1000.0 with z_im = 1.0 needs 4000033 "),
+            ({"r": [0.001], "z_im": [1.0]}, {}, "grid.r = 0.001 with max|z_im| = 1.0 needs 16000033 "),
+            ({"r": [1000.0], "z_im": [1.0]}, {}, "grid.r = 1000.0 with max|z_im| = 1.0 needs 4000033 "),
             # a node count is no longer a key: the run takes the admissible count
             ({"nodes": 1000000000}, {}, "unknown key grid.nodes"),
-            ({"r": [1e-300], "z_im": [0.0]}, {}, "grid.r = 1e-300 with z_im = 0.0 needs inf "),
+            ({"r": [1e-300], "z_im": [0.0]}, {}, "grid.r = 1e-300 with max|z_im| = 0.0 needs inf "),
             # an explicit flow's budget comes from its payload norms: 2 * norm(diag(1, -1))
             (
                 {"r": [0.01], "z_im": [0.0]},
                 {"kind": "explicit", "h_left": {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}},
-                "grid.r = 0.01 with z_im = 0.0 needs 40016 ",
+                "grid.r = 0.01 with max|z_im| = 0.0 needs 40016 ",
             ),
         ],
         ids=["tiny_r", "huge_r", "huge_nodes", "overflowing_r", "explicit_payload"],
@@ -185,16 +185,19 @@ class TestValidate:
         assert any(needle in p for p in problems)
 
     def test_node_budget_checks_every_grid_point(self):
-        # converge runs at z_im[0] alone, so every r is budgeted there and nowhere else
+        # converge runs every z of its grid, so every r is budgeted at max|z_im|, in any order
         raw = {"experiment": "converge", "seed": 1, "shape": [2],
-               "grid": {"r": [0.05, 0.01], "z_im": [0.0, 0.5]}}
+               "grid": {"r": [0.05, 0.01], "z_im": [0.0, 0.0]}}
         # nu_max = 4: r = 0.05 asks for about 6400 nodes, r = 0.01 for about 160000
-        assert validate(raw)[1] == [f"grid.r = 0.01 with z_im = 0.0 needs 160016 Gauss-Hermite nodes,"
+        assert validate(raw)[1] == [f"grid.r = 0.01 with max|z_im| = 0.0 needs 160016 Gauss-Hermite nodes,"
                                     f" above the cap of {MAX_NODES}"]
-        _, problems = validate({**raw, "grid": {"r": [0.05, 0.01], "z_im": [0.5, 0.0]}})
-        assert len(problems) == 1 and problems[0].startswith("grid.r = 0.01 with z_im = 0.5 needs ")
-        # a z_im the run never reaches is not refused, even far outside every budget
-        assert validate({**raw, "grid": {"r": [0.5], "z_im": [0.0, 1e3]}})[1] == []
+        for z_im in ([0.0, -0.5], [-0.5, 0.0]):
+            _, problems = validate({**raw, "grid": {"r": [0.05, 0.01], "z_im": z_im}})
+            assert len(problems) == 1 and problems[0].startswith("grid.r = 0.01 with max|z_im| = 0.5 needs ")
+        # a z_im past every budget is refused wherever it sits in the grid
+        _, problems = validate({**raw, "grid": {"r": [0.5], "z_im": [0.0, 1e3]}})
+        assert (f"the continuation reaches |Im z| = 1000.0 at nu = 4.0, growth exponent 4000.0,"
+                f" above the growth budget of {MAX_GROWTH}") in problems
 
     @pytest.mark.parametrize(
         "shape, k, size",
@@ -316,7 +319,7 @@ class TestValidate:
         # the smear envelope exp(r^2 (Im z)^2) is a factor of its own, next to the continuation
         _, problems = validate({"experiment": "converge", "seed": 1, "shape": [2],
                                 "grid": {"r": [18.0, 32.0], "z_im": [1.0]}})
-        assert problems == ["the smear envelope exp(r^2 (Im z)^2) at grid.r = 32.0 with z_im = 1.0 has"
+        assert problems == ["the smear envelope exp(r^2 (Im z)^2) at grid.r = 32.0 with max|z_im| = 1.0 has"
                             f" growth exponent 1024.0, above the growth budget of {MAX_GROWTH}"]
         assert math.isfinite(math.exp(MAX_GROWTH) ** 2)
 
@@ -355,6 +358,21 @@ class TestValidate:
         raw = {"experiment": experiment, "seed": 1, "shape": [2],
                "flow": {"kind": "explicit", "h_left": payload}}
         assert validate(raw)[1] == [f"{experiment} draws its own random flows and takes no explicit flow"]
+
+    @pytest.mark.parametrize("flow", [{}, {"kind": "random"}], ids=["no_kind", "random_kind"])
+    @pytest.mark.parametrize("key", ["h_left", "h_right"])
+    def test_flow_payload_needs_explicit_kind(self, flow, key):
+        # a random flow would run in the payload's place
+        payload = {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}
+        raw = {"experiment": "verify", "seed": 1, "shape": [2], "flow": {**flow, key: payload}}
+        assert validate(raw)[1] == [f"flow.{key} payload needs flow.kind explicit"]
+
+    def test_zero_element_refused(self):
+        zero = {"blocks": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}
+        raw = {"experiment": "converge", "seed": 1, "shape": [2], "element": zero}
+        assert validate(raw)[1] == ["element payload is zero, and converge divides by its norm"]
+        tiny = {"blocks": [[[0.0, 0.0], [1e-300, 0.0], [0.0, 0.0], [0.0, 0.0]]]}
+        assert validate({**raw, "element": tiny})[1] == []
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -507,12 +525,21 @@ class TestMain:
             '{"experiment": "stone", "seed": 1, "shape": [2], "flow": {"kind": "explicit",'
             ' "h_left": {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]},'
             ' "h_right": {"blocks": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}}}',
+            # used to validate ok and then run a random flow in the payload's place
+            '{"experiment": "verify", "seed": 1, "shape": [2], "flow":'
+            ' {"h_left": {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}}}',
+            # used to validate ok and then end in a ZeroDivisionError traceback
+            '{"experiment": "converge", "seed": 1, "shape": [2],'
+            ' "element": {"blocks": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}}',
+            # used to validate ok and then run at z_im = 0 alone
+            '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"z_im": [0.0, 1000.0]}}',
         ],
         ids=["nan_payload", "nan_r", "inf_z_im", "bool_seed", "bool_shape",
              "tiny_r", "huge_r", "huge_nodes", "huge_shape", "huge_rank",
              "unknown_top", "unknown_section", "unknown_flow", "unknown_grid", "unknown_no_match",
              "stone_growth", "converge_envelope_growth", "huge_instances", "tensor_explicit_flow",
-             "stone_h_right"],
+             "stone_h_right", "payload_without_explicit_kind", "converge_zero_element",
+             "converge_far_z_im"],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_outside_input_exits_two(self, text, command, capsys, tmp_path):
@@ -552,6 +579,26 @@ class TestMain:
             )
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize(
+        "h_left, element, grid",
+        [
+            # diagonal under a diagonal flow: every smear error is exactly 0
+            ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+             [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], {}),
+            # the generator itself: smear errors of about 1e-15, whose ratios are noise
+            ([[1.0, 0.0], [0.5, 0.3], [0.5, -0.3], [-1.0, 0.0]],
+             [[1.0, 0.0], [0.5, 0.3], [0.5, -0.3], [-1.0, 0.0]], {"r": [0.5, 1.0, 2.0, 4.0]}),
+        ],
+        ids=["diagonal", "generator"],
+    )
+    def test_converge_on_an_element_the_flow_fixes(self, h_left, element, grid, tmp_path, capfd):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": "converge", "seed": 1, "shape": [2],
+                                   "flow": {"kind": "explicit", "h_left": {"blocks": [h_left]}},
+                                   "element": {"blocks": [element]}, "grid": grid}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert capfd.readouterr().err == ""
 
     def test_tolerance_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         import cstarflow.cli as cli_mod
@@ -653,10 +700,22 @@ class TestArtifacts:
         report = run(config, tmp_path, quiet=True)
         assert report.passed
         lines = (tmp_path / "converge.csv").read_text().splitlines()
-        assert lines[0] == "r,nodes,err_quad_vs_oracle,err_smear_vs_x,bound_rhs"
-        row_r1 = next(line for line in lines[1:] if line.startswith("1.0,"))
-        err_smear = float(row_r1.split(",")[3])
+        assert lines[0] == "z_re,z_im,r,nodes,err_quad_vs_oracle,err_smear_vs_x,bound_rhs"
+        row_r1 = next(line for line in lines[1:] if line.startswith("0.0,0.0,1.0,"))
+        err_smear = float(row_r1.split(",")[5])
         assert err_smear == pytest.approx(1.0 - math.exp(-0.25), abs=1e-12)
+
+    def test_converge_runs_every_grid_point(self, tmp_path):
+        config, problems = validate({"experiment": "converge", "seed": 3, "shape": [2],
+                                     "grid": {"r": [1.0, 2.0], "z_re": [0.0, 0.5], "z_im": [0.0, 0.5]}})
+        assert problems == []
+        assert run(config, tmp_path, quiet=True).passed
+        rows = [line.split(",") for line in (tmp_path / "converge.csv").read_text().splitlines()[1:]]
+        points = [(float(z_re), float(z_im), float(r)) for z_re, z_im, r, *_ in rows]
+        assert points == [(re, im, r) for re in (0.0, 0.5) for im in (0.0, 0.5) for r in (1.0, 2.0)]
+        # the smear error is taken at z = 0 and repeats; the envelope grows with Im z
+        assert len({row[5] for row in rows}) == 2
+        assert {float(row[6]) > 1.00000001 for row in rows} == {False, True}
 
     def test_stone_recovery_report(self, tmp_path):
         config = load_config(CONFIG_DIR / "stone.json")

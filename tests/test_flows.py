@@ -1,13 +1,18 @@
 """Flow evaluation, companions, group laws."""
 
+import math
+
 import numpy as np
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarflow import (
     BlockShape,
     FlowGenerator,
     HermitianElement,
     check_group_law,
+    conjugate,
     evaluate,
     identity,
     left_companion,
@@ -162,3 +167,31 @@ class TestInvariants:
         for t in (1e-3, 0.05, 0.4, 1.0):
             drift = (evaluate(g, t, x) - x).norm()
             assert drift <= t * budget * x.norm() * (1 + 1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    s=st.floats(-3.0, 3.0),
+    t=st.floats(-3.0, 3.0),
+    z_im=st.floats(-1.0, 1.0),
+)
+def test_group_law_inverse_and_semi_multiplicativity_hypothesis(seed, dims, s, t, z_im):
+    r = rng(seed)
+    shape = BlockShape(dims)
+    g = random_flow(r, shape, 2.0)
+    x, a, b = (random_element(r, shape) for _ in range(3))
+    assert check_group_law(g, s, t, [x]) <= 1e-11 * x.norm()
+
+    # alpha_{-z} undoes alpha_z; alpha_{-z} has norm at most exp(|Im z| nu) on alpha_z(x)
+    z = complex(s, z_im)
+    xz = conjugate(g, z, x)
+    growth = math.exp(abs(z_im) * (g.h_left.norm() + g.h_right.norm()))
+    assert (conjugate(g, -z, xz) - x).norm() <= 1e-11 * growth * max(x.norm(), xz.norm())
+
+    prod = a.norm() * b.norm()
+    left = evaluate(left_companion(g), t, b) @ evaluate(g, t, a)
+    assert (left - evaluate(g, t, b @ a)).norm() <= 1e-10 * prod
+    right = evaluate(g, t, a) @ evaluate(right_companion(g), t, b)
+    assert (right - evaluate(g, t, a @ b)).norm() <= 1e-10 * prod
