@@ -10,13 +10,13 @@ tolerances were met, 1 on a tolerance failure (report still written),
 library error, or a numpy ``LinAlgError`` or ``FloatingPointError``,
 raised during the run; ``report.json`` then records ``"status":
 "error"`` and the exception type).  One table, ``KEYS``, maps each
-config key to its default and its rules; ``validate`` reads it for unknown
-keys, the default echo, per-key problems and the ``ScenarioConfig``.
-Another, ``EXPERIMENTS``, maps each experiment name to its record: runner, CSV
-columns, description and ``costs``.  ``costs(config)`` lists what a run
-of the config will meet (dense size, stacked grid size, quadrature nodes,
-growth exponent, work), each against one of five budgets; ``validate``
-checks them all in one loop and refuses a config over any of them.
+config key to its default, rules and ``ScenarioConfig`` field.  Another,
+``EXPERIMENTS``, maps each experiment name to its record: runner, CSV columns,
+description, ``costs`` and the keys runner and costs read, some chosen by
+``flow.kind``; ``validate`` refuses any other key, and the echo holds these
+alone.  ``costs(config)`` lists what a run of the config will meet (dense size,
+stacked grid size, quadrature nodes, growth exponent, work, instances), each
+against a budget; ``validate`` refuses a config over any of them.
 
 Floats are written with shortest round-trip representation and random
 data comes from a counter-based Philox stream, so identical configs
@@ -196,10 +196,10 @@ def _floats(v: list) -> list[float]:
 
 
 class Key(NamedTuple):
-    """A config key's ``ScenarioConfig`` field (None: ``validate`` parses it), default
-    (None: absent unless given), rules (accepts, problem) and conversion to the field."""
+    """A config key's ``ScenarioConfig`` field, default (None: absent unless given),
+    rules (accepts, problem) and conversion to the field (it raises on a bad shape or payload)."""
 
-    field: str | None
+    field: str
     default: object
     rules: tuple = ()
     convert: Callable = lambda v: v
@@ -211,13 +211,13 @@ KEYS = {
     "experiment": Key("experiment", REQUIRED, ((lambda v: isinstance(v, str) and v in EXPERIMENTS,
                                                 "unknown experiment {!r}; choose one of {experiments}"),)),
     "seed": Key("seed", REQUIRED, ((_is_int, "seed must be an integer"),)),
-    "shape": Key(None, REQUIRED, ((_ints, "shape must be a list of integers"),)),
-    "element": Key(None, None),
+    "shape": Key("shape", REQUIRED, ((_ints, "shape must be a list of integers"),), BlockShape),
+    "element": Key("element", None, (), element_from_payload),
     "flow.kind": Key("flow_kind", "random", ((lambda v: v in ("random", "explicit"), "unknown flow kind {!r}"),)),
     "flow.norm": Key("flow_norm", 2.0, ((lambda v: _is_num(v) and v > 0, "flow norm must be a positive number"),),
                      float),
-    "flow.h_left": Key(None, None),
-    "flow.h_right": Key(None, None),
+    "flow.h_left": Key("h_left", None, (), element_from_payload),
+    "flow.h_right": Key("h_right", None, (), element_from_payload),
     "grid.r": Key("r_list", [0.5, 1.0, 2.0, 4.0], (
         (_numbers, "grid.r must be a nonempty list of numbers"),
         (lambda v: not isinstance(v, list) or not any(_is_num(x) and x <= 0 for x in v),
@@ -232,6 +232,8 @@ KEYS = {
     "output": Key("output", "out", ((lambda v: isinstance(v, str), "output must be a string path"),)),
 }
 DEFAULTS = {key: k.default for key, k in KEYS.items() if k.default is not None and k.default is not REQUIRED}
+# the keys every experiment reads; each record in EXPERIMENTS names the rest
+COMMON = ("experiment", "seed", "shape", "output")
 
 
 def _non_finite(value, path: str) -> list[str]:
@@ -246,18 +248,21 @@ def _non_finite(value, path: str) -> list[str]:
 
 
 def _given(raw: dict) -> tuple[dict, list[str]]:
-    """The keys a config gives, dotted inside their section, and one problem per key the table lacks.
-
-    A key is known at its own level only; the section names are nearest-key candidates too.
-    """
+    """The known keys a config gives, dotted inside their section, and the keys the table lacks."""
     top = {key: v for key, v in raw.items() if key not in SECTIONS}
     inner = {f"{section}.{key}": v for section in SECTIONS for key, v in raw.get(section, {}).items()}
-    problems = []
     unknown = [key for key in top if key not in KEYS or "." in key] + [key for key in inner if key not in KEYS]
-    for key in unknown:
-        near = difflib.get_close_matches(key, [*KEYS, *SECTIONS], n=1)
-        problems.append(f"unknown key {key}" + (f"; did you mean {near[0]}?" if near else ""))
-    return {**top, **inner}, problems
+    return {key: v for key, v in {**top, **inner}.items() if key not in unknown}, unknown
+
+
+def _read_set(values: dict) -> set[str]:
+    """The keys the config's experiment reads under its flow.kind: under an unknown kind, those of
+    every kind, and every key for an unknown experiment, so that only the unknown value is refused."""
+    name, kind = (v if isinstance(v, str) else "" for v in (values.get("experiment"), values["flow.kind"]))
+    if name not in EXPERIMENTS:
+        return set(KEYS)
+    by_kind = EXPERIMENTS[name].by_kind
+    return {*COMMON, *EXPERIMENTS[name].reads, *by_kind.get(kind, {k for keys in by_kind.values() for k in keys})}
 
 
 def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
@@ -269,62 +274,44 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     problems += [f"{key} must be a JSON object" for key in SECTIONS if not isinstance(raw.get(key, {}), dict)]
     if problems:
         return None, problems
-    given, problems = _given(raw)
-    values = {**DEFAULTS, **given}
+    given, unknown = _given(raw)
+    reads = _read_set({**DEFAULTS, **given})
+    values = {**DEFAULTS, **{key: v for key, v in given.items() if key in reads}}
+    near = [*reads, *{key.partition(".")[0] for key in reads if "." in key}]
+    for key in unknown:
+        match = difflib.get_close_matches(key, near, n=1)
+        problems.append(f"unknown key {key}" + (f"; did you mean {match[0]}?" if match else ""))
+    kind = f" with flow.kind {values['flow.kind']}" if "flow.kind" in reads else ""
+    problems += [f"{values['experiment']}{kind} does not read {key}" for key in given if key not in reads]
     problems += [f"missing field: {key}" for key, k in KEYS.items() if k.default is REQUIRED and key not in values]
-    problems += [problem.format(values[key], experiments=", ".join(EXPERIMENTS))
-                 for key, k in KEYS.items() if key in values
-                 for accepts, problem in k.rules if not accepts(values[key])]
-    shape = None
-    if _ints(values.get("shape")):
-        try:
-            shape = BlockShape(values["shape"])
-        except (TypeError, ValueError) as exc:
-            problems.append(f"bad shape: {exc}")
-    h_left = h_right = element = None
-    explicit = values["flow.kind"] == "explicit"
-    problems += [f"{key} payload needs flow.kind explicit" for key in ("flow.h_left", "flow.h_right")
-                 if key in values and not explicit]
-    if explicit and "flow.h_left" not in values:
+    converted = {}
+    for key, k in KEYS.items():
+        broken = [problem.format(values[key], experiments=", ".join(EXPERIMENTS))
+                  for accepts, problem in k.rules if key in values and not accepts(values[key])]
+        problems += broken
+        if key in values and not broken:
+            try:
+                converted[key] = k.convert(values[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                problems.append(f"bad {key}: {exc}")
+    if values["flow.kind"] == "explicit" and "flow.h_left" in reads and "flow.h_left" not in values:
         problems.append("explicit flow needs an h_left payload")
-    elif explicit:
-        try:
-            h_left = element_from_payload(values["flow.h_left"])
-            if "flow.h_right" in values:
-                h_right = element_from_payload(values["flow.h_right"])
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"bad flow payload: {exc}")
-    for name, h in (("h_left", h_left), ("h_right", h_right)):
-        if h is None:
-            continue
-        if shape is not None and h.shape != shape:
-            problems.append(f"{name} payload does not conform to the declared shape")
-        elif not h.is_hermitian():
-            problems.append(f"{name} payload is not Hermitian within tolerance")
-    if "element" in values:
-        try:
-            element = element_from_payload(values["element"])
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"bad element payload: {exc}")
-        if shape is not None and element is not None and element.shape != shape:
-            problems.append("element payload does not conform to the declared shape")
-        elif element is not None and not any(b.any() for b in element.blocks):
-            problems.append("element payload is zero, and converge divides by its norm")
-    experiment, module_rank = values.get("experiment"), values["module_rank"]
-    if experiment == "stone" and explicit and _is_int(module_rank) and module_rank != 1:
-        problems.append("stone with an explicit flow requires module_rank = 1")
-    if experiment == "stone" and "flow.h_right" in values:
-        problems.append("stone takes log T from flow.h_left alone and no flow.h_right")
-    if experiment in ("tensor", "implemented") and explicit:
-        problems.append(f"{experiment} draws its own random flows and takes no explicit flow")
+    shape = converted.get("shape")
+    payloads = {key: converted[key] for key in ("flow.h_left", "flow.h_right", "element") if key in converted}
+    for key, x in payloads.items():
+        if shape is not None and x.shape != shape:
+            problems.append(f"{key} payload does not conform to the declared shape")
+        elif key == "element" and not any(b.any() for b in x.blocks):
+            problems.append("element payload is zero, and the checks divide by its norm")
+        elif key != "element" and not x.is_hermitian():
+            problems.append(f"{key} payload is not Hermitian within tolerance")
     if problems:
         return None, problems
-    config = ScenarioConfig(**{k.field: k.convert(values[key]) for key, k in KEYS.items() if k.field},
-                            shape=shape, h_left=h_left, h_right=h_right if h_right is not None else h_left,
-                            element=element)
+    converted.setdefault("flow.h_right", converted.get("flow.h_left"))
+    config = ScenarioConfig(**{k.field: converted.get(key) for key, k in KEYS.items()})
     problems = [
         f"{text} {value}{unit}, above the {name} of {limit}"
-        for (name, limit, unit), value, text in EXPERIMENTS[experiment].costs(config)
+        for (name, limit, unit), value, text in EXPERIMENTS[config.experiment].costs(config)
         if not value <= limit  # a cost of nan (inf times 0) is refused too
     ]
     return (None, problems) if problems else (config, [])
@@ -345,11 +332,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def resolved_defaults(raw: dict) -> dict:
-    """The config with every default filled in; the one place defaults are merged."""
-    resolved = {section: {} for section in SECTIONS}
-    for key, v in {**DEFAULTS, **_given(raw)[0]}.items():
+    """The keys the config's experiment reads, with every default filled in."""
+    values = {**DEFAULTS, **_given(raw)[0]}
+    resolved: dict = {}
+    for key in _read_set(values) & values.keys():
         section, _, name = key.rpartition(".")
-        (resolved[section] if section else resolved)[name] = v
+        (resolved.setdefault(section, {}) if section else resolved)[name] = values[key]
     return resolved
 
 
@@ -440,11 +428,14 @@ def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
 
 
 def _costs_verify(cfg: ScenarioConfig) -> list[Cost]:
-    # no module, only the algebra's own blocks; inverse and composition_same_side reach 2 Im z
-    dim = cfg.shape.dim
+    # no module, only the algebra's own blocks; inverse and composition_same_side reach 2 Im z;
+    # instance i checks grid point i mod the grid size, so fewer instances than points leave some out
+    dim, points = cfg.shape.dim, len(cfg.z_re) * len(cfg.z_im)
     return [(SIZE, dim, f"shape {list(cfg.shape)} has dense size"),
             _growth("the inverse check", 2.0 * cfg.im_max(), cfg.nu_max()),
-            _work(cfg, dim)]
+            _work(cfg, dim),
+            (("instance count", cfg.instances, " instances"), points,
+             "verify checks one grid point per instance, so the z-grid needs")]
 
 
 def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
@@ -476,6 +467,8 @@ def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
         ax = continue_exact(g, z, x)
         rescaled = core_rescale(x, ax, [(y, continue_exact(g, z, y)) for y in ys])
         cap_x = max(cap_x, max((y.norm() - x.norm()) / x.norm() for y in rescaled))
+        # alpha_z of each rescaled approximant is formed again on purpose: lam * alpha_z(y) would
+        # meet the cap by the choice of lam, and the check would no longer test the continuation
         cap_ax = max(cap_ax, max((continue_exact(g, z, y).norm() - ax.norm()) / ax.norm()
                                  for y in rescaled))
         conv = max(conv, (rescaled[-1] - x).norm())
@@ -509,12 +502,11 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
 
 def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
     r = sampling.rng(cfg.seed)
-    k = cfg.module_rank
     if cfg.flow_kind == "explicit":
-        t_alg = herm_calculus(HermitianElement(cfg.h_left), np.exp)
-        t_op = ModuleOperator([[t_alg]])
+        t_op = ModuleOperator([[herm_calculus(HermitianElement(cfg.h_left), np.exp)]])
     else:
-        t_op = sampling.random_positive_operator(r, cfg.shape, k, cond=COND)
+        t_op = sampling.random_positive_operator(r, cfg.shape, cfg.module_rank, cond=COND)
+    k = t_op.k
     u = SampledUnitaryGroup.from_positive(t_op)
     t_rec, report = _stone_and_report(u, 1.0)
     rows = [(t, err) for t, err in report["residual_grid"]]
@@ -551,10 +543,9 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
 
 def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:
     # the flattened factors, their grid of powers and the probe stack of the
-    # localization checks; log T is h_left, or a random operator of norm at
-    # most ln(COND) / 2
-    k = cfg.module_rank
-    nu = cfg.h_left.norm() if cfg.flow_kind == "explicit" else 0.5 * math.log(COND)
+    # localization checks; log T is h_left at k = 1, or a random operator of
+    # norm at most ln(COND) / 2
+    k, nu = (1, cfg.h_left.norm()) if cfg.flow_kind == "explicit" else (cfg.module_rank, 0.5 * math.log(COND))
     factors = sum((k * n) ** 2 for n in cfg.shape)
     probes = PROBES * sum(k * n * n for n in cfg.shape)
     return [(SIZE, factors, f"shape {list(cfg.shape)} at module_rank {k} has flattened blocks of"
@@ -591,11 +582,11 @@ def _exp_tensor(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
 
 
 def _costs_tensor(cfg: ScenarioConfig) -> list[Cost]:
-    # the tensor square has blocks n_i n_j; its flow pairs two random flows, so nu is twice nu_max
+    # the tensor square has blocks n_i n_j; its flow pairs two random flows of nu = 2 norm each
     dim = cfg.shape.dim
     return [(SIZE, dim**2, f"shape {list(cfg.shape)} has dimension {dim}, so A (x) A has dense size"),
             _grid(cfg, dim**2),
-            _growth("the tensor flow", cfg.im_max(), 2.0 * cfg.nu_max()),
+            _growth("the tensor flow", cfg.im_max(), 4.0 * cfg.flow_norm),
             _work(cfg, len(cfg.z_re) * len(cfg.z_im) * dim**2)]
 
 
@@ -640,21 +631,29 @@ class Experiment:
     columns: tuple[str, ...]
     description: str
     costs: Callable[[ScenarioConfig], list[Cost]]
+    reads: tuple[str, ...]  # the config keys runner and costs read besides COMMON
+    by_kind: dict[str, tuple[str, ...]] = field(default_factory=dict)  # and those read under each flow.kind
 
 
+Z_KEYS = ("grid.z_re", "grid.z_im")
+FLOW_KEYS = {"random": ("flow.norm",), "explicit": ("flow.h_left", "flow.h_right")}
 EXPERIMENTS = {
     "verify": Experiment(_exp_verify, ("check", "instance", "measured", "bound", "passed"),
-        "group laws, inverses, same-side composition, semi-multiplicativity, strip bound", _costs_verify),
+        "group laws, inverses, same-side composition, semi-multiplicativity, strip bound", _costs_verify,
+        ("flow.kind", *Z_KEYS, "instances"), FLOW_KEYS),
     "converge": Experiment(_exp_converge,
         ("z_re", "z_im", "r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
         "smearing quadrature vs closed form and norm bound at every z, convergence rate,"
-        " core rescaling", _costs_converge),
+        " core rescaling", _costs_converge, ("flow.kind", "element", "grid.r", *Z_KEYS), FLOW_KEYS),
     "stone": Experiment(_exp_stone, ("t", "residual"),
-        "generator recovery round trip, continuation, localization and separation", _costs_stone),
+        "generator recovery round trip, continuation, localization and separation", _costs_stone,
+        ("flow.kind", *Z_KEYS), {"random": ("module_rank",), "explicit": ("flow.h_left",)}),
     "tensor": Experiment(_exp_tensor, ("kind", "instance", "z_re", "z_im", "residual"),
-        "commuting-pair product continuation and tensor-product continuation", _costs_tensor),
+        "commuting-pair product continuation and tensor-product continuation", _costs_tensor,
+        ("flow.norm", *Z_KEYS, "instances")),
     "implemented": Experiment(_exp_implemented, ("check", "z_re", "z_im", "residual"),
-        "implemented-flow continuation formula and localized middle products", _costs_implemented),
+        "implemented-flow continuation formula and localized middle products", _costs_implemented,
+        (*Z_KEYS, "module_rank")),
 }
 
 

@@ -1,5 +1,6 @@
 """CLI harness: config validation, experiment runs, determinism."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -14,11 +15,14 @@ from hypothesis import strategies as st
 
 from cstarflow.algebra import BlockShape
 from cstarflow.cli import (
+    COMMON,
     COND,
     EXPERIMENTS,
+    KEYS,
     MAX_FLAT_SIZE,
     MAX_GRID_SIZE,
     MAX_GROWTH,
+    ScenarioConfig,
     load_config,
     main,
     resolved_defaults,
@@ -28,13 +32,30 @@ from cstarflow.cli import (
 from cstarflow.continuation import MAX_NODES
 from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError
 from cstarflow.hilbmod import op_log
-from cstarflow.sampling import random_hermitian, random_positive_operator, rng
+from cstarflow.sampling import random_element, random_hermitian, random_positive_operator, rng
 from cstarflow.serialize import element_to_payload
 from cstarflow.stone import PROBES
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 WORKLOADS = ROOT / "benchmarks" / "workloads.py"
+
+
+DIAG = {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}
+
+
+def _nest(values: dict) -> dict:
+    """A config from dotted keys."""
+    raw: dict = {}
+    for key, v in values.items():
+        section, _, name = key.rpartition(".")
+        (raw.setdefault(section, {}) if section else raw)[name] = v
+    return raw
+
+
+def _declared(name: str, kind: str) -> set[str]:
+    experiment = EXPERIMENTS[name]
+    return {*COMMON, *experiment.reads, *experiment.by_kind.get(kind, ())}
 
 
 def _workload_specs() -> list[dict]:
@@ -204,9 +225,10 @@ class TestValidate:
         [([100000], 1, 10**10), ([576], 1, 576**2), ([300, 300, 300], 1, 270000)],
     )
     def test_size_budget_rejected(self, shape, k, size):
-        # verify uses no module: the rule sum_b n_b^2; stone counts its residual
-        # matrices instead (test_size_budget_counts_the_stone_residuals)
-        raw = {"experiment": "verify", "seed": 1, "shape": shape, "module_rank": k}
+        # verify uses no module: the rule sum_b n_b^2, and a module_rank is refused;
+        # stone counts its residual matrices instead (test_size_budget_counts_the_stone_residuals)
+        raw = {"experiment": "verify", "seed": 1, "shape": shape}
+        assert validate({**raw, "module_rank": k})[1] == ["verify with flow.kind random does not read module_rank"]
         config, problems = validate(raw)
         assert config is None and size > MAX_FLAT_SIZE
         assert any(f"dense size {size}, above the budget of {MAX_FLAT_SIZE}" in p
@@ -240,8 +262,9 @@ class TestValidate:
     )
     def test_size_budget_admits_the_limit(self, shape, k):
         # sum_b n_b^2 = 65536, 262144 = MAX_FLAT_SIZE and 262144 again; verify
-        # builds no module, so module_rank 9 leaves [64] at 4096
-        raw = {"experiment": "verify", "seed": 1, "shape": shape, "module_rank": k}
+        # builds no module, so it refuses module_rank 9 and leaves [64] at 4096
+        raw = {"experiment": "verify", "seed": 1, "shape": shape}
+        assert validate({**raw, "module_rank": k})[1] == ["verify with flow.kind random does not read module_rank"]
         assert validate(raw)[1] == []
 
     def test_grid_budget_counts_the_stacked_grid(self, capsys, tmp_path):
@@ -272,7 +295,7 @@ class TestValidate:
             f" exponent {89.0 * math.log(COND)!r}, above the growth budget of {MAX_GROWTH}",
         ]
         # the other experiments stack no grid; z_im up to 89 still leaves the float range
-        assert validate({**raw, "experiment": "verify"})[1] == [
+        assert validate({**raw, "experiment": "verify", "instances": 9000})[1] == [
             "the inverse check reaches |Im z| = 178.0 at nu = 4.0, growth exponent 712.0,"
             f" above the growth budget of {MAX_GROWTH}"
         ]
@@ -335,10 +358,12 @@ class TestValidate:
     )
     def test_growth_budget_admits_configs_that_run_without_overflow(self, experiment, grid, capfd,
                                                                     tmp_path):
-        # just inside the budget: the run ends in a verdict, with nothing on stderr
+        # just inside the budget: the run ends in a verdict, with nothing on stderr; verify
+        # needs an instance for each of its 6 grid points
+        instances = {"verify": {"instances": 6}, "tensor": {"instances": 2}}.get(experiment, {})
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": experiment, "seed": 1, "shape": [2], "grid": grid,
-                                   "instances": 2}))
+                                   **instances}))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) in (0, 1)
         assert capfd.readouterr().err == ""
 
@@ -357,7 +382,7 @@ class TestValidate:
         payload = {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}
         raw = {"experiment": experiment, "seed": 1, "shape": [2],
                "flow": {"kind": "explicit", "h_left": payload}}
-        assert validate(raw)[1] == [f"{experiment} draws its own random flows and takes no explicit flow"]
+        assert validate(raw)[1] == [f"{experiment} does not read flow.kind", f"{experiment} does not read flow.h_left"]
 
     @pytest.mark.parametrize("flow", [{}, {"kind": "random"}], ids=["no_kind", "random_kind"])
     @pytest.mark.parametrize("key", ["h_left", "h_right"])
@@ -365,12 +390,18 @@ class TestValidate:
         # a random flow would run in the payload's place
         payload = {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}
         raw = {"experiment": "verify", "seed": 1, "shape": [2], "flow": {**flow, key: payload}}
-        assert validate(raw)[1] == [f"flow.{key} payload needs flow.kind explicit"]
+        assert validate(raw)[1] == [f"verify with flow.kind random does not read flow.{key}"]
+
+    def test_unknown_flow_kind_is_the_one_problem(self):
+        # under a misspelled kind, the flow keys of every kind count as read
+        for flow in ({"kind": "Random", "norm": 1.0}, {"kind": "Explicit", "h_left": DIAG}):
+            raw = {"experiment": "verify", "seed": 1, "shape": [2], "flow": flow}
+            assert validate(raw)[1] == [f"unknown flow kind {flow['kind']!r}"]
 
     def test_zero_element_refused(self):
         zero = {"blocks": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}
         raw = {"experiment": "converge", "seed": 1, "shape": [2], "element": zero}
-        assert validate(raw)[1] == ["element payload is zero, and converge divides by its norm"]
+        assert validate(raw)[1] == ["element payload is zero, and the checks divide by its norm"]
         tiny = {"blocks": [[[0.0, 0.0], [1e-300, 0.0], [0.0, 0.0], [0.0, 0.0]]]}
         assert validate({**raw, "element": tiny})[1] == []
 
@@ -442,7 +473,7 @@ class TestValidate:
              ["unknown experiment None; choose one of verify, converge, stone, tensor, implemented"]),
             ({"experiment": "verify", "seed": None, "shape": [2]}, ["seed must be an integer"]),
             ({"experiment": "verify", "seed": 1, "shape": None}, ["shape must be a list of integers"]),
-            ({"experiment": "verify", "seed": 1, "shape": [2], "grid.r": [1.0]},
+            ({"experiment": "converge", "seed": 1, "shape": [2], "grid.r": [1.0]},
              ["unknown key grid.r; did you mean grid.r?"]),
         ],
         ids=["null_experiment", "null_seed", "null_shape", "dotted_top_level_key"],
@@ -465,6 +496,118 @@ class TestValidate:
         bad.write_text(json.dumps({"experiment": "nope"}))
         with pytest.raises(ConfigInvalidError):
             load_config(bad)
+
+
+# valid small values of each key a config may give; payloads and flow.kind are drawn apart
+SMALL = {
+    "seed": st.integers(0, 2**31),
+    "output": st.sampled_from(["out", "runs/a"]),
+    "flow.norm": st.floats(0.1, 2.0),
+    "grid.r": st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
+    "grid.z_re": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    "grid.z_im": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    "instances": st.integers(9, 12),  # at least the 9 points of the largest grid drawn
+    "module_rank": st.integers(1, 2),
+}
+
+
+FIELD_KEYS = {k.field: key for key, k in KEYS.items()}
+
+
+class RecordingConfig(ScenarioConfig):
+    """A ScenarioConfig that records the config key of every field read from it."""
+
+    def __getattribute__(self, name):
+        if name in FIELD_KEYS:
+            object.__getattribute__(self, "read").add(FIELD_KEYS[name])
+        return object.__getattribute__(self, name)
+
+
+class TestReadSets:
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("verify", {"instances": 9}),
+            ("verify", {"instances": 9, "flow": {"kind": "explicit", "h_left": DIAG}}),
+            ("converge", {"grid": {"r": [1.0, 2.0], "z_im": [0.0, 0.5]}}),
+            ("converge", {"grid": {"r": [1.0, 2.0]}, "flow": {"kind": "explicit", "h_left": DIAG}}),
+            ("stone", {}),
+            ("stone", {"flow": {"kind": "explicit", "h_left": DIAG}}),
+            ("tensor", {"instances": 1}),
+            ("implemented", {}),
+        ],
+        ids=["verify_random", "verify_explicit", "converge_random", "converge_explicit",
+             "stone_random", "stone_explicit", "tensor", "implemented"],
+    )
+    def test_declared_keys_are_the_keys_read(self, name, extra, tmp_path):
+        # costs and the whole run read exactly the declared keys, through the ScenarioConfig fields
+        config, problems = validate({"experiment": name, "seed": 1, "shape": [2], "output": str(tmp_path),
+                                     **extra})
+        assert problems == []
+        recording = RecordingConfig(**{f.name: getattr(config, f.name) for f in dataclasses.fields(config)})
+        recording.read = set()
+        EXPERIMENTS[name].costs(recording)
+        assert run(recording, quiet=True).passed
+        assert recording.read == _declared(name, config.flow_kind)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(list(EXPERIMENTS)), kind=st.sampled_from(["random", "explicit"]),
+           dims=st.lists(st.integers(1, 3), min_size=1, max_size=2), seed=st.integers(0, 2**31))
+    def test_read_set_configs_validate_and_other_keys_are_refused(self, data, name, kind, dims, seed):
+        reads = _declared(name, kind)
+        r, shape = rng(seed), BlockShape(dims)
+
+        def small(key):
+            if key == "flow.kind":
+                return kind
+            if key in ("flow.h_left", "flow.h_right"):
+                return element_to_payload(random_hermitian(r, shape, 1.0).value)
+            if key == "element":
+                return element_to_payload(random_element(r, shape, 1.0))
+            return data.draw(SMALL[key], label=key)
+
+        # flow.kind explicit and its h_left payload are given whenever they are read
+        required = {"experiment", "shape", "seed", *({"flow.kind"} if kind == "explicit" else ()), "flow.h_left"}
+        values = {"experiment": name, "shape": dims}
+        values.update({key: small(key) for key in sorted(reads - {"experiment", "shape"})
+                       if key in required or data.draw(st.booleans(), label=f"give {key}")})
+        raw = _nest(values)
+        assert validate(raw)[1] == []
+        echoed = resolved_defaults(raw)
+        assert validate(echoed)[1] == [] and resolved_defaults(echoed) == echoed
+        key = data.draw(st.sampled_from(sorted(set(KEYS) - reads)), label="unread key")
+        problems = validate(_nest({**values, key: small(key)}))[1]
+        assert len(problems) == 1 and problems[0].startswith(name) and problems[0].endswith(f" does not read {key}")
+
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [
+            ({"experiment": "stone", "instances": 5}, "stone with flow.kind random does not read instances"),
+            ({"experiment": "implemented", "flow": {"norm": 1.0}}, "implemented does not read flow.norm"),
+            ({"experiment": "verify", "module_rank": 1}, "verify with flow.kind random does not read module_rank"),
+            ({"experiment": "converge", "instances": 5}, "converge with flow.kind random does not read instances"),
+            ({"experiment": "tensor", "flow": {"kind": "random"}}, "tensor does not read flow.kind"),
+            ({"experiment": "verify", "flow": {"kind": "explicit", "h_left": DIAG, "norm": 1.0}},
+             "verify with flow.kind explicit does not read flow.norm"),
+            ({"experiment": "stone", "module_rank": 1, "flow": {"kind": "explicit", "h_left": DIAG}},
+             "stone with flow.kind explicit does not read module_rank"),
+            ({"experiment": "verify", "flow": {"h_left": DIAG}},
+             "verify with flow.kind random does not read flow.h_left"),
+            ({"experiment": "verify", "instances": 2},
+             "verify checks one grid point per instance, so the z-grid needs 9 instances,"
+             " above the instance count of 2"),
+        ],
+        ids=["stone_instances", "implemented_norm", "verify_rank", "converge_instances", "tensor_kind",
+             "explicit_verify_norm", "explicit_stone_rank", "random_verify_h_left", "verify_two_instances"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_refusal_names_the_experiment_and_the_key(self, raw, problem, command, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 1, "shape": [2], **raw}))
+        argv = [command, str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"CONFIG_INVALID: {problem}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestMain:
@@ -574,7 +717,7 @@ class TestMain:
                     "seed": 5,
                     "shape": [2],
                     "flow": {"kind": "explicit", "h_left": zero},
-                    "instances": 5,
+                    "instances": 9,
                 }
             )
         )
