@@ -10,6 +10,12 @@ two-sided spectral map ``x -> U (F o (U* x V)) V*``.  Checks over a grid
 of G parameters work on ``(G, n, n)`` stacks of blocks: ``sandwich_blocks``
 and ``power`` form them, and ``stacked_norms`` takes their norms.
 
+Every norm is an exact largest singular value from LAPACK's gesdd with
+singular values only, called through ``np.linalg.svd``, so the module
+needs numpy alone.  numpy pays a fixed cost per call, so where norms come
+in bulk, ``element_norms`` takes those of many elements of one shape
+with one batched call per block.
+
 Tolerances follow double-precision headroom at desk scale (block
 dimensions up to 64): ``HERM_TOL`` and ``POS_TOL_FACTOR`` are relative
 1e-10, ``EIG_TOL`` relative 1e-9.  Functional calculus always symmetrizes
@@ -31,16 +37,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import EigFailureError, NotStrictlyPositiveError, ShapeMismatchError
 
 HERM_TOL = 1e-10
 EIG_TOL = 1e-9
 POS_TOL_FACTOR = 1e-10
-
-# LAPACK's divide-and-conquer SVD, called for singular values only.
-_gesdd = lapack.zgesdd
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -108,11 +110,12 @@ class AlgebraElement:
     def norm(self) -> float:
         """C*-norm: largest singular value over the blocks.
 
-        Each block's largest singular value comes from LAPACK ``zgesdd``
-        with singular values only, and the result is kept on the element,
-        so the SVDs run on the first call only.  Raises ``EigFailureError``
-        when LAPACK reports a failure (a NaN entry, or no convergence) or
-        returns a NaN singular value (an infinite entry).
+        Each block's largest singular value comes from
+        ``largest_singular_value``, and the result is kept on the element
+        (as ``element_norms`` keeps it), so the SVDs run on the first call
+        only.  Raises ``EigFailureError`` when the SVD fails (a NaN entry,
+        or no convergence) or returns a NaN singular value (an infinite
+        entry).
         """
         if self._norm is None:
             object.__setattr__(self, "_norm", max(largest_singular_value(b) for b in self.blocks))
@@ -131,11 +134,14 @@ class AlgebraElement:
 
         The defect ``norm(x - x*)`` is kept on the element like the norm,
         so only the first call takes singular values; the tolerance is
-        applied on every call.
+        applied on every call.  A defect of exactly 0 (a bitwise Hermitian
+        element) meets every tolerance ``tol >= 0`` without the norm.
         """
         if self._herm_defect is None:
             defect = max(largest_singular_value(b - b.conj().T) for b in self.blocks)
             object.__setattr__(self, "_herm_defect", defect)
+        if self._herm_defect == 0.0 and tol >= 0:
+            return True
         return self._herm_defect <= tol * max(self.norm(), 1e-300)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -162,14 +168,39 @@ class AlgebraElement:
 
 
 def largest_singular_value(b: np.ndarray) -> float:
-    """Spectral norm of one matrix by ``zgesdd``; ``EigFailureError`` on a failure or NaN."""
-    _, s, _, info = _gesdd(b, compute_uv=0)
-    if info != 0:
-        raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block failed"
-                              f" (LAPACK zgesdd info = {info})")
+    """Spectral norm of one matrix: LAPACK gesdd, singular values only, through ``np.linalg.svd``.
+
+    An all-zero matrix has norm 0.0 without an SVD.  Raises
+    ``EigFailureError`` naming the block when the SVD fails (a NaN entry,
+    or no convergence) or returns NaN (an infinite entry).
+    """
+    if not np.count_nonzero(b):
+        return 0.0
+    try:
+        s = np.linalg.svd(b, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block failed: {exc}") from exc
     if np.isnan(s[0]):  # LAPACK's answer to an infinite entry
         raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block are NaN")
     return float(s[0])
+
+
+def element_norms(elements: Sequence[AlgebraElement]) -> list[float]:
+    """C*-norms of elements of one shape, each kept on its element as ``norm`` keeps it.
+
+    The elements not yet normed are taken together: one ``stacked_norms``
+    call per block, so numpy's cost per call is paid once per block
+    rather than once per element and block.  The values are bitwise those
+    of ``norm``.
+    """
+    todo = [x for x in elements if x._norm is None]
+    for x in todo[1:]:
+        _same_shape(todo[0], x)
+    if todo:
+        norms = stacked_norms(np.stack(blocks) for blocks in zip(*(x.blocks for x in todo)))
+        for x, v in zip(todo, norms.tolist()):
+            object.__setattr__(x, "_norm", v)
+    return [x._norm for x in elements]
 
 
 def stacked_norms(stacks: Iterable[np.ndarray], what: str = "blocks") -> np.ndarray:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.special
 
 from .algebra import AlgebraElement, sandwich, stacked_norms
 from .errors import NodesTooFewError, NotSeparatingError
@@ -97,7 +96,10 @@ def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
 @lru_cache(maxsize=64)
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     # scipy's node tables stay finite well past n = 1000, where numpy's
-    # recurrence-based weights overflow
+    # recurrence-based weights overflow; imported here, so that only the
+    # smears load it
+    import scipy.special
+
     s, w = scipy.special.roots_hermite(n)
     s.flags.writeable = False
     w.flags.writeable = False

@@ -37,6 +37,7 @@ from .algebra import (
     BlockShape,
     _frozen,
     eigenvalues,
+    element_norms,
     herm_calculus,
     identity,
     is_strictly_positive,
@@ -142,6 +143,11 @@ def inner(v: ModuleVector, w: ModuleVector) -> AlgebraElement:
     """A-valued inner product ``sum_i w_i* v_i``, linear in ``v``."""
     _same_module(v, w)
     return AlgebraElement(v.shape, [b.conj().T @ a for a, b in zip(v.stacked, w.stacked)])
+
+
+def vector_norms(vectors: Sequence[ModuleVector]) -> list[float]:
+    """``ModuleVector.norm`` of each vector of one module, with one batched SVD per block."""
+    return [float(np.sqrt(n)) for n in element_norms([inner(v, v) for v in vectors])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +365,7 @@ class SubalgebraBasis:
 
     def _build(self, generators: list[ModuleOperator]) -> None:
         shape, k = self.shape, self.k
-        tol = SPAN_TOL * max(max(g.norm() for g in generators), 1.0)
+        tol = SPAN_TOL * max(max(element_norms([g.flat for g in generators])), 1.0)
         full = sum((k * n) ** 2 for n in shape)
         q = np.empty((full, full), dtype=complex)
         q_conj = np.empty_like(q)  # the conjugated rows, kept as they are kept

@@ -4,9 +4,11 @@ Payloads are plain JSON-compatible dictionaries.  An algebra element is
 
     {"blocks": [[[re, im], ...row-major...], ...]}
 
-one flat row-major list of [re, im] pairs per square block.  Floats are
-written with shortest round-trip representation, so read/write is
-bit-exact for finite doubles.
+one flat row-major list of [re, im] pairs per square block.  A module
+operator is ``{"entries": [[element, ...], ...]}``, its k x k grid of
+element payloads, and a module vector ``{"entries": [element, ...]}``,
+one element payload per slot.  Floats are written with shortest
+round-trip representation, so read/write is bit-exact for finite doubles.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, BlockShape, HermitianElement
 from .flows import FlowGenerator
-from .hilbmod import ModuleOperator
+from .hilbmod import ModuleOperator, ModuleVector
 
 
 def element_to_payload(x: AlgebraElement) -> dict:
@@ -62,6 +64,14 @@ def operator_from_payload(payload: dict) -> ModuleOperator:
     return ModuleOperator(
         [[element_from_payload(p) for p in row] for row in payload["entries"]]
     )
+
+
+def vector_to_payload(v: ModuleVector) -> dict:
+    return {"entries": [element_to_payload(e) for e in v.entries]}
+
+
+def vector_from_payload(payload: dict) -> ModuleVector:
+    return ModuleVector([element_from_payload(p) for p in payload["entries"]])
 
 
 def dumps(payload: dict) -> str:

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraElement,
@@ -161,6 +160,8 @@ class SampledUnitaryGroup:
 
 def _principal_log_phases(u: ModuleOperator) -> ModuleOperator:
     """Hermitian phase matrix of a unitary: ``-i log u`` on (-pi, pi]."""
+    import scipy.linalg  # on first use, so that only stone loads scipy.linalg
+
     flats = []
     for f in u.flat.blocks:
         t, z = scipy.linalg.schur(f, output="complex")
@@ -503,6 +504,8 @@ def hermitian_matrix_power(m: np.ndarray, z: Sequence[complex]) -> np.ndarray:
     one decomposition.  An oracle, so it uses LAPACK ``zheev``, not the
     ``zheevd`` behind ``algebra.spectral``.
     """
+    import scipy.linalg  # on first use, so that only stone loads scipy.linalg
+
     zs = as_z_grid(z)
     lam, u = scipy.linalg.eigh((m + m.conj().T) / 2.0, driver="ev")
     if np.min(lam) <= POWER_POS_TOL * max(float(np.max(np.abs(lam))), 1e-300):

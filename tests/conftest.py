@@ -21,8 +21,24 @@ Z_POINTS = st.one_of(
 Z_GRIDS = st.lists(Z_POINTS, min_size=1, max_size=9)
 
 
+_svd = np.linalg.svd
+
+
 def failing_svd(a, compute_uv=True):
-    raise np.linalg.LinAlgError("SVD did not converge")
+    """``np.linalg.svd`` that fails on a stack of matrices, as the batched norms of a check pass one."""
+    if np.ndim(a) == 3:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return _svd(a, compute_uv=compute_uv)
+
+
+def counting_svd(calls: list):
+    """``np.linalg.svd`` that appends the shape of each input to ``calls``."""
+
+    def svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+
+    return svd
 
 
 def make_rng(seed: int) -> np.random.Generator:

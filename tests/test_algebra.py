@@ -6,7 +6,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cstarflow.algebra as algebra
 from cstarflow import (
     AlgebraElement,
     BlockShape,
@@ -21,10 +20,10 @@ from cstarflow import (
     spectral,
     zeros,
 )
-from cstarflow.algebra import stacked_norms
+from cstarflow.algebra import HERM_TOL, element_norms, largest_singular_value, stacked_norms
 from cstarflow.sampling import random_element, random_hermitian, rng
 
-from conftest import e12
+from conftest import counting_svd, e12
 
 EPS = np.finfo(float).eps
 
@@ -96,12 +95,7 @@ class TestOpNorm:
 
     def test_second_call_does_not_reach_lapack(self, monkeypatch):
         calls = []
-
-        def counting(b, **kwargs):
-            calls.append(b.shape)
-            return scipy.linalg.lapack.zgesdd(b, **kwargs)
-
-        monkeypatch.setattr(algebra, "_gesdd", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
         x = random_element(rng(4), BlockShape([3, 2]))
         first = x.norm()
         assert calls == [(3, 3), (2, 2)]
@@ -110,7 +104,7 @@ class TestOpNorm:
 
     def test_nan_entry_is_a_numerical_breakdown(self):
         x = AlgebraElement.from_blocks([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]])
-        with pytest.raises(EigFailureError, match=r"2x2 block.*info = -4"):
+        with pytest.raises(EigFailureError, match=r"2x2 block failed: SVD did not converge"):
             x.norm()
 
     def test_infinite_entry_is_a_numerical_breakdown(self):
@@ -134,6 +128,78 @@ class TestOpNorm:
         stack[1, 0, 0] = np.inf
         with pytest.raises(EigFailureError, match="3 stacked 2x2 grid blocks are NaN"):
             stacked_norms([np.zeros((3, 1, 1)), stack], "grid blocks")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
+    def test_largest_singular_value_matches_scipy_svdvals(self, n):
+        r = rng(100 + n)
+        for scale in (1.0, 1e-150, 1e150):
+            b = scale * random_element(r, BlockShape([n])).blocks[0]
+            oracle = scipy.linalg.svdvals(b)[0]
+            assert abs(largest_singular_value(b) - oracle) <= 4 * n * EPS * oracle
+
+    def test_zero_block_is_exactly_zero_without_an_svd(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        assert largest_singular_value(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert AlgebraElement.from_blocks([np.zeros((2, 2)), [[-2.0]]]).norm() == 2.0
+        assert calls == [(1, 1)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_entry_is_a_numerical_breakdown(self, bad):
+        b = np.eye(3, dtype=complex)
+        b[1, 2] = bad
+        with pytest.raises(EigFailureError, match="3x3 block"):
+            largest_singular_value(b)
+
+
+class TestElementNorms:
+    def test_bitwise_the_element_norms_and_kept(self, monkeypatch):
+        r = rng(9)
+        shape = BlockShape([3, 2, 1])
+        elements = [random_element(r, shape) for _ in range(5)]
+        elements += [zeros(shape), AlgebraElement(shape, [np.zeros((3, 3)), *elements[0].blocks[1:]])]
+        want = [AlgebraElement(shape, x.blocks).norm() for x in elements]
+        got = element_norms(elements)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        assert [x.norm() for x in elements] == got
+        assert calls == []
+
+    def test_one_batched_svd_per_block_over_the_elements_not_yet_normed(self, monkeypatch):
+        r = rng(10)
+        elements = [random_element(r, BlockShape([3, 2])) for _ in range(4)]
+        kept = elements[1].norm()
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        assert element_norms(elements)[1] == kept
+        assert calls == [(3, 3, 3), (3, 2, 2)]
+
+    def test_one_shape(self):
+        assert element_norms([]) == []
+        with pytest.raises(ShapeMismatchError):
+            element_norms([random_element(rng(0), BlockShape([2])), random_element(rng(0), BlockShape([3]))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 3), (4, 1)]),
+    st.sampled_from(["hermitian", "perturbed", "random"]),
+    st.sampled_from([1e-13, 1e-11, 1e-9]),
+    st.sampled_from([HERM_TOL, 1e-12, 0.0]),
+)
+def test_is_hermitian_agrees_with_the_defect_svd_rule(seed, dims, kind, size, tol):
+    r, shape = rng(seed), BlockShape(dims)
+    x = random_element(r, shape)
+    if kind != "random":
+        x = 0.5 * (x + x.star())
+        assert all(np.array_equal(b, b.conj().T) for b in x.blocks)  # bitwise Hermitian
+    if kind == "perturbed":
+        x = x + size * random_element(r, shape)
+    defect = max(scipy.linalg.svdvals(b - b.conj().T)[0] for b in x.blocks)
+    norm = max(scipy.linalg.svdvals(b)[0] for b in x.blocks)
+    assert x.is_hermitian(tol) == (defect <= tol * max(norm, 1e-300))
 
 
 class TestHermCalculus:
@@ -211,13 +277,8 @@ class TestPower:
 
     def test_second_power_takes_no_singular_values(self, monkeypatch):
         calls = []
-
-        def counting(b, **kwargs):
-            calls.append(b.shape)
-            return scipy.linalg.lapack.zgesdd(b, **kwargs)
-
         t = herm_calculus(random_hermitian(rng(7), BlockShape([3, 2]), 1.0), np.exp)
-        monkeypatch.setattr(algebra, "_gesdd", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
         power(t, [0.5])
         assert calls == [(3, 3), (2, 2)] * 2  # the Hermitian defect and the norm
         power(t, [1j])

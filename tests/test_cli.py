@@ -4,6 +4,10 @@ import dataclasses
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -918,3 +922,20 @@ class TestArtifacts:
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"
         ).read_bytes()
+
+
+def test_verify_tensor_and_implemented_load_no_scipy(tmp_path):
+    # the norm needs numpy alone; scipy is imported where stone and the smears use it
+    code = textwrap.dedent(f"""
+        import sys
+        import cstarflow.cli, cstarflow.sampling
+        for name in ("implemented", "verify", "tensor"):
+            config = cstarflow.cli.load_config({str(CONFIG_DIR)!r} + "/" + name + ".json")
+            assert cstarflow.cli.run(config, {str(tmp_path)!r} + "/" + name, quiet=True).passed, name
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        sys.exit(f"scipy modules loaded: {{loaded}}" if loaded else 0)
+    """)
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

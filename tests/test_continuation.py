@@ -32,7 +32,7 @@ from cstarflow import (
 from cstarflow.continuation import MAX_NODES, QUAD_TARGET, _hermgauss
 from cstarflow.sampling import random_element, random_flow, rng
 
-from conftest import diag_flow, e12
+from conftest import diag_flow, e12, failing_svd
 
 EPS = np.finfo(float).eps
 
@@ -203,12 +203,9 @@ class TestThreeLines:
             assert abs(batched - pointwise_three_lines(g, x, z, 25)) <= 64 * max(dims) * EPS * scale
 
     def test_failed_batched_svd_is_a_numerical_breakdown(self, monkeypatch):
-        def fails(a, compute_uv=True):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
         g = random_flow(rng(13), BlockShape([2]), 1.0)
         x = random_element(rng(14), BlockShape([2]))
-        monkeypatch.setattr(np.linalg, "svd", fails)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
         with pytest.raises(EigFailureError, match="25 stacked 2x2 strip blocks"):
             three_lines_check(g, x, 0.5j, 25)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement
-from cstarflow.sampling import random_element, random_flow, random_operator, rng
+from cstarflow.sampling import random_element, random_flow, random_operator, random_vector, rng
 from cstarflow.serialize import (
     dumps,
     element_from_payload,
@@ -18,6 +18,8 @@ from cstarflow.serialize import (
     loads,
     operator_from_payload,
     operator_to_payload,
+    vector_from_payload,
+    vector_to_payload,
 )
 
 
@@ -71,6 +73,14 @@ def test_operator_roundtrip():
     assert back.k == s.k
 
 
+def test_vector_payload_is_one_element_payload_per_slot():
+    v = random_vector(rng(3), BlockShape([2, 1]), 3)
+    payload = vector_to_payload(v)
+    assert payload == {"entries": [element_to_payload(e) for e in v.entries]}
+    back = vector_from_payload(loads(dumps(payload)))
+    assert back.k == 3 and back.shape == v.shape
+
+
 def assert_same_bits(x: AlgebraElement, y: AlgebraElement) -> None:
     assert x.shape == y.shape
     for a, b in zip(x.blocks, y.blocks):
@@ -99,3 +109,8 @@ def test_payload_roundtrip_bitwise_hypothesis(seed, dims, k, scale, doubles):
     back_op = operator_from_payload(loads(dumps(operator_to_payload(s))))
     assert back_op.k == k
     assert_same_bits(back_op.flat, s.flat)
+    v = scale * random_vector(r, shape, k)
+    back_vec = vector_from_payload(loads(dumps(vector_to_payload(v))))
+    assert back_vec.k == k and back_vec.shape == v.shape
+    for a, b in zip(back_vec.stacked, v.stacked):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
