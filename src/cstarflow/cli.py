@@ -12,11 +12,15 @@ raised during the run; ``report.json`` then records ``"status":
 "error"`` and the exception type).  One table, ``KEYS``, maps each
 config key to its default, rules and ``ScenarioConfig`` field.  Another,
 ``EXPERIMENTS``, maps each experiment name to its record: runner, CSV columns,
-description, ``costs`` and the keys runner and costs read, some chosen by
-``flow.kind``; ``validate`` refuses any other key, and the echo holds these
-alone.  ``costs(config)`` lists what a run of the config will meet (dense size,
-stacked grid size, quadrature nodes, growth exponent, work, instances), each
-against a budget; ``validate`` refuses a config over any of them.
+description, ``checks`` (each check's bound, in report order), ``costs`` and
+the keys runner and costs read, some chosen by ``flow.kind``; ``validate``
+refuses any other key, and the echo holds these alone.  ``costs(config)``
+lists what a run of the config will meet (dense size, stacked grid size,
+quadrature nodes, growth exponent, work, instances), each against a budget;
+``validate`` refuses a config over any of them.  ``run`` hands the runner a
+report of the declared checks, and the runner observes each residual into it
+with the scale it divides by (``ExitReport.observe``); a declared check that
+no residual reached makes ``run`` raise rather than pass at 0.0.
 
 Floats are written with shortest round-trip representation and random
 data comes from a counter-based Philox stream, so identical configs
@@ -125,10 +129,28 @@ class ExitReport:
     experiment: str
     seed: int
     checks: list[Check] = field(default_factory=list)
+    observed: set[str] = field(default_factory=set, init=False, repr=False)  # names observe has reached
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def observe(self, name: str, residual, scale=1.0):
+        """Keep ``max(0, residual / scale)`` as the worst value of check ``name``, and return ``residual / scale``.
+
+        ``residual`` and ``scale`` may each be a float or an array; a NaN
+        ratio is kept, so the check fails.  Raises ``KeyError`` for a name
+        the report does not declare.
+        """
+        check = next((c for c in self.checks if c.name == name), None)
+        if check is None:
+            raise KeyError(f"{self.experiment} declares no check {name!r}")
+        ratio = residual / scale
+        top = float(np.max(ratio)) if isinstance(ratio, np.ndarray) else ratio
+        if top > check.measured or math.isnan(top):
+            check.measured = top
+        self.observed.add(name)
+        return ratio
 
     def as_dict(self) -> dict:
         return {
@@ -361,15 +383,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _sample_elements(r: np.random.Generator, shape: BlockShape, count: int) -> list[AlgebraElement]:
-    return [sampling.random_element(r, shape, 1.0) for _ in range(count)]
-
-
 # ----------------------------------------------------------------- experiments
-# Each runner returns (checks, CSV rows, extra files): the extra files map a
-# file name in the output directory to the JSON payload written there. Each
-# costs function returns one (budget, value, text) entry per quantity the run
-# will meet, with ``text`` naming it in the refusal message.
+# Each runner takes the config and the report, observes every residual of the
+# checks its record declares into the report (ExitReport.observe, which divides
+# by the scale given there), and returns (CSV rows, extra files): the extra
+# files map a file name in the output directory to the JSON payload written
+# there. Each costs function returns one (budget, value, text) entry per
+# quantity the run will meet, with ``text`` naming it in the refusal message.
 
 
 def _grid(cfg: ScenarioConfig, point_size: int) -> Cost:
@@ -386,19 +406,14 @@ def _work(cfg: ScenarioConfig, each: int) -> Cost:
     return WORK, cfg.instances * each, f"{cfg.instances} instances at {each} entries each touch"
 
 
-def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
+def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     grid = cfg.z_grid()
+    bounds = {c.name: c.bound for c in report.checks}
     rows: list[tuple] = []
-    worst: dict[str, float] = {}
-
-    def record(name: str, instance: int, measured: float, bound: float):
-        rows.append((name, instance, measured, bound, measured <= bound))
-        worst[name] = max(worst.get(name, 0.0), measured)
-
     for i in range(cfg.instances):
         g = cfg.flow(r)
-        x, a, b = _sample_elements(r, cfg.shape, 3)
+        x, a, b = sampling.random_elements(r, cfg.shape, 3, 1.0)
         s, t = (float(v) for v in r.uniform(-2.0, 2.0, size=2))
         z = grid[i % len(grid)]
         y = complex(float(r.uniform(-1.0, 1.0)), float(r.uniform(0.0, 1.0)) * z.imag)
@@ -417,14 +432,11 @@ def _exp_verify(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
         element_norms([*resids.values(), x, a, b, xz, direct])
         scales = {"group_law": x.norm(), "inverse": x.norm(), "composition_same_side": max(direct.norm(), x.norm()),
                   "semi_mult_left": a.norm() * b.norm(), "semi_mult_right": a.norm() * b.norm()}
-        for name, resid in resids.items():
-            record(name, i, resid.norm() / scales[name], 1e-9)
-
-        viol = three_lines_check(g, x, z, 25)
-        record("three_lines", i, viol / max(x.norm(), xz.norm()), 1e-9)
-
-    checks = [Check(name, measured, 1e-9) for name, measured in sorted(worst.items())]
-    return checks, rows, {}
+        measured = {name: report.observe(name, resid.norm(), scales[name]) for name, resid in resids.items()}
+        measured["three_lines"] = report.observe("three_lines", three_lines_check(g, x, z, 25),
+                                                 max(x.norm(), xz.norm()))
+        rows += [(name, i, m, bounds[name], m <= bounds[name]) for name, m in measured.items()]
+    return rows, {}
 
 
 def _costs_verify(cfg: ScenarioConfig) -> list[Cost]:
@@ -438,22 +450,19 @@ def _costs_verify(cfg: ScenarioConfig) -> list[Cost]:
              "verify checks one grid point per instance, so the z-grid needs")]
 
 
-def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
+def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
     # the smear errors at z = 0, their ratios and the approximants do not depend on z
     errs = {rr: (smear_oracle(g, x, rr, 0.0) - x).norm() for rr in cfg.r_list}
-    ratio_excess = 0.0
     floor, top = RATIO_FLOOR * x.norm(), 1e-2 * x.norm()
-    for rr in cfg.r_list:
-        if 2 * rr in errs and errs[rr] <= top and min(errs[rr], errs[2 * rr]) > floor:
-            ratio = errs[2 * rr] / errs[rr]
-            ratio_excess = max(ratio_excess, 0.2 - ratio, ratio - 0.3)
+    ratios = np.array([errs[2 * rr] / errs[rr] for rr in cfg.r_list
+                       if 2 * rr in errs and errs[rr] <= top and min(errs[rr], errs[2 * rr]) > floor])
+    # with no pair to read (one r, or an element the flow fixes) the check reads 0.0
+    report.observe("convergence_ratio", np.maximum(0.2 - ratios, ratios - 0.3) if ratios.size else 0.0)
     ys = [smear_oracle(g, x, min(cfg.r_list) * 2.0**j, 0.0) for j in range(16)]
     rows: list[tuple] = []
-    quad_worst = norm_worst = 0.0
-    cap_x = cap_ax = conv = -math.inf
     for z in cfg.z_grid():
         for rr in cfg.r_list:
             nodes = min_nodes(g, rr, z)
@@ -462,25 +471,17 @@ def _exp_converge(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
             envelope = x.norm() * math.exp(rr * rr * z.imag * z.imag)
             bound_rhs = envelope * (1.0 + 1e-8)
             rows.append((z.real, z.imag, rr, nodes, err_quad, errs[rr], bound_rhs))
-            quad_worst = max(quad_worst, err_quad / envelope)
-            norm_worst = max(norm_worst, quad.norm() / bound_rhs)
+            report.observe("quad_vs_oracle", err_quad, envelope)
+            report.observe("norm_bound", quad.norm(), bound_rhs)
         ax = continue_exact(g, z, x)
         rescaled = core_rescale(x, ax, [(y, continue_exact(g, z, y)) for y in ys])
-        cap_x = max(cap_x, max((y.norm() - x.norm()) / x.norm() for y in rescaled))
+        report.observe("core_rescale_cap_x", np.array([y.norm() for y in rescaled]) - x.norm(), x.norm())
         # alpha_z of each rescaled approximant is formed again on purpose: lam * alpha_z(y) would
         # meet the cap by the choice of lam, and the check would no longer test the continuation
-        cap_ax = max(cap_ax, max((continue_exact(g, z, y).norm() - ax.norm()) / ax.norm()
-                                 for y in rescaled))
-        conv = max(conv, (rescaled[-1] - x).norm())
-    checks = [
-        Check("quad_vs_oracle", quad_worst, 1e-8),
-        Check("norm_bound", norm_worst, 1.0),
-        Check("convergence_ratio", max(ratio_excess, 0.0), 0.0),
-        Check("core_rescale_cap_x", max(cap_x, 0.0), 1e-12),
-        Check("core_rescale_cap_continuation", max(cap_ax, 0.0), 1e-12),
-        Check("core_rescale_convergence", conv, 1e-6),
-    ]
-    return checks, rows, {}
+        report.observe("core_rescale_cap_continuation",
+                       np.array([continue_exact(g, z, y).norm() for y in rescaled]) - ax.norm(), ax.norm())
+        report.observe("core_rescale_convergence", (rescaled[-1] - x).norm())
+    return rows, {}
 
 
 def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
@@ -500,7 +501,7 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
     return costs
 
 
-def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
+def _exp_stone(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     if cfg.flow_kind == "explicit":
         t_op = ModuleOperator([[herm_calculus(HermitianElement(cfg.h_left), np.exp)]])
@@ -508,37 +509,29 @@ def _exp_stone(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
         t_op = sampling.random_positive_operator(r, cfg.shape, cfg.module_rank, cond=COND)
     k = t_op.k
     u = SampledUnitaryGroup.from_positive(t_op)
-    t_rec, report = _stone_and_report(u, 1.0)
-    rows = [(t, err) for t, err in report["residual_grid"]]
-    checks = [
-        Check("recovery_error", (t_rec - t_op).norm() / t_op.norm(), 1e-8),
-        Check("residual_grid", max(err for _, err in rows), 1e-8),
-    ]
+    t_rec, recovery = _stone_and_report(u, 1.0)
+    rows = [(t, err) for t, err in recovery["residual_grid"]]
+    report.observe("recovery_error", (t_rec - t_op).norm(), t_op.norm())
+    report.observe("residual_grid", np.array([err for _, err in rows]))
     log_norm = op_log(t_op).norm()
     zs = np.array(cfg.z_grid())
     pairs = zip(power(t_op.flat, 1j * zs), power(t_rec.flat, 1j * zs))
     errs = stacked_norms((a - b for a, b in pairs), "continuation blocks")
-    cont_worst = max(err / math.exp(abs(z.imag) * log_norm) for z, err in zip(zs, errs.tolist()))
-    checks.append(Check("continuation", cont_worst, 1e-8))
+    report.observe("continuation", errs, np.array([math.exp(abs(z.imag) * log_norm) for z in zs]))
 
     omega = sampling.random_state(r, cfg.shape)
     loc = localize(omega, cfg.shape, k)
-    gram_worst = 0.0
     vectors = [sampling.random_vector(r, cfg.shape, k) for _ in range(20)]  # v then w of each pair
     norms = vector_norms(vectors)
     for v, w, nv, nw in zip(vectors[::2], vectors[1::2], norms[::2], norms[1::2]):
         lhs = complex(np.vdot(loc.apply(w), loc.apply(v)))
-        rhs = omega.value(inner(v, w))
-        gram_worst = max(gram_worst, abs(lhs - rhs) / max(1.0, nv * nw))
-    checks.append(Check("gram_identity", gram_worst, 1e-10))
+        report.observe("gram_identity", abs(lhs - omega.value(inner(v, w))), max(1.0, nv * nw))
 
-    power_worst = float(induced_power_check(loc, t_op, (0.5, 1j, 1 + 1j)).max())
-    checks.append(Check("induced_power", power_worst, 1e-8))
+    report.observe("induced_power", induced_power_check(loc, t_op, (0.5, 1j, 1 + 1j)))
 
     perturbed = t_op + 1e-3 * identity_operator(cfg.shape, k)
-    detected = not separating_check(t_op, perturbed, [omega])
-    checks.append(Check("separating_detects", 0.0 if detected else 1.0, 0.0))
-    return checks, rows, {"recovery.json": report}
+    report.observe("separating_detects", 1.0 if separating_check(t_op, perturbed, [omega]) else 0.0)
+    return rows, {"recovery.json": recovery}
 
 
 def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:
@@ -556,29 +549,22 @@ def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:
             _growth("T^(iz)", cfg.im_max(), nu)]
 
 
-def _exp_tensor(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
+def _exp_tensor(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     rows: list[tuple] = []
-    comm_worst = tens_worst = 0.0
     grid = cfg.z_grid()
     for i in range(cfg.instances):
         alpha, beta = sampling.random_commuting_flows(r, cfg.shape, cfg.flow_norm)
         pair = CommutingPair(alpha, beta)
         x = sampling.random_element(r, cfg.shape, 1.0)
-        for z, resid in zip(grid, gamma_continuation_check(pair, grid, x).tolist()):
-            rows.append(("commuting", i, z.real, z.imag, resid))
-            comm_worst = max(comm_worst, resid)
+        resids = report.observe("commuting_continuation", gamma_continuation_check(pair, grid, x))
+        rows += [("commuting", i, z.real, z.imag, resid) for z, resid in zip(grid, resids.tolist())]
         tf = tensor_flow(sampling.random_flow(r, cfg.shape, cfg.flow_norm),
                          sampling.random_flow(r, cfg.shape, cfg.flow_norm))
         y = sampling.random_element(r, cfg.shape, 1.0)
-        for z, resid in zip(grid, tensor_continuation_check(tf, grid, x, y).tolist()):
-            rows.append(("tensor", i, z.real, z.imag, resid))
-            tens_worst = max(tens_worst, resid)
-    checks = [
-        Check("commuting_continuation", comm_worst, 1e-8),
-        Check("tensor_continuation", tens_worst, 1e-8),
-    ]
-    return checks, rows, {}
+        resids = report.observe("tensor_continuation", tensor_continuation_check(tf, grid, x, y))
+        rows += [("tensor", i, z.real, z.imag, resid) for z, resid in zip(grid, resids.tolist())]
+    return rows, {}
 
 
 def _costs_tensor(cfg: ScenarioConfig) -> list[Cost]:
@@ -590,7 +576,7 @@ def _costs_tensor(cfg: ScenarioConfig) -> list[Cost]:
             _work(cfg, len(cfg.z_re) * len(cfg.z_im) * dim**2)]
 
 
-def _exp_implemented(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dict]:
+def _exp_implemented(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     k = cfg.module_rank
     s_op = sampling.random_positive_operator(r, cfg.shape, k, cond=COND)
@@ -600,20 +586,14 @@ def _exp_implemented(cfg: ScenarioConfig) -> tuple[list[Check], list[tuple], dic
     x = sampling.random_operator(r, cfg.shape, k, 1.0)
     omega = sampling.random_state(r, cfg.shape)
     loc = localize(omega, cfg.shape, k)
-    rows: list[tuple] = []
-    cont_worst = mid_worst = 0.0
     grid = cfg.z_grid()
-    for z, resid in zip(grid, implemented_continuation_check(flow, grid, x).tolist()):
-        rows.append(("continuation_formula", z.real, z.imag, resid))
-        cont_worst = max(cont_worst, resid / max(1.0, x.norm()))
+    resids = implemented_continuation_check(flow, grid, x)
+    report.observe("continuation_formula", resids, max(1.0, x.norm()))
+    rows = [("continuation_formula", z.real, z.imag, resid) for z, resid in zip(grid, resids.tolist())]
     resid = localized_middle_check(loc, s_op, x, t_op)
+    report.observe("localized_middle", resid, max(1.0, s_op.norm() * x.norm() * t_op.norm()))
     rows.append(("localized_middle", 0.0, 0.0, resid))
-    mid_worst = resid / max(1.0, s_op.norm() * x.norm() * t_op.norm())
-    checks = [
-        Check("continuation_formula", cont_worst, 1e-8),
-        Check("localized_middle", mid_worst, 1e-9),
-    ]
-    return checks, rows, {}
+    return rows, {}
 
 
 def _costs_implemented(cfg: ScenarioConfig) -> list[Cost]:
@@ -627,9 +607,10 @@ def _costs_implemented(cfg: ScenarioConfig) -> list[Cost]:
 
 @dataclass(frozen=True)
 class Experiment:
-    runner: Callable[[ScenarioConfig], tuple[list[Check], list[tuple], dict]]
+    runner: Callable[[ScenarioConfig, ExitReport], tuple[list[tuple], dict]]
     columns: tuple[str, ...]
     description: str
+    checks: dict[str, float]  # each check's bound, in report order; README.md says what each compares
     costs: Callable[[ScenarioConfig], list[Cost]]
     reads: tuple[str, ...]  # the config keys runner and costs read besides COMMON
     by_kind: dict[str, tuple[str, ...]] = field(default_factory=dict)  # and those read under each flow.kind
@@ -639,21 +620,29 @@ Z_KEYS = ("grid.z_re", "grid.z_im")
 FLOW_KEYS = {"random": ("flow.norm",), "explicit": ("flow.h_left", "flow.h_right")}
 EXPERIMENTS = {
     "verify": Experiment(_exp_verify, ("check", "instance", "measured", "bound", "passed"),
-        "group laws, inverses, same-side composition, semi-multiplicativity, strip bound", _costs_verify,
-        ("flow.kind", *Z_KEYS, "instances"), FLOW_KEYS),
+        "group laws, inverses, same-side composition, semi-multiplicativity, strip bound",
+        dict.fromkeys(("composition_same_side", "group_law", "inverse", "semi_mult_left", "semi_mult_right",
+                       "three_lines"), 1e-9),
+        _costs_verify, ("flow.kind", *Z_KEYS, "instances"), FLOW_KEYS),
     "converge": Experiment(_exp_converge,
         ("z_re", "z_im", "r", "nodes", "err_quad_vs_oracle", "err_smear_vs_x", "bound_rhs"),
-        "smearing quadrature vs closed form and norm bound at every z, convergence rate,"
-        " core rescaling", _costs_converge, ("flow.kind", "element", "grid.r", *Z_KEYS), FLOW_KEYS),
+        "smearing quadrature vs closed form and norm bound at every z, convergence rate, core rescaling",
+        {"quad_vs_oracle": 1e-8, "norm_bound": 1.0, "convergence_ratio": 0.0, "core_rescale_cap_x": 1e-12,
+         "core_rescale_cap_continuation": 1e-12, "core_rescale_convergence": 1e-6},
+        _costs_converge, ("flow.kind", "element", "grid.r", *Z_KEYS), FLOW_KEYS),
     "stone": Experiment(_exp_stone, ("t", "residual"),
-        "generator recovery round trip, continuation, localization and separation", _costs_stone,
-        ("flow.kind", *Z_KEYS), {"random": ("module_rank",), "explicit": ("flow.h_left",)}),
+        "generator recovery round trip, continuation, localization and separation",
+        {"recovery_error": 1e-8, "residual_grid": 1e-8, "continuation": 1e-8, "gram_identity": 1e-10,
+         "induced_power": 1e-8, "separating_detects": 0.0},
+        _costs_stone, ("flow.kind", *Z_KEYS), {"random": ("module_rank",), "explicit": ("flow.h_left",)}),
     "tensor": Experiment(_exp_tensor, ("kind", "instance", "z_re", "z_im", "residual"),
-        "commuting-pair product continuation and tensor-product continuation", _costs_tensor,
-        ("flow.norm", *Z_KEYS, "instances")),
+        "commuting-pair product continuation and tensor-product continuation",
+        {"commuting_continuation": 1e-8, "tensor_continuation": 1e-8},
+        _costs_tensor, ("flow.norm", *Z_KEYS, "instances")),
     "implemented": Experiment(_exp_implemented, ("check", "z_re", "z_im", "residual"),
-        "implemented-flow continuation formula and localized middle products", _costs_implemented,
-        (*Z_KEYS, "module_rank")),
+        "implemented-flow continuation formula and localized middle products",
+        {"continuation_formula": 1e-8, "localized_middle": 1e-9},
+        _costs_implemented, (*Z_KEYS, "module_rank")),
 }
 
 
@@ -662,8 +651,12 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, quiet: bool =
     out = Path(out_dir) if out_dir is not None else Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
     experiment = EXPERIMENTS[config.experiment]
-    checks, rows, extra_files = experiment.runner(config)
-    report = ExitReport(config.experiment, config.seed, checks)
+    report = ExitReport(config.experiment, config.seed,
+                        [Check(name, 0.0, bound) for name, bound in experiment.checks.items()])
+    rows, extra_files = experiment.runner(config, report)
+    unobserved = [c.name for c in report.checks if c.name not in report.observed]
+    if unobserved:  # a check no residual reached would pass at 0.0 without testing anything
+        raise RuntimeError(f"{config.experiment} observed no residual for {', '.join(unobserved)}")
     _write_csv(out / f"{config.experiment}.csv", experiment.columns, rows)
     for name, payload in {"report.json": report.as_dict(), **extra_files}.items():
         _write_json(out / name, payload)

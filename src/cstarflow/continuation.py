@@ -163,16 +163,15 @@ def three_lines_check(g: FlowGenerator, x: AlgebraElement, z: complex, samples: 
     ``alpha_y(x) = U (F_y o X) V*`` with ``X = U* x V`` and
     ``F_y = exp(iy(lam_j - mu_k))``, and the unitaries ``U, V`` leave the
     norm unchanged, so each block rotates ``x`` once and takes the norms
-    at all grid points with one batched singular-value call
-    (``algebra.stacked_norms``).  Raises ``EigFailureError`` when that
-    call fails or returns NaN.
+    at all grid points, and at ``z`` itself for the bound, with one
+    batched singular-value call (``algebra.stacked_norms``).  Raises
+    ``EigFailureError`` when that call fails or returns NaN.
     """
     if samples < 1:
         raise ValueError("need at least one strip sample")
     z = complex(z)
-    bound = max(x.norm(), continue_exact(g, z, x).norm())
     grid = np.linspace(0.0, 1.0, max(2, math.ceil(math.sqrt(samples))))
-    y = ((-2.0 + 4.0 * grid)[:, None] + 1j * (grid * z.imag)[None, :]).ravel()
+    y = np.append(((-2.0 + 4.0 * grid)[:, None] + 1j * (grid * z.imag)[None, :]).ravel(), z)
     left, right = g.spectral_left, g.spectral_right
     parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
     norms = stacked_norms(
@@ -180,7 +179,7 @@ def three_lines_check(g: FlowGenerator, x: AlgebraElement, z: complex, samples: 
          for lam, u, mu, v, xb in parts),
         "strip blocks",
     )
-    return float(np.max(norms)) - bound
+    return float(np.max(norms[:-1])) - max(x.norm(), float(norms[-1]))
 
 
 def core_rescale(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockShape, HermitianElement
+from .algebra import AlgebraElement, BlockShape, HermitianElement, element_norms
 from .flows import FlowGenerator
 from .hilbmod import ModuleOperator, ModuleVector, operator_from_flat
 from .stone import PositiveFunctional
@@ -25,22 +25,30 @@ def gaussian(r: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return (r.standard_normal(shape) + 1j * r.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _rescaled(elements: list[AlgebraElement], norm: float) -> list[AlgebraElement]:
+    """Each element times ``norm`` over its C*-norm, a zero one as it is; the norms are taken in one batch."""
+    return [(norm / n) * x if n > 0 else x for x, n in zip(elements, element_norms(elements))]
+
+
+def random_elements(
+    r: np.random.Generator, shape: BlockShape, count: int, norm: float | None = None
+) -> list[AlgebraElement]:
+    """``count`` Gaussian elements drawn one after another, each rescaled to ``norm`` unless it is None."""
+    xs = [AlgebraElement(shape, [gaussian(r, (n, n)) for n in shape]) for _ in range(count)]
+    return xs if norm is None else _rescaled(xs, norm)
+
+
 def random_element(r: np.random.Generator, shape: BlockShape, norm: float | None = None) -> AlgebraElement:
-    x = AlgebraElement(shape, [gaussian(r, (n, n)) for n in shape])
-    if norm is not None and x.norm() > 0:
-        x = (norm / x.norm()) * x
-    return x
+    return random_elements(r, shape, 1, norm)[0]
+
+
+def _hermitians(r: np.random.Generator, shape: BlockShape, count: int, norm: float) -> list[HermitianElement]:
+    hs = [AlgebraElement(shape, [(g + g.conj().T) / 2.0 for g in x.blocks]) for x in random_elements(r, shape, count)]
+    return [HermitianElement(h) for h in _rescaled(hs, norm)]
 
 
 def random_hermitian(r: np.random.Generator, shape: BlockShape, norm: float = 1.0) -> HermitianElement:
-    blocks = []
-    for n in shape:
-        g = gaussian(r, (n, n))
-        blocks.append((g + g.conj().T) / 2.0)
-    h = AlgebraElement(shape, blocks)
-    if h.norm() > 0:
-        h = (norm / h.norm()) * h
-    return HermitianElement(h)
+    return _hermitians(r, shape, 1, norm)[0]
 
 
 def random_flow(
@@ -49,10 +57,8 @@ def random_flow(
     norm: float = 1.0,
     automorphism: bool = False,
 ) -> FlowGenerator:
-    h_left = random_hermitian(r, shape, norm)
-    if automorphism:
-        return FlowGenerator(h_left, h_left)
-    return FlowGenerator(h_left, random_hermitian(r, shape, norm))
+    hs = _hermitians(r, shape, 1 if automorphism else 2, norm)
+    return FlowGenerator(hs[0], hs[-1])
 
 
 def random_unitary(r: np.random.Generator, n: int) -> np.ndarray:
@@ -81,31 +87,20 @@ def random_commuting_flows(
 
     al, bl = diag_pair()
     ar, br = diag_pair()
-
-    def rescale(x: AlgebraElement) -> HermitianElement:
-        sym = 0.5 * (x + x.star())
-        if sym.norm() > 0:
-            sym = (norm / sym.norm()) * sym
-        return HermitianElement(sym)
-
-    alpha = FlowGenerator(rescale(al), rescale(ar))
-    beta = FlowGenerator(rescale(bl), rescale(br))
-    return alpha, beta
+    hs = [HermitianElement(h) for h in _rescaled([0.5 * (x + x.star()) for x in (al, ar, bl, br)], norm)]
+    return FlowGenerator(hs[0], hs[1]), FlowGenerator(hs[2], hs[3])
 
 
 def random_vector(r: np.random.Generator, shape: BlockShape, k: int) -> ModuleVector:
-    return ModuleVector([random_element(r, shape) for _ in range(k)])
+    return ModuleVector(random_elements(r, shape, k))
 
 
 def random_operator(
     r: np.random.Generator, shape: BlockShape, k: int, norm: float | None = None
 ) -> ModuleOperator:
-    s = ModuleOperator(
-        [[random_element(r, shape) for _ in range(k)] for _ in range(k)]
-    )
-    if norm is not None and s.norm() > 0:
-        s = (norm / s.norm()) * s
-    return s
+    s = ModuleOperator([[random_element(r, shape) for _ in range(k)] for _ in range(k)])
+    # the operator norm is the C*-norm of the flattened element
+    return s if norm is None else ModuleOperator.from_flat(_rescaled([s.flat], norm)[0], k)
 
 
 def random_positive_operator(

@@ -23,6 +23,8 @@ from cstarflow.cli import (
     COND,
     EXPERIMENTS,
     KEYS,
+    Check,
+    ExitReport,
     MAX_FLAT_SIZE,
     MAX_GRID_SIZE,
     MAX_GROWTH,
@@ -527,22 +529,26 @@ class RecordingConfig(ScenarioConfig):
         return object.__getattribute__(self, name)
 
 
+# one small run of each experiment under each flow kind it reads
+EACH_RUN = pytest.mark.parametrize(
+    "name, extra",
+    [
+        ("verify", {"instances": 9}),
+        ("verify", {"instances": 9, "flow": {"kind": "explicit", "h_left": DIAG}}),
+        ("converge", {"grid": {"r": [1.0, 2.0], "z_im": [0.0, 0.5]}}),
+        ("converge", {"grid": {"r": [1.0, 2.0]}, "flow": {"kind": "explicit", "h_left": DIAG}}),
+        ("stone", {}),
+        ("stone", {"flow": {"kind": "explicit", "h_left": DIAG}}),
+        ("tensor", {"instances": 1}),
+        ("implemented", {}),
+    ],
+    ids=["verify_random", "verify_explicit", "converge_random", "converge_explicit",
+         "stone_random", "stone_explicit", "tensor", "implemented"],
+)
+
+
 class TestReadSets:
-    @pytest.mark.parametrize(
-        "name, extra",
-        [
-            ("verify", {"instances": 9}),
-            ("verify", {"instances": 9, "flow": {"kind": "explicit", "h_left": DIAG}}),
-            ("converge", {"grid": {"r": [1.0, 2.0], "z_im": [0.0, 0.5]}}),
-            ("converge", {"grid": {"r": [1.0, 2.0]}, "flow": {"kind": "explicit", "h_left": DIAG}}),
-            ("stone", {}),
-            ("stone", {"flow": {"kind": "explicit", "h_left": DIAG}}),
-            ("tensor", {"instances": 1}),
-            ("implemented", {}),
-        ],
-        ids=["verify_random", "verify_explicit", "converge_random", "converge_explicit",
-             "stone_random", "stone_explicit", "tensor", "implemented"],
-    )
+    @EACH_RUN
     def test_declared_keys_are_the_keys_read(self, name, extra, tmp_path):
         # costs and the whole run read exactly the declared keys, through the ScenarioConfig fields
         config, problems = validate({"experiment": name, "seed": 1, "shape": [2], "output": str(tmp_path),
@@ -612,6 +618,84 @@ class TestReadSets:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"CONFIG_INVALID: {problem}\n"
         assert not (tmp_path / "out").exists()
+
+
+def _small_run(name: str, extra: dict, out: Path) -> ScenarioConfig:
+    config, problems = validate({"experiment": name, "seed": 1, "shape": [2], "output": str(out), **extra})
+    assert problems == []
+    return config
+
+
+# residual and scale of one observe call: each a float or an array of n points
+RATIOS = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.one_of(st.floats(-1e6, 1e6), st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n).map(np.array)),
+    st.one_of(st.floats(1e-6, 1e6), st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n).map(np.array)),
+))
+
+
+class TestChecks:
+    @EACH_RUN
+    def test_declared_checks_are_the_checks_observed(self, name, extra, tmp_path, monkeypatch):
+        seen = set()
+        observe = ExitReport.observe
+
+        def recording(report, check, *args):
+            seen.add(check)
+            return observe(report, check, *args)
+
+        monkeypatch.setattr(ExitReport, "observe", recording)
+        report = run(_small_run(name, extra, tmp_path), quiet=True)
+        assert seen == set(EXPERIMENTS[name].checks)
+        assert [(c.name, c.bound) for c in report.checks] == list(EXPERIMENTS[name].checks.items())
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_a_check_no_residual_reached_fails_the_run(self, name, tmp_path, monkeypatch):
+        # a runner that divides its last check's residual without observing it must not report a pass at 0.0
+        last = list(EXPERIMENTS[name].checks)[-1]
+        observe = ExitReport.observe
+
+        def dropping(report, check, residual, scale=1.0):
+            return residual / scale if check == last else observe(report, check, residual, scale)
+
+        monkeypatch.setattr(ExitReport, "observe", dropping)
+        extra = {"verify": {"instances": 9}, "tensor": {"instances": 1}}.get(name, {})
+        with pytest.raises(RuntimeError, match=f"{name} observed no residual for {last}$"):
+            run(_small_run(name, extra, tmp_path), quiet=True)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_observing_an_undeclared_check_raises(self):
+        report = ExitReport("verify", 1, [Check("group_law", 0.0, 1e-9)])
+        with pytest.raises(KeyError, match="verify declares no check 'grouplaw'"):
+            report.observe("grouplaw", 1.0)
+        assert report.observed == set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(calls=st.lists(RATIOS, min_size=1, max_size=4))
+    def test_observe_is_the_pointwise_max_floored_at_zero(self, calls):
+        report = ExitReport("verify", 1, [Check("c", 0.0, 1.0)])
+        worst = 0.0
+        for residual, scale in calls:
+            ratio = report.observe("c", residual, scale)
+            pairs = np.broadcast_arrays(residual, scale)
+            pointwise = [r / s for r, s in zip(*(np.ravel(a).tolist() for a in pairs))]
+            for v in pointwise:
+                worst = max(worst, v)
+            assert np.ravel(ratio).tobytes() == np.array(pointwise).tobytes()
+            assert isinstance(ratio, float) == (np.ndim(residual) == np.ndim(scale) == 0)
+        assert np.float64(report.checks[0].measured).tobytes() == np.float64(worst).tobytes()
+
+    def test_a_nan_ratio_fails_the_check_and_stays(self):
+        report = ExitReport("verify", 1, [Check("c", 0.0, 1.0)])
+        report.observe("c", np.array([0.5, math.nan]))
+        report.observe("c", 0.25)
+        assert math.isnan(report.checks[0].measured) and not report.passed
+
+    def test_readme_table_names_every_check_and_bound(self):
+        # rows "| experiment | `check` | compares | scale | bound |" of the README's check table
+        rows = [[cell.strip().strip("`") for cell in line.strip("| ").split("|")]
+                for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("| ")]
+        table = {(row[0], row[1]): float(row[-1]) for row in rows if len(row) == 5 and row[0] in EXPERIMENTS}
+        assert table == {(name, check): bound for name, e in EXPERIMENTS.items() for check, bound in e.checks.items()}
 
 
 class TestMain:

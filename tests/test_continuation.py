@@ -206,7 +206,7 @@ class TestThreeLines:
         g = random_flow(rng(13), BlockShape([2]), 1.0)
         x = random_element(rng(14), BlockShape([2]))
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(EigFailureError, match="25 stacked 2x2 strip blocks"):
+        with pytest.raises(EigFailureError, match="26 stacked 2x2 strip blocks"):
             three_lines_check(g, x, 0.5j, 25)
 
     def test_real_z_degenerates_to_isometry(self):
