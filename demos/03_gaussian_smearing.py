@@ -1,7 +1,7 @@
 """Gaussian smearing: quadrature against the closed form.
 
 The smear x(r, z) averages the flow orbit of x against a Gaussian
-centered at z. Two routes compute it: Gauss-Hermite quadrature with an
+centered at z. Two routes compute it: the trapezoidal rule with an
 analytically shifted contour, and a closed form in the joint eigenbasis
 of the generators. As r grows the smear converges to x at rate 1/r^2,
 and rescaled smears approximate x without ever exceeding its norm.

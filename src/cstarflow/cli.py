@@ -48,7 +48,6 @@ from .continuation import (
     admissible_nodes,
     continue_exact,
     core_rescale,
-    min_nodes,
     smear_oracle,
     smear_quadrature,
     three_lines_check,
@@ -99,7 +98,7 @@ COND = 1e3
 # (name, limit, unit of the value) of each budget, as the refusal message says them
 SIZE = ("budget", MAX_FLAT_SIZE, "")
 GRID = ("grid budget", MAX_GRID_SIZE, " entries")
-NODES = ("cap", MAX_NODES, " Gauss-Hermite nodes")
+NODES = ("cap", MAX_NODES, " quadrature nodes")
 GROWTH = ("growth budget", MAX_GROWTH, "")
 WORK = ("work budget", MAX_WORK, " entries")
 Cost = tuple[tuple[str, float, str], float, str]
@@ -465,12 +464,12 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
     rows: list[tuple] = []
     for z in cfg.z_grid():
         for rr in cfg.r_list:
-            nodes = min_nodes(g, rr, z)
-            quad = smear_quadrature(g, x, SmearingPlan(rr, z, nodes))
+            plan = SmearingPlan.for_flow(g, rr, z)
+            quad = smear_quadrature(g, x, plan)
             err_quad = (quad - smear_oracle(g, x, rr, z)).norm()
             envelope = x.norm() * math.exp(rr * rr * z.imag * z.imag)
             bound_rhs = envelope * (1.0 + 1e-8)
-            rows.append((z.real, z.imag, rr, nodes, err_quad, errs[rr], bound_rhs))
+            rows.append((z.real, z.imag, rr, plan.nodes, err_quad, errs[rr], bound_rhs))
             report.observe("quad_vs_oracle", err_quad, envelope)
             report.observe("norm_bound", quad.norm(), bound_rhs)
         ax = continue_exact(g, z, x)
@@ -492,7 +491,7 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
     for r in cfg.r_list:
         try:
             count = admissible_nodes(nu, r, complex(0.0, im))
-        except OverflowError:  # the node budget squared is infinite
+        except OverflowError:  # the node budget is infinite
             count = math.inf
         where = f"grid.r = {r!r} with max|z_im| = {im!r}"
         costs.append((NODES, count, f"{where} needs"))

@@ -8,7 +8,7 @@ The two-variable smear
     x(n, z) = (n^2/pi) * iint exp(-n^2((s-z)^2 + (t-z)^2)) alpha_s(beta_t(x)) ds dt
 
 is, by Fubini, the composition of the one-variable smears, so it is
-evaluated as iterated one-axis Gauss-Hermite rules: ``beta``'s node sum
+evaluated as iterated one-axis trapezoidal rules: ``beta``'s node sum
 inside ``alpha``'s, each a node sum of phases in the joint eigenbasis.
 
 Tensor products are realized on the Kronecker algebra: the minimal
@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, BlockShape, HermitianElement, as_z_grid, stacked_norms
 from .continuation import SmearingPlan, min_nodes, smear_quadrature
-from .errors import NodesTooFewError, NotCommutingError, ShapeMismatchError
+from .errors import NotCommutingError, ShapeMismatchError
 from .flows import FlowGenerator, conjugate_stack
 
 COMM_TOL = 1e-10
@@ -114,19 +114,15 @@ def double_smear(
     Iterates the one-axis rules, ``beta``'s with ``nodes[1]`` nodes inside
     ``alpha``'s with ``nodes[0]``, so the work grows with the sum of the
     node counts, not their product.  Node counts default to the one-axis
-    admissibility rule per flow and may only be raised
-    (``NodesTooFewError`` otherwise).
+    admissibility rule per flow and may only be raised: ``smear_quadrature``
+    raises ``NodesTooFewError`` otherwise.
     """
     if n <= 0:
         raise ValueError("smearing index n must be positive")
     z = complex(z)
-    need_s, need_t = min_nodes(p.alpha, n, z), min_nodes(p.beta, n, z)
-    if nodes is None:
-        nodes = (need_s, need_t)
-    if nodes[0] < need_s or nodes[1] < need_t:
-        raise NodesTooFewError(f"axis node counts {nodes} below ({need_s}, {need_t})")
-    inner = smear_quadrature(p.beta, x, SmearingPlan(n, z, nodes[1]))
-    return smear_quadrature(p.alpha, inner, SmearingPlan(n, z, nodes[0]))
+    s_nodes, t_nodes = nodes or (min_nodes(p.alpha, n, z), min_nodes(p.beta, n, z))
+    inner = smear_quadrature(p.beta, x, SmearingPlan(n, z, t_nodes))
+    return smear_quadrature(p.alpha, inner, SmearingPlan(n, z, s_nodes))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ center ``z`` is
 
 evaluated two independent ways, each as an entrywise factor on ``x`` in
 the joint eigenbasis of the generators (``algebra.sandwich``), with
-``nu = lam_j - mu_k``: a Gauss-Hermite node sum of phases
+``nu = lam_j - mu_k``: a trapezoidal node sum of phases
 ``sum_j c_j exp(i t_j nu)`` over ``t_j = Re z + s_j / r`` (the complex
 shift is handled analytically by the weight factor
 ``exp(2ir(Im z)s_j + r^2(Im z)^2)``, valid because the integrand is
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,10 +36,10 @@ from .errors import NodesTooFewError, NotSeparatingError
 from .flows import FlowGenerator, conjugate
 
 QUAD_TARGET = 1e-8
-NODE_FACTOR = 4
+L, A = 6.0, 12.0  # half-width and alias margin of the trapezoidal rule (see admissible_nodes)
 DEGENERATE_R = 1e6
 # Phase tables are nodes x n per block: at n = 64 the cap keeps each at
-# 16 MiB, far above the largest plan in the tests and benchmarks (1057).
+# 16 MiB, far above the largest plan in the benchmarks (87).
 MAX_NODES = 2**14
 
 
@@ -78,32 +77,34 @@ class SmearingPlan:
 
 
 def min_nodes(g: FlowGenerator, r: float, z: complex) -> int:
-    """Admissible Gauss-Hermite node count for the flow ``g``."""
+    """Admissible trapezoidal node count for the flow ``g``, at ``nu_max = norm(H_l) + norm(H_r)``."""
     return admissible_nodes(g.generator_norm(), r, z)
 
 
 def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
-    """Admissible Gauss-Hermite node count for frequencies up to ``nu_max``.
+    """Admissible trapezoidal node count for frequencies up to ``nu_max``.
 
-    ``16 + ceil(4 (nu_max/(2r) + r |Im z|)^2)``, where a flow's
-    ``nu_max = norm(H_l) + norm(H_r)``: the node count has to dominate
-    the squared oscillation/growth budget of the shifted integrand.
+    ``2 ceil(L (2B + A) / (2 pi)) + 1`` with ``B = nu_max/(2r) + r |Im z|``.  An entry of
+    the smear factor is ``e^{r^2 (Im z)^2} / sqrt(pi)`` times ``h sum_j e^{-s_j^2 + i w s_j}``
+    over the nodes ``s_j = -L + jh``, ``h = 2L/(N-1)``, at ``w = nu/r + 2r Im z``, ``|w| <= 2B``.
+    Over all ``j`` in Z, Poisson summation gives (alias phases of modulus 1, all 1 at odd ``N``, dropped)
+
+        h sum_j e^{-s_j^2 + i w s_j} - sqrt(pi) e^{-w^2/4} = sqrt(pi) sum_{k != 0} e^{-(w + 2 pi k/h)^2 / 4}.
+
+    From this count on ``2 pi/h >= 2B + A``, so ``|w + 2 pi k/h| >= |k| A``, and the ``j``
+    beyond ``[-L, L]`` weigh at most ``sqrt(pi) erfc(L)``.  So each entry is off by at most
+    ``2 e^{-A^2/4} (1 + 2 e^{-3A^2/4}) + erfc(L)``, 4.8e-16 of the envelope, before rounding,
+    and a norm by ``sqrt(n) <= 23`` times that under the CLI's dense-size budget: about
+    1e-14, far below ``QUAD_TARGET``.
     """
     budget = nu_max / (2.0 * r) + r * abs(complex(z).imag)
-    return 16 + math.ceil(NODE_FACTOR * budget * budget)
+    return 2 * math.ceil(L * (2.0 * budget + A) / (2.0 * math.pi)) + 1
 
 
-@lru_cache(maxsize=64)
-def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # scipy's node tables stay finite well past n = 1000, where numpy's
-    # recurrence-based weights overflow; imported here, so that only the
-    # smears load it
-    import scipy.special
-
-    s, w = scipy.special.roots_hermite(n)
-    s.flags.writeable = False
-    w.flags.writeable = False
-    return s, w
+def _trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights ``h exp(-s^2)`` of the ``n``-point trapezoidal rule on ``[-L, L]``."""
+    s = np.linspace(-L, L, n)
+    return s, (2.0 * L / (n - 1)) * np.exp(-s * s)
 
 
 def continue_exact(g: FlowGenerator, z: complex, x: AlgebraElement) -> AlgebraElement:
@@ -112,12 +113,12 @@ def continue_exact(g: FlowGenerator, z: complex, x: AlgebraElement) -> AlgebraEl
 
 
 def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) -> AlgebraElement:
-    """Gauss-Hermite approximation of the smear ``x(r, z)``.
+    """Trapezoidal approximation of the smear ``x(r, z)``.
 
     The node sum is one (n x nodes) @ (nodes x n) product of phase tables
-    per block.  Raises ``NodesTooFewError`` when the plan fails the
-    admissibility rule; for admissible plans the quadrature error is below
-    ``QUAD_TARGET`` relative to ``norm(x) exp(r^2 (Im z)^2)``.
+    per block.  Raises ``NodesTooFewError`` below ``min_nodes``; from there
+    on the quadrature error is below ``QUAD_TARGET`` relative to
+    ``norm(x) exp(r^2 (Im z)^2)``, as ``admissible_nodes`` derives.
     """
     r, z = plan.r, complex(plan.z)
     nu_max = g.generator_norm()
@@ -127,7 +128,7 @@ def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) ->
     needed = min_nodes(g, r, z)
     if plan.nodes < needed:
         raise NodesTooFewError(f"plan has {plan.nodes} nodes, needs >= {needed}")
-    s, w = _hermgauss(plan.nodes)
+    s, w = _trapezoid(plan.nodes)
     growth = math.exp(r * r * z.imag * z.imag)
     coeff = w * np.exp(2j * r * z.imag * s) * (growth / math.sqrt(math.pi))
     t = z.real + s / r

@@ -224,30 +224,33 @@ def stone(u: SampledUnitaryGroup, t0: float = 1.0) -> ModuleOperator:
     grid ``|t| <= 10`` at tolerance 1e-8 and raises ``NotAGroupError``
     when the evaluator is inconsistent with any positive generator.
     """
-    return _stone_and_report(u, t0)[0]
+    return _verified(u, t0)[0]
 
 
 def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
-    """Structured recovery record: t0 used, halvings, residuals, spectrum."""
-    return _stone_and_report(u, t0)[1]
+    """Structured recovery record: t0 used, halvings, residuals, spectrum; raises like ``stone``."""
+    return _verified(u, t0)[1]
+
+
+def _verified(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, dict]:
+    t_op, report = _stone_and_report(u, t0)
+    for t, err in report["residual_grid"]:
+        if err > 1e-8:
+            raise NotAGroupError(f"evaluator differs from T^(it) at t={t}: {err:.3e}")
+    return t_op, report
 
 
 def _stone_and_report(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, dict]:
-    """The recovered ``T`` of ``stone`` and the record of ``recovery_report``, from one recovery."""
+    """The recovered ``T`` and its record, from one recovery; the caller judges the residual grid."""
     k_op, t_used, halvings = _recover_with_trace(u, t0)
     t_op = op_exp(k_op)
     if not strictly_positive(t_op):
         raise NotAGroupError("recovered operator is not strictly positive")
-    grid = _residual_grid(u, t_op)
-    for t, err in grid:
-        if err > 1e-8:
-            raise NotAGroupError(f"evaluator differs from T^(it) at t={t}: {err:.3e}")
-    spectrum = np.sort(eigenvalues(t_op.flat))
     return t_op, {
         "t0_used": t_used,
         "halvings": halvings,
-        "residual_grid": [[t, err] for t, err in grid],
-        "T_spectrum": [float(v) for v in spectrum],
+        "residual_grid": [[t, err] for t, err in _residual_grid(u, t_op)],
+        "T_spectrum": [float(v) for v in np.sort(eigenvalues(t_op.flat))],
     }
 
 

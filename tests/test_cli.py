@@ -36,7 +36,7 @@ from cstarflow.cli import (
     validate,
 )
 from cstarflow.continuation import MAX_NODES
-from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError
+from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError, NotAGroupError
 from cstarflow.hilbmod import op_log
 from cstarflow.sampling import random_element, random_hermitian, random_positive_operator, rng
 from cstarflow.serialize import element_to_payload
@@ -191,16 +191,19 @@ class TestValidate:
     @pytest.mark.parametrize(
         "grid, flow, needle",
         [
-            ({"r": [0.001], "z_im": [1.0]}, {}, "grid.r = 0.001 with max|z_im| = 1.0 needs 16000033 "),
-            ({"r": [1000.0], "z_im": [1.0]}, {}, "grid.r = 1000.0 with max|z_im| = 1.0 needs 4000033 "),
+            ({"r": [0.0001], "z_im": [1.0]}, {}, "grid.r = 0.0001 with max|z_im| = 1.0 needs 76419 "),
+            # 3845 nodes are under the cap, but the envelope exp(r^2 (Im z)^2) leaves the float range
+            ({"r": [1000.0], "z_im": [1.0]}, {},
+             "at grid.r = 1000.0 with max|z_im| = 1.0 has growth exponent 1000000.0, above the growth budget"),
             # a node count is no longer a key: the run takes the admissible count
             ({"nodes": 1000000000}, {}, "unknown key grid.nodes"),
-            ({"r": [1e-300], "z_im": [0.0]}, {}, "grid.r = 1e-300 with max|z_im| = 0.0 needs inf "),
+            # nu_max / (2r) is past the float range, so the node count is infinite
+            ({"r": [1e-308], "z_im": [0.0]}, {}, "grid.r = 1e-308 with max|z_im| = 0.0 needs inf "),
             # an explicit flow's budget comes from its payload norms: 2 * norm(diag(1, -1))
             (
-                {"r": [0.01], "z_im": [0.0]},
+                {"r": [0.0001], "z_im": [0.0]},
                 {"kind": "explicit", "h_left": {"blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}},
-                "grid.r = 0.01 with max|z_im| = 0.0 needs 40016 ",
+                "grid.r = 0.0001 with max|z_im| = 0.0 needs 38223 ",
             ),
         ],
         ids=["tiny_r", "huge_r", "huge_nodes", "overflowing_r", "explicit_payload"],
@@ -214,13 +217,13 @@ class TestValidate:
     def test_node_budget_checks_every_grid_point(self):
         # converge runs every z of its grid, so every r is budgeted at max|z_im|, in any order
         raw = {"experiment": "converge", "seed": 1, "shape": [2],
-               "grid": {"r": [0.05, 0.01], "z_im": [0.0, 0.0]}}
-        # nu_max = 4: r = 0.05 asks for about 6400 nodes, r = 0.01 for about 160000
-        assert validate(raw)[1] == [f"grid.r = 0.01 with max|z_im| = 0.0 needs 160016 Gauss-Hermite nodes,"
+               "grid": {"r": [0.05, 0.0001], "z_im": [0.0, 0.0]}}
+        # nu_max = 4: r = 0.05 asks for 177 nodes, r = 0.0001 for 76419
+        assert validate(raw)[1] == [f"grid.r = 0.0001 with max|z_im| = 0.0 needs 76419 quadrature nodes,"
                                     f" above the cap of {MAX_NODES}"]
         for z_im in ([0.0, -0.5], [-0.5, 0.0]):
-            _, problems = validate({**raw, "grid": {"r": [0.05, 0.01], "z_im": z_im}})
-            assert len(problems) == 1 and problems[0].startswith("grid.r = 0.01 with max|z_im| = 0.5 needs ")
+            _, problems = validate({**raw, "grid": {"r": [0.05, 0.0001], "z_im": z_im}})
+            assert len(problems) == 1 and problems[0].startswith("grid.r = 0.0001 with max|z_im| = 0.5 needs ")
         # a z_im past every budget is refused wherever it sits in the grid
         _, problems = validate({**raw, "grid": {"r": [0.5], "z_im": [0.0, 1e3]}})
         assert (f"the continuation reaches |Im z| = 1000.0 at nu = 4.0, growth exponent 4000.0,"
@@ -731,7 +734,7 @@ class TestMain:
             '{"experiment": "verify", "seed": true, "shape": [2]}',
             '{"experiment": "verify", "seed": 1, "shape": [true]}',
             # used to validate ok and then ask for millions of quadrature nodes
-            '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [0.001], "z_im": [1.0]}}',
+            '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [0.0001], "z_im": [1.0]}}',
             '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [1000.0], "z_im": [1.0]}}',
             # grid.nodes is no longer a key
             '{"experiment": "converge", "seed": 1, "shape": [2], "grid": {"nodes": 1000000000}}',
@@ -912,6 +915,27 @@ class TestMain:
         assert report["error"]["type"] == error.__name__
         assert not (out / "stone.csv").exists()
 
+    def test_residual_grid_miss_exits_one(self, tmp_path, monkeypatch):
+        # a residual-grid error over its bound is a tolerance miss of the run, with its CSV,
+        # while the library's stone() and recovery_report() still refuse the evaluator
+        stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
+        exact = stone_mod._residual_grid
+        monkeypatch.setattr(stone_mod, "_residual_grid",
+                            lambda u, t_op: [(t, err + 2e-8) for t, err in exact(u, t_op)])
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 1
+        assert (out / "stone.csv").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert "status" not in report and report["passed"] is False
+        assert [(c["name"], c["measured"] >= 2e-8) for c in report["checks"] if not c["passed"]] == [
+            ("residual_grid", True)
+        ]
+        u = stone_mod.SampledUnitaryGroup.from_positive(
+            random_positive_operator(rng(1), BlockShape([2]), 1, cond=COND))
+        for recover in (stone_mod.stone, stone_mod.recovery_report):
+            with pytest.raises(NotAGroupError, match="evaluator differs from T"):
+                recover(u)
+
     def test_overflowing_continuation_exits_two(self, tmp_path, capsys):
         # exp(iz(lam - mu)) overflows at Im z = 1e3: the growth budget refuses it before any numerics
         raw = json.loads((CONFIG_DIR / "verify.json").read_text())
@@ -1008,18 +1032,39 @@ class TestArtifacts:
         ).read_bytes()
 
 
-def test_verify_tensor_and_implemented_load_no_scipy(tmp_path):
-    # the norm needs numpy alone; scipy is imported where stone and the smears use it
-    code = textwrap.dedent(f"""
+def _assert_loads_no_scipy(body: str):
+    """Run ``body`` in a fresh interpreter on this checkout and fail if it loaded any scipy module."""
+    code = textwrap.dedent(body) + textwrap.dedent("""
         import sys
-        import cstarflow.cli, cstarflow.sampling
-        for name in ("implemented", "verify", "tensor"):
-            config = cstarflow.cli.load_config({str(CONFIG_DIR)!r} + "/" + name + ".json")
-            assert cstarflow.cli.run(config, {str(tmp_path)!r} + "/" + name, quiet=True).passed, name
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        sys.exit(f"scipy modules loaded: {{loaded}}" if loaded else 0)
+        sys.exit(f"scipy modules loaded: {loaded}" if loaded else 0)
     """)
     path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_tensor_and_implemented_load_no_scipy(tmp_path):
+    # the norm needs numpy alone; scipy is imported where stone uses it
+    _assert_loads_no_scipy(f"""
+        import cstarflow.cli
+        for name in ("implemented", "verify", "tensor"):
+            config = cstarflow.cli.load_config({str(CONFIG_DIR)!r} + "/" + name + ".json")
+            assert cstarflow.cli.run(config, {str(tmp_path)!r} + "/" + name, quiet=True).passed, name
+    """)
+
+
+def test_converge_and_double_smear_load_no_scipy(tmp_path):
+    # the smears take their trapezoidal nodes from numpy
+    _assert_loads_no_scipy(f"""
+        import cstarflow.cli
+        from cstarflow.algebra import BlockShape
+        from cstarflow.composition import CommutingPair, double_smear
+        from cstarflow.sampling import random_commuting_flows, random_element, rng
+        config = cstarflow.cli.load_config({str(CONFIG_DIR / "converge.json")!r})
+        assert cstarflow.cli.run(config, {str(tmp_path / "converge")!r}, quiet=True).passed
+        r = rng(1)
+        pair = CommutingPair(*random_commuting_flows(r, BlockShape([4]), 2.0))
+        assert double_smear(pair, random_element(r, BlockShape([4]), 1.0), 0.5, 0.25j).norm() > 0
+    """)

@@ -14,6 +14,7 @@ from cstarflow import (
     EigFailureError,
     FlowGenerator,
     HermitianElement,
+    NodesTooFewError,
     NotCommutingError,
     continue_exact,
     double_smear,
@@ -29,7 +30,7 @@ from cstarflow import (
     tensor_flow,
 )
 from cstarflow.composition import _kron
-from cstarflow.continuation import _hermgauss
+from cstarflow.continuation import _trapezoid
 from cstarflow.sampling import (
     random_commuting_flows,
     random_element,
@@ -188,6 +189,18 @@ class TestDoubleSmear:
         rhs = double_smear(pair, x, n, z)
         assert (lhs - rhs).norm() <= 1e-8 * max(1.0, rhs.norm())
 
+    def test_node_counts_below_either_axis_rule_rejected(self):
+        r = rng(10)
+        alpha, beta = random_commuting_flows(r, BlockShape([2]), 1.0)
+        pair = CommutingPair(alpha, beta)
+        x = random_element(r, BlockShape([2]))
+        n, z = 0.5, 0.25j
+        need = (min_nodes(alpha, n, z), min_nodes(beta, n, z))
+        for nodes in ((need[0] - 1, need[1]), (need[0], need[1] - 1)):
+            with pytest.raises(NodesTooFewError):
+                double_smear(pair, x, n, z, nodes)
+        assert (double_smear(pair, x, n, z, need) - double_smear(pair, x, n, z)).norm() == 0.0
+
 
 def _propagators(g, points):
     """Left and right conjugation factors of ``g`` at an array of times."""
@@ -207,8 +220,8 @@ def _propagators(g, points):
 
 def node_pair_double_smear(p, x, n, z, nodes):
     """The tensor rule: one term per (s, t) node pair."""
-    s_pts, s_w = _hermgauss(nodes[0])
-    t_pts, t_w = _hermgauss(nodes[1])
+    s_pts, s_w = _trapezoid(nodes[0])
+    t_pts, t_w = _trapezoid(nodes[1])
     growth = math.exp(2.0 * n * n * z.imag * z.imag) / math.pi
     cs = s_w * np.exp(2j * n * z.imag * s_pts)
     ct = t_w * np.exp(2j * n * z.imag * t_pts)
