@@ -332,11 +332,26 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     converted.setdefault("flow.h_right", converted.get("flow.h_left"))
     config = ScenarioConfig(**{k.field: converted.get(key) for key, k in KEYS.items()})
     problems = [
-        f"{text} {value}{unit}, above the {name} of {limit}"
+        f"{text} {_amount(value)}{unit}, above the {name} of {limit}"
         for (name, limit, unit), value, text in EXPERIMENTS[config.experiment].costs(config)
         if not value <= limit  # a cost of nan (inf times 0) is refused too
     ]
     return (None, problems) if problems else (config, [])
+
+
+def _amount(value: float) -> str:
+    """A cost as a refusal message says it: an integer above 1e15 as ``%.3g`` would.
+
+    Such a count can have hundreds of digits, past the float range (a node
+    count near r = 1e-300, a dense size from a huge shape), so it is rounded
+    as a ``Decimal``.
+    """
+    if isinstance(value, int) and value > 1e15:
+        from decimal import Decimal  # only a refusal pays for its import
+
+        mantissa, exponent = f"{Decimal(value):.2e}".split("e")
+        return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+    return str(value)
 
 
 def _read(path: str | Path) -> dict:

@@ -56,6 +56,7 @@ from .algebra import (
     BlockShape,
     as_z_grid,
     eigenvalues,
+    element_norms,
     herm_calculus,
     is_strictly_positive,
     largest_singular_value,
@@ -136,21 +137,24 @@ class SampledUnitaryGroup:
         return self.evaluator(float(t))
 
     def probe(self, t0: float) -> None:
-        """Cheap group-invariant checks; raises ``NotAGroupError``."""
+        """Cheap group-invariant checks; raises ``NotAGroupError``.
+
+        The differences are normed together by one ``element_norms`` call,
+        and then tested in order.
+        """
         u0 = self(0.0)
         one = identity_operator(u0.shape, u0.k)
-        if (u0 - one).norm() > 1e-10:
-            raise NotAGroupError("u(0) differs from the identity")
+        checks = [(u0 - one, 1e-10, "u(0) differs from the identity")]
         for m in PROBE_MULTIPLES:
             t = m * t0
             ut, umt = self(t), self(-t)
-            if (ut.star() @ ut - one).norm() > 1e-9:
-                raise NotAGroupError(f"u({t}) is not unitary")
-            if (ut @ umt - one).norm() > 1e-9:
-                raise NotAGroupError(f"u({t}) u({-t}) differs from the identity")
+            checks.append((ut.star() @ ut - one, 1e-9, f"u({t}) is not unitary"))
+            checks.append((ut @ umt - one, 1e-9, f"u({t}) u({-t}) differs from the identity"))
         ut0 = self(t0)
-        if (self(2 * t0) - ut0 @ ut0).norm() > 1e-9:
-            raise NotAGroupError("u(2 t0) differs from u(t0)^2")
+        checks.append((self(2 * t0) - ut0 @ ut0, 1e-9, "u(2 t0) differs from u(t0)^2"))
+        for norm, (_, bound, message) in zip(element_norms([d.flat for d, _, _ in checks]), checks):
+            if norm > bound:
+                raise NotAGroupError(message)
 
     @staticmethod
     def from_positive(t_op: ModuleOperator) -> "SampledUnitaryGroup":
@@ -159,13 +163,33 @@ class SampledUnitaryGroup:
 
 
 def _principal_log_phases(u: ModuleOperator) -> ModuleOperator:
-    """Hermitian phase matrix of a unitary: ``-i log u`` on (-pi, pi]."""
-    import scipy.linalg  # on first use, so that only stone loads scipy.linalg
+    """Hermitian phase matrix of a unitary: ``-i log u`` on (-pi, pi].
 
+    The Cayley-transform logarithm of a normal matrix (Higham, *Functions
+    of Matrices*, SIAM 2008, ch. 11), block by block.  The phases of a
+    flat block f lie among the 2n points ``+-arccos(eigvalsh((f + f*)/2))``,
+    so the widest gap between those points on the circle is a gap in the
+    spectrum, at least ``pi/n`` wide.  Rotating by ``e^{-i phi}`` puts the
+    gap's midpoint on -1; the rotated ``w`` then has the Hermitian Cayley
+    transform ``H = i (I + w)^{-1} (I - w)``, whose eigenvalue ``lam`` on
+    an eigenvector of w stands for the phase ``phi + 2 arctan(lam)``,
+    wrapped into (-pi, pi] as ``np.angle`` wraps it.  Every eigenvalue of
+    w is at least half the gap from -1, so ``norm((I + w)^{-1}) <= 1 / (2
+    sin(gap/4))``: at most about 163 at n = 256.
+    """
     flats = []
     for f in u.flat.blocks:
-        t, z = scipy.linalg.schur(f, output="complex")
-        phases = np.angle(np.diagonal(t))
+        half = np.arccos(np.clip(np.linalg.eigvalsh((f + f.conj().T) / 2.0), -1.0, 1.0))
+        points = np.sort(np.concatenate([-half, half]))
+        gaps = np.diff(points, append=points[0] + 2.0 * np.pi)
+        widest = int(np.argmax(gaps))
+        phi = points[widest] + gaps[widest] / 2.0 - np.pi
+        w = np.exp(-1j * phi) * f
+        eye = np.eye(f.shape[0])
+        h = 1j * np.linalg.solve(eye + w, eye - w)
+        lam, z = np.linalg.eigh((h + h.conj().T) / 2.0)
+        phases = phi + 2.0 * np.arctan(lam)
+        phases -= 2.0 * np.pi * np.ceil((phases - np.pi) / (2.0 * np.pi))
         k = (z * phases) @ z.conj().T
         flats.append((k + k.conj().T) / 2.0)
     return ModuleOperator.from_flat(AlgebraElement(u.flat.shape, flats), u.k)
@@ -504,16 +528,23 @@ def hermitian_matrix_power(m: np.ndarray, z: Sequence[complex]) -> np.ndarray:
     """Complex powers of a positive-definite dense matrix (the factors of induced operators).
 
     A 1-D grid of z gives the ``(G, n, n)`` stack of powers, in order, from
-    one decomposition.  An oracle, so it uses LAPACK ``zheev``, not the
-    ``zheevd`` behind ``algebra.spectral``.
+    one decomposition.  An oracle, so it does not go through the
+    ``eigh`` behind ``algebra.spectral``: it takes the SVD ``U S V*`` of the
+    symmetrized m and returns ``U S**z U*``.  That is m's own power only
+    if ``m = |m|``, that is if m is positive: so each Rayleigh quotient
+    ``u_i* m u_i`` must be above ``POWER_POS_TOL`` times the largest
+    singular value, and equal to its ``s_i`` within that much too.  An
+    indefinite m fails one or the other, degenerate pairs ``+-lam``
+    included, and raises ``ValueError``.
     """
-    import scipy.linalg  # on first use, so that only stone loads scipy.linalg
-
     zs = as_z_grid(z)
-    lam, u = scipy.linalg.eigh((m + m.conj().T) / 2.0, driver="ev")
-    if np.min(lam) <= POWER_POS_TOL * max(float(np.max(np.abs(lam))), 1e-300):
+    h = (m + m.conj().T) / 2.0
+    u, s, _ = np.linalg.svd(h)
+    rayleigh = np.sum(u.conj() * (h @ u), axis=0).real
+    floor = POWER_POS_TOL * max(float(s[0]), 1e-300)
+    if np.min(rayleigh) <= floor or np.max(np.abs(rayleigh - s)) > floor:
         raise ValueError("matrix power needs a positive definite input")
-    return (u * np.exp(np.multiply.outer(zs, np.log(lam.astype(complex))))[:, None, :]) @ u.conj().T
+    return (u * np.exp(np.multiply.outer(zs, np.log(s.astype(complex))))[:, None, :]) @ u.conj().T
 
 
 def vector_smear(t_op: ModuleOperator, v: ModuleVector, r: float, z: complex = 0.0) -> ModuleVector:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +27,7 @@ from cstarflow.cli import (
     MAX_FLAT_SIZE,
     MAX_GRID_SIZE,
     MAX_GROWTH,
+    MAX_WORK,
     ScenarioConfig,
     load_config,
     main,
@@ -228,6 +228,19 @@ class TestValidate:
         _, problems = validate({**raw, "grid": {"r": [0.5], "z_im": [0.0, 1e3]}})
         assert (f"the continuation reaches |Im z| = 1000.0 at nu = 4.0, growth exponent 4000.0,"
                 f" above the growth budget of {MAX_GROWTH}") in problems
+
+    def test_counts_above_1e15_print_as_three_digits(self):
+        # a node count near r = 1e-300 has 301 digits, and a dense size from a huge shape is past the float range
+        _, problems = validate({"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [1e-300]}})
+        assert problems == [f"grid.r = 1e-300 with max|z_im| = 0.5 needs 7.64e+300 quadrature nodes,"
+                            f" above the cap of {MAX_NODES}"]
+        _, problems = validate({"experiment": "verify", "seed": 1, "shape": [10**200]})
+        assert problems[0].endswith(f"has dense size 1e+400, above the budget of {MAX_FLAT_SIZE}")
+        # verify at [2] touches 4 entries per instance: 1e15 entries print in full, more do not
+        for instances, entries in ((25 * 10**13, "1000000000000000"), (10**17, "4e+17"), (123456789 * 10**9, "4.94e+17")):
+            _, problems = validate({"experiment": "verify", "seed": 1, "shape": [2], "instances": instances})
+            assert problems == [f"{instances} instances at 4 entries each touch {entries} entries,"
+                                f" above the work budget of {MAX_WORK}"]
 
     @pytest.mark.parametrize(
         "shape, k, size",
@@ -901,14 +914,15 @@ class TestMain:
     def test_numpy_error_in_a_runner_exits_three(self, error, tmp_path, monkeypatch, capsys):
         # numpy's own errors are not library errors, but a run they break off
         # is a numerical breakdown all the same
-        def failing_schur(*args, **kwargs):
-            raise error("Schur form did not converge")
+        # np.linalg.solve runs only in stone's principal logarithm, the Cayley transform
+        def failing_solve(*args, **kwargs):
+            raise error("Singular matrix")
 
-        monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
         out = tmp_path / "out"
         assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            f"NUMERICAL_BREAKDOWN: {error.__name__}: Schur form did not converge"
+            f"NUMERICAL_BREAKDOWN: {error.__name__}: Singular matrix"
         ]
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "error" and report["passed"] is False
@@ -1045,25 +1059,16 @@ def _assert_loads_no_scipy(body: str):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_tensor_and_implemented_load_no_scipy(tmp_path):
-    # the norm needs numpy alone; scipy is imported where stone uses it
-    _assert_loads_no_scipy(f"""
-        import cstarflow.cli
-        for name in ("implemented", "verify", "tensor"):
-            config = cstarflow.cli.load_config({str(CONFIG_DIR)!r} + "/" + name + ".json")
-            assert cstarflow.cli.run(config, {str(tmp_path)!r} + "/" + name, quiet=True).passed, name
-    """)
-
-
-def test_converge_and_double_smear_load_no_scipy(tmp_path):
-    # the smears take their trapezoidal nodes from numpy
+def test_bundled_configs_and_double_smear_load_no_scipy(tmp_path):
+    # numpy alone serves every run: the norm, the trapezoidal smears and stone's logarithm and oracle
     _assert_loads_no_scipy(f"""
         import cstarflow.cli
         from cstarflow.algebra import BlockShape
         from cstarflow.composition import CommutingPair, double_smear
         from cstarflow.sampling import random_commuting_flows, random_element, rng
-        config = cstarflow.cli.load_config({str(CONFIG_DIR / "converge.json")!r})
-        assert cstarflow.cli.run(config, {str(tmp_path / "converge")!r}, quiet=True).passed
+        for name in {sorted(EXPERIMENTS)!r}:
+            config = cstarflow.cli.load_config({str(CONFIG_DIR)!r} + "/" + name + ".json")
+            assert cstarflow.cli.run(config, {str(tmp_path)!r} + "/" + name, quiet=True).passed, name
         r = rng(1)
         pair = CommutingPair(*random_commuting_flows(r, BlockShape([4]), 2.0))
         assert double_smear(pair, random_element(r, BlockShape([4]), 1.0), 0.5, 0.25j).norm() > 0

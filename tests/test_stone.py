@@ -344,6 +344,16 @@ class TestInducedPowerCheck:
         monkeypatch.setattr(np.linalg, "eigh", faulty)
         assert induced_power_check(loc, t, [0.5])[0] > 1e-4 * t.norm()
 
+    @pytest.mark.parametrize("eigs", [(2.0, -1.0), (1.0, -1.0), (1.0, 1.0, -1.0), (1.0, 1e-13), (0.0, 0.0)])
+    def test_oracle_refuses_what_is_not_positive_definite(self, eigs):
+        # the SVD gives |m|; rotated, the pair +-1 and diag(1, 1, -1) can have
+        # all Rayleigh quotients positive, but not all equal to their singular values
+        r, n = rng(4), len(eigs)
+        q, _ = np.linalg.qr(r.normal(size=(n, n)) + 1j * r.normal(size=(n, n)))
+        m = (q * np.array(eigs)) @ q.conj().T
+        with pytest.raises(ValueError, match="positive definite"):
+            hermitian_matrix_power(m, [0.5])
+
     def test_grid_matches_pointwise_and_decomposes_each_factor_once(self, monkeypatch):
         r = rng(21)
         shape = BlockShape([2, 3])
@@ -608,3 +618,35 @@ def test_intertwining_estimate_bounds_the_exact_residual_hypothesis(seed, dims, 
         lhs = induce(loc, s) @ (induce(loc, x) @ induce(loc, t))
         exact = exact_intertwining_residual(loc, lhs, middle_multiplier(s, x, t) + e)
         assert localized_middle_check(loc, s, x, t) >= exact > 0.0
+
+
+# the phases of the property below: a window s [-pi/2, pi - 1e-9] of one side s, since
+# the logarithm of a pair straddling -1 at distance d moves by 2 pi / d times its input
+EDGE = np.pi - 1e-9
+PHASE_KINDS = {
+    "spread": lambda r, n: r.uniform(-np.pi / 2, EDGE, n),
+    "clustered": lambda r, n: np.clip(r.choice(r.uniform(-np.pi / 2, EDGE, 2), n) + 1e-6 * r.uniform(-1, 1, n),
+                                      -np.pi / 2, EDGE),
+    "repeated": lambda r, n: r.choice(r.uniform(-np.pi / 2, EDGE, 3), n),
+    "near_zero": lambda r, n: 1e-9 * r.uniform(-1, 1, n),
+    "mirrored": lambda r, n: r.choice([-np.pi / 2, np.pi / 2], n),
+    "edge": lambda r, n: np.where(r.random(n) < 0.5, EDGE, r.uniform(-np.pi / 2, EDGE, n)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 64),
+    st.sampled_from(sorted(PHASE_KINDS)),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_principal_log_phases_inverts_exp_hypothesis(seed, n, kind, side):
+    # for Hermitian K with spectrum in (-pi, pi), the principal logarithm of exp(iK) is iK
+    r = rng(seed)
+    phases = side * PHASE_KINDS[kind](r, n)
+    q, _ = np.linalg.qr(r.normal(size=(n, n)) + 1j * r.normal(size=(n, n)))
+    k = (q * phases) @ q.conj().T
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    got = stone_mod._principal_log_phases(ModuleOperator.from_flat(AlgebraElement.from_blocks([u]), 1))
+    assert np.linalg.norm(got.flat.blocks[0] - k, 2) <= 16 * np.finfo(float).eps * n
