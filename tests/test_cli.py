@@ -1059,17 +1059,35 @@ def _assert_loads_no_scipy(body: str):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_bundled_configs_and_double_smear_load_no_scipy(tmp_path):
-    # numpy alone serves every run: the norm, the trapezoidal smears and stone's logarithm and oracle
+def test_verify_tensor_and_implemented_load_no_scipy(tmp_path):
+    # the C*-norm needs numpy alone
+    _assert_loads_no_scipy(f"""
+        import cstarflow.cli
+        for name in ("implemented", "verify", "tensor"):
+            config = cstarflow.cli.load_config({str(CONFIG_DIR)!r} + "/" + name + ".json")
+            assert cstarflow.cli.run(config, {str(tmp_path)!r} + "/" + name, quiet=True).passed, name
+    """)
+
+
+def test_converge_and_double_smear_load_no_scipy(tmp_path):
+    # the smears take their trapezoidal nodes from numpy
     _assert_loads_no_scipy(f"""
         import cstarflow.cli
         from cstarflow.algebra import BlockShape
         from cstarflow.composition import CommutingPair, double_smear
         from cstarflow.sampling import random_commuting_flows, random_element, rng
-        for name in {sorted(EXPERIMENTS)!r}:
-            config = cstarflow.cli.load_config({str(CONFIG_DIR)!r} + "/" + name + ".json")
-            assert cstarflow.cli.run(config, {str(tmp_path)!r} + "/" + name, quiet=True).passed, name
+        config = cstarflow.cli.load_config({str(CONFIG_DIR / "converge.json")!r})
+        assert cstarflow.cli.run(config, {str(tmp_path / "converge")!r}, quiet=True).passed
         r = rng(1)
         pair = CommutingPair(*random_commuting_flows(r, BlockShape([4]), 2.0))
         assert double_smear(pair, random_element(r, BlockShape([4]), 1.0), 0.5, 0.25j).norm() > 0
+    """)
+
+
+def test_stone_loads_no_scipy(tmp_path):
+    # stone's principal logarithm and its power oracle take numpy alone
+    _assert_loads_no_scipy(f"""
+        import cstarflow.cli
+        config = cstarflow.cli.load_config({str(CONFIG_DIR / "stone.json")!r})
+        assert cstarflow.cli.run(config, {str(tmp_path / "stone")!r}, quiet=True).passed
     """)
