@@ -3,7 +3,8 @@
 The ambient algebra is a direct sum of full matrix blocks; every element
 is a list of dense complex matrices. The operator norm is the largest
 singular value across blocks, which satisfies the C*-identity
-norm(x* x) = norm(x)^2.
+norm(x* x) = norm(x)^2. One element can also hold a batch of elements,
+each block with leading batch axes; every operation acts per member.
 """
 
 import numpy as np
@@ -29,16 +30,18 @@ print("\nexp(iH) for a random Hermitian H:")
 print("  unitarity defect =", (u.star() @ u - one).norm())
 
 # Complex powers of strictly positive elements obey the group law.
-# power takes a grid of exponents and returns one stack of powers per block.
+# power at one exponent gives one element; a grid of exponents gives the
+# batch of powers, and x[i] takes member i out of a batch.
 t = herm_calculus(h, np.exp)
-stacks = power(t, [0.3 + 0.4j, 0.7 - 0.4j, 0.0, 1.0])
-t_y, t_z, t_0, t_1 = (AlgebraElement(shape, blocks) for blocks in zip(*stacks))
+powers = power(t, [0.3 + 0.4j, 0.7 - 0.4j, 0.0, 1.0])
+t_y, t_z, t_0, t_1 = (powers[i] for i in range(4))
 print("\ncomplex powers of T = exp(H):")
+print("  norms of the batch =", powers.norm())
 print("  T^0 defect        =", (t_0 - one).norm())
 print("  group-law defect  =", (t_y @ t_z - t_1).norm())
 
 # The square root of a diagonal element is the entrywise square root.
 d = AlgebraElement.from_blocks([np.diag([4.0, 9.0]), np.diag([1.0, 16.0, 25.0])])
 print("\nsqrt(diag(4, 9) + diag(1, 16, 25)) blocks:")
-for stack in power(d, [0.5]):
-    print(" ", np.real(np.diagonal(stack[0])))
+for block in power(d, 0.5).blocks:
+    print(" ", np.real(np.diagonal(block)))

@@ -6,15 +6,24 @@ blocks; the norm is the largest singular value over the blocks, which is
 the C*-norm of the direct sum.  Hermitian functional calculus and complex
 powers of strictly positive elements are built on blockwise
 eigendecompositions, and so is ``sandwich``, the one kernel behind every
-two-sided spectral map ``x -> U (F o (U* x V)) V*``.  Checks over a grid
-of G parameters work on ``(G, n, n)`` stacks of blocks: ``sandwich_blocks``
-and ``power`` form them, and ``stacked_norms`` takes their norms.
+two-sided spectral map ``x -> U (F o (U* x V)) V*``.
+
+One ``AlgebraElement`` may also hold a batch of elements: each block then
+has leading batch axes, ``(*B, n, n)``, with one batch shape ``B`` for all
+blocks (``B = ()`` is a single element).  Arithmetic, ``star``, ``norm``,
+``spectral``, ``sandwich`` and ``power`` act on each member, and batches
+broadcast against each other and against single elements as numpy arrays
+do.  A check over a grid of G parameters forms its values as one batch of
+shape ``(G,)``: the shape of a z, t or r array joins the batch.  ``stack``
+builds a batch from its members, and ``x[i]`` takes member i out.  numpy's
+stacked linear algebra makes, for each member, the LAPACK or BLAS call it
+makes for one matrix, so a batch gives each member's own values and pays
+numpy's fixed cost per call once.
 
 Every norm is an exact largest singular value from LAPACK's gesdd with
-singular values only, called through ``np.linalg.svd``, so the module
-needs numpy alone.  numpy pays a fixed cost per call, so where norms come
-in bulk, ``element_norms`` takes those of many elements of one shape
-with one batched call per block.
+singular values only, called through ``np.linalg.svd`` by
+``largest_singular_value``, so the module needs numpy alone.  ``norm`` is a
+float for a single element and an array of shape ``B`` for a batch.
 
 Tolerances follow double-precision headroom at desk scale (block
 dimensions up to 64): ``HERM_TOL`` and ``POS_TOL_FACTOR`` are relative
@@ -33,6 +42,7 @@ only repeats the same pure work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -80,18 +90,25 @@ class BlockShape:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """Element of the block algebra: one dense complex matrix per block."""
+    """Element of the block algebra, one dense complex matrix per block, or a batch of them.
+
+    Each block has shape ``(*B, n, n)``, with one batch shape ``B`` for all
+    blocks; ``B = ()`` is a single element.
+    """
 
     shape: BlockShape
     blocks: tuple[np.ndarray, ...]
+
+    __array_ufunc__ = None  # numpy defers ``array * x`` to ``__rmul__``, which scales each member
 
     def __init__(self, shape: BlockShape, blocks: Sequence[np.ndarray]):
         mats = tuple(_frozen(b) for b in blocks)
         if len(mats) != shape.num_blocks:
             raise ShapeMismatchError("number of blocks does not match shape")
+        batch = mats[0].shape[:-2]
         for n, b in zip(shape.block_dims, mats):
-            if b.shape != (n, n):
-                raise ShapeMismatchError(f"block of shape {b.shape}, expected ({n}, {n})")
+            if b.shape != (*batch, n, n):
+                raise ShapeMismatchError(f"block of shape {b.shape}, expected {(*batch, n, n)}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", mats)
         object.__setattr__(self, "_norm", None)
@@ -103,26 +120,29 @@ class AlgebraElement:
         mats = [np.atleast_2d(np.asarray(b, dtype=complex)) for b in blocks]
         return AlgebraElement(BlockShape(m.shape[0] for m in mats), mats)
 
+    def __getitem__(self, i) -> "AlgebraElement":
+        """Member ``i`` of a batch, or the sub-batch a slice or mask selects."""
+        return AlgebraElement(self.shape, [b[i] for b in self.blocks])
+
     def star(self) -> "AlgebraElement":
         """Adjoint: blockwise conjugate transpose."""
-        return AlgebraElement(self.shape, [b.conj().T for b in self.blocks])
+        return AlgebraElement(self.shape, [_adjoint(b) for b in self.blocks])
 
-    def norm(self) -> float:
-        """C*-norm: largest singular value over the blocks.
+    def norm(self) -> float | np.ndarray:
+        """C*-norm: largest singular value over the blocks, per member of a batch.
 
-        Each block's largest singular value comes from
-        ``largest_singular_value``, and the result is kept on the element
-        (as ``element_norms`` keeps it), so the SVDs run on the first call
-        only.  Raises ``EigFailureError`` when the SVD fails (a NaN entry,
-        or no convergence) or returns a NaN singular value (an infinite
-        entry).
+        A float for a single element and an array of shape ``B`` for a
+        batch, both from ``largest_singular_value``.  The value is kept on
+        the element, so the SVDs run on the first call only.  Raises
+        ``EigFailureError`` when the SVD fails (a NaN entry, or no
+        convergence) or returns a NaN singular value (an infinite entry).
         """
         if self._norm is None:
-            object.__setattr__(self, "_norm", max(largest_singular_value(b) for b in self.blocks))
+            object.__setattr__(self, "_norm", _over_blocks(largest_singular_value(b) for b in self.blocks))
         return self._norm
 
     def hs_dot(self, other: "AlgebraElement") -> complex:
-        """Hilbert-Schmidt pairing ``sum_k tr(self_k* other_k)``."""
+        """Hilbert-Schmidt pairing ``sum_k tr(self_k* other_k)`` of two single elements."""
         _same_shape(self, other)
         return complex(sum(np.vdot(a, b) for a, b in zip(self.blocks, other.blocks)))
 
@@ -130,7 +150,7 @@ class AlgebraElement:
         return complex(sum(np.trace(b) for b in self.blocks))
 
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        """``norm(x - x*) <= tol * norm(x)``.
+        """``norm(x - x*) <= tol * norm(x)``, for every member of a batch.
 
         The defect ``norm(x - x*)`` is kept on the element like the norm,
         so only the first call takes singular values; the tolerance is
@@ -138,11 +158,11 @@ class AlgebraElement:
         element) meets every tolerance ``tol >= 0`` without the norm.
         """
         if self._herm_defect is None:
-            defect = max(largest_singular_value(b - b.conj().T) for b in self.blocks)
+            defect = _over_blocks(largest_singular_value(b - _adjoint(b)) for b in self.blocks)
             object.__setattr__(self, "_herm_defect", defect)
-        if self._herm_defect == 0.0 and tol >= 0:
+        if not np.any(self._herm_defect) and tol >= 0:
             return True
-        return self._herm_defect <= tol * max(self.norm(), 1e-300)
+        return bool(np.all(self._herm_defect <= tol * np.maximum(self.norm(), 1e-300)))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_shape(self, other)
@@ -155,7 +175,9 @@ class AlgebraElement:
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.shape, [-b for b in self.blocks])
 
-    def __mul__(self, c: complex) -> "AlgebraElement":
+    def __mul__(self, c) -> "AlgebraElement":
+        """Scale by a number, or each member by its entry of an array of shape ``B``."""
+        c = _per_member(c)
         return AlgebraElement(self.shape, [c * b for b in self.blocks])
 
     __rmul__ = __mul__
@@ -164,68 +186,62 @@ class AlgebraElement:
         return mul(self, other)
 
     def __repr__(self) -> str:
-        return f"AlgebraElement(dims={self.shape.block_dims}, norm={self.norm():.6g})"
+        batch = self.blocks[0].shape[:-2]
+        return f"AlgebraElement(dims={self.shape.block_dims}, " + (
+            f"batch={batch})" if batch else f"norm={self.norm():.6g})")
 
 
-def largest_singular_value(b: np.ndarray) -> float:
-    """Spectral norm of one matrix: LAPACK gesdd, singular values only, through ``np.linalg.svd``.
+def _adjoint(b: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (``.T`` would reverse the batch axes too)."""
+    return b.conj().swapaxes(-1, -2)
 
-    An all-zero matrix has norm 0.0 without an SVD.  Raises
-    ``EigFailureError`` naming the block when the SVD fails (a NaN entry,
-    or no convergence) or returns NaN (an infinite entry).
+
+def _per_member(p):
+    """A parameter as an entrywise factor on n x n blocks: a number as it is, an array
+    with two trailing axes, so that its shape joins the batch."""
+    return p if np.ndim(p) == 0 else np.asarray(p)[..., None, None]
+
+
+def _over_blocks(values) -> float | np.ndarray:
+    """The largest of per-block values, per member: a float, or a read-only array of shape ``B``."""
+    values = list(values)
+    if np.ndim(values[0]) == 0:
+        return max(values)
+    top = np.max(values, axis=0)
+    top.flags.writeable = False
+    return top
+
+
+def largest_singular_value(b: np.ndarray) -> float | np.ndarray:
+    """Spectral norm of a matrix, or of each matrix of a stack ``(..., n, m)``.
+
+    LAPACK gesdd with singular values only, through ``np.linalg.svd``: a
+    float for one matrix, an array of the leading shape for a stack.  An
+    all-zero input has norm 0 without an SVD.  Raises ``EigFailureError``
+    naming the blocks when the SVD fails (a NaN entry, or no convergence)
+    or returns NaN (an infinite entry).
     """
     if not np.count_nonzero(b):
-        return 0.0
+        return 0.0 if b.ndim == 2 else np.zeros(b.shape[:-2])
     try:
-        s = np.linalg.svd(b, compute_uv=False)
+        s = np.linalg.svd(b, compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block failed: {exc}") from exc
-    if np.isnan(s[0]):  # LAPACK's answer to an infinite entry
-        raise EigFailureError(f"singular values of a {b.shape[0]}x{b.shape[1]} block are NaN")
-    return float(s[0])
+        raise EigFailureError(f"singular values of {_described(b)} failed: {exc}") from exc
+    if np.isnan(s).any():  # LAPACK's answer to an infinite entry
+        raise EigFailureError(f"singular values of {_described(b)} are NaN")
+    return float(s) if b.ndim == 2 else s
 
 
-def element_norms(elements: Sequence[AlgebraElement]) -> list[float]:
-    """C*-norms of elements of one shape, each kept on its element as ``norm`` keeps it.
-
-    The elements not yet normed are taken together: one ``stacked_norms``
-    call per block, so numpy's cost per call is paid once per block
-    rather than once per element and block.  The values are bitwise those
-    of ``norm``.
-    """
-    todo = [x for x in elements if x._norm is None]
-    for x in todo[1:]:
-        _same_shape(todo[0], x)
-    if todo:
-        norms = stacked_norms(np.stack(blocks) for blocks in zip(*(x.blocks for x in todo)))
-        for x, v in zip(todo, norms.tolist()):
-            object.__setattr__(x, "_norm", v)
-    return [x._norm for x in elements]
+def _described(b: np.ndarray) -> str:
+    n, m = b.shape[-2:]
+    return f"a {n}x{m} block" if b.ndim == 2 else f"{math.prod(b.shape[:-2])} stacked {n}x{m} blocks"
 
 
-def stacked_norms(stacks: Iterable[np.ndarray], what: str = "blocks") -> np.ndarray:
-    """C*-norms of a stack of elements, one per leading index.
-
-    ``stacks`` holds one ``(G, n, n)`` array per block; the result is the
-    largest singular value over the blocks at each of the G indices,
-    taken with one batched singular-value call per block.  Raises
-    ``EigFailureError`` when that call fails or returns NaN; ``what``
-    names the stacked blocks in the message.
-    """
-    norms = None
-    for b in stacks:
-        try:
-            s = np.linalg.svd(b, compute_uv=False)[:, 0]
-        except np.linalg.LinAlgError as exc:
-            raise EigFailureError(f"singular values of {_stacked(b, what)} failed: {exc}") from exc
-        if np.isnan(s).any():
-            raise EigFailureError(f"singular values of {_stacked(b, what)} are NaN")
-        norms = s if norms is None else np.maximum(norms, s)
-    return norms
-
-
-def _stacked(b: np.ndarray, what: str) -> str:
-    return f"{b.shape[0]} stacked {b.shape[1]}x{b.shape[2]} {what}"
+def stack(elements: Sequence[AlgebraElement]) -> AlgebraElement:
+    """The batch whose members, along a new leading axis, are ``elements``: all of one shape and batch."""
+    for x in elements[1:]:
+        _same_shape(elements[0], x)
+    return AlgebraElement(elements[0].shape, [np.stack(b) for b in zip(*(x.blocks for x in elements))])
 
 
 def as_z_grid(z: Sequence[complex]) -> np.ndarray:
@@ -285,7 +301,8 @@ class HermitianElement:
 class SpectralDecomposition:
     """Blockwise eigendata ``H_k = U_k diag(lam_k) U_k*`` with unitary U_k.
 
-    Eigenvalues are real and ascending within each block.
+    Eigenvalues are real and ascending within each block; for a batch,
+    ``lam_k`` and ``U_k`` carry its batch axes.
     """
 
     shape: BlockShape
@@ -299,19 +316,15 @@ class SpectralDecomposition:
         ))
 
     def _calculus(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """``U diag(v) U*`` per block; a leading stack axis of ``v`` carries through."""
-        return [(u * v[..., None, :]) @ u.conj().T for v, u in zip(values, self.eigenvectors)]
+        """``U diag(v) U*`` per block; leading axes of ``v`` join the batch."""
+        return [(u * v[..., None, :]) @ _adjoint(u) for v, u in zip(values, self.eigenvectors)]
 
     def reconstruct(self) -> AlgebraElement:
         return self.apply(lambda lam: lam)
 
 
-def _symmetrized_blocks(h: AlgebraElement) -> list[np.ndarray]:
-    return [(b + b.conj().T) / 2.0 for b in h.blocks]
-
-
 def spectral(h: HermitianElement | AlgebraElement) -> SpectralDecomposition:
-    """Eigendecompose ``(H + H*)/2`` blockwise.
+    """Eigendecompose ``(H + H*)/2`` blockwise, each member of a batch on its own.
 
     The decomposition is kept on the element (on ``h.value`` for a
     ``HermitianElement``), so each element is decomposed at most once and
@@ -325,9 +338,9 @@ def spectral(h: HermitianElement | AlgebraElement) -> SpectralDecomposition:
 
 def _eigendecompose(x: AlgebraElement) -> SpectralDecomposition:
     vals, vecs = [], []
-    for b in _symmetrized_blocks(x):
+    for b in x.blocks:
         try:
-            lam, u = np.linalg.eigh(b)
+            lam, u = np.linalg.eigh((b + _adjoint(b)) / 2.0)
         except np.linalg.LinAlgError as exc:
             raise EigFailureError(str(exc)) from exc
         lam = np.asarray(lam, dtype=float)
@@ -342,28 +355,17 @@ def sandwich(left: SpectralDecomposition, right: SpectralDecomposition, x: Algeb
     """``U (F o (U* x V)) V*`` blockwise, with ``F = factor(lam, mu)`` entrywise.
 
     ``U, lam`` and ``V, mu`` are the eigendata of ``left`` and ``right``, so
-    ``F = exp(iz(lam_j - mu_k))`` gives ``exp(izH_l) x exp(-izH_r)``.
+    ``F = exp(iz(lam_j - mu_k))`` gives ``exp(izH_l) x exp(-izH_r)``.  The
+    expression broadcasts: batched eigendata, a batch ``x`` and a factor
+    with leading axes (as from an array of z) each join the batch of the
+    result, and a single ``x`` is rotated into the eigenbasis once.
     """
-    return AlgebraElement(x.shape, sandwich_blocks(left, right, x.blocks, factor))
-
-
-def sandwich_blocks(left: SpectralDecomposition, right: SpectralDecomposition,
-                    blocks: Sequence[np.ndarray],
-                    factor: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
-    """The kernel of ``sandwich`` on raw blocks.
-
-    The expression broadcasts: when ``factor`` returns a ``(G, n, n)``
-    stack, or the blocks are stacks, each block of the result is the
-    ``(G, n, n)`` stack of the G sandwiches, while a single block is
-    rotated into the eigenbasis once.
-    """
-    dims = tuple(b.shape[-1] for b in blocks)
-    if not left.shape == right.shape or dims != left.shape.block_dims:
-        raise ShapeMismatchError("blocks and eigendata live over different shapes")
-    parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, blocks)
-    return [
-        u @ (factor(lam, mu) * (u.conj().T @ xb @ v)) @ v.conj().T for lam, u, mu, v, xb in parts
-    ]
+    if not left.shape == right.shape == x.shape:
+        raise ShapeMismatchError("element and eigendata live over different shapes")
+    parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
+    return AlgebraElement(x.shape, [
+        u @ (factor(lam, mu) * (_adjoint(u) @ xb @ v)) @ _adjoint(v) for lam, u, mu, v, xb in parts
+    ])
 
 
 def herm_calculus(h: HermitianElement | AlgebraElement, f) -> AlgebraElement:
@@ -372,33 +374,36 @@ def herm_calculus(h: HermitianElement | AlgebraElement, f) -> AlgebraElement:
 
 
 def eigenvalues(h: HermitianElement | AlgebraElement) -> np.ndarray:
-    """All eigenvalues of the symmetrized element, ascending per block."""
-    return np.concatenate([lam for lam in spectral(h).eigenvalues])
+    """All eigenvalues of the symmetrized element, ascending per block (per member of a batch)."""
+    return np.concatenate(spectral(h).eigenvalues, axis=-1)
+
+
+def _lowest(t: AlgebraElement) -> float | np.ndarray:
+    """The smallest eigenvalue over the blocks, per member."""
+    return np.min(eigenvalues(t), axis=-1)
 
 
 def is_strictly_positive(t: AlgebraElement) -> bool:
-    """True iff Hermitian within tolerance with spectrum > ``POS_TOL_FACTOR * norm``."""
-    if not t.is_hermitian():
-        return False
-    lam = eigenvalues(t)
-    return bool(np.min(lam) > POS_TOL_FACTOR * t.norm())
+    """True iff Hermitian within tolerance with spectrum > ``POS_TOL_FACTOR * norm``, for every member."""
+    return t.is_hermitian() and bool(np.all(_lowest(t) > POS_TOL_FACTOR * t.norm()))
 
 
-def power(t: AlgebraElement, z: Sequence[complex]) -> list[np.ndarray]:
-    """Complex powers ``T**z`` of a strictly positive element over a 1-D grid of z.
+def power(t: AlgebraElement, z) -> AlgebraElement:
+    """Complex powers ``T**z`` of a strictly positive element (each member of a batch).
 
     Computed as ``exp(z * log lam)`` on the spectrum, so ``T**0 = 1``,
     ``T**1 = T`` and the group law ``T**y T**z = T**(y+z)`` hold up to
-    rounding.  Raises ``NotStrictlyPositiveError`` when the spectrum is
-    not bounded below by ``POS_TOL_FACTOR * norm(T)``.  For G exponents
-    the result is one ``(G, n, n)`` stack of powers per block, in the
-    order of ``z``; the positivity rule runs once.
+    rounding.  A number z gives one power; the shape of an array of z joins
+    the batch, in the order of ``z``, broadcast against the batch of T.
+    The positivity rule runs once: ``NotStrictlyPositiveError`` when the
+    spectrum is not bounded below by ``POS_TOL_FACTOR * norm(T)``.
     """
-    zs = as_z_grid(z)
     if not t.is_hermitian():
         raise NotStrictlyPositiveError("element is not Hermitian")
+    lo = _lowest(t)
+    low = lo <= POS_TOL_FACTOR * t.norm()
+    if np.any(low):
+        raise NotStrictlyPositiveError(f"minimum eigenvalue {np.min(lo[low]):.3e} too small")
+    zs = np.asarray(z, dtype=complex)[..., None]
     sd = spectral(t)
-    lo = min(float(np.min(lam)) for lam in sd.eigenvalues)
-    if lo <= POS_TOL_FACTOR * t.norm():
-        raise NotStrictlyPositiveError(f"minimum eigenvalue {lo:.3e} too small")
-    return sd._calculus([np.exp(np.multiply.outer(zs, np.log(lam))) for lam in sd.eigenvalues])
+    return AlgebraElement(t.shape, sd._calculus([np.exp(zs * np.log(lam)) for lam in sd.eigenvalues]))

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, BlockShape, HermitianElement, element_norms, herm_calculus, power, stacked_norms
+from .algebra import AlgebraElement, BlockShape, HermitianElement, herm_calculus, power, stack
 from .continuation import (
     MAX_NODES,
     SmearingPlan,
@@ -62,7 +62,6 @@ from .hilbmod import (
     inner,
     matrix_unit_operators,
     op_log,
-    vector_norms,
 )
 from .implemented import (
     ImplementedFlow,
@@ -424,33 +423,38 @@ def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], d
     r = sampling.rng(cfg.seed)
     grid = cfg.z_grid()
     bounds = {c.name: c.bound for c in report.checks}
-    rows: list[tuple] = []
+    draws = []  # each instance's values in stream order, stacked below into one batch per value
     for i in range(cfg.instances):
         g = cfg.flow(r)
         x, a, b = sampling.random_elements(r, cfg.shape, 3, 1.0)
-        s, t = (float(v) for v in r.uniform(-2.0, 2.0, size=2))
+        s, t = r.uniform(-2.0, 2.0, size=2)
         z = grid[i % len(grid)]
         y = complex(float(r.uniform(-1.0, 1.0)), float(r.uniform(0.0, 1.0)) * z.imag)
+        draws.append((g.h_left.value, g.h_right.value, x, a, b, s, t, z, y))
+    columns = list(zip(*draws))
+    h_left, h_right, x, a, b = (stack(column) for column in columns[:5])
+    s, t, z, y = (np.array(column) for column in columns[5:])
+    g = FlowGenerator(HermitianElement(h_left), HermitianElement(h_right))
 
-        # each residual with its scale, normed together in one batched SVD per block
-        xz = continue_exact(g, z, x)
-        direct = continue_exact(g, y + z, x)
-        gl, gr = left_companion(g), right_companion(g)
-        resids = {
-            "group_law": evaluate(g, s, evaluate(g, t, x)) - evaluate(g, s + t, x),
-            "inverse": continue_exact(g, -z, xz) - x,
-            "composition_same_side": continue_exact(g, y, xz) - direct,
-            "semi_mult_left": evaluate(gl, t, b) @ evaluate(g, t, a) - evaluate(g, t, b @ a),
-            "semi_mult_right": evaluate(g, t, a) @ evaluate(gr, t, b) - evaluate(g, t, a @ b),
-        }
-        element_norms([*resids.values(), x, a, b, xz, direct])
-        scales = {"group_law": x.norm(), "inverse": x.norm(), "composition_same_side": max(direct.norm(), x.norm()),
-                  "semi_mult_left": a.norm() * b.norm(), "semi_mult_right": a.norm() * b.norm()}
-        measured = {name: report.observe(name, resid.norm(), scales[name]) for name, resid in resids.items()}
-        measured["three_lines"] = report.observe("three_lines", three_lines_check(g, x, z, 25),
-                                                 max(x.norm(), xz.norm()))
-        rows += [(name, i, m, bounds[name], m <= bounds[name]) for name, m in measured.items()]
-    return rows, {}
+    # every check of every instance at once: each residual with its scale, one batch per check
+    xz = continue_exact(g, z, x)
+    direct = continue_exact(g, y + z, x)
+    gl, gr = left_companion(g), right_companion(g)
+    resids = {
+        "group_law": evaluate(g, s, evaluate(g, t, x)) - evaluate(g, s + t, x),
+        "inverse": continue_exact(g, -z, xz) - x,
+        "composition_same_side": continue_exact(g, y, xz) - direct,
+        "semi_mult_left": evaluate(gl, t, b) @ evaluate(g, t, a) - evaluate(g, t, b @ a),
+        "semi_mult_right": evaluate(g, t, a) @ evaluate(gr, t, b) - evaluate(g, t, a @ b),
+    }
+    scales = {"group_law": x.norm(), "inverse": x.norm(), "composition_same_side": np.maximum(direct.norm(), x.norm()),
+              "semi_mult_left": a.norm() * b.norm(), "semi_mult_right": a.norm() * b.norm()}
+    measured = {name: report.observe(name, resid.norm(), scales[name]) for name, resid in resids.items()}
+    measured["three_lines"] = report.observe("three_lines", three_lines_check(g, x, z, 25),
+                                             np.maximum(x.norm(), xz.norm()))
+    per_instance = zip(*(ratios.tolist() for ratios in measured.values()))
+    return [(name, i, m, bounds[name], m <= bounds[name])
+            for i, values in enumerate(per_instance) for name, m in zip(measured, values)], {}
 
 
 def _costs_verify(cfg: ScenarioConfig) -> list[Cost]:
@@ -469,13 +473,13 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
     # the smear errors at z = 0, their ratios and the approximants do not depend on z
-    errs = {rr: (smear_oracle(g, x, rr, 0.0) - x).norm() for rr in cfg.r_list}
+    errs = dict(zip(cfg.r_list, (smear_oracle(g, x, np.array(cfg.r_list), 0.0) - x).norm().tolist()))
     floor, top = RATIO_FLOOR * x.norm(), 1e-2 * x.norm()
     ratios = np.array([errs[2 * rr] / errs[rr] for rr in cfg.r_list
                        if 2 * rr in errs and errs[rr] <= top and min(errs[rr], errs[2 * rr]) > floor])
     # with no pair to read (one r, or an element the flow fixes) the check reads 0.0
     report.observe("convergence_ratio", np.maximum(0.2 - ratios, ratios - 0.3) if ratios.size else 0.0)
-    ys = [smear_oracle(g, x, min(cfg.r_list) * 2.0**j, 0.0) for j in range(16)]
+    ys = smear_oracle(g, x, min(cfg.r_list) * 2.0 ** np.arange(16), 0.0)
     rows: list[tuple] = []
     for z in cfg.z_grid():
         for rr in cfg.r_list:
@@ -488,12 +492,11 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
             report.observe("quad_vs_oracle", err_quad, envelope)
             report.observe("norm_bound", quad.norm(), bound_rhs)
         ax = continue_exact(g, z, x)
-        rescaled = core_rescale(x, ax, [(y, continue_exact(g, z, y)) for y in ys])
-        report.observe("core_rescale_cap_x", np.array([y.norm() for y in rescaled]) - x.norm(), x.norm())
+        rescaled = core_rescale(x, ax, ys, continue_exact(g, z, ys))
+        report.observe("core_rescale_cap_x", rescaled.norm() - x.norm(), x.norm())
         # alpha_z of each rescaled approximant is formed again on purpose: lam * alpha_z(y) would
         # meet the cap by the choice of lam, and the check would no longer test the continuation
-        report.observe("core_rescale_cap_continuation",
-                       np.array([continue_exact(g, z, y).norm() for y in rescaled]) - ax.norm(), ax.norm())
+        report.observe("core_rescale_cap_continuation", continue_exact(g, z, rescaled).norm() - ax.norm(), ax.norm())
         report.observe("core_rescale_convergence", (rescaled[-1] - x).norm())
     return rows, {}
 
@@ -529,14 +532,13 @@ def _exp_stone(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], di
     report.observe("residual_grid", np.array([err for _, err in rows]))
     log_norm = op_log(t_op).norm()
     zs = np.array(cfg.z_grid())
-    pairs = zip(power(t_op.flat, 1j * zs), power(t_rec.flat, 1j * zs))
-    errs = stacked_norms((a - b for a, b in pairs), "continuation blocks")
+    errs = (power(t_op.flat, 1j * zs) - power(t_rec.flat, 1j * zs)).norm()
     report.observe("continuation", errs, np.array([math.exp(abs(z.imag) * log_norm) for z in zs]))
 
     omega = sampling.random_state(r, cfg.shape)
     loc = localize(omega, cfg.shape, k)
     vectors = [sampling.random_vector(r, cfg.shape, k) for _ in range(20)]  # v then w of each pair
-    norms = vector_norms(vectors)
+    norms = np.sqrt(stack([inner(v, v) for v in vectors]).norm()).tolist()
     for v, w, nv, nw in zip(vectors[::2], vectors[1::2], norms[::2], norms[1::2]):
         lhs = complex(np.vdot(loc.apply(w), loc.apply(v)))
         report.observe("gram_identity", abs(lhs - omega.value(inner(v, w))), max(1.0, nv * nw))

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
-from .algebra import AlgebraElement, BlockShape, HermitianElement, as_z_grid, stacked_norms
+from .algebra import AlgebraElement, BlockShape, HermitianElement, stack
 from .continuation import SmearingPlan, min_nodes, smear_quadrature
 from .errors import NotCommutingError, ShapeMismatchError
-from .flows import FlowGenerator, conjugate_stack
+from .flows import FlowGenerator, conjugate
 
 COMM_TOL = 1e-10
 
@@ -84,22 +82,19 @@ def product_flow(p: CommutingPair) -> FlowGenerator:
     return p.product
 
 
-def gamma_continuation_check(p: CommutingPair, z: Sequence[complex], x: AlgebraElement) -> np.ndarray:
-    """Residual of ``gamma_z = alpha_z beta_z = beta_z alpha_z`` on ``x``, per z of a 1-D grid.
+def gamma_continuation_check(p: CommutingPair, z, x: AlgebraElement) -> np.ndarray:
+    """Residual of ``gamma_z = alpha_z beta_z = beta_z alpha_z`` on ``x``, per z of an array.
 
-    Each continuation is formed over the whole grid as one ``(G, n, n)``
-    stack per block, so ``x`` is rotated into each of the three
-    eigenbases once, and the 2G residual norms take one batched
+    Each continuation is formed over the whole array of z as one batch, so
+    ``x`` is rotated into each of the three eigenbases once, and the two
+    residuals at every z are normed as one batch, with one batched
     singular-value call per block (``EigFailureError`` if it fails).
     """
-    zs = as_z_grid(z)
-    gz = conjugate_stack(product_flow(p), zs, x.blocks)
-    ab = conjugate_stack(p.alpha, zs, conjugate_stack(p.beta, zs, x.blocks))
-    ba = conjugate_stack(p.beta, zs, conjugate_stack(p.alpha, zs, x.blocks))
-    both = stacked_norms(
-        (np.concatenate([g - a, g - b]) for g, a, b in zip(gz, ab, ba)), "residual blocks"
-    )
-    return np.maximum(both[: len(zs)], both[len(zs) :])
+    zs = np.asarray(z, dtype=complex)
+    gz = conjugate(product_flow(p), zs, x)
+    ab = conjugate(p.alpha, zs, conjugate(p.beta, zs, x))
+    ba = conjugate(p.beta, zs, conjugate(p.alpha, zs, x))
+    return np.max(stack([gz - ab, gz - ba]).norm(), axis=0)
 
 
 def double_smear(
@@ -138,7 +133,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Kronecker product ``x (x) y`` on the tensor-product algebra."""
+    """Kronecker product ``x (x) y`` on the tensor-product algebra, per member of batches."""
     blocks = [_kron(xb, yb) for xb in x.blocks for yb in y.blocks]
     dims = [na * nb for na in x.shape for nb in y.shape]
     return AlgebraElement(BlockShape(dims), blocks)
@@ -172,19 +167,14 @@ def tensor_flow(alpha: FlowGenerator, beta: FlowGenerator) -> TensorFlow:
     return TensorFlow(alpha, beta, product)
 
 
-def tensor_continuation_check(
-    tf: TensorFlow, z: Sequence[complex], x: AlgebraElement, y: AlgebraElement
-) -> np.ndarray:
-    """Residual of ``(alpha (x) beta)_z (x (x) y) = alpha_z(x) (x) beta_z(y)``, per z of a 1-D grid.
+def tensor_continuation_check(tf: TensorFlow, z, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
+    """Residual of ``(alpha (x) beta)_z (x (x) y) = alpha_z(x) (x) beta_z(y)``, per z of an array.
 
-    ``x (x) y`` is formed once, each side is formed over the whole grid as
-    one ``(G, n, n)`` stack per block (the right side as Kronecker
-    products of stacks), and the residual norms take one batched
-    singular-value call per block (``EigFailureError`` if it fails).
+    ``x (x) y`` is formed once, each side is formed over the whole array of
+    z as one batch (the right side as the Kronecker product of batches),
+    and the residual norms take one batched singular-value call per block
+    (``EigFailureError`` if it fails).
     """
-    zs = as_z_grid(z)
-    lhs = conjugate_stack(tf.product, zs, tensor_element(x, y).blocks)
-    ax = conjugate_stack(tf.alpha, zs, x.blocks)
-    by = conjugate_stack(tf.beta, zs, y.blocks)
-    rhs = [_kron(a, b) for a in ax for b in by]
-    return stacked_norms((left - right for left, right in zip(lhs, rhs)), "residual blocks")
+    zs = np.asarray(z, dtype=complex)
+    lhs = conjugate(tf.product, zs, tensor_element(x, y))
+    return (lhs - tensor_element(conjugate(tf.alpha, zs, x), conjugate(tf.beta, zs, y))).norm()

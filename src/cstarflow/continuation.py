@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, sandwich, stacked_norms
+from .algebra import AlgebraElement, _adjoint, _per_member, sandwich
 from .errors import NodesTooFewError, NotSeparatingError
 from .flows import FlowGenerator, conjugate
 
@@ -107,9 +107,12 @@ def _trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, (2.0 * L / (n - 1)) * np.exp(-s * s)
 
 
-def continue_exact(g: FlowGenerator, z: complex, x: AlgebraElement) -> AlgebraElement:
-    """Analytic continuation of the flow; agrees with evaluation at real ``z``."""
-    return conjugate(g, complex(z), x)
+def continue_exact(g: FlowGenerator, z, x: AlgebraElement) -> AlgebraElement:
+    """Analytic continuation of the flow; agrees with evaluation at real ``z``.
+
+    The shape of an array of z joins the batch, as in ``conjugate``.
+    """
+    return conjugate(g, z, x)
 
 
 def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) -> AlgebraElement:
@@ -134,82 +137,80 @@ def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) ->
     t = z.real + s / r
 
     def node_sum(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.outer(lam, t)) @ (coeff[:, None] * np.exp(-1j * np.outer(t, mu)))
+        return np.exp(1j * (lam[..., :, None] * t)) @ (coeff[:, None] * np.exp(-1j * (t[:, None] * mu[..., None, :])))
 
     return sandwich(g.spectral_left, g.spectral_right, x, node_sum)
 
 
-def smear_oracle(g: FlowGenerator, x: AlgebraElement, r: float, z: complex) -> AlgebraElement:
-    """Closed-form smear in the joint eigenbasis of the generators."""
-    if r <= 0:
+def smear_oracle(g: FlowGenerator, x: AlgebraElement, r, z) -> AlgebraElement:
+    """Closed-form smear in the joint eigenbasis of the generators.
+
+    The shapes of arrays of r and of z join the batch, so one call forms
+    the smears at many widths.
+    """
+    if np.any(np.asarray(r) <= 0):
         raise ValueError("smearing width r must be positive")
-    z = complex(z)
+    r = _per_member(r)
+    z = complex(z) if np.ndim(z) == 0 else _per_member(np.asarray(z, dtype=complex))
 
     def gaussian_fourier(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        nu = lam[:, None] - mu[None, :]
+        nu = lam[..., :, None] - mu[..., None, :]
         return np.exp(1j * nu * z - nu * nu / (4.0 * r * r))
 
     return sandwich(g.spectral_left, g.spectral_right, x, gaussian_fourier)
 
 
-def three_lines_check(g: FlowGenerator, x: AlgebraElement, z: complex, samples: int) -> float:
+def three_lines_check(g: FlowGenerator, x: AlgebraElement, z, samples: int) -> float | np.ndarray:
     """Worst excess of ``norm(alpha_y(x))`` over ``max(norm(x), norm(alpha_z(x)))``.
 
     Samples ``y`` on a uniform grid over the strip of ``z`` with real
     part in [-2, 2], boundary lines included (that is where the bound is
     tight).  A nonpositive return value, up to rounding, is the maximum
-    principle for the continuation.
+    principle for the continuation.  For batches (a flow, ``x`` and an
+    array of z with one member each) the excess is returned per member.
 
     The strip norms are taken in the joint eigenbasis of the generators:
     ``alpha_y(x) = U (F_y o X) V*`` with ``X = U* x V`` and
     ``F_y = exp(iy(lam_j - mu_k))``, and the unitaries ``U, V`` leave the
-    norm unchanged, so each block rotates ``x`` once and takes the norms
-    at all grid points, and at ``z`` itself for the bound, with one
-    batched singular-value call (``algebra.stacked_norms``).  Raises
-    ``EigFailureError`` when that call fails or returns NaN.
+    norm unchanged, so each block rotates ``x`` once and the strip, with
+    ``z`` itself for the bound, is one batch ``F_y o X`` whose norms take
+    one batched singular-value call per block.  Raises ``EigFailureError``
+    when that call fails or returns NaN.
     """
     if samples < 1:
         raise ValueError("need at least one strip sample")
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     grid = np.linspace(0.0, 1.0, max(2, math.ceil(math.sqrt(samples))))
-    y = np.append(((-2.0 + 4.0 * grid)[:, None] + 1j * (grid * z.imag)[None, :]).ravel(), z)
+    im = np.multiply.outer(grid, z.imag)
+    strip = (-2.0 + 4.0 * grid).reshape(-1, *[1] * im.ndim) + 1j * im[None]
+    y = _per_member(np.concatenate([strip.reshape(-1, *z.shape), z[None]]))
     left, right = g.spectral_left, g.spectral_right
     parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
-    norms = stacked_norms(
-        (np.exp(1j * y[:, None, None] * (lam[:, None] - mu[None, :])) * (u.conj().T @ xb @ v)
-         for lam, u, mu, v, xb in parts),
-        "strip blocks",
-    )
-    return float(np.max(norms[:-1])) - max(x.norm(), float(norms[-1]))
+    norms = AlgebraElement(x.shape, [
+        np.exp(1j * y * (lam[..., :, None] - mu[..., None, :])) * (_adjoint(u) @ xb @ v)
+        for lam, u, mu, v, xb in parts
+    ]).norm()
+    return np.max(norms[:-1], axis=0) - np.maximum(x.norm(), norms[-1])
 
 
-def core_rescale(
-    x: AlgebraElement,
-    ax: AlgebraElement,
-    approximants: list[tuple[AlgebraElement, AlgebraElement]],
-) -> list[AlgebraElement]:
+def core_rescale(x: AlgebraElement, ax: AlgebraElement, ys: AlgebraElement, ays: AlgebraElement) -> AlgebraElement:
     """Rescale approximants of ``x`` so both norm caps hold.
 
-    Given pairs ``(y_n, alpha_z(y_n))`` converging to ``(x, alpha_z(x) = ax)``,
-    returns ``x_n = lam_n y_n`` with
+    Given the batches ``ys`` of ``y_n`` and ``ays`` of ``alpha_z(y_n)``,
+    converging to ``(x, alpha_z(x) = ax)``, returns the batch of
+    ``x_n = lam_n y_n`` with
     ``lam_n = min(norm(x)/norm(y_n), norm(ax)/norm(alpha_z(y_n)))``, so that
     ``norm(x_n) <= norm(x)`` and ``norm(alpha_z(x_n)) <= norm(ax)`` exactly
-    (up to float rounding) while convergence is preserved.  Terms with
+    (up to float rounding) while convergence is preserved.  Members with
     ``y_n = 0`` or ``alpha_z(y_n) = 0`` are skipped.  When ``x = 0`` or
-    ``ax = 0`` the caps are vacuous and the approximants are returned
-    unchanged.
+    ``ax = 0`` the caps are vacuous and ``ys`` is returned unchanged.
     """
     nx, nax = x.norm(), ax.norm()
     if nx == 0.0 or nax == 0.0:
-        return [y for y, _ in approximants]
-    out = []
-    for y, ay in approximants:
-        ny, nay = y.norm(), ay.norm()
-        if ny == 0.0 or nay == 0.0:
-            continue
-        lam = min(nx / ny, nax / nay)
-        out.append(lam * y)
-    return out
+        return ys
+    ny, nay = ys.norm(), ays.norm()
+    kept = (ny != 0.0) & (nay != 0.0)
+    return np.minimum(nx / ny[kept], nax / nay[kept]) * (ys if kept.all() else ys[kept])
 
 
 def _vec(x: AlgebraElement) -> np.ndarray:

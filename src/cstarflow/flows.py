@@ -6,7 +6,9 @@ eigendecompositions of the generators, which makes every flow entire in
 the parameter for free.  ``algebra.spectral`` keeps each decomposition on
 its generator, so companion flows and automorphisms share one.  Two-sided
 unitary conjugation is isometric, so the contractivity axiom is automatic
-and the constructor does not admit non-isometric flows.
+and the constructor does not admit non-isometric flows.  Generators may
+be batches of elements (see :mod:`cstarflow.algebra`): the flow is then a
+batch of flows, one per member, and evaluation acts per member.
 
 With ``H_l = H_r`` the flow is an automorphism group.  The companion
 flows ``(H_l, H_l)`` and ``(H_r, H_r)`` make every flow in this family
@@ -19,7 +21,6 @@ semi-multiplicative:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .algebra import (
     BlockShape,
     HermitianElement,
     SpectralDecomposition,
+    _per_member,
     sandwich,
-    sandwich_blocks,
     spectral,
     zeros,
 )
@@ -82,33 +83,25 @@ class FlowGenerator:
 
 
 def _phases(z):
-    """Entrywise factor ``exp(iz(lam_j - mu_k))``; a ``(G, 1, 1)`` array ``z`` gives a stack."""
-    return lambda lam, mu: np.exp(1j * z * (lam[:, None] - mu[None, :]))
+    """Entrywise factor ``exp(iz(lam_j - mu_k))``; the shape of an array ``z`` joins the batch."""
+    z = complex(z) if np.ndim(z) == 0 else _per_member(np.asarray(z, dtype=complex))
+    return lambda lam, mu: np.exp(1j * z * (lam[..., :, None] - mu[..., None, :]))
 
 
-def conjugate(g: FlowGenerator, z: complex, x: AlgebraElement) -> AlgebraElement:
-    """``exp(izH_l) x exp(-izH_r)`` for any complex ``z``.
+def conjugate(g: FlowGenerator, z, x: AlgebraElement) -> AlgebraElement:
+    """``exp(izH_l) x exp(-izH_r)`` for any complex ``z``, or each z of an array.
 
     This single code path serves both real-time evaluation and analytic
-    continuation; at finite dimension the map is entire in ``z``.
+    continuation; at finite dimension the map is entire in ``z``.  The
+    shape of an array of z joins the batch, broadcast against the batches
+    of ``x`` and of the generators, so one call forms a whole grid.
     """
     return sandwich(g.spectral_left, g.spectral_right, x, _phases(z))
 
 
-def conjugate_stack(
-    g: FlowGenerator, zs: np.ndarray, blocks: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """``conjugate`` at every point of the 1-D grid ``zs``: one ``(G, n, n)`` stack per block.
-
-    ``blocks`` are the blocks of one element, rotated into the eigenbasis
-    once, or stacks with one element per grid point.
-    """
-    return sandwich_blocks(g.spectral_left, g.spectral_right, blocks, _phases(zs[:, None, None]))
-
-
-def evaluate(g: FlowGenerator, t: float, x: AlgebraElement) -> AlgebraElement:
-    """Flow at real time ``t``; isometric, with ``alpha_0 = id``."""
-    return conjugate(g, float(t), x)
+def evaluate(g: FlowGenerator, t, x: AlgebraElement) -> AlgebraElement:
+    """Flow at real time ``t`` (or each t of an array); isometric, with ``alpha_0 = id``."""
+    return conjugate(g, np.asarray(t, dtype=float), x)
 
 
 def left_companion(g: FlowGenerator) -> FlowGenerator:

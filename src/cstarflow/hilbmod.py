@@ -10,9 +10,12 @@ of :mod:`cstarflow.algebra`.  A vector is stored as one stacked
 ``(k n_b) x n_b`` matrix per block (``ModuleVector.stacked``, slot i in
 rows ``i n_b`` to ``(i+1) n_b``), so ``S v`` and ``<v, w>`` are one
 matmul per block.  The grid and tuple ``entries``, and the constructors
-taking them, are derived conveniences.  At finite dimension every module
-map with an adjoint is bounded, so no unbounded-operator bookkeeping
-appears anywhere.
+taking them, are derived conveniences.  A grid of operators needs no
+type of its own: it is one ``ModuleOperator`` whose ``flat`` is a batch
+of elements (see :mod:`cstarflow.algebra`), as ``op_power`` gives at an
+array of z, and its products and norms act per member.  At finite
+dimension every module map with an adjoint is bounded, so no
+unbounded-operator bookkeeping appears anywhere.
 
 Sub-C*-algebras of the operator algebra are handled through an
 orthonormal Hilbert-Schmidt basis of the span generated by a finite set
@@ -20,7 +23,8 @@ of operators, held as one array of coordinate rows; membership tests are
 orthogonal projections onto that span, which keeps them basis-independent.
 The span is closed one candidate at a time, with products formed on the
 rows, and stops as soon as it fills the whole operator algebra.  The
-whole basis is moved and projected at once (``SubalgebraBasis.leaks``).
+whole basis is moved by a batch of operators and projected at once
+(``SubalgebraBasis.leaks``).
 """
 
 from __future__ import annotations
@@ -35,14 +39,14 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     BlockShape,
+    _adjoint,
     _frozen,
     eigenvalues,
-    element_norms,
     herm_calculus,
     identity,
     is_strictly_positive,
     power,
-    stacked_norms,
+    stack,
     zeros,
 )
 from .errors import NotStrictlyPositiveError, ShapeMismatchError
@@ -142,12 +146,7 @@ def _same_module(v, w) -> None:
 def inner(v: ModuleVector, w: ModuleVector) -> AlgebraElement:
     """A-valued inner product ``sum_i w_i* v_i``, linear in ``v``."""
     _same_module(v, w)
-    return AlgebraElement(v.shape, [b.conj().T @ a for a, b in zip(v.stacked, w.stacked)])
-
-
-def vector_norms(vectors: Sequence[ModuleVector]) -> list[float]:
-    """``ModuleVector.norm`` of each vector of one module, with one batched SVD per block."""
-    return [float(np.sqrt(n)) for n in element_norms([inner(v, v) for v in vectors])]
+    return AlgebraElement(v.shape, [_adjoint(b) @ a for a, b in zip(v.stacked, w.stacked)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,13 +262,14 @@ def strictly_positive(s: ModuleOperator) -> bool:
     return is_strictly_positive(s.flat)
 
 
-def op_power(t: ModuleOperator, z: complex) -> ModuleOperator:
-    """Complex power ``T**z`` of a strictly positive module operator, at one z.
+def op_power(t: ModuleOperator, z) -> ModuleOperator:
+    """Complex power ``T**z`` of a strictly positive module operator.
 
-    The one-point grid of ``algebra.power``; raises ``NotStrictlyPositiveError``
+    ``algebra.power`` of the flattened element, so an array of z gives the
+    operators with a batched ``flat``; raises ``NotStrictlyPositiveError``
     (from there) otherwise.
     """
-    return ModuleOperator.from_flat(AlgebraElement(t.flat.shape, [b[0] for b in power(t.flat, [z])]), t.k)
+    return ModuleOperator.from_flat(power(t.flat, z), t.k)
 
 
 def op_log(t: ModuleOperator) -> ModuleOperator:
@@ -365,7 +365,7 @@ class SubalgebraBasis:
 
     def _build(self, generators: list[ModuleOperator]) -> None:
         shape, k = self.shape, self.k
-        tol = SPAN_TOL * max(max(element_norms([g.flat for g in generators])), 1.0)
+        tol = SPAN_TOL * max(float(np.max(stack([g.flat for g in generators]).norm())), 1.0)
         full = sum((k * n) ** 2 for n in shape)
         q = np.empty((full, full), dtype=complex)
         q_conj = np.empty_like(q)  # the conjugated rows, kept as they are kept
@@ -404,15 +404,16 @@ class SubalgebraBasis:
         vec = operator_vec(s)
         return float(np.linalg.norm(vec - self._q.T @ (self._q.conj() @ vec)))
 
-    def leaks(self, left: list[np.ndarray], right: list[np.ndarray] | None = None) -> np.ndarray:
-        """HS distances from ``L_g b R_g`` to the span, for every basis element b: ``(G, dim)``.
+    def leaks(self, left: AlgebraElement, right: AlgebraElement | None = None) -> np.ndarray:
+        """HS distances from ``L_g b R_g`` to the span, for every basis element b: ``(*G, dim)``.
 
-        ``left`` and ``right`` (if given) are ``(G, k n_b, k n_b)`` stacks per block, as
-        ``algebra.power`` gives for a grid: one stacked matmul per block, one projection.
+        ``left`` and ``right`` (if given) are batches of flattened operators of batch
+        shape G, as ``algebra.power`` gives for an array of z: one stacked matmul per
+        block, one projection.
         """
-        moved = [lb[:, None] @ f for lb, f in zip(left, self.flats)]
+        moved = [lb[..., None, :, :] @ f for lb, f in zip(left.blocks, self.flats)]
         if right is not None:
-            moved = [m @ rb[:, None] for m, rb in zip(moved, right)]
+            moved = [m @ rb[..., None, :, :] for m, rb in zip(moved, right.blocks)]
         rows = _flat_rows(moved)
         return np.linalg.norm(rows - (rows @ self._q.conj().T) @ self._q, axis=-1)
 
@@ -466,9 +467,9 @@ def affiliation_test(alpha: ModuleOperator, basis: SubalgebraBasis, t_samples: S
     log_norm = op_log(alpha).norm()
     delta = 1e-3 / max(1.0, log_norm)
     u = power(alpha.flat, 1j * np.array([*map(float, t_samples), delta]))
-    flats = basis.flats
-    norms = stacked_norms(flats, "carrier blocks")
-    if (basis.leaks([ub[:-1] for ub in u]) > AFFILIATION_TOL * np.maximum(norms, 1e-300)).any():
+    carrier = AlgebraElement(alpha.flat.shape, basis.flats)
+    norms = carrier.norm()
+    if (basis.leaks(u[:-1]) > AFFILIATION_TOL * np.maximum(norms, 1e-300)).any():
         return False
-    drift = stacked_norms((ub[-1] @ f - f for ub, f in zip(u, flats)), "drift blocks")
+    drift = (u[-1] @ carrier - carrier).norm()
     return bool((drift <= delta * log_norm * norms * (1.0 + 1e-8) + 1e-12).all())

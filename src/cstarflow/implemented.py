@@ -17,11 +17,9 @@ implementing pairs with condition number above ``COND_LIMIT``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .algebra import as_z_grid, power, sandwich_blocks, spectral, stacked_norms
+from .algebra import _per_member, power, sandwich, spectral
 from .errors import (
     IllConditionedError,
     InvarianceViolationError,
@@ -100,8 +98,8 @@ def middle_multiplier(s: ModuleOperator, x: ModuleOperator, t: ModuleOperator) -
     return s @ x @ t
 
 
-def implemented_continuation_check(f: ImplementedFlow, z: Sequence[complex], x: ModuleOperator) -> np.ndarray:
-    """Residual between the two continuation routes, per z of a 1-D grid.
+def implemented_continuation_check(f: ImplementedFlow, z, x: ModuleOperator) -> np.ndarray:
+    """Residual between the two continuation routes, per z of an array.
 
     Route one runs through the joint eigenbases of the implementing
     pair; route two is the closed middle product
@@ -109,23 +107,22 @@ def implemented_continuation_check(f: ImplementedFlow, z: Sequence[complex], x: 
     agree up to rounding for well-conditioned pairs.
 
     The carrier test runs once, ``x`` is rotated into the joint
-    eigenbasis once, S and T are raised to every ``+-iz`` in one
-    ``algebra.power`` call each, and the residual norms take one batched
-    singular-value call per block (``EigFailureError`` if it fails).
+    eigenbasis once, S and T are raised to every ``+-iz`` as one batch
+    each, and the residual norms take one batched singular-value call per
+    block (``EigFailureError`` if it fails).
     """
     if f.basis.residual(x) > SPAN_TOL * max(1.0, x.norm()):
         raise NotInAlgebraError("element lies outside the carrier span")
     _same_module(x, f.s)
-    zs = as_z_grid(z)
+    zs = np.asarray(z, dtype=complex)
+    phase = _per_member(zs)
 
     def log_phase(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        nu = np.log(lam.astype(complex))[:, None] - np.log(mu.astype(complex))[None, :]
-        return np.exp(1j * zs[:, None, None] * nu)
+        nu = np.log(lam.astype(complex))[..., :, None] - np.log(mu.astype(complex))[..., None, :]
+        return np.exp(1j * phase * nu)
 
-    lhs = sandwich_blocks(spectral(f.s.flat), spectral(f.t.flat), x.flat.blocks, log_phase)
-    s_pow, t_pow = power(f.s.flat, 1j * zs), power(f.t.flat, -1j * zs)
-    rhs = [sz @ xb @ tz for sz, xb, tz in zip(s_pow, x.flat.blocks, t_pow)]
-    return stacked_norms((left - right for left, right in zip(lhs, rhs)), "residual blocks")
+    lhs = sandwich(spectral(f.s.flat), spectral(f.t.flat), x.flat, log_phase)
+    return (lhs - power(f.s.flat, 1j * zs) @ x.flat @ power(f.t.flat, -1j * zs)).norm()
 
 
 def localized_middle_check(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockShape, HermitianElement, element_norms
+from .algebra import AlgebraElement, BlockShape, HermitianElement, stack
 from .flows import FlowGenerator
 from .hilbmod import ModuleOperator, ModuleVector, operator_from_flat
 from .stone import PositiveFunctional
@@ -25,16 +25,17 @@ def gaussian(r: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return (r.standard_normal(shape) + 1j * r.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _rescaled(elements: list[AlgebraElement], norm: float) -> list[AlgebraElement]:
-    """Each element times ``norm`` over its C*-norm, a zero one as it is; the norms are taken in one batch."""
-    return [(norm / n) * x if n > 0 else x for x, n in zip(elements, element_norms(elements))]
+def _rescaled(x: AlgebraElement, norm: float) -> AlgebraElement:
+    """Each member of ``x`` times ``norm`` over its C*-norm, a zero one as it is."""
+    n = np.asarray(x.norm())
+    return np.divide(norm, n, out=np.ones_like(n), where=n > 0) * x
 
 
 def random_elements(
     r: np.random.Generator, shape: BlockShape, count: int, norm: float | None = None
-) -> list[AlgebraElement]:
-    """``count`` Gaussian elements drawn one after another, each rescaled to ``norm`` unless it is None."""
-    xs = [AlgebraElement(shape, [gaussian(r, (n, n)) for n in shape]) for _ in range(count)]
+) -> AlgebraElement:
+    """A batch of ``count`` Gaussian elements drawn one after another, each rescaled to ``norm`` unless it is None."""
+    xs = stack([AlgebraElement(shape, [gaussian(r, (n, n)) for n in shape]) for _ in range(count)])
     return xs if norm is None else _rescaled(xs, norm)
 
 
@@ -43,8 +44,9 @@ def random_element(r: np.random.Generator, shape: BlockShape, norm: float | None
 
 
 def _hermitians(r: np.random.Generator, shape: BlockShape, count: int, norm: float) -> list[HermitianElement]:
-    hs = [AlgebraElement(shape, [(g + g.conj().T) / 2.0 for g in x.blocks]) for x in random_elements(r, shape, count)]
-    return [HermitianElement(h) for h in _rescaled(hs, norm)]
+    x = random_elements(r, shape, count)
+    hs = _rescaled(0.5 * (x + x.star()), norm)
+    return [HermitianElement(hs[i]) for i in range(count)]
 
 
 def random_hermitian(r: np.random.Generator, shape: BlockShape, norm: float = 1.0) -> HermitianElement:
@@ -87,12 +89,15 @@ def random_commuting_flows(
 
     al, bl = diag_pair()
     ar, br = diag_pair()
-    hs = [HermitianElement(h) for h in _rescaled([0.5 * (x + x.star()) for x in (al, ar, bl, br)], norm)]
-    return FlowGenerator(hs[0], hs[1]), FlowGenerator(hs[2], hs[3])
+    x = stack([al, ar, bl, br])
+    hs = _rescaled(0.5 * (x + x.star()), norm)
+    h = [HermitianElement(hs[i]) for i in range(4)]
+    return FlowGenerator(h[0], h[1]), FlowGenerator(h[2], h[3])
 
 
 def random_vector(r: np.random.Generator, shape: BlockShape, k: int) -> ModuleVector:
-    return ModuleVector(random_elements(r, shape, k))
+    xs = random_elements(r, shape, k)
+    return ModuleVector([xs[i] for i in range(k)])
 
 
 def random_operator(
@@ -100,7 +105,7 @@ def random_operator(
 ) -> ModuleOperator:
     s = ModuleOperator([[random_element(r, shape) for _ in range(k)] for _ in range(k)])
     # the operator norm is the C*-norm of the flattened element
-    return s if norm is None else ModuleOperator.from_flat(_rescaled([s.flat], norm)[0], k)
+    return s if norm is None else ModuleOperator.from_flat(_rescaled(s.flat, norm), k)
 
 
 def random_positive_operator(

@@ -56,13 +56,12 @@ from .algebra import (
     BlockShape,
     as_z_grid,
     eigenvalues,
-    element_norms,
     herm_calculus,
     is_strictly_positive,
     largest_singular_value,
     power,
     spectral,
-    stacked_norms,
+    stack,
 )
 from .errors import (
     BranchAmbiguityError,
@@ -139,8 +138,8 @@ class SampledUnitaryGroup:
     def probe(self, t0: float) -> None:
         """Cheap group-invariant checks; raises ``NotAGroupError``.
 
-        The differences are normed together by one ``element_norms`` call,
-        and then tested in order.
+        The differences are normed together as one batch, and then tested
+        in order.
         """
         u0 = self(0.0)
         one = identity_operator(u0.shape, u0.k)
@@ -152,7 +151,7 @@ class SampledUnitaryGroup:
             checks.append((ut @ umt - one, 1e-9, f"u({t}) u({-t}) differs from the identity"))
         ut0 = self(t0)
         checks.append((self(2 * t0) - ut0 @ ut0, 1e-9, "u(2 t0) differs from u(t0)^2"))
-        for norm, (_, bound, message) in zip(element_norms([d.flat for d, _, _ in checks]), checks):
+        for norm, (_, bound, message) in zip(stack([d.flat for d, _, _ in checks]).norm(), checks):
             if norm > bound:
                 raise NotAGroupError(message)
 
@@ -279,10 +278,9 @@ def _stone_and_report(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator
 
 
 def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[float, float]]:
-    """``norm(u(t) - T**(it))`` on the probe grid: one ``power`` grid call and one ``stacked_norms``."""
-    samples = [u(t).flat.blocks for t in RESIDUAL_TIMES]
-    powers = power(t_op.flat, 1j * np.array(RESIDUAL_TIMES))
-    errs = stacked_norms(np.stack(ub) - pb for ub, pb in zip(zip(*samples), powers))
+    """``norm(u(t) - T**(it))`` on the probe grid: the samples and the powers as two batches."""
+    samples = stack([u(t).flat for t in RESIDUAL_TIMES])
+    errs = (samples - power(t_op.flat, 1j * np.array(RESIDUAL_TIMES))).norm()
     return list(zip(RESIDUAL_TIMES, errs.tolist()))
 
 

@@ -10,18 +10,20 @@ from cstarflow import (
     AlgebraElement,
     BlockShape,
     EigFailureError,
+    FlowGenerator,
     HermitianElement,
     NotStrictlyPositiveError,
     ShapeMismatchError,
     herm_calculus,
     identity,
     is_strictly_positive,
+    conjugate,
     power,
     spectral,
     zeros,
 )
-from cstarflow.algebra import HERM_TOL, element_norms, largest_singular_value, stacked_norms
-from cstarflow.sampling import random_element, random_hermitian, rng
+from cstarflow.algebra import HERM_TOL, largest_singular_value, stack
+from cstarflow.sampling import gaussian, random_element, random_hermitian, rng
 
 from conftest import counting_svd, e12
 
@@ -29,8 +31,8 @@ EPS = np.finfo(float).eps
 
 
 def power_at(t, z):
-    """``T**z`` at one z: the one-point grid of ``power`` as an element."""
-    return AlgebraElement(t.shape, [stack[0] for stack in power(t, [z])])
+    """``T**z`` at one z: the member of the one-point grid of ``power``."""
+    return power(t, [z])[0]
 
 
 class TestStar:
@@ -114,20 +116,19 @@ class TestOpNorm:
         with pytest.raises(EigFailureError, match=r"2x2 block are NaN"):
             x.norm()
 
-    def test_stacked_norms_are_the_element_norms(self):
+    def test_batch_norms_are_the_member_norms(self):
         r = rng(6)
         elements = [random_element(r, BlockShape([3, 2])) for _ in range(4)]
-        stacks = [np.stack([x.blocks[b] for x in elements]) for b in range(2)]
-        norms = stacked_norms(stacks)
+        norms = stack(elements).norm()
         assert norms.shape == (4,)
         for got, x in zip(norms, elements):
             assert abs(got - x.norm()) <= 8 * 3 * EPS * x.norm()
 
     def test_stacked_infinite_entry_is_a_numerical_breakdown(self):
-        stack = np.zeros((3, 2, 2), dtype=complex)
-        stack[1, 0, 0] = np.inf
-        with pytest.raises(EigFailureError, match="3 stacked 2x2 grid blocks are NaN"):
-            stacked_norms([np.zeros((3, 1, 1)), stack], "grid blocks")
+        blocks = np.zeros((3, 2, 2), dtype=complex)
+        blocks[1, 0, 0] = np.inf
+        with pytest.raises(EigFailureError, match="3 stacked 2x2 blocks are NaN"):
+            AlgebraElement(BlockShape([1, 2]), [np.zeros((3, 1, 1)), blocks]).norm()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
     def test_largest_singular_value_matches_scipy_svdvals(self, n):
@@ -153,32 +154,33 @@ class TestOpNorm:
 
 
 class TestElementNorms:
-    def test_bitwise_the_element_norms_and_kept(self, monkeypatch):
+    def test_bitwise_the_member_norms_and_kept(self, monkeypatch):
         r = rng(9)
         shape = BlockShape([3, 2, 1])
         elements = [random_element(r, shape) for _ in range(5)]
         elements += [zeros(shape), AlgebraElement(shape, [np.zeros((3, 3)), *elements[0].blocks[1:]])]
         want = [AlgebraElement(shape, x.blocks).norm() for x in elements]
-        got = element_norms(elements)
+        batch = stack(elements)
+        got = batch.norm().tolist()
         assert [v.hex() for v in got] == [v.hex() for v in want]
         calls = []
         monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
-        assert [x.norm() for x in elements] == got
+        assert batch.norm().tolist() == got
         assert calls == []
 
-    def test_one_batched_svd_per_block_over_the_elements_not_yet_normed(self, monkeypatch):
+    def test_one_batched_svd_per_block(self, monkeypatch):
         r = rng(10)
-        elements = [random_element(r, BlockShape([3, 2])) for _ in range(4)]
-        kept = elements[1].norm()
+        batch = stack([random_element(r, BlockShape([3, 2])) for _ in range(4)])
         calls = []
         monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
-        assert element_norms(elements)[1] == kept
-        assert calls == [(3, 3, 3), (3, 2, 2)]
+        assert batch.norm().shape == (4,)
+        assert calls == [(4, 3, 3), (4, 2, 2)]
 
     def test_one_shape(self):
-        assert element_norms([]) == []
         with pytest.raises(ShapeMismatchError):
-            element_norms([random_element(rng(0), BlockShape([2])), random_element(rng(0), BlockShape([3]))])
+            stack([random_element(rng(0), BlockShape([2])), random_element(rng(0), BlockShape([3]))])
+        with pytest.raises(ShapeMismatchError, match=r"expected \(2, 3, 3\)"):
+            AlgebraElement(BlockShape([2, 3]), [np.zeros((2, 2, 2)), np.zeros((3, 3, 3))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,18 +289,20 @@ class TestPower:
     def test_grid_of_exponents_gives_the_stacked_powers(self):
         t = herm_calculus(random_hermitian(rng(8), BlockShape([3, 2]), 1.0), np.exp)
         grid = [0.5, 1j, -0.25 + 0.75j]
-        stacks = power(t, grid)
+        stacks = power(t, grid).blocks
         assert [s.shape for s in stacks] == [(3, 3, 3), (3, 2, 2)]
         for g, z in enumerate(grid):
             one = power_at(t, z)
-            for stack, block in zip(stacks, one.blocks):
-                assert np.abs(stack[g] - block).max() <= 16 * EPS * one.norm()
+            for blocks, block in zip(stacks, one.blocks):
+                assert np.abs(blocks[g] - block).max() <= 16 * EPS * one.norm()
 
     @pytest.mark.parametrize("z", [0.5, [[0.5, 1j]]], ids=["scalar", "2-D"])
-    def test_exponents_other_than_a_1d_grid_are_refused(self, z):
+    def test_exponent_shape_joins_the_batch(self, z):
         t = herm_calculus(random_hermitian(rng(9), BlockShape([2]), 1.0), np.exp)
-        with pytest.raises(ValueError, match="z must be a 1-D grid"):
-            power(t, z)
+        got = power(t, z)
+        assert got.blocks[0].shape == (*np.shape(z), 2, 2)
+        for i in np.ndindex(np.shape(z)):
+            np.testing.assert_array_equal(got[i].blocks[0], power(t, np.asarray(z)[i]).blocks[0])
 
 
 class TestStrictPositivity:
@@ -394,3 +398,38 @@ def test_hermitian_exp_positive_hypothesis(a, b, c):
     # spectrum spread stays well inside the relative positivity cutoff
     h = HermitianElement.from_blocks([np.array([[a, complex(b, c)], [complex(b, -c), -a]])])
     assert is_strictly_positive(herm_calculus(h, np.exp))
+
+
+def _bitwise(a: AlgebraElement, b: AlgebraElement) -> bool:
+    return a.shape == b.shape and all(np.array_equal(p, q) for p, q in zip(a.blocks, b.blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       st.lists(st.integers(1, 4), min_size=1, max_size=2))
+def test_batch_operations_act_per_member_bitwise_hypothesis(seed, dims, batch):
+    # each operation on a batch equals the same operation on each member, bit for bit:
+    # numpy's stacked LAPACK and BLAS calls are the per-matrix calls
+    r, shape, batch = rng(seed), BlockShape(dims), tuple(batch)
+
+    def draw() -> AlgebraElement:
+        return AlgebraElement(shape, [gaussian(r, (*batch, n, n)) for n in dims])
+
+    x, y, h_left, h_right = draw(), draw(), draw(), draw()
+    h_left, h_right = 0.5 * (h_left + h_left.star()), 0.5 * (h_right + h_right.star())
+    z = gaussian(r, batch)
+    g = FlowGenerator(HermitianElement(h_left), HermitianElement(h_right))
+    t = herm_calculus(h_left, lambda lam: np.exp(0.3 * lam))
+    norms, sd, moved, powers = x.norm(), spectral(h_left), conjugate(g, z, x), power(t, z)
+    assert norms.shape == batch
+    for i in np.ndindex(batch):
+        assert norms[i] == x[i].norm()
+        assert _bitwise(x.star()[i], x[i].star())
+        assert _bitwise((x + y)[i], x[i] + y[i])
+        assert _bitwise((x @ y)[i], x[i] @ y[i])
+        one = spectral(h_left[i])
+        for lam, u, lam_i, u_i in zip(sd.eigenvalues, sd.eigenvectors, one.eigenvalues, one.eigenvectors):
+            assert np.array_equal(lam[i], lam_i) and np.array_equal(u[i], u_i)
+        g_i = FlowGenerator(HermitianElement(h_left[i]), HermitianElement(h_right[i]))
+        assert _bitwise(moved[i], conjugate(g_i, z[i], x[i]))
+        assert _bitwise(powers[i], power(t[i], z[i]))

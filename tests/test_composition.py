@@ -144,7 +144,7 @@ class TestGammaGrid:
         x = random_element(r, BlockShape([2]))
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         # two residuals per grid point
-        with pytest.raises(EigFailureError, match="6 stacked 2x2 residual blocks"):
+        with pytest.raises(EigFailureError, match="6 stacked 2x2 blocks"):
             gamma_continuation_check(pair, [0.5j, 1.0, -1.0 + 0.5j], x)
 
 
@@ -311,7 +311,7 @@ class TestTensorGrid:
         tf = tensor_flow(random_flow(r, shape, 1.0), random_flow(r, shape, 1.0))
         x, y = random_element(r, shape), random_element(r, shape)
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(EigFailureError, match="2 stacked 4x4 residual blocks"):
+        with pytest.raises(EigFailureError, match="2 stacked 4x4 blocks"):
             tensor_continuation_check(tf, [0.5j, 1.0], x, y)
 
     def test_kronecker_products_match_numpy_bit_for_bit(self):

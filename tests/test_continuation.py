@@ -31,6 +31,7 @@ from cstarflow import (
     zeros,
 )
 from cstarflow.continuation import MAX_NODES, QUAD_TARGET, A, L, _trapezoid, admissible_nodes
+from cstarflow.algebra import stack
 from cstarflow.sampling import random_element, random_flow, rng
 
 from conftest import diag_flow, e12, failing_svd
@@ -209,7 +210,7 @@ class TestThreeLines:
         g = random_flow(rng(13), BlockShape([2]), 1.0)
         x = random_element(rng(14), BlockShape([2]))
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(EigFailureError, match="26 stacked 2x2 strip blocks"):
+        with pytest.raises(EigFailureError, match="26 stacked 2x2 blocks"):
             three_lines_check(g, x, 0.5j, 25)
 
     def test_real_z_degenerates_to_isometry(self):
@@ -244,23 +245,21 @@ class TestCoreRescale:
         x = random_element(r, BlockShape([2]))
         z = 0.5j
         ax = continue_exact(g, z, x)
-        out = core_rescale(x, ax, [(x, ax)] * 3)
-        for y in out:
-            assert (y - x).norm() <= 1e-14
+        out = core_rescale(x, ax, stack([x] * 3), stack([ax] * 3))
+        assert np.all((out - x).norm() <= 1e-14)
 
     def test_zero_element_passthrough(self):
         shape = BlockShape([2])
         x = zeros(shape)
-        ys = [random_element(rng(10), shape) for _ in range(3)]
-        out = core_rescale(x, zeros(shape), [(y, y) for y in ys])
-        assert [id(a) for a in out] == [id(y) for y in ys]
+        ys = stack([random_element(rng(10), shape) for _ in range(3)])
+        assert core_rescale(x, zeros(shape), ys, ys) is ys
 
     def test_double_scaling_restores(self):
         r = rng(11)
         g = random_flow(r, BlockShape([2]), 1.0)
         x = random_element(r, BlockShape([2]))
         ax = continue_exact(g, 0.4j, x)
-        out = core_rescale(x, ax, [(2.0 * x, 2.0 * ax)])
+        out = core_rescale(x, ax, stack([2.0 * x]), stack([2.0 * ax]))
         assert (out[0] - x).norm() <= 1e-13
 
     def test_caps_hold_on_smeared_approximants(self):
@@ -270,16 +269,10 @@ class TestCoreRescale:
         x = random_element(r, shape)
         z = 0.3 + 0.5j
         ax = continue_exact(g, z, x)
-        pairs = []
-        rr = 1.0
-        for _ in range(14):
-            y = smear_oracle(g, x, rr, 0.0)
-            pairs.append((y, continue_exact(g, z, y)))
-            rr *= 2.0
-        out = core_rescale(x, ax, pairs)
-        for y in out:
-            assert y.norm() <= x.norm() * (1 + 1e-12)
-            assert continue_exact(g, z, y).norm() <= ax.norm() * (1 + 1e-12)
+        ys = smear_oracle(g, x, 2.0 ** np.arange(14), 0.0)
+        out = core_rescale(x, ax, ys, continue_exact(g, z, ys))
+        assert np.all(out.norm() <= x.norm() * (1 + 1e-12))
+        assert np.all(continue_exact(g, z, out).norm() <= ax.norm() * (1 + 1e-12))
         assert (out[-1] - x).norm() <= 1e-6
 
 
