@@ -331,7 +331,7 @@ def validate(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     converted.setdefault("flow.h_right", converted.get("flow.h_left"))
     config = ScenarioConfig(**{k.field: converted.get(key) for key, k in KEYS.items()})
     problems = [
-        f"{text} {_amount(value)}{unit}, above the {name} of {limit}"
+        f"{text} {_amount(value)}{unit}, above the {name} of {_amount(limit)}"
         for (name, limit, unit), value, text in EXPERIMENTS[config.experiment].costs(config)
         if not value <= limit  # a cost of nan (inf times 0) is refused too
     ]
@@ -408,7 +408,11 @@ def _write_json(path: Path, payload: dict) -> None:
 def _grid(cfg: ScenarioConfig, point_size: int) -> Cost:
     points = len(cfg.z_re) * len(cfg.z_im)
     return (GRID, points * point_size, f"the z-grid of {points} points at stacked dense size"
-            f" {point_size} per point holds")
+            f" {_amount(point_size)} per point holds")
+
+
+def _shape(cfg: ScenarioConfig) -> str:
+    return f"shape [{', '.join(_amount(n) for n in cfg.shape)}]"
 
 
 def _growth(what: str, im: float, nu: float) -> Cost:
@@ -416,7 +420,7 @@ def _growth(what: str, im: float, nu: float) -> Cost:
 
 
 def _work(cfg: ScenarioConfig, each: int) -> Cost:
-    return WORK, cfg.instances * each, f"{cfg.instances} instances at {each} entries each touch"
+    return WORK, cfg.instances * each, f"{_amount(cfg.instances)} instances at {_amount(each)} entries each touch"
 
 
 def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
@@ -461,7 +465,7 @@ def _costs_verify(cfg: ScenarioConfig) -> list[Cost]:
     # no module, only the algebra's own blocks; inverse and composition_same_side reach 2 Im z;
     # instance i checks grid point i mod the grid size, so fewer instances than points leave some out
     dim, points = cfg.shape.dim, len(cfg.z_re) * len(cfg.z_im)
-    return [(SIZE, dim, f"shape {list(cfg.shape)} has dense size"),
+    return [(SIZE, dim, f"{_shape(cfg)} has dense size"),
             _growth("the inverse check", 2.0 * cfg.im_max(), cfg.nu_max()),
             _work(cfg, dim),
             (("instance count", cfg.instances, " instances"), points,
@@ -504,7 +508,7 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
 def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
     # every z of the grid runs, so the costs are taken at max|z_im|
     nu, im = cfg.nu_max(), cfg.im_max()
-    costs = [(SIZE, cfg.shape.dim, f"shape {list(cfg.shape)} has dense size"),
+    costs = [(SIZE, cfg.shape.dim, f"{_shape(cfg)} has dense size"),
              _growth("the continuation", im, nu)]
     for r in cfg.r_list:
         try:
@@ -557,9 +561,9 @@ def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:
     k, nu = (1, cfg.h_left.norm()) if cfg.flow_kind == "explicit" else (cfg.module_rank, 0.5 * math.log(COND))
     factors = sum((k * n) ** 2 for n in cfg.shape)
     probes = PROBES * sum(k * n * n for n in cfg.shape)
-    return [(SIZE, factors, f"shape {list(cfg.shape)} at module_rank {k} has flattened blocks of"
+    return [(SIZE, factors, f"{_shape(cfg)} at module_rank {_amount(k)} has flattened blocks of"
                             f" size k n_b, so the factors sum_b (k n_b)^2 have dense size"),
-            (SIZE, probes, f"shape {list(cfg.shape)} at module_rank {k} checks each block on"
+            (SIZE, probes, f"{_shape(cfg)} at module_rank {_amount(k)} checks each block on"
                            f" {PROBES} probe vectors of k n_b^2 entries, so the probe stack has dense size"),
             _grid(cfg, factors),
             _growth("T^(iz)", cfg.im_max(), nu)]
@@ -586,7 +590,7 @@ def _exp_tensor(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], d
 def _costs_tensor(cfg: ScenarioConfig) -> list[Cost]:
     # the tensor square has blocks n_i n_j; its flow pairs two random flows of nu = 2 norm each
     dim = cfg.shape.dim
-    return [(SIZE, dim**2, f"shape {list(cfg.shape)} has dimension {dim}, so A (x) A has dense size"),
+    return [(SIZE, dim**2, f"{_shape(cfg)} has dimension {_amount(dim)}, so A (x) A has dense size"),
             _grid(cfg, dim**2),
             _growth("the tensor flow", cfg.im_max(), 4.0 * cfg.flow_norm),
             _work(cfg, len(cfg.z_re) * len(cfg.z_im) * dim**2)]
@@ -615,8 +619,8 @@ def _exp_implemented(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tupl
 def _costs_implemented(cfg: ScenarioConfig) -> list[Cost]:
     # the closure keeps a D x D basis; nu = norm(log S) + norm(log T) <= ln(COND)
     d = sum((cfg.module_rank * n) ** 2 for n in cfg.shape)
-    return [(SIZE, d * d, f"shape {list(cfg.shape)} at module_rank {cfg.module_rank} has closure"
-                          f" dimension D = {d}, so the D x D closure basis has dense size"),
+    return [(SIZE, d * d, f"{_shape(cfg)} at module_rank {_amount(cfg.module_rank)} has closure"
+                          f" dimension D = {_amount(d)}, so the D x D closure basis has dense size"),
             _grid(cfg, d),
             _growth("the implemented flow", cfg.im_max(), math.log(COND))]
 

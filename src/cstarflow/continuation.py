@@ -151,7 +151,7 @@ def smear_oracle(g: FlowGenerator, x: AlgebraElement, r, z) -> AlgebraElement:
     if np.any(np.asarray(r) <= 0):
         raise ValueError("smearing width r must be positive")
     r = _per_member(r)
-    z = complex(z) if np.ndim(z) == 0 else _per_member(np.asarray(z, dtype=complex))
+    z = _per_member(np.asarray(z, dtype=complex))
 
     def gaussian_fourier(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
         nu = lam[..., :, None] - mu[..., None, :]

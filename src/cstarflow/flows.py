@@ -84,7 +84,7 @@ class FlowGenerator:
 
 def _phases(z):
     """Entrywise factor ``exp(iz(lam_j - mu_k))``; the shape of an array ``z`` joins the batch."""
-    z = complex(z) if np.ndim(z) == 0 else _per_member(np.asarray(z, dtype=complex))
+    z = _per_member(np.asarray(z, dtype=complex))
     return lambda lam, mu: np.exp(1j * z * (lam[..., :, None] - mu[..., None, :]))
 
 

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarflow.algebra import BlockShape
+from cstarflow.algebra import AlgebraElement, BlockShape, HermitianElement
 from cstarflow.cli import (
     COMMON,
     COND,
     EXPERIMENTS,
+    GRID,
+    GROWTH,
     KEYS,
     Check,
     ExitReport,
@@ -28,6 +31,9 @@ from cstarflow.cli import (
     MAX_GRID_SIZE,
     MAX_GROWTH,
     MAX_WORK,
+    NODES,
+    SIZE,
+    WORK,
     ScenarioConfig,
     load_config,
     main,
@@ -37,10 +43,11 @@ from cstarflow.cli import (
 )
 from cstarflow.continuation import MAX_NODES
 from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError, NotAGroupError
-from cstarflow.hilbmod import op_log
+from cstarflow.flows import FlowGenerator
+from cstarflow.hilbmod import identity_operator, op_log
 from cstarflow.sampling import random_element, random_hermitian, random_positive_operator, rng
 from cstarflow.serialize import element_to_payload
-from cstarflow.stone import PROBES
+from cstarflow.stone import PROBES, PositiveFunctional
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -237,10 +244,24 @@ class TestValidate:
         _, problems = validate({"experiment": "verify", "seed": 1, "shape": [10**200]})
         assert problems[0].endswith(f"has dense size 1e+400, above the budget of {MAX_FLAT_SIZE}")
         # verify at [2] touches 4 entries per instance: 1e15 entries print in full, more do not
-        for instances, entries in ((25 * 10**13, "1000000000000000"), (10**17, "4e+17"), (123456789 * 10**9, "4.94e+17")):
+        for instances, count, entries in ((25 * 10**13, "250000000000000", "1000000000000000"),
+                                          (10**17, "1e+17", "4e+17"), (123456789 * 10**9, "1.23e+17", "4.94e+17")):
             _, problems = validate({"experiment": "verify", "seed": 1, "shape": [2], "instances": instances})
-            assert problems == [f"{instances} instances at 4 entries each touch {entries} entries,"
+            assert problems == [f"{count} instances at 4 entries each touch {entries} entries,"
                                 f" above the work budget of {MAX_WORK}"]
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_every_count_of_a_refusal_is_short(self, name):
+        # the echoed shape, the instance count and every count derived from them print as %.3g does
+        raw = {"experiment": name, "seed": 1, "shape": [10**200]}
+        if "instances" in EXPERIMENTS[name].reads:
+            raw["instances"] = 10**300
+        _, problems = validate(raw)
+        budgets = "|".join(budget for budget, _, _ in (SIZE, GRID, NODES, GROWTH, WORK))
+        assert problems
+        for line in problems:
+            assert not re.search(r"\d{17}", line), line
+            assert re.search(f"above the ({budgets}|instance count) of", line), line
 
     @pytest.mark.parametrize(
         "shape, k, size",
@@ -963,6 +984,79 @@ class TestMain:
         assert not out.exists()
 
 
+# One row per CLI outcome: a config, the command run on it, the exit code and a fragment of
+# stderr (an empty stderr where the row expects exit 0). CI runs the same rows through the
+# cstarflow console script.
+CLI_CASES = json.loads((ROOT / "tests" / "cli_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[case["name"] for case in CLI_CASES])
+def test_cli_case(case, tmp_path, capfd):
+    config = tmp_path / f"{case['name']}.json"
+    config.write_text(json.dumps(case["config"]))
+    extra = ["--quiet", "--out", str(tmp_path / "out")] if case["command"] == "run" else []
+    assert main([case["command"], str(config), *extra]) == case["exit"]
+    err = capfd.readouterr().err
+    assert (case["stderr"] in err) if case["exit"] else err == ""
+
+
+def _shifted(flow: FlowGenerator, delta: float) -> FlowGenerator:
+    """``flow`` with ``delta`` times the all-ones matrix added to each generator, which commutes with neither."""
+    ones = AlgebraElement(flow.shape, [np.ones((n, n)) for n in flow.shape])
+    return FlowGenerator(HermitianElement(flow.h_left.value + delta * ones),
+                         HermitianElement(flow.h_right.value + delta * ones))
+
+
+def _wrapped(module, name: str, wrap):
+    """A fault: ``module.name`` replaced by ``wrap(original)``."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+
+cli_mod = importlib.import_module("cstarflow.cli")
+continuation_mod = importlib.import_module("cstarflow.continuation")
+implemented_mod = importlib.import_module("cstarflow.implemented")
+# the time and z of a flow bent off the group law, t -> t + 1e-7 t^2
+BENT_EVALUATE = _wrapped(cli_mod, "evaluate", lambda exact: lambda g, t, x: exact(g, t + 1e-7 * np.square(t), x))
+BENT_CONTINUATION = _wrapped(cli_mod, "continue_exact",
+                             lambda exact: lambda g, z, x: exact(g, z + 1e-7 * np.square(z), x))
+# (experiment, check): a fault of the runner's wiring or of a kernel it calls, and every check
+# the fault fails; it puts its own check 1e2 to 1e6 times over the bound on the bundled config
+WITNESS_FAULTS = {
+    ("verify", "group_law"): (BENT_EVALUATE, {"group_law"}),
+    ("verify", "inverse"): (BENT_CONTINUATION, {"inverse", "composition_same_side"}),
+    ("verify", "composition_same_side"): (BENT_CONTINUATION, {"inverse", "composition_same_side"}),
+    ("verify", "semi_mult_left"): (
+        _wrapped(cli_mod, "left_companion", lambda exact: lambda g: _shifted(exact(g), 1e-7)), {"semi_mult_left"}),
+    ("verify", "semi_mult_right"): (
+        _wrapped(cli_mod, "right_companion", lambda exact: lambda g: _shifted(exact(g), 1e-7)), {"semi_mult_right"}),
+    # the strip's sample points bent off the strip, y -> y + 1e-6 i |y|^2
+    ("verify", "three_lines"): (_wrapped(continuation_mod, "_per_member", lambda exact: lambda y:
+                                         exact(y + 1e-6j * np.abs(y) ** 2)), {"three_lines"}),
+    ("tensor", "tensor_continuation"): (_wrapped(cli_mod, "tensor_flow", lambda exact: lambda a, b: dataclasses.replace(
+        exact(a, b), product=_shifted(exact(a, b).product, 1e-6))), {"tensor_continuation"}),
+    ("implemented", "localized_middle"): (_wrapped(implemented_mod, "middle_multiplier", lambda exact: lambda s, x, t:
+                                                   exact(s, x, t) + 1e-5 * identity_operator(s.shape, s.k)),
+                                          {"localized_middle"}),
+    # a quadrature shrunk by 1e-5 still meets the norm bound, and misses the closed form
+    ("converge", "quad_vs_oracle"): (_wrapped(cli_mod, "smear_quadrature", lambda exact: lambda g, x, plan:
+                                              (1.0 - 1e-5) * exact(g, x, plan)), {"quad_vs_oracle"}),
+    ("stone", "gram_identity"): (_wrapped(PositiveFunctional, "value", lambda exact: lambda omega, a:
+                                          (1.0 + 1e-6) * exact(omega, a)), {"gram_identity"}),
+}
+
+
+@pytest.mark.parametrize("key", WITNESS_FAULTS, ids=[f"{name}-{check}" for name, check in WITNESS_FAULTS])
+def test_witness_fault_fails_its_check(key, tmp_path, monkeypatch):
+    name, check = key
+    fault, failing = WITNESS_FAULTS[key]
+    fault(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIG_DIR / f"{name}.json"), "--quiet", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert 1e2 <= checks[check]["measured"] / checks[check]["bound"] <= 1e6
+    assert {c["name"] for c in checks.values() if not c["passed"]} == failing
+
+
 class TestArtifacts:
     def test_converge_worked_value_in_csv(self, tmp_path):
         config = load_config(CONFIG_DIR / "converge.json")
@@ -1073,7 +1167,7 @@ def test_converge_and_double_smear_load_no_scipy(tmp_path):
     # the smears take their trapezoidal nodes from numpy
     _assert_loads_no_scipy(f"""
         import cstarflow.cli
-        from cstarflow.algebra import BlockShape
+        from cstarflow.algebra import AlgebraElement, BlockShape, HermitianElement
         from cstarflow.composition import CommutingPair, double_smear
         from cstarflow.sampling import random_commuting_flows, random_element, rng
         config = cstarflow.cli.load_config({str(CONFIG_DIR / "converge.json")!r})
