@@ -43,14 +43,14 @@ def random_element(r: np.random.Generator, shape: BlockShape, norm: float | None
     return random_elements(r, shape, 1, norm)[0]
 
 
-def _hermitians(r: np.random.Generator, shape: BlockShape, count: int, norm: float) -> list[HermitianElement]:
-    x = random_elements(r, shape, count)
+def _hermitians(x: AlgebraElement, norm: float) -> list[HermitianElement]:
+    """The Hermitian parts ``(x + x*)/2`` of the members of a batch, each rescaled to ``norm``."""
     hs = _rescaled(0.5 * (x + x.star()), norm)
-    return [HermitianElement(hs[i]) for i in range(count)]
+    return [HermitianElement(hs[i]) for i in range(len(hs.blocks[0]))]
 
 
 def random_hermitian(r: np.random.Generator, shape: BlockShape, norm: float = 1.0) -> HermitianElement:
-    return _hermitians(r, shape, 1, norm)[0]
+    return _hermitians(random_elements(r, shape, 1), norm)[0]
 
 
 def random_flow(
@@ -59,7 +59,7 @@ def random_flow(
     norm: float = 1.0,
     automorphism: bool = False,
 ) -> FlowGenerator:
-    hs = _hermitians(r, shape, 1 if automorphism else 2, norm)
+    hs = _hermitians(random_elements(r, shape, 1 if automorphism else 2), norm)
     return FlowGenerator(hs[0], hs[-1])
 
 
@@ -89,10 +89,8 @@ def random_commuting_flows(
 
     al, bl = diag_pair()
     ar, br = diag_pair()
-    x = stack([al, ar, bl, br])
-    hs = _rescaled(0.5 * (x + x.star()), norm)
-    h = [HermitianElement(hs[i]) for i in range(4)]
-    return FlowGenerator(h[0], h[1]), FlowGenerator(h[2], h[3])
+    hs = _hermitians(stack([al, ar, bl, br]), norm)
+    return FlowGenerator(hs[0], hs[1]), FlowGenerator(hs[2], hs[3])
 
 
 def random_vector(r: np.random.Generator, shape: BlockShape, k: int) -> ModuleVector:
