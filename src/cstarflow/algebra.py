@@ -160,9 +160,9 @@ class AlgebraElement:
         if self._herm_defect is None:
             defect = _over_blocks(largest_singular_value(b - _adjoint(b)) for b in self.blocks)
             object.__setattr__(self, "_herm_defect", defect)
-        if not np.any(self._herm_defect) and tol >= 0:
+        if not np.count_nonzero(self._herm_defect) and tol >= 0:
             return True
-        return bool(np.all(self._herm_defect <= tol * np.maximum(self.norm(), 1e-300)))
+        return bool((self._herm_defect <= tol * np.maximum(self.norm(), 1e-300)).all())
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_shape(self, other)
@@ -241,7 +241,7 @@ def stack(elements: Sequence[AlgebraElement]) -> AlgebraElement:
     """The batch whose members, along a new leading axis, are ``elements``: all of one shape and batch."""
     for x in elements[1:]:
         _same_shape(elements[0], x)
-    return AlgebraElement(elements[0].shape, [np.stack(b) for b in zip(*(x.blocks for x in elements))])
+    return AlgebraElement(elements[0].shape, [np.array(b) for b in zip(*(x.blocks for x in elements))])
 
 
 def as_z_grid(z: Sequence[complex]) -> np.ndarray:
@@ -385,7 +385,7 @@ def _lowest(t: AlgebraElement) -> float | np.ndarray:
 
 def is_strictly_positive(t: AlgebraElement) -> bool:
     """True iff Hermitian within tolerance with spectrum > ``POS_TOL_FACTOR * norm``, for every member."""
-    return t.is_hermitian() and bool(np.all(_lowest(t) > POS_TOL_FACTOR * t.norm()))
+    return t.is_hermitian() and bool((_lowest(t) > POS_TOL_FACTOR * t.norm()).all())
 
 
 def power(t: AlgebraElement, z) -> AlgebraElement:
@@ -402,7 +402,7 @@ def power(t: AlgebraElement, z) -> AlgebraElement:
         raise NotStrictlyPositiveError("element is not Hermitian")
     lo = _lowest(t)
     low = lo <= POS_TOL_FACTOR * t.norm()
-    if np.any(low):
+    if low.any():
         raise NotStrictlyPositiveError(f"minimum eigenvalue {np.min(lo[low]):.3e} too small")
     zs = np.asarray(z, dtype=complex)[..., None]
     sd = spectral(t)

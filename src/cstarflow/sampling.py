@@ -35,7 +35,8 @@ def random_elements(
     r: np.random.Generator, shape: BlockShape, count: int, norm: float | None = None
 ) -> AlgebraElement:
     """A batch of ``count`` Gaussian elements drawn one after another, each rescaled to ``norm`` unless it is None."""
-    xs = stack([AlgebraElement(shape, [gaussian(r, (n, n)) for n in shape]) for _ in range(count)])
+    draws = [[gaussian(r, (n, n)) for n in shape] for _ in range(count)]
+    xs = AlgebraElement(shape, [np.array(b) for b in zip(*draws)])
     return xs if norm is None else _rescaled(xs, norm)
 
 
@@ -95,7 +96,7 @@ def random_commuting_flows(
 
 def random_vector(r: np.random.Generator, shape: BlockShape, k: int) -> ModuleVector:
     xs = random_elements(r, shape, k)
-    return ModuleVector([xs[i] for i in range(k)])
+    return ModuleVector.from_stacked(shape, k, [b.reshape(k * n, n) for n, b in zip(shape, xs.blocks)])
 
 
 def random_operator(
