@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,6 +84,7 @@ from .stone import (
 MAX_FLAT_SIZE = 2**18
 # Stacked z-grid of tensor and implemented, grid points x dense size per point:
 # 2**22 complex entries is 64 MiB per stack, and a check holds about three.
+# verify and converge split their batches to stay within it (_batches).
 MAX_GRID_SIZE = 2**22
 # Growth exponent of one factor a run forms, |Im z| nu for a continuation or
 # r^2 (Im z)^2 for a smear envelope. It is derived from the float range, not a
@@ -91,6 +92,8 @@ MAX_GRID_SIZE = 2**22
 MAX_GROWTH = 0.5 * math.log(sys.float_info.max)
 # Work of verify and tensor: instances x dense entries per instance.
 MAX_WORK = 2**27
+# Strip samples of verify's three_lines check; the strip holds them and z, 26 elements per instance.
+STRIP_SAMPLES = 25
 # Spectral spread of the random positive operators of stone and implemented,
 # whose log then has norm at most ln(COND) / 2.
 COND = 1e3
@@ -423,12 +426,26 @@ def _work(cfg: ScenarioConfig, each: int) -> Cost:
     return WORK, cfg.instances * each, f"{_amount(cfg.instances)} instances at {_amount(each)} entries each touch"
 
 
+def _batches(count: int, each: int) -> Iterator[range]:
+    """``range(count)`` in consecutive runs, each of at least one member and of at most
+    ``MAX_GRID_SIZE`` entries at ``each`` dense entries per member."""
+    size = max(1, MAX_GRID_SIZE // each)
+    return (range(start, min(start + size, count)) for start in range(0, count, size))
+
+
 def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
     r = sampling.rng(cfg.seed)
+    # the instances run in batches whose three_lines strips stay within the grid budget
+    batches = _batches(cfg.instances, (STRIP_SAMPLES + 1) * cfg.shape.dim)
+    return [row for members in batches for row in _verify_batch(cfg, r, members, report)], {}
+
+
+def _verify_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, report: ExitReport) -> list[tuple]:
+    """Draw the instances ``members`` in stream order, observe their six checks as one batch each,
+    and return their CSV rows."""
     grid = cfg.z_grid()
-    bounds = {c.name: c.bound for c in report.checks}
-    draws = []  # each instance's values in stream order, stacked below into one batch per value
-    for i in range(cfg.instances):
+    draws = []
+    for i in members:
         g = cfg.flow(r)
         x, a, b = sampling.random_elements(r, cfg.shape, 3, 1.0)
         s, t = r.uniform(-2.0, 2.0, size=2)
@@ -454,11 +471,12 @@ def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], d
     scales = {"group_law": x.norm(), "inverse": x.norm(), "composition_same_side": np.maximum(direct.norm(), x.norm()),
               "semi_mult_left": a.norm() * b.norm(), "semi_mult_right": a.norm() * b.norm()}
     measured = {name: report.observe(name, resid.norm(), scales[name]) for name, resid in resids.items()}
-    measured["three_lines"] = report.observe("three_lines", three_lines_check(g, x, z, 25),
+    measured["three_lines"] = report.observe("three_lines", three_lines_check(g, x, z, STRIP_SAMPLES),
                                              np.maximum(x.norm(), xz.norm()))
+    bounds = {c.name: c.bound for c in report.checks}
     per_instance = zip(*(ratios.tolist() for ratios in measured.values()))
     return [(name, i, m, bounds[name], m <= bounds[name])
-            for i, values in enumerate(per_instance) for name, m in zip(measured, values)], {}
+            for i, values in zip(members, per_instance) for name, m in zip(measured, values)]
 
 
 def _costs_verify(cfg: ScenarioConfig) -> list[Cost]:
@@ -477,12 +495,16 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
     # the smear errors at z = 0, their ratios and the approximants do not depend on z
-    errs = dict(zip(cfg.r_list, (smear_oracle(g, x, np.array(cfg.r_list), 0.0) - x).norm().tolist()))
+    errs = {}
+    for members in _batches(len(cfg.r_list), cfg.shape.dim):
+        rs = [cfg.r_list[j] for j in members]
+        errs.update(zip(rs, (smear_oracle(g, x, np.array(rs), 0.0) - x).norm().tolist()))
     floor, top = RATIO_FLOOR * x.norm(), 1e-2 * x.norm()
     ratios = np.array([errs[2 * rr] / errs[rr] for rr in cfg.r_list
                        if 2 * rr in errs and errs[rr] <= top and min(errs[rr], errs[2 * rr]) > floor])
     # with no pair to read (one r, or an element the flow fixes) the check reads 0.0
     report.observe("convergence_ratio", np.maximum(0.2 - ratios, ratios - 0.3) if ratios.size else 0.0)
+    # 16 approximants: at most 2**4 * MAX_FLAT_SIZE = MAX_GRID_SIZE entries
     ys = smear_oracle(g, x, min(cfg.r_list) * 2.0 ** np.arange(16), 0.0)
     rows: list[tuple] = []
     for z in cfg.z_grid():

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1013,7 +1014,6 @@ def _wrapped(module, name: str, wrap):
 
 
 cli_mod = importlib.import_module("cstarflow.cli")
-continuation_mod = importlib.import_module("cstarflow.continuation")
 implemented_mod = importlib.import_module("cstarflow.implemented")
 # the time and z of a flow bent off the group law, t -> t + 1e-7 t^2
 BENT_EVALUATE = _wrapped(cli_mod, "evaluate", lambda exact: lambda g, t, x: exact(g, t + 1e-7 * np.square(t), x))
@@ -1029,9 +1029,9 @@ WITNESS_FAULTS = {
         _wrapped(cli_mod, "left_companion", lambda exact: lambda g: _shifted(exact(g), 1e-7)), {"semi_mult_left"}),
     ("verify", "semi_mult_right"): (
         _wrapped(cli_mod, "right_companion", lambda exact: lambda g: _shifted(exact(g), 1e-7)), {"semi_mult_right"}),
-    # the strip's sample points bent off the strip, y -> y + 1e-6 i |y|^2
-    ("verify", "three_lines"): (_wrapped(continuation_mod, "_per_member", lambda exact: lambda y:
-                                         exact(y + 1e-6j * np.abs(y) ** 2)), {"three_lines"}),
+    # the strip's largest norm raised by 1e-6 norm(x) in the excess the runner is handed
+    ("verify", "three_lines"): (_wrapped(cli_mod, "three_lines_check", lambda exact: lambda g, x, z, samples:
+                                         exact(g, x, z, samples) + 1e-6 * x.norm()), {"three_lines"}),
     ("tensor", "tensor_continuation"): (_wrapped(cli_mod, "tensor_flow", lambda exact: lambda a, b: dataclasses.replace(
         exact(a, b), product=_shifted(exact(a, b).product, 1e-6))), {"tensor_continuation"}),
     ("implemented", "localized_middle"): (_wrapped(implemented_mod, "middle_multiplier", lambda exact: lambda s, x, t:
@@ -1055,6 +1055,35 @@ def test_witness_fault_fails_its_check(key, tmp_path, monkeypatch):
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
     assert 1e2 <= checks[check]["measured"] / checks[check]["bound"] <= 1e6
     assert {c["name"] for c in checks.values() if not c["passed"]} == failing
+
+
+def test_verify_batches_stay_within_the_grid_budget(tmp_path, monkeypatch):
+    # the budget is scaled down so the test stays small: one batch of all 24 instances would hold
+    # strips of 24 x 26 x 1024 complex entries (10 MB), a batch of two 0.8 MB ones
+    monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", 2**16)
+    config, problems = validate({"experiment": "verify", "seed": 1, "shape": [32], "instances": 24})
+    assert problems == []
+    tracemalloc.start()
+    try:
+        assert run(config, tmp_path, quiet=True).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * 2**16
+    assert len((tmp_path / "verify.csv").read_text().splitlines()) == 1 + 6 * 24
+
+
+def test_converge_batches_its_widths_within_the_grid_budget(tmp_path, monkeypatch):
+    raw = {"experiment": "converge", "seed": 3, "shape": [2, 2], "grid": {"r": [0.25, 0.5, 1.0, 2.0, 4.0]}}
+    assert run(validate(raw)[0], tmp_path / "whole", quiet=True).passed
+    widths = []
+    oracle = cli_mod.smear_oracle
+    monkeypatch.setattr(cli_mod, "smear_oracle", lambda g, x, r, z: widths.append(np.size(r)) or oracle(g, x, r, z))
+    monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", 2 * 8)  # two widths at dense size 8
+    assert run(validate(raw)[0], tmp_path / "split", quiet=True).passed
+    # the error batches split 2 + 2 + 1; the 16 approximants and the per-point smears are separate calls
+    assert widths[:3] == [2, 2, 1] and widths[3] == 16 and set(widths[4:]) == {1}
+    assert (tmp_path / "split" / "converge.csv").read_bytes() == (tmp_path / "whole" / "converge.csv").read_bytes()
 
 
 class TestArtifacts:
