@@ -11,9 +11,9 @@ two-sided spectral map ``x -> U (F o (U* x V)) V*``.
 One ``AlgebraElement`` may also hold a batch of elements: each block then
 has leading batch axes, ``(*B, n, n)``, with one batch shape ``B`` for all
 blocks (``B = ()`` is a single element).  Arithmetic, ``star``, ``norm``,
-``hs_dot``, ``trace``, ``spectral``, ``sandwich`` and ``power`` act on each
-member, and batches broadcast against each other and against single
-elements as numpy arrays do.  A check over a grid of G parameters forms its values as one batch of
+``spectral``, ``sandwich`` and ``power`` act on each member, and batches
+broadcast against each other and against single elements as numpy arrays
+do.  A check over a grid of G parameters forms its values as one batch of
 shape ``(G,)``: the shape of a z, t or r array joins the batch.  ``stack``
 builds a batch from its members, and ``x[i]`` takes member i out.  numpy's
 stacked linear algebra makes, for each member, the LAPACK or BLAS call it
@@ -141,16 +141,6 @@ class AlgebraElement:
             object.__setattr__(self, "_norm", _over_blocks(largest_singular_value(b) for b in self.blocks))
         return self._norm
 
-    def hs_dot(self, other: "AlgebraElement") -> complex | np.ndarray:
-        """Hilbert-Schmidt pairing ``sum_k tr(self_k* other_k)``, per member of a batch."""
-        _same_shape(self, other)
-        products = [a.conj() * b for a, b in zip(self.blocks, other.blocks)]  # summed as one run of n*n entries
-        return _over_members(sum(p.reshape(*p.shape[:-2], -1).sum(axis=-1) for p in products))
-
-    def trace(self) -> complex | np.ndarray:
-        """``sum_k tr(self_k)``, per member of a batch."""
-        return _over_members(sum(np.trace(b, axis1=-2, axis2=-1) for b in self.blocks))
-
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
         """``norm(x - x*) <= tol * norm(x)``, for every member of a batch.
 
@@ -202,11 +192,6 @@ def _per_member(p):
     """A parameter as an entrywise factor on n x n blocks: a number as it is, an array
     with two trailing axes, so that its shape joins the batch."""
     return p if np.ndim(p) == 0 else np.asarray(p)[..., None, None]
-
-
-def _over_members(value) -> complex | np.ndarray:
-    """A per-member value: a complex for a single element, the array of shape ``B`` for a batch."""
-    return complex(value) if np.ndim(value) == 0 else value
 
 
 def _over_blocks(values) -> float | np.ndarray:

@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,7 +84,7 @@ from .stone import (
 MAX_FLAT_SIZE = 2**18
 # Stacked z-grid of tensor and implemented, grid points x dense size per point:
 # 2**22 complex entries is 64 MiB per stack, and a check holds about three.
-# verify and converge split their batches to stay within it (_batches).
+# verify runs its instances in batches that stay within it.
 MAX_GRID_SIZE = 2**22
 # Growth exponent of one factor a run forms, |Im z| nu for a continuation or
 # r^2 (Im z)^2 for a smear envelope. It is derived from the float range, not a
@@ -426,18 +426,12 @@ def _work(cfg: ScenarioConfig, each: int) -> Cost:
     return WORK, cfg.instances * each, f"{_amount(cfg.instances)} instances at {_amount(each)} entries each touch"
 
 
-def _batches(count: int, each: int) -> Iterator[range]:
-    """``range(count)`` in consecutive runs, each of at least one member and of at most
-    ``MAX_GRID_SIZE`` entries at ``each`` dense entries per member."""
-    size = max(1, MAX_GRID_SIZE // each)
-    return (range(start, min(start + size, count)) for start in range(0, count, size))
-
-
 def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
     r = sampling.rng(cfg.seed)
-    # the instances run in batches whose three_lines strips stay within the grid budget
-    batches = _batches(cfg.instances, (STRIP_SAMPLES + 1) * cfg.shape.dim)
-    return [row for members in batches for row in _verify_batch(cfg, r, members, report)], {}
+    # batches of at least one instance, whose three_lines strips hold at most MAX_GRID_SIZE entries
+    size, count = max(1, MAX_GRID_SIZE // ((STRIP_SAMPLES + 1) * cfg.shape.dim)), cfg.instances
+    return [row for start in range(0, count, size)
+            for row in _verify_batch(cfg, r, range(start, min(start + size, count)), report)], {}
 
 
 def _verify_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, report: ExitReport) -> list[tuple]:
@@ -495,10 +489,8 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
     # the smear errors at z = 0, their ratios and the approximants do not depend on z
-    errs = {}
-    for members in _batches(len(cfg.r_list), cfg.shape.dim):
-        rs = [cfg.r_list[j] for j in members]
-        errs.update(zip(rs, (smear_oracle(g, x, np.array(rs), 0.0) - x).norm().tolist()))
+    # one width at a time: a grid.r list of any length holds one smear
+    errs = {rr: (smear_oracle(g, x, rr, 0.0) - x).norm() for rr in cfg.r_list}
     floor, top = RATIO_FLOOR * x.norm(), 1e-2 * x.norm()
     ratios = np.array([errs[2 * rr] / errs[rr] for rr in cfg.r_list
                        if 2 * rr in errs and errs[rr] <= top and min(errs[rr], errs[2 * rr]) > floor])

@@ -50,7 +50,9 @@ def _require_implementing_pair(s: ModuleOperator, t: ModuleOperator) -> None:
             raise NotStrictlyPositiveError(f"{name} implementing operator not strictly positive")
         cond = condition_number(op)
         if cond > COND_LIMIT:
-            raise IllConditionedError(f"{name} implementing operator has condition {cond:.3e} > {COND_LIMIT:.0e}")
+            raise IllConditionedError(
+                f"{name} implementing operator has condition {cond:.3e} > {COND_LIMIT:.0e}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

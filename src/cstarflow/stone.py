@@ -223,7 +223,9 @@ def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperat
             u_k = herm_calculus(k_op.flat, lambda lam: np.exp(1j * t * lam))
             resid = (u(t).flat - u_k).norm()
             if resid > 1e-9:
-                raise NotAGroupError(f"u(t0) differs from exp(i t0 K) by {resid:.3e}")
+                raise NotAGroupError(
+                    f"u(t0) differs from exp(i t0 K) by {resid:.3e}"
+                )
             s = OFF_LATTICE * t
             gap = (u(s).flat - herm_calculus(k_op.flat, lambda lam: np.exp(1j * s * lam))).norm()
             if gap > 1e-9:
@@ -233,7 +235,9 @@ def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperat
             return k_op, t, halvings
         t /= 2.0
         log_t = log_half
-    raise BranchAmbiguityError(f"halving did not stabilize after {MAX_HALVINGS} steps from t0={t0}")
+    raise BranchAmbiguityError(
+        f"halving did not stabilize after {MAX_HALVINGS} steps from t0={t0}"
+    )
 
 
 def stone(u: SampledUnitaryGroup, t0: float = 1.0) -> ModuleOperator:
@@ -348,7 +352,10 @@ def localize(omega: PositiveFunctional, shape: BlockShape, k: int) -> Localizati
     if top <= 0.0:
         raise ZeroFunctionalError("positive functional vanishes on the module")
     cutoff = GNS_TOL * top
-    factors = [u[:, w > cutoff] * np.sqrt(w[w > cutoff]) for w, u in zip(sd.eigenvalues, sd.eigenvectors)]
+    factors = []
+    for w, u in zip(sd.eigenvalues, sd.eigenvectors):
+        keep = w > cutoff
+        factors.append(u[:, keep] * np.sqrt(w[keep]))
     if not any(c.shape[1] for c in factors):
         raise ZeroFunctionalError("no Gram eigenvalue above the rank cutoff")
     return Localization(omega, shape, int(k), tuple(factors), cutoff)
@@ -396,8 +403,20 @@ class InducedOperator:
         return max(largest_singular_value(f) for f, r in zip(self.factors, self.ranks) if r)
 
     def to_dense(self) -> np.ndarray:
-        """The d x d matrix, for tests and small d only: row i of ``apply(I)`` is ``S_w e_i``."""
-        return self.apply(np.eye(sum(f.shape[0] * r for f, r in zip(self.factors, self.ranks)))).T
+        """The d x d matrix, for tests and small d only."""
+        blocks = []
+        for f, r in zip(self.factors, self.ranks):
+            m = f.shape[0]
+            cell = np.zeros((m, r, m, r), dtype=complex)
+            cell[:, np.arange(r), :, np.arange(r)] = f
+            blocks.append(cell.reshape(m * r, m * r))
+        d = sum(b.shape[0] for b in blocks)
+        out = np.zeros((d, d), dtype=complex)
+        pos = 0
+        for b in blocks:
+            out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
+            pos += b.shape[0]
+        return out
 
 
 def induce(loc: Localization, s: ModuleOperator) -> InducedOperator:
@@ -484,7 +503,10 @@ def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[Posi
         raise ValueError("operators live over different modules")
     if not states:
         raise FamilyNotFaithfulError("empty state family")
-    if not is_strictly_positive(sum((st.rho for st in states[1:]), states[0].rho)):
+    total = states[0].rho
+    for st in states[1:]:
+        total = total + st.rho
+    if not is_strictly_positive(total):
         raise FamilyNotFaithfulError("summed density is not positive definite")
     diff = r - s
     for st in states:
@@ -494,7 +516,9 @@ def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[Posi
             return False
     gap = diff.norm()
     if gap > 1e-8 * max(1.0, r.norm(), s.norm()):
-        raise FamilyNotFaithfulError(f"induced operators agree but the originals differ by {gap:.3e}")
+        raise FamilyNotFaithfulError(
+            f"induced operators agree but the originals differ by {gap:.3e}"
+        )
     return True
 
 

@@ -1073,19 +1073,6 @@ def test_verify_batches_stay_within_the_grid_budget(tmp_path, monkeypatch):
     assert len((tmp_path / "verify.csv").read_text().splitlines()) == 1 + 6 * 24
 
 
-def test_converge_batches_its_widths_within_the_grid_budget(tmp_path, monkeypatch):
-    raw = {"experiment": "converge", "seed": 3, "shape": [2, 2], "grid": {"r": [0.25, 0.5, 1.0, 2.0, 4.0]}}
-    assert run(validate(raw)[0], tmp_path / "whole", quiet=True).passed
-    widths = []
-    oracle = cli_mod.smear_oracle
-    monkeypatch.setattr(cli_mod, "smear_oracle", lambda g, x, r, z: widths.append(np.size(r)) or oracle(g, x, r, z))
-    monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", 2 * 8)  # two widths at dense size 8
-    assert run(validate(raw)[0], tmp_path / "split", quiet=True).passed
-    # the error batches split 2 + 2 + 1; the 16 approximants and the per-point smears are separate calls
-    assert widths[:3] == [2, 2, 1] and widths[3] == 16 and set(widths[4:]) == {1}
-    assert (tmp_path / "split" / "converge.csv").read_bytes() == (tmp_path / "whole" / "converge.csv").read_bytes()
-
-
 class TestArtifacts:
     def test_converge_worked_value_in_csv(self, tmp_path):
         config = load_config(CONFIG_DIR / "converge.json")
