@@ -34,8 +34,9 @@ print("round-trip error:", (t_rec - t_true).norm() / t_true.norm())
 # Continuation to complex parameters: u_z = T^(iz); at z = -i this is T.
 print("u at z = -i recovers T:", (op_power(t_rec, 1j * (-1j)) - t_true).norm())
 
-# A generator with log-spectrum reaching 6 wraps at t0 = 1.
-k_wide = ModuleOperator([[AlgebraElement.from_blocks([np.diag([6.0, 0.0])])]])
+# A generator with log-spectrum reaching 6 wraps at t0 = 1.  At k = 1 the
+# flat element is the single grid entry, so the operator is built from it.
+k_wide = ModuleOperator(AlgebraElement.from_blocks([np.diag([6.0, 0.0])]), 1)
 report = recovery_report(SampledUnitaryGroup.from_positive(op_exp(k_wide)), t0=1.0)
 print("\nwide-spectrum recovery report:")
 print(json.dumps(report, indent=2, sort_keys=True)[:400], "...")

@@ -41,7 +41,6 @@ from .continuation import (
     Strip,
     continue_exact,
     core_rescale,
-    hs_norm,
     min_nodes,
     smear_oracle,
     smear_quadrature,

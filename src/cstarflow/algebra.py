@@ -236,6 +236,14 @@ def stack(elements: Sequence[AlgebraElement]) -> AlgebraElement:
     return AlgebraElement(elements[0].shape, [np.array(b) for b in zip(*(x.blocks for x in elements))])
 
 
+def coordinate_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Hilbert-Schmidt coordinates of square blocks, each raveled and all concatenated.
+
+    Leading axes carry through: a batch of blocks gives one row per member.
+    """
+    return np.concatenate([b.reshape(*b.shape[:-2], b.shape[-1] ** 2) for b in blocks], axis=-1)
+
+
 def as_z_grid(z: Sequence[complex]) -> np.ndarray:
     """A sequence of z as a 1-D complex grid; ``ValueError`` for any other shape."""
     zs = np.asarray(z, dtype=complex)

@@ -32,11 +32,10 @@ COMM_TOL = 1e-10
 
 
 def _commutator_excess(a: HermitianElement, b: HermitianElement) -> float:
+    """The largest ``norm([a, b]) - COMM_TOL norm(a) norm(b)`` over the members, 0 for a zero member."""
     na, nb = a.norm(), b.norm()
-    if na == 0.0 or nb == 0.0:
-        return 0.0
     comm = a.value @ b.value - b.value @ a.value
-    return comm.norm() - COMM_TOL * na * nb
+    return float(np.max(np.where((na == 0.0) | (nb == 0.0), 0.0, comm.norm() - COMM_TOL * na * nb)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +46,7 @@ class CommutingPair:
     ``H^b_r`` is the structural condition that makes
     ``alpha_s beta_t = beta_t alpha_s`` exact; construction raises
     ``NotCommutingError`` when it fails at tolerance ``COMM_TOL``
-    (absolute on normalized generators).
+    (absolute on normalized generators), for any member of batched flows.
     """
 
     alpha: FlowGenerator
@@ -149,11 +148,11 @@ class TensorFlow:
 
 
 def tensor_flow(alpha: FlowGenerator, beta: FlowGenerator) -> TensorFlow:
-    """Flow ``(alpha (x) beta)_t`` with generators ``H (x) 1 + 1 (x) H'``."""
+    """Flow ``(alpha (x) beta)_t`` with generators ``H (x) 1 + 1 (x) H'``, per member of batched flows."""
 
     def combine(ha: AlgebraElement, hb: AlgebraElement) -> HermitianElement:
         blocks = [
-            _kron(a, np.eye(b.shape[0])) + _kron(np.eye(a.shape[0]), b)
+            _kron(a, np.eye(b.shape[-1])) + _kron(np.eye(a.shape[-1]), b)
             for a in ha.blocks
             for b in hb.blocks
         ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _adjoint, _per_member, sandwich
+from .algebra import AlgebraElement, _adjoint, _per_member, coordinate_rows, sandwich
 from .errors import NodesTooFewError, NotSeparatingError
 from .flows import FlowGenerator, conjugate
 
@@ -213,14 +213,6 @@ def core_rescale(x: AlgebraElement, ax: AlgebraElement, ys: AlgebraElement, ays:
     return np.minimum(nx / ny[kept], nax / nay[kept]) * (ys if kept.all() else ys[kept])
 
 
-def _vec(x: AlgebraElement) -> np.ndarray:
-    return np.concatenate([b.ravel() for b in x.blocks])
-
-
-def hs_norm(x: AlgebraElement) -> float:
-    return float(np.linalg.norm(_vec(x)))
-
-
 def weak_continuation_check(
     g: FlowGenerator,
     v: AlgebraElement,
@@ -239,10 +231,10 @@ def weak_continuation_check(
     """
     if not functionals:
         raise NotSeparatingError("empty functional family cannot separate")
-    rows = np.stack([_vec(f).conj() for f in functionals])
+    rows = np.stack([coordinate_rows(f.blocks) for f in functionals]).conj()
     if np.linalg.matrix_rank(rows) < v.shape.dim:
         raise NotSeparatingError("functional family has nontrivial joint kernel")
-    cont = continue_exact(g, z, v)
-    scale = 1.0 + max(hs_norm(cont), hs_norm(w))
+    cont, want = coordinate_rows(continue_exact(g, z, v).blocks), coordinate_rows(w.blocks)
+    scale = 1.0 + max(np.linalg.norm(cont), np.linalg.norm(want))
     tols = 1e-9 * (1.0 + np.linalg.norm(rows, axis=1)) * scale
-    return bool(np.all(np.abs(rows @ _vec(cont) - rows @ _vec(w)) <= tols))
+    return bool(np.all(np.abs(rows @ cont - rows @ want) <= tols))

@@ -4,18 +4,21 @@ Module vectors carry the A-valued inner product ``<v, w> = sum_i w_i* v_i``
 (linear in the first variable, right A-linear).  Adjointable operators on
 E form ``M_k(A)``, a direct sum of full matrix blocks of size ``k n_b``,
 and are stored that way: one algebra element over
-``BlockShape(k n_1, ..., k n_m)`` (``ModuleOperator.flat``) plus the rank
-k, so norms, positivity and complex powers go through the spectral layer
-of :mod:`cstarflow.algebra`.  A vector is stored as one stacked
-``(k n_b) x n_b`` matrix per block (``ModuleVector.stacked``, slot i in
-rows ``i n_b`` to ``(i+1) n_b``), so ``S v`` and ``<v, w>`` are one
-matmul per block.  The grid and tuple ``entries``, and the constructors
-taking them, are derived conveniences.  A grid of operators needs no
-type of its own: it is one ``ModuleOperator`` whose ``flat`` is a batch
-of elements (see :mod:`cstarflow.algebra`), as ``op_power`` gives at an
-array of z, and its products and norms act per member.  At finite
-dimension every module map with an adjoint is bounded, so no
-unbounded-operator bookkeeping appears anywhere.
+``BlockShape(k n_1, ..., k n_m)`` plus the rank k, so norms, positivity
+and complex powers go through the spectral layer of
+:mod:`cstarflow.algebra`.  A vector is stored as one stacked
+``(k n_b) x n_b`` matrix per block (slot i in rows ``i n_b`` to
+``(i+1) n_b``), so ``S v`` and ``<v, w>`` are one matmul per block.
+Each value is built from what it stores, ``ModuleOperator(flat, k)`` and
+``ModuleVector(shape, k, stacked)``; the k x k grid and the k slots are
+derived conveniences, read as ``entries`` and built by ``from_entries``.
+Coordinate rows (``operator_vec``) are ``algebra.coordinate_rows`` of the
+flat blocks.  A grid of operators needs no type of its own: it is one
+``ModuleOperator`` whose ``flat`` is a batch of elements (see
+:mod:`cstarflow.algebra`), as ``op_power`` gives at an array of z, and
+its products and norms act per member.  At finite dimension every module
+map with an adjoint is bounded, so no unbounded-operator bookkeeping
+appears anywhere.
 
 Sub-C*-algebras of the operator algebra are handled through an
 orthonormal Hilbert-Schmidt basis of the span generated by a finite set
@@ -29,7 +32,7 @@ whole basis is moved by a batch of operators and projected at once
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
@@ -41,6 +44,7 @@ from .algebra import (
     BlockShape,
     _adjoint,
     _frozen,
+    coordinate_rows,
     eigenvalues,
     herm_calculus,
     identity,
@@ -62,13 +66,25 @@ def _flat_shape(shape: BlockShape, k: int) -> BlockShape:
 
 @dataclass(frozen=True, eq=False)
 class ModuleVector:
-    """Element of ``E = A^k``: one stacked ``(k n_b) x n_b`` matrix per block."""
+    """Element of ``E = A^k``: one stacked ``(k n_b) x n_b`` matrix per block, copied read-only.
+
+    ``ShapeMismatchError`` unless the blocks fit ``shape`` and ``k``.
+    """
 
     shape: BlockShape
     k: int
     stacked: tuple[np.ndarray, ...]
 
-    def __init__(self, entries: Sequence[AlgebraElement]):
+    def __post_init__(self):
+        mats = tuple(_frozen(b) for b in self.stacked)
+        if len(mats) != self.shape.num_blocks or any(
+            m.shape != (self.k * n, n) for n, m in zip(self.shape, mats)
+        ):
+            raise ShapeMismatchError("stacked blocks do not match the module")
+        object.__setattr__(self, "stacked", mats)
+
+    @classmethod
+    def from_entries(cls, entries: Sequence[AlgebraElement]) -> "ModuleVector":
         """Vector with the given k slots."""
         entries = tuple(entries)
         if not entries:
@@ -76,30 +92,11 @@ class ModuleVector:
         shape = entries[0].shape
         if any(e.shape != shape for e in entries):
             raise ShapeMismatchError("module vector entries over different shapes")
-        self._store(
+        return cls(
             shape,
             len(entries),
             [np.vstack([e.blocks[b] for e in entries]) for b in range(shape.num_blocks)],
         )
-
-    def _store(self, shape: BlockShape, k: int, stacked: Sequence[np.ndarray]) -> None:
-        mats = tuple(_frozen(b) for b in stacked)
-        if len(mats) != shape.num_blocks or any(
-            m.shape != (k * n, n) for n, m in zip(shape, mats)
-        ):
-            raise ShapeMismatchError("stacked blocks do not match the module")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "stacked", mats)
-
-    @classmethod
-    def from_stacked(
-        cls, shape: BlockShape, k: int, stacked: Sequence[np.ndarray]
-    ) -> "ModuleVector":
-        """Vector whose block b is the ``(k n_b) x n_b`` matrix ``stacked[b]``."""
-        v = object.__new__(cls)
-        v._store(shape, k, stacked)
-        return v
 
     @property
     def entries(self) -> tuple[AlgebraElement, ...]:
@@ -111,14 +108,11 @@ class ModuleVector:
             for i in range(self.k)
         )
 
-    def _like(self, stacked: Sequence[np.ndarray]) -> "ModuleVector":
-        return ModuleVector.from_stacked(self.shape, self.k, stacked)
-
     def times(self, a: AlgebraElement) -> "ModuleVector":
         """Right module action ``v . a``."""
         if a.shape != self.shape:
             raise ShapeMismatchError("module and algebra element over different shapes")
-        return self._like([vb @ ab for vb, ab in zip(self.stacked, a.blocks)])
+        return ModuleVector(self.shape, self.k, [vb @ ab for vb, ab in zip(self.stacked, a.blocks)])
 
     def norm(self) -> float:
         """Module norm ``norm(<v, v>)**0.5``."""
@@ -126,14 +120,14 @@ class ModuleVector:
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         _same_module(self, other)
-        return self._like([a + b for a, b in zip(self.stacked, other.stacked)])
+        return ModuleVector(self.shape, self.k, [a + b for a, b in zip(self.stacked, other.stacked)])
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         _same_module(self, other)
-        return self._like([a - b for a, b in zip(self.stacked, other.stacked)])
+        return ModuleVector(self.shape, self.k, [a - b for a, b in zip(self.stacked, other.stacked)])
 
     def __mul__(self, c: complex) -> "ModuleVector":
-        return self._like([c * b for b in self.stacked])
+        return ModuleVector(self.shape, self.k, [c * b for b in self.stacked])
 
     __rmul__ = __mul__
 
@@ -151,13 +145,23 @@ def inner(v: ModuleVector, w: ModuleVector) -> AlgebraElement:
 
 @dataclass(frozen=True, eq=False)
 class ModuleOperator:
-    """Adjointable operator on ``E = A^k``, stored as its flattened element."""
+    """Adjointable operator on ``E = A^k``, stored as its flattened element (or a batch).
+
+    ``shape`` is worked out from ``flat``; ``ShapeMismatchError`` unless k divides every block.
+    """
 
     flat: AlgebraElement
     k: int
-    shape: BlockShape
+    shape: BlockShape = field(init=False)
 
-    def __init__(self, entries: Sequence[Sequence[AlgebraElement]]):
+    def __post_init__(self):
+        dims = self.flat.shape.block_dims
+        if self.k < 1 or any(n % self.k for n in dims):
+            raise ShapeMismatchError(f"flattened blocks {dims} do not fit module rank {self.k}")
+        object.__setattr__(self, "shape", BlockShape(n // self.k for n in dims))
+
+    @classmethod
+    def from_entries(cls, entries: Sequence[Sequence[AlgebraElement]]) -> "ModuleOperator":
         """Operator with the given k x k grid of algebra elements."""
         grid = tuple(tuple(row) for row in entries)
         k = len(grid)
@@ -170,33 +174,18 @@ class ModuleOperator:
             np.block([[e.blocks[b] for e in row] for row in grid])
             for b in range(shape.num_blocks)
         ]
-        self._store(AlgebraElement(_flat_shape(shape, k), flats), k)
-
-    def _store(self, flat: AlgebraElement, k: int) -> None:
-        dims = flat.shape.block_dims
-        if k < 1 or any(n % k for n in dims):
-            raise ShapeMismatchError(f"flattened blocks {dims} do not fit module rank {k}")
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "shape", BlockShape(n // k for n in dims))
-
-    @classmethod
-    def from_flat(cls, flat: AlgebraElement, k: int) -> "ModuleOperator":
-        """Operator of rank ``k`` whose flattened element is ``flat``."""
-        s = object.__new__(cls)
-        s._store(flat, k)
-        return s
+        return cls(AlgebraElement(_flat_shape(shape, k), flats), k)
 
     @property
     def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:
-        """The k x k grid of algebra elements, cut out of the flat blocks."""
+        """The k x k grid of algebra elements, cut out of the flat blocks (batches per member)."""
         dims, k = self.shape.block_dims, self.k
         return tuple(
             tuple(
                 AlgebraElement(
                     self.shape,
                     [
-                        f[i * n : (i + 1) * n, j * n : (j + 1) * n]
+                        f[..., i * n : (i + 1) * n, j * n : (j + 1) * n]
                         for n, f in zip(dims, self.flat.blocks)
                     ],
                 )
@@ -207,7 +196,7 @@ class ModuleOperator:
 
     def star(self) -> "ModuleOperator":
         """Adjoint: ``(S*)_{ij} = (S_{ji})*``."""
-        return ModuleOperator.from_flat(self.flat.star(), self.k)
+        return ModuleOperator(self.flat.star(), self.k)
 
     def norm(self) -> float:
         """Operator norm on E: largest singular value over flattened blocks.
@@ -218,38 +207,33 @@ class ModuleOperator:
 
     def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
         _same_module(self, other)
-        return ModuleOperator.from_flat(self.flat + other.flat, self.k)
+        return ModuleOperator(self.flat + other.flat, self.k)
 
     def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
         _same_module(self, other)
-        return ModuleOperator.from_flat(self.flat - other.flat, self.k)
+        return ModuleOperator(self.flat - other.flat, self.k)
 
     def __mul__(self, c: complex) -> "ModuleOperator":
-        return ModuleOperator.from_flat(c * self.flat, self.k)
+        return ModuleOperator(c * self.flat, self.k)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         _same_module(self, other)
         if isinstance(other, ModuleVector):
-            return other._like([f @ vb for f, vb in zip(self.flat.blocks, other.stacked)])
-        return ModuleOperator.from_flat(self.flat @ other.flat, self.k)
+            return ModuleVector(other.shape, other.k, [f @ vb for f, vb in zip(self.flat.blocks, other.stacked)])
+        return ModuleOperator(self.flat @ other.flat, self.k)
 
     def __repr__(self) -> str:
         return f"ModuleOperator(k={self.k}, dims={self.shape.block_dims})"
 
 
-def operator_from_flat(shape: BlockShape, k: int, flats: Sequence[np.ndarray]) -> ModuleOperator:
-    """Operator with the given ``(k n_b) x (k n_b)`` blocks, ``flat.blocks`` of the result."""
-    return ModuleOperator.from_flat(AlgebraElement(_flat_shape(shape, k), flats), k)
-
-
 def identity_operator(shape: BlockShape, k: int) -> ModuleOperator:
-    return ModuleOperator.from_flat(identity(_flat_shape(shape, k)), k)
+    return ModuleOperator(identity(_flat_shape(shape, k)), k)
 
 
 def zero_operator(shape: BlockShape, k: int) -> ModuleOperator:
-    return ModuleOperator.from_flat(zeros(_flat_shape(shape, k)), k)
+    return ModuleOperator(zeros(_flat_shape(shape, k)), k)
 
 
 def is_unitary(s: ModuleOperator) -> bool:
@@ -269,19 +253,19 @@ def op_power(t: ModuleOperator, z) -> ModuleOperator:
     operators with a batched ``flat``; raises ``NotStrictlyPositiveError``
     (from there) otherwise.
     """
-    return ModuleOperator.from_flat(power(t.flat, z), t.k)
+    return ModuleOperator(power(t.flat, z), t.k)
 
 
 def op_log(t: ModuleOperator) -> ModuleOperator:
     """Hermitian logarithm of a strictly positive module operator."""
     if not strictly_positive(t):
         raise NotStrictlyPositiveError("module operator is not strictly positive")
-    return ModuleOperator.from_flat(herm_calculus(t.flat, np.log), t.k)
+    return ModuleOperator(herm_calculus(t.flat, np.log), t.k)
 
 
 def op_exp(h: ModuleOperator) -> ModuleOperator:
     """Exponential of a Hermitian module operator; strictly positive."""
-    return ModuleOperator.from_flat(herm_calculus(h.flat, np.exp), h.k)
+    return ModuleOperator(herm_calculus(h.flat, np.exp), h.k)
 
 
 def condition_number(t: ModuleOperator) -> float:
@@ -294,24 +278,11 @@ def condition_number(t: ModuleOperator) -> float:
 
 def operator_vec(s: ModuleOperator) -> np.ndarray:
     """Hilbert-Schmidt coordinates of an operator (flattened blocks)."""
-    return _flat_rows(s.flat.blocks)
-
-
-def vector_coordinates(v: ModuleVector) -> np.ndarray:
-    """Complex coordinates of a module vector, slot-major then blockwise."""
-    return np.concatenate([sb.reshape(v.k, -1) for sb in v.stacked], axis=1).ravel()
-
-
-def vector_from_coordinates(shape: BlockShape, k: int, coords: np.ndarray) -> ModuleVector:
-    """Inverse of ``vector_coordinates``."""
-    slots = np.asarray(coords).reshape(k, -1)
-    cuts = np.cumsum([n * n for n in shape])[:-1]
-    cols = np.split(slots, cuts, axis=1)
-    return ModuleVector.from_stacked(shape, k, [c.reshape(k * n, n) for n, c in zip(shape, cols)])
+    return coordinate_rows(s.flat.blocks)
 
 
 def operator_matrix(s: ModuleOperator) -> np.ndarray:
-    """Matrix of ``v -> S v`` in the ``vector_coordinates`` basis."""
+    """Matrix of ``v -> S v`` on the coordinates of a vector: slot-major, then each block row-major."""
     cell = s.shape.dim
     d = s.k * cell
     out = np.zeros((d, d), dtype=complex)
@@ -346,6 +317,7 @@ class SubalgebraBasis:
         if not generators:
             raise ValueError("need at least one generator")
         self.shape, self.k = generators[0].shape, generators[0].k
+        self._flat_shape = generators[0].flat.shape
         self._build(generators)
         self._check_nondegenerate()
 
@@ -356,17 +328,17 @@ class SubalgebraBasis:
     @property
     def flats(self) -> list[np.ndarray]:
         """The basis as one ``(dim, k n_b, k n_b)`` stack per block, views of ``_q``."""
-        return _unvec_flats(self.shape, self.k, self._q)
+        return _unvec_flats(self._flat_shape, self._q)
 
     @cached_property
     def basis(self) -> tuple[ModuleOperator, ...]:
         """The basis elements as operators."""
-        return tuple(operator_from_flat(self.shape, self.k, f) for f in zip(*self.flats))
+        return tuple(ModuleOperator(AlgebraElement(self._flat_shape, f), self.k) for f in zip(*self.flats))
 
     def _build(self, generators: list[ModuleOperator]) -> None:
-        shape, k = self.shape, self.k
+        flat = self._flat_shape
         tol = SPAN_TOL * max(float(np.max(stack([g.flat for g in generators]).norm())), 1.0)
-        full = sum((k * n) ** 2 for n in shape)
+        full = flat.dim
         q = np.empty((full, full), dtype=complex)
         q_conj = np.empty_like(q)  # the conjugated rows, kept as they are kept
         kept = 0
@@ -382,7 +354,7 @@ class SubalgebraBasis:
                 continue
             q[kept] = vec / nrm
             q_conj[kept] = q[kept].conj()
-            streams.append(_candidates(shape, k, q, kept))
+            streams.append(_candidates(flat, q, kept))
             kept += 1
             if kept == full:  # a full span is all of M_k(A)
                 break
@@ -397,7 +369,7 @@ class SubalgebraBasis:
         """Unit of the span: HS projection of the identity operator."""
         vec = operator_vec(identity_operator(self.shape, self.k))
         proj = self._q.T @ (self._q.conj() @ vec)
-        return operator_from_flat(self.shape, self.k, _unvec_flats(self.shape, self.k, proj))
+        return ModuleOperator(AlgebraElement(self._flat_shape, _unvec_flats(self._flat_shape, proj)), self.k)
 
     def residual(self, s: ModuleOperator) -> float:
         """HS distance from ``s`` to the span."""
@@ -414,44 +386,39 @@ class SubalgebraBasis:
         moved = [lb[..., None, :, :] @ f for lb, f in zip(left.blocks, self.flats)]
         if right is not None:
             moved = [m @ rb[..., None, :, :] for m, rb in zip(moved, right.blocks)]
-        rows = _flat_rows(moved)
+        rows = coordinate_rows(moved)
         return np.linalg.norm(rows - (rows @ self._q.conj().T) @ self._q, axis=-1)
 
 
-def _flat_rows(flats: Sequence[np.ndarray]) -> np.ndarray:
-    """Coordinate rows of flat blocks; leading axes carry through."""
-    return np.concatenate([f.reshape(*f.shape[:-2], f.shape[-1] ** 2) for f in flats], axis=-1)
+def _unvec_flats(flat: BlockShape, vec: np.ndarray) -> list[np.ndarray]:
+    """Inverse of ``coordinate_rows`` over the flat shape: views of the blocks, leading axes carried through."""
+    parts = np.split(vec, np.cumsum([n * n for n in flat])[:-1], axis=-1)
+    return [p.reshape(*vec.shape[:-1], n, n) for n, p in zip(flat, parts)]
 
 
-def _unvec_flats(shape: BlockShape, k: int, vec: np.ndarray) -> list[np.ndarray]:
-    """Inverse of ``_flat_rows``: views of the flat blocks, leading axes carried through."""
-    parts = np.split(vec, np.cumsum([(k * n) ** 2 for n in shape])[:-1], axis=-1)
-    return [p.reshape(*vec.shape[:-1], k * n, k * n) for n, p in zip(shape, parts)]
-
-
-def _row_product(shape: BlockShape, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _row_product(flat: BlockShape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coordinate row of the product of the operators with rows ``a`` and ``b``."""
-    return _flat_rows([x @ y for x, y in zip(_unvec_flats(shape, k, a), _unvec_flats(shape, k, b))])
+    return coordinate_rows([x @ y for x, y in zip(_unvec_flats(flat, a), _unvec_flats(flat, b))])
 
 
-def _candidates(shape: BlockShape, k: int, q: np.ndarray, i: int) -> Iterator[np.ndarray]:
+def _candidates(flat: BlockShape, q: np.ndarray, i: int) -> Iterator[np.ndarray]:
     """What kept row i adds to the closure: its adjoint, then its products with rows 0..i."""
-    yield _flat_rows([x.conj().T for x in _unvec_flats(shape, k, q[i])])
+    yield coordinate_rows([x.conj().T for x in _unvec_flats(flat, q[i])])
     for j in range(i + 1):
-        yield _row_product(shape, k, q[i], q[j])
-        yield _row_product(shape, k, q[j], q[i])
+        yield _row_product(flat, q[i], q[j])
+        yield _row_product(flat, q[j], q[i])
 
 
 def matrix_unit_operators(shape: BlockShape, k: int) -> list[ModuleOperator]:
     """Flattened matrix units: a linear basis of the full operator algebra."""
+    flat = _flat_shape(shape, k)
     out = []
-    for b, n in enumerate(shape.block_dims):
-        m = k * n
+    for b, m in enumerate(flat):
         for r in range(m):
             for c in range(m):
-                flats = [np.zeros((k * nn, k * nn), dtype=complex) for nn in shape.block_dims]
+                flats = [np.zeros((mm, mm), dtype=complex) for mm in flat]
                 flats[b][r, c] = 1.0
-                out.append(operator_from_flat(shape, k, flats))
+                out.append(ModuleOperator(AlgebraElement(flat, flats), k))
     return out
 
 

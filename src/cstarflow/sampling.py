@@ -12,7 +12,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, BlockShape, HermitianElement, stack
 from .flows import FlowGenerator
-from .hilbmod import ModuleOperator, ModuleVector, operator_from_flat
+from .hilbmod import ModuleOperator, ModuleVector
 from .stone import PositiveFunctional
 
 
@@ -96,15 +96,15 @@ def random_commuting_flows(
 
 def random_vector(r: np.random.Generator, shape: BlockShape, k: int) -> ModuleVector:
     xs = random_elements(r, shape, k)
-    return ModuleVector.from_stacked(shape, k, [b.reshape(k * n, n) for n, b in zip(shape, xs.blocks)])
+    return ModuleVector(shape, k, [b.reshape(k * n, n) for n, b in zip(shape, xs.blocks)])
 
 
 def random_operator(
     r: np.random.Generator, shape: BlockShape, k: int, norm: float | None = None
 ) -> ModuleOperator:
-    s = ModuleOperator([[random_element(r, shape) for _ in range(k)] for _ in range(k)])
+    s = ModuleOperator.from_entries([[random_element(r, shape) for _ in range(k)] for _ in range(k)])
     # the operator norm is the C*-norm of the flattened element
-    return s if norm is None else ModuleOperator.from_flat(_rescaled(s.flat, norm), k)
+    return s if norm is None else ModuleOperator(_rescaled(s.flat, norm), k)
 
 
 def random_positive_operator(
@@ -117,7 +117,7 @@ def random_positive_operator(
         u = random_unitary(r, m)
         log_lam = r.uniform(-0.5, 0.5, size=m) * np.log(cond)
         flats.append((u * np.exp(log_lam)) @ u.conj().T)
-    return operator_from_flat(shape, k, flats)
+    return ModuleOperator(AlgebraElement.from_blocks(flats), k)
 
 
 def random_state(r: np.random.Generator, shape: BlockShape, rank: int | None = None) -> PositiveFunctional:

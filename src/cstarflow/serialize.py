@@ -61,7 +61,7 @@ def operator_to_payload(s: ModuleOperator) -> dict:
 
 
 def operator_from_payload(payload: dict) -> ModuleOperator:
-    return ModuleOperator(
+    return ModuleOperator.from_entries(
         [[element_from_payload(p) for p in row] for row in payload["entries"]]
     )
 
@@ -71,7 +71,7 @@ def vector_to_payload(v: ModuleVector) -> dict:
 
 
 def vector_from_payload(payload: dict) -> ModuleVector:
-    return ModuleVector([element_from_payload(p) for p in payload["entries"]])
+    return ModuleVector.from_entries([element_from_payload(p) for p in payload["entries"]])
 
 
 def dumps(payload: dict) -> str:

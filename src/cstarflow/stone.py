@@ -191,7 +191,7 @@ def _principal_log_phases(u: ModuleOperator) -> ModuleOperator:
         phases -= 2.0 * np.pi * np.ceil((phases - np.pi) / (2.0 * np.pi))
         k = (z * phases) @ z.conj().T
         flats.append((k + k.conj().T) / 2.0)
-    return ModuleOperator.from_flat(AlgebraElement(u.flat.shape, flats), u.k)
+    return ModuleOperator(AlgebraElement(u.flat.shape, flats), u.k)
 
 
 def recover_generator(u: SampledUnitaryGroup, t0: float) -> ModuleOperator:
@@ -402,22 +402,6 @@ class InducedOperator:
         """Operator norm: the largest ``norm(F_b)`` over the blocks with ``r_b > 0``."""
         return max(largest_singular_value(f) for f, r in zip(self.factors, self.ranks) if r)
 
-    def to_dense(self) -> np.ndarray:
-        """The d x d matrix, for tests and small d only."""
-        blocks = []
-        for f, r in zip(self.factors, self.ranks):
-            m = f.shape[0]
-            cell = np.zeros((m, r, m, r), dtype=complex)
-            cell[:, np.arange(r), :, np.arange(r)] = f
-            blocks.append(cell.reshape(m * r, m * r))
-        d = sum(b.shape[0] for b in blocks)
-        out = np.zeros((d, d), dtype=complex)
-        pos = 0
-        for b in blocks:
-            out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
-            pos += b.shape[0]
-        return out
-
 
 def induce(loc: Localization, s: ModuleOperator) -> InducedOperator:
     """The induced operator ``S_omega`` with ``S_omega L(v) = L(S v)``.
@@ -564,4 +548,4 @@ def vector_smear(t_op: ModuleOperator, v: ModuleVector, r: float, z: complex = 0
         kappa = np.log(lam)
         return np.exp(1j * kappa * z - kappa * kappa / (4.0 * r * r))
 
-    return ModuleOperator.from_flat(sd.apply(factor), t_op.k) @ v
+    return ModuleOperator(sd.apply(factor), t_op.k) @ v

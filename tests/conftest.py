@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement, InducedOperator
+from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement, InducedOperator, ModuleVector
 from cstarflow.algebra import largest_singular_value
 from cstarflow.sampling import rng
 
@@ -88,3 +88,33 @@ def exact_intertwining_residual(loc, a_om, a) -> float:
             units = np.eye(m * n, dtype=complex).reshape(m * n, m, n)
             diffs.append(a_om.apply_block(b, loc.apply_block(b, units)) - loc.apply_block(b, f @ units))
     return max(largest_singular_value(d) for d in diffs)
+
+
+def vector_coordinates(v: ModuleVector) -> np.ndarray:
+    """Complex coordinates of a module vector, slot-major then blockwise: the basis of ``operator_matrix``."""
+    return np.concatenate([sb.reshape(v.k, -1) for sb in v.stacked], axis=1).ravel()
+
+
+def vector_from_coordinates(shape: BlockShape, k: int, coords: np.ndarray) -> ModuleVector:
+    """Inverse of ``vector_coordinates``."""
+    slots = np.asarray(coords).reshape(k, -1)
+    cuts = np.cumsum([n * n for n in shape])[:-1]
+    cols = np.split(slots, cuts, axis=1)
+    return ModuleVector(shape, k, [c.reshape(k * n, n) for n, c in zip(shape, cols)])
+
+
+def induced_dense(op: InducedOperator) -> np.ndarray:
+    """The d x d matrix of an induced operator, for small d."""
+    blocks = []
+    for f, r in zip(op.factors, op.ranks):
+        m = f.shape[0]
+        cell = np.zeros((m, r, m, r), dtype=complex)
+        cell[:, np.arange(r), :, np.arange(r)] = f
+        blocks.append(cell.reshape(m * r, m * r))
+    d = sum(b.shape[0] for b in blocks)
+    out = np.zeros((d, d), dtype=complex)
+    pos = 0
+    for b in blocks:
+        out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
+        pos += b.shape[0]
+    return out

@@ -1019,8 +1019,21 @@ implemented_mod = importlib.import_module("cstarflow.implemented")
 BENT_EVALUATE = _wrapped(cli_mod, "evaluate", lambda exact: lambda g, t, x: exact(g, t + 1e-7 * np.square(t), x))
 BENT_CONTINUATION = _wrapped(cli_mod, "continue_exact",
                              lambda exact: lambda g, z, x: exact(g, z + 1e-7 * np.square(z), x))
+# at z = 0 the continuation is the identity, so the bundled converge config cannot tell the two caps apart
+LONG_RESCALE = _wrapped(cli_mod, "core_rescale", lambda exact: lambda *args: (1.0 + 1e-9) * exact(*args))
+
+
+def _drifted_smears(monkeypatch):
+    """Both smears centered at z + 0.01/r: a kernel with a first moment, whose error falls like 1/r, not 1/r^2."""
+    oracle, quadrature = cli_mod.smear_oracle, cli_mod.smear_quadrature
+    monkeypatch.setattr(cli_mod, "smear_oracle", lambda g, x, r, z: oracle(g, x, r, z + 0.01 / np.asarray(r)))
+    monkeypatch.setattr(cli_mod, "smear_quadrature", lambda g, x, plan: quadrature(
+        g, x, dataclasses.replace(plan, z=plan.z + 0.01 / plan.r)))
+
+
 # (experiment, check): a fault of the runner's wiring or of a kernel it calls, and every check
-# the fault fails; it puts its own check 1e2 to 1e6 times over the bound on the bundled config
+# the fault fails; it puts its own check 1e2 to 1e6 times over the bound on the bundled config,
+# or above a bound of 0
 WITNESS_FAULTS = {
     ("verify", "group_law"): (BENT_EVALUATE, {"group_law"}),
     ("verify", "inverse"): (BENT_CONTINUATION, {"inverse", "composition_same_side"}),
@@ -1040,6 +1053,16 @@ WITNESS_FAULTS = {
     # a quadrature shrunk by 1e-5 still meets the norm bound, and misses the closed form
     ("converge", "quad_vs_oracle"): (_wrapped(cli_mod, "smear_quadrature", lambda exact: lambda g, x, plan:
                                               (1.0 - 1e-5) * exact(g, x, plan)), {"quad_vs_oracle"}),
+    # a quadrature grown by 1e3 breaks the norm bound, and misses the closed form as well
+    ("converge", "norm_bound"): (_wrapped(cli_mod, "smear_quadrature", lambda exact: lambda g, x, plan:
+                                          1e3 * exact(g, x, plan)), {"norm_bound", "quad_vs_oracle"}),
+    ("converge", "convergence_ratio"): (_drifted_smears, {"convergence_ratio"}),
+    ("converge", "core_rescale_cap_x"): (LONG_RESCALE, {"core_rescale_cap_x", "core_rescale_cap_continuation"}),
+    ("converge", "core_rescale_cap_continuation"): (
+        LONG_RESCALE, {"core_rescale_cap_x", "core_rescale_cap_continuation"}),
+    # approximants shrunk by 1e-3 meet both caps, and converge to 0.999 x
+    ("converge", "core_rescale_convergence"): (_wrapped(cli_mod, "core_rescale", lambda exact: lambda *args:
+                                                        (1.0 - 1e-3) * exact(*args)), {"core_rescale_convergence"}),
     ("stone", "gram_identity"): (_wrapped(PositiveFunctional, "value", lambda exact: lambda omega, a:
                                           (1.0 + 1e-6) * exact(omega, a)), {"gram_identity"}),
 }
@@ -1053,7 +1076,8 @@ def test_witness_fault_fails_its_check(key, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", str(CONFIG_DIR / f"{name}.json"), "--quiet", "--out", str(out)]) == 1
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
-    assert 1e2 <= checks[check]["measured"] / checks[check]["bound"] <= 1e6
+    measured, bound = checks[check]["measured"], checks[check]["bound"]
+    assert (1e2 <= measured / bound <= 1e6) if bound else measured > 0
     assert {c["name"] for c in checks.values() if not c["passed"]} == failing
 
 

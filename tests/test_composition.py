@@ -29,11 +29,13 @@ from cstarflow import (
     tensor_element,
     tensor_flow,
 )
+from cstarflow.algebra import stack
 from cstarflow.composition import _kron
 from cstarflow.continuation import _trapezoid
 from cstarflow.sampling import (
     random_commuting_flows,
     random_element,
+    random_elements,
     random_flow,
     rng,
 )
@@ -323,6 +325,38 @@ class TestTensorGrid:
         b = np.stack([random_element(r, BlockShape([3])).blocks[0] for _ in range(3)])
         assert np.array_equal(_kron(a, b), np.stack([np.kron(p, q) for p, q in zip(a, b)]))
         assert np.array_equal(_kron(np.eye(2), y.blocks[1]), np.kron(np.eye(2), y.blocks[1]))
+
+
+def batched_flow(flows):
+    """The batch of flows whose members are ``flows``."""
+    return FlowGenerator(
+        HermitianElement(stack([f.h_left.value for f in flows])),
+        HermitianElement(stack([f.h_right.value for f in flows])),
+    )
+
+
+class TestBatchedFlows:
+    def test_pair_and_tensor_checks_act_per_member(self):
+        r = rng(24)
+        shape = BlockShape([2, 3])
+        pairs = [random_commuting_flows(r, shape) for _ in range(2)]
+        alpha, beta = batched_flow([a for a, _ in pairs]), batched_flow([b for _, b in pairs])
+        x, y = random_elements(r, shape, 2), random_elements(r, shape, 2)
+        zs = np.array([0.4 + 0.3j, -0.7 + 0.2j])  # one z per member
+        gamma = gamma_continuation_check(CommutingPair(alpha, beta), zs, x)
+        tensor = tensor_continuation_check(tensor_flow(alpha, beta), zs, x, y)
+        assert gamma.shape == tensor.shape == (2,)
+        for i, (a, b) in enumerate(pairs):
+            assert gamma[i] == gamma_continuation_check(CommutingPair(a, b), zs[i], x[i])
+            assert tensor[i] == tensor_continuation_check(tensor_flow(a, b), zs[i], x[i], y[i])
+
+    def test_one_non_commuting_member_is_refused(self):
+        r = rng(25)
+        shape = BlockShape([2, 3])
+        a0, b0 = random_commuting_flows(r, shape)
+        a1, b1 = random_flow(r, shape), random_flow(r, shape)
+        with pytest.raises(NotCommutingError):
+            CommutingPair(batched_flow([a0, a1]), batched_flow([b0, b1]))
 
 
 class TestCompositionInvariants:

@@ -32,10 +32,7 @@ from cstarflow.hilbmod import (
     AFFILIATION_TOL,
     SPAN_TOL,
     _unvec_flats,
-    operator_from_flat,
     operator_vec,
-    vector_coordinates,
-    vector_from_coordinates,
 )
 from cstarflow.serialize import dumps, loads, operator_from_payload, operator_to_payload
 from cstarflow.sampling import (
@@ -47,14 +44,14 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import counting_svd
+from conftest import counting_svd, induced_dense, vector_coordinates, vector_from_coordinates
 
 EPS = np.finfo(float).eps
 
 
 def unit_first_slot(shape: BlockShape, k: int) -> ModuleVector:
     entries = [identity(shape)] + [zeros(shape) for _ in range(k - 1)]
-    return ModuleVector(entries)
+    return ModuleVector.from_entries(entries)
 
 
 class TestInner:
@@ -82,7 +79,7 @@ class TestInner:
         r = rng(2)
         shape = BlockShape([2])
         x = random_element(r, shape)
-        v = ModuleVector([x])
+        v = ModuleVector.from_entries([x])
         # direct matrix product oracle: <v, v> = x* x
         want = x.blocks[0].conj().T @ x.blocks[0]
         np.testing.assert_allclose(inner(v, v).blocks[0], want, atol=1e-13)
@@ -97,7 +94,7 @@ class TestOperatorBasics:
 
     def test_projection_not_strictly_positive(self):
         shape = BlockShape([2])
-        p = ModuleOperator(
+        p = ModuleOperator.from_entries(
             [
                 [identity(shape), zeros(shape)],
                 [zeros(shape), zeros(shape)],
@@ -138,7 +135,7 @@ class TestOpPower:
         assert (op_power(t, 0.0) - one).norm() <= 1e-12
 
     def test_diagonal_square_root(self):
-        t = ModuleOperator([[AlgebraElement.from_blocks([np.diag([4.0, 9.0])])]])
+        t = ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.diag([4.0, 9.0])])]])
         out = op_power(t, 0.5)
         np.testing.assert_allclose(out.entries[0][0].blocks[0], np.diag([2.0, 3.0]), atol=1e-12)
 
@@ -155,7 +152,7 @@ class TestOpPower:
 
     def test_rejects_non_positive(self):
         shape = BlockShape([2])
-        p = ModuleOperator([[zeros(shape)]])
+        p = ModuleOperator.from_entries([[zeros(shape)]])
         with pytest.raises(NotStrictlyPositiveError):
             op_power(p, 0.5)
 
@@ -180,7 +177,7 @@ class TestSubalgebraBasis:
     def test_degenerate_algebra_rejected(self):
         shape = BlockShape([2])
         p_mat = np.diag([1.0, 0.0]).astype(complex)
-        p = ModuleOperator([[AlgebraElement.from_blocks([p_mat])]])
+        p = ModuleOperator.from_entries([[AlgebraElement.from_blocks([p_mat])]])
         with pytest.raises(ValueError, match="degenerate"):
             SubalgebraBasis([p])
 
@@ -206,8 +203,8 @@ class TestAffiliation:
         d2 = AlgebraElement.from_blocks([np.diag([-0.1, 0.4])])
         z = zeros(shape)
         gens = [
-            ModuleOperator([[d1, z], [z, d2]]),
-            ModuleOperator([[d2, z], [z, d1]]),
+            ModuleOperator.from_entries([[d1, z], [z, d2]]),
+            ModuleOperator.from_entries([[d2, z], [z, d1]]),
             identity_operator(shape, 2),
         ]
         basis = SubalgebraBasis(gens)
@@ -226,7 +223,7 @@ class TestAffiliation:
         shape = BlockShape([2])
         basis = SubalgebraBasis([identity_operator(shape, 1)])
         with pytest.raises(NotStrictlyPositiveError):
-            affiliation_test(ModuleOperator([[zeros(shape)]]), basis, [1.0])
+            affiliation_test(ModuleOperator.from_entries([[zeros(shape)]]), basis, [1.0])
 
 
 class TestModuleInvariants:
@@ -262,9 +259,7 @@ class TestModuleInvariants:
         v = random_vector(r, shape, 2)
         coords = vector_coordinates(v)
         coords /= np.linalg.norm(coords)
-        from cstarflow.hilbmod import operator_matrix, vector_from_coordinates
-
-        m = operator_matrix(s)
+        m = hilbmod.operator_matrix(s)
         sigma = 0.0
         for _ in range(500):
             coords = m.conj().T @ (m @ coords)
@@ -279,8 +274,6 @@ class TestModuleInvariants:
         r = rng(16)
         shape = BlockShape([2, 3])
         v = random_vector(r, shape, 2)
-        from cstarflow.hilbmod import vector_from_coordinates
-
         w = vector_from_coordinates(shape, 2, vector_coordinates(v))
         assert (w - v).norm() == 0.0
 
@@ -288,9 +281,7 @@ class TestModuleInvariants:
         r = rng(17)
         shape = BlockShape([2, 2])
         s = random_operator(r, shape, 2)
-        from cstarflow.hilbmod import _unvec_flats
-
-        back = operator_from_flat(shape, 2, _unvec_flats(shape, 2, operator_vec(s)))
+        back = ModuleOperator(AlgebraElement(s.flat.shape, _unvec_flats(s.flat.shape, operator_vec(s))), 2)
         assert (back - s).norm() == 0.0
 
 
@@ -307,7 +298,7 @@ def _sum_elements(elems):
 
 def grid_product(s, t):
     k = s.k
-    return ModuleOperator(
+    return ModuleOperator.from_entries(
         [
             [_sum_elements([s.entries[i][m] @ t.entries[m][j] for m in range(k)]) for j in range(k)]
             for i in range(k)
@@ -316,7 +307,7 @@ def grid_product(s, t):
 
 
 def grid_apply(s, v):
-    return ModuleVector(
+    return ModuleVector.from_entries(
         [_sum_elements([e @ x for e, x in zip(row, v.entries)]) for row in s.entries]
     )
 
@@ -360,12 +351,25 @@ class TestFlatAgainstGrid:
     def test_grid_round_trips_bitwise(self, k):
         r = rng(130 + k)
         s, v = random_operator(r, self.SHAPE, k), random_vector(r, self.SHAPE, k)
-        for a, b in zip(ModuleOperator(s.entries).flat.blocks, s.flat.blocks):
+        for a, b in zip(ModuleOperator.from_entries(s.entries).flat.blocks, s.flat.blocks):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(ModuleVector(v.entries).stacked, v.stacked):
+        for a, b in zip(ModuleVector.from_entries(v.entries).stacked, v.stacked):
             np.testing.assert_array_equal(a, b)
         back = vector_from_coordinates(self.SHAPE, k, vector_coordinates(v))
         for a, b in zip(back.stacked, v.stacked):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_grid_of_a_batch_is_per_member(self, k):
+        t = random_positive_operator(rng(140 + k), self.SHAPE, k)
+        batch = op_power(t, 1j * np.array([0.3, -0.7, 1.1]))
+        for m in range(3):
+            member = ModuleOperator(batch.flat[m], k)
+            for row, member_row in zip(batch.entries, member.entries):
+                for e, want in zip(row, member_row):
+                    for a, b in zip(e.blocks, want.blocks):
+                        np.testing.assert_array_equal(a[m], b)
+        for a, b in zip(ModuleOperator.from_entries(batch.entries).flat.blocks, batch.flat.blocks):
             np.testing.assert_array_equal(a, b)
 
 
@@ -385,12 +389,12 @@ def test_induce_star_homomorphism_hypothesis(module):
     shape = BlockShape(dims)
     loc = localize(random_state(r, shape), shape, k)
     s, t = random_operator(r, shape, k), random_operator(r, shape, k)
-    prod = induce(loc, s @ t).to_dense()
-    assert np.linalg.norm(prod - (induce(loc, s) @ induce(loc, t)).to_dense(), 2) <= 1e-9 * max(
+    prod = induced_dense(induce(loc, s @ t))
+    assert np.linalg.norm(prod - induced_dense(induce(loc, s) @ induce(loc, t)), 2) <= 1e-9 * max(
         1.0, np.linalg.norm(prod, 2)
     )
-    s_om = induce(loc, s).to_dense()
-    assert np.linalg.norm(induce(loc, s.star()).to_dense() - s_om.conj().T, 2) <= 1e-10 * max(
+    s_om = induced_dense(induce(loc, s))
+    assert np.linalg.norm(induced_dense(induce(loc, s.star())) - s_om.conj().T, 2) <= 1e-10 * max(
         1.0, s.norm()
     )
 
@@ -436,7 +440,7 @@ def test_operator_payload_roundtrip_hypothesis(module):
 
 
 def sequential_closure(generators, span_tol=SPAN_TOL):
-    shape, k = generators[0].shape, generators[0].k
+    flat, k = generators[0].flat.shape, generators[0].k
     tol = span_tol * max(max(g.norm() for g in generators), 1.0)
     rows, ops = [], []
     pending = list(generators) + [g.star() for g in generators]
@@ -449,7 +453,7 @@ def sequential_closure(generators, span_tol=SPAN_TOL):
         if nrm <= tol:
             continue
         vec = vec / nrm
-        new_op = operator_from_flat(shape, k, _unvec_flats(shape, k, vec))
+        new_op = ModuleOperator(AlgebraElement(flat, _unvec_flats(flat, vec)), k)
         rows.append(vec)
         ops.append(new_op)
         pending.append(new_op.star())
@@ -465,7 +469,7 @@ def diagonal_units(shape, k):
         for j in range(k * n):
             flats = [np.zeros((k * m, k * m), dtype=complex) for m in shape.block_dims]
             flats[b][j, j] = 1.0
-            gens.append(operator_from_flat(shape, k, flats))
+            gens.append(ModuleOperator(AlgebraElement.from_blocks(flats), k))
     return gens
 
 
@@ -475,8 +479,8 @@ def span_inside_generators():
     d2 = AlgebraElement.from_blocks([np.diag([-0.1, 0.4])])
     z = zeros(shape)
     return [
-        ModuleOperator([[d1, z], [z, d2]]),
-        ModuleOperator([[d2, z], [z, d1]]),
+        ModuleOperator.from_entries([[d1, z], [z, d2]]),
+        ModuleOperator.from_entries([[d2, z], [z, d1]]),
         identity_operator(shape, 2),
     ]
 
@@ -581,7 +585,7 @@ def carrier_positive(basis, seed):
     """``exp(h)`` for a random Hermitian ``h`` of norm 1 inside the span."""
     r = rng(seed)
     coeffs = r.standard_normal(basis.dim) + 1j * r.standard_normal(basis.dim)
-    x = operator_from_flat(basis.shape, basis.k, _unvec_flats(basis.shape, basis.k, coeffs @ basis._q))
+    x = ModuleOperator(AlgebraElement.from_blocks(_unvec_flats(basis._flat_shape, coeffs @ basis._q)), basis.k)
     h = x + x.star()
     return op_exp((1.0 / h.norm()) * h)
 
@@ -617,7 +621,7 @@ class TestLeaksAgainstSequential:
 
     def test_failing_diagonal_carrier(self):
         basis = SubalgebraBasis(diagonal_units(BlockShape([2]), 1))
-        mix = ModuleOperator([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
+        mix = ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
         assert not affiliation_test(mix, basis, PROBE_GRID)
         assert not sequential_affiliation(mix, basis, PROBE_GRID)
         zs = 1j * np.array(PROBE_GRID)

@@ -48,7 +48,7 @@ EPS = np.finfo(float).eps
 
 
 def diag_op(*vals: float) -> ModuleOperator:
-    return ModuleOperator([[AlgebraElement.from_blocks([np.diag(vals).astype(complex)])]])
+    return ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.diag(vals).astype(complex)])]])
 
 
 def full_basis(shape: BlockShape, k: int) -> SubalgebraBasis:
@@ -61,9 +61,7 @@ def diagonal_basis(shape: BlockShape, k: int) -> SubalgebraBasis:
         for j in range(k * n):
             flats = [np.zeros((k * m, k * m), dtype=complex) for m in shape.block_dims]
             flats[b][j, j] = 1.0
-            from cstarflow.hilbmod import operator_from_flat
-
-            gens.append(operator_from_flat(shape, k, flats))
+            gens.append(ModuleOperator(AlgebraElement.from_blocks(flats), k))
     return SubalgebraBasis(gens)
 
 
@@ -103,7 +101,7 @@ class TestImplementedEvaluate:
         shape = BlockShape([2])
         s = diag_op(1.0, 2.0)
         f = ImplementedFlow(s, s, diagonal_basis(shape, 1))
-        off_diagonal = ModuleOperator(
+        off_diagonal = ModuleOperator.from_entries(
             [[AlgebraElement.from_blocks([np.array([[0.0, 1.0], [0.0, 0.0]])])]]
         )
         with pytest.raises(NotInAlgebraError):
@@ -113,7 +111,7 @@ class TestImplementedEvaluate:
         shape = BlockShape([2])
         # S mixes the basis the diagonal carrier lives in
         mix = np.array([[2.0, 0.6], [0.6, 1.0]])
-        s = ModuleOperator([[AlgebraElement.from_blocks([mix])]])
+        s = ModuleOperator.from_entries([[AlgebraElement.from_blocks([mix])]])
         one = identity_operator(shape, 1)
         with pytest.raises(InvarianceViolationError):
             ImplementedFlow(s, one, diagonal_basis(shape, 1))
@@ -161,7 +159,7 @@ class TestProbeAgainstSequential:
 
     def test_failing_diagonal_carrier(self):
         shape = BlockShape([2])
-        mix = ModuleOperator([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
+        mix = ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
         one = identity_operator(shape, 1)
         assert probe_verdict(mix, one, diagonal_basis(shape, 1)) == implemented_mod.PROBE_TIMES[0]
 
@@ -260,7 +258,7 @@ class TestContinuationFormula:
     def test_worked_diagonal_instance(self):
         s = diag_op(np.e, 1.0)
         f = ImplementedFlow(s, s, full_basis(BlockShape([2]), 1))
-        e12_op = ModuleOperator(
+        e12_op = ModuleOperator.from_entries(
             [[AlgebraElement.from_blocks([np.array([[0.0, 1.0], [0.0, 0.0]])])]]
         )
         cont = op_power(s, 1j * 1j) @ e12_op @ op_power(s, -1j * 1j)
