@@ -56,7 +56,13 @@ POS_TOL_FACTOR = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
+    """A read-only complex copy of an array a caller passes in, which the caller may still write."""
+    return _freeze(np.array(a, dtype=complex))
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """An operation's own fresh array, complex (converted only if it is not) and made read-only in place."""
+    out = np.asarray(a, dtype=complex)
     out.flags.writeable = False
     return out
 
@@ -102,7 +108,20 @@ class AlgebraElement:
     __array_ufunc__ = None  # numpy defers ``array * x`` to ``__rmul__``, which scales each member
 
     def __init__(self, shape: BlockShape, blocks: Sequence[np.ndarray]):
-        mats = tuple(_frozen(b) for b in blocks)
+        """The element over read-only copies of ``blocks``, so it never aliases an array the caller may write."""
+        self._hold(shape, tuple(_frozen(b) for b in blocks))
+
+    @classmethod
+    def _adopt(cls, shape: BlockShape, blocks: Sequence[np.ndarray]) -> "AlgebraElement":
+        """The element over blocks an operation has just formed and holds nowhere else, frozen in place, not copied.
+
+        A view of another element's read-only blocks may be adopted as well.
+        """
+        x = cls.__new__(cls)
+        x._hold(shape, tuple(_freeze(b) for b in blocks))
+        return x
+
+    def _hold(self, shape: BlockShape, mats: tuple[np.ndarray, ...]) -> None:
         if len(mats) != shape.num_blocks:
             raise ShapeMismatchError("number of blocks does not match shape")
         batch = mats[0].shape[:-2]
@@ -122,11 +141,11 @@ class AlgebraElement:
 
     def __getitem__(self, i) -> "AlgebraElement":
         """Member ``i`` of a batch, or the sub-batch a slice or mask selects."""
-        return AlgebraElement(self.shape, [b[i] for b in self.blocks])
+        return AlgebraElement._adopt(self.shape, [b[i] for b in self.blocks])
 
     def star(self) -> "AlgebraElement":
         """Adjoint: blockwise conjugate transpose."""
-        return AlgebraElement(self.shape, [_adjoint(b) for b in self.blocks])
+        return AlgebraElement._adopt(self.shape, [_adjoint(b) for b in self.blocks])
 
     def norm(self) -> float | np.ndarray:
         """C*-norm: largest singular value over the blocks, per member of a batch.
@@ -158,19 +177,19 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_shape(self, other)
-        return AlgebraElement(self.shape, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return AlgebraElement._adopt(self.shape, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_shape(self, other)
-        return AlgebraElement(self.shape, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return AlgebraElement._adopt(self.shape, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [-b for b in self.blocks])
+        return AlgebraElement._adopt(self.shape, [-b for b in self.blocks])
 
     def __mul__(self, c) -> "AlgebraElement":
         """Scale by a number, or each member by its entry of an array of shape ``B``."""
         c = _per_member(c)
-        return AlgebraElement(self.shape, [c * b for b in self.blocks])
+        return AlgebraElement._adopt(self.shape, [c * b for b in self.blocks])
 
     __rmul__ = __mul__
 
@@ -233,7 +252,7 @@ def stack(elements: Sequence[AlgebraElement]) -> AlgebraElement:
     """The batch whose members, along a new leading axis, are ``elements``: all of one shape and batch."""
     for x in elements[1:]:
         _same_shape(elements[0], x)
-    return AlgebraElement(elements[0].shape, [np.array(b) for b in zip(*(x.blocks for x in elements))])
+    return AlgebraElement._adopt(elements[0].shape, [np.array(b) for b in zip(*(x.blocks for x in elements))])
 
 
 def coordinate_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -272,7 +291,7 @@ def star(x: AlgebraElement) -> AlgebraElement:
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Blockwise matrix product; submultiplicative for the C*-norm."""
     _same_shape(x, y)
-    return AlgebraElement(x.shape, [a @ b for a, b in zip(x.blocks, y.blocks)])
+    return AlgebraElement._adopt(x.shape, [a @ b for a, b in zip(x.blocks, y.blocks)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +330,7 @@ class SpectralDecomposition:
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
         """``f`` applied to the eigenvalues in the eigenbasis."""
-        return AlgebraElement(self.shape, self._calculus(
+        return AlgebraElement._adopt(self.shape, self._calculus(
             [np.broadcast_to(np.asarray(f(lam), dtype=complex), lam.shape) for lam in self.eigenvalues]
         ))
 
@@ -346,7 +365,7 @@ def _eigendecompose(x: AlgebraElement) -> SpectralDecomposition:
         lam = np.asarray(lam, dtype=float)
         lam.flags.writeable = False
         vals.append(lam)
-        vecs.append(_frozen(u))
+        vecs.append(_freeze(u))
     return SpectralDecomposition(x.shape, tuple(vals), tuple(vecs))
 
 
@@ -363,7 +382,7 @@ def sandwich(left: SpectralDecomposition, right: SpectralDecomposition, x: Algeb
     if not left.shape == right.shape == x.shape:
         raise ShapeMismatchError("element and eigendata live over different shapes")
     parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
-    return AlgebraElement(x.shape, [
+    return AlgebraElement._adopt(x.shape, [
         u @ (factor(lam, mu) * (_adjoint(u) @ xb @ v)) @ _adjoint(v) for lam, u, mu, v, xb in parts
     ])
 
@@ -406,4 +425,4 @@ def power(t: AlgebraElement, z) -> AlgebraElement:
         raise NotStrictlyPositiveError(f"minimum eigenvalue {np.min(lo[low]):.3e} too small")
     zs = np.asarray(z, dtype=complex)[..., None]
     sd = spectral(t)
-    return AlgebraElement(t.shape, sd._calculus([np.exp(zs * np.log(lam)) for lam in sd.eigenvalues]))
+    return AlgebraElement._adopt(t.shape, sd._calculus([np.exp(zs * np.log(lam)) for lam in sd.eigenvalues]))

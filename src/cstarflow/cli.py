@@ -89,7 +89,7 @@ from .stone import (
 MAX_FLAT_SIZE = 2**18
 # Stacked z-grid of tensor and implemented, grid points x dense size per point:
 # 2**22 complex entries is 64 MiB per stack, and a check holds about three.
-# verify runs its instances in batches that stay within it.
+# verify and tensor run their instances in batches that stay within it.
 MAX_GRID_SIZE = 2**22
 # Growth exponent of one factor a run forms, |Im z| nu for a continuation or
 # r^2 (Im z)^2 for a smear envelope. It is derived from the float range, not a
@@ -185,9 +185,17 @@ class ScenarioConfig:
     output: str
 
     def flow(self, r: np.random.Generator) -> FlowGenerator:
+        return self.flows(self.flow_draw(r))
+
+    def flow_draw(self, r: np.random.Generator) -> np.ndarray:
+        """The raw draw of a random flow (``sampling.draw_flow``); an explicit flow draws nothing."""
+        return sampling.draw_flow(r, self.shape) if self.flow_kind == "random" else np.empty(0)
+
+    def flows(self, raw: np.ndarray) -> FlowGenerator:
+        """The random flow of a raw draw, one per member of a stack of draws; or the explicit flow."""
         if self.flow_kind == "explicit":
             return FlowGenerator(HermitianElement(self.h_left), HermitianElement(self.h_right))
-        return sampling.random_flow(r, self.shape, self.flow_norm)
+        return sampling.flows(self.shape, raw, self.flow_norm)
 
     def nu_max(self) -> float:
         """The frequency budget of ``flow``: the payload norms, or 2 * norm for random flows."""
@@ -431,30 +439,35 @@ def _work(cfg: ScenarioConfig, each: int) -> Cost:
     return WORK, cfg.instances * each, f"{_amount(cfg.instances)} instances at {_amount(each)} entries each touch"
 
 
-def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
+def _in_batches(cfg: ScenarioConfig, report: ExitReport, entries: int, batch: Callable) -> tuple[list[tuple], dict]:
+    """The CSV rows of ``batch(cfg, r, members, report)`` over the instances in stream order, in batches
+    of at least one instance, at most ``MAX_GRID_SIZE`` over the ``entries`` one instance stacks."""
     r = sampling.rng(cfg.seed)
-    # batches of at least one instance, whose three_lines strips hold at most MAX_GRID_SIZE entries
-    size, count = max(1, MAX_GRID_SIZE // ((STRIP_SAMPLES + 1) * cfg.shape.dim)), cfg.instances
+    size, count = max(1, MAX_GRID_SIZE // entries), cfg.instances
     return [row for start in range(0, count, size)
-            for row in _verify_batch(cfg, r, range(start, min(start + size, count)), report)], {}
+            for row in batch(cfg, r, range(start, min(start + size, count)), report)], {}
+
+
+def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
+    # each instance's three_lines strip holds STRIP_SAMPLES + 1 elements
+    return _in_batches(cfg, report, (STRIP_SAMPLES + 1) * cfg.shape.dim, _verify_batch)
 
 
 def _verify_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, report: ExitReport) -> list[tuple]:
-    """Draw the instances ``members`` in stream order, observe their six checks as one batch each,
-    and return their CSV rows."""
+    """Draw the instances ``members`` in stream order, finish their flows and elements as one batch,
+    observe their six checks as one batch each, and return their CSV rows."""
     grid = cfg.z_grid()
     draws = []
     for i in members:
-        g = cfg.flow(r)
-        x, a, b = sampling.random_elements(r, cfg.shape, 3, 1.0)
+        flow, xab = cfg.flow_draw(r), sampling.draw_elements(r, cfg.shape, 3)
         s, t = r.uniform(-2.0, 2.0, size=2)
         z = grid[i % len(grid)]
         y = complex(float(r.uniform(-1.0, 1.0)), float(r.uniform(0.0, 1.0)) * z.imag)
-        draws.append((g.h_left.value, g.h_right.value, x, a, b, s, t, z, y))
-    columns = list(zip(*draws))
-    h_left, h_right, x, a, b = (stack(column) for column in columns[:5])
-    s, t, z, y = (np.array(column) for column in columns[5:])
-    g = FlowGenerator(HermitianElement(h_left), HermitianElement(h_right))
+        draws.append((flow, xab, s, t, z, y))
+    flow, xab, s, t, z, y = (np.array(column) for column in zip(*draws))
+    g = cfg.flows(flow)
+    xab = sampling.elements(cfg.shape, xab, 1.0)
+    x, a, b = xab[:, 0], xab[:, 1], xab[:, 2]
 
     # every check of every instance at once: each residual with its scale, one batch per check
     xz = continue_exact(g, z, x)
@@ -589,21 +602,27 @@ def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:
 
 
 def _exp_tensor(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
-    r = sampling.rng(cfg.seed)
-    rows: list[tuple] = []
+    # each instance stacks its z-grid of tensor-square elements
+    return _in_batches(cfg, report, len(cfg.z_re) * len(cfg.z_im) * cfg.shape.dim**2, _tensor_batch)
+
+
+def _tensor_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, report: ExitReport) -> list[tuple]:
+    """Draw the instances ``members`` in stream order, finish their flows and elements as one batch,
+    observe both checks over the (z-grid x instances) batch, and return the CSV rows of each instance
+    in turn: its commuting rows, then its tensor rows."""
+    shape, norm = cfg.shape, cfg.flow_norm
+    draws = [(sampling.draw_commuting(r, shape), sampling.draw_elements(r, shape, 1), sampling.draw_flow(r, shape),
+              sampling.draw_flow(r, shape), sampling.draw_elements(r, shape, 1)) for _ in members]
+    commuting, x, alpha, beta, y = (np.array(column) for column in zip(*draws))
+    pair = CommutingPair(*sampling.commuting_flows(shape, commuting, norm))
+    x, y = sampling.elements(shape, x, 1.0)[:, 0], sampling.elements(shape, y, 1.0)[:, 0]
+    tf = tensor_flow(sampling.flows(shape, alpha, norm), sampling.flows(shape, beta, norm))
     grid = cfg.z_grid()
-    for i in range(cfg.instances):
-        alpha, beta = sampling.random_commuting_flows(r, cfg.shape, cfg.flow_norm)
-        pair = CommutingPair(alpha, beta)
-        x = sampling.random_element(r, cfg.shape, 1.0)
-        resids = report.observe("commuting_continuation", gamma_continuation_check(pair, grid, x))
-        rows += [("commuting", i, z.real, z.imag, resid) for z, resid in zip(grid, resids.tolist())]
-        tf = tensor_flow(sampling.random_flow(r, cfg.shape, cfg.flow_norm),
-                         sampling.random_flow(r, cfg.shape, cfg.flow_norm))
-        y = sampling.random_element(r, cfg.shape, 1.0)
-        resids = report.observe("tensor_continuation", tensor_continuation_check(tf, grid, x, y))
-        rows += [("tensor", i, z.real, z.imag, resid) for z, resid in zip(grid, resids.tolist())]
-    return rows, {}
+    zs = np.array(grid)[:, None]  # the grid's axis joins the batch ahead of the instances'
+    commuting = report.observe("commuting_continuation", gamma_continuation_check(pair, zs, x))
+    tensor = report.observe("tensor_continuation", tensor_continuation_check(tf, zs, x, y))
+    return [(kind, i, z.real, z.imag, resid) for i, *per_kind in zip(members, commuting.T.tolist(), tensor.T.tolist())
+            for kind, resids in zip(("commuting", "tensor"), per_kind) for z, resid in zip(grid, resids)]
 
 
 def _costs_tensor(cfg: ScenarioConfig) -> list[Cost]:

@@ -87,7 +87,9 @@ def gamma_continuation_check(p: CommutingPair, z, x: AlgebraElement) -> np.ndarr
     Each continuation is formed over the whole array of z as one batch, so
     ``x`` is rotated into each of the three eigenbases once, and the two
     residuals at every z are normed as one batch, with one batched
-    singular-value call per block (``EigFailureError`` if it fails).
+    singular-value call per block (``EigFailureError`` if it fails).  As in
+    ``conjugate``, the shape of the array joins the batch ahead of a batched
+    pair's: a column of z against a batch of pairs gives every z for every pair.
     """
     zs = np.asarray(z, dtype=complex)
     gz = conjugate(product_flow(p), zs, x)
@@ -135,7 +137,7 @@ def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Kronecker product ``x (x) y`` on the tensor-product algebra, per member of batches."""
     blocks = [_kron(xb, yb) for xb in x.blocks for yb in y.blocks]
     dims = [na * nb for na in x.shape for nb in y.shape]
-    return AlgebraElement(BlockShape(dims), blocks)
+    return AlgebraElement._adopt(BlockShape(dims), blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +159,7 @@ def tensor_flow(alpha: FlowGenerator, beta: FlowGenerator) -> TensorFlow:
             for b in hb.blocks
         ]
         dims = [a * b for a in ha.shape for b in hb.shape]
-        return HermitianElement(AlgebraElement(BlockShape(dims), blocks))
+        return HermitianElement(AlgebraElement._adopt(BlockShape(dims), blocks))
 
     product = FlowGenerator(
         combine(alpha.h_left.value, beta.h_left.value),

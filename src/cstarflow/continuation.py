@@ -77,8 +77,16 @@ class SmearingPlan:
 
 
 def min_nodes(g: FlowGenerator, r: float, z: complex) -> int:
-    """Admissible trapezoidal node count for the flow ``g``, at ``nu_max = norm(H_l) + norm(H_r)``."""
-    return admissible_nodes(g.generator_norm(), r, z)
+    """Admissible trapezoidal node count for the flow ``g``, at ``nu_max = norm(H_l) + norm(H_r)``.
+
+    For a batch of flows, ``nu_max`` is the largest member's, so the nodes serve every member.
+    """
+    return admissible_nodes(_nu_max(g), r, z)
+
+
+def _nu_max(g: FlowGenerator) -> float:
+    """The frequency budget of a flow, the largest member's for a batch of flows."""
+    return float(np.max(g.generator_norm()))
 
 
 def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
@@ -124,7 +132,7 @@ def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) ->
     ``norm(x) exp(r^2 (Im z)^2)``, as ``admissible_nodes`` derives.
     """
     r, z = plan.r, complex(plan.z)
-    nu_max = g.generator_norm()
+    nu_max = _nu_max(g)
     if r > DEGENERATE_R and nu_max / (2.0 * r) < 1e-12:
         # The Gaussian is a delta at this scale; quadrature would be noise.
         return x if z == 0 else continue_exact(g, z, x)
@@ -186,7 +194,7 @@ def three_lines_check(g: FlowGenerator, x: AlgebraElement, z, samples: int) -> f
     y = _per_member(np.concatenate([strip.reshape(-1, *z.shape), z[None]]))
     left, right = g.spectral_left, g.spectral_right
     parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
-    norms = AlgebraElement(x.shape, [
+    norms = AlgebraElement._adopt(x.shape, [
         np.exp(1j * y * (lam[..., :, None] - mu[..., None, :])) * (_adjoint(u) @ xb @ v)
         for lam, u, mu, v, xb in parts
     ]).norm()

@@ -68,8 +68,8 @@ class FlowGenerator:
     def spectral_right(self) -> SpectralDecomposition:
         return spectral(self.h_right)
 
-    def generator_norm(self) -> float:
-        """``norm(H_l) + norm(H_r)``, the frequency budget of the flow."""
+    def generator_norm(self) -> float | np.ndarray:
+        """``norm(H_l) + norm(H_r)``, the frequency budget of the flow, per member of a batch of flows."""
         return self.h_left.norm() + self.h_right.norm()
 
     @staticmethod

@@ -140,7 +140,7 @@ def _same_module(v, w) -> None:
 def inner(v: ModuleVector, w: ModuleVector) -> AlgebraElement:
     """A-valued inner product ``sum_i w_i* v_i``, linear in ``v``."""
     _same_module(v, w)
-    return AlgebraElement(v.shape, [_adjoint(b) @ a for a, b in zip(v.stacked, w.stacked)])
+    return AlgebraElement._adopt(v.shape, [_adjoint(b) @ a for a, b in zip(v.stacked, w.stacked)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +174,7 @@ class ModuleOperator:
             np.block([[e.blocks[b] for e in row] for row in grid])
             for b in range(shape.num_blocks)
         ]
-        return cls(AlgebraElement(_flat_shape(shape, k), flats), k)
+        return cls(AlgebraElement._adopt(_flat_shape(shape, k), flats), k)
 
     @property
     def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:

@@ -4,13 +4,25 @@ All draws go through a counter-based Philox generator, so a seed fully
 determines every sample on a given platform.  Random Hermitian elements
 follow the recipe: i.i.d. standard complex Gaussian matrix G, then
 ``(G + G*)/2`` rescaled to the requested norm.
+
+Elements and flows are drawn in two steps, so that a runner can draw its
+instances one after another and finish them as one batch.  A raw draw
+(``draw_elements``, ``draw_flow``, ``draw_commuting``) takes the standard
+normals of one instance from the stream, in the order the complex
+Gaussians, unitaries and eigenvalues consume them.  Its finish
+(``elements``, ``flows``, ``commuting_flows``) forms those values from a
+raw draw, or from a stack of raw draws along leading batch axes at once,
+each member exactly as from its own draw.  ``random_elements``,
+``random_flow`` and ``random_commuting_flows`` finish a single draw.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .algebra import AlgebraElement, BlockShape, HermitianElement, stack
+from .algebra import AlgebraElement, BlockShape, HermitianElement, _adjoint
 from .flows import FlowGenerator
 from .hilbmod import ModuleOperator, ModuleVector
 from .stone import PositiveFunctional
@@ -22,7 +34,25 @@ def rng(seed: int) -> np.random.Generator:
 
 def gaussian(r: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """I.i.d. standard complex Gaussian entries, with ``E|g|**2 = 1``."""
-    return (r.standard_normal(shape) + 1j * r.standard_normal(shape)) / np.sqrt(2.0)
+    return _complex(*r.standard_normal((2, *shape)))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussian entries from the normals of their real and imaginary parts."""
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _complex_blocks(p: np.ndarray, n: int) -> np.ndarray:
+    """The n x n complex Gaussians of runs of 2 n^2 normals, real parts first."""
+    re_im = p.reshape(*p.shape[:-1], 2, n, n)
+    return _complex(re_im[..., 0, :, :], re_im[..., 1, :, :])
+
+
+def _runs(raw: np.ndarray, count: int, sizes: list[int]) -> list[np.ndarray]:
+    """The last axis of ``raw`` as ``count`` equal runs (a new axis), each cut into pieces of ``sizes``."""
+    runs = raw.reshape(*raw.shape[:-1], count, -1)
+    ends = list(itertools.accumulate(sizes))
+    return [runs[..., end - size : end] for size, end in zip(sizes, ends)]
 
 
 def _rescaled(x: AlgebraElement, norm: float) -> AlgebraElement:
@@ -31,13 +61,26 @@ def _rescaled(x: AlgebraElement, norm: float) -> AlgebraElement:
     return np.divide(norm, n, out=np.ones_like(n), where=n > 0) * x
 
 
+def draw_elements(r: np.random.Generator, shape: BlockShape, count: int) -> np.ndarray:
+    """The raw draw of ``count`` Gaussian elements: per element and block, the real parts' normals, then the imaginary."""
+    return r.standard_normal(2 * count * shape.dim)
+
+
+def elements(shape: BlockShape, raw: np.ndarray, norm: float | None = None) -> AlgebraElement:
+    """The elements of a raw ``draw_elements``, each rescaled to ``norm`` unless it is None.
+
+    ``raw`` of shape ``(*B, 2 count dim)`` gives a batch of shape ``(*B, count)``.
+    """
+    parts = _runs(raw, raw.shape[-1] // (2 * shape.dim), [2 * n * n for n in shape])
+    xs = AlgebraElement._adopt(shape, [_complex_blocks(p, n) for n, p in zip(shape, parts)])
+    return xs if norm is None else _rescaled(xs, norm)
+
+
 def random_elements(
     r: np.random.Generator, shape: BlockShape, count: int, norm: float | None = None
 ) -> AlgebraElement:
     """A batch of ``count`` Gaussian elements drawn one after another, each rescaled to ``norm`` unless it is None."""
-    draws = [[gaussian(r, (n, n)) for n in shape] for _ in range(count)]
-    xs = AlgebraElement(shape, [np.array(b) for b in zip(*draws)])
-    return xs if norm is None else _rescaled(xs, norm)
+    return elements(shape, draw_elements(r, shape, count), norm)
 
 
 def random_element(r: np.random.Generator, shape: BlockShape, norm: float | None = None) -> AlgebraElement:
@@ -45,13 +88,27 @@ def random_element(r: np.random.Generator, shape: BlockShape, norm: float | None
 
 
 def _hermitians(x: AlgebraElement, norm: float) -> list[HermitianElement]:
-    """The Hermitian parts ``(x + x*)/2`` of the members of a batch, each rescaled to ``norm``."""
+    """The Hermitian parts ``(x + x*)/2`` of a batch, each rescaled to ``norm``, one per index of its last axis."""
     hs = _rescaled(0.5 * (x + x.star()), norm)
-    return [HermitianElement(hs[i]) for i in range(len(hs.blocks[0]))]
+    return [HermitianElement(hs[..., j, :, :]) for j in range(hs.blocks[0].shape[-3])]
 
 
 def random_hermitian(r: np.random.Generator, shape: BlockShape, norm: float = 1.0) -> HermitianElement:
     return _hermitians(random_elements(r, shape, 1), norm)[0]
+
+
+def draw_flow(r: np.random.Generator, shape: BlockShape, automorphism: bool = False) -> np.ndarray:
+    """The raw draw of a flow: its one (automorphism) or two Gaussian elements."""
+    return draw_elements(r, shape, 1 if automorphism else 2)
+
+
+def flows(shape: BlockShape, raw: np.ndarray, norm: float) -> FlowGenerator:
+    """The flow of a raw ``draw_flow``: the Hermitian parts of its elements, rescaled to ``norm``, as ``(H_l, H_r)``.
+
+    A stack of raw draws gives one flow per member.
+    """
+    hs = _hermitians(elements(shape, raw), norm)
+    return FlowGenerator(hs[0], hs[-1])
 
 
 def random_flow(
@@ -60,38 +117,48 @@ def random_flow(
     norm: float = 1.0,
     automorphism: bool = False,
 ) -> FlowGenerator:
-    hs = _hermitians(random_elements(r, shape, 1 if automorphism else 2), norm)
-    return FlowGenerator(hs[0], hs[-1])
+    return flows(shape, draw_flow(r, shape, automorphism), norm)
+
+
+def _unitary(g: np.ndarray) -> np.ndarray:
+    """The unitary factor of ``g = QR``, with the phases of R's diagonal moved into it, per matrix of a stack."""
+    q, rr = np.linalg.qr(g)
+    d = np.diagonal(rr, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_unitary(r: np.random.Generator, n: int) -> np.ndarray:
-    q, rr = np.linalg.qr(gaussian(r, (n, n)))
-    return q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
+    return _unitary(gaussian(r, (n, n)))
+
+
+def draw_commuting(r: np.random.Generator, shape: BlockShape) -> np.ndarray:
+    """The raw draw of two commuting flows: for the left side, then the right, and each block,
+    the Gaussian of a unitary and the eigenvalues of the two flows' generators."""
+    return r.standard_normal(2 * sum(2 * n * (n + 1) for n in shape))
+
+
+def commuting_flows(shape: BlockShape, raw: np.ndarray, norm: float) -> tuple[FlowGenerator, FlowGenerator]:
+    """The two flows of a raw ``draw_commuting``, whose generator pairs commute sidewise exactly.
+
+    Left generators are diagonal in one random basis, right generators in
+    another, so the commutators vanish up to rounding.  A stack of raw
+    draws gives one pair per member.
+    """
+    blocks = []
+    for n, p in zip(shape, _runs(raw, 2, [2 * n * (n + 1) for n in shape])):
+        u = _unitary(_complex_blocks(p[..., : 2 * n * n], n))  # (..., side, n, n)
+        eig = np.swapaxes(p[..., 2 * n * n :].reshape(*p.shape[:-1], 2, n), -2, -3)  # (..., flow, side, n)
+        gens = (u[..., None, :, :, :] * eig[..., None, :]) @ _adjoint(u)[..., None, :, :, :]
+        blocks.append(gens.reshape(*gens.shape[:-4], 4, n, n))  # alpha left, alpha right, beta left, beta right
+    hs = _hermitians(AlgebraElement._adopt(shape, blocks), norm)
+    return FlowGenerator(hs[0], hs[1]), FlowGenerator(hs[2], hs[3])
 
 
 def random_commuting_flows(
     r: np.random.Generator, shape: BlockShape, norm: float = 1.0
 ) -> tuple[FlowGenerator, FlowGenerator]:
-    """Two flows whose generator pairs commute sidewise exactly.
-
-    Left generators are diagonal in one random basis, right generators
-    in another, so the commutators vanish up to rounding.
-    """
-
-    def diag_pair():
-        blocks_a, blocks_b = [], []
-        for n in shape:
-            u = random_unitary(r, n)
-            da = r.standard_normal(n)
-            db = r.standard_normal(n)
-            blocks_a.append((u * da) @ u.conj().T)
-            blocks_b.append((u * db) @ u.conj().T)
-        return AlgebraElement(shape, blocks_a), AlgebraElement(shape, blocks_b)
-
-    al, bl = diag_pair()
-    ar, br = diag_pair()
-    hs = _hermitians(stack([al, ar, bl, br]), norm)
-    return FlowGenerator(hs[0], hs[1]), FlowGenerator(hs[2], hs[3])
+    """Two flows whose generator pairs commute sidewise exactly (see ``commuting_flows``)."""
+    return commuting_flows(shape, draw_commuting(r, shape), norm)
 
 
 def random_vector(r: np.random.Generator, shape: BlockShape, k: int) -> ModuleVector:

@@ -24,6 +24,10 @@ from .hilbmod import ModuleOperator, ModuleVector
 
 
 def element_to_payload(x: AlgebraElement) -> dict:
+    """The payload of one element; ``ValueError`` for a batch, which the format cannot hold."""
+    batch = x.blocks[0].shape[:-2]
+    if batch:
+        raise ValueError(f"a payload holds one element, not a batch of shape {batch}")
     blocks = []
     for b in x.blocks:
         blocks.append([[float(v.real), float(v.imag)] for v in b.ravel()])

@@ -191,7 +191,7 @@ def _principal_log_phases(u: ModuleOperator) -> ModuleOperator:
         phases -= 2.0 * np.pi * np.ceil((phases - np.pi) / (2.0 * np.pi))
         k = (z * phases) @ z.conj().T
         flats.append((k + k.conj().T) / 2.0)
-    return ModuleOperator(AlgebraElement(u.flat.shape, flats), u.k)
+    return ModuleOperator(AlgebraElement._adopt(u.flat.shape, flats), u.k)
 
 
 def recover_generator(u: SampledUnitaryGroup, t0: float) -> ModuleOperator:

@@ -1,5 +1,7 @@
 """Block algebra core: *-operations, norms, functional calculus, powers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -318,6 +320,34 @@ class TestStrictPositivity:
         roots = np.roots([1.0, -4.0, 3.0])
         assert sorted(roots.real) == pytest.approx([1.0, 3.0])
         assert is_strictly_positive(t)
+
+
+class TestFrozenBlocks:
+    def test_a_caller_array_is_copied(self):
+        block = np.array([[1.0, 2.0], [3.0, 4.0j]])
+        x = AlgebraElement(BlockShape([2]), [block])
+        block[0, 0] = 99.0
+        assert x.blocks[0][0, 0] == 1.0
+        assert not np.shares_memory(x.blocks[0], block)
+
+    def test_operation_results_are_read_only(self):
+        x = random_element(rng(7), BlockShape([2, 3]))
+        y = x.star()
+        for z in (x, y, x + y, 2.0 * x, x @ y, stack([x, y])[1], herm_calculus(HermitianElement(x + y), np.exp)):
+            assert all(not b.flags.writeable for b in z.blocks)
+            with pytest.raises(ValueError):
+                z.blocks[0][0, 0] = 1.0
+
+    def test_an_operation_holds_its_result_once(self):
+        # a 256 x 256 complex block is 1 MiB: a copy of the fresh sum would take the peak to 2 MiB
+        x = random_element(rng(8), BlockShape([256]))
+        tracemalloc.start()
+        try:
+            x + x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestInvariants:

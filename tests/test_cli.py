@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarflow.algebra import AlgebraElement, BlockShape, HermitianElement
+from cstarflow.algebra import AlgebraElement, BlockShape, HermitianElement, identity
 from cstarflow.cli import (
     COMMON,
     COND,
@@ -34,6 +34,7 @@ from cstarflow.cli import (
     MAX_WORK,
     NODES,
     SIZE,
+    STRIP_SAMPLES,
     WORK,
     ScenarioConfig,
     load_config,
@@ -1008,12 +1009,18 @@ def _shifted(flow: FlowGenerator, delta: float) -> FlowGenerator:
                          HermitianElement(flow.h_right.value + delta * ones))
 
 
+def _left_shifted(flow: FlowGenerator, delta: float) -> FlowGenerator:
+    """``flow`` with ``delta`` times the identity added to its left generator, which commutes with every generator."""
+    return FlowGenerator(HermitianElement(flow.h_left.value + delta * identity(flow.shape)), flow.h_right)
+
+
 def _wrapped(module, name: str, wrap):
     """A fault: ``module.name`` replaced by ``wrap(original)``."""
     return lambda monkeypatch: monkeypatch.setattr(module, name, wrap(getattr(module, name)))
 
 
 cli_mod = importlib.import_module("cstarflow.cli")
+composition_mod = importlib.import_module("cstarflow.composition")
 implemented_mod = importlib.import_module("cstarflow.implemented")
 # the time and z of a flow bent off the group law, t -> t + 1e-7 t^2
 BENT_EVALUATE = _wrapped(cli_mod, "evaluate", lambda exact: lambda g, t, x: exact(g, t + 1e-7 * np.square(t), x))
@@ -1047,6 +1054,9 @@ WITNESS_FAULTS = {
                                          exact(g, x, z, samples) + 1e-6 * x.norm()), {"three_lines"}),
     ("tensor", "tensor_continuation"): (_wrapped(cli_mod, "tensor_flow", lambda exact: lambda a, b: dataclasses.replace(
         exact(a, b), product=_shifted(exact(a, b).product, 1e-6))), {"tensor_continuation"}),
+    # gamma_z times exp(i z 1e-5): the pair still commutes, and its product flow misses alpha_z beta_z
+    ("tensor", "commuting_continuation"): (_wrapped(composition_mod, "product_flow", lambda exact: lambda p:
+                                                    _left_shifted(exact(p), 1e-5)), {"commuting_continuation"}),
     ("implemented", "localized_middle"): (_wrapped(implemented_mod, "middle_multiplier", lambda exact: lambda s, x, t:
                                                    exact(s, x, t) + 1e-5 * identity_operator(s.shape, s.k)),
                                           {"localized_middle"}),
@@ -1095,6 +1105,40 @@ def test_verify_batches_stay_within_the_grid_budget(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak < 8 * 16 * 2**16
     assert len((tmp_path / "verify.csv").read_text().splitlines()) == 1 + 6 * 24
+
+
+def test_tensor_batches_stay_within_the_grid_budget(tmp_path, monkeypatch):
+    # the budget is scaled down so the test stays small: at [5, 5] an instance stacks 9 grid points of
+    # 50^2 entries, so batches hold two instances; one batch of all 24 peaks near 30 MB, a batch of two near 3 MB
+    monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", 2**16)
+    config, problems = validate({"experiment": "tensor", "seed": 1, "shape": [5, 5], "instances": 24})
+    assert problems == []
+    tracemalloc.start()
+    try:
+        assert run(config, tmp_path, quiet=True).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * 2**16
+    assert len((tmp_path / "tensor.csv").read_text().splitlines()) == 1 + 2 * 9 * 24
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("name", ["verify", "tensor"])
+def test_batches_write_the_bytes_of_one_batch(name, size, tmp_path, monkeypatch):
+    config = load_config(CONFIG_DIR / f"{name}.json")
+    run(config, tmp_path / "whole", quiet=True)
+    # the grid budget at which a batch holds `size` instances of the bundled config
+    per_instance = {"verify": (STRIP_SAMPLES + 1) * config.shape.dim,
+                    "tensor": len(config.z_grid()) * config.shape.dim**2}[name]
+    monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", size * per_instance)
+    batch, sizes = getattr(cli_mod, f"_{name}_batch"), []
+    monkeypatch.setattr(cli_mod, f"_{name}_batch", lambda cfg, r, members, report:
+                        sizes.append(len(members)) or batch(cfg, r, members, report))
+    run(config, tmp_path / "batched", quiet=True)
+    assert sizes == [size] * (config.instances // size) + [1] * (config.instances % size)
+    for path in (tmp_path / "whole").iterdir():
+        assert (tmp_path / "batched" / path.name).read_bytes() == path.read_bytes()
 
 
 class TestArtifacts:

@@ -16,6 +16,7 @@ from cstarflow import (
     HermitianElement,
     NodesTooFewError,
     NotCommutingError,
+    SmearingPlan,
     continue_exact,
     double_smear,
     evaluate,
@@ -25,6 +26,7 @@ from cstarflow import (
     min_nodes,
     product_flow,
     smear_oracle,
+    smear_quadrature,
     tensor_continuation_check,
     tensor_element,
     tensor_flow,
@@ -349,6 +351,23 @@ class TestBatchedFlows:
         for i, (a, b) in enumerate(pairs):
             assert gamma[i] == gamma_continuation_check(CommutingPair(a, b), zs[i], x[i])
             assert tensor[i] == tensor_continuation_check(tensor_flow(a, b), zs[i], x[i], y[i])
+
+    def test_smears_of_a_batch_give_each_member_its_own(self):
+        # the nodes are planned at the largest member's norm, and every member is smeared on them
+        r = rng(26)
+        shape = BlockShape([2, 3])
+        pairs = [random_commuting_flows(r, shape, norm) for norm in (1.0, 3.0)]
+        alpha, beta = batched_flow([a for a, _ in pairs]), batched_flow([b for _, b in pairs])
+        x = random_element(r, shape, 1.0)
+        n, z = 1.5, 0.2 + 0.3j
+        plan = SmearingPlan.for_flow(alpha, n, z)
+        assert plan.nodes == max(SmearingPlan.for_flow(a, n, z).nodes for a, _ in pairs)
+        nodes = (plan.nodes, min_nodes(beta, n, z))
+        smears, doubles = smear_quadrature(alpha, x, plan), double_smear(CommutingPair(alpha, beta), x, n, z)
+        for i, (a, b) in enumerate(pairs):
+            for batch, member in ((smears, smear_quadrature(a, x, plan)),
+                                  (doubles, double_smear(CommutingPair(a, b), x, n, z, nodes))):
+                assert all(np.array_equal(p, q) for p, q in zip(batch[i].blocks, member.blocks))
 
     def test_one_non_commuting_member_is_refused(self):
         r = rng(25)

@@ -4,11 +4,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement
-from cstarflow.sampling import random_element, random_flow, random_operator, random_vector, rng
+from cstarflow.sampling import random_element, random_elements, random_flow, random_operator, random_vector, rng
 from cstarflow.serialize import (
     dumps,
     element_from_payload,
@@ -114,3 +115,9 @@ def test_payload_roundtrip_bitwise_hypothesis(seed, dims, k, scale, doubles):
     assert back_vec.k == k and back_vec.shape == v.shape
     for a, b in zip(back_vec.stacked, v.stacked):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_batch_is_refused_with_its_shape():
+    xs = random_elements(rng(1), BlockShape([2]), 4)
+    with pytest.raises(ValueError, match=r"not a batch of shape \(4,\)"):
+        element_to_payload(xs)
