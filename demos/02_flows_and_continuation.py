@@ -44,4 +44,4 @@ comp = continue_exact(g, y, continue_exact(g, z, x))
 print("  composition resid :", (comp - continue_exact(g, y + z, x)).norm())
 
 # The strip bound: no interior point beats the boundary norms.
-print("  strip-bound excess:", three_lines_check(g, x, z, samples=49))
+print("  strip-bound excess:", three_lines_check(g, x, z))

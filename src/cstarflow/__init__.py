@@ -9,12 +9,12 @@ positive module operators.
 """
 
 from .algebra import (
-    EIG_TOL,
     HERM_TOL,
     POS_TOL_FACTOR,
     AlgebraElement,
     BlockShape,
     HermitianElement,
+    PositiveFunctional,
     SpectralDecomposition,
     eigenvalues,
     herm_calculus,
@@ -100,7 +100,6 @@ from .implemented import (
 from .stone import (
     InducedOperator,
     Localization,
-    PositiveFunctional,
     SampledUnitaryGroup,
     hermitian_matrix_power,
     induce,

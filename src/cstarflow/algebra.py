@@ -20,6 +20,9 @@ stacked linear algebra makes, for each member, the LAPACK or BLAS call it
 makes for one matrix, so a batch gives each member's own values and pays
 numpy's fixed cost per call once.
 
+``PositiveFunctional`` is a positive functional on the algebra, given by
+a density element ``rho``: ``a -> sum_b tr(rho_b a_b)``.
+
 Every norm is an exact largest singular value from LAPACK's gesdd with
 singular values only, called through ``np.linalg.svd`` by
 ``largest_singular_value``, so the module needs numpy alone.  ``norm`` is a
@@ -27,9 +30,8 @@ float for a single element and an array of shape ``B`` for a batch.
 
 Tolerances follow double-precision headroom at desk scale (block
 dimensions up to 64): ``HERM_TOL`` and ``POS_TOL_FACTOR`` are relative
-1e-10, ``EIG_TOL`` relative 1e-9.  Functional calculus always symmetrizes
-its input as ``(H + H*)/2`` first, so it is total on near-Hermitian
-input.  Eigenvalues are returned in ascending order; the ordering never
+1e-10.  Functional calculus always symmetrizes its input as
+``(H + H*)/2`` first, so it is total on near-Hermitian input.  Eigenvalues are returned in ascending order; the ordering never
 affects any result, only the reproducibility of intermediate dumps.
 
 All values are immutable after construction and every operation is a
@@ -51,7 +53,6 @@ import numpy as np
 from .errors import EigFailureError, NotStrictlyPositiveError, ShapeMismatchError
 
 HERM_TOL = 1e-10
-EIG_TOL = 1e-9
 POS_TOL_FACTOR = 1e-10
 
 
@@ -426,3 +427,26 @@ def power(t: AlgebraElement, z) -> AlgebraElement:
     zs = np.asarray(z, dtype=complex)[..., None]
     sd = spectral(t)
     return AlgebraElement._adopt(t.shape, sd._calculus([np.exp(zs * np.log(lam)) for lam in sd.eigenvalues]))
+
+
+@dataclass(frozen=True, eq=False)
+class PositiveFunctional:
+    """Positive functional on the algebra, given by a density element."""
+
+    rho: AlgebraElement
+
+    def __post_init__(self):
+        r = self.rho
+        if not r.is_hermitian(1e-12):
+            raise ValueError("density element is not Hermitian")
+        lo = float(np.min(eigenvalues(r)))
+        if lo < -1e-12 * max(r.norm(), 1e-300):
+            raise ValueError(f"density element has negative eigenvalue {lo:.3e}")
+
+    @property
+    def shape(self) -> BlockShape:
+        return self.rho.shape
+
+    def value(self, a: AlgebraElement) -> complex:
+        """``sum_k tr(rho_k a_k)``."""
+        return complex(sum(np.trace(r @ b) for r, b in zip(self.rho.blocks, a.blocks)))

@@ -49,6 +49,7 @@ from . import sampling
 from .algebra import AlgebraElement, BlockShape, HermitianElement, herm_calculus, power, stack
 from .continuation import (
     MAX_NODES,
+    STRIP_SIZE,
     SmearingPlan,
     admissible_nodes,
     continue_exact,
@@ -97,8 +98,6 @@ MAX_GRID_SIZE = 2**22
 MAX_GROWTH = 0.5 * math.log(sys.float_info.max)
 # Work of verify and tensor: instances x dense entries per instance.
 MAX_WORK = 2**27
-# Strip samples of verify's three_lines check; the strip holds them and z, 26 elements per instance.
-STRIP_SAMPLES = 25
 # Spectral spread of the random positive operators of stone and implemented,
 # whose log then has norm at most ln(COND) / 2.
 COND = 1e3
@@ -449,8 +448,8 @@ def _in_batches(cfg: ScenarioConfig, report: ExitReport, entries: int, batch: Ca
 
 
 def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
-    # each instance's three_lines strip holds STRIP_SAMPLES + 1 elements
-    return _in_batches(cfg, report, (STRIP_SAMPLES + 1) * cfg.shape.dim, _verify_batch)
+    # each instance's three_lines strip holds STRIP_SIZE elements
+    return _in_batches(cfg, report, STRIP_SIZE * cfg.shape.dim, _verify_batch)
 
 
 def _verify_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, report: ExitReport) -> list[tuple]:
@@ -483,7 +482,7 @@ def _verify_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, r
     scales = {"group_law": x.norm(), "inverse": x.norm(), "composition_same_side": np.maximum(direct.norm(), x.norm()),
               "semi_mult_left": a.norm() * b.norm(), "semi_mult_right": a.norm() * b.norm()}
     measured = {name: report.observe(name, resid.norm(), scales[name]) for name, resid in resids.items()}
-    measured["three_lines"] = report.observe("three_lines", three_lines_check(g, x, z, STRIP_SAMPLES),
+    measured["three_lines"] = report.observe("three_lines", three_lines_check(g, x, z),
                                              np.maximum(x.norm(), xz.norm()))
     bounds = {c.name: c.bound for c in report.checks}
     per_instance = zip(*(ratios.tolist() for ratios in measured.values()))

@@ -33,14 +33,17 @@ import numpy as np
 
 from .algebra import AlgebraElement, _adjoint, _per_member, coordinate_rows, sandwich
 from .errors import NodesTooFewError, NotSeparatingError
-from .flows import FlowGenerator, conjugate
+from .flows import FlowGenerator, _phases, conjugate
 
 QUAD_TARGET = 1e-8
 L, A = 6.0, 12.0  # half-width and alias margin of the trapezoidal rule (see admissible_nodes)
-DEGENERATE_R = 1e6
 # Phase tables are nodes x n per block: at n = 64 the cap keeps each at
 # 16 MiB, far above the largest plan in the benchmarks (87).
 MAX_NODES = 2**14
+# three_lines_check samples the strip on a STRIP_GRID x STRIP_GRID grid; with z itself
+# for the bound, it forms STRIP_SIZE elements per member.
+STRIP_GRID = 5
+STRIP_SIZE = STRIP_GRID * STRIP_GRID + 1
 
 
 @dataclass(frozen=True)
@@ -81,12 +84,7 @@ def min_nodes(g: FlowGenerator, r: float, z: complex) -> int:
 
     For a batch of flows, ``nu_max`` is the largest member's, so the nodes serve every member.
     """
-    return admissible_nodes(_nu_max(g), r, z)
-
-
-def _nu_max(g: FlowGenerator) -> float:
-    """The frequency budget of a flow, the largest member's for a batch of flows."""
-    return float(np.max(g.generator_norm()))
+    return admissible_nodes(float(np.max(g.generator_norm())), r, z)
 
 
 def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
@@ -132,10 +130,6 @@ def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) ->
     ``norm(x) exp(r^2 (Im z)^2)``, as ``admissible_nodes`` derives.
     """
     r, z = plan.r, complex(plan.z)
-    nu_max = _nu_max(g)
-    if r > DEGENERATE_R and nu_max / (2.0 * r) < 1e-12:
-        # The Gaussian is a delta at this scale; quadrature would be noise.
-        return x if z == 0 else continue_exact(g, z, x)
     needed = min_nodes(g, r, z)
     if plan.nodes < needed:
         raise NodesTooFewError(f"plan has {plan.nodes} nodes, needs >= {needed}")
@@ -168,35 +162,34 @@ def smear_oracle(g: FlowGenerator, x: AlgebraElement, r, z) -> AlgebraElement:
     return sandwich(g.spectral_left, g.spectral_right, x, gaussian_fourier)
 
 
-def three_lines_check(g: FlowGenerator, x: AlgebraElement, z, samples: int) -> float | np.ndarray:
+def three_lines_check(g: FlowGenerator, x: AlgebraElement, z) -> float | np.ndarray:
     """Worst excess of ``norm(alpha_y(x))`` over ``max(norm(x), norm(alpha_z(x)))``.
 
-    Samples ``y`` on a uniform grid over the strip of ``z`` with real
-    part in [-2, 2], boundary lines included (that is where the bound is
-    tight).  A nonpositive return value, up to rounding, is the maximum
-    principle for the continuation.  For batches (a flow, ``x`` and an
-    array of z with one member each) the excess is returned per member.
+    Samples ``y`` on the uniform ``STRIP_GRID x STRIP_GRID`` grid over the
+    strip of ``z`` with real part in [-2, 2], boundary lines included
+    (that is where the bound is tight).  A nonpositive return value, up
+    to rounding, is the maximum principle for the continuation.  For
+    batches (a flow, ``x`` and an array of z with one member each) the
+    excess is returned per member.
 
     The strip norms are taken in the joint eigenbasis of the generators:
     ``alpha_y(x) = U (F_y o X) V*`` with ``X = U* x V`` and
-    ``F_y = exp(iy(lam_j - mu_k))``, and the unitaries ``U, V`` leave the
-    norm unchanged, so each block rotates ``x`` once and the strip, with
-    ``z`` itself for the bound, is one batch ``F_y o X`` whose norms take
-    one batched singular-value call per block.  Raises ``EigFailureError``
+    ``F_y = exp(iy(lam_j - mu_k))``, the factor of ``flows.conjugate``,
+    and the unitaries ``U, V`` leave the norm unchanged, so each block
+    rotates ``x`` once and the strip, with ``z`` itself for the bound, is
+    one batch ``F_y o X`` whose norms take one batched singular-value
+    call per block.  Raises ``EigFailureError``
     when that call fails or returns NaN.
     """
-    if samples < 1:
-        raise ValueError("need at least one strip sample")
     z = np.asarray(z, dtype=complex)
-    grid = np.linspace(0.0, 1.0, max(2, math.ceil(math.sqrt(samples))))
+    grid = np.linspace(0.0, 1.0, STRIP_GRID)
     im = np.multiply.outer(grid, z.imag)
     strip = (-2.0 + 4.0 * grid).reshape(-1, *[1] * im.ndim) + 1j * im[None]
-    y = _per_member(np.concatenate([strip.reshape(-1, *z.shape), z[None]]))
+    phases = _phases(np.concatenate([strip.reshape(-1, *z.shape), z[None]]))
     left, right = g.spectral_left, g.spectral_right
     parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
     norms = AlgebraElement._adopt(x.shape, [
-        np.exp(1j * y * (lam[..., :, None] - mu[..., None, :])) * (_adjoint(u) @ xb @ v)
-        for lam, u, mu, v, xb in parts
+        phases(lam, mu) * (_adjoint(u) @ xb @ v) for lam, u, mu, v, xb in parts
     ]).norm()
     return np.max(norms[:-1], axis=0) - np.maximum(x.norm(), norms[-1])
 

@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import _per_member, power, sandwich, spectral
+from .algebra import power, sandwich, spectral
 from .errors import (
     IllConditionedError,
     InvarianceViolationError,
     NotInAlgebraError,
     NotStrictlyPositiveError,
 )
+from .flows import _phases
 from .hilbmod import (
     SPAN_TOL,
     ModuleOperator,
@@ -102,7 +103,8 @@ def implemented_continuation_check(f: ImplementedFlow, z, x: ModuleOperator) -> 
     """Residual between the two continuation routes, per z of an array.
 
     Route one runs through the joint eigenbases of the implementing
-    pair; route two is the closed middle product
+    pair, with the phase factor of ``flows.conjugate`` at the logarithms
+    of their eigenvalues; route two is the closed middle product
     ``S**(iz) x T**(-iz)`` assembled from complex powers.  The two
     agree up to rounding for well-conditioned pairs.
 
@@ -115,13 +117,9 @@ def implemented_continuation_check(f: ImplementedFlow, z, x: ModuleOperator) -> 
         raise NotInAlgebraError("element lies outside the carrier span")
     _same_module(x, f.s)
     zs = np.asarray(z, dtype=complex)
-    phase = _per_member(zs)
-
-    def log_phase(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        nu = np.log(lam.astype(complex))[..., :, None] - np.log(mu.astype(complex))[..., None, :]
-        return np.exp(1j * phase * nu)
-
-    lhs = sandwich(spectral(f.s.flat), spectral(f.t.flat), x.flat, log_phase)
+    phases = _phases(zs)
+    lhs = sandwich(spectral(f.s.flat), spectral(f.t.flat), x.flat,
+                   lambda lam, mu: phases(np.log(lam.astype(complex)), np.log(mu.astype(complex))))
     return (lhs - power(f.s.flat, 1j * zs) @ x.flat @ power(f.t.flat, -1j * zs)).norm()
 
 

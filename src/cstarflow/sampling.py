@@ -22,10 +22,9 @@ import itertools
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockShape, HermitianElement, _adjoint
+from .algebra import AlgebraElement, BlockShape, HermitianElement, PositiveFunctional, _adjoint
 from .flows import FlowGenerator
 from .hilbmod import ModuleOperator, ModuleVector
-from .stone import PositiveFunctional
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -54,6 +54,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     BlockShape,
+    PositiveFunctional,
     as_z_grid,
     eigenvalues,
     herm_calculus,
@@ -79,6 +80,7 @@ from .hilbmod import (
     op_power,
     strictly_positive,
 )
+from .sampling import gaussian, rng
 
 GNS_TOL = 1e-10
 POWER_POS_TOL = 1e-12
@@ -97,29 +99,6 @@ RESIDUAL_TIMES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)
 PROBES = 10
 PROBE_ALPHA = 4.0
 PROBE_SEED = 2011
-
-
-@dataclass(frozen=True, eq=False)
-class PositiveFunctional:
-    """Positive functional on the algebra, given by a density element."""
-
-    rho: AlgebraElement
-
-    def __post_init__(self):
-        r = self.rho
-        if not r.is_hermitian(1e-12):
-            raise ValueError("density element is not Hermitian")
-        lo = float(np.min(eigenvalues(r)))
-        if lo < -1e-12 * max(r.norm(), 1e-300):
-            raise ValueError(f"density element has negative eigenvalue {lo:.3e}")
-
-    @property
-    def shape(self) -> BlockShape:
-        return self.rho.shape
-
-    def value(self, a: AlgebraElement) -> complex:
-        """``sum_k tr(rho_k a_k)``."""
-        return complex(sum(np.trace(r @ b) for r, b in zip(self.rho.blocks, a.blocks)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,8 +421,6 @@ def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOpe
     the same value; the probability is over the choice of stream.  A
     non-finite probe norm raises ``EigFailureError``.
     """
-    from .sampling import gaussian, rng  # sampling imports this module
-
     stream = rng(PROBE_SEED)
     worst = 0.0
     for b, (f, n, r) in enumerate(zip(a.flat.blocks, loc.shape, loc.ranks)):

@@ -108,7 +108,7 @@ def test_criterion_2_three_lines_bound():
         x = random_element(r, shape, 1.0)
         z = complex(float(r.uniform(-1, 1)), float(r.uniform(-1, 1)))
         scale = max(x.norm(), continue_exact(g, z, x).norm())
-        worst = max(worst, three_lines_check(g, x, z, 25) / scale)
+        worst = max(worst, three_lines_check(g, x, z) / scale)
     report(2, "strip maximum principle, 50 x 25 samples", worst, 1e-9)
 
 

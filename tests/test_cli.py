@@ -34,7 +34,6 @@ from cstarflow.cli import (
     MAX_WORK,
     NODES,
     SIZE,
-    STRIP_SAMPLES,
     WORK,
     ScenarioConfig,
     load_config,
@@ -43,7 +42,7 @@ from cstarflow.cli import (
     run,
     validate,
 )
-from cstarflow.continuation import MAX_NODES
+from cstarflow.continuation import MAX_NODES, STRIP_SIZE
 from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError, NotAGroupError
 from cstarflow.flows import FlowGenerator
 from cstarflow.hilbmod import identity_operator, op_log
@@ -919,8 +918,6 @@ class TestMain:
     def test_breakdown_in_a_localization_norm_exits_three(self, tmp_path, monkeypatch, capsys):
         # a NaN out of the induced-power oracle reaches the spectral norm of
         # the intertwining residual, which must report it as a breakdown
-        stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
-
         def nan_power(m, z):  # one power per z of a grid, like the oracle
             return np.full(np.shape(z) + m.shape, np.nan, dtype=complex)
 
@@ -955,7 +952,6 @@ class TestMain:
     def test_residual_grid_miss_exits_one(self, tmp_path, monkeypatch):
         # a residual-grid error over its bound is a tolerance miss of the run, with its CSV,
         # while the library's stone() and recovery_report() still refuse the evaluator
-        stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
         exact = stone_mod._residual_grid
         monkeypatch.setattr(stone_mod, "_residual_grid",
                             lambda u, t_op: [(t, err + 2e-8) for t, err in exact(u, t_op)])
@@ -1022,6 +1018,7 @@ def _wrapped(module, name: str, wrap):
 cli_mod = importlib.import_module("cstarflow.cli")
 composition_mod = importlib.import_module("cstarflow.composition")
 implemented_mod = importlib.import_module("cstarflow.implemented")
+stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
 # the time and z of a flow bent off the group law, t -> t + 1e-7 t^2
 BENT_EVALUATE = _wrapped(cli_mod, "evaluate", lambda exact: lambda g, t, x: exact(g, t + 1e-7 * np.square(t), x))
 BENT_CONTINUATION = _wrapped(cli_mod, "continue_exact",
@@ -1038,6 +1035,17 @@ def _drifted_smears(monkeypatch):
         g, x, dataclasses.replace(plan, z=plan.z + 0.01 / plan.r)))
 
 
+def _grown_recovery(monkeypatch):
+    """The recovered T grown by 1e-5: its powers T_rec**(iz) miss T**(iz) as well, by about as much."""
+    exact = cli_mod._stone_and_report
+
+    def grown(u, t0):
+        t_rec, record = exact(u, t0)
+        return (1.0 + 1e-5) * t_rec, record
+
+    monkeypatch.setattr(cli_mod, "_stone_and_report", grown)
+
+
 # (experiment, check): a fault of the runner's wiring or of a kernel it calls, and every check
 # the fault fails; it puts its own check 1e2 to 1e6 times over the bound on the bundled config,
 # or above a bound of 0
@@ -1050,8 +1058,8 @@ WITNESS_FAULTS = {
     ("verify", "semi_mult_right"): (
         _wrapped(cli_mod, "right_companion", lambda exact: lambda g: _shifted(exact(g), 1e-7)), {"semi_mult_right"}),
     # the strip's largest norm raised by 1e-6 norm(x) in the excess the runner is handed
-    ("verify", "three_lines"): (_wrapped(cli_mod, "three_lines_check", lambda exact: lambda g, x, z, samples:
-                                         exact(g, x, z, samples) + 1e-6 * x.norm()), {"three_lines"}),
+    ("verify", "three_lines"): (_wrapped(cli_mod, "three_lines_check", lambda exact: lambda g, x, z:
+                                         exact(g, x, z) + 1e-6 * x.norm()), {"three_lines"}),
     ("tensor", "tensor_continuation"): (_wrapped(cli_mod, "tensor_flow", lambda exact: lambda a, b: dataclasses.replace(
         exact(a, b), product=_shifted(exact(a, b).product, 1e-6))), {"tensor_continuation"}),
     # gamma_z times exp(i z 1e-5): the pair still commutes, and its product flow misses alpha_z beta_z
@@ -1073,9 +1081,28 @@ WITNESS_FAULTS = {
     # approximants shrunk by 1e-3 meet both caps, and converge to 0.999 x
     ("converge", "core_rescale_convergence"): (_wrapped(cli_mod, "core_rescale", lambda exact: lambda *args:
                                                         (1.0 - 1e-3) * exact(*args)), {"core_rescale_convergence"}),
+    ("stone", "recovery_error"): (_grown_recovery, {"recovery_error", "continuation"}),
+    # the recovered T's powers on the probe grid taken at z + 1e-7 z^2, as the residual grid compares them
+    ("stone", "residual_grid"): (_wrapped(stone_mod, "power", lambda exact: lambda t, z:
+                                          exact(t, z + 1e-7 * np.square(z))), {"residual_grid"}),
+    ("stone", "continuation"): (_grown_recovery, {"recovery_error", "continuation"}),
     ("stone", "gram_identity"): (_wrapped(PositiveFunctional, "value", lambda exact: lambda omega, a:
                                           (1.0 + 1e-6) * exact(omega, a)), {"gram_identity"}),
+    # the dense oracle's powers of the induced factors grown by 1e-6
+    ("stone", "induced_power"): (_wrapped(stone_mod, "hermitian_matrix_power", lambda exact: lambda m, z:
+                                          (1.0 + 1e-6) * exact(m, z)), {"induced_power"}),
+    # the 1e-3 identity shift vanishes, so the compared pair is T and T itself, which every state sees as equal
+    ("stone", "separating_detects"): (_wrapped(cli_mod, "identity_operator", lambda exact: lambda shape, k:
+                                               0.0 * exact(shape, k)), {"separating_detects"}),
+    # the eigenbasis route's phases taken at z + 1e-7 z^2, off the complex powers' route
+    ("implemented", "continuation_formula"): (_wrapped(implemented_mod, "_phases", lambda exact: lambda z:
+                                                       exact(z + 1e-7 * np.square(z))), {"continuation_formula"}),
 }
+
+
+def test_every_declared_check_has_a_witness_fault():
+    declared = {(name, check) for name, experiment in EXPERIMENTS.items() for check in experiment.checks}
+    assert set(WITNESS_FAULTS) == declared
 
 
 @pytest.mark.parametrize("key", WITNESS_FAULTS, ids=[f"{name}-{check}" for name, check in WITNESS_FAULTS])
@@ -1129,7 +1156,7 @@ def test_batches_write_the_bytes_of_one_batch(name, size, tmp_path, monkeypatch)
     config = load_config(CONFIG_DIR / f"{name}.json")
     run(config, tmp_path / "whole", quiet=True)
     # the grid budget at which a batch holds `size` instances of the bundled config
-    per_instance = {"verify": (STRIP_SAMPLES + 1) * config.shape.dim,
+    per_instance = {"verify": STRIP_SIZE * config.shape.dim,
                     "tensor": len(config.z_grid()) * config.shape.dim**2}[name]
     monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", size * per_instance)
     batch, sizes = getattr(cli_mod, f"_{name}_batch"), []
@@ -1174,7 +1201,6 @@ class TestArtifacts:
         assert max(err for _, err in recovery["residual_grid"]) <= 1e-8
 
     def test_stone_recovers_the_generator_once(self, tmp_path, monkeypatch):
-        stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
         calls = []
         recover = stone_mod._recover_with_trace
 
@@ -1188,7 +1214,6 @@ class TestArtifacts:
 
     def test_stone_powers_only_kronecker_factors(self, tmp_path, monkeypatch):
         # the induced_power oracle works at size k n_b = 20, never at d = 272
-        stone_mod = importlib.import_module("cstarflow.stone")
         sizes = []
         power = stone_mod.hermitian_matrix_power
 

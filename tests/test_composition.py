@@ -369,6 +369,19 @@ class TestBatchedFlows:
                                   (doubles, double_smear(CommutingPair(a, b), x, n, z, nodes))):
                 assert all(np.array_equal(p, q) for p, q in zip(batch[i].blocks, member.blocks))
 
+    def test_smears_of_a_batch_keep_the_batch_at_a_very_wide_width(self):
+        # at r = 1e7 and norm 1e-9 the Gaussian is nearly a delta, and the smear still takes
+        # the one trapezoidal path, for the batch as for each member
+        r = rng(28)
+        shape = BlockShape([2])
+        flows = [random_flow(r, shape, 1e-9) for _ in range(2)]
+        x = random_element(r, shape)
+        plan = SmearingPlan.for_flow(batched_flow(flows), 1e7)
+        smears = smear_quadrature(batched_flow(flows), x, plan)
+        assert smears.blocks[0].shape == (2, 2, 2)
+        for i, f in enumerate(flows):
+            assert all(np.array_equal(p, q) for p, q in zip(smears[i].blocks, smear_quadrature(f, x, plan).blocks))
+
     def test_one_non_commuting_member_is_refused(self):
         r = rng(25)
         shape = BlockShape([2, 3])
