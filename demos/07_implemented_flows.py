@@ -49,7 +49,7 @@ for z, resid in zip(zs, implemented_continuation_check(flow, zs, x)):
 
 # Localizations turn middle products into middle products.
 omega = random_state(r, shape)
-loc = localize(omega, shape, k)
+loc = localize(omega, k)
 print("localized middle product residual:",
       localized_middle_check(loc, s, x, t))
 print("middle product norm:", middle_multiplier(s, x, t).norm())

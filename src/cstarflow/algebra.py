@@ -218,7 +218,7 @@ def _over_blocks(values) -> float | np.ndarray:
     """The largest of per-block values, per member: a float, or a read-only array of shape ``B``."""
     values = list(values)
     if np.ndim(values[0]) == 0:
-        return max(values)
+        return float(max(values))
     top = np.max(values, axis=0)
     top.flags.writeable = False
     return top
@@ -262,14 +262,6 @@ def coordinate_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
     Leading axes carry through: a batch of blocks gives one row per member.
     """
     return np.concatenate([b.reshape(*b.shape[:-2], b.shape[-1] ** 2) for b in blocks], axis=-1)
-
-
-def as_z_grid(z: Sequence[complex]) -> np.ndarray:
-    """A sequence of z as a 1-D complex grid; ``ValueError`` for any other shape."""
-    zs = np.asarray(z, dtype=complex)
-    if zs.ndim != 1:
-        raise ValueError(f"z must be a 1-D grid, not an array of shape {zs.shape}")
-    return zs
 
 
 def _same_shape(x: AlgebraElement, y: AlgebraElement) -> None:

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, BlockShape, HermitianElement, herm_calculus, power, stack
+from .algebra import AlgebraElement, BlockShape, HermitianElement, power, stack
 from .continuation import (
     MAX_NODES,
     STRIP_SIZE,
@@ -67,6 +67,7 @@ from .hilbmod import (
     identity_operator,
     inner,
     matrix_unit_operators,
+    op_exp,
     op_log,
 )
 from .implemented import (
@@ -472,12 +473,13 @@ def _verify_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, r
     xz = continue_exact(g, z, x)
     direct = continue_exact(g, y + z, x)
     gl, gr = left_companion(g), right_companion(g)
+    ga = evaluate(g, t, a)
     resids = {
         "group_law": evaluate(g, s, evaluate(g, t, x)) - evaluate(g, s + t, x),
         "inverse": continue_exact(g, -z, xz) - x,
         "composition_same_side": continue_exact(g, y, xz) - direct,
-        "semi_mult_left": evaluate(gl, t, b) @ evaluate(g, t, a) - evaluate(g, t, b @ a),
-        "semi_mult_right": evaluate(g, t, a) @ evaluate(gr, t, b) - evaluate(g, t, a @ b),
+        "semi_mult_left": evaluate(gl, t, b) @ ga - evaluate(g, t, b @ a),
+        "semi_mult_right": ga @ evaluate(gr, t, b) - evaluate(g, t, a @ b),
     }
     scales = {"group_law": x.norm(), "inverse": x.norm(), "composition_same_side": np.maximum(direct.norm(), x.norm()),
               "semi_mult_left": a.norm() * b.norm(), "semi_mult_right": a.norm() * b.norm()}
@@ -556,7 +558,7 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
 def _exp_stone(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
     r = sampling.rng(cfg.seed)
     if cfg.flow_kind == "explicit":
-        t_op = ModuleOperator(herm_calculus(HermitianElement(cfg.h_left), np.exp), 1)
+        t_op = op_exp(ModuleOperator(cfg.h_left, 1))
     else:
         t_op = sampling.random_positive_operator(r, cfg.shape, cfg.module_rank, cond=COND)
     k = t_op.k
@@ -571,7 +573,7 @@ def _exp_stone(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], di
     report.observe("continuation", errs, np.array([math.exp(abs(z.imag) * log_norm) for z in zs]))
 
     omega = sampling.random_state(r, cfg.shape)
-    loc = localize(omega, cfg.shape, k)
+    loc = localize(omega, k)
     vectors = [sampling.random_vector(r, cfg.shape, k) for _ in range(20)]  # v then w of each pair
     norms = np.sqrt(stack([inner(v, v) for v in vectors]).norm()).tolist()
     for v, w, nv, nw in zip(vectors[::2], vectors[1::2], norms[::2], norms[1::2]):
@@ -642,7 +644,7 @@ def _exp_implemented(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tupl
     flow = ImplementedFlow(s_op, t_op, basis)
     x = sampling.random_operator(r, cfg.shape, k, 1.0)
     omega = sampling.random_state(r, cfg.shape)
-    loc = localize(omega, cfg.shape, k)
+    loc = localize(omega, k)
     grid = cfg.z_grid()
     resids = implemented_continuation_check(flow, grid, x)
     report.observe("continuation_formula", resids, max(1.0, x.norm()))

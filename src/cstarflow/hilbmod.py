@@ -16,9 +16,10 @@ Coordinate rows (``operator_vec``) are ``algebra.coordinate_rows`` of the
 flat blocks.  A grid of operators needs no type of its own: it is one
 ``ModuleOperator`` whose ``flat`` is a batch of elements (see
 :mod:`cstarflow.algebra`), as ``op_power`` gives at an array of z, and
-its products and norms act per member.  At finite dimension every module
-map with an adjoint is bounded, so no unbounded-operator bookkeeping
-appears anywhere.
+its products and norms act per member, on a vector too; a batch of
+vectors carries the batch axes on its stacked blocks.  At finite
+dimension every module map with an adjoint is bounded, so no
+unbounded-operator bookkeeping appears anywhere.
 
 Sub-C*-algebras of the operator algebra are handled through an
 orthonormal Hilbert-Schmidt basis of the span generated by a finite set
@@ -68,7 +69,8 @@ def _flat_shape(shape: BlockShape, k: int) -> BlockShape:
 class ModuleVector:
     """Element of ``E = A^k``: one stacked ``(k n_b) x n_b`` matrix per block, copied read-only.
 
-    ``ShapeMismatchError`` unless the blocks fit ``shape`` and ``k``.
+    A batch has blocks ``(*B, k n_b, n_b)``, one ``B`` for all blocks, and
+    norms per member.  ``ShapeMismatchError`` unless the blocks fit ``shape`` and ``k``.
     """
 
     shape: BlockShape
@@ -77,8 +79,9 @@ class ModuleVector:
 
     def __post_init__(self):
         mats = tuple(_frozen(b) for b in self.stacked)
+        batch = mats[0].shape[:-2] if mats else ()
         if len(mats) != self.shape.num_blocks or any(
-            m.shape != (self.k * n, n) for n, m in zip(self.shape, mats)
+            m.shape != (*batch, self.k * n, n) for n, m in zip(self.shape, mats)
         ):
             raise ShapeMismatchError("stacked blocks do not match the module")
         object.__setattr__(self, "stacked", mats)
@@ -95,7 +98,7 @@ class ModuleVector:
         return cls(
             shape,
             len(entries),
-            [np.vstack([e.blocks[b] for e in entries]) for b in range(shape.num_blocks)],
+            [np.concatenate([e.blocks[b] for e in entries], axis=-2) for b in range(shape.num_blocks)],
         )
 
     @property
@@ -103,7 +106,7 @@ class ModuleVector:
         """The k slots as algebra elements."""
         return tuple(
             AlgebraElement(
-                self.shape, [sb[i * n : (i + 1) * n] for n, sb in zip(self.shape, self.stacked)]
+                self.shape, [sb[..., i * n : (i + 1) * n, :] for n, sb in zip(self.shape, self.stacked)]
             )
             for i in range(self.k)
         )
@@ -114,9 +117,9 @@ class ModuleVector:
             raise ShapeMismatchError("module and algebra element over different shapes")
         return ModuleVector(self.shape, self.k, [vb @ ab for vb, ab in zip(self.stacked, a.blocks)])
 
-    def norm(self) -> float:
-        """Module norm ``norm(<v, v>)**0.5``."""
-        return float(np.sqrt(inner(self, self).norm()))
+    def norm(self) -> float | np.ndarray:
+        """Module norm ``norm(<v, v>)**0.5``, per member."""
+        return np.sqrt(inner(self, self).norm())
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         _same_module(self, other)

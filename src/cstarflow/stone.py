@@ -30,10 +30,11 @@ d x d matrix: it acts on ``L(v)`` as ``F_b Y_b`` on each block, with
 ``Y_b`` the ``k n_b x r_b`` block of ``L(v)``; products and complex
 powers act factor by factor, since ``(F (x) I)**z = F**z (x) I``; and its
 norm is the largest ``norm(F_b)`` over the blocks a state sees, since
-``norm(F (x) I) = norm(F)``.  The induction is a *-homomorphism,
-compatible with complex powers of strictly positive operators
-(``induced_power_check`` verifies this through the map L), and a
-faithful family of states separates operators.
+``norm(F (x) I) = norm(F)``.  A z-grid of induced operators is one
+``InducedOperator`` whose seen factors carry the z axes as a batch.  The
+induction is a *-homomorphism, compatible with complex powers of
+strictly positive operators (``induced_power_check`` verifies this
+through the map L), and a faithful family of states separates operators.
 
 The checks through L (``induced_power_check`` here and
 ``implemented.localized_middle_check``) report a randomized upper
@@ -55,7 +56,7 @@ from .algebra import (
     AlgebraElement,
     BlockShape,
     PositiveFunctional,
-    as_z_grid,
+    _over_blocks,
     eigenvalues,
     herm_calculus,
     is_strictly_positive,
@@ -123,13 +124,13 @@ class SampledUnitaryGroup:
         u0 = self(0.0)
         one = identity_operator(u0.shape, u0.k)
         checks = [(u0 - one, 1e-10, "u(0) differs from the identity")]
+        ut = {}
         for m in PROBE_MULTIPLES:
             t = m * t0
-            ut, umt = self(t), self(-t)
-            checks.append((ut.star() @ ut - one, 1e-9, f"u({t}) is not unitary"))
-            checks.append((ut @ umt - one, 1e-9, f"u({t}) u({-t}) differs from the identity"))
-        ut0 = self(t0)
-        checks.append((self(2 * t0) - ut0 @ ut0, 1e-9, "u(2 t0) differs from u(t0)^2"))
+            ut[m], umt = self(t), self(-t)
+            checks.append((ut[m].star() @ ut[m] - one, 1e-9, f"u({t}) is not unitary"))
+            checks.append((ut[m] @ umt - one, 1e-9, f"u({t}) u({-t}) differs from the identity"))
+        checks.append((ut[2] - ut[1] @ ut[1], 1e-9, "u(2 t0) differs from u(t0)^2"))
         for norm, (_, bound, message) in zip(stack([d.flat for d, _, _ in checks]).norm(), checks):
             if norm > bound:
                 raise NotAGroupError(message)
@@ -193,14 +194,16 @@ def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperat
         raise ValueError("t0 must be positive")
     u.probe(t0)
     t = float(t0)
-    log_t = _principal_log_phases(u(t))
+    u_t = u(t)
+    log_t = _principal_log_phases(u_t)
     for halvings in range(MAX_HALVINGS + 1):
-        log_half = _principal_log_phases(u(t / 2.0))
+        u_half = u(t / 2.0)
+        log_half = _principal_log_phases(u_half)
         scale = max(1.0, log_t.norm())
         if (log_t - 2.0 * log_half).norm() <= RECOVERY_TOL * scale:
             k_op = (1.0 / t) * log_t
             u_k = herm_calculus(k_op.flat, lambda lam: np.exp(1j * t * lam))
-            resid = (u(t).flat - u_k).norm()
+            resid = (u_t.flat - u_k).norm()
             if resid > 1e-9:
                 raise NotAGroupError(
                     f"u(t0) differs from exp(i t0 K) by {resid:.3e}"
@@ -213,7 +216,7 @@ def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperat
                 )
             return k_op, t, halvings
         t /= 2.0
-        log_t = log_half
+        u_t, log_t = u_half, log_half
     raise BranchAmbiguityError(
         f"halving did not stabilize after {MAX_HALVINGS} steps from t0={t0}"
     )
@@ -278,7 +281,6 @@ class Localization:
     """
 
     omega: PositiveFunctional
-    shape: BlockShape
     k: int
     factors: tuple[np.ndarray, ...] = field(repr=False)
     cutoff: float
@@ -292,6 +294,10 @@ class Localization:
                     f"localization factor of block {b} misses its density by {defect:.3e}"
                     f" (bound {bound:.3e})"
                 )
+
+    @property
+    def shape(self) -> BlockShape:
+        return self.omega.shape
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -310,12 +316,12 @@ class Localization:
         return (vb @ self.factors[b]).reshape(*vb.shape[:-2], -1)
 
     def apply(self, v: ModuleVector) -> np.ndarray:
-        """The map ``Lambda_omega`` on a module vector, block by block."""
-        return np.concatenate([self.apply_block(b, sb) for b, sb in enumerate(v.stacked)])
+        """The map ``Lambda_omega`` on a module vector (each member of a batch), block by block."""
+        return np.concatenate([self.apply_block(b, sb) for b, sb in enumerate(v.stacked)], axis=-1)
 
 
-def localize(omega: PositiveFunctional, shape: BlockShape, k: int) -> Localization:
-    """Build the localization of ``E = A^k`` at a positive functional.
+def localize(omega: PositiveFunctional, k: int) -> Localization:
+    """Build the localization of ``E = A^k``, over the shape of ``omega``, at that functional.
 
     The Gram form of ``omega`` on E is ``(+)_b I (x) rho_b^T``, so each
     block is localized through its own density: ``rho_b`` is
@@ -324,8 +330,6 @@ def localize(omega: PositiveFunctional, shape: BlockShape, k: int) -> Localizati
     give the factor ``C_b`` of rank ``r_b``.  The localized dimension is
     ``d = k sum_b n_b r_b`` (``ZeroFunctionalError`` if nothing remains).
     """
-    if omega.shape != shape:
-        raise ValueError("functional and module live over different shapes")
     sd = spectral(omega.rho)
     top = max(float(np.max(w)) for w in sd.eigenvalues)
     if top <= 0.0:
@@ -337,7 +341,7 @@ def localize(omega: PositiveFunctional, shape: BlockShape, k: int) -> Localizati
         factors.append(u[:, keep] * np.sqrt(w[keep]))
     if not any(c.shape[1] for c in factors):
         raise ZeroFunctionalError("no Gram eigenvalue above the rank cutoff")
-    return Localization(omega, shape, int(k), tuple(factors), cutoff)
+    return Localization(omega, int(k), tuple(factors), cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +352,8 @@ class InducedOperator:
     and ``ranks[b]`` the kept rank ``r_b`` of the localization; a block
     with ``r_b = 0`` acts on nothing.  A localized vector is the
     concatenation over b of ``ravel(Y_b)`` with ``Y_b`` of size
-    ``k n_b x r_b``, on which ``F_b (x) I`` acts as ``F_b Y_b``.
+    ``k n_b x r_b``, on which ``F_b (x) I`` acts as ``F_b Y_b``.  Seen
+    factors with leading batch axes (from ``power``) act and norm per member.
     """
 
     factors: tuple[np.ndarray, ...] = field(repr=False)
@@ -362,24 +367,23 @@ class InducedOperator:
     def apply_block(self, b: int, y: np.ndarray) -> np.ndarray:
         """``F_b (x) I`` on the ``k n_b r_b`` entries of block b, along the last axis of y."""
         f = self.factors[b]
-        return (f @ y.reshape(*y.shape[:-1], f.shape[0], -1)).reshape(y.shape)
+        out = f @ y.reshape(*y.shape[:-1], f.shape[-1], -1)
+        return out.reshape(*out.shape[:-2], -1)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """``S_w y`` for a localized vector y, along its last axis."""
-        out, pos = [], 0
-        for b, (f, r) in enumerate(zip(self.factors, self.ranks)):
-            out.append(self.apply_block(b, y[..., pos : pos + f.shape[0] * r]))
-            pos += f.shape[0] * r
-        return np.concatenate(out, axis=-1)
+        """``S_w y`` for a localized vector y, along its last axis; blocks no state sees hold no entries."""
+        sizes = [f.shape[-1] * r for f, r in zip(self.factors, self.ranks)]
+        parts = np.split(y, np.cumsum(sizes)[:-1], axis=-1)
+        return np.concatenate([self.apply_block(b, p) for b, p in enumerate(parts) if sizes[b]], axis=-1)
 
-    def powers(self, zs: Sequence[complex]) -> list["InducedOperator"]:
-        """``S_w**z`` for each z of a grid: one ``hermitian_matrix_power`` call per seen ``F_b``."""
-        stacks = [hermitian_matrix_power(f, zs) if r else [f] * len(zs) for f, r in zip(self.factors, self.ranks)]
-        return [replace(self, factors=factors) for factors in zip(*stacks)]
+    def power(self, z) -> "InducedOperator":
+        """``S_w**z``, the shape of z joining the batch: one ``hermitian_matrix_power`` call per seen ``F_b``."""
+        return replace(self, factors=tuple(
+            hermitian_matrix_power(f, z) if r else f for f, r in zip(self.factors, self.ranks)))
 
-    def norm(self) -> float:
-        """Operator norm: the largest ``norm(F_b)`` over the blocks with ``r_b > 0``."""
-        return max(largest_singular_value(f) for f, r in zip(self.factors, self.ranks) if r)
+    def norm(self) -> float | np.ndarray:
+        """Operator norm: the largest ``norm(F_b)`` over the blocks with ``r_b > 0``, per member."""
+        return _over_blocks(largest_singular_value(f) for f, r in zip(self.factors, self.ranks) if r)
 
 
 def induce(loc: Localization, s: ModuleOperator) -> InducedOperator:
@@ -395,8 +399,8 @@ def induce(loc: Localization, s: ModuleOperator) -> InducedOperator:
     return InducedOperator(s.flat.blocks, loc.ranks)
 
 
-def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOperator) -> float:
-    """Randomized upper estimate of the norm of ``v -> a_om L(v) - L(a v)`` on the module.
+def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOperator) -> float | np.ndarray:
+    """Randomized upper estimate of the norm of ``v -> a_om L(v) - L(a v)`` on the module, per member.
 
     Both sides go through the map L.  A vector of block b has its images
     in the entries of block b, so the difference R is block diagonal and
@@ -419,34 +423,33 @@ def intertwining_residual(loc: Localization, a_om: InducedOperator, a: ModuleOpe
     and independent probes all do so with probability at most
     ``t**PROBES``.  The probes are fixed, so the same inputs always give
     the same value; the probability is over the choice of stream.  A
-    non-finite probe norm raises ``EigFailureError``.
+    non-finite probe norm raises ``EigFailureError``.  A batched ``a_om`` or
+    ``a`` gives one estimate per member, with the probe axis ahead of the batch.
     """
     stream = rng(PROBE_SEED)
-    worst = 0.0
+    worst = []
     for b, (f, n, r) in enumerate(zip(a.flat.blocks, loc.shape, loc.ranks)):
         if r:
-            w = gaussian(stream, (PROBES, f.shape[0], n))
+            w = gaussian(stream, (PROBES, *[1] * (max(f.ndim, a_om.factors[b].ndim) - 2), f.shape[-1], n))
             diff = a_om.apply_block(b, loc.apply_block(b, w)) - loc.apply_block(b, f @ w)
             norms = np.linalg.norm(diff, axis=-1)
             if not np.isfinite(norms).all():
                 raise EigFailureError(f"norms of the {PROBES} probe residuals of block {b} are not finite")
-            worst = max(worst, float(np.max(norms)))
-    return PROBE_ALPHA * math.sqrt(2.0 / math.pi) * worst
+            worst.append(np.max(norms, axis=0))
+    return PROBE_ALPHA * math.sqrt(2.0 / math.pi) * _over_blocks(worst)
 
 
-def induced_power_check(loc: Localization, t: ModuleOperator, z: Sequence[complex]) -> np.ndarray:
-    """Randomized upper estimate of the residual of ``(T_omega)**z L(v) = L(T**z v)``, per z of a 1-D grid.
+def induced_power_check(loc: Localization, t: ModuleOperator, z) -> float | np.ndarray:
+    """Randomized upper estimate of the residual of ``(T_omega)**z L(v) = L(T**z v)``, per z.
 
     The right side goes through the module: ``op_power`` and then L.  The
     left side raises each Kronecker factor of ``T_omega`` with
     ``hermitian_matrix_power``, a dense oracle at size ``k n_b`` rather
     than d, and applies it to ``L(v)``.  T must be strictly positive.  The
-    norm over the module is estimated by ``intertwining_residual``, and
-    each seen factor is decomposed once for the whole grid.
+    norm over the module is estimated by ``intertwining_residual``, a float
+    for a number z and one per z of an array, from one ``op_power`` call.
     """
-    zs = as_z_grid(z)
-    t_oms = induce(loc, t).powers(zs)
-    return np.array([intertwining_residual(loc, t_om, op_power(t, zi)) for t_om, zi in zip(t_oms, zs)])
+    return intertwining_residual(loc, induce(loc, t).power(z), op_power(t, z))
 
 
 def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[PositiveFunctional]) -> bool:
@@ -464,14 +467,12 @@ def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[Posi
         raise ValueError("operators live over different modules")
     if not states:
         raise FamilyNotFaithfulError("empty state family")
-    total = states[0].rho
-    for st in states[1:]:
-        total = total + st.rho
+    total = sum((st.rho for st in states[1:]), states[0].rho)
     if not is_strictly_positive(total):
         raise FamilyNotFaithfulError("summed density is not positive definite")
     diff = r - s
     for st in states:
-        loc = localize(st, r.shape, r.k)
+        loc = localize(st, r.k)
         scale = max(1.0, induce(loc, r).norm(), induce(loc, s).norm())
         if induce(loc, diff).norm() > SEPARATING_TOL * scale:
             return False
@@ -483,11 +484,11 @@ def separating_check(r: ModuleOperator, s: ModuleOperator, states: Sequence[Posi
     return True
 
 
-def hermitian_matrix_power(m: np.ndarray, z: Sequence[complex]) -> np.ndarray:
+def hermitian_matrix_power(m: np.ndarray, z) -> np.ndarray:
     """Complex powers of a positive-definite dense matrix (the factors of induced operators).
 
-    A 1-D grid of z gives the ``(G, n, n)`` stack of powers, in order, from
-    one decomposition.  An oracle, so it does not go through the
+    An array of z gives the ``(*z.shape, n, n)`` stack of powers, in order,
+    from one decomposition.  An oracle, so it does not go through the
     ``eigh`` behind ``algebra.spectral``: it takes the SVD ``U S V*`` of the
     symmetrized m and returns ``U S**z U*``.  That is m's own power only
     if ``m = |m|``, that is if m is positive: so each Rayleigh quotient
@@ -496,14 +497,13 @@ def hermitian_matrix_power(m: np.ndarray, z: Sequence[complex]) -> np.ndarray:
     indefinite m fails one or the other, degenerate pairs ``+-lam``
     included, and raises ``ValueError``.
     """
-    zs = as_z_grid(z)
     h = (m + m.conj().T) / 2.0
     u, s, _ = np.linalg.svd(h)
     rayleigh = np.sum(u.conj() * (h @ u), axis=0).real
     floor = POWER_POS_TOL * max(float(s[0]), 1e-300)
     if np.min(rayleigh) <= floor or np.max(np.abs(rayleigh - s)) > floor:
         raise ValueError("matrix power needs a positive definite input")
-    return (u * np.exp(np.multiply.outer(zs, np.log(s.astype(complex))))[:, None, :]) @ u.conj().T
+    return (u * np.exp(np.multiply.outer(z, np.log(s.astype(complex))))[..., None, :]) @ u.conj().T
 
 
 def vector_smear(t_op: ModuleOperator, v: ModuleVector, r: float, z: complex = 0.0) -> ModuleVector:

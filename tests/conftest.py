@@ -63,8 +63,8 @@ class SwappedInduced(InducedOperator):
 
     def apply_block(self, b, y):
         f = self.factors[b]
-        rows = y.reshape(*y.shape[:-1], -1, f.shape[0])
-        return (rows @ f.T).reshape(y.shape)
+        rows = y.reshape(*y.shape[:-1], -1, f.shape[-1]) @ np.swapaxes(f, -1, -2)
+        return rows.reshape(*rows.shape[:-2], -1)
 
 
 @pytest.fixture

@@ -239,7 +239,7 @@ def test_criterion_7_localization():
     worst_gram = 0.0
     for _ in range(20):
         omega = random_state(r, shape)
-        loc = localize(omega, shape, k)
+        loc = localize(omega, k)
         for _ in range(5):
             v, w = random_vector(r, shape, k), random_vector(r, shape, k)
             lhs = complex(np.vdot(loc.apply(w), loc.apply(v)))
@@ -249,7 +249,7 @@ def test_criterion_7_localization():
 
     worst_power = 0.0
     omega = random_state(r, shape)
-    loc = localize(omega, shape, k)
+    loc = localize(omega, k)
     s = random_positive_operator(r, shape, k, cond=100.0)
     s_om = induced_dense(induce(loc, s))
     zs = (0.5, 1j, 1 + 1j)
@@ -292,7 +292,7 @@ def test_criterion_8_implemented_flows():
         resid = float(implemented_continuation_check(flow, grid, x).max())
         worst_cont = max(worst_cont, resid / max(1.0, x.norm()))
         omega = random_state(r, shape)
-        loc = localize(omega, shape, k)
+        loc = localize(omega, k)
         scale = max(1.0, s_op.norm() * x.norm() * t_op.norm())
         worst_mid = max(worst_mid, localized_middle_check(loc, s_op, x, t_op) / scale)
     report(8, "implemented continuation formula on the z grid", worst_cont, 1e-8)

@@ -13,6 +13,7 @@ from cstarflow import (
     ModuleOperator,
     ModuleVector,
     NotStrictlyPositiveError,
+    ShapeMismatchError,
     SubalgebraBasis,
     affiliation_test,
     identity,
@@ -155,6 +156,33 @@ class TestOpPower:
         p = ModuleOperator.from_entries([[zeros(shape)]])
         with pytest.raises(NotStrictlyPositiveError):
             op_power(p, 0.5)
+
+    def test_batched_power_acts_on_a_vector_per_member(self):
+        # a z-grid of powers is one operator, and it acts on a vector as each member does
+        r = rng(8)
+        shape = BlockShape([2, 3])
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        v = random_vector(r, shape, 2)
+        zs = np.array([[0.5j, 1j, -0.3], [1 + 1j, 0.0, 2.0 - 0.5j]])
+        batch = op_power(t, zs) @ v
+        assert batch.norm().shape == zs.shape
+        for i in np.ndindex(zs.shape):
+            one = op_power(t, zs[i]) @ v
+            for got, want in zip(batch.stacked, one.stacked):
+                np.testing.assert_array_equal(got[i], want)
+            assert batch.norm()[i] == one.norm()
+            for got, want in zip(batch.entries, one.entries):
+                np.testing.assert_array_equal(got.blocks[1][i], want.blocks[1])
+        for got, want in zip(ModuleVector.from_entries(batch.entries).stacked, batch.stacked):
+            np.testing.assert_array_equal(got, want)
+        loc = localize(random_state(r, shape), 2)
+        assert loc.apply(batch).shape == (*zs.shape, loc.d)
+        np.testing.assert_array_equal(loc.apply(batch)[1, 2], loc.apply(op_power(t, zs[1, 2]) @ v))
+
+    def test_vector_blocks_share_one_batch_shape(self):
+        shape = BlockShape([2, 1])
+        with pytest.raises(ShapeMismatchError, match="stacked blocks do not match"):
+            ModuleVector(shape, 1, [np.zeros((3, 2, 2)), np.zeros((4, 1, 1))])
 
 
 class TestSubalgebraBasis:
@@ -387,7 +415,7 @@ def test_induce_star_homomorphism_hypothesis(module):
     seed, dims, k = module
     r = rng(seed)
     shape = BlockShape(dims)
-    loc = localize(random_state(r, shape), shape, k)
+    loc = localize(random_state(r, shape), k)
     s, t = random_operator(r, shape, k), random_operator(r, shape, k)
     prod = induced_dense(induce(loc, s @ t))
     assert np.linalg.norm(prod - induced_dense(induce(loc, s) @ induce(loc, t)), 2) <= 1e-9 * max(

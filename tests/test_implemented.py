@@ -331,7 +331,7 @@ class TestLocalizedMiddle:
         r = rng(10)
         shape = BlockShape([2])
         omega = random_state(r, shape)
-        loc = localize(omega, shape, 2)
+        loc = localize(omega, 2)
         one = identity_operator(shape, 2)
         x = random_operator(r, shape, 2)
         assert localized_middle_check(loc, one, x, one) <= 1e-9 * max(1.0, x.norm())
@@ -340,7 +340,7 @@ class TestLocalizedMiddle:
         r = rng(11)
         shape = BlockShape([2])
         omega = random_state(r, shape)
-        loc = localize(omega, shape, 2)
+        loc = localize(omega, 2)
         s = random_positive_operator(r, shape, 2, cond=100.0)
         t = random_positive_operator(r, shape, 2, cond=100.0)
         x = random_operator(r, shape, 2)
@@ -352,7 +352,7 @@ class TestLocalizedMiddle:
         # S_w L(v) = L(S v); a check made through L has to notice
         r = rng(13)
         shape = BlockShape([2, 3])
-        loc = localize(random_state(r, shape), shape, 2)
+        loc = localize(random_state(r, shape), 2)
         s = random_positive_operator(r, shape, 2, cond=100.0)
         t = random_positive_operator(r, shape, 2, cond=100.0)
         x = random_operator(r, shape, 2)

@@ -59,6 +59,25 @@ def diag_module_operator(*vals: float) -> ModuleOperator:
 
 
 class TestRecoverGenerator:
+    def test_each_time_is_sampled_once(self):
+        # the probe forms u at 0, +-t0, +-2 t0 and +-10 t0, and reuses u(t0) and
+        # u(2 t0) for the group law; recovery keeps each sample next to its logarithm
+        t_op = random_positive_operator(rng(22), BlockShape([2, 1]), 2, cond=10.0)
+        exact = SampledUnitaryGroup.from_positive(t_op)
+        times = []
+
+        def counted(t):
+            times.append(t)
+            return exact(t)
+
+        u = SampledUnitaryGroup(counted)
+        u.probe(0.5)
+        assert sorted(times) == sorted([0.0, 0.5, -0.5, 1.0, -1.0, 5.0, -5.0])
+        times.clear()
+        _, t_used, halvings = stone_mod._recover_with_trace(u, 0.5)
+        assert (t_used, halvings) == (0.5, 0)
+        assert len(times) == 7 + 3 and len(set(times[7:])) == 3
+
     def test_trivial_group(self):
         shape = BlockShape([2, 2])
         one = identity_operator(shape, 2)
@@ -176,7 +195,7 @@ class TestLocalize:
     def test_faithful_state_keeps_full_dimension(self):
         shape = BlockShape([2, 3])
         omega = random_state(rng(3), shape)
-        loc = localize(omega, shape, 2)
+        loc = localize(omega, 2)
         assert loc.d == 2 * shape.dim
 
     def test_rank_one_density_gram_rank_oracle(self):
@@ -185,7 +204,7 @@ class TestLocalize:
         rho[0, 0] = 1.0
         omega = PositiveFunctional(AlgebraElement.from_blocks([rho]))
         for k in (1, 2):
-            loc = localize(omega, shape, k)
+            loc = localize(omega, k)
             # oracle: Gram = (x) copies of rho^T, one per slot and matrix row
             assert loc.d == 3 * k
 
@@ -193,7 +212,7 @@ class TestLocalize:
         shape = BlockShape([2, 2])
         rho = AlgebraElement.from_blocks([np.eye(2), np.zeros((2, 2))])
         omega = PositiveFunctional(0.5 * rho)
-        loc = localize(omega, shape, 1)
+        loc = localize(omega, 1)
         from cstarflow import ModuleVector
 
         dead = ModuleVector.from_entries(
@@ -205,7 +224,7 @@ class TestLocalize:
         r = rng(4)
         shape = BlockShape([2, 2])
         omega = random_state(r, shape)
-        loc = localize(omega, shape, 2)
+        loc = localize(omega, 2)
         for _ in range(20):
             v, w = random_vector(r, shape, 2), random_vector(r, shape, 2)
             lhs = complex(np.vdot(loc.apply(w), loc.apply(v)))
@@ -218,14 +237,14 @@ class TestLocalize:
 
         omega = PositiveFunctional(alg_zeros(shape))
         with pytest.raises(ZeroFunctionalError):
-            localize(omega, shape, 1)
+            localize(omega, 1)
 
 
 class TestInduce:
     def test_identity_localizes_to_identity(self):
         shape = BlockShape([2])
         omega = random_state(rng(5), shape)
-        loc = localize(omega, shape, 2)
+        loc = localize(omega, 2)
         one_om = induced_dense(induce(loc, identity_operator(shape, 2)))
         np.testing.assert_allclose(one_om, np.eye(loc.d), atol=1e-12)
 
@@ -233,7 +252,7 @@ class TestInduce:
         r = rng(6)
         shape = BlockShape([2])
         omega = random_state(r, shape)
-        loc = localize(omega, shape, 2)
+        loc = localize(omega, 2)
         s = random_positive_operator(r, shape, 2, cond=100.0)
         s_om = induced_dense(induce(loc, s))
         zs = (0.5, 1j, 1 + 1j)
@@ -245,7 +264,7 @@ class TestInduce:
         r = rng(7)
         shape = BlockShape([2, 2])
         omega = random_state(r, shape)
-        loc = localize(omega, shape, 1)
+        loc = localize(omega, 1)
         s, t = random_operator(r, shape, 1), random_operator(r, shape, 1)
         prod = induced_dense(induce(loc, s @ t))
         assert np.linalg.norm(prod - induced_dense(induce(loc, s) @ induce(loc, t)), 2) <= 1e-9 * max(
@@ -260,7 +279,7 @@ class TestInduce:
         # faithful-GNS oracle: the induction map has no kernel
         shape = BlockShape([2])
         omega = random_state(rng(8), shape)
-        loc = localize(omega, shape, 1)
+        loc = localize(omega, 1)
         columns = []
         for unit in matrix_unit_operators(shape, 1):
             columns.append(induced_dense(induce(loc, unit)).ravel())
@@ -273,7 +292,7 @@ class TestInduce:
         # the light block of a heavy functional is cut whole; the guard allows it
         shape = BlockShape([2, 2])
         rho = AlgebraElement.from_blocks([np.diag([1e3, 1.0]), np.diag([5e-8, 0.0])])
-        loc = localize(PositiveFunctional(rho), shape, 1)
+        loc = localize(PositiveFunctional(rho), 1)
         assert loc.ranks == (2, 0) and loc.d == 4
         s = random_operator(rng(16), shape, 1)
         np.testing.assert_array_equal(induced_dense(induce(loc, s)), np.kron(s.flat.blocks[0], np.eye(2)))
@@ -282,11 +301,11 @@ class TestInduce:
         shape = BlockShape([2])
         r = rng(9)
         omega = random_state(r, shape)
-        loc = localize(omega, shape, 1)
+        loc = localize(omega, 1)
         # drop one kept column of the factor: C C* then misses rho by an
         # eigenvalue the cutoff keeps, so L no longer carries the Gram form
         with pytest.raises(IllDefinedError, match="localization factor of block 0 misses its density"):
-            Localization(omega, shape, 1, (loc.factors[0][:, :-1],), loc.cutoff)
+            Localization(omega, 1, (loc.factors[0][:, :-1],), loc.cutoff)
 
 
 class TestInducedPowerCheck:
@@ -294,20 +313,20 @@ class TestInducedPowerCheck:
         # the full d x d oracle at small d: hermitian_matrix_power of the dense T_w
         r = rng(17)
         shape = BlockShape([2, 3])
-        loc = localize(random_state(r, shape), shape, 2)
+        loc = localize(random_state(r, shape), 2)
         t = random_positive_operator(r, shape, 2, cond=100.0)
         zs = (0.5, 1j, 1 + 1j)
         dense_powers = hermitian_matrix_power(kron_reference(loc, t), zs)
         resids = induced_power_check(loc, t, zs)
-        for t_om_z, dense, resid in zip(induce(loc, t).powers(zs), dense_powers, resids):
+        for z, dense, resid in zip(zs, dense_powers, resids):
             scale = max(1.0, np.linalg.norm(dense, 2))
-            assert np.linalg.norm(induced_dense(t_om_z) - dense, 2) <= 1e-12 * scale
+            assert np.linalg.norm(induced_dense(induce(loc, t).power(z)) - dense, 2) <= 1e-12 * scale
             assert resid <= 1e-12 * scale
 
     def test_rank_deficient_state_and_unseen_block(self):
         r = rng(18)
         shape = BlockShape([3, 2])
-        loc = localize(oracle_state(r, [3, 2], 1, 1), shape, 2)
+        loc = localize(oracle_state(r, [3, 2], 1, 1), 2)
         assert loc.ranks == (1, 0)
         t = random_positive_operator(r, shape, 2, cond=1e3)
         assert (induced_power_check(loc, t, (0.5, 1j, 1 + 1j)) <= 1e-12 * t.norm()).all()
@@ -318,7 +337,7 @@ class TestInducedPowerCheck:
         # to notice
         r = rng(19)
         shape = BlockShape([2, 3])
-        loc = localize(random_state(r, shape), shape, 2)
+        loc = localize(random_state(r, shape), 2)
         t = random_positive_operator(r, shape, 2, cond=100.0)
         scale = max(1.0, t.norm())
         zs = (0.5, 1j, 1 + 1j)
@@ -333,7 +352,7 @@ class TestInducedPowerCheck:
         # fault there cancels between the two sides and the check reads 0.0
         r = rng(3)
         shape = BlockShape([2, 3])
-        loc = localize(random_state(r, shape), shape, 2)
+        loc = localize(random_state(r, shape), 2)
         t = random_positive_operator(r, shape, 2, cond=100.0)
         eigh = np.linalg.eigh
 
@@ -357,7 +376,7 @@ class TestInducedPowerCheck:
     def test_grid_matches_pointwise_and_decomposes_each_factor_once(self, monkeypatch):
         r = rng(21)
         shape = BlockShape([2, 3])
-        loc = localize(oracle_state(r, [2, 3], 2, 1), shape, 2)
+        loc = localize(oracle_state(r, [2, 3], 2, 1), 2)
         assert loc.ranks == (2, 0)
         t = random_positive_operator(r, shape, 2, cond=100.0)
         zs = (0.5, 1j, 1 + 1j, -0.25 - 0.5j)
@@ -375,11 +394,62 @@ class TestInducedPowerCheck:
         # one decomposition of the one seen factor, of size k n_b = 4, for the whole grid
         assert sizes == [(4, 4)]
 
+    @pytest.mark.parametrize("dead_block", [None, 1])
+    def test_power_of_a_grid_is_each_member_power(self, dead_block):
+        r = rng(23)
+        shape = BlockShape([2, 3])
+        loc = localize(oracle_state(r, [2, 3], None, dead_block), 2)
+        assert loc.ranks == ((2, 0) if dead_block else (2, 3))
+        t_om = induce(loc, random_positive_operator(r, shape, 2, cond=100.0))
+        zs = np.array([[0.5, 1j, -0.25 - 0.5j], [1 + 1j, 0.0, 2.0]])
+        grid = t_om.power(zs)
+        for i in np.ndindex(zs.shape):
+            for f, one, rank in zip(grid.factors, t_om.power(zs[i]).factors, loc.ranks):
+                np.testing.assert_array_equal(f[i] if rank else f, one)
+        # a block no state sees keeps its factor as it is
+        assert all(f is g for f, g, rank in zip(grid.factors, t_om.factors, loc.ranks) if not rank)
+        assert grid.norm().shape == zs.shape
+        assert grid.norm()[1, 0] == t_om.power(zs[1, 0]).norm()
+
+    def test_grid_of_any_shape_is_one_batch(self, monkeypatch):
+        r = rng(24)
+        shape = BlockShape([2, 3])
+        loc = localize(oracle_state(r, [2, 3], 1, 0), 2)
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        zs = np.array([0.5, 1j, 1 + 1j, -0.25 - 0.5j, 2.0, -1j])
+        calls = []
+        power = stone_mod.op_power
+
+        def spy(op, z):
+            calls.append(np.shape(z))
+            return power(op, z)
+
+        monkeypatch.setattr(stone_mod, "op_power", spy)
+        flat = induced_power_check(loc, t, zs)
+        square = induced_power_check(loc, t, zs.reshape(2, 3))
+        one = induced_power_check(loc, t, zs[2])
+        # one module power per check, whatever the grid's size or shape
+        assert calls == [(6,), (2, 3), ()]
+        assert square.shape == (2, 3) and square.tolist() == flat.reshape(2, 3).tolist()
+        assert isinstance(one, float) and one == flat[2]
+
+    def test_a_batch_against_one_operator_keeps_the_probe_axis_apart(self):
+        # as many members as probes: a batch axis taken for the probe axis would still broadcast
+        r = rng(25)
+        shape = BlockShape([2, 3])
+        loc = localize(random_state(r, shape), 2)
+        t = random_positive_operator(r, shape, 2, cond=100.0)
+        zs = np.linspace(0.1, 1.0, stone_mod.PROBES)
+        half = op_power(t, 0.5)
+        batch = stone_mod.intertwining_residual(loc, induce(loc, t).power(zs), half)
+        assert batch.tolist() == [stone_mod.intertwining_residual(loc, induce(loc, t).power(z), half) for z in zs]
+        assert batch[4] <= 1e-12 * t.norm() < 1e-3 < batch[0]
+
     def test_same_inputs_give_the_same_float(self):
         # the probes come from a stream of their own, drawn afresh on each call
         r = rng(20)
         shape = BlockShape([2, 3])
-        loc = localize(random_state(r, shape), shape, 2)
+        loc = localize(random_state(r, shape), 2)
         t = random_positive_operator(r, shape, 2, cond=100.0)
         first = induced_power_check(loc, t, [1 + 1j])
         assert first.shape == (1,)
@@ -417,7 +487,7 @@ class TestSmearedCoreTransport:
         k = 2
         t_op = random_positive_operator(r, shape, k, cond=50.0)
         omega = random_state(r, shape)
-        loc = localize(omega, shape, k)
+        loc = localize(omega, k)
         t_om = induced_dense(induce(loc, t_op))
         a = random_vector(r, shape, k)
         zs = np.array([0.5j, 1.0 - 0.5j])
@@ -505,7 +575,7 @@ class TestDenseOracle:
         r = rng(200 + len(dims) + k)
         shape = BlockShape(dims)
         omega = oracle_state(r, dims, rank, dead_block)
-        loc = localize(omega, shape, k)
+        loc = localize(omega, k)
         lam, lam_pinv = dense_localize(omega, shape, k)
         assert loc.d == lam.shape[0]
         l_block = block_map_matrix(loc)
@@ -521,7 +591,7 @@ class TestDenseOracle:
         r = rng(210)
         shape = BlockShape([3, 2])
         omega = oracle_state(r, [3, 2], 2, None)
-        l_block = block_map_matrix(localize(omega, shape, 2))
+        l_block = block_map_matrix(localize(omega, 2))
         # omega(<v, w>) = w* G v in coordinates, and <L v, L w> = w* L* L v
         gram = dense_gram(omega, shape, 2)
         assert np.linalg.norm(l_block.conj().T @ l_block - gram, 2) <= 1e-12
@@ -538,7 +608,7 @@ def test_localize_gram_identity_and_rank_hypothesis(seed, dims, k, rank):
     r = rng(seed)
     shape = BlockShape(dims)
     omega = random_state(r, shape, rank)
-    loc = localize(omega, shape, k)
+    loc = localize(omega, k)
     kept = tuple(n if rank is None else min(rank, n) for n in dims)
     assert loc.ranks == kept
     assert loc.d == k * sum(n * m for n, m in zip(dims, kept))
@@ -560,7 +630,7 @@ def test_induced_operator_matches_kron_reference_hypothesis(seed, dims, k, rank,
     r = rng(seed)
     shape = BlockShape(dims)
     dead_block = 0 if dead and len(dims) > 1 else None
-    loc = localize(oracle_state(r, list(dims), rank, dead_block), shape, k)
+    loc = localize(oracle_state(r, list(dims), rank, dead_block), k)
     s, t = random_operator(r, shape, k), random_operator(r, shape, k)
     s_om, t_om = induce(loc, s), induce(loc, t)
     ref_s, ref_t = kron_reference(loc, s), kron_reference(loc, t)
@@ -605,14 +675,14 @@ def test_intertwining_estimate_bounds_the_exact_residual_hypothesis(seed, dims, 
     r = rng(seed)
     shape = BlockShape(dims)
     dead_block = 0 if dead and len(dims) > 1 else None
-    loc = localize(oracle_state(r, list(dims), rank, dead_block), shape, k)
+    loc = localize(oracle_state(r, list(dims), rank, dead_block), k)
     s, t = (random_positive_operator(r, shape, k, cond=100.0) for _ in range(2))
     x, e = random_operator(r, shape, k), random_operator(r, shape, k, 1e-3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stone_mod, "op_power", lambda op, z: op_power(op, z) + e)
         zs = (0.5, 1j, 1 + 1j)
-        for z, t_om_z, resid in zip(zs, induce(loc, t).powers(zs), induced_power_check(loc, t, zs)):
-            exact = exact_intertwining_residual(loc, t_om_z, op_power(t, z) + e)
+        for z, resid in zip(zs, induced_power_check(loc, t, zs)):
+            exact = exact_intertwining_residual(loc, induce(loc, t).power(z), op_power(t, z) + e)
             assert resid >= exact > 0.0
         mp.setattr(implemented_mod, "middle_multiplier", lambda s, x, t: middle_multiplier(s, x, t) + e)
         lhs = induce(loc, s) @ (induce(loc, x) @ induce(loc, t))
