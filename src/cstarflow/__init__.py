@@ -38,7 +38,6 @@ from .composition import (
 )
 from .continuation import (
     SmearingPlan,
-    Strip,
     continue_exact,
     core_rescale,
     min_nodes,
@@ -81,13 +80,11 @@ from .hilbmod import (
     condition_number,
     identity_operator,
     inner,
-    is_unitary,
     matrix_unit_operators,
     op_exp,
     op_log,
     op_power,
     strictly_positive,
-    zero_operator,
 )
 from .implemented import (
     ImplementedFlow,
@@ -95,17 +92,17 @@ from .implemented import (
     implemented_evaluate,
     localized_middle_check,
     middle_multiplier,
-    vector_functionals,
 )
 from .stone import (
     InducedOperator,
     Localization,
+    Recovery,
     SampledUnitaryGroup,
     hermitian_matrix_power,
     induce,
     induced_power_check,
     localize,
-    recover_generator,
+    recover,
     recovery_report,
     separating_check,
     stone,

@@ -331,9 +331,6 @@ class SpectralDecomposition:
         """``U diag(v) U*`` per block; leading axes of ``v`` join the batch."""
         return [(u * v[..., None, :]) @ _adjoint(u) for v, u in zip(values, self.eigenvectors)]
 
-    def reconstruct(self) -> AlgebraElement:
-        return self.apply(lambda lam: lam)
-
 
 def spectral(h: HermitianElement | AlgebraElement) -> SpectralDecomposition:
     """Eigendecompose ``(H + H*)/2`` blockwise, each member of a batch on its own.
@@ -439,6 +436,7 @@ class PositiveFunctional:
     def shape(self) -> BlockShape:
         return self.rho.shape
 
-    def value(self, a: AlgebraElement) -> complex:
-        """``sum_k tr(rho_k a_k)``."""
-        return complex(sum(np.trace(r @ b) for r, b in zip(self.rho.blocks, a.blocks)))
+    def value(self, a: AlgebraElement) -> complex | np.ndarray:
+        """``sum_k tr(rho_k a_k)``: a complex number, or an array of one per member of a batch."""
+        v = sum(np.trace(r @ b, axis1=-2, axis2=-1) for r, b in zip(self.rho.blocks, a.blocks))
+        return complex(v) if np.ndim(v) == 0 else v

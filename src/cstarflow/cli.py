@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, BlockShape, HermitianElement, power, stack
+from .algebra import AlgebraElement, BlockShape, HermitianElement, power
 from .continuation import (
     MAX_NODES,
     STRIP_SIZE,
@@ -63,6 +63,7 @@ from .errors import ConfigInvalidError, CstarflowError
 from .flows import FlowGenerator, evaluate, left_companion, right_companion
 from .hilbmod import (
     ModuleOperator,
+    ModuleVector,
     SubalgebraBasis,
     identity_operator,
     inner,
@@ -79,9 +80,9 @@ from .serialize import element_from_payload
 from .stone import (
     PROBES,
     SampledUnitaryGroup,
-    _stone_and_report,
     induced_power_check,
     localize,
+    recover,
     separating_check,
 )
 
@@ -376,13 +377,6 @@ def _read(path: str | Path) -> dict:
         raise ConfigInvalidError([f"cannot read config: {exc}"]) from exc
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    config, problems = validate(_read(path))
-    if problems:
-        raise ConfigInvalidError(problems)
-    return config
-
-
 def resolved_defaults(raw: dict) -> dict:
     """The keys the config's experiment reads, with every default filled in."""
     values = {**DEFAULTS, **_given(raw)[0]}
@@ -563,8 +557,9 @@ def _exp_stone(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], di
         t_op = sampling.random_positive_operator(r, cfg.shape, cfg.module_rank, cond=COND)
     k = t_op.k
     u = SampledUnitaryGroup.from_positive(t_op)
-    t_rec, recovery = _stone_and_report(u, 1.0)
-    rows = [(t, err) for t, err in recovery["residual_grid"]]
+    recovery = recover(u, 1.0)
+    t_rec = recovery.t_op
+    rows = list(recovery.residual_grid)
     report.observe("recovery_error", (t_rec - t_op).norm(), t_op.norm())
     report.observe("residual_grid", np.array([err for _, err in rows]))
     log_norm = op_log(t_op).norm()
@@ -574,17 +569,18 @@ def _exp_stone(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], di
 
     omega = sampling.random_state(r, cfg.shape)
     loc = localize(omega, k)
-    vectors = [sampling.random_vector(r, cfg.shape, k) for _ in range(20)]  # v then w of each pair
-    norms = np.sqrt(stack([inner(v, v) for v in vectors]).norm()).tolist()
-    for v, w, nv, nw in zip(vectors[::2], vectors[1::2], norms[::2], norms[1::2]):
-        lhs = complex(np.vdot(loc.apply(w), loc.apply(v)))
-        report.observe("gram_identity", abs(lhs - omega.value(inner(v, w))), max(1.0, nv * nw))
+    draws = [sampling.random_vector(r, cfg.shape, k).stacked for _ in range(20)]  # v then w of each pair
+    vs = ModuleVector(cfg.shape, k, [np.stack(bs) for bs in zip(*draws)])
+    v, w = (ModuleVector(cfg.shape, k, [b[i::2] for b in vs.stacked]) for i in (0, 1))
+    lv, norms = loc.apply(vs), vs.norm()
+    lhs = np.sum(lv[1::2].conj() * lv[::2], axis=-1)  # vdot(L w, L v) per pair
+    report.observe("gram_identity", np.abs(lhs - omega.value(inner(v, w))), np.maximum(1.0, norms[::2] * norms[1::2]))
 
     report.observe("induced_power", induced_power_check(loc, t_op, (0.5, 1j, 1 + 1j)))
 
     perturbed = t_op + 1e-3 * identity_operator(cfg.shape, k)
     report.observe("separating_detects", 1.0 if separating_check(t_op, perturbed, [omega]) else 0.0)
-    return rows, {"recovery.json": recovery}
+    return rows, {"recovery.json": recovery.as_dict()}
 
 
 def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:

@@ -35,7 +35,6 @@ from .algebra import AlgebraElement, _adjoint, _per_member, coordinate_rows, san
 from .errors import NodesTooFewError, NotSeparatingError
 from .flows import FlowGenerator, _phases, conjugate
 
-QUAD_TARGET = 1e-8
 L, A = 6.0, 12.0  # half-width and alias margin of the trapezoidal rule (see admissible_nodes)
 # Phase tables are nodes x n per block: at n = 64 the cap keeps each at
 # 16 MiB, far above the largest plan in the benchmarks (87).
@@ -44,17 +43,6 @@ MAX_NODES = 2**14
 # for the bound, it forms STRIP_SIZE elements per member.
 STRIP_GRID = 5
 STRIP_SIZE = STRIP_GRID * STRIP_GRID + 1
-
-
-@dataclass(frozen=True)
-class Strip:
-    """Closed horizontal strip between the real axis and ``Im z``."""
-
-    im_z: float
-
-    def contains(self, y: complex) -> bool:
-        lo, hi = sorted((0.0, self.im_z))
-        return lo <= y.imag <= hi
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
     beyond ``[-L, L]`` weigh at most ``sqrt(pi) erfc(L)``.  So each entry is off by at most
     ``2 e^{-A^2/4} (1 + 2 e^{-3A^2/4}) + erfc(L)``, 4.8e-16 of the envelope, before rounding,
     and a norm by ``sqrt(n) <= 23`` times that under the CLI's dense-size budget: about
-    1e-14, far below ``QUAD_TARGET``.
+    1e-14, far below the ``quad_vs_oracle`` bound of 1e-8.
     """
     budget = nu_max / (2.0 * r) + r * abs(complex(z).imag)
     return 2 * math.ceil(L * (2.0 * budget + A) / (2.0 * math.pi)) + 1
@@ -116,7 +104,10 @@ def _trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
 def continue_exact(g: FlowGenerator, z, x: AlgebraElement) -> AlgebraElement:
     """Analytic continuation of the flow; agrees with evaluation at real ``z``.
 
-    The shape of an array of z joins the batch, as in ``conjugate``.
+    It adds nothing over ``flows.conjugate``, which it returns: it is the
+    name ``benchmarks/tracing.py`` times continuation under, until the
+    library records spans of its own.  The shape of an array of z joins
+    the batch, as in ``conjugate``.
     """
     return conjugate(g, z, x)
 
@@ -126,7 +117,7 @@ def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) ->
 
     The node sum is one (n x nodes) @ (nodes x n) product of phase tables
     per block.  Raises ``NodesTooFewError`` below ``min_nodes``; from there
-    on the quadrature error is below ``QUAD_TARGET`` relative to
+    on the quadrature error is below the ``quad_vs_oracle`` bound of 1e-8 relative to
     ``norm(x) exp(r^2 (Im z)^2)``, as ``admissible_nodes`` derives.
     """
     r, z = plan.r, complex(plan.z)

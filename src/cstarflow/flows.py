@@ -32,7 +32,6 @@ from .algebra import (
     _per_member,
     sandwich,
     spectral,
-    zeros,
 )
 from .errors import ShapeMismatchError
 
@@ -53,14 +52,6 @@ class FlowGenerator:
         return self.h_left.shape
 
     @property
-    def is_automorphism(self) -> bool:
-        """True when the two generators are bit-identical."""
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(self.h_left.value.blocks, self.h_right.value.blocks)
-        )
-
-    @property
     def spectral_left(self) -> SpectralDecomposition:
         return spectral(self.h_left)
 
@@ -75,11 +66,6 @@ class FlowGenerator:
     @staticmethod
     def automorphism(h: HermitianElement) -> "FlowGenerator":
         return FlowGenerator(h, h)
-
-    @staticmethod
-    def trivial(shape: BlockShape) -> "FlowGenerator":
-        z = HermitianElement(zeros(shape))
-        return FlowGenerator(z, z)
 
 
 def _phases(z):
@@ -100,7 +86,14 @@ def conjugate(g: FlowGenerator, z, x: AlgebraElement) -> AlgebraElement:
 
 
 def evaluate(g: FlowGenerator, t, x: AlgebraElement) -> AlgebraElement:
-    """Flow at real time ``t`` (or each t of an array); isometric, with ``alpha_0 = id``."""
+    """Flow at real time ``t`` (or each t of an array); isometric, with ``alpha_0 = id``.
+
+    What it adds over ``conjugate`` is the guard on real time: a complex t,
+    a number or an array of complex dtype, raises ``ValueError``, since the
+    continuation to complex time is ``continuation.continue_exact``.
+    """
+    if np.iscomplexobj(t):
+        raise ValueError("evaluate takes real times; continue_exact continues the flow to complex z")
     return conjugate(g, np.asarray(t, dtype=float), x)
 
 

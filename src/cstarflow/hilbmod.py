@@ -52,13 +52,11 @@ from .algebra import (
     is_strictly_positive,
     power,
     stack,
-    zeros,
 )
 from .errors import NotStrictlyPositiveError, ShapeMismatchError
 
 SPAN_TOL = 1e-9
 AFFILIATION_TOL = 1e-8
-UNITARY_TOL = 1e-10
 
 
 def _flat_shape(shape: BlockShape, k: int) -> BlockShape:
@@ -233,15 +231,6 @@ class ModuleOperator:
 
 def identity_operator(shape: BlockShape, k: int) -> ModuleOperator:
     return ModuleOperator(identity(_flat_shape(shape, k)), k)
-
-
-def zero_operator(shape: BlockShape, k: int) -> ModuleOperator:
-    return ModuleOperator(zeros(_flat_shape(shape, k)), k)
-
-
-def is_unitary(s: ModuleOperator) -> bool:
-    one = identity_operator(s.shape, s.k)
-    return (s.star() @ s - one).norm() <= UNITARY_TOL and (s @ s.star() - one).norm() <= UNITARY_TOL
 
 
 def strictly_positive(s: ModuleOperator) -> bool:

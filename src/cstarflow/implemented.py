@@ -30,15 +30,13 @@ from .flows import _phases
 from .hilbmod import (
     SPAN_TOL,
     ModuleOperator,
-    ModuleVector,
     SubalgebraBasis,
     _same_module,
     condition_number,
-    inner,
     op_power,
     strictly_positive,
 )
-from .stone import Localization, PositiveFunctional, induce, intertwining_residual
+from .stone import Localization, induce, intertwining_residual
 
 COND_LIMIT = 1e6
 INVARIANCE_TOL = 1e-8
@@ -139,21 +137,3 @@ def localized_middle_check(
     """
     lhs = induce(loc, s) @ (induce(loc, x) @ induce(loc, t))
     return intertwining_residual(loc, lhs, middle_multiplier(s, x, t))
-
-
-def vector_functionals(
-    states: list[PositiveFunctional],
-    pairs: list[tuple[ModuleVector, ModuleVector]],
-):
-    """Functional family ``y -> omega(<y v, w>)`` on module operators.
-
-    With states running over a faithful family and (v, w) over enough
-    vector pairs, these functionals separate the operator algebra and
-    are permuted by any implemented flow; they are the working family
-    for the weak-to-norm continuation arguments.
-    """
-    out = []
-    for omega in states:
-        for v, w in pairs:
-            out.append(lambda y, omega=omega, v=v, w=w: omega.value(inner(y @ v, w)))
-    return out

@@ -2,8 +2,8 @@
 
 Every norm-continuous unitary one-parameter group on a finite
 Hilbert module is ``u_t = T**(it)`` for a unique strictly positive
-module operator ``T``; this module recovers ``T`` from a sampled group.
-Recovery takes the principal matrix logarithm of ``u(t0)`` and guards
+module operator ``T``; ``recover`` finds ``T`` from a sampled group.
+It takes the principal matrix logarithm of ``u(t0)`` and guards
 the branch with a halving consistency check: the step is accepted only
 once ``log u(t0) = 2 log u(t0/2)`` within tolerance, halving ``t0``
 otherwise, and then checks the accepted branch once more at a time off
@@ -104,11 +104,7 @@ PROBE_SEED = 2011
 
 @dataclass(frozen=True, eq=False)
 class SampledUnitaryGroup:
-    """A one-parameter unitary group given only through an evaluator.
-
-    The evaluator must be safe to invoke concurrently; results are never
-    cached across operations.
-    """
+    """A one-parameter unitary group given only through an evaluator; results are never cached."""
 
     evaluator: Callable[[float], ModuleOperator]
 
@@ -174,13 +170,41 @@ def _principal_log_phases(u: ModuleOperator) -> ModuleOperator:
     return ModuleOperator(AlgebraElement._adopt(u.flat.shape, flats), u.k)
 
 
-def recover_generator(u: SampledUnitaryGroup, t0: float) -> ModuleOperator:
-    """Hermitian ``K`` with ``u_t = exp(itK)``, branch-checked by halving."""
-    return _recover_with_trace(u, t0)[0]
+@dataclass(frozen=True, eq=False)
+class Recovery:
+    """One recovery of a sampled group, and its record.
+
+    ``generator`` is the Hermitian ``K`` with ``u_t = exp(itK)``, accepted
+    at ``t0_used`` after ``halvings`` halvings of t0, and ``t_op`` is the
+    strictly positive ``T = exp K``.  ``residual_grid`` holds ``(t,
+    norm(u(t) - T**(it)))`` over ``RESIDUAL_TIMES``; ``verified`` judges it.
+    """
+
+    generator: ModuleOperator
+    t_op: ModuleOperator
+    t0_used: float
+    halvings: int
+    residual_grid: tuple[tuple[float, float], ...]
+
+    def verified(self) -> "Recovery":
+        """This recovery, once every residual on the grid is within 1e-8; ``NotAGroupError`` otherwise."""
+        for t, err in self.residual_grid:
+            if err > 1e-8:
+                raise NotAGroupError(f"evaluator differs from T^(it) at t={t}: {err:.3e}")
+        return self
+
+    def as_dict(self) -> dict:
+        """The record ``recovery.json`` holds: t0 used, halvings, residual grid and the spectrum of T."""
+        return {
+            "t0_used": self.t0_used,
+            "halvings": self.halvings,
+            "residual_grid": [[t, err] for t, err in self.residual_grid],
+            "T_spectrum": [float(v) for v in np.sort(eigenvalues(self.t_op.flat))],
+        }
 
 
-def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, float, int]:
-    """``K``, the time t it was accepted at, and the halvings spent.
+def recover(u: SampledUnitaryGroup, t0: float = 1.0) -> Recovery:
+    """Recover ``T`` with ``u_t = T**(it)`` from the principal logarithm, branch-checked by halving.
 
     Halving cannot see an eigenvalue of ``K = log u(t) / t`` off by
     ``4 pi m / t``, and neither can u at any multiple of t/2, such as the
@@ -188,7 +212,8 @@ def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperat
     ``exp(i c t K)`` within 1e-9 at ``c = OFF_LATTICE``, or
     ``BranchAmbiguityError`` is raised.  That moves the phase of the alias
     by ``4 pi m c``, so c = 0.3 still misses m a multiple of 5: an
-    eigenvalue off by a multiple of ``20 pi / t``.
+    eigenvalue off by a multiple of ``20 pi / t``.  The residual grid is
+    recorded, not judged: ``Recovery.verified`` raises on a miss.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
@@ -199,71 +224,41 @@ def _recover_with_trace(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperat
     for halvings in range(MAX_HALVINGS + 1):
         u_half = u(t / 2.0)
         log_half = _principal_log_phases(u_half)
-        scale = max(1.0, log_t.norm())
-        if (log_t - 2.0 * log_half).norm() <= RECOVERY_TOL * scale:
-            k_op = (1.0 / t) * log_t
-            u_k = herm_calculus(k_op.flat, lambda lam: np.exp(1j * t * lam))
-            resid = (u_t.flat - u_k).norm()
-            if resid > 1e-9:
-                raise NotAGroupError(
-                    f"u(t0) differs from exp(i t0 K) by {resid:.3e}"
-                )
-            s = OFF_LATTICE * t
-            gap = (u(s).flat - herm_calculus(k_op.flat, lambda lam: np.exp(1j * s * lam))).norm()
-            if gap > 1e-9:
-                raise BranchAmbiguityError(
-                    f"the logarithm accepted at t={t} misses u({s}) by {gap:.3e}: an aliased branch"
-                )
-            return k_op, t, halvings
+        if (log_t - 2.0 * log_half).norm() <= RECOVERY_TOL * max(1.0, log_t.norm()):
+            break
         t /= 2.0
         u_t, log_t = u_half, log_half
-    raise BranchAmbiguityError(
-        f"halving did not stabilize after {MAX_HALVINGS} steps from t0={t0}"
-    )
-
-
-def stone(u: SampledUnitaryGroup, t0: float = 1.0) -> ModuleOperator:
-    """The unique strictly positive ``T`` with ``u_t = T**(it)``.
-
-    Verifies the recovered operator against the evaluator on a probe
-    grid ``|t| <= 10`` at tolerance 1e-8 and raises ``NotAGroupError``
-    when the evaluator is inconsistent with any positive generator.
-    """
-    return _verified(u, t0)[0]
-
-
-def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
-    """Structured recovery record: t0 used, halvings, residuals, spectrum; raises like ``stone``."""
-    return _verified(u, t0)[1]
-
-
-def _verified(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, dict]:
-    t_op, report = _stone_and_report(u, t0)
-    for t, err in report["residual_grid"]:
-        if err > 1e-8:
-            raise NotAGroupError(f"evaluator differs from T^(it) at t={t}: {err:.3e}")
-    return t_op, report
-
-
-def _stone_and_report(u: SampledUnitaryGroup, t0: float) -> tuple[ModuleOperator, dict]:
-    """The recovered ``T`` and its record, from one recovery; the caller judges the residual grid."""
-    k_op, t_used, halvings = _recover_with_trace(u, t0)
+    else:
+        raise BranchAmbiguityError(
+            f"halving did not stabilize after {MAX_HALVINGS} steps from t0={t0}"
+        )
+    k_op = (1.0 / t) * log_t
+    resid = (u_t.flat - herm_calculus(k_op.flat, lambda lam: np.exp(1j * t * lam))).norm()
+    if resid > 1e-9:
+        raise NotAGroupError(f"u(t0) differs from exp(i t0 K) by {resid:.3e}")
+    s = OFF_LATTICE * t
+    gap = (u(s).flat - herm_calculus(k_op.flat, lambda lam: np.exp(1j * s * lam))).norm()
+    if gap > 1e-9:
+        raise BranchAmbiguityError(
+            f"the logarithm accepted at t={t} misses u({s}) by {gap:.3e}: an aliased branch"
+        )
     t_op = op_exp(k_op)
     if not strictly_positive(t_op):
         raise NotAGroupError("recovered operator is not strictly positive")
-    return t_op, {
-        "t0_used": t_used,
-        "halvings": halvings,
-        "residual_grid": [[t, err] for t, err in _residual_grid(u, t_op)],
-        "T_spectrum": [float(v) for v in np.sort(eigenvalues(t_op.flat))],
-    }
-
-
-def _residual_grid(u: SampledUnitaryGroup, t_op: ModuleOperator) -> list[tuple[float, float]]:
-    """``norm(u(t) - T**(it))`` on the probe grid: the samples and the powers as two batches."""
-    samples = stack([u(t).flat for t in RESIDUAL_TIMES])
+    # the samples and the powers of T on the probe grid, as two batches
+    samples = stack([u(time).flat for time in RESIDUAL_TIMES])
     errs = (samples - power(t_op.flat, 1j * np.array(RESIDUAL_TIMES))).norm()
-    return list(zip(RESIDUAL_TIMES, errs.tolist()))
+    return Recovery(k_op, t_op, t, halvings, tuple(zip(RESIDUAL_TIMES, errs.tolist())))
+
+
+def stone(u: SampledUnitaryGroup, t0: float = 1.0) -> ModuleOperator:
+    """The unique strictly positive ``T`` with ``u_t = T**(it)``, verified on the residual grid."""
+    return recover(u, t0).verified().t_op
+
+
+def recovery_report(u: SampledUnitaryGroup, t0: float = 1.0) -> dict:
+    """The record of a verified recovery; raises like ``stone``."""
+    return recover(u, t0).verified().as_dict()
 
 
 @dataclass(frozen=True, eq=False)

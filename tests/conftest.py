@@ -1,9 +1,23 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement, InducedOperator, ModuleVector
+from cstarflow import (
+    AlgebraElement,
+    BlockShape,
+    ConfigInvalidError,
+    FlowGenerator,
+    HermitianElement,
+    InducedOperator,
+    ModuleOperator,
+    ModuleVector,
+    identity_operator,
+)
 from cstarflow.algebra import largest_singular_value
+from cstarflow.cli import ScenarioConfig, validate
 from cstarflow.sampling import rng
 
 
@@ -39,6 +53,20 @@ def counting_svd(calls: list):
         return _svd(a, *args, **kwargs)
 
     return svd
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    """The validated config in the JSON file at ``path``; ``ConfigInvalidError`` with its problems."""
+    config, problems = validate(json.loads(Path(path).read_text()))
+    if problems:
+        raise ConfigInvalidError(problems)
+    return config
+
+
+def unitary_defect(s: ModuleOperator) -> float:
+    """The larger of ``norm(S* S - 1)`` and ``norm(S S* - 1)``."""
+    one = identity_operator(s.shape, s.k)
+    return max((s.star() @ s - one).norm(), (s @ s.star() - one).norm())
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -46,7 +46,7 @@ from cstarflow import (
     tensor_flow,
     three_lines_check,
 )
-from cstarflow.cli import EXPERIMENTS, load_config, run
+from cstarflow.cli import EXPERIMENTS, run
 from cstarflow.sampling import (
     random_commuting_flows,
     random_element,
@@ -58,7 +58,7 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import diag_flow, e12, induced_dense
+from conftest import diag_flow, e12, induced_dense, load_config
 
 SHAPES = (BlockShape([2, 3]), BlockShape([4]), BlockShape([3, 2]), BlockShape([2, 2, 2]))
 

@@ -36,7 +36,6 @@ from cstarflow.cli import (
     SIZE,
     WORK,
     ScenarioConfig,
-    load_config,
     main,
     resolved_defaults,
     run,
@@ -49,6 +48,8 @@ from cstarflow.hilbmod import identity_operator, op_log
 from cstarflow.sampling import random_element, random_hermitian, random_positive_operator, rng
 from cstarflow.serialize import element_to_payload
 from cstarflow.stone import PROBES, PositiveFunctional
+
+from conftest import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -884,7 +885,7 @@ class TestMain:
         def breaks(u, t0):
             raise BranchAmbiguityError("halving did not stabilize after 8 steps from t0=1.0")
 
-        monkeypatch.setattr(cli_mod, "_stone_and_report", breaks)
+        monkeypatch.setattr(cli_mod, "recover", breaks)
         out = tmp_path / "out"
         assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -952,9 +953,14 @@ class TestMain:
     def test_residual_grid_miss_exits_one(self, tmp_path, monkeypatch):
         # a residual-grid error over its bound is a tolerance miss of the run, with its CSV,
         # while the library's stone() and recovery_report() still refuse the evaluator
-        exact = stone_mod._residual_grid
-        monkeypatch.setattr(stone_mod, "_residual_grid",
-                            lambda u, t_op: [(t, err + 2e-8) for t, err in exact(u, t_op)])
+        exact = stone_mod.recover
+
+        def missed(u, t0=1.0):
+            rec = exact(u, t0)
+            return dataclasses.replace(rec, residual_grid=tuple((t, err + 2e-8) for t, err in rec.residual_grid))
+
+        monkeypatch.setattr(stone_mod, "recover", missed)
+        monkeypatch.setattr(cli_mod, "recover", missed)
         out = tmp_path / "out"
         assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 1
         assert (out / "stone.csv").exists()
@@ -1037,13 +1043,13 @@ def _drifted_smears(monkeypatch):
 
 def _grown_recovery(monkeypatch):
     """The recovered T grown by 1e-5: its powers T_rec**(iz) miss T**(iz) as well, by about as much."""
-    exact = cli_mod._stone_and_report
+    exact = cli_mod.recover
 
     def grown(u, t0):
-        t_rec, record = exact(u, t0)
-        return (1.0 + 1e-5) * t_rec, record
+        rec = exact(u, t0)
+        return dataclasses.replace(rec, t_op=(1.0 + 1e-5) * rec.t_op)
 
-    monkeypatch.setattr(cli_mod, "_stone_and_report", grown)
+    monkeypatch.setattr(cli_mod, "recover", grown)
 
 
 # (experiment, check): a fault of the runner's wiring or of a kernel it calls, and every check
@@ -1202,13 +1208,13 @@ class TestArtifacts:
 
     def test_stone_recovers_the_generator_once(self, tmp_path, monkeypatch):
         calls = []
-        recover = stone_mod._recover_with_trace
+        recover = cli_mod.recover
 
         def counted(*args):
             calls.append(args)
             return recover(*args)
 
-        monkeypatch.setattr(stone_mod, "_recover_with_trace", counted)
+        monkeypatch.setattr(cli_mod, "recover", counted)
         assert run(load_config(CONFIG_DIR / "stone.json"), tmp_path, quiet=True).passed
         assert len(calls) == 1
 
@@ -1265,9 +1271,12 @@ def _assert_loads_no_scipy(body: str):
 def test_verify_tensor_and_implemented_load_no_scipy(tmp_path):
     # the C*-norm needs numpy alone
     _assert_loads_no_scipy(f"""
+        import json
+        import pathlib
         import cstarflow.cli
+        config_dir = pathlib.Path({str(CONFIG_DIR)!r})
         for name in ("implemented", "verify", "tensor"):
-            config = cstarflow.cli.load_config({str(CONFIG_DIR)!r} + "/" + name + ".json")
+            config, _ = cstarflow.cli.validate(json.loads((config_dir / (name + ".json")).read_text()))
             assert cstarflow.cli.run(config, {str(tmp_path)!r} + "/" + name, quiet=True).passed, name
     """)
 
@@ -1275,11 +1284,13 @@ def test_verify_tensor_and_implemented_load_no_scipy(tmp_path):
 def test_converge_and_double_smear_load_no_scipy(tmp_path):
     # the smears take their trapezoidal nodes from numpy
     _assert_loads_no_scipy(f"""
+        import json
+        import pathlib
         import cstarflow.cli
         from cstarflow.algebra import AlgebraElement, BlockShape, HermitianElement
         from cstarflow.composition import CommutingPair, double_smear
         from cstarflow.sampling import random_commuting_flows, random_element, rng
-        config = cstarflow.cli.load_config({str(CONFIG_DIR / "converge.json")!r})
+        config, _ = cstarflow.cli.validate(json.loads(pathlib.Path({str(CONFIG_DIR / "converge.json")!r}).read_text()))
         assert cstarflow.cli.run(config, {str(tmp_path / "converge")!r}, quiet=True).passed
         r = rng(1)
         pair = CommutingPair(*random_commuting_flows(r, BlockShape([4]), 2.0))
@@ -1290,7 +1301,9 @@ def test_converge_and_double_smear_load_no_scipy(tmp_path):
 def test_stone_loads_no_scipy(tmp_path):
     # stone's principal logarithm and its power oracle take numpy alone
     _assert_loads_no_scipy(f"""
+        import json
+        import pathlib
         import cstarflow.cli
-        config = cstarflow.cli.load_config({str(CONFIG_DIR / "stone.json")!r})
+        config, _ = cstarflow.cli.validate(json.loads(pathlib.Path({str(CONFIG_DIR / "stone.json")!r}).read_text()))
         assert cstarflow.cli.run(config, {str(tmp_path / "stone")!r}, quiet=True).passed
     """)

@@ -30,6 +30,7 @@ from cstarflow import (
     tensor_continuation_check,
     tensor_element,
     tensor_flow,
+    zeros,
 )
 from cstarflow.algebra import stack
 from cstarflow.composition import _kron
@@ -73,7 +74,7 @@ class TestProductFlow:
     def test_trivial_partner_is_identity_on_flows(self):
         shape = BlockShape([2, 2])
         alpha = random_flow(rng(0), shape, 1.0)
-        pair = CommutingPair(alpha, FlowGenerator.trivial(shape))
+        pair = CommutingPair(alpha, FlowGenerator.automorphism(HermitianElement(zeros(shape))))
         gamma = product_flow(pair)
         assert (gamma.h_left.value - alpha.h_left.value).norm() == 0.0
         assert (gamma.h_right.value - alpha.h_right.value).norm() == 0.0
@@ -120,7 +121,7 @@ class TestGammaContinuation:
     def test_trivial_partner(self):
         shape = BlockShape([2])
         alpha = random_flow(rng(4), shape, 1.0)
-        pair = CommutingPair(alpha, FlowGenerator.trivial(shape))
+        pair = CommutingPair(alpha, FlowGenerator.automorphism(HermitianElement(zeros(shape))))
         x = random_element(rng(5), shape)
         z = 0.4 - 0.6j
         gamma_z = continue_exact(product_flow(pair), z, x)
@@ -155,7 +156,8 @@ class TestGammaGrid:
 class TestDoubleSmear:
     def test_trivial_flows_reproduce_element(self):
         shape = BlockShape([2])
-        pair = CommutingPair(FlowGenerator.trivial(shape), FlowGenerator.trivial(shape))
+        still = FlowGenerator.automorphism(HermitianElement(zeros(shape)))
+        pair = CommutingPair(still, still)
         x = random_element(rng(6), shape)
         for n in (1.0, 3.0):
             assert (double_smear(pair, x, n) - x).norm() <= 1e-13 * x.norm()

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,14 @@ class TestEvaluate:
         one = identity(BlockShape([3]))
         for t in (-5.0, 0.7, 11.0):
             assert (evaluate(g, t, one) - one).norm() <= 1e-12
+
+    def test_complex_time_is_refused(self):
+        # numpy would drop the imaginary part of a complex array: np.array([1j]) would act as t = 0
+        g, x = diag_flow(1.0, 0.0), e12()
+        for t in (1j, 0.5 + 0.0j, np.array([1j]), np.array([0.0, 1.0], dtype=complex)):
+            with pytest.raises(ValueError, match="continue_exact"):
+                evaluate(g, t, x)
+        np.testing.assert_allclose(evaluate(g, np.array([0.0, 1.0]), x).blocks[0][1], phase_oracle(g, 1.0, x)[0])
 
 
 class TestCompanions:

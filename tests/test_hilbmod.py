@@ -20,7 +20,6 @@ from cstarflow import (
     identity_operator,
     induce,
     inner,
-    is_unitary,
     localize,
     matrix_unit_operators,
     op_exp,
@@ -35,7 +34,6 @@ from cstarflow.hilbmod import (
     _unvec_flats,
     operator_vec,
 )
-from cstarflow.serialize import dumps, loads, operator_from_payload, operator_to_payload
 from cstarflow.sampling import (
     random_element,
     random_operator,
@@ -45,7 +43,7 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import counting_svd, induced_dense, vector_coordinates, vector_from_coordinates
+from conftest import counting_svd, induced_dense, unitary_defect, vector_coordinates, vector_from_coordinates
 
 EPS = np.finfo(float).eps
 
@@ -90,7 +88,7 @@ class TestInner:
 class TestOperatorBasics:
     def test_identity_unitary_and_positive(self):
         one = identity_operator(BlockShape([2, 2]), 2)
-        assert is_unitary(one)
+        assert unitary_defect(one) <= 1e-10
         assert strictly_positive(one)
 
     def test_projection_not_strictly_positive(self):
@@ -108,7 +106,7 @@ class TestOperatorBasics:
     def test_imaginary_power_is_unitary(self):
         t = random_positive_operator(rng(3), BlockShape([2]), 2, cond=30.0)
         for s in (0.5, -2.0):
-            assert is_unitary(op_power(t, 1j * s))
+            assert unitary_defect(op_power(t, 1j * s)) <= 1e-10
 
     def test_norm_is_kept_on_the_operator(self, monkeypatch):
         calls = []
@@ -446,19 +444,6 @@ def test_cstar_identity_hypothesis(module):
     s = random_operator(rng(seed), BlockShape(dims), k)
     n2 = s.norm() ** 2
     assert abs((s.star() @ s).norm() - n2) <= 1e-10 * max(n2, 1e-30)
-
-
-@settings(max_examples=30, deadline=None)
-@given(SMALL_MODULES)
-def test_operator_payload_roundtrip_hypothesis(module):
-    seed, dims, k = module
-    s = random_operator(rng(seed), BlockShape(dims), k)
-    payload = operator_to_payload(s)
-    assert len(payload["entries"]) == k and all(len(row) == k for row in payload["entries"])
-    back = operator_from_payload(loads(dumps(payload)))
-    assert back.k == k
-    for a, b in zip(back.flat.blocks, s.flat.blocks):
-        np.testing.assert_array_equal(a, b)
 
 
 # Reference closure: the loop as it was before the stop at full span, the

@@ -22,7 +22,6 @@ from cstarflow import (
     identity_operator,
     implemented_continuation_check,
     implemented_evaluate,
-    inner,
     localize,
     localized_middle_check,
     matrix_unit_operators,
@@ -30,14 +29,11 @@ from cstarflow import (
     op_log,
     op_power,
     separating_check,
-    vector_functionals,
-    zero_operator,
 )
 from cstarflow.sampling import (
     random_operator,
     random_positive_operator,
     random_state,
-    random_vector,
     rng,
 )
 
@@ -179,7 +175,7 @@ def test_carrier_basis_elements_have_norm_at_most_one_hypothesis(seed, dims, k, 
 class TestMiddleMultiplier:
     def test_zero(self):
         shape = BlockShape([2])
-        z = zero_operator(shape, 2)
+        z = 0.0 * identity_operator(shape, 2)
         s = identity_operator(shape, 2)
         assert middle_multiplier(s, z, s).norm() == 0.0
 
@@ -375,29 +371,3 @@ class TestLocalizedMiddle:
         assert separating_check(middle_multiplier(s, x, t), y, states)
         bumped = y + 1e-3 * identity_operator(shape, 1)
         assert not separating_check(middle_multiplier(s, x, t), bumped, states)
-
-
-class TestVectorFunctionals:
-    def test_values_match_direct_computation(self):
-        r = rng(13)
-        shape = BlockShape([2])
-        k = 2
-        states = [random_state(r, shape)]
-        pairs = [(random_vector(r, shape, k), random_vector(r, shape, k))]
-        (theta,) = vector_functionals(states, pairs)
-        y = random_operator(r, shape, k)
-        v, w = pairs[0]
-        assert theta(y) == pytest.approx(states[0].value(inner(y @ v, w)))
-
-    def test_family_separates_operators(self):
-        r = rng(14)
-        shape = BlockShape([2])
-        k = 1
-        states = [random_state(r, shape)]
-        pairs = [
-            (random_vector(r, shape, k), random_vector(r, shape, k)) for _ in range(6)
-        ]
-        family = vector_functionals(states, pairs)
-        y1 = random_operator(r, shape, k)
-        y2 = y1 + 1e-2 * identity_operator(shape, k)
-        assert any(abs(th(y1) - th(y2)) > 1e-6 for th in family)

@@ -8,25 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarflow import AlgebraElement, BlockShape, FlowGenerator, HermitianElement
-from cstarflow.sampling import random_element, random_elements, random_flow, random_operator, random_vector, rng
-from cstarflow.serialize import (
-    dumps,
-    element_from_payload,
-    element_to_payload,
-    flow_from_payload,
-    flow_to_payload,
-    loads,
-    operator_from_payload,
-    operator_to_payload,
-    vector_from_payload,
-    vector_to_payload,
-)
+from cstarflow import AlgebraElement, BlockShape
+from cstarflow.sampling import random_element, random_elements, rng
+from cstarflow.serialize import element_from_payload, element_to_payload
 
 
 def test_element_roundtrip_random():
     x = random_element(rng(0), BlockShape([2, 3]))
-    back = element_from_payload(loads(dumps(element_to_payload(x))))
+    back = element_from_payload(json.loads(json.dumps(element_to_payload(x))))
     for a, b in zip(back.blocks, x.blocks):
         np.testing.assert_array_equal(a, b)
 
@@ -41,7 +30,7 @@ def test_element_roundtrip_awkward_doubles():
     from cstarflow import AlgebraElement
 
     x = AlgebraElement.from_blocks([tricky])
-    text = dumps(element_to_payload(x))
+    text = json.dumps(element_to_payload(x))
     back = element_from_payload(json.loads(text))
     np.testing.assert_array_equal(back.blocks[0], tricky)
 
@@ -56,32 +45,6 @@ def test_payload_layout_row_major_pairs():
     }
 
 
-def test_flow_kind_tag():
-    h = HermitianElement.from_blocks([np.diag([1.0, 2.0])])
-    auto = FlowGenerator(h, h)
-    assert flow_to_payload(auto)["kind"] == "automorphism"
-    g = random_flow(rng(1), BlockShape([2]), 1.0)
-    assert flow_to_payload(g)["kind"] == "two-sided"
-    back = flow_from_payload(flow_to_payload(g))
-    assert (back.h_left.value - g.h_left.value).norm() == 0.0
-    assert (back.h_right.value - g.h_right.value).norm() == 0.0
-
-
-def test_operator_roundtrip():
-    s = random_operator(rng(2), BlockShape([2, 2]), 2)
-    back = operator_from_payload(loads(dumps(operator_to_payload(s))))
-    assert (back - s).norm() == 0.0
-    assert back.k == s.k
-
-
-def test_vector_payload_is_one_element_payload_per_slot():
-    v = random_vector(rng(3), BlockShape([2, 1]), 3)
-    payload = vector_to_payload(v)
-    assert payload == {"entries": [element_to_payload(e) for e in v.entries]}
-    back = vector_from_payload(loads(dumps(payload)))
-    assert back.k == 3 and back.shape == v.shape
-
-
 def assert_same_bits(x: AlgebraElement, y: AlgebraElement) -> None:
     assert x.shape == y.shape
     for a, b in zip(x.blocks, y.blocks):
@@ -92,29 +55,15 @@ def assert_same_bits(x: AlgebraElement, y: AlgebraElement) -> None:
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2)]),
-    st.integers(1, 3),
     st.floats(1e-300, 1e300),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8),
 )
-def test_payload_roundtrip_bitwise_hypothesis(seed, dims, k, scale, doubles):
+def test_payload_roundtrip_bitwise_hypothesis(seed, dims, scale, doubles):
     r, shape = rng(seed), BlockShape(dims)
     # any finite doubles, -0.0 and subnormals included, in a 2 x 2 block
     raw = np.array(doubles).view(complex).reshape(2, 2)
     for x in (AlgebraElement.from_blocks([raw]), scale * random_element(r, shape)):
-        assert_same_bits(element_from_payload(loads(dumps(element_to_payload(x)))), x)
-    g = random_flow(r, shape, scale)
-    back = flow_from_payload(loads(dumps(flow_to_payload(g))))
-    assert_same_bits(back.h_left.value, g.h_left.value)
-    assert_same_bits(back.h_right.value, g.h_right.value)
-    s = scale * random_operator(r, shape, k)
-    back_op = operator_from_payload(loads(dumps(operator_to_payload(s))))
-    assert back_op.k == k
-    assert_same_bits(back_op.flat, s.flat)
-    v = scale * random_vector(r, shape, k)
-    back_vec = vector_from_payload(loads(dumps(vector_to_payload(v))))
-    assert back_vec.k == k and back_vec.shape == v.shape
-    for a, b in zip(back_vec.stacked, v.stacked):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert_same_bits(element_from_payload(json.loads(json.dumps(element_to_payload(x)))), x)
 
 
 def test_a_batch_is_refused_with_its_shape():

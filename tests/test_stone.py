@@ -32,13 +32,13 @@ from cstarflow import (
     op_exp,
     op_log,
     op_power,
-    recover_generator,
+    recover,
     recovery_report,
     separating_check,
     stone,
     vector_smear,
 )
-from cstarflow.stone import GNS_TOL
+from cstarflow.stone import GNS_TOL, RESIDUAL_TIMES
 from cstarflow.hilbmod import operator_matrix
 from cstarflow.implemented import localized_middle_check, middle_multiplier
 from cstarflow.sampling import (
@@ -74,21 +74,22 @@ class TestRecoverGenerator:
         u.probe(0.5)
         assert sorted(times) == sorted([0.0, 0.5, -0.5, 1.0, -1.0, 5.0, -5.0])
         times.clear()
-        _, t_used, halvings = stone_mod._recover_with_trace(u, 0.5)
-        assert (t_used, halvings) == (0.5, 0)
-        assert len(times) == 7 + 3 and len(set(times[7:])) == 3
+        rec = recover(u, 0.5)
+        assert (rec.t0_used, rec.halvings) == (0.5, 0)
+        # then the residual grid samples each of its times once more
+        assert len(times) == 7 + 3 + len(RESIDUAL_TIMES) and len(set(times[7:10])) == 3
 
     def test_trivial_group(self):
         shape = BlockShape([2, 2])
         one = identity_operator(shape, 2)
         u = SampledUnitaryGroup(lambda t: one)
-        k = recover_generator(u, 1.0)
+        k = recover(u, 1.0).generator
         assert k.norm() <= 1e-12
 
     def test_diagonal_entrywise_log_oracle(self):
         t_op = diag_module_operator(np.e, 1.0)
         u = SampledUnitaryGroup.from_positive(t_op)
-        k = recover_generator(u, 1.0)
+        k = recover(u, 1.0).generator
         np.testing.assert_allclose(k.entries[0][0].blocks[0], np.diag([1.0, 0.0]), atol=1e-12)
         t_rec = stone(u)
         np.testing.assert_allclose(
@@ -123,17 +124,17 @@ class TestRecoverGenerator:
             )
 
         with pytest.raises(BranchAmbiguityError):
-            recover_generator(SampledUnitaryGroup(u_t), 1.0)
+            recover(SampledUnitaryGroup(u_t), 1.0)
 
     def test_aliased_generator_is_refused(self):
         # u(1) has phases +-11, whose principal logarithm is +-(11 - 4 pi); halving
         # agrees, and so does every multiple of 1/2, but u(0.3) does not
         u = SampledUnitaryGroup.from_positive(op_exp(diag_module_operator(11.0, -11.0)))
-        for recover in (lambda: recover_generator(u, 1.0), lambda: stone(u)):
+        for attempt in (lambda: recover(u, 1.0), lambda: stone(u)):
             with pytest.raises(BranchAmbiguityError, match=r"accepted at t=1\.0 misses u\(0\.3\) by 1\.902e\+00"):
-                recover()
+                attempt()
         # from t0 = 1/2 the halving check sees the wrap, and the true generator is kept
-        k = recover_generator(u, 0.5)
+        k = recover(u, 0.5).generator
         np.testing.assert_allclose(k.entries[0][0].blocks[0], np.diag([11.0, -11.0]), atol=1e-9)
 
     def test_finite_difference_oracle(self):
@@ -141,7 +142,7 @@ class TestRecoverGenerator:
         r = rng(15)
         t_op = random_positive_operator(r, BlockShape([2]), 2, cond=20.0)
         u = SampledUnitaryGroup.from_positive(t_op)
-        k_rec = recover_generator(u, 1.0)
+        k_rec = recover(u, 1.0).generator
         h = 1e-4
         fd = (1.0 / (2j * h)) * (u(h) - u(-h))
         fd_herm = 0.5 * (fd + fd.star())
@@ -154,7 +155,7 @@ class TestRecoverGenerator:
         u = SampledUnitaryGroup(lambda t: op_exp((1j * t * t) * k * (-1j)))
         # u(t) = exp(i t^2 K): unitary, u(0) = 1, but not additive
         with pytest.raises(NotAGroupError):
-            recover_generator(u, 1.0)
+            recover(u, 1.0)
 
 
 class TestStone:
