@@ -73,6 +73,7 @@ from .flows import (
     right_companion,
 )
 from .hilbmod import (
+    BlockCarrier,
     ModuleOperator,
     ModuleVector,
     SubalgebraBasis,
@@ -80,7 +81,6 @@ from .hilbmod import (
     condition_number,
     identity_operator,
     inner,
-    matrix_unit_operators,
     op_exp,
     op_log,
     op_power,

@@ -21,14 +21,23 @@ vectors carries the batch axes on its stacked blocks.  At finite
 dimension every module map with an adjoint is bounded, so no
 unbounded-operator bookkeeping appears anywhere.
 
-Sub-C*-algebras of the operator algebra are handled through an
-orthonormal Hilbert-Schmidt basis of the span generated by a finite set
-of operators, held as one array of coordinate rows; membership tests are
-orthogonal projections onto that span, which keeps them basis-independent.
-The span is closed one candidate at a time, with products formed on the
-rows, and stops as soon as it fills the whole operator algebra.  The
-whole basis is moved by a batch of operators and projected at once
-(``SubalgebraBasis.leaks``).
+Sub-C*-algebras of the operator algebra come in two kinds, which answer
+the same two questions: ``residual(s)``, the Hilbert-Schmidt distance from
+``s`` to the subalgebra, and ``leaks(L, R)``, that distance for ``L e R``
+at every element e of an orthonormal basis.  A ``SubalgebraBasis`` is the
+general one, for any finite set of generators (``affiliation_test`` takes
+it): an orthonormal Hilbert-Schmidt basis of the generated span, held as
+one array of coordinate rows, closed one candidate at a time with
+products formed on the rows, and stopped as soon as it fills the whole
+operator algebra; membership tests are orthogonal projections onto that
+span, which keeps them basis-independent.  At finite dimension every
+unital *-subalgebra is, up to a unitary, a direct sum of full matrix
+blocks; a ``BlockCarrier`` is one held that way, so that both answers
+have a closed form and cost no ``D x D`` array (``D`` the dimension of
+``M_k(A)``).  ``cstarflow run`` runs its implemented flows on
+``BlockCarrier.full``, all of ``M_k(A)``.  Finding the block form of a
+span given only by generators is Murota, Kanno, Kojima & Kojima, Japan
+J. Indust. Appl. Math. 27 (2010), and is not done here.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from .errors import NotStrictlyPositiveError, ShapeMismatchError
 
 SPAN_TOL = 1e-9
 AFFILIATION_TOL = 1e-8
+UNITARY_TOL = 1e-10
 
 
 def _flat_shape(shape: BlockShape, k: int) -> BlockShape:
@@ -401,17 +411,88 @@ def _candidates(flat: BlockShape, q: np.ndarray, i: int) -> Iterator[np.ndarray]
         yield _row_product(flat, q[j], q[i])
 
 
-def matrix_unit_operators(shape: BlockShape, k: int) -> list[ModuleOperator]:
-    """Flattened matrix units: a linear basis of the full operator algebra."""
-    flat = _flat_shape(shape, k)
-    out = []
-    for b, m in enumerate(flat):
-        for r in range(m):
-            for c in range(m):
-                flats = [np.zeros((mm, mm), dtype=complex) for mm in flat]
-                flats[b][r, c] = 1.0
-                out.append(ModuleOperator(AlgebraElement(flat, flats), k))
-    return out
+@dataclass(frozen=True, eq=False)
+class BlockCarrier:
+    """Carrier subalgebra held by its Wedderburn data: ``B = (+)_b U_b ((+)_j M_{m_j}) U_b*``.
+
+    For each flat block b (size ``k n_b``) it holds a unitary ``U_b`` and the
+    sizes ``m_j`` of the sub-blocks, a partition of ``k n_b``.  Its basis is
+    the matrix units ``U_b E_ac U_b*`` with a and c in one sub-block, block by
+    block, row-major within each block; they are Hilbert-Schmidt orthonormal.
+    ``residual`` and ``leaks`` answer what ``SubalgebraBasis`` answers, in
+    closed form in the rotated frame, and no ``D x D`` array is formed.
+    ``ValueError`` (naming the block) unless each ``U_b`` is a ``k n_b``
+    square with ``max |U_b* U_b - I| <= UNITARY_TOL`` and each partition
+    has positive parts that sum to ``k n_b``.
+    """
+
+    shape: BlockShape
+    k: int
+    unitaries: tuple[np.ndarray, ...]
+    parts: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        flat = _flat_shape(self.shape, self.k)
+        if len(self.unitaries) != flat.num_blocks or len(self.parts) != flat.num_blocks:
+            raise ValueError(f"carrier needs one unitary and one partition for each of {flat.num_blocks} blocks")
+        object.__setattr__(self, "shape", BlockShape(self.shape))
+        parts = tuple(tuple(int(m) for m in p) for p in self.parts)
+        for b, (n, u, p) in enumerate(zip(flat, self.unitaries, parts)):
+            if any(m < 1 for m in p):
+                raise ValueError(f"block {b}: parts {p} are not all positive")
+            if sum(p) != n:
+                raise ValueError(f"block {b}: parts {p} sum to {sum(p)}, not k n_b = {n}")
+            if np.shape(u) != (n, n):
+                raise ValueError(f"block {b}: unitary has shape {np.shape(u)}, not {(n, n)}")
+            defect = float(np.max(np.abs(_adjoint(np.asarray(u)) @ u - np.eye(n))))
+            if not defect <= UNITARY_TOL:
+                raise ValueError(f"block {b}: unitary defect {defect:.3e} above {UNITARY_TOL:.0e}")
+        object.__setattr__(self, "unitaries", tuple(_frozen(u) for u in self.unitaries))
+        object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def full(cls, shape: BlockShape, k: int) -> "BlockCarrier":
+        """All of ``M_k(A)``: ``U_b = I`` and one part per block."""
+        flat = _flat_shape(shape, k)
+        return cls(shape, k, [np.eye(n) for n in flat], [(n,) for n in flat])
+
+    @cached_property
+    def _same_part(self) -> tuple[np.ndarray, ...]:
+        """Per block, the mask of the entries (i, l) with i and l in one sub-block."""
+        labels = (np.repeat(np.arange(len(p)), p) for p in self.parts)
+        return tuple(lab[:, None] == lab[None, :] for lab in labels)
+
+    @property
+    def dim(self) -> int:
+        return sum(m * m for p in self.parts for m in p)
+
+    def residual(self, s: ModuleOperator) -> float:
+        """HS distance from ``s`` to ``B``: the part of ``U_b* s_b U_b`` outside the sub-blocks."""
+        sq = sum(float(np.sum(np.abs((_adjoint(u) @ f @ u)[~same]) ** 2))
+                 for u, same, f in zip(self.unitaries, self._same_part, s.flat.blocks))
+        return float(np.sqrt(sq))
+
+    def leaks(self, left: AlgebraElement, right: AlgebraElement | None = None) -> np.ndarray:
+        """HS distances from ``L_g e R_g`` to ``B`` for every matrix unit e of ``B``: ``(*G, dim)``.
+
+        ``left`` and ``right`` as for ``SubalgebraBasis.leaks``.  With ``L' = U* L U``
+        and ``R' = U* R U`` (``R' = I`` without ``right``), the squared leak of
+        ``U E_ac U*`` is the sum of ``|L'_ia|^2 |R'_cl|^2`` over i and l in different
+        sub-blocks, summed as ``sum_j P_ja sum_(j' != j) Q_j'c`` with
+        ``P_ja = sum_(i in j) |L'_ia|^2`` and ``Q_j'c = sum_(l in j') |R'_cl|^2``:
+        only off-block terms, so never negative.
+        """
+        out = []
+        for b, (u, same, p) in enumerate(zip(self.unitaries, self._same_part, self.parts)):
+            starts = np.cumsum((0, *p[:-1]))
+            u_star = _adjoint(u)
+            l_sq = np.abs(u_star @ left.blocks[b] @ u) ** 2
+            r_sq = np.eye(len(u)) if right is None else np.abs(u_star @ right.blocks[b] @ u) ** 2
+            col_mass = np.add.reduceat(l_sq, starts, axis=-2)  # P: (*G, parts, k n_b)
+            row_mass = np.add.reduceat(r_sq, starts, axis=-1).swapaxes(-1, -2)  # Q
+            squared = col_mass.swapaxes(-1, -2) @ ((1.0 - np.eye(len(p))) @ row_mass)
+            out.append(squared[..., same])
+        return np.sqrt(np.concatenate(out, axis=-1))
 
 
 def affiliation_test(alpha: ModuleOperator, basis: SubalgebraBasis, t_samples: Sequence[float]) -> bool:

@@ -29,6 +29,7 @@ from .errors import (
 from .flows import _phases
 from .hilbmod import (
     SPAN_TOL,
+    BlockCarrier,
     ModuleOperator,
     SubalgebraBasis,
     _same_module,
@@ -58,21 +59,23 @@ def _require_implementing_pair(s: ModuleOperator, t: ModuleOperator) -> None:
 class ImplementedFlow:
     """Carrier subalgebra plus the strictly positive implementing pair.
 
-    Construction verifies that conjugation preserves the span of the
-    carrier at the probe times, on the whole basis in one ``leaks`` call
-    (``InvarianceViolationError`` naming the first probe time that fails).
+    The carrier is a ``BlockCarrier`` or a ``SubalgebraBasis``; only its
+    ``residual`` and ``leaks`` are read.  Construction verifies that
+    conjugation preserves the carrier at the probe times, on the whole
+    basis in one ``leaks`` call (``InvarianceViolationError`` naming the
+    first probe time that fails).
     """
 
     s: ModuleOperator
     t: ModuleOperator
-    basis: SubalgebraBasis
+    carrier: BlockCarrier | SubalgebraBasis
 
     def __post_init__(self):
         _require_implementing_pair(self.s, self.t)
         times = np.array(PROBE_TIMES)
-        leaks = self.basis.leaks(power(self.s.flat, 1j * times), power(self.t.flat, -1j * times))
+        leaks = self.carrier.leaks(power(self.s.flat, 1j * times), power(self.t.flat, -1j * times))
         # the bound is INVARIANCE_TOL * max(1, norm(b)) for each basis element b,
-        # and the rows are Hilbert-Schmidt orthonormal, so norm(b) <= 1
+        # and either basis is Hilbert-Schmidt orthonormal, so norm(b) <= 1
         for tp, leak in zip(PROBE_TIMES, leaks):
             if (leak > INVARIANCE_TOL).any():
                 raise InvarianceViolationError(f"conjugation at t={tp} leaves the carrier span")
@@ -80,10 +83,10 @@ class ImplementedFlow:
 
 def implemented_evaluate(f: ImplementedFlow, t: float, x: ModuleOperator) -> ModuleOperator:
     """``S**(it) x T**(-it)`` for carrier elements ``x``."""
-    if f.basis.residual(x) > SPAN_TOL * max(1.0, x.norm()):
+    if f.carrier.residual(x) > SPAN_TOL * max(1.0, x.norm()):
         raise NotInAlgebraError("element lies outside the carrier span")
     y = op_power(f.s, 1j * float(t)) @ x @ op_power(f.t, -1j * float(t))
-    if f.basis.residual(y) > INVARIANCE_TOL * max(1.0, y.norm()):
+    if f.carrier.residual(y) > INVARIANCE_TOL * max(1.0, y.norm()):
         raise InvarianceViolationError("flow left the carrier span")
     return y
 
@@ -111,7 +114,7 @@ def implemented_continuation_check(f: ImplementedFlow, z, x: ModuleOperator) -> 
     each, and the residual norms take one batched singular-value call per
     block (``EigFailureError`` if it fails).
     """
-    if f.basis.residual(x) > SPAN_TOL * max(1.0, x.norm()):
+    if f.carrier.residual(x) > SPAN_TOL * max(1.0, x.norm()):
         raise NotInAlgebraError("element lies outside the carrier span")
     _same_module(x, f.s)
     zs = np.asarray(z, dtype=complex)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cstarflow import (
     AlgebraElement,
+    BlockCarrier,
     BlockShape,
     ConfigInvalidError,
     FlowGenerator,
@@ -67,6 +68,24 @@ def unitary_defect(s: ModuleOperator) -> float:
     """The larger of ``norm(S* S - 1)`` and ``norm(S S* - 1)``."""
     one = identity_operator(s.shape, s.k)
     return max((s.star() @ s - one).norm(), (s @ s.star() - one).norm())
+
+
+def carrier_units(carrier: BlockCarrier) -> list[ModuleOperator]:
+    """The matrix units ``U_b E_ac U_b*`` of a carrier, in the order of its ``leaks``."""
+    flat = BlockShape(carrier.k * n for n in carrier.shape)
+    out = []
+    for b, (u, parts) in enumerate(zip(carrier.unitaries, carrier.parts)):
+        labels = np.repeat(np.arange(len(parts)), parts)
+        for a, c in zip(*np.nonzero(labels[:, None] == labels[None, :])):
+            flats = [np.zeros((m, m), dtype=complex) for m in flat]
+            flats[b] = np.outer(u[:, a], u[:, c].conj())
+            out.append(ModuleOperator(AlgebraElement(flat, flats), carrier.k))
+    return out
+
+
+def matrix_unit_operators(shape: BlockShape, k: int) -> list[ModuleOperator]:
+    """Flattened matrix units: a linear basis of the full operator algebra."""
+    return carrier_units(BlockCarrier.full(shape, k))
 
 
 def make_rng(seed: int) -> np.random.Generator:

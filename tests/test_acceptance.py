@@ -12,6 +12,7 @@ import numpy as np
 
 from cstarflow import (
     AlgebraElement,
+    BlockCarrier,
     BlockShape,
     CommutingPair,
     FamilyNotFaithfulError,
@@ -20,7 +21,6 @@ from cstarflow import (
     PositiveFunctional,
     SampledUnitaryGroup,
     SmearingPlan,
-    SubalgebraBasis,
     continue_exact,
     core_rescale,
     evaluate,
@@ -33,7 +33,6 @@ from cstarflow import (
     left_companion,
     localize,
     localized_middle_check,
-    matrix_unit_operators,
     op_log,
     op_power,
     recovery_report,
@@ -280,7 +279,7 @@ def test_criterion_7_localization():
 def test_criterion_8_implemented_flows():
     r = rng(1008)
     shape, k = BlockShape([2]), 2
-    basis = SubalgebraBasis(matrix_unit_operators(shape, k))
+    basis = BlockCarrier.full(shape, k)
     worst_cont = 0.0
     worst_mid = 0.0
     for _ in range(5):

@@ -286,7 +286,7 @@ class TestValidate:
         assert validate({"experiment": "tensor", "seed": 1, "shape": [16, 16]})[1] == []
 
     def test_size_budget_counts_the_closure_square(self, capsys, tmp_path):
-        # implemented closes a D x D basis with D = sum (k n)^2: 65536 here
+        # implemented is budgeted at D x D with D = sum (k n)^2: 65536 here
         raw = {"experiment": "implemented", "seed": 1, "shape": [64], "module_rank": 4}
         _, problems = validate(raw)
         assert any(f"dense size {65536**2}, above the budget" in p for p in problems)

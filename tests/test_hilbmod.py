@@ -9,7 +9,10 @@ import cstarflow.algebra as algebra
 import cstarflow.hilbmod as hilbmod
 from cstarflow import (
     AlgebraElement,
+    BlockCarrier,
     BlockShape,
+    ImplementedFlow,
+    InvarianceViolationError,
     ModuleOperator,
     ModuleVector,
     NotStrictlyPositiveError,
@@ -21,7 +24,6 @@ from cstarflow import (
     induce,
     inner,
     localize,
-    matrix_unit_operators,
     op_exp,
     op_log,
     op_power,
@@ -39,11 +41,20 @@ from cstarflow.sampling import (
     random_operator,
     random_positive_operator,
     random_state,
+    random_unitary,
     random_vector,
     rng,
 )
 
-from conftest import counting_svd, induced_dense, unitary_defect, vector_coordinates, vector_from_coordinates
+from conftest import (
+    carrier_units,
+    counting_svd,
+    induced_dense,
+    matrix_unit_operators,
+    unitary_defect,
+    vector_coordinates,
+    vector_from_coordinates,
+)
 
 EPS = np.finfo(float).eps
 
@@ -647,3 +658,128 @@ class TestLeaksAgainstSequential:
         basis = SubalgebraBasis(CLOSURE_CASES["random_two_blocks"]())
         assert len(basis.basis) == basis.dim
         np.testing.assert_array_equal(np.stack([operator_vec(b) for b in basis.basis]), basis._q)
+
+
+# BlockCarrier against the closure of its own matrix units, which spans the
+# same subalgebra: residuals and per-time sums of squared leaks (which do not
+# depend on the choice of orthonormal basis) must agree.
+
+
+def rotated_carrier(seed: int, shape: BlockShape, k: int, parts) -> BlockCarrier:
+    r = rng(seed)
+    return BlockCarrier(shape, k, [random_unitary(r, k * n) for n in shape], parts)
+
+
+BLOCK_CARRIERS = {
+    "full": lambda: BlockCarrier.full(BlockShape([2, 1]), 2),
+    "diagonal": lambda: BlockCarrier(BlockShape([2, 3]), 2, [np.eye(4), np.eye(6)], [(1,) * 4, (1,) * 6]),
+    "rotated": lambda: rotated_carrier(50, BlockShape([2, 1]), 2, [(1, 3), (2,)]),
+}
+
+
+def carrier_element(carrier: BlockCarrier, seed: int, positive: bool = False) -> ModuleOperator:
+    """``U (+)_j x_j U*`` with random x_j on the sub-blocks; ``w w* + 1`` for each x_j if ``positive``."""
+    r = rng(seed)
+    flats = []
+    for u, parts in zip(carrier.unitaries, carrier.parts):
+        inner_blocks = np.zeros(u.shape, dtype=complex)
+        pos = 0
+        for m in parts:
+            w = r.standard_normal((m, m)) + 1j * r.standard_normal((m, m))
+            inner_blocks[pos : pos + m, pos : pos + m] = w @ w.conj().T + np.eye(m) if positive else w
+            pos += m
+        f = u @ inner_blocks @ u.conj().T
+        flats.append(0.5 * (f + f.conj().T) if positive else f)
+    return ModuleOperator(AlgebraElement.from_blocks(flats), carrier.k)
+
+
+def flow_verdict(s: ModuleOperator, t: ModuleOperator, carrier) -> str | None:
+    """The refusal ``ImplementedFlow`` raises for the pair on the carrier, or None."""
+    try:
+        ImplementedFlow(s, t, carrier)
+    except InvarianceViolationError as err:
+        return str(err)
+    return None
+
+
+def assert_matches_closure(carrier: BlockCarrier, seed: int) -> None:
+    basis = SubalgebraBasis(carrier_units(carrier))
+    assert basis.dim == carrier.dim
+    r = rng(seed)
+    for x in (random_operator(r, carrier.shape, carrier.k), carrier_element(carrier, seed)):
+        assert abs(carrier.residual(x) - basis.residual(x)) <= 1e-12
+    s = random_positive_operator(r, carrier.shape, carrier.k, cond=50.0)
+    t = random_positive_operator(r, carrier.shape, carrier.k, cond=50.0)
+    zs = 1j * np.array(PROBE_GRID)
+    left, right = algebra.power(s.flat, zs), algebra.power(t.flat, -zs)
+    for probe in ((left,), (left, right)):
+        got, want = carrier.leaks(*probe), basis.leaks(*probe)
+        assert got.shape == want.shape == (len(PROBE_GRID), carrier.dim)
+        np.testing.assert_allclose((got**2).sum(-1), (want**2).sum(-1), rtol=1e-12, atol=1e-24)
+
+
+class TestBlockCarrierAgainstClosure:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CARRIERS))
+    def test_residuals_and_leaks_match(self, case):
+        assert_matches_closure(BLOCK_CARRIERS[case](), 60)
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CARRIERS))
+    def test_flow_verdicts_match(self, case):
+        carrier = BLOCK_CARRIERS[case]()
+        basis = SubalgebraBasis(carrier_units(carrier))
+        r = rng(61)
+        generic = [random_positive_operator(r, carrier.shape, carrier.k, cond=50.0) for _ in range(2)]
+        inside = [carrier_element(carrier, seed, positive=True) for seed in (62, 63)]
+        assert flow_verdict(*inside, carrier) is None
+        for pair in (generic, inside):
+            assert flow_verdict(*pair, carrier) == flow_verdict(*pair, basis)
+        assert (flow_verdict(*generic, carrier) is None) == (case == "full")
+
+    def test_full_carrier_is_the_whole_algebra(self):
+        carrier = BlockCarrier.full(BlockShape([2, 3]), 2)
+        assert carrier.dim == SubalgebraBasis(matrix_unit_operators(carrier.shape, 2)).dim == 16 + 36
+        x = random_operator(rng(64), carrier.shape, 2)
+        assert carrier.residual(x) == 0.0
+        assert not carrier.leaks(algebra.power(x.star().flat @ x.flat, 1j * np.array(PROBE_GRID))).any()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 3), min_size=1, max_size=2), st.integers(1, 2))
+def test_block_carrier_matches_closure_hypothesis(seed, dims, k):
+    r = rng(seed)
+    # a partition of each k n_b: cut after each position with probability 1/2
+    parts = [np.diff([0, *np.flatnonzero(r.random(k * n - 1) < 0.5) + 1, k * n]) for n in dims]
+    assert_matches_closure(rotated_carrier(seed, BlockShape(dims), k, parts), seed)
+
+
+class TestBlockCarrierConstructor:
+    shape = BlockShape([2, 1])
+
+    def build(self, unitaries=None, parts=None) -> BlockCarrier:
+        return BlockCarrier(self.shape, 2, unitaries or [np.eye(4), np.eye(2)], parts or [(1, 3), (2,)])
+
+    def test_parts_must_sum_to_the_block(self):
+        with pytest.raises(ValueError, match=r"block 1: parts \(1, 2\) sum to 3, not k n_b = 2"):
+            self.build(parts=[(1, 3), (1, 2)])
+
+    def test_parts_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"block 1: parts \(3, -1\) are not all positive"):
+            self.build(parts=[(1, 3), (3, -1)])
+
+    def test_unitary_must_fit_the_block(self):
+        with pytest.raises(ValueError, match=r"block 1: unitary has shape \(4, 4\), not \(2, 2\)"):
+            self.build(unitaries=[np.eye(4), np.eye(4)])
+
+    def test_unitary_must_be_unitary(self):
+        with pytest.raises(ValueError, match="block 1: unitary defect"):
+            self.build(unitaries=[np.eye(4), np.array([[1.0, 1.0], [0.0, 1.0]])])
+
+    def test_unitary_tolerance_witness(self):
+        # (1 + d) I has defect (1 + d)^2 - 1, about 2d: 5e-11 is accepted, 2e-10 is not
+        self.build(unitaries=[np.eye(4), (1 + 2.5e-11) * np.eye(2)])
+        with pytest.raises(ValueError, match="block 1: unitary defect 2.000e-10"):
+            self.build(unitaries=[np.eye(4), (1 + 1e-10) * np.eye(2)])
+
+    def test_one_unitary_and_partition_per_block(self):
+        with pytest.raises(ValueError, match="one unitary and one partition for each of 2 blocks"):
+            self.build(parts=[(1, 3)])

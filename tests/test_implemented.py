@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import cstarflow.implemented as implemented_mod
 from cstarflow import (
     AlgebraElement,
+    BlockCarrier,
     BlockShape,
     EigFailureError,
     FlowGenerator,
@@ -24,20 +25,22 @@ from cstarflow import (
     implemented_evaluate,
     localize,
     localized_middle_check,
-    matrix_unit_operators,
     middle_multiplier,
+    op_exp,
     op_log,
     op_power,
+    power,
     separating_check,
 )
 from cstarflow.sampling import (
     random_operator,
     random_positive_operator,
     random_state,
+    random_unitary,
     rng,
 )
 
-from conftest import Z_GRIDS, failing_svd
+from conftest import Z_GRIDS, failing_svd, matrix_unit_operators
 from test_hilbmod import CLOSURE_CASES, carrier_positive
 
 EPS = np.finfo(float).eps
@@ -158,6 +161,52 @@ class TestProbeAgainstSequential:
         mix = ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
         one = identity_operator(shape, 1)
         assert probe_verdict(mix, one, diagonal_basis(shape, 1)) == implemented_mod.PROBE_TIMES[0]
+
+
+class TestToleranceWitnesses:
+    """Inputs just inside and just past the carrier bounds, on proper carriers of M_2 (shape [2], k = 1)."""
+
+    shape = BlockShape([2])
+
+    def test_span_tolerance(self):
+        # x = U (diag(0.5, -0.3) + eps E_01) U* has norm <= 1 and residual eps on the
+        # carrier U (M_1 + M_1) U*; S and T lie in the carrier and keep that residual
+        u = random_unitary(rng(70), 2)
+        carrier = BlockCarrier(self.shape, 1, [u], [(1, 1)])
+
+        def rotated(*diag: float, eps: float = 0.0) -> ModuleOperator:
+            inner_block = np.diag(diag) + eps * np.eye(2, k=1)
+            return ModuleOperator(AlgebraElement.from_blocks([u @ inner_block @ u.conj().T]), 1)
+
+        f = ImplementedFlow(rotated(2.0, 1.0), rotated(3.0, 0.5), carrier)
+        for eps, accepted in ((5e-10, True), (2e-9, False)):
+            x = rotated(0.5, -0.3, eps=eps)
+            assert x.norm() <= 1.0
+            assert carrier.residual(x) == pytest.approx(eps, rel=1e-5)
+            if accepted:
+                assert carrier.residual(implemented_evaluate(f, 0.5, x)) == pytest.approx(eps, rel=1e-5)
+                implemented_continuation_check(f, [0.5j], x)
+            else:
+                with pytest.raises(NotInAlgebraError):
+                    implemented_evaluate(f, 0.5, x)
+                with pytest.raises(NotInAlgebraError):
+                    implemented_continuation_check(f, [0.5j], x)
+
+    def test_invariance_tolerance(self):
+        # S = exp(eps sigma_x) gives S^(it) = cos(t eps) + i sin(t eps) sigma_x, which moves
+        # E_00 out of the diagonal carrier by sin(t eps): the largest leak at t = 1 is sin(eps)
+        carrier = BlockCarrier(self.shape, 1, [np.eye(2)], [(1, 1)])
+        one = identity_operator(self.shape, 1)
+        for eps, accepted in ((0.99e-8, True), (1.01e-8, False)):
+            h = eps * np.array([[0.0, 1.0], [1.0, 0.0]])
+            s = op_exp(ModuleOperator.from_entries([[AlgebraElement.from_blocks([h])]]))
+            leaks = carrier.leaks(power(s.flat, 1j * np.array(implemented_mod.PROBE_TIMES)))
+            assert leaks.max() == pytest.approx(np.sin(eps), rel=1e-6)
+            if accepted:
+                ImplementedFlow(s, one, carrier)
+            else:
+                with pytest.raises(InvarianceViolationError, match="at t=1.0 "):
+                    ImplementedFlow(s, one, carrier)
 
 
 @settings(max_examples=25, deadline=None)

@@ -28,7 +28,6 @@ from cstarflow import (
     induced_power_check,
     inner,
     localize,
-    matrix_unit_operators,
     op_exp,
     op_log,
     op_power,
@@ -49,7 +48,7 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import exact_intertwining_residual, induced_dense, vector_from_coordinates
+from conftest import exact_intertwining_residual, induced_dense, matrix_unit_operators, vector_from_coordinates
 
 stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
 
