@@ -68,6 +68,7 @@ from .flows import (
     FlowGenerator,
     check_group_law,
     conjugate,
+    conjugate_norm,
     evaluate,
     left_companion,
     right_companion,

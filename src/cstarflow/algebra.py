@@ -26,7 +26,13 @@ a density element ``rho``: ``a -> sum_b tr(rho_b a_b)``.
 Every norm is an exact largest singular value from LAPACK's gesdd with
 singular values only, called through ``np.linalg.svd`` by
 ``largest_singular_value``, so the module needs numpy alone.  ``norm`` is a
-float for a single element and an array of shape ``B`` for a batch.
+float for a single element and an array of shape ``B`` for a batch.  Two
+exact identities spare SVDs without making any norm an estimate.  A
+scaled element ``c x`` carries ``|c| norm(x)`` when ``x``'s norm is
+already known (and finite), and a member or sub-batch ``x[i]`` carries
+the batch's norms.  And a unitary factor leaves the norm unchanged, so a
+caller that needs only the norm of a ``sandwich`` takes it of
+``F o (U* x V)`` without rotating back (``flows.conjugate_norm``).
 
 Tolerances follow double-precision headroom at desk scale (block
 dimensions up to 64): ``HERM_TOL`` and ``POS_TOL_FACTOR`` are relative
@@ -141,8 +147,16 @@ class AlgebraElement:
         return AlgebraElement(BlockShape(m.shape[0] for m in mats), mats)
 
     def __getitem__(self, i) -> "AlgebraElement":
-        """Member ``i`` of a batch, or the sub-batch a slice or mask selects."""
-        return AlgebraElement._adopt(self.shape, [b[i] for b in self.blocks])
+        """Member ``i`` of a batch, or the sub-batch a slice or mask selects.
+
+        The members keep the batch's norms when it has them, for an index
+        on the batch axes alone (an int, a slice, a mask or an index
+        array); a tuple index takes its norm afresh.
+        """
+        out = AlgebraElement._adopt(self.shape, [b[i] for b in self.blocks])
+        if self._norm is not None and not isinstance(i, tuple):
+            object.__setattr__(out, "_norm", _kept(np.asarray(self._norm)[i]))
+        return out
 
     def star(self) -> "AlgebraElement":
         """Adjoint: blockwise conjugate transpose."""
@@ -188,9 +202,19 @@ class AlgebraElement:
         return AlgebraElement._adopt(self.shape, [-b for b in self.blocks])
 
     def __mul__(self, c) -> "AlgebraElement":
-        """Scale by a number, or each member by its entry of an array of shape ``B``."""
-        c = _per_member(c)
-        return AlgebraElement._adopt(self.shape, [c * b for b in self.blocks])
+        """Scale by a number, or each member by its entry of an array of shape ``B``.
+
+        When this element's norm is already known, the result carries
+        ``|c| norm(x)`` (per member), so its ``norm`` takes no SVD.  A
+        value that is not finite (an overflow, or a NaN ``c``) is not kept,
+        and the result's ``norm`` goes through ``largest_singular_value``.
+        """
+        factor = _per_member(c)
+        out = AlgebraElement._adopt(self.shape, [factor * b for b in self.blocks])
+        scaled = None if self._norm is None else _scaled_norm(c, self._norm)
+        if scaled is not None:
+            object.__setattr__(out, "_norm", scaled)
+        return out
 
     __rmul__ = __mul__
 
@@ -214,14 +238,29 @@ def _per_member(p):
     return p if np.ndim(p) == 0 else np.asarray(p)[..., None, None]
 
 
+def _scaled_norm(c, norm: float | np.ndarray) -> float | np.ndarray | None:
+    """``|c| norm`` as an element keeps it, per member, or None when a value is not finite."""
+    if isinstance(norm, float) and isinstance(c, (int, float, complex, np.number)):
+        value = abs(complex(c)) * norm  # Python floats: an overflow is inf, with no warning
+        return value if math.isfinite(value) else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.abs(c) * norm
+    return _kept(values) if np.isfinite(values).all() else None
+
+
 def _over_blocks(values) -> float | np.ndarray:
     """The largest of per-block values, per member: a float, or a read-only array of shape ``B``."""
     values = list(values)
-    if np.ndim(values[0]) == 0:
-        return float(max(values))
-    top = np.max(values, axis=0)
-    top.flags.writeable = False
-    return top
+    return float(max(values)) if np.ndim(values[0]) == 0 else _kept(np.max(values, axis=0))
+
+
+def _kept(values) -> float | np.ndarray:
+    """A per-member value as an element keeps it: a float for a single element, else a read-only array."""
+    if np.ndim(values) == 0:
+        return float(values)
+    values = np.asarray(values, dtype=float)
+    values.flags.writeable = False
+    return values
 
 
 def largest_singular_value(b: np.ndarray) -> float | np.ndarray:
@@ -369,12 +408,22 @@ def sandwich(left: SpectralDecomposition, right: SpectralDecomposition, x: Algeb
     with leading axes (as from an array of z) each join the batch of the
     result, and a single ``x`` is rotated into the eigenbasis once.
     """
+    parts = zip(left.eigenvectors, right.eigenvectors, _eigenbasis(left, right, x, factor))
+    return AlgebraElement._adopt(x.shape, [u @ m @ _adjoint(v) for u, v, m in parts])
+
+
+def _eigenbasis(left: SpectralDecomposition, right: SpectralDecomposition, x: AlgebraElement,
+                factor: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
+    """The blocks ``F o (U* x V)`` of ``sandwich`` before it rotates back.
+
+    ``U`` and ``V`` are unitary, so these blocks have the norm of the
+    sandwich itself: a caller that needs only that norm skips the two
+    products per block that rotate back.
+    """
     if not left.shape == right.shape == x.shape:
         raise ShapeMismatchError("element and eigendata live over different shapes")
     parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
-    return AlgebraElement._adopt(x.shape, [
-        u @ (factor(lam, mu) * (_adjoint(u) @ xb @ v)) @ _adjoint(v) for lam, u, mu, v, xb in parts
-    ])
+    return [factor(lam, mu) * (_adjoint(u) @ xb @ v) for lam, u, mu, v, xb in parts]
 
 
 def herm_calculus(h: HermitianElement | AlgebraElement, f) -> AlgebraElement:

@@ -60,7 +60,7 @@ from .continuation import (
 )
 from .composition import CommutingPair, gamma_continuation_check, tensor_continuation_check, tensor_flow
 from .errors import ConfigInvalidError, CstarflowError
-from .flows import FlowGenerator, evaluate, left_companion, right_companion
+from .flows import FlowGenerator, conjugate_norm, evaluate, left_companion, right_companion
 from .hilbmod import (
     BlockCarrier,
     ModuleOperator,
@@ -521,12 +521,13 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
             rows.append((z.real, z.imag, rr, plan.nodes, err_quad, errs[rr], bound_rhs))
             report.observe("quad_vs_oracle", err_quad, envelope)
             report.observe("norm_bound", quad.norm(), bound_rhs)
-        ax = continue_exact(g, z, x)
-        rescaled = core_rescale(x, ax, ys, continue_exact(g, z, ys))
+        rescaled = core_rescale(g, z, x, ys)
+        # x_n = lam_n y_n carries |lam_n| norm(y_n), so this cap reads the rescaling's arithmetic
         report.observe("core_rescale_cap_x", rescaled.norm() - x.norm(), x.norm())
-        # alpha_z of each rescaled approximant is formed again on purpose: lam * alpha_z(y) would
-        # meet the cap by the choice of lam, and the check would no longer test the continuation
-        report.observe("core_rescale_cap_continuation", continue_exact(g, z, rescaled).norm() - ax.norm(), ax.norm())
+        # the continuation is applied to each x_n itself, not taken as lam_n alpha_z(y_n): that
+        # would meet the cap by the choice of lam_n, and the check would no longer test the continuation
+        nax = conjugate_norm(g, z, x)
+        report.observe("core_rescale_cap_continuation", continue_exact(g, z, rescaled).norm() - nax, nax)
         report.observe("core_rescale_convergence", (rescaled[-1] - x).norm())
     return rows, {}
 

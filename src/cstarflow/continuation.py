@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _adjoint, _per_member, coordinate_rows, sandwich
+from .algebra import AlgebraElement, _per_member, coordinate_rows, sandwich
 from .errors import NodesTooFewError, NotSeparatingError
-from .flows import FlowGenerator, _phases, conjugate
+from .flows import FlowGenerator, conjugate, conjugate_norm
 
 L, A = 6.0, 12.0  # half-width and alias margin of the trapezoidal rule (see admissible_nodes)
 # Phase tables are nodes x n per block: at n = 64 the cap keeps each at
@@ -163,44 +163,39 @@ def three_lines_check(g: FlowGenerator, x: AlgebraElement, z) -> float | np.ndar
     batches (a flow, ``x`` and an array of z with one member each) the
     excess is returned per member.
 
-    The strip norms are taken in the joint eigenbasis of the generators:
-    ``alpha_y(x) = U (F_y o X) V*`` with ``X = U* x V`` and
-    ``F_y = exp(iy(lam_j - mu_k))``, the factor of ``flows.conjugate``,
-    and the unitaries ``U, V`` leave the norm unchanged, so each block
-    rotates ``x`` once and the strip, with ``z`` itself for the bound, is
-    one batch ``F_y o X`` whose norms take one batched singular-value
-    call per block.  Raises ``EigFailureError``
-    when that call fails or returns NaN.
+    The strip, with ``z`` itself for the bound, is one array of z for
+    ``flows.conjugate_norm``: each block rotates ``x`` into the joint
+    eigenbasis once, and the norms take one batched singular-value call
+    per block.  Raises ``EigFailureError`` when that call fails or
+    returns NaN.
     """
     z = np.asarray(z, dtype=complex)
     grid = np.linspace(0.0, 1.0, STRIP_GRID)
     im = np.multiply.outer(grid, z.imag)
     strip = (-2.0 + 4.0 * grid).reshape(-1, *[1] * im.ndim) + 1j * im[None]
-    phases = _phases(np.concatenate([strip.reshape(-1, *z.shape), z[None]]))
-    left, right = g.spectral_left, g.spectral_right
-    parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
-    norms = AlgebraElement._adopt(x.shape, [
-        phases(lam, mu) * (_adjoint(u) @ xb @ v) for lam, u, mu, v, xb in parts
-    ]).norm()
+    norms = conjugate_norm(g, np.concatenate([strip.reshape(-1, *z.shape), z[None]]), x)
     return np.max(norms[:-1], axis=0) - np.maximum(x.norm(), norms[-1])
 
 
-def core_rescale(x: AlgebraElement, ax: AlgebraElement, ys: AlgebraElement, ays: AlgebraElement) -> AlgebraElement:
-    """Rescale approximants of ``x`` so both norm caps hold.
+def core_rescale(g: FlowGenerator, z: complex, x: AlgebraElement, ys: AlgebraElement) -> AlgebraElement:
+    """Rescale approximants of ``x`` so both norm caps hold at ``z``.
 
-    Given the batches ``ys`` of ``y_n`` and ``ays`` of ``alpha_z(y_n)``,
-    converging to ``(x, alpha_z(x) = ax)``, returns the batch of
-    ``x_n = lam_n y_n`` with
-    ``lam_n = min(norm(x)/norm(y_n), norm(ax)/norm(alpha_z(y_n)))``, so that
-    ``norm(x_n) <= norm(x)`` and ``norm(alpha_z(x_n)) <= norm(ax)`` exactly
-    (up to float rounding) while convergence is preserved.  Members with
-    ``y_n = 0`` or ``alpha_z(y_n) = 0`` are skipped.  When ``x = 0`` or
-    ``ax = 0`` the caps are vacuous and ``ys`` is returned unchanged.
+    Given the batch ``ys`` of ``y_n`` converging to ``x``, returns the
+    batch of ``x_n = lam_n y_n`` with
+    ``lam_n = min(norm(x)/norm(y_n), norm(alpha_z(x))/norm(alpha_z(y_n)))``,
+    so that ``norm(x_n) <= norm(x)`` and ``norm(alpha_z(x_n)) <=
+    norm(alpha_z(x))`` exactly (up to float rounding) while convergence is
+    preserved.  The continued norms come from ``flows.conjugate_norm``, so
+    no continuation is formed here; ``x_n`` keeps ``|lam_n| norm(y_n)`` as
+    its norm.  Members with ``y_n = 0`` are skipped.  ``alpha_z`` is
+    injective, so when ``x = 0`` the caps are vacuous and ``ys`` is
+    returned unchanged.
     """
-    nx, nax = x.norm(), ax.norm()
-    if nx == 0.0 or nax == 0.0:
+    nx = x.norm()
+    if nx == 0.0:
         return ys
-    ny, nay = ys.norm(), ays.norm()
+    nax = conjugate_norm(g, z, x)
+    ny, nay = ys.norm(), conjugate_norm(g, z, ys)
     kept = (ny != 0.0) & (nay != 0.0)
     return np.minimum(nx / ny[kept], nax / nay[kept]) * (ys if kept.all() else ys[kept])
 

@@ -29,6 +29,7 @@ from .algebra import (
     BlockShape,
     HermitianElement,
     SpectralDecomposition,
+    _eigenbasis,
     _per_member,
     sandwich,
     spectral,
@@ -83,6 +84,20 @@ def conjugate(g: FlowGenerator, z, x: AlgebraElement) -> AlgebraElement:
     of ``x`` and of the generators, so one call forms a whole grid.
     """
     return sandwich(g.spectral_left, g.spectral_right, x, _phases(z))
+
+
+def conjugate_norm(g: FlowGenerator, z, x: AlgebraElement) -> float | np.ndarray:
+    """``norm(conjugate(g, z, x))``, taken in the joint eigenbasis of the generators.
+
+    ``conjugate`` forms ``U (F_z o (U* x V)) V*`` with the unitaries of
+    the eigendata and ``F_z = exp(iz(lam_j - mu_k))``; ``U`` and ``V``
+    leave the norm unchanged, so this is the norm of ``F_z o (U* x V)``,
+    without the two products per block that rotate back.  The value is
+    the same up to rounding, not an estimate.  Shapes broadcast as in
+    ``conjugate``, and the norm is one batched singular-value call per
+    block (``EigFailureError`` when it fails or returns NaN).
+    """
+    return AlgebraElement._adopt(x.shape, _eigenbasis(g.spectral_left, g.spectral_right, x, _phases(z))).norm()
 
 
 def evaluate(g: FlowGenerator, t, x: AlgebraElement) -> AlgebraElement:

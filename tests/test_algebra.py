@@ -25,6 +25,7 @@ from cstarflow import (
     zeros,
 )
 from cstarflow.algebra import HERM_TOL, largest_singular_value, stack
+from cstarflow.hilbmod import identity_operator
 from cstarflow.sampling import gaussian, random_element, random_hermitian, rng
 
 from conftest import counting_svd, e12
@@ -183,6 +184,90 @@ class TestElementNorms:
             stack([random_element(rng(0), BlockShape([2])), random_element(rng(0), BlockShape([3]))])
         with pytest.raises(ShapeMismatchError, match=r"expected \(2, 3, 3\)"):
             AlgebraElement(BlockShape([2, 3]), [np.zeros((2, 2, 2)), np.zeros((3, 3, 3))])
+
+
+class TestScaledNorms:
+    """A scaled element, and a member of a batch, keep the norm the element already has."""
+
+    def test_scaling_takes_no_singular_values(self, monkeypatch):
+        r = rng(11)
+        x = random_element(r, BlockShape([3, 2]))
+        batch = stack([x, random_element(r, BlockShape([3, 2]))])
+        x.norm(), batch.norm()
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        assert (-2.5 * x).norm() == 2.5 * x.norm()
+        assert ((1 - 1j) * x).norm() == abs(1 - 1j) * x.norm()
+        assert (np.array([2.0, 0.5j]) * batch).norm().tolist() == (np.array([2.0, 0.5]) * batch.norm()).tolist()
+        assert (0.0 * batch).norm().tolist() == [0.0, 0.0]
+        assert calls == []
+
+    def test_scaled_module_operators_and_draws_take_no_further_singular_values(self, monkeypatch):
+        op = identity_operator(BlockShape([2]), 2)
+        op.norm()
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        assert (3.0 * op).norm() == 3.0
+        assert calls == []
+        x = random_element(rng(15), BlockShape([3, 2]), 2.0)  # scaled to norm 2 by one batched SVD
+        assert x.norm() == pytest.approx(2.0, rel=4 * EPS)
+        assert calls == [(1, 3, 3), (1, 2, 2)]
+
+    def test_a_member_keeps_the_batch_norm(self, monkeypatch):
+        r = rng(12)
+        batch = stack([random_element(r, BlockShape([3, 2])) for _ in range(4)])
+        norms = batch.norm()
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        assert batch[2].norm() == norms[2]
+        assert batch[1:3].norm().tolist() == norms[1:3].tolist()
+        assert batch[norms > np.median(norms)].norm().tolist() == norms[norms > np.median(norms)].tolist()
+        assert calls == []
+
+    def test_without_a_known_norm_the_product_takes_its_own(self, monkeypatch):
+        x = random_element(rng(13), BlockShape([2]))
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        (3.0 * x).norm()
+        assert calls == [(2, 2)]
+
+    def test_an_overflowing_product_is_a_numerical_breakdown(self):
+        x = AlgebraElement.from_blocks([[[1e10, 0.0], [0.0, 1.0]]])
+        assert x.norm() == 1e10
+        with np.errstate(over="ignore"):  # the entry 1e310 overflows as the product is formed
+            big = 1e300 * x
+        with pytest.raises(EigFailureError, match="2x2 block are NaN"):
+            big.norm()
+
+    def test_a_nan_factor_is_a_numerical_breakdown(self):
+        x = random_element(rng(14), BlockShape([2]))
+        batch = stack([x, x])
+        x.norm(), batch.norm()
+        with pytest.raises(EigFailureError, match="2x2 block"):
+            (np.nan * x).norm()
+        with pytest.raises(EigFailureError, match="2 stacked 2x2 blocks"):
+            (np.array([1.0, np.nan]) * batch).norm()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (3,), (2, 3), (6, 1)]),
+    st.integers(1, 3),
+    st.sampled_from(["real", "complex", "zero", "array"]),
+    st.floats(-100.0, 100.0),
+)
+def test_scaled_norm_matches_the_svd_of_a_fresh_copy(seed, dims, members, kind, exponent):
+    # members = 1 is a single element, whose norm is a float; more members make a batch
+    r = rng(seed)
+    drawn = [random_element(r, BlockShape(dims)) for _ in range(members)]
+    xs = stack(drawn) if members > 1 else drawn[0]
+    c = 10.0**exponent * {"real": -1.0, "complex": np.exp(2j * np.pi * r.uniform()), "zero": 0.0,
+                          "array": gaussian(r, (members,))}[kind]
+    xs.norm()
+    got = (c * xs).norm()
+    want = AlgebraElement(xs.shape, (c * xs).blocks).norm()
+    assert np.all(np.abs(got - want) <= 4 * max(dims) * EPS * want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1124,6 +1124,33 @@ def test_witness_fault_fails_its_check(key, tmp_path, monkeypatch):
     assert {c["name"] for c in checks.values() if not c["passed"]} == failing
 
 
+# cli.RATIO_FLOOR = 1e-12 pinned from both sides on the bundled converge pair (x = e21,
+# h_left = diag(1, 0)): its smear error at width r is 1 - exp(-1/(4 r^2)), so widths 1e3 and 2e3
+# give 2.5e-7 and 6.25e-8 and the pair is read (ratio 1/4, 0.05 inside [0.2, 0.3]), while widths
+# 1e6 and 2e6 give 2.5e-13 and 6.25e-14 and the pair is dropped (the check is handed 0.0)
+@pytest.mark.parametrize("widths, read", [([1e3, 2e3], True), ([1e6, 2e6], False)], ids=["read", "dropped"])
+def test_ratio_floor_reads_a_pair_above_it_and_drops_one_below(widths, read, tmp_path, monkeypatch):
+    handed = []
+    observe = ExitReport.observe
+
+    def recording(report, name, residual, scale=1.0):
+        if name == "convergence_ratio":
+            handed.append(residual)
+        return observe(report, name, residual, scale)
+
+    monkeypatch.setattr(ExitReport, "observe", recording)
+    raw = json.loads((CONFIG_DIR / "converge.json").read_text())
+    raw["grid"]["r"] = widths
+    config, problems = validate(raw)
+    assert problems == []
+    assert run(config, tmp_path, quiet=True).passed
+    (residual,) = handed
+    if read:
+        assert np.shape(residual) == (1,) and residual[0] == pytest.approx(-0.05, abs=1e-6)
+    else:
+        assert np.shape(residual) == () and residual == 0.0
+
+
 def test_verify_batches_stay_within_the_grid_budget(tmp_path, monkeypatch):
     # the budget is scaled down so the test stays small: one batch of all 24 instances would hold
     # strips of 24 x 26 x 1024 complex entries (10 MB), a batch of two 0.8 MB ones

@@ -238,23 +238,22 @@ class TestCoreRescale:
         r = rng(9)
         g = random_flow(r, BlockShape([2]), 1.0)
         x = random_element(r, BlockShape([2]))
-        z = 0.5j
-        ax = continue_exact(g, z, x)
-        out = core_rescale(x, ax, stack([x] * 3), stack([ax] * 3))
+        out = core_rescale(g, 0.5j, x, stack([x] * 3))
         assert np.all((out - x).norm() <= 1e-14)
 
     def test_zero_element_passthrough(self):
+        # alpha_z is injective, so x = 0 is the one case in which alpha_z(x) = 0 too
+        r = rng(10)
         shape = BlockShape([2])
-        x = zeros(shape)
-        ys = stack([random_element(rng(10), shape) for _ in range(3)])
-        assert core_rescale(x, zeros(shape), ys, ys) is ys
+        g = random_flow(r, shape, 1.0)
+        ys = stack([random_element(r, shape) for _ in range(3)])
+        assert core_rescale(g, 0.5j, zeros(shape), ys) is ys
 
     def test_double_scaling_restores(self):
         r = rng(11)
         g = random_flow(r, BlockShape([2]), 1.0)
         x = random_element(r, BlockShape([2]))
-        ax = continue_exact(g, 0.4j, x)
-        out = core_rescale(x, ax, stack([2.0 * x]), stack([2.0 * ax]))
+        out = core_rescale(g, 0.4j, x, stack([2.0 * x]))
         assert (out[0] - x).norm() <= 1e-13
 
     def test_caps_hold_on_smeared_approximants(self):
@@ -265,8 +264,9 @@ class TestCoreRescale:
         z = 0.3 + 0.5j
         ax = continue_exact(g, z, x)
         ys = smear_oracle(g, x, 2.0 ** np.arange(14), 0.0)
-        out = core_rescale(x, ax, ys, continue_exact(g, z, ys))
-        assert np.all(out.norm() <= x.norm() * (1 + 1e-12))
+        out = core_rescale(g, z, x, ys)
+        # out carries |lam_n| norm(y_n); a fresh copy takes the SVD of each x_n
+        assert np.all(AlgebraElement(shape, out.blocks).norm() <= x.norm() * (1 + 1e-12))
         assert np.all(continue_exact(g, z, out).norm() <= ax.norm() * (1 + 1e-12))
         assert (out[-1] - x).norm() <= 1e-6
 

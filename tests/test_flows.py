@@ -14,15 +14,19 @@ from cstarflow import (
     HermitianElement,
     check_group_law,
     conjugate,
+    conjugate_norm,
     evaluate,
     identity,
     left_companion,
     right_companion,
     zeros,
 )
+from cstarflow.algebra import stack
 from cstarflow.sampling import random_element, random_flow, random_hermitian, rng
 
 from conftest import diag_flow, e12
+
+EPS = np.finfo(float).eps
 
 
 def phase_oracle(g: FlowGenerator, t: complex, x):
@@ -204,3 +208,27 @@ def test_group_law_inverse_and_semi_multiplicativity_hypothesis(seed, dims, s, t
     assert (left - evaluate(g, t, b @ a)).norm() <= 1e-10 * prod
     right = evaluate(g, t, a) @ evaluate(right_companion(g), t, b)
     assert (right - evaluate(g, t, a @ b)).norm() <= 1e-10 * prod
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    layout=st.sampled_from(["one z", "z array", "batch", "z per member", "z array by batch"]),
+    z_im=st.floats(-1.5, 1.5).filter(lambda v: v != 0.0),
+)
+def test_conjugate_norm_is_the_norm_of_the_conjugate(seed, dims, layout, z_im):
+    r = rng(seed)
+    shape = BlockShape(dims)
+    g = random_flow(r, shape, 2.0)
+    members = 1 if layout in ("one z", "z array") else 3
+    x = stack([random_element(r, shape) for _ in range(members)]) if members > 1 else random_element(r, shape)
+    zs = r.uniform(-2.0, 2.0, 3) + 1j * z_im * r.uniform(0.5, 1.0, 3)
+    z = {"one z": zs[0], "z array": zs, "batch": zs[0], "z per member": zs,
+         "z array by batch": zs[:2, None]}[layout]
+    want = conjugate(g, z, x).norm()
+    got = conjugate_norm(g, z, x)
+    assert np.shape(got) == np.shape(want)
+    # the rounding of both routes scales with the largest phase, exp(|Im z| nu), times norm(x)
+    scale = np.asarray(x.norm()) * np.exp(np.abs(np.imag(z)) * float(g.generator_norm()))
+    assert np.all(np.abs(got - want) <= 4 * max(dims) * EPS * scale)
