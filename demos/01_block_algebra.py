@@ -9,7 +9,7 @@ each block with leading batch axes; every operation acts per member.
 
 import numpy as np
 
-from cstarflow import AlgebraElement, BlockShape, herm_calculus, identity, power
+from cstarflow import AlgebraElement, BlockShape, identity, power, spectral
 from cstarflow.sampling import random_element, random_hermitian, rng
 
 shape = BlockShape([2, 3])
@@ -24,7 +24,7 @@ print("  C*-defect     =", abs((x.star() @ x).norm() - x.norm() ** 2))
 
 # Hermitian functional calculus: apply any scalar function on the spectrum.
 h = random_hermitian(r, shape, norm=2.0)
-u = herm_calculus(h, lambda lam: np.exp(1j * lam))
+u = spectral(h).apply(lambda lam: np.exp(1j * lam))
 one = identity(shape)
 print("\nexp(iH) for a random Hermitian H:")
 print("  unitarity defect =", (u.star() @ u - one).norm())
@@ -32,7 +32,7 @@ print("  unitarity defect =", (u.star() @ u - one).norm())
 # Complex powers of strictly positive elements obey the group law.
 # power at one exponent gives one element; a grid of exponents gives the
 # batch of powers, and x[i] takes member i out of a batch.
-t = herm_calculus(h, np.exp)
+t = spectral(h).apply(np.exp)
 powers = power(t, [0.3 + 0.4j, 0.7 - 0.4j, 0.0, 1.0])
 t_y, t_z, t_0, t_1 = (powers[i] for i in range(4))
 print("\ncomplex powers of T = exp(H):")

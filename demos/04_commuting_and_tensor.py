@@ -12,7 +12,6 @@ from cstarflow import (
     continue_exact,
     double_smear,
     gamma_continuation_check,
-    product_flow,
     smear_oracle,
     tensor_continuation_check,
     tensor_element,
@@ -29,7 +28,7 @@ x = random_element(r, shape)
 z = 0.3 + 0.4j
 print("product-flow continuation residual at z:", gamma_continuation_check(pair, [z], x)[0])
 
-gamma = product_flow(pair)
+gamma = pair.product
 print("gamma generator norm:", gamma.generator_norm())
 
 # Two-variable smears agree with iterated one-variable smears (Fubini).

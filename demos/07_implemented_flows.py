@@ -29,7 +29,6 @@ from cstarflow import (
     implemented_evaluate,
     localize,
     localized_middle_check,
-    middle_multiplier,
     op_power,
 )
 from cstarflow.sampling import (
@@ -67,7 +66,7 @@ omega = random_state(r, shape)
 loc = localize(omega, k)
 print("localized middle product residual:",
       localized_middle_check(loc, s, x, t))
-print("middle product norm:", middle_multiplier(s, x, t).norm())
+print("middle product norm:", (s @ x @ t).norm())
 
 # A proper carrier: B = U (M_1 + M_3) U* inside M_4. A pair inside B
 # implements a flow on it; a generic pair leaks out of it.

@@ -17,21 +17,16 @@ from .algebra import (
     PositiveFunctional,
     SpectralDecomposition,
     eigenvalues,
-    herm_calculus,
     identity,
     is_strictly_positive,
-    mul,
     power,
     spectral,
-    star,
-    zeros,
 )
 from .composition import (
     CommutingPair,
     TensorFlow,
     double_smear,
     gamma_continuation_check,
-    product_flow,
     tensor_continuation_check,
     tensor_element,
     tensor_flow,
@@ -66,7 +61,6 @@ from .errors import (
 )
 from .flows import (
     FlowGenerator,
-    check_group_law,
     conjugate,
     conjugate_norm,
     evaluate,
@@ -92,7 +86,6 @@ from .implemented import (
     implemented_continuation_check,
     implemented_evaluate,
     localized_middle_check,
-    middle_multiplier,
 )
 from .stone import (
     InducedOperator,

@@ -219,7 +219,9 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return mul(self, other)
+        """Blockwise matrix product; submultiplicative for the C*-norm."""
+        _same_shape(self, other)
+        return AlgebraElement._adopt(self.shape, [a @ b for a, b in zip(self.blocks, other.blocks)])
 
     def __repr__(self) -> str:
         batch = self.blocks[0].shape[:-2]
@@ -308,22 +310,8 @@ def _same_shape(x: AlgebraElement, y: AlgebraElement) -> None:
         raise ShapeMismatchError(f"shapes differ: {x.shape} vs {y.shape}")
 
 
-def zeros(shape: BlockShape) -> AlgebraElement:
-    return AlgebraElement(shape, [np.zeros((n, n), dtype=complex) for n in shape])
-
-
 def identity(shape: BlockShape) -> AlgebraElement:
     return AlgebraElement(shape, [np.eye(n, dtype=complex) for n in shape])
-
-
-def star(x: AlgebraElement) -> AlgebraElement:
-    return x.star()
-
-
-def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Blockwise matrix product; submultiplicative for the C*-norm."""
-    _same_shape(x, y)
-    return AlgebraElement._adopt(x.shape, [a @ b for a, b in zip(x.blocks, y.blocks)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,10 +330,6 @@ class HermitianElement:
 
     def norm(self) -> float:
         return self.value.norm()
-
-    @staticmethod
-    def from_blocks(blocks: Sequence[np.ndarray]) -> "HermitianElement":
-        return HermitianElement(AlgebraElement.from_blocks(blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,11 +408,6 @@ def _eigenbasis(left: SpectralDecomposition, right: SpectralDecomposition, x: Al
         raise ShapeMismatchError("element and eigendata live over different shapes")
     parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
     return [factor(lam, mu) * (_adjoint(u) @ xb @ v) for lam, u, mu, v, xb in parts]
-
-
-def herm_calculus(h: HermitianElement | AlgebraElement, f) -> AlgebraElement:
-    """Apply a scalar function to a Hermitian element through its spectrum."""
-    return spectral(h).apply(f)
 
 
 def eigenvalues(h: HermitianElement | AlgebraElement) -> np.ndarray:

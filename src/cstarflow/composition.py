@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraElement, BlockShape, HermitianElement, stack
-from .continuation import SmearingPlan, min_nodes, smear_quadrature
+from .continuation import SmearingPlan, _require_positive, min_nodes, smear_quadrature
 from .errors import NotCommutingError, ShapeMismatchError
 from .flows import FlowGenerator, conjugate
 
@@ -73,14 +73,6 @@ class CommutingPair:
         )
 
 
-def product_flow(p: CommutingPair) -> FlowGenerator:
-    """Generator of ``gamma_t = alpha_t beta_t``: the sidewise sums.
-
-    The pair builds it once and returns the same flow on every call.
-    """
-    return p.product
-
-
 def gamma_continuation_check(p: CommutingPair, z, x: AlgebraElement) -> np.ndarray:
     """Residual of ``gamma_z = alpha_z beta_z = beta_z alpha_z`` on ``x``, per z of an array.
 
@@ -92,7 +84,7 @@ def gamma_continuation_check(p: CommutingPair, z, x: AlgebraElement) -> np.ndarr
     pair's: a column of z against a batch of pairs gives every z for every pair.
     """
     zs = np.asarray(z, dtype=complex)
-    gz = conjugate(product_flow(p), zs, x)
+    gz = conjugate(p.product, zs, x)
     ab = conjugate(p.alpha, zs, conjugate(p.beta, zs, x))
     ba = conjugate(p.beta, zs, conjugate(p.alpha, zs, x))
     return np.max(stack([gz - ab, gz - ba]).norm(), axis=0)
@@ -113,8 +105,7 @@ def double_smear(
     admissibility rule per flow and may only be raised: ``smear_quadrature``
     raises ``NodesTooFewError`` otherwise.
     """
-    if n <= 0:
-        raise ValueError("smearing index n must be positive")
+    _require_positive(n, "smearing index n")
     z = complex(z)
     s_nodes, t_nodes = nodes or (min_nodes(p.alpha, n, z), min_nodes(p.beta, n, z))
     inner = smear_quadrature(p.beta, x, SmearingPlan(n, z, t_nodes))

@@ -54,8 +54,7 @@ class SmearingPlan:
     nodes: int
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("smearing width r must be positive")
+        _require_positive(self.r, "smearing width r")
         if self.nodes < 1:
             raise ValueError("node count must be positive")
         if self.nodes > MAX_NODES:
@@ -64,7 +63,18 @@ class SmearingPlan:
     @staticmethod
     def for_flow(g: FlowGenerator, r: float, z: complex = 0.0) -> "SmearingPlan":
         """Plan with the minimal admissible node count for this flow."""
+        _require_positive(r, "smearing width r")
         return SmearingPlan(r, complex(z), min_nodes(g, r, z))
+
+
+def _require_positive(value, what: str) -> None:
+    """``ValueError`` naming ``value`` unless it, or every entry of an array, is positive and finite.
+
+    Written so that NaN fails it: ``value <= 0`` is False for NaN.
+    """
+    v = np.asarray(value, dtype=float)
+    if not (np.isfinite(v) & (v > 0)).all():
+        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def min_nodes(g: FlowGenerator, r: float, z: complex) -> int:
@@ -141,8 +151,7 @@ def smear_oracle(g: FlowGenerator, x: AlgebraElement, r, z) -> AlgebraElement:
     The shapes of arrays of r and of z join the batch, so one call forms
     the smears at many widths.
     """
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError("smearing width r must be positive")
+    _require_positive(r, "smearing width r")
     r = _per_member(r)
     z = _per_member(np.asarray(z, dtype=complex))
 

@@ -64,10 +64,6 @@ class FlowGenerator:
         """``norm(H_l) + norm(H_r)``, the frequency budget of the flow, per member of a batch of flows."""
         return self.h_left.norm() + self.h_right.norm()
 
-    @staticmethod
-    def automorphism(h: HermitianElement) -> "FlowGenerator":
-        return FlowGenerator(h, h)
-
 
 def _phases(z):
     """Entrywise factor ``exp(iz(lam_j - mu_k))``; the shape of an array ``z`` joins the batch."""
@@ -120,14 +116,3 @@ def left_companion(g: FlowGenerator) -> FlowGenerator:
 def right_companion(g: FlowGenerator) -> FlowGenerator:
     """The automorphism group generated by ``H_r`` on both sides."""
     return FlowGenerator(g.h_right, g.h_right)
-
-
-def check_group_law(
-    g: FlowGenerator, s: float, t: float, sample: list[AlgebraElement]
-) -> float:
-    """Max over the sample of ``norm(alpha_s(alpha_t(x)) - alpha_{s+t}(x))``."""
-    worst = 0.0
-    for x in sample:
-        resid = (evaluate(g, s, evaluate(g, t, x)) - evaluate(g, s + t, x)).norm()
-        worst = max(worst, resid)
-    return worst

@@ -10,8 +10,8 @@ and complex powers go through the spectral layer of
 ``(k n_b) x n_b`` matrix per block (slot i in rows ``i n_b`` to
 ``(i+1) n_b``), so ``S v`` and ``<v, w>`` are one matmul per block.
 Each value is built from what it stores, ``ModuleOperator(flat, k)`` and
-``ModuleVector(shape, k, stacked)``; the k x k grid and the k slots are
-derived conveniences, read as ``entries`` and built by ``from_entries``.
+``ModuleVector(shape, k, stacked)``; an operator may also be built from
+its k x k grid of algebra elements by ``ModuleOperator.from_entries``.
 Coordinate rows (``operator_vec``) are ``algebra.coordinate_rows`` of the
 flat blocks.  A grid of operators needs no type of its own: it is one
 ``ModuleOperator`` whose ``flat`` is a batch of elements (see
@@ -56,10 +56,10 @@ from .algebra import (
     _frozen,
     coordinate_rows,
     eigenvalues,
-    herm_calculus,
     identity,
     is_strictly_positive,
     power,
+    spectral,
     stack,
 )
 from .errors import NotStrictlyPositiveError, ShapeMismatchError
@@ -93,37 +93,6 @@ class ModuleVector:
         ):
             raise ShapeMismatchError("stacked blocks do not match the module")
         object.__setattr__(self, "stacked", mats)
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[AlgebraElement]) -> "ModuleVector":
-        """Vector with the given k slots."""
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("module vector needs at least one entry")
-        shape = entries[0].shape
-        if any(e.shape != shape for e in entries):
-            raise ShapeMismatchError("module vector entries over different shapes")
-        return cls(
-            shape,
-            len(entries),
-            [np.concatenate([e.blocks[b] for e in entries], axis=-2) for b in range(shape.num_blocks)],
-        )
-
-    @property
-    def entries(self) -> tuple[AlgebraElement, ...]:
-        """The k slots as algebra elements."""
-        return tuple(
-            AlgebraElement(
-                self.shape, [sb[..., i * n : (i + 1) * n, :] for n, sb in zip(self.shape, self.stacked)]
-            )
-            for i in range(self.k)
-        )
-
-    def times(self, a: AlgebraElement) -> "ModuleVector":
-        """Right module action ``v . a``."""
-        if a.shape != self.shape:
-            raise ShapeMismatchError("module and algebra element over different shapes")
-        return ModuleVector(self.shape, self.k, [vb @ ab for vb, ab in zip(self.stacked, a.blocks)])
 
     def norm(self) -> float | np.ndarray:
         """Module norm ``norm(<v, v>)**0.5``, per member."""
@@ -187,24 +156,6 @@ class ModuleOperator:
         ]
         return cls(AlgebraElement._adopt(_flat_shape(shape, k), flats), k)
 
-    @property
-    def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:
-        """The k x k grid of algebra elements, cut out of the flat blocks (batches per member)."""
-        dims, k = self.shape.block_dims, self.k
-        return tuple(
-            tuple(
-                AlgebraElement(
-                    self.shape,
-                    [
-                        f[..., i * n : (i + 1) * n, j * n : (j + 1) * n]
-                        for n, f in zip(dims, self.flat.blocks)
-                    ],
-                )
-                for j in range(k)
-            )
-            for i in range(k)
-        )
-
     def star(self) -> "ModuleOperator":
         """Adjoint: ``(S*)_{ij} = (S_{ji})*``."""
         return ModuleOperator(self.flat.star(), self.k)
@@ -262,12 +213,12 @@ def op_log(t: ModuleOperator) -> ModuleOperator:
     """Hermitian logarithm of a strictly positive module operator."""
     if not strictly_positive(t):
         raise NotStrictlyPositiveError("module operator is not strictly positive")
-    return ModuleOperator(herm_calculus(t.flat, np.log), t.k)
+    return ModuleOperator(spectral(t.flat).apply(np.log), t.k)
 
 
 def op_exp(h: ModuleOperator) -> ModuleOperator:
     """Exponential of a Hermitian module operator; strictly positive."""
-    return ModuleOperator(herm_calculus(h.flat, np.exp), h.k)
+    return ModuleOperator(spectral(h.flat).apply(np.exp), h.k)
 
 
 def condition_number(t: ModuleOperator) -> float:
@@ -301,14 +252,13 @@ class SubalgebraBasis:
     """Orthonormal Hilbert-Schmidt basis of a generated *-subalgebra.
 
     Held only as its coordinate rows ``_q`` (one ``operator_vec`` per
-    element); ``flats`` cuts them into block stacks without copying, and
-    ``basis`` builds the operators on first use.  Candidates are drawn in
-    order, first the generators and their adjoints; each kept row then
-    adds its adjoint and its products with every kept row, in both
-    orders, each formed on the rows only when drawn.  A candidate is projected
-    against the kept rows by classical Gram-Schmidt run twice,
-    ``v <- v - Q^T (Q* v)``, and kept iff its residual exceeds
-    ``SPAN_TOL * max(1, max ||g||)``.  The closure stops when no
+    element), and ``flats`` cuts them into block stacks without copying.
+    Candidates are drawn in order, first the generators and their
+    adjoints; each kept row then adds its adjoint and its products with
+    every kept row, in both orders, each formed on the rows only when
+    drawn.  A candidate is projected against the kept rows by classical
+    Gram-Schmidt run twice, ``v <- v - Q^T (Q* v)``, and kept iff its
+    residual exceeds ``SPAN_TOL * max(1, max ||g||)``.  The closure stops when no
     candidate is left or the span fills ``M_k(A)``.  The span must then act
     nondegenerately: its unit (the HS projection of the identity) must
     be the identity operator.
@@ -331,11 +281,6 @@ class SubalgebraBasis:
     def flats(self) -> list[np.ndarray]:
         """The basis as one ``(dim, k n_b, k n_b)`` stack per block, views of ``_q``."""
         return _unvec_flats(self._flat_shape, self._q)
-
-    @cached_property
-    def basis(self) -> tuple[ModuleOperator, ...]:
-        """The basis elements as operators."""
-        return tuple(ModuleOperator(AlgebraElement(self._flat_shape, f), self.k) for f in zip(*self.flats))
 
     def _build(self, generators: list[ModuleOperator]) -> None:
         flat = self._flat_shape

@@ -91,15 +91,6 @@ def implemented_evaluate(f: ImplementedFlow, t: float, x: ModuleOperator) -> Mod
     return y
 
 
-def middle_multiplier(s: ModuleOperator, x: ModuleOperator, t: ModuleOperator) -> ModuleOperator:
-    """The middle product ``S x T``.
-
-    At finite dimension every ``x`` is a middle multiplier of any pair,
-    so the product needs no domain bookkeeping and simply composes.
-    """
-    return s @ x @ t
-
-
 def implemented_continuation_check(f: ImplementedFlow, z, x: ModuleOperator) -> np.ndarray:
     """Residual between the two continuation routes, per z of an array.
 
@@ -130,7 +121,7 @@ def localized_middle_check(
     """Residual of ``S_w x_w T_w L(v) = L(S x T v)`` under a localization ``L``.
 
     The induced operators are composed factor by factor, associated as
-    ``S_w (x_w T_w)`` while ``middle_multiplier`` forms ``(S x) T``, so the
+    ``S_w (x_w T_w)`` while the right side forms ``(S x) T``, so the
     two sides share no product.  The relation is checked through the map
     itself by ``stone.intertwining_residual``: the result is a randomized
     upper estimate of the norm of the difference of the two sides over the
@@ -139,4 +130,4 @@ def localized_middle_check(
     ``(pi/32)**10 < 1e-10``.
     """
     lhs = induce(loc, s) @ (induce(loc, x) @ induce(loc, t))
-    return intertwining_residual(loc, lhs, middle_multiplier(s, x, t))
+    return intertwining_residual(loc, lhs, s @ x @ t)

@@ -87,9 +87,14 @@ def random_element(r: np.random.Generator, shape: BlockShape, norm: float | None
 
 
 def _hermitians(x: AlgebraElement, norm: float) -> list[HermitianElement]:
-    """The Hermitian parts ``(x + x*)/2`` of a batch, each rescaled to ``norm``, one per index of its last axis."""
-    hs = _rescaled(0.5 * (x + x.star()), norm)
-    return [HermitianElement(hs[..., j, :, :]) for j in range(hs.blocks[0].shape[-3])]
+    """The Hermitian parts ``(x + x*)/2`` of a batch, each rescaled to ``norm``, one per index of its last axis.
+
+    That axis is moved to the front before the parts are normed, so that each
+    part is a member ``hs[j]`` and keeps its norm from the one batched SVD.
+    """
+    parts = 0.5 * (x + x.star())
+    hs = _rescaled(AlgebraElement._adopt(x.shape, [np.moveaxis(b, -3, 0) for b in parts.blocks]), norm)
+    return [HermitianElement(hs[j]) for j in range(len(hs.blocks[0]))]
 
 
 def random_hermitian(r: np.random.Generator, shape: BlockShape, norm: float = 1.0) -> HermitianElement:

@@ -58,13 +58,13 @@ from .algebra import (
     PositiveFunctional,
     _over_blocks,
     eigenvalues,
-    herm_calculus,
     is_strictly_positive,
     largest_singular_value,
     power,
     spectral,
     stack,
 )
+from .continuation import _require_positive
 from .errors import (
     BranchAmbiguityError,
     EigFailureError,
@@ -215,8 +215,7 @@ def recover(u: SampledUnitaryGroup, t0: float = 1.0) -> Recovery:
     eigenvalue off by a multiple of ``20 pi / t``.  The residual grid is
     recorded, not judged: ``Recovery.verified`` raises on a miss.
     """
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    _require_positive(t0, "t0")
     u.probe(t0)
     t = float(t0)
     u_t = u(t)
@@ -233,11 +232,11 @@ def recover(u: SampledUnitaryGroup, t0: float = 1.0) -> Recovery:
             f"halving did not stabilize after {MAX_HALVINGS} steps from t0={t0}"
         )
     k_op = (1.0 / t) * log_t
-    resid = (u_t.flat - herm_calculus(k_op.flat, lambda lam: np.exp(1j * t * lam))).norm()
+    resid = (u_t.flat - spectral(k_op.flat).apply(lambda lam: np.exp(1j * t * lam))).norm()
     if resid > 1e-9:
         raise NotAGroupError(f"u(t0) differs from exp(i t0 K) by {resid:.3e}")
     s = OFF_LATTICE * t
-    gap = (u(s).flat - herm_calculus(k_op.flat, lambda lam: np.exp(1j * s * lam))).norm()
+    gap = (u(s).flat - spectral(k_op.flat).apply(lambda lam: np.exp(1j * s * lam))).norm()
     if gap > 1e-9:
         raise BranchAmbiguityError(
             f"the logarithm accepted at t={t} misses u({s}) by {gap:.3e}: an aliased branch"
@@ -323,8 +322,11 @@ def localize(omega: PositiveFunctional, k: int) -> Localization:
     eigendecomposed once, eigenvalues at or below ``GNS_TOL`` times the
     largest over all blocks are treated as genuine kernel, and the rest
     give the factor ``C_b`` of rank ``r_b``.  The localized dimension is
-    ``d = k sum_b n_b r_b`` (``ZeroFunctionalError`` if nothing remains).
+    ``d = k sum_b n_b r_b`` (``ZeroFunctionalError`` if nothing remains;
+    ``ValueError`` for a module rank ``k < 1``).
     """
+    if k < 1:
+        raise ValueError(f"module rank k must be at least 1, got {k}")
     sd = spectral(omega.rho)
     top = max(float(np.max(w)) for w in sd.eigenvalues)
     if top <= 0.0:
@@ -509,8 +511,7 @@ def vector_smear(t_op: ModuleOperator, v: ModuleVector, r: float, z: complex = 0
     ``exp(i kappa z - kappa^2 / (4 r^2))``.  ``T`` must pass the
     positivity rule of ``op_power`` (``ValueError`` otherwise).
     """
-    if r <= 0:
-        raise ValueError("smearing width r must be positive")
+    _require_positive(r, "smearing width r")
     if not strictly_positive(t_op):
         raise ValueError("vector smear needs a strictly positive operator")
     sd = spectral(t_op.flat)

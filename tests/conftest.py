@@ -15,6 +15,7 @@ from cstarflow import (
     InducedOperator,
     ModuleOperator,
     ModuleVector,
+    SubalgebraBasis,
     identity_operator,
 )
 from cstarflow.algebra import largest_singular_value
@@ -101,8 +102,48 @@ def e12(n: int = 2) -> AlgebraElement:
 
 def diag_flow(*diag: float) -> FlowGenerator:
     """Automorphism flow of a single diagonal block."""
-    h = HermitianElement.from_blocks([np.diag(diag).astype(complex)])
+    h = HermitianElement(AlgebraElement.from_blocks([np.diag(diag).astype(complex)]))
     return FlowGenerator(h, h)
+
+
+def zeros(shape: BlockShape) -> AlgebraElement:
+    return AlgebraElement(shape, [np.zeros((n, n), dtype=complex) for n in shape])
+
+
+def still_flow(shape: BlockShape) -> FlowGenerator:
+    """The flow with zero generators: every ``alpha_z`` is the identity."""
+    h = HermitianElement(zeros(shape))
+    return FlowGenerator(h, h)
+
+
+def vector_from_entries(entries: list[AlgebraElement]) -> ModuleVector:
+    """The module vector with the given k slots."""
+    shape = entries[0].shape
+    return ModuleVector(shape, len(entries), [np.concatenate([e.blocks[b] for e in entries], axis=-2)
+                                              for b in range(shape.num_blocks)])
+
+
+def vector_entries(v: ModuleVector) -> list[AlgebraElement]:
+    """The k slots of a module vector (each member of a batch) as algebra elements."""
+    return [AlgebraElement(v.shape, [sb[..., i * n : (i + 1) * n, :] for n, sb in zip(v.shape, v.stacked)])
+            for i in range(v.k)]
+
+
+def vector_times(v: ModuleVector, a: AlgebraElement) -> ModuleVector:
+    """Right module action ``v . a``."""
+    return ModuleVector(v.shape, v.k, [vb @ ab for vb, ab in zip(v.stacked, a.blocks)])
+
+
+def operator_entries(s: ModuleOperator) -> list[list[AlgebraElement]]:
+    """The k x k grid of algebra elements of an operator, cut out of its flat blocks (batches per member)."""
+    return [[AlgebraElement(s.shape, [f[..., i * n : (i + 1) * n, j * n : (j + 1) * n]
+                                      for n, f in zip(s.shape, s.flat.blocks)])
+             for j in range(s.k)] for i in range(s.k)]
+
+
+def basis_operators(basis: SubalgebraBasis) -> list[ModuleOperator]:
+    """The elements of a subalgebra basis as operators, in the order of its rows."""
+    return [ModuleOperator(AlgebraElement(basis._flat_shape, f), basis.k) for f in zip(*basis.flats)]
 
 
 class SwappedInduced(InducedOperator):

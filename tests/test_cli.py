@@ -1069,11 +1069,12 @@ WITNESS_FAULTS = {
     ("tensor", "tensor_continuation"): (_wrapped(cli_mod, "tensor_flow", lambda exact: lambda a, b: dataclasses.replace(
         exact(a, b), product=_shifted(exact(a, b).product, 1e-6))), {"tensor_continuation"}),
     # gamma_z times exp(i z 1e-5): the pair still commutes, and its product flow misses alpha_z beta_z
-    ("tensor", "commuting_continuation"): (_wrapped(composition_mod, "product_flow", lambda exact: lambda p:
-                                                    _left_shifted(exact(p), 1e-5)), {"commuting_continuation"}),
-    ("implemented", "localized_middle"): (_wrapped(implemented_mod, "middle_multiplier", lambda exact: lambda s, x, t:
-                                                   exact(s, x, t) + 1e-5 * identity_operator(s.shape, s.k)),
-                                          {"localized_middle"}),
+    ("tensor", "commuting_continuation"): (_wrapped(composition_mod.CommutingPair, "product", lambda exact: property(
+        lambda p: _left_shifted(exact.func(p), 1e-5))), {"commuting_continuation"}),
+    # the middle product S x T the localized side is compared with, moved by 1e-5
+    ("implemented", "localized_middle"): (_wrapped(implemented_mod, "intertwining_residual", lambda exact:
+                                                   lambda loc, a_om, a: exact(loc, a_om, a + 1e-5 * identity_operator(
+                                                       a.shape, a.k))), {"localized_middle"}),
     # a quadrature shrunk by 1e-5 still meets the norm bound, and misses the closed form
     ("converge", "quad_vs_oracle"): (_wrapped(cli_mod, "smear_quadrature", lambda exact: lambda g, x, plan:
                                               (1.0 - 1e-5) * exact(g, x, plan)), {"quad_vs_oracle"}),

@@ -24,13 +24,11 @@ from cstarflow import (
     identity,
     left_companion,
     min_nodes,
-    product_flow,
     smear_oracle,
     smear_quadrature,
     tensor_continuation_check,
     tensor_element,
     tensor_flow,
-    zeros,
 )
 from cstarflow.algebra import stack
 from cstarflow.composition import _kron
@@ -43,7 +41,7 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import Z_GRIDS, diag_flow, failing_svd
+from conftest import Z_GRIDS, diag_flow, failing_svd, still_flow
 
 EPS = np.finfo(float).eps
 
@@ -57,7 +55,7 @@ def diagonal_pair(*pairs):
 
 def pointwise_gamma(p, z, x):
     """The per-z residual of the product-flow factorization, and its scale."""
-    gz = continue_exact(product_flow(p), z, x)
+    gz = continue_exact(p.product, z, x)
     ab = continue_exact(p.alpha, z, continue_exact(p.beta, z, x))
     ba = continue_exact(p.beta, z, continue_exact(p.alpha, z, x))
     return max((gz - ab).norm(), (gz - ba).norm()), max(x.norm(), gz.norm(), ab.norm(), ba.norm())
@@ -74,32 +72,32 @@ class TestProductFlow:
     def test_trivial_partner_is_identity_on_flows(self):
         shape = BlockShape([2, 2])
         alpha = random_flow(rng(0), shape, 1.0)
-        pair = CommutingPair(alpha, FlowGenerator.automorphism(HermitianElement(zeros(shape))))
-        gamma = product_flow(pair)
+        pair = CommutingPair(alpha, still_flow(shape))
+        gamma = pair.product
         assert (gamma.h_left.value - alpha.h_left.value).norm() == 0.0
         assert (gamma.h_right.value - alpha.h_right.value).norm() == 0.0
 
     def test_doubling(self):
-        h = HermitianElement.from_blocks([np.diag([1.0, -0.5])])
+        h = HermitianElement(AlgebraElement.from_blocks([np.diag([1.0, -0.5])]))
         g = FlowGenerator(h, h)
-        gamma = product_flow(CommutingPair(g, g))
+        gamma = CommutingPair(g, g).product
         assert (gamma.h_left.value - 2.0 * h.value).norm() == 0.0
 
     def test_matches_composition_additive_phases(self):
         pair = diagonal_pair((1.0, 0.0), (0.5, -0.5))
         x = random_element(rng(1), BlockShape([2]))
-        gamma = product_flow(pair)
+        gamma = pair.product
         for t in (0.7, -1.9):
             composed = evaluate(pair.alpha, t, evaluate(pair.beta, t, x))
             assert (evaluate(gamma, t, x) - composed).norm() <= 1e-12
 
     def test_built_once_per_pair(self):
         pair = CommutingPair(*random_commuting_flows(rng(2), BlockShape([2, 3]), 1.0))
-        assert product_flow(pair) is product_flow(pair)
+        assert pair.product is pair.product
 
     def test_non_commuting_rejected(self):
-        h1 = HermitianElement.from_blocks([np.array([[0.0, 1.0], [1.0, 0.0]])])
-        h2 = HermitianElement.from_blocks([np.diag([1.0, -1.0])])
+        h1 = HermitianElement(AlgebraElement.from_blocks([np.array([[0.0, 1.0], [1.0, 0.0]])]))
+        h2 = HermitianElement(AlgebraElement.from_blocks([np.diag([1.0, -1.0])]))
         with pytest.raises(NotCommutingError):
             CommutingPair(FlowGenerator(h1, h1), FlowGenerator(h2, h2))
 
@@ -115,16 +113,16 @@ class TestGammaContinuation:
     def test_diagonal_pair_at_i(self):
         pair = diagonal_pair((1.0, 0.0), (0.5, -0.5))
         x = random_element(rng(3), BlockShape([2]))
-        scale = max(1.0, continue_exact(product_flow(pair), 1j, x).norm())
+        scale = max(1.0, continue_exact(pair.product, 1j, x).norm())
         assert gamma_continuation_check(pair, [1j], x)[0] <= 1e-10 * scale
 
     def test_trivial_partner(self):
         shape = BlockShape([2])
         alpha = random_flow(rng(4), shape, 1.0)
-        pair = CommutingPair(alpha, FlowGenerator.automorphism(HermitianElement(zeros(shape))))
+        pair = CommutingPair(alpha, still_flow(shape))
         x = random_element(rng(5), shape)
         z = 0.4 - 0.6j
-        gamma_z = continue_exact(product_flow(pair), z, x)
+        gamma_z = continue_exact(pair.product, z, x)
         assert (gamma_z - continue_exact(alpha, z, x)).norm() <= 1e-13 * max(1.0, gamma_z.norm())
 
 
@@ -156,7 +154,7 @@ class TestGammaGrid:
 class TestDoubleSmear:
     def test_trivial_flows_reproduce_element(self):
         shape = BlockShape([2])
-        still = FlowGenerator.automorphism(HermitianElement(zeros(shape)))
+        still = still_flow(shape)
         pair = CommutingPair(still, still)
         x = random_element(rng(6), shape)
         for n in (1.0, 3.0):
@@ -190,7 +188,7 @@ class TestDoubleSmear:
         pair = CommutingPair(alpha, beta)
         x = random_element(r, BlockShape([2]))
         n, z = 2.0, 0.2 + 0.25j
-        gamma = product_flow(pair)
+        gamma = pair.product
         lhs = continue_exact(gamma, z, double_smear(pair, x, n, 0.0))
         rhs = double_smear(pair, x, n, z)
         assert (lhs - rhs).norm() <= 1e-8 * max(1.0, rhs.norm())
@@ -407,7 +405,7 @@ class TestCompositionInvariants:
         r = rng(15)
         alpha, beta = random_commuting_flows(r, BlockShape([2, 2]), 1.5)
         pair = CommutingPair(alpha, beta)
-        gamma = product_flow(pair)
+        gamma = pair.product
         x = random_element(r, BlockShape([2, 2]))
         for t in (0.5, -1.1):
             lhs = evaluate(left_companion(gamma), t, x)

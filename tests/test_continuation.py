@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cstarflow import (
     AlgebraElement,
     BlockShape,
+    CommutingPair,
     EigFailureError,
     FlowGenerator,
     HermitianElement,
@@ -20,20 +21,24 @@ from cstarflow import (
     conjugate,
     continue_exact,
     core_rescale,
+    double_smear,
     evaluate,
     identity,
+    identity_operator,
     min_nodes,
     smear_oracle,
+    recover,
     smear_quadrature,
     three_lines_check,
+    vector_smear,
     weak_continuation_check,
-    zeros,
 )
 from cstarflow.continuation import MAX_NODES, STRIP_GRID, A, L, _trapezoid, admissible_nodes
 from cstarflow.algebra import stack
-from cstarflow.sampling import random_element, random_flow, rng
+from cstarflow.sampling import random_element, random_flow, random_vector, rng
+from cstarflow.stone import SampledUnitaryGroup
 
-from conftest import diag_flow, e12, failing_svd
+from conftest import diag_flow, e12, failing_svd, still_flow, zeros
 
 EPS = np.finfo(float).eps
 
@@ -79,7 +84,7 @@ class TestContinueExact:
 class TestSmearQuadrature:
     def test_trivial_flow_reproduces_element(self):
         shape = BlockShape([2])
-        g = FlowGenerator.automorphism(HermitianElement(zeros(shape)))
+        g = still_flow(shape)
         x = random_element(rng(3), shape)
         for r in (0.5, 1.0, 7.0):
             q = smear_quadrature(g, x, SmearingPlan.for_flow(g, r, 0.0))
@@ -304,7 +309,7 @@ class TestWeakContinuation:
     def test_single_entry_dual_detects_phase_scaling(self):
         # one-dimensional algebra: a single entry dual is separating
         shape = BlockShape([1])
-        h = HermitianElement.from_blocks([np.array([[1.0]])])
+        h = HermitianElement(AlgebraElement.from_blocks([np.array([[1.0]])]))
         g = FlowGenerator(h, HermitianElement(zeros(shape)))
         v = AlgebraElement.from_blocks([np.array([[1.0]])])
         dual = [AlgebraElement.from_blocks([np.array([[1.0]])])]
@@ -514,3 +519,23 @@ def test_smear_norm_bound_hypothesis(smear):
     bound = x.norm() * math.exp(rr * rr * im * im) * (1 + 1e-8)
     assert smear_quadrature(g, x, SmearingPlan.for_flow(g, rr, z)).norm() <= bound
     assert smear_oracle(g, x, rr, z).norm() <= bound
+
+
+# each guard of a width, smearing index or start time, called with the value under test
+GUARDS = {
+    "SmearingPlan": lambda v: SmearingPlan(v, 0.0, 9),
+    "SmearingPlan.for_flow": lambda v: SmearingPlan.for_flow(diag_flow(1.0, 0.0), v),
+    "smear_oracle": lambda v: smear_oracle(diag_flow(1.0, 0.0), e12(), v, 0.0),
+    "vector_smear": lambda v: vector_smear(identity_operator(BlockShape([2]), 1),
+                                           random_vector(rng(0), BlockShape([2]), 1), v),
+    "double_smear": lambda v: double_smear(CommutingPair(diag_flow(1.0, 0.0), diag_flow(0.5, 0.0)), e12(), v),
+    "recover": lambda v: recover(SampledUnitaryGroup.from_positive(identity_operator(BlockShape([2]), 1)), v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", GUARDS.values(), ids=list(GUARDS))
+def test_guards_refuse_non_finite_and_non_positive_values(call, value):
+    # a guard written value <= 0 let NaN through: it is False for NaN
+    with pytest.raises(ValueError, match=rf"must be positive and finite, got {value}$"):
+        call(value)

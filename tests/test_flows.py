@@ -12,21 +12,24 @@ from cstarflow import (
     BlockShape,
     FlowGenerator,
     HermitianElement,
-    check_group_law,
     conjugate,
     conjugate_norm,
     evaluate,
     identity,
     left_companion,
     right_companion,
-    zeros,
 )
 from cstarflow.algebra import stack
-from cstarflow.sampling import random_element, random_flow, random_hermitian, rng
+from cstarflow.sampling import random_element, random_elements, random_flow, random_hermitian, rng
 
-from conftest import diag_flow, e12
+from conftest import diag_flow, e12, zeros
 
 EPS = np.finfo(float).eps
+
+
+def group_law_residual(g, s, t, xs):
+    """The largest ``norm(alpha_s(alpha_t(x)) - alpha_{s+t}(x))`` over the members of a batch ``xs``."""
+    return np.max((evaluate(g, s, evaluate(g, t, xs)) - evaluate(g, s + t, xs)).norm())
 
 
 def phase_oracle(g: FlowGenerator, t: complex, x):
@@ -78,7 +81,8 @@ class TestCompanions:
         assert right_companion(g).spectral_right is g.spectral_right
 
     def test_automorphism_decomposes_its_generator_once(self):
-        g = FlowGenerator.automorphism(random_hermitian(rng(2), BlockShape([3]), 1.0))
+        h = random_hermitian(rng(2), BlockShape([3]), 1.0)
+        g = FlowGenerator(h, h)
         assert g.spectral_left is g.spectral_right
 
     def test_automorphism_case_collapses(self):
@@ -122,14 +126,14 @@ class TestGroupLaw:
     def test_zero_times(self):
         r = rng(7)
         g = random_flow(r, BlockShape([2, 2]), 2.0)
-        xs = [random_element(r, BlockShape([2, 2])) for _ in range(3)]
-        assert check_group_law(g, 0.0, 0.0, xs) <= 1e-14
+        xs = random_elements(r, BlockShape([2, 2]), 3)
+        assert group_law_residual(g, 0.0, 0.0, xs) <= 1e-14
 
     def test_additivity(self):
         r = rng(8)
         g = random_flow(r, BlockShape([3]), 2.0)
-        xs = [random_element(r, BlockShape([3])) for _ in range(5)]
-        assert check_group_law(g, 0.6, -1.4, xs) <= 1e-11
+        xs = random_elements(r, BlockShape([3]), 5)
+        assert group_law_residual(g, 0.6, -1.4, xs) <= 1e-11
 
     def test_inverse_at_unit_time(self):
         r = rng(9)
@@ -195,7 +199,7 @@ def test_group_law_inverse_and_semi_multiplicativity_hypothesis(seed, dims, s, t
     shape = BlockShape(dims)
     g = random_flow(r, shape, 2.0)
     x, a, b = (random_element(r, shape) for _ in range(3))
-    assert check_group_law(g, s, t, [x]) <= 1e-11 * x.norm()
+    assert group_law_residual(g, s, t, x) <= 1e-11 * x.norm()
 
     # alpha_{-z} undoes alpha_z; alpha_{-z} has norm at most exp(|Im z| nu) on alpha_z(x)
     z = complex(s, z_im)

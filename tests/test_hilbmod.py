@@ -28,7 +28,6 @@ from cstarflow import (
     op_log,
     op_power,
     strictly_positive,
-    zeros,
 )
 from cstarflow.hilbmod import (
     AFFILIATION_TOL,
@@ -47,13 +46,19 @@ from cstarflow.sampling import (
 )
 
 from conftest import (
+    basis_operators,
     carrier_units,
     counting_svd,
     induced_dense,
     matrix_unit_operators,
+    operator_entries,
     unitary_defect,
     vector_coordinates,
+    vector_entries,
     vector_from_coordinates,
+    vector_from_entries,
+    vector_times,
+    zeros,
 )
 
 EPS = np.finfo(float).eps
@@ -61,7 +66,7 @@ EPS = np.finfo(float).eps
 
 def unit_first_slot(shape: BlockShape, k: int) -> ModuleVector:
     entries = [identity(shape)] + [zeros(shape) for _ in range(k - 1)]
-    return ModuleVector.from_entries(entries)
+    return vector_from_entries(entries)
 
 
 class TestInner:
@@ -75,7 +80,7 @@ class TestInner:
         shape = BlockShape([2, 3])
         v, w = random_vector(r, shape, 2), random_vector(r, shape, 2)
         a = random_element(r, shape)
-        lhs = inner(v.times(a), w)
+        lhs = inner(vector_times(v, a), w)
         rhs = inner(v, w) @ a
         assert (lhs - rhs).norm() <= 1e-12 * max(1.0, rhs.norm())
 
@@ -89,7 +94,7 @@ class TestInner:
         r = rng(2)
         shape = BlockShape([2])
         x = random_element(r, shape)
-        v = ModuleVector.from_entries([x])
+        v = vector_from_entries([x])
         # direct matrix product oracle: <v, v> = x* x
         want = x.blocks[0].conj().T @ x.blocks[0]
         np.testing.assert_allclose(inner(v, v).blocks[0], want, atol=1e-13)
@@ -147,7 +152,7 @@ class TestOpPower:
     def test_diagonal_square_root(self):
         t = ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.diag([4.0, 9.0])])]])
         out = op_power(t, 0.5)
-        np.testing.assert_allclose(out.entries[0][0].blocks[0], np.diag([2.0, 3.0]), atol=1e-12)
+        np.testing.assert_allclose(operator_entries(out)[0][0].blocks[0], np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_imaginary_power_adjoint(self):
         t = random_positive_operator(rng(6), BlockShape([3]), 2, cond=50.0)
@@ -180,9 +185,9 @@ class TestOpPower:
             for got, want in zip(batch.stacked, one.stacked):
                 np.testing.assert_array_equal(got[i], want)
             assert batch.norm()[i] == one.norm()
-            for got, want in zip(batch.entries, one.entries):
+            for got, want in zip(vector_entries(batch), vector_entries(one)):
                 np.testing.assert_array_equal(got.blocks[1][i], want.blocks[1])
-        for got, want in zip(ModuleVector.from_entries(batch.entries).stacked, batch.stacked):
+        for got, want in zip(vector_from_entries(vector_entries(batch)).stacked, batch.stacked):
             np.testing.assert_array_equal(got, want)
         loc = localize(random_state(r, shape), 2)
         assert loc.apply(batch).shape == (*zs.shape, loc.d)
@@ -206,8 +211,8 @@ class TestSubalgebraBasis:
         r = rng(9)
         shape = BlockShape([2])
         basis = SubalgebraBasis([random_operator(r, shape, 1), random_operator(r, shape, 1)])
-        for a in basis.basis:
-            for b in basis.basis:
+        for a in basis_operators(basis):
+            for b in basis_operators(basis):
                 assert basis.residual(a @ b) <= 1e-9 * max(1.0, (a @ b).norm())
                 assert basis.residual(a.star()) <= 1e-9
 
@@ -337,21 +342,21 @@ def grid_product(s, t):
     k = s.k
     return ModuleOperator.from_entries(
         [
-            [_sum_elements([s.entries[i][m] @ t.entries[m][j] for m in range(k)]) for j in range(k)]
+            [_sum_elements([operator_entries(s)[i][m] @ operator_entries(t)[m][j] for m in range(k)]) for j in range(k)]
             for i in range(k)
         ]
     )
 
 
 def grid_apply(s, v):
-    return ModuleVector.from_entries(
-        [_sum_elements([e @ x for e, x in zip(row, v.entries)]) for row in s.entries]
+    return vector_from_entries(
+        [_sum_elements([e @ x for e, x in zip(row, vector_entries(v))]) for row in operator_entries(s)]
     )
 
 
 def slot_inner(v, w):
     out = zeros(v.shape)
-    for a, b in zip(v.entries, w.entries):
+    for a, b in zip(vector_entries(v), vector_entries(w)):
         out = out + (b.star() @ a)
     return out
 
@@ -388,9 +393,9 @@ class TestFlatAgainstGrid:
     def test_grid_round_trips_bitwise(self, k):
         r = rng(130 + k)
         s, v = random_operator(r, self.SHAPE, k), random_vector(r, self.SHAPE, k)
-        for a, b in zip(ModuleOperator.from_entries(s.entries).flat.blocks, s.flat.blocks):
+        for a, b in zip(ModuleOperator.from_entries(operator_entries(s)).flat.blocks, s.flat.blocks):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(ModuleVector.from_entries(v.entries).stacked, v.stacked):
+        for a, b in zip(vector_from_entries(vector_entries(v)).stacked, v.stacked):
             np.testing.assert_array_equal(a, b)
         back = vector_from_coordinates(self.SHAPE, k, vector_coordinates(v))
         for a, b in zip(back.stacked, v.stacked):
@@ -402,11 +407,11 @@ class TestFlatAgainstGrid:
         batch = op_power(t, 1j * np.array([0.3, -0.7, 1.1]))
         for m in range(3):
             member = ModuleOperator(batch.flat[m], k)
-            for row, member_row in zip(batch.entries, member.entries):
+            for row, member_row in zip(operator_entries(batch), operator_entries(member)):
                 for e, want in zip(row, member_row):
                     for a, b in zip(e.blocks, want.blocks):
                         np.testing.assert_array_equal(a[m], b)
-        for a, b in zip(ModuleOperator.from_entries(batch.entries).flat.blocks, batch.flat.blocks):
+        for a, b in zip(ModuleOperator.from_entries(operator_entries(batch)).flat.blocks, batch.flat.blocks):
             np.testing.assert_array_equal(a, b)
 
 
@@ -569,9 +574,9 @@ def test_closure_under_adjoints_and_products_hypothesis(seed, count, n, k):
     r = rng(seed)
     shape = BlockShape([n])
     basis = SubalgebraBasis([random_operator(r, shape, k) for _ in range(count)])
-    for a in basis.basis:
+    for a in basis_operators(basis):
         assert basis.residual(a.star()) <= 1e-9
-        for b in basis.basis:
+        for b in basis_operators(basis):
             ab = a @ b
             assert basis.residual(ab) <= 1e-9 * max(1.0, ab.norm())
 
@@ -584,7 +589,7 @@ def test_closure_under_adjoints_and_products_hypothesis(seed, count, n, k):
 def sequential_leaks(basis, lefts, rights=None):
     rights = rights or [None] * len(lefts)
     return np.array([
-        [basis.residual(left @ b if right is None else left @ b @ right) for b in basis.basis]
+        [basis.residual(left @ b if right is None else left @ b @ right) for b in basis_operators(basis)]
         for left, right in zip(lefts, rights)
     ])
 
@@ -593,12 +598,12 @@ def sequential_affiliation(alpha, basis, t_samples, tol=AFFILIATION_TOL):
     log_norm = op_log(alpha).norm()
     for t in t_samples:
         u = op_power(alpha, 1j * float(t))
-        for b in basis.basis:
+        for b in basis_operators(basis):
             if basis.residual(u @ b) > tol * max(b.norm(), 1e-300):
                 return False
     delta = 1e-3 / max(1.0, log_norm)
     u_delta = op_power(alpha, 1j * delta)
-    for b in basis.basis:
+    for b in basis_operators(basis):
         drift = (u_delta @ b - b).norm()
         if drift > delta * log_norm * b.norm() * (1.0 + 1e-8) + 1e-12:
             return False
@@ -656,8 +661,8 @@ class TestLeaksAgainstSequential:
 
     def test_basis_operators_are_the_rows(self):
         basis = SubalgebraBasis(CLOSURE_CASES["random_two_blocks"]())
-        assert len(basis.basis) == basis.dim
-        np.testing.assert_array_equal(np.stack([operator_vec(b) for b in basis.basis]), basis._q)
+        assert len(basis_operators(basis)) == basis.dim
+        np.testing.assert_array_equal(np.stack([operator_vec(b) for b in basis_operators(basis)]), basis._q)
 
 
 # BlockCarrier against the closure of its own matrix units, which spans the

@@ -77,7 +77,6 @@ CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
 # public names with no user in src/, demos/ or benchmarks/, and why each stays
 UNUSED_ALLOWED = {
     "continuation.weak_continuation_check": "states the paper's weak-to-norm continuation, which a test checks",
-    "hilbmod.affiliation_test": "states the paper's affiliation criterion, which a test checks",
     "stone.vector_smear": "the paper's smear on a module, and the closed form for a module smear quadrature",
     "serialize.element_to_payload": "writes the one payload format that configs read",
 }
@@ -97,37 +96,76 @@ def public_definitions(tree: ast.Module):
                     yield target.id, node
 
 
-def name_counts(tree: ast.AST) -> Counter:
-    """How often each name and attribute is read in ``tree``."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+# receivers whose attributes are top-level names: the package, its modules, and the
+# handle ``benchmarks/worker.py`` keeps the package under (``lib``, ``self.lib``)
+MODULE_HANDLES = {"cstarflow", "lib", *(p.stem for p in MODULES)}
 
 
-def traced_names() -> set[str]:
-    """The attribute names ``benchmarks/tracing.TARGETS`` spans by string."""
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``, keyed ``("top", name)`` or ``("member", name)``.
+
+    A bare name, or an attribute of a module handle, reads a top-level function, class or
+    constant; any other attribute reads a method or property.  So ``x.star()`` reads no
+    function ``star``, ``np.zeros`` no function ``zeros``, and a variable ``times`` no method.
+    """
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out["top", node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            receiver = getattr(node.value, "id", getattr(node.value, "attr", None))
+            out["top" if receiver in MODULE_HANDLES else "member", node.attr] += 1
+    return out
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """The names ``benchmarks/tracing.TARGETS`` spans by string, keyed as ``reads`` keys them."""
     tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text())
     targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
-    return {part for _, attr in ast.literal_eval(targets).values() for part in attr.split(".")}
+    paths = [attr.split(".") for _, attr in ast.literal_eval(targets).values()]
+    return {("top", top) for top, *_ in paths} | {("member", m) for _, *members in paths for m in members}
 
 
-def unused_public_names(modules: dict[str, ast.Module], users: set[str]) -> list[str]:
+def unused_public_names(modules: dict[str, ast.Module], users: set[tuple[str, str]]) -> list[str]:
     """``module.name`` of each public definition that no module reads outside it, and ``users`` lacks."""
-    everywhere = sum((name_counts(tree) for tree in modules.values()), Counter())
-    return [f"{module}.{name}" for module, tree in modules.items() for name, node in public_definitions(tree)
-            if (leaf := name.rpartition(".")[2]) not in users and everywhere[leaf] == name_counts(node)[leaf]]
+    everywhere = sum((reads(tree) for tree in modules.values()), Counter())
+    found = []
+    for module, tree in modules.items():
+        for name, node in public_definitions(tree):
+            owner, _, leaf = name.rpartition(".")
+            key = ("member" if owner else "top", leaf)
+            if key not in users and everywhere[key] == reads(node)[key]:
+                found.append(f"{module}.{name}")
+    return found
 
 
 def test_every_public_name_has_a_user_outside_tests():
+    """Exactly the allowlisted names lack a user: a listed name that gains one, or is gone, fails too."""
     modules = {p.stem: ast.parse(p.read_text()) for p in MODULES if p.name != "__init__.py"}
     users = traced_names()
     for path in [*(ROOT / "demos").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]:
-        users |= set(name_counts(ast.parse(path.read_text())))
-    assert sorted(set(unused_public_names(modules, users)) - set(UNUSED_ALLOWED)) == []
+        users |= set(reads(ast.parse(path.read_text())))
+    assert sorted(unused_public_names(modules, users)) == sorted(UNUSED_ALLOWED)
 
 
 def test_the_scan_finds_names_only_their_own_definition_reads():
     source = ("LIMIT = 1\nKNOB = 2\n\nclass A:\n    def f(self):\n        return self.f() + KNOB\n\n"
               "    def g(self):\n        return A\n\ndef h():\n    return h()\n")
     assert unused_public_names({"m": ast.parse(source)}, set()) == ["m.LIMIT", "m.A", "m.A.f", "m.A.g", "m.h"]
-    assert unused_public_names({"m": ast.parse(source)}, {"f", "h", "LIMIT"}) == ["m.A", "m.A.g"]
+    users = {("member", "f"), ("top", "h"), ("top", "LIMIT")}
+    assert unused_public_names({"m": ast.parse(source)}, users) == ["m.A", "m.A.g"]
+
+
+def test_the_scan_tells_functions_from_methods_and_variables():
+    # a method read as .star(), np.zeros and a local named times use none of the three;
+    # a bare name, a module handle's attribute and any other attribute are reads
+    source = ("import numpy as np\n\ndef star(x):\n    return x\n\ndef zeros(n):\n    return n\n\n"
+              "class A:\n    def star(self):\n        return self\n\n    def times(self):\n        return 1\n\n"
+              "def use(a: A):\n    times = np.zeros(3)\n    return a.star(), times\n")
+    users = {("top", "use")}
+    assert unused_public_names({"m": ast.parse(source)}, users) == ["m.star", "m.zeros", "m.A.times"]
+    assert unused_public_names({"m": ast.parse(source)}, users | {("top", "star"), ("member", "times")}) == ["m.zeros"]
+    calls = "def f(self, lib, p):\n    return self.lib.star(), lib.zeros(), cstarflow.algebra.A, p.times\n"
+    assert {("top", "star"), ("top", "zeros"), ("top", "A"), ("member", "times")} <= set(reads(ast.parse(calls)))
+    assert ("member", "star") not in reads(ast.parse(calls))

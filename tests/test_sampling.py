@@ -15,9 +15,14 @@ from cstarflow.sampling import (
     gaussian,
     random_commuting_flows,
     random_elements,
+    random_flow,
     random_unitary,
     rng,
 )
+
+from conftest import counting_svd
+
+EPS = np.finfo(float).eps
 
 SHAPES = [BlockShape([2, 3]), BlockShape([1]), BlockShape([4, 1, 2])]
 
@@ -76,3 +81,19 @@ def test_a_stack_of_draws_finishes_as_each_draw(shape):
             assert same(batch.h_left.value[i], member.h_left.value)
             assert same(batch.h_right.value[i], member.h_right.value)
 
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "batch"])
+def test_generator_norm_reaches_no_lapack(batch, monkeypatch):
+    # the Hermitian parts are normed in one batched SVD when they are rescaled; each generator keeps its norm
+    shape, r = BlockShape([4, 2]), rng(21)
+    g = flows(shape, np.array([draw_flow(r, shape) for _ in range(3)]), 1.5) if batch else random_flow(r, shape, 1.5)
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+    got = g.generator_norm()
+    assert calls == []
+    monkeypatch.undo()
+    want = sum(np.max([np.linalg.svd(b, compute_uv=False)[..., 0] for b in h.value.blocks], axis=0)
+               for h in (g.h_left, g.h_right))
+    assert np.shape(got) == batch
+    assert np.all(np.abs(got - want) <= 4 * max(shape) * EPS * want)

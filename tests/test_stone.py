@@ -39,7 +39,7 @@ from cstarflow import (
 )
 from cstarflow.stone import GNS_TOL, RESIDUAL_TIMES
 from cstarflow.hilbmod import operator_matrix
-from cstarflow.implemented import localized_middle_check, middle_multiplier
+from cstarflow.implemented import localized_middle_check
 from cstarflow.sampling import (
     random_operator,
     random_positive_operator,
@@ -48,7 +48,15 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import exact_intertwining_residual, induced_dense, matrix_unit_operators, vector_from_coordinates
+from conftest import (
+    exact_intertwining_residual,
+    induced_dense,
+    matrix_unit_operators,
+    operator_entries,
+    vector_from_coordinates,
+    vector_from_entries,
+    zeros,
+)
 
 stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``stone``
 
@@ -89,10 +97,10 @@ class TestRecoverGenerator:
         t_op = diag_module_operator(np.e, 1.0)
         u = SampledUnitaryGroup.from_positive(t_op)
         k = recover(u, 1.0).generator
-        np.testing.assert_allclose(k.entries[0][0].blocks[0], np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(operator_entries(k)[0][0].blocks[0], np.diag([1.0, 0.0]), atol=1e-12)
         t_rec = stone(u)
         np.testing.assert_allclose(
-            t_rec.entries[0][0].blocks[0], np.diag([np.e, 1.0]), atol=1e-10
+            operator_entries(t_rec)[0][0].blocks[0], np.diag([np.e, 1.0]), atol=1e-10
         )
 
     def test_branch_wrap_needs_halving(self):
@@ -134,7 +142,7 @@ class TestRecoverGenerator:
                 attempt()
         # from t0 = 1/2 the halving check sees the wrap, and the true generator is kept
         k = recover(u, 0.5).generator
-        np.testing.assert_allclose(k.entries[0][0].blocks[0], np.diag([11.0, -11.0]), atol=1e-9)
+        np.testing.assert_allclose(operator_entries(k)[0][0].blocks[0], np.diag([11.0, -11.0]), atol=1e-9)
 
     def test_finite_difference_oracle(self):
         # independent route: K ~ (u(h) - u(-h)) / (2ih) with O(h^2) bias
@@ -213,11 +221,7 @@ class TestLocalize:
         rho = AlgebraElement.from_blocks([np.eye(2), np.zeros((2, 2))])
         omega = PositiveFunctional(0.5 * rho)
         loc = localize(omega, 1)
-        from cstarflow import ModuleVector
-
-        dead = ModuleVector.from_entries(
-            [AlgebraElement.from_blocks([np.zeros((2, 2)), np.eye(2)])]
-        )
+        dead = vector_from_entries([AlgebraElement.from_blocks([np.zeros((2, 2)), np.eye(2)])])
         assert np.linalg.norm(loc.apply(dead)) <= 1e-12
 
     def test_gram_identity(self):
@@ -231,11 +235,14 @@ class TestLocalize:
             rhs = omega.value(inner(v, w))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
-    def test_zero_functional_rejected(self):
-        shape = BlockShape([2])
-        from cstarflow import zeros as alg_zeros
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_module_rank_below_one_rejected(self, k):
+        # at shape [2, 3] a rank of 0 gave d = 0, and -1 gave d = -13
+        with pytest.raises(ValueError, match=rf"module rank k must be at least 1, got {k}$"):
+            localize(random_state(rng(5), BlockShape([2, 3])), k)
 
-        omega = PositiveFunctional(alg_zeros(shape))
+    def test_zero_functional_rejected(self):
+        omega = PositiveFunctional(zeros(BlockShape([2])))
         with pytest.raises(ZeroFunctionalError):
             localize(omega, 1)
 
@@ -684,9 +691,10 @@ def test_intertwining_estimate_bounds_the_exact_residual_hypothesis(seed, dims, 
         for z, resid in zip(zs, induced_power_check(loc, t, zs)):
             exact = exact_intertwining_residual(loc, induce(loc, t).power(z), op_power(t, z) + e)
             assert resid >= exact > 0.0
-        mp.setattr(implemented_mod, "middle_multiplier", lambda s, x, t: middle_multiplier(s, x, t) + e)
+        residual = stone_mod.intertwining_residual
+        mp.setattr(implemented_mod, "intertwining_residual", lambda loc, a_om, a: residual(loc, a_om, a + e))
         lhs = induce(loc, s) @ (induce(loc, x) @ induce(loc, t))
-        exact = exact_intertwining_residual(loc, lhs, middle_multiplier(s, x, t) + e)
+        exact = exact_intertwining_residual(loc, lhs, s @ x @ t + e)
         assert localized_middle_check(loc, s, x, t) >= exact > 0.0
 
 
