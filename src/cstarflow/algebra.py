@@ -150,11 +150,15 @@ class AlgebraElement:
         """Member ``i`` of a batch, or the sub-batch a slice or mask selects.
 
         The members keep the batch's norms when it has them, for an index
-        on the batch axes alone (an int, a slice, a mask or an index
-        array); a tuple index takes its norm afresh.
+        on the batch axes alone: an int, a slice, a mask or an index
+        array, or a tuple of at most one of these per batch axis.  A
+        longer tuple, or one with ``...`` or ``None``, may reach the
+        matrix axes, and takes its norm afresh.
         """
         out = AlgebraElement._adopt(self.shape, [b[i] for b in self.blocks])
-        if self._norm is not None and not isinstance(i, tuple):
+        on_batch_axes = not isinstance(i, tuple) or (
+            len(i) <= self.blocks[0].ndim - 2 and not any(e is Ellipsis or e is None for e in i))
+        if self._norm is not None and on_batch_axes:
             object.__setattr__(out, "_norm", _kept(np.asarray(self._norm)[i]))
         return out
 

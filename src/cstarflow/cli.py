@@ -540,7 +540,7 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
     for r in cfg.r_list:
         try:
             count = admissible_nodes(nu, r, complex(0.0, im))
-        except OverflowError:  # the node budget is infinite
+        except (OverflowError, ValueError):  # the node budget is infinite, or nu_max itself is
             count = math.inf
         where = f"grid.r = {r!r} with max|z_im| = {im!r}"
         costs.append((NODES, count, f"{where} needs"))

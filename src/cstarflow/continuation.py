@@ -55,6 +55,9 @@ class SmearingPlan:
 
     def __post_init__(self):
         _require_positive(self.r, "smearing width r")
+        _require_finite(self.z, "smear center z")
+        if isinstance(self.nodes, bool) or not isinstance(self.nodes, (int, np.integer)):
+            raise ValueError(f"node count must be an integer, got {self.nodes}")
         if self.nodes < 1:
             raise ValueError("node count must be positive")
         if self.nodes > MAX_NODES:
@@ -75,6 +78,12 @@ def _require_positive(value, what: str) -> None:
     v = np.asarray(value, dtype=float)
     if not (np.isfinite(v) & (v > 0)).all():
         raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+def _require_finite(value, what: str) -> None:
+    """``ValueError`` naming ``value`` unless it, or every entry of an array, is finite (both parts of a complex)."""
+    if not np.isfinite(np.asarray(value, dtype=complex)).all():
+        raise ValueError(f"{what} must be finite, got {value}")
 
 
 def min_nodes(g: FlowGenerator, r: float, z: complex) -> int:
@@ -101,6 +110,8 @@ def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
     and a norm by ``sqrt(n) <= 23`` times that under the CLI's dense-size budget: about
     1e-14, far below the ``quad_vs_oracle`` bound of 1e-8.
     """
+    _require_finite(nu_max, "largest frequency nu_max")
+    _require_finite(z, "smear center z")
     budget = nu_max / (2.0 * r) + r * abs(complex(z).imag)
     return 2 * math.ceil(L * (2.0 * budget + A) / (2.0 * math.pi)) + 1
 
@@ -152,6 +163,7 @@ def smear_oracle(g: FlowGenerator, x: AlgebraElement, r, z) -> AlgebraElement:
     the smears at many widths.
     """
     _require_positive(r, "smearing width r")
+    _require_finite(z, "smear center z")
     r = _per_member(r)
     z = _per_member(np.asarray(z, dtype=complex))
 

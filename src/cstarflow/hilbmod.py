@@ -134,6 +134,8 @@ class ModuleOperator:
     k: int
     shape: BlockShape = field(init=False)
 
+    __array_ufunc__ = None  # numpy defers ``array * s`` to ``__rmul__``, which scales each member
+
     def __post_init__(self):
         dims = self.flat.shape.block_dims
         if self.k < 1 or any(n % self.k for n in dims):

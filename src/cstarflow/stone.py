@@ -2,13 +2,15 @@
 
 Every norm-continuous unitary one-parameter group on a finite
 Hilbert module is ``u_t = T**(it)`` for a unique strictly positive
-module operator ``T``; ``recover`` finds ``T`` from a sampled group.
-It takes the principal matrix logarithm of ``u(t0)`` and guards
-the branch with a halving consistency check: the step is accepted only
-once ``log u(t0) = 2 log u(t0/2)`` within tolerance, halving ``t0``
-otherwise, and then checks the accepted branch once more at a time off
-the dyadic lattice (finite differences are kept as an independent test
-oracle only; the logarithm route has spectral accuracy).
+module operator ``T``; ``recover`` finds ``T`` from a sampled group,
+whose evaluator maps an array of real times to one batched operator,
+member i at time i, as ``op_power`` does.  It takes the principal
+matrix logarithm of ``u(t0)`` and guards the branch with a halving
+consistency check: the step is accepted only once ``log u(t0) = 2 log
+u(t0/2)`` within tolerance, halving ``t0`` otherwise, and then checks
+the accepted branch once more at a time off the dyadic lattice (finite
+differences are kept as an independent test oracle only; the logarithm
+route has spectral accuracy).
 
 The localization machinery turns a positive functional ``omega`` on the
 algebra (a block density element ``rho`` with ``omega(a) = sum_b
@@ -58,6 +60,7 @@ from .algebra import (
     PositiveFunctional,
     _over_blocks,
     eigenvalues,
+    identity,
     is_strictly_positive,
     largest_singular_value,
     power,
@@ -76,7 +79,6 @@ from .errors import (
 from .hilbmod import (
     ModuleOperator,
     ModuleVector,
-    identity_operator,
     op_exp,
     op_power,
     strictly_positive,
@@ -104,30 +106,27 @@ PROBE_SEED = 2011
 
 @dataclass(frozen=True, eq=False)
 class SampledUnitaryGroup:
-    """A one-parameter unitary group given only through an evaluator; results are never cached."""
+    """A one-parameter unitary group given only through an evaluator (times in, batch out); never cached."""
 
-    evaluator: Callable[[float], ModuleOperator]
+    evaluator: Callable[[np.ndarray], ModuleOperator]
 
-    def __call__(self, t: float) -> ModuleOperator:
-        return self.evaluator(float(t))
+    def __call__(self, t) -> ModuleOperator:
+        return self.evaluator(np.asarray(t, dtype=float))
 
     def probe(self, t0: float) -> None:
-        """Cheap group-invariant checks; raises ``NotAGroupError``.
+        """Group-law checks on one sample at 0, ``+-t0``, ``+-2 t0``, ``+-10 t0``; raises ``NotAGroupError``.
 
-        The differences are normed together as one batch, and then tested
-        in order.
+        The differences are normed as one batch, and then tested in order.
         """
-        u0 = self(0.0)
-        one = identity_operator(u0.shape, u0.k)
-        checks = [(u0 - one, 1e-10, "u(0) differs from the identity")]
-        ut = {}
-        for m in PROBE_MULTIPLES:
-            t = m * t0
-            ut[m], umt = self(t), self(-t)
-            checks.append((ut[m].star() @ ut[m] - one, 1e-9, f"u({t}) is not unitary"))
-            checks.append((ut[m] @ umt - one, 1e-9, f"u({t}) u({-t}) differs from the identity"))
-        checks.append((ut[2] - ut[1] @ ut[1], 1e-9, "u(2 t0) differs from u(t0)^2"))
-        for norm, (_, bound, message) in zip(stack([d.flat for d, _, _ in checks]).norm(), checks):
+        u = self([0.0, *(s * m * t0 for m in PROBE_MULTIPLES for s in (1, -1))]).flat
+        one = identity(u.shape)
+        checks = [(u[0] - one, 1e-10, "u(0) differs from the identity")]
+        for i, m in enumerate(PROBE_MULTIPLES):
+            t, ut, umt = m * t0, u[2 * i + 1], u[2 * i + 2]
+            checks.append((ut.star() @ ut - one, 1e-9, f"u({t}) is not unitary"))
+            checks.append((ut @ umt - one, 1e-9, f"u({t}) u({-t}) differs from the identity"))
+        checks.append((u[3] - u[1] @ u[1], 1e-9, "u(2 t0) differs from u(t0)^2"))
+        for norm, (_, bound, message) in zip(stack([d for d, _, _ in checks]).norm(), checks):
             if norm > bound:
                 raise NotAGroupError(message)
 
@@ -236,7 +235,8 @@ def recover(u: SampledUnitaryGroup, t0: float = 1.0) -> Recovery:
     if resid > 1e-9:
         raise NotAGroupError(f"u(t0) differs from exp(i t0 K) by {resid:.3e}")
     s = OFF_LATTICE * t
-    gap = (u(s).flat - spectral(k_op.flat).apply(lambda lam: np.exp(1j * s * lam))).norm()
+    samples = u([s, *RESIDUAL_TIMES]).flat
+    gap = (samples[0] - spectral(k_op.flat).apply(lambda lam: np.exp(1j * s * lam))).norm()
     if gap > 1e-9:
         raise BranchAmbiguityError(
             f"the logarithm accepted at t={t} misses u({s}) by {gap:.3e}: an aliased branch"
@@ -244,9 +244,7 @@ def recover(u: SampledUnitaryGroup, t0: float = 1.0) -> Recovery:
     t_op = op_exp(k_op)
     if not strictly_positive(t_op):
         raise NotAGroupError("recovered operator is not strictly positive")
-    # the samples and the powers of T on the probe grid, as two batches
-    samples = stack([u(time).flat for time in RESIDUAL_TIMES])
-    errs = (samples - power(t_op.flat, 1j * np.array(RESIDUAL_TIMES))).norm()
+    errs = (samples[1:] - power(t_op.flat, 1j * np.array(RESIDUAL_TIMES))).norm()
     return Recovery(k_op, t_op, t, halvings, tuple(zip(RESIDUAL_TIMES, errs.tolist())))
 
 

@@ -222,6 +222,31 @@ class TestScaledNorms:
         assert batch[norms > np.median(norms)].norm().tolist() == norms[norms > np.median(norms)].tolist()
         assert calls == []
 
+    def test_a_tuple_index_on_the_batch_axes_keeps_the_batch_norm(self, monkeypatch):
+        # the verify runner's xab[:, 0]: a (4, 3) batch, one column of members
+        r = rng(16)
+        shape = BlockShape([3, 2])
+        xab = stack([stack([random_element(r, shape) for _ in range(3)]) for _ in range(4)])
+        norms = xab.norm()
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        assert xab[:, 0].norm().tolist() == norms[:, 0].tolist()
+        assert xab[1, 2].norm() == norms[1, 2]
+        assert calls == []
+
+    @pytest.mark.parametrize("index", [(slice(None), slice(None), [0, 0]), (Ellipsis, [0, 0])],
+                             ids=["three_entries", "ellipsis"])
+    def test_an_index_that_may_reach_the_matrix_axes_takes_a_fresh_norm(self, index, monkeypatch):
+        # on a (3, 2, 2) batch, both keep the batch's shape and put each member's first
+        # column in place of its second
+        batch = stack([random_element(rng(17), BlockShape([2])) for _ in range(3)])
+        batch.norm()
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        picked = batch[index]
+        assert picked.norm().tolist() == AlgebraElement(picked.shape, picked.blocks).norm().tolist()
+        assert calls == [(3, 2, 2), (3, 2, 2)]
+
     def test_without_a_known_norm_the_product_takes_its_own(self, monkeypatch):
         x = random_element(rng(13), BlockShape([2]))
         calls = []

@@ -208,6 +208,12 @@ class TestValidate:
             ({"nodes": 1000000000}, {}, "unknown key grid.nodes"),
             # nu_max / (2r) is past the float range, so the node count is infinite
             ({"r": [1e-308], "z_im": [0.0]}, {}, "grid.r = 1e-308 with max|z_im| = 0.0 needs inf "),
+            # the payload's norm overflows, so nu_max and the node count are infinite
+            (
+                {"r": [1.0], "z_im": [0.0]},
+                {"kind": "explicit", "h_left": {"blocks": [[[1e308, 0.0], [1e308, 0.0], [1e308, 0.0], [-1e308, 0.0]]]}},
+                "grid.r = 1.0 with max|z_im| = 0.0 needs inf ",
+            ),
             # an explicit flow's budget comes from its payload norms: 2 * norm(diag(1, -1))
             (
                 {"r": [0.0001], "z_im": [0.0]},
@@ -215,7 +221,7 @@ class TestValidate:
                 "grid.r = 0.0001 with max|z_im| = 0.0 needs 38223 ",
             ),
         ],
-        ids=["tiny_r", "huge_r", "huge_nodes", "overflowing_r", "explicit_payload"],
+        ids=["tiny_r", "huge_r", "huge_nodes", "overflowing_r", "overflowing_flow", "explicit_payload"],
     )
     def test_node_budget_rejected(self, grid, flow, needle):
         raw = {"experiment": "converge", "seed": 1, "shape": [2], "grid": grid, "flow": flow}

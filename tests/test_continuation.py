@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -539,3 +540,37 @@ def test_guards_refuse_non_finite_and_non_positive_values(call, value):
     # a guard written value <= 0 let NaN through: it is False for NaN
     with pytest.raises(ValueError, match=rf"must be positive and finite, got {value}$"):
         call(value)
+
+
+# each smear input that is not finite, or a node count that is not an integer, and the refusal
+# naming it: unrefused, a NaN or float node count fails later in np.linspace, and a NaN center
+# gives NaN entries
+SMEAR_REFUSALS = {
+    "nan_nodes": (lambda: SmearingPlan(1.0, 0.0, math.nan), "node count must be an integer, got nan"),
+    "float_nodes": (lambda: SmearingPlan(1.0, 0.0, 41.0), "node count must be an integer, got 41.0"),
+    "bool_nodes": (lambda: SmearingPlan(1.0, 0.0, True), "node count must be an integer, got True"),
+    "nan_center": (lambda: SmearingPlan(1.0, math.nan, 41), "smear center z must be finite, got nan"),
+    "oracle_nan_center": (lambda: smear_oracle(diag_flow(1.0, 0.0), e12(), 1.0, math.nan),
+                          "smear center z must be finite, got nan"),
+    "oracle_center_array": (lambda: smear_oracle(diag_flow(1.0, 0.0), e12(), 1.0, np.array([0.5, math.inf])),
+                            "smear center z must be finite, got [0.5 inf]"),
+    "for_flow_nan_center": (lambda: SmearingPlan.for_flow(diag_flow(1.0, 0.0), 1.0, math.nan * 1j),
+                            "smear center z must be finite, got (nan+nanj)"),
+    "admissible_nan_nu": (lambda: admissible_nodes(math.nan, 1.0, 0.0),
+                          "largest frequency nu_max must be finite, got nan"),
+    "admissible_inf_center": (lambda: admissible_nodes(1.0, 1.0, complex(0.0, math.inf)),
+                              "smear center z must be finite, got infj"),
+}
+
+
+@pytest.mark.parametrize("call, message", SMEAR_REFUSALS.values(), ids=list(SMEAR_REFUSALS))
+def test_smear_inputs_are_finite_and_node_counts_integers(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_numpy_integer_node_count_is_a_node_count():
+    g = diag_flow(1.0, 0.0)
+    plan = SmearingPlan(1.0, 0.0, np.int64(41))
+    assert plan.nodes == 41
+    assert (smear_quadrature(g, e12(), plan) - smear_oracle(g, e12(), 1.0, 0.0)).norm() <= 1e-15

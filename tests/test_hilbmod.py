@@ -124,6 +124,15 @@ class TestOperatorBasics:
         for s in (0.5, -2.0):
             assert unitary_defect(op_power(t, 1j * s)) <= 1e-10
 
+    def test_an_array_scales_each_member(self):
+        # numpy defers array * s to ModuleOperator.__rmul__, so (1j * t * t) * K over an
+        # array of times is one batch, not an object array
+        s = random_operator(rng(6), BlockShape([2, 1]), 2)
+        scaled = np.array([2.0, -1j]) * s
+        assert scaled.k == 2 and scaled.flat.blocks[0].shape == (2, 4, 4)
+        for i, c in enumerate((2.0, -1j)):
+            assert all(np.array_equal(a, c * b) for a, b in zip(scaled.flat[i].blocks, s.flat.blocks))
+
     def test_norm_is_kept_on_the_operator(self, monkeypatch):
         calls = []
         monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))

@@ -34,6 +34,7 @@ from cstarflow import (
     recover,
     recovery_report,
     separating_check,
+    spectral,
     stone,
     vector_smear,
 )
@@ -66,30 +67,44 @@ def diag_module_operator(*vals: float) -> ModuleOperator:
 
 
 class TestRecoverGenerator:
-    def test_each_time_is_sampled_once(self):
-        # the probe forms u at 0, +-t0, +-2 t0 and +-10 t0, and reuses u(t0) and
-        # u(2 t0) for the group law; recovery keeps each sample next to its logarithm
-        t_op = random_positive_operator(rng(22), BlockShape([2, 1]), 2, cond=10.0)
-        exact = SampledUnitaryGroup.from_positive(t_op)
-        times = []
+    @staticmethod
+    def _counted(exact: SampledUnitaryGroup) -> tuple[SampledUnitaryGroup, list]:
+        """The group of ``exact``, and the list of the time arrays its evaluator is called with."""
+        calls = []
 
         def counted(t):
-            times.append(t)
+            calls.append(t)
             return exact(t)
 
-        u = SampledUnitaryGroup(counted)
+        return SampledUnitaryGroup(counted), calls
+
+    def test_one_evaluator_call_per_set_of_times(self):
+        # the probe takes u at 0, +-t0, +-2 t0 and +-10 t0 from one call; recovery
+        # then makes one call each for u(t0) and u(t0/2), and one for u(0.3 t0)
+        # with the residual grid
+        t_op = random_positive_operator(rng(22), BlockShape([2, 1]), 2, cond=10.0)
+        u, calls = self._counted(SampledUnitaryGroup.from_positive(t_op))
         u.probe(0.5)
-        assert sorted(times) == sorted([0.0, 0.5, -0.5, 1.0, -1.0, 5.0, -5.0])
-        times.clear()
+        assert [t.tolist() for t in calls] == [[0.0, 0.5, -0.5, 1.0, -1.0, 5.0, -5.0]]
+        calls.clear()
         rec = recover(u, 0.5)
         assert (rec.t0_used, rec.halvings) == (0.5, 0)
-        # then the residual grid samples each of its times once more
-        assert len(times) == 7 + 3 + len(RESIDUAL_TIMES) and len(set(times[7:10])) == 3
+        assert len(calls) == 4
+        assert [t.tolist() for t in calls[1:]] == [0.5, 0.25, [0.15, *RESIDUAL_TIMES]]
+
+    def test_a_halving_costs_one_more_call(self):
+        # the phase 4 of test_branch_wrap_needs_halving wraps at t0 = 1: one halving,
+        # so recovery samples u(1), u(1/2) and u(1/4) before its last batch
+        u, calls = self._counted(SampledUnitaryGroup.from_positive(op_exp(diag_module_operator(4.0, 0.0))))
+        rec = recover(u, 1.0)
+        assert (rec.t0_used, rec.halvings) == (0.5, 1)
+        assert len(calls) == 5
+        assert [t.tolist() for t in calls[1:]] == [1.0, 0.5, 0.25, [0.15, *RESIDUAL_TIMES]]
 
     def test_trivial_group(self):
         shape = BlockShape([2, 2])
         one = identity_operator(shape, 2)
-        u = SampledUnitaryGroup(lambda t: one)
+        u = SampledUnitaryGroup(lambda t: np.ones(t.shape) * one)
         k = recover(u, 1.0).generator
         assert k.norm() <= 1e-12
 
@@ -123,12 +138,9 @@ class TestRecoverGenerator:
 
     def test_branch_ambiguity_when_phases_never_settle(self):
         # both eigenphases stay wrapped inconsistently through all 8 halvings
-        def u_t(t: float) -> ModuleOperator:
-            return ModuleOperator.from_entries(
-                [[AlgebraElement.from_blocks(
-                    [np.diag([np.exp(1000j * t), np.exp(1339j * t)])]
-                )]]
-            )
+        def u_t(t: np.ndarray) -> ModuleOperator:
+            phases = np.exp(1j * np.multiply.outer(t, [1000.0, 1339.0]))
+            return ModuleOperator(AlgebraElement(BlockShape([2]), [phases[..., None] * np.eye(2)]), 1)
 
         with pytest.raises(BranchAmbiguityError):
             recover(SampledUnitaryGroup(u_t), 1.0)
@@ -159,9 +171,11 @@ class TestRecoverGenerator:
         shape = BlockShape([2])
         t_op = random_positive_operator(rng(0), shape, 1, cond=10.0)
         k = op_log(t_op)
-        u = SampledUnitaryGroup(lambda t: op_exp((1j * t * t) * k * (-1j)))
-        # u(t) = exp(i t^2 K): unitary, u(0) = 1, but not additive
-        with pytest.raises(NotAGroupError):
+        # u(t) = exp(i t^2 K), each member from its scaled t^2 K: unitary, u(0) = 1, but
+        # u(t) u(-t) = exp(2 i t^2 K)
+        u = SampledUnitaryGroup(lambda t: ModuleOperator(spectral(((t * t) * k).flat).apply(
+            lambda lam: np.exp(1j * lam)), k.k))
+        with pytest.raises(NotAGroupError, match=r"u\(1\.0\) u\(-1\.0\) differs from the identity"):
             recover(u, 1.0)
 
 
@@ -169,7 +183,7 @@ class TestStone:
     def test_trivial_group_recovers_identity(self):
         shape = BlockShape([2, 2])
         one = identity_operator(shape, 2)
-        t_rec = stone(SampledUnitaryGroup(lambda t: one))
+        t_rec = stone(SampledUnitaryGroup(lambda t: np.ones(t.shape) * one))
         assert (t_rec - one).norm() <= 1e-12
 
     def test_round_trip_random(self):
@@ -665,6 +679,22 @@ def test_stone_round_trip_hypothesis(seed, dims, k, cond, t0):
     t_op = random_positive_operator(rng(seed), BlockShape(dims), k, cond=cond)
     t_rec = stone(SampledUnitaryGroup.from_positive(t_op), t0)
     assert (t_rec - t_op).norm() <= 1e-8 * t_op.norm()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2), (3, 2)]),
+    st.integers(1, 3),
+    st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6),
+)
+def test_sampled_group_batch_is_its_members_hypothesis(seed, dims, k, times):
+    # member i of one call on an array of times is the call at times[i]
+    u = SampledUnitaryGroup.from_positive(random_positive_operator(rng(seed), BlockShape(dims), k, cond=1e3))
+    batch = u(times)
+    assert batch.k == k and batch.flat.blocks[0].shape[:-2] == (len(times),)
+    for i, t in enumerate(times):
+        assert (batch.flat[i] - u(t).flat).norm() <= 1e-15
 
 
 @settings(max_examples=30, deadline=None)
