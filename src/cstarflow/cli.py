@@ -16,7 +16,7 @@ description, ``checks`` (each check's bound, in report order), ``costs`` and
 the keys runner and costs read, some chosen by ``flow.kind``; ``validate``
 refuses any other key, and the echo holds these alone.  ``costs(config)``
 lists what a run of the config will meet (dense size, stacked grid size,
-quadrature nodes, growth exponent, work, instances), each against a budget;
+quadrature nodes, growth exponent, time cost, instances), each against a budget;
 ``validate`` refuses a config over any of them.  ``run`` hands the runner a
 report of the declared checks, and the runner observes each residual into it
 with the scale it divides by (``ExitReport.observe``); a declared check that
@@ -60,7 +60,7 @@ from .continuation import (
 )
 from .composition import CommutingPair, gamma_continuation_check, tensor_continuation_check, tensor_flow
 from .errors import ConfigInvalidError, CstarflowError
-from .flows import FlowGenerator, conjugate_norm, evaluate, left_companion, right_companion
+from .flows import FlowGenerator, evaluate, left_companion, right_companion
 from .hilbmod import (
     BlockCarrier,
     ModuleOperator,
@@ -97,8 +97,8 @@ MAX_GRID_SIZE = 2**22
 # r^2 (Im z)^2 for a smear envelope. It is derived from the float range, not a
 # setting: a product of two such factors stays finite.
 MAX_GROWTH = 0.5 * math.log(sys.float_info.max)
-# Work of verify and tensor: instances x dense entries per instance.
-MAX_WORK = 2**27
+# Time cost of a run in the units of _weight: about a minute on one BLAS thread (README.md has the rates).
+MAX_COST = 17 * 10**10
 # Spectral spread of the random positive operators of stone and implemented,
 # whose log then has norm at most ln(COND) / 2.
 COND = 1e3
@@ -107,7 +107,7 @@ SIZE = ("budget", MAX_FLAT_SIZE, "")
 GRID = ("grid budget", MAX_GRID_SIZE, " entries")
 NODES = ("cap", MAX_NODES, " quadrature nodes")
 GROWTH = ("growth budget", MAX_GROWTH, "")
-WORK = ("work budget", MAX_WORK, " entries")
+TIME = ("time budget", MAX_COST, "")
 Cost = tuple[tuple[str, float, str], float, str]
 
 # convergence_ratio reads the smear errors at widths r and 2r, and skips the pair when
@@ -428,8 +428,10 @@ def _growth(what: str, im: float, nu: float) -> Cost:
     return GROWTH, im * nu, f"{what} reaches |Im z| = {im!r} at nu = {nu!r}, growth exponent"
 
 
-def _work(cfg: ScenarioConfig, each: int) -> Cost:
-    return WORK, cfg.instances * each, f"{_amount(cfg.instances)} instances at {_amount(each)} entries each touch"
+def _weight(dims) -> int:
+    """The time cost of one dense operation on blocks of sizes ``dims``: m^3 + 128 m^2 + 16^3 on an m x m
+    block, for its arithmetic, its entrywise passes and the call."""
+    return sum(m**3 + 128 * m * m + 16**3 for m in dims)
 
 
 def _in_batches(cfg: ScenarioConfig, report: ExitReport, entries: int, batch: Callable) -> tuple[list[tuple], dict]:
@@ -487,11 +489,13 @@ def _verify_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, r
 
 def _costs_verify(cfg: ScenarioConfig) -> list[Cost]:
     # no module, only the algebra's own blocks; inverse and composition_same_side reach 2 Im z;
-    # instance i checks grid point i mod the grid size, so fewer instances than points leave some out
+    # instance i checks grid point i mod the grid size, so fewer instances than points leave some out;
+    # an instance makes 90 dense operations: 38 norms, 2 eigendecompositions and 50 products
     dim, points = cfg.shape.dim, len(cfg.z_re) * len(cfg.z_im)
     return [(SIZE, dim, f"{_shape(cfg)} has dense size"),
             _growth("the inverse check", 2.0 * cfg.im_max(), cfg.nu_max()),
-            _work(cfg, dim),
+            (TIME, cfg.instances * 90 * _weight(cfg.shape),
+             f"{_amount(cfg.instances)} instances of 90 dense operations on {_shape(cfg)} have time cost"),
             (("instance count", cfg.instances, " instances"), points,
              "verify checks one grid point per instance, so the z-grid needs")]
 
@@ -521,12 +525,11 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
             rows.append((z.real, z.imag, rr, plan.nodes, err_quad, errs[rr], bound_rhs))
             report.observe("quad_vs_oracle", err_quad, envelope)
             report.observe("norm_bound", quad.norm(), bound_rhs)
-        rescaled = core_rescale(g, z, x, ys)
+        rescaled, nax = core_rescale(g, z, x, ys)
         # x_n = lam_n y_n carries |lam_n| norm(y_n), so this cap reads the rescaling's arithmetic
         report.observe("core_rescale_cap_x", rescaled.norm() - x.norm(), x.norm())
         # the continuation is applied to each x_n itself, not taken as lam_n alpha_z(y_n): that
         # would meet the cap by the choice of lam_n, and the check would no longer test the continuation
-        nax = conjugate_norm(g, z, x)
         report.observe("core_rescale_cap_continuation", continue_exact(g, z, rescaled).norm() - nax, nax)
         report.observe("core_rescale_convergence", (rescaled[-1] - x).norm())
     return rows, {}
@@ -537,15 +540,26 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
     nu, im = cfg.nu_max(), cfg.im_max()
     costs = [(SIZE, cfg.shape.dim, f"{_shape(cfg)} has dense size"),
              _growth("the continuation", im, nu)]
+    nodes = 0
     for r in cfg.r_list:
         try:
             count = admissible_nodes(nu, r, complex(0.0, im))
         except (OverflowError, ValueError):  # the node budget is infinite, or nu_max itself is
             count = math.inf
+        nodes += min(count, MAX_NODES)  # a count above the cap is refused on its own
         where = f"grid.r = {r!r} with max|z_im| = {im!r}"
         costs.append((NODES, count, f"{where} needs"))
         costs.append((GROWTH, (r * im) * (r * im),
                       f"the smear envelope exp(r^2 (Im z)^2) at {where} has growth exponent"))
+    # dense operations: 55 once and 5 per r; per z, 132 for core_rescale and 10 per r, and the node sums, a
+    # column of one each (n^2 + 128 n). The loop over r calls the library one r at a time: 2**19 per r and
+    # per (z, r), about 0.2 ms at n = 2
+    points, widths = len(cfg.z_re) * len(cfg.z_im), len(cfg.r_list)
+    ops = 55 + 5 * widths + points * (132 + 10 * widths)
+    node = sum(n * n + 128 * n for n in cfg.shape)
+    cost = ops * _weight(cfg.shape) + points * nodes * node + (1 + points) * widths * 2**19
+    costs.append((TIME, cost, f"{_amount(points)} z-grid points at {_amount(widths)} widths r with {_amount(nodes)}"
+                              f" quadrature nodes, {_amount(ops)} dense operations on {_shape(cfg)}, have time cost"))
     return costs
 
 
@@ -584,18 +598,27 @@ def _exp_stone(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], di
 
 
 def _costs_stone(cfg: ScenarioConfig) -> list[Cost]:
-    # the flattened factors, their grid of powers and the probe stack of the
-    # localization checks; log T is h_left at k = 1, or a random operator of
-    # norm at most ln(COND) / 2
+    # log T is h_left at k = 1, or a random operator of norm at most ln(COND) / 2; 100 dense operations
+    # for the recovery and the localization checks, and 3 per grid point
     k, nu = (1, cfg.h_left.norm()) if cfg.flow_kind == "explicit" else (cfg.module_rank, 0.5 * math.log(COND))
-    factors = sum((k * n) ** 2 for n in cfg.shape)
+    return _costs_module(cfg, k, "T^(iz)", nu, 100, 3)
+
+
+def _costs_module(cfg: ScenarioConfig, k: int, what: str, nu: float, once: int, per_point: int) -> list[Cost]:
+    """The costs of stone and implemented: flattened factors, their grid of powers, the probe stack of the
+    localization checks, the growth of ``what``, and ``once`` dense operations plus ``per_point`` per grid point."""
+    flat = [k * n for n in cfg.shape]
+    factors = sum(m * m for m in flat)
     probes = PROBES * sum(k * n * n for n in cfg.shape)
+    ops = once + per_point * len(cfg.z_re) * len(cfg.z_im)
     return [(SIZE, factors, f"{_shape(cfg)} at module_rank {_amount(k)} has flattened blocks of"
                             f" size k n_b, so the factors sum_b (k n_b)^2 have dense size"),
             (SIZE, probes, f"{_shape(cfg)} at module_rank {_amount(k)} checks each block on"
                            f" {PROBES} probe vectors of k n_b^2 entries, so the probe stack has dense size"),
             _grid(cfg, factors),
-            _growth("T^(iz)", cfg.im_max(), nu)]
+            _growth(what, cfg.im_max(), nu),
+            (TIME, ops * _weight(flat), f"{_amount(ops)} dense operations on the flattened blocks of"
+                                        f" {_shape(cfg)} at module_rank {_amount(k)} have time cost")]
 
 
 def _exp_tensor(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
@@ -623,12 +646,16 @@ def _tensor_batch(cfg: ScenarioConfig, r: np.random.Generator, members: range, r
 
 
 def _costs_tensor(cfg: ScenarioConfig) -> list[Cost]:
-    # the tensor square has blocks n_i n_j; its flow pairs two random flows of nu = 2 norm each
-    dim = cfg.shape.dim
+    # the tensor square has blocks n_i n_j; its flow pairs two random flows of nu = 2 norm each. An instance
+    # makes 34 + 20 dense operations per grid point on A's blocks, and 4 + 3 per point on the square's
+    dim, points = cfg.shape.dim, len(cfg.z_re) * len(cfg.z_im)
+    square = [a * b for a in cfg.shape for b in cfg.shape]
+    each = (34 + 20 * points) * _weight(cfg.shape) + (4 + 3 * points) * _weight(square)
     return [(SIZE, dim**2, f"{_shape(cfg)} has dimension {_amount(dim)}, so A (x) A has dense size"),
             _grid(cfg, dim**2),
             _growth("the tensor flow", cfg.im_max(), 4.0 * cfg.flow_norm),
-            _work(cfg, len(cfg.z_re) * len(cfg.z_im) * dim**2)]
+            (TIME, cfg.instances * each, f"{_amount(cfg.instances)} instances at {_amount(points)} grid points"
+                                         f" each, on {_shape(cfg)} and its tensor square, have time cost")]
 
 
 def _exp_implemented(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
@@ -651,13 +678,9 @@ def _exp_implemented(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tupl
 
 
 def _costs_implemented(cfg: ScenarioConfig) -> list[Cost]:
-    # D x D stands in for the cost of a run until a calibrated cost replaces it (the
-    # carrier forms no D x D array); nu = norm(log S) + norm(log T) <= ln(COND)
-    d = sum((cfg.module_rank * n) ** 2 for n in cfg.shape)
-    return [(SIZE, d * d, f"{_shape(cfg)} at module_rank {_amount(cfg.module_rank)} has operator"
-                          f" dimension D = {_amount(d)}, and implemented is budgeted at D x D, dense size"),
-            _grid(cfg, d),
-            _growth("the implemented flow", cfg.im_max(), math.log(COND))]
+    # nu = norm(log S) + norm(log T) <= ln(COND); 25 dense operations for S, T, x and the localized
+    # middle product, and 7 per grid point
+    return _costs_module(cfg, cfg.module_rank, "the implemented flow", math.log(COND), 25, 7)
 
 
 @dataclass(frozen=True)

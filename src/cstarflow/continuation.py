@@ -198,8 +198,8 @@ def three_lines_check(g: FlowGenerator, x: AlgebraElement, z) -> float | np.ndar
     return np.max(norms[:-1], axis=0) - np.maximum(x.norm(), norms[-1])
 
 
-def core_rescale(g: FlowGenerator, z: complex, x: AlgebraElement, ys: AlgebraElement) -> AlgebraElement:
-    """Rescale approximants of ``x`` so both norm caps hold at ``z``.
+def core_rescale(g: FlowGenerator, z: complex, x: AlgebraElement, ys: AlgebraElement) -> tuple[AlgebraElement, float]:
+    """Rescale approximants of ``x`` so both norm caps hold at ``z``; also return ``norm(alpha_z(x))``.
 
     Given the batch ``ys`` of ``y_n`` converging to ``x``, returns the
     batch of ``x_n = lam_n y_n`` with
@@ -209,16 +209,15 @@ def core_rescale(g: FlowGenerator, z: complex, x: AlgebraElement, ys: AlgebraEle
     preserved.  The continued norms come from ``flows.conjugate_norm``, so
     no continuation is formed here; ``x_n`` keeps ``|lam_n| norm(y_n)`` as
     its norm.  Members with ``y_n = 0`` are skipped.  ``alpha_z`` is
-    injective, so when ``x = 0`` the caps are vacuous and ``ys`` is
-    returned unchanged.
+    injective, so when ``x = 0`` the caps are vacuous: ``(ys, 0.0)``.
     """
     nx = x.norm()
     if nx == 0.0:
-        return ys
+        return ys, 0.0
     nax = conjugate_norm(g, z, x)
     ny, nay = ys.norm(), conjugate_norm(g, z, ys)
     kept = (ny != 0.0) & (nay != 0.0)
-    return np.minimum(nx / ny[kept], nax / nay[kept]) * (ys if kept.all() else ys[kept])
+    return np.minimum(nx / ny[kept], nax / nay[kept]) * (ys if kept.all() else ys[kept]), nax
 
 
 def weak_continuation_check(

@@ -111,7 +111,11 @@ class SampledUnitaryGroup:
     evaluator: Callable[[np.ndarray], ModuleOperator]
 
     def __call__(self, t) -> ModuleOperator:
-        return self.evaluator(np.asarray(t, dtype=float))
+        u = self.evaluator(np.asarray(t, dtype=float))
+        if u.flat.blocks[0].shape[:-2] != np.shape(t):
+            raise NotAGroupError(f"the evaluator must return one member per time: times of shape {np.shape(t)}"
+                                 f" gave a batch of shape {u.flat.blocks[0].shape[:-2]}")
+        return u
 
     def probe(self, t0: float) -> None:
         """Group-law checks on one sample at 0, ``+-t0``, ``+-2 t0``, ``+-10 t0``; raises ``NotAGroupError``.

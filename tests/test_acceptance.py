@@ -161,7 +161,7 @@ def test_criterion_4_core_rescaling():
         z = complex(float(r.uniform(-0.5, 0.5)), float(r.uniform(0.1, 0.5)))
         ax = continue_exact(g, z, x)
         ys = smear_oracle(g, x, 2.0 ** np.arange(15), 0.0)
-        rescaled = core_rescale(g, z, x, ys)
+        rescaled, _ = core_rescale(g, z, x, ys)
         worst_cap = max(
             worst_cap,
             float(np.max(rescaled.norm() - x.norm())) / x.norm(),

@@ -1,13 +1,16 @@
 """CLI harness: config validation, experiment runs, determinism."""
 
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -28,13 +31,13 @@ from cstarflow.cli import (
     KEYS,
     Check,
     ExitReport,
+    MAX_COST,
     MAX_FLAT_SIZE,
     MAX_GRID_SIZE,
     MAX_GROWTH,
-    MAX_WORK,
     NODES,
     SIZE,
-    WORK,
+    TIME,
     ScenarioConfig,
     main,
     resolved_defaults,
@@ -49,7 +52,7 @@ from cstarflow.sampling import random_element, random_hermitian, random_positive
 from cstarflow.serialize import element_to_payload
 from cstarflow.stone import PROBES, PositiveFunctional
 
-from conftest import load_config
+from conftest import counting_svd, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -251,12 +254,13 @@ class TestValidate:
                             f" above the cap of {MAX_NODES}"]
         _, problems = validate({"experiment": "verify", "seed": 1, "shape": [10**200]})
         assert problems[0].endswith(f"has dense size 1e+400, above the budget of {MAX_FLAT_SIZE}")
-        # verify at [2] touches 4 entries per instance: 1e15 entries print in full, more do not
-        for instances, count, entries in ((25 * 10**13, "250000000000000", "1000000000000000"),
-                                          (10**17, "1e+17", "4e+17"), (123456789 * 10**9, "1.23e+17", "4.94e+17")):
+        # an instance of verify at [2] costs 90 (2^3 + 128 2^2 + 16^3) = 415440: up to 1e15 prints in full, more does not
+        for instances, count, cost in ((10**9, "1000000000", "415440000000000"),
+                                       (25 * 10**13, "250000000000000", "1.04e+20"),
+                                       (10**17, "1e+17", "4.15e+22"), (123456789 * 10**9, "1.23e+17", "5.13e+22")):
             _, problems = validate({"experiment": "verify", "seed": 1, "shape": [2], "instances": instances})
-            assert problems == [f"{count} instances at 4 entries each touch {entries} entries,"
-                                f" above the work budget of {MAX_WORK}"]
+            assert problems == [f"{count} instances of 90 dense operations on shape [2] have time cost {cost},"
+                                f" above the time budget of {MAX_COST}"]
 
     @pytest.mark.parametrize("name", list(EXPERIMENTS))
     def test_every_count_of_a_refusal_is_short(self, name):
@@ -265,7 +269,7 @@ class TestValidate:
         if "instances" in EXPERIMENTS[name].reads:
             raw["instances"] = 10**300
         _, problems = validate(raw)
-        budgets = "|".join(budget for budget, _, _ in (SIZE, GRID, NODES, GROWTH, WORK))
+        budgets = "|".join(budget for budget, _, _ in (SIZE, GRID, NODES, GROWTH, TIME))
         assert problems
         for line in problems:
             assert not re.search(r"\d{17}", line), line
@@ -291,11 +295,16 @@ class TestValidate:
         assert any(f"dense size {4096**2}, above the budget" in p for p in problems)
         assert validate({"experiment": "tensor", "seed": 1, "shape": [16, 16]})[1] == []
 
-    def test_size_budget_counts_the_closure_square(self, capsys, tmp_path):
-        # implemented is budgeted at D x D with D = sum (k n)^2: 65536 here
-        raw = {"experiment": "implemented", "seed": 1, "shape": [64], "module_rank": 4}
-        _, problems = validate(raw)
-        assert any(f"dense size {65536**2}, above the budget" in p for p in problems)
+    def test_size_budget_counts_the_implemented_factors(self, capsys, tmp_path):
+        # implemented holds what stone does: its flattened factors, sum_b (k n_b)^2, and a probe stack of
+        # PROBES k n_b^2 entries per block; [64] at k = 9 is over the budget on both counts
+        raw = {"experiment": "implemented", "seed": 1, "shape": [64], "module_rank": 9}
+        assert validate(raw)[1] == [
+            f"shape [64] at module_rank 9 has flattened blocks of size k n_b, so the factors"
+            f" sum_b (k n_b)^2 have dense size {576**2}, above the budget of {MAX_FLAT_SIZE}",
+            f"shape [64] at module_rank 9 checks each block on {PROBES} probe vectors of k n_b^2"
+            f" entries, so the probe stack has dense size {PROBES * 9 * 64**2}, above the budget of {MAX_FLAT_SIZE}",
+        ]
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
         for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
@@ -303,18 +312,19 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err and all(line.startswith("CONFIG_INVALID: ") for line in err.splitlines())
         assert not (tmp_path / "out").exists()
-        # D = 256 and D = 512 (D^2 = MAX_FLAT_SIZE) are admitted, D = 576 is not
-        assert validate({**raw, "shape": [8], "module_rank": 2})[1] == []
+        # [64] at k = 4 has factors 256^2 and a probe stack of 10 * 4 * 64^2 entries (the run is
+        # implemented64k4 in cli_cases.json)
+        assert validate({**raw, "module_rank": 4})[1] == []
         assert validate({**raw, "shape": [16, 16], "module_rank": 1})[1] == []
-        assert validate({**raw, "shape": [12], "module_rank": 2})[1] != []
 
     @pytest.mark.parametrize(
         "shape, k", [([256], 1), ([256, 256, 256, 256], 1), ([512], 1), ([64], 9)]
     )
     def test_size_budget_admits_the_limit(self, shape, k):
         # sum_b n_b^2 = 65536, 262144 = MAX_FLAT_SIZE and 262144 again; verify
-        # builds no module, so it refuses module_rank 9 and leaves [64] at 4096
-        raw = {"experiment": "verify", "seed": 1, "shape": shape}
+        # builds no module, so it refuses module_rank 9 and leaves [64] at 4096.
+        # 9 instances, one per point of the default grid, are within the time budget
+        raw = {"experiment": "verify", "seed": 1, "shape": shape, "instances": 9}
         assert validate({**raw, "module_rank": k})[1] == ["verify with flow.kind random does not read module_rank"]
         assert validate(raw)[1] == []
 
@@ -418,15 +428,20 @@ class TestValidate:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) in (0, 1)
         assert capfd.readouterr().err == ""
 
-    def test_work_budget_counts_instances(self):
-        raw = {"experiment": "verify", "seed": 1, "shape": [2], "instances": 10**12}
-        assert validate(raw)[1] == [f"{10**12} instances at 4 entries each touch {4 * 10**12} entries,"
-                                    f" above the work budget of {2**27}"]
-        # tensor counts its stacked z-grid per instance: 9 points of 4^2 entries at [2]
-        raw = {**raw, "experiment": "tensor", "instances": 2**27 // 144 + 1}
-        assert validate(raw)[1] == [f"{2**27 // 144 + 1} instances at 144 entries each touch"
-                                    f" {(2**27 // 144 + 1) * 144} entries, above the work budget of {2**27}"]
-        assert validate({**raw, "instances": 2**27 // 144})[1] == []
+    def test_time_budget_counts_instances(self):
+        # an instance of verify at [2] makes 90 dense operations of weight 2^3 + 128 2^2 + 16^3: 415440
+        raw = {"experiment": "verify", "seed": 1, "shape": [2], "instances": 409204}
+        assert validate(raw)[1] == []
+        assert validate({**raw, "instances": 409205})[1] == [
+            f"409205 instances of 90 dense operations on shape [2] have time cost 170000125200,"
+            f" above the time budget of {MAX_COST}"]
+        # tensor at [2] weighs its 9 grid points per instance: 34 + 20 * 9 operations of weight 4616 on A
+        # and 4 + 3 * 9 of weight 4^3 + 128 4^2 + 16^3 = 6208 on the tensor square, 1180272
+        raw = {**raw, "experiment": "tensor", "instances": 144034}
+        assert validate(raw)[1] == []
+        assert validate({**raw, "instances": 144035})[1] == [
+            "144035 instances at 9 grid points each, on shape [2] and its tensor square, have time cost"
+            f" 170000477520, above the time budget of {MAX_COST}"]
 
     @pytest.mark.parametrize("experiment", ["tensor", "implemented"])
     def test_explicit_flow_refused_where_ignored(self, experiment):
@@ -1010,6 +1025,63 @@ def test_cli_case(case, tmp_path, capfd):
     assert (case["stderr"] in err) if case["exit"] else err == ""
 
 
+def _log_scale(low: float, high: float):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@st.composite
+def drawn_configs(draw) -> dict:
+    """A small config of any experiment: 1-2 blocks of n <= 3, module_rank <= 3, flow norms and widths r on a
+    log scale, |Im z| up to 80, and explicit flow and element payloads where the experiment reads them."""
+    name = draw(st.sampled_from(list(EXPERIMENTS)))
+    seed, shape = draw(st.integers(0, 2**31)), draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    raw = {"experiment": name, "seed": seed, "shape": shape,
+           "grid": {"z_re": draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2)),
+                    "z_im": draw(st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=2))}}
+    kind = "explicit" if "flow.h_left" in _declared(name, "explicit") and draw(st.booleans()) else "random"
+    reads = _declared(name, kind)
+    if kind == "explicit":
+        h = random_hermitian(rng(seed), BlockShape(shape), draw(_log_scale(-3.0, 1.5)))
+        raw["flow"] = {"kind": "explicit", "h_left": element_to_payload(h.value)}
+    elif "flow.norm" in reads:
+        raw["flow"] = {"norm": draw(_log_scale(-3.0, 1.5))}
+    if "grid.r" in reads:
+        raw["grid"]["r"] = draw(st.lists(_log_scale(-2.0, 3.0), min_size=1, max_size=3))
+    if "element" in reads and draw(st.booleans()):
+        raw["element"] = element_to_payload(random_element(rng(seed + 1), BlockShape(shape)))
+    if "instances" in reads:
+        raw["instances"] = draw(st.integers(1, 6))
+    if "module_rank" in reads:
+        raw["module_rank"] = draw(st.integers(1, 3))
+    return raw
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(raw=drawn_configs())
+def test_a_drawn_config_is_refused_or_ends_in_a_verdict(raw):
+    # refused: exit 2 with CONFIG_INVALID lines alone; admitted: exit 0, 1 or 3 with report.json written
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, err = Path(tmp) / "c.json", Path(tmp) / "out", io.StringIO()
+        config.write_text(json.dumps(raw))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(config), "--out", str(out), "--quiet"])
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith("CONFIG_INVALID: ") for line in lines), raw
+        else:
+            assert code in (0, 1, 3) and (out / "report.json").exists(), raw
+
+
+def test_smear_workload_run_takes_one_norm_per_cap(tmp_path, monkeypatch):
+    # core_rescale returns the norm(alpha_z(x)) it took, so the cap check takes no SVD of its own:
+    # a smear workload config ([64], three widths, one z) takes 62 SVDs in 16 calls, 63 in 17 before
+    raw = next(raw for raw in _workload_specs() if raw["experiment"] == "converge" and raw["shape"] == [64])
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+    run(validate(raw)[0], tmp_path, quiet=True)
+    assert (len(calls), sum(math.prod(shape[:-2]) for shape in calls)) == (16, 62)
+
+
 def _shifted(flow: FlowGenerator, delta: float) -> FlowGenerator:
     """``flow`` with ``delta`` times the all-ones matrix added to each generator, which commutes with neither."""
     ones = AlgebraElement(flow.shape, [np.ones((n, n)) for n in flow.shape])
@@ -1036,7 +1108,13 @@ BENT_EVALUATE = _wrapped(cli_mod, "evaluate", lambda exact: lambda g, t, x: exac
 BENT_CONTINUATION = _wrapped(cli_mod, "continue_exact",
                              lambda exact: lambda g, z, x: exact(g, z + 1e-7 * np.square(z), x))
 # at z = 0 the continuation is the identity, so the bundled converge config cannot tell the two caps apart
-LONG_RESCALE = _wrapped(cli_mod, "core_rescale", lambda exact: lambda *args: (1.0 + 1e-9) * exact(*args))
+LONG_RESCALE = _wrapped(cli_mod, "core_rescale", lambda exact: lambda *args: _scaled_rescale(exact(*args), 1.0 + 1e-9))
+
+
+def _scaled_rescale(rescaled: tuple, c: float) -> tuple:
+    """``core_rescale``'s approximants scaled by ``c``, with the cap norm(alpha_z(x)) it returned unchanged."""
+    xs, cap = rescaled
+    return c * xs, cap
 
 
 def _drifted_smears(monkeypatch):
@@ -1093,7 +1171,8 @@ WITNESS_FAULTS = {
         LONG_RESCALE, {"core_rescale_cap_x", "core_rescale_cap_continuation"}),
     # approximants shrunk by 1e-3 meet both caps, and converge to 0.999 x
     ("converge", "core_rescale_convergence"): (_wrapped(cli_mod, "core_rescale", lambda exact: lambda *args:
-                                                        (1.0 - 1e-3) * exact(*args)), {"core_rescale_convergence"}),
+                                                        _scaled_rescale(exact(*args), 1.0 - 1e-3)),
+                                               {"core_rescale_convergence"}),
     ("stone", "recovery_error"): (_grown_recovery, {"recovery_error", "continuation"}),
     # the recovered T's powers on the probe grid taken at z + 1e-7 z^2, as the residual grid compares them
     ("stone", "residual_grid"): (_wrapped(stone_mod, "power", lambda exact: lambda t, z:

@@ -20,6 +20,7 @@ from cstarflow import (
     NotSeparatingError,
     SmearingPlan,
     conjugate,
+    conjugate_norm,
     continue_exact,
     core_rescale,
     double_smear,
@@ -244,8 +245,9 @@ class TestCoreRescale:
         r = rng(9)
         g = random_flow(r, BlockShape([2]), 1.0)
         x = random_element(r, BlockShape([2]))
-        out = core_rescale(g, 0.5j, x, stack([x] * 3))
+        out, nax = core_rescale(g, 0.5j, x, stack([x] * 3))
         assert np.all((out - x).norm() <= 1e-14)
+        assert nax == conjugate_norm(g, 0.5j, x)
 
     def test_zero_element_passthrough(self):
         # alpha_z is injective, so x = 0 is the one case in which alpha_z(x) = 0 too
@@ -253,13 +255,14 @@ class TestCoreRescale:
         shape = BlockShape([2])
         g = random_flow(r, shape, 1.0)
         ys = stack([random_element(r, shape) for _ in range(3)])
-        assert core_rescale(g, 0.5j, zeros(shape), ys) is ys
+        out, nax = core_rescale(g, 0.5j, zeros(shape), ys)
+        assert out is ys and nax == 0.0
 
     def test_double_scaling_restores(self):
         r = rng(11)
         g = random_flow(r, BlockShape([2]), 1.0)
         x = random_element(r, BlockShape([2]))
-        out = core_rescale(g, 0.4j, x, stack([2.0 * x]))
+        out, _ = core_rescale(g, 0.4j, x, stack([2.0 * x]))
         assert (out[0] - x).norm() <= 1e-13
 
     def test_caps_hold_on_smeared_approximants(self):
@@ -270,7 +273,8 @@ class TestCoreRescale:
         z = 0.3 + 0.5j
         ax = continue_exact(g, z, x)
         ys = smear_oracle(g, x, 2.0 ** np.arange(14), 0.0)
-        out = core_rescale(g, z, x, ys)
+        out, nax = core_rescale(g, z, x, ys)
+        assert nax == pytest.approx(ax.norm(), rel=1e-12)
         # out carries |lam_n| norm(y_n); a fresh copy takes the SVD of each x_n
         assert np.all(AlgebraElement(shape, out.blocks).norm() <= x.norm() * (1 + 1e-12))
         assert np.all(continue_exact(g, z, out).norm() <= ax.norm() * (1 + 1e-12))

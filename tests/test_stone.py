@@ -1,6 +1,7 @@
 """Generator recovery, localization, induced operators, separation."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ class TestRecoverGenerator:
         u = SampledUnitaryGroup(lambda t: np.ones(t.shape) * one)
         k = recover(u, 1.0).generator
         assert k.norm() <= 1e-12
+
+    def test_evaluator_must_return_one_member_per_time(self):
+        # an evaluator of one time at a time returns a single operator for the probe's seven times,
+        # and one that drops the last member returns six; each is named, not misread as a group
+        one = identity_operator(BlockShape([2, 2]), 2)
+        whole = SampledUnitaryGroup.from_positive(op_exp(diag_module_operator(1.0, 0.5)))
+        short = ModuleOperator(whole(np.zeros(7)).flat[:-1], 1)
+        for evaluator, got in ((lambda t: one, "()"), (lambda t: short, "(6,)")):
+            with pytest.raises(NotAGroupError, match=rf"^the evaluator must return one member per time: times of"
+                                                     rf" shape \(7,\) gave a batch of shape {re.escape(got)}$"):
+                SampledUnitaryGroup(evaluator).probe(1.0)
+        with pytest.raises(NotAGroupError, match=r"times of shape \(\) gave a batch of shape \(2,\)"):
+            SampledUnitaryGroup(lambda t: whole(np.zeros(2)))(0.5)
 
     def test_diagonal_entrywise_log_oracle(self):
         t_op = diag_module_operator(np.e, 1.0)
