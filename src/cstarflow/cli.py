@@ -583,8 +583,7 @@ def _exp_stone(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], di
 
     omega = sampling.random_state(r, cfg.shape)
     loc = localize(omega, k)
-    draws = [sampling.random_vector(r, cfg.shape, k).stacked for _ in range(20)]  # v then w of each pair
-    vs = ModuleVector(cfg.shape, k, [np.stack(bs) for bs in zip(*draws)])
+    vs = sampling.random_vector(r, cfg.shape, k, 20)  # v then w of each pair
     v, w = (ModuleVector(cfg.shape, k, [b[i::2] for b in vs.stacked]) for i in (0, 1))
     lv, norms = loc.apply(vs), vs.norm()
     lhs = np.sum(lv[1::2].conj() * lv[::2], axis=-1)  # vdot(L w, L v) per pair

@@ -10,16 +10,14 @@ and complex powers go through the spectral layer of
 ``(k n_b) x n_b`` matrix per block (slot i in rows ``i n_b`` to
 ``(i+1) n_b``), so ``S v`` and ``<v, w>`` are one matmul per block.
 Each value is built from what it stores, ``ModuleOperator(flat, k)`` and
-``ModuleVector(shape, k, stacked)``; an operator may also be built from
-its k x k grid of algebra elements by ``ModuleOperator.from_entries``.
-Coordinate rows (``operator_vec``) are ``algebra.coordinate_rows`` of the
-flat blocks.  A grid of operators needs no type of its own: it is one
-``ModuleOperator`` whose ``flat`` is a batch of elements (see
-:mod:`cstarflow.algebra`), as ``op_power`` gives at an array of z, and
-its products and norms act per member, on a vector too; a batch of
-vectors carries the batch axes on its stacked blocks.  At finite
-dimension every module map with an adjoint is bounded, so no
-unbounded-operator bookkeeping appears anywhere.
+``ModuleVector(shape, k, stacked)``.  Coordinate rows (``operator_vec``)
+are ``algebra.coordinate_rows`` of the flat blocks.  A grid of operators
+needs no type of its own: it is one ``ModuleOperator`` whose ``flat`` is
+a batch of elements (see :mod:`cstarflow.algebra`), as ``op_power``
+gives at an array of z, and its products and norms act per member, on a
+vector too; a batch of vectors carries the batch axes on its stacked
+blocks.  At finite dimension every module map with an adjoint is
+bounded, so no unbounded-operator bookkeeping appears anywhere.
 
 Sub-C*-algebras of the operator algebra come in two kinds, which answer
 the same two questions: ``residual(s)``, the Hilbert-Schmidt distance from
@@ -141,22 +139,6 @@ class ModuleOperator:
         if self.k < 1 or any(n % self.k for n in dims):
             raise ShapeMismatchError(f"flattened blocks {dims} do not fit module rank {self.k}")
         object.__setattr__(self, "shape", BlockShape(n // self.k for n in dims))
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[AlgebraElement]]) -> "ModuleOperator":
-        """Operator with the given k x k grid of algebra elements."""
-        grid = tuple(tuple(row) for row in entries)
-        k = len(grid)
-        if k < 1 or any(len(row) != k for row in grid):
-            raise ShapeMismatchError("operator grid must be square")
-        shape = grid[0][0].shape
-        if any(e.shape != shape for row in grid for e in row):
-            raise ShapeMismatchError("operator entries over different shapes")
-        flats = [
-            np.block([[e.blocks[b] for e in row] for row in grid])
-            for b in range(shape.num_blocks)
-        ]
-        return cls(AlgebraElement._adopt(_flat_shape(shape, k), flats), k)
 
     def star(self) -> "ModuleOperator":
         """Adjoint: ``(S*)_{ij} = (S_{ji})*``."""

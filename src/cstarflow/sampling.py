@@ -14,6 +14,15 @@ Gaussians, unitaries and eigenvalues consume them.  Its finish
 raw draw, or from a stack of raw draws along leading batch axes at once,
 each member exactly as from its own draw.  ``random_elements``,
 ``random_flow`` and ``random_commuting_flows`` finish a single draw.
+
+A batch draw takes the same normals, in the same order, as that many
+single draws one after another: on one stream, consecutive
+``standard_normal`` calls return the numbers of one call of their summed
+size.  So each module value takes its normals in one call and is laid
+out directly in the form the library stores: ``random_operator`` draws
+its k x k grid of elements row by row, ``random_vector`` draws ``count``
+vectors slot by slot, and ``random_state`` draws one element ``g`` and
+normalizes ``g g*``.
 """
 
 from __future__ import annotations
@@ -101,9 +110,9 @@ def random_hermitian(r: np.random.Generator, shape: BlockShape, norm: float = 1.
     return _hermitians(random_elements(r, shape, 1), norm)[0]
 
 
-def draw_flow(r: np.random.Generator, shape: BlockShape, automorphism: bool = False) -> np.ndarray:
-    """The raw draw of a flow: its one (automorphism) or two Gaussian elements."""
-    return draw_elements(r, shape, 1 if automorphism else 2)
+def draw_flow(r: np.random.Generator, shape: BlockShape) -> np.ndarray:
+    """The raw draw of a flow: its two Gaussian elements."""
+    return draw_elements(r, shape, 2)
 
 
 def flows(shape: BlockShape, raw: np.ndarray, norm: float) -> FlowGenerator:
@@ -111,17 +120,11 @@ def flows(shape: BlockShape, raw: np.ndarray, norm: float) -> FlowGenerator:
 
     A stack of raw draws gives one flow per member.
     """
-    hs = _hermitians(elements(shape, raw), norm)
-    return FlowGenerator(hs[0], hs[-1])
+    return FlowGenerator(*_hermitians(elements(shape, raw), norm))
 
 
-def random_flow(
-    r: np.random.Generator,
-    shape: BlockShape,
-    norm: float = 1.0,
-    automorphism: bool = False,
-) -> FlowGenerator:
-    return flows(shape, draw_flow(r, shape, automorphism), norm)
+def random_flow(r: np.random.Generator, shape: BlockShape, norm: float = 1.0) -> FlowGenerator:
+    return flows(shape, draw_flow(r, shape), norm)
 
 
 def _unitary(g: np.ndarray) -> np.ndarray:
@@ -165,17 +168,23 @@ def random_commuting_flows(
     return commuting_flows(shape, draw_commuting(r, shape), norm)
 
 
-def random_vector(r: np.random.Generator, shape: BlockShape, k: int) -> ModuleVector:
-    xs = random_elements(r, shape, k)
-    return ModuleVector(shape, k, [b.reshape(k * n, n) for n, b in zip(shape, xs.blocks)])
+def random_vector(r: np.random.Generator, shape: BlockShape, k: int, count: int | None = None) -> ModuleVector:
+    """A Gaussian vector, or a batch of ``count`` drawn one after another, each slot by slot."""
+    batch = () if count is None else (count,)
+    xs = random_elements(r, shape, k * (1 if count is None else count))
+    return ModuleVector(shape, k, [b.reshape(*batch, k * n, n) for n, b in zip(shape, xs.blocks)])
 
 
 def random_operator(
     r: np.random.Generator, shape: BlockShape, k: int, norm: float | None = None
 ) -> ModuleOperator:
-    s = ModuleOperator.from_entries([[random_element(r, shape) for _ in range(k)] for _ in range(k)])
+    """A Gaussian operator: its k x k grid of elements drawn row by row, laid out as flat blocks ``k n_b``."""
+    xs = random_elements(r, shape, k * k)
+    flat = AlgebraElement._adopt(BlockShape(k * n for n in shape),
+                                 [b.reshape(k, k, n, n).swapaxes(1, 2).reshape(k * n, k * n)
+                                  for n, b in zip(shape, xs.blocks)])
     # the operator norm is the C*-norm of the flattened element
-    return s if norm is None else ModuleOperator(_rescaled(s.flat, norm), k)
+    return ModuleOperator(flat if norm is None else _rescaled(flat, norm), k)
 
 
 def random_positive_operator(
@@ -191,13 +200,9 @@ def random_positive_operator(
     return ModuleOperator(AlgebraElement.from_blocks(flats), k)
 
 
-def random_state(r: np.random.Generator, shape: BlockShape, rank: int | None = None) -> PositiveFunctional:
-    """Random state: normalized Gaussian density, optionally rank-limited."""
-    blocks = []
-    for n in shape:
-        m = n if rank is None else min(rank, n)
-        g = gaussian(r, (n, m))
-        blocks.append(g @ g.conj().T)
-    rho = AlgebraElement(shape, blocks)
+def random_state(r: np.random.Generator, shape: BlockShape) -> PositiveFunctional:
+    """Random state: the density ``g g*`` of a Gaussian element g, normalized to trace 1."""
+    g = random_element(r, shape)
+    rho = g @ g.star()
     mass = sum(np.trace(b).real for b in rho.blocks)
     return PositiveFunctional((1.0 / mass) * rho)

@@ -15,12 +15,13 @@ from cstarflow import (
     InducedOperator,
     ModuleOperator,
     ModuleVector,
+    PositiveFunctional,
     SubalgebraBasis,
     identity_operator,
 )
 from cstarflow.algebra import largest_singular_value
 from cstarflow.cli import ScenarioConfig, validate
-from cstarflow.sampling import rng
+from cstarflow.sampling import gaussian, random_element, random_hermitian, rng
 
 
 @pytest.fixture
@@ -134,11 +135,56 @@ def vector_times(v: ModuleVector, a: AlgebraElement) -> ModuleVector:
     return ModuleVector(v.shape, v.k, [vb @ ab for vb, ab in zip(v.stacked, a.blocks)])
 
 
+def operator_from_entries(entries: list[list[AlgebraElement]]) -> ModuleOperator:
+    """The operator with the given k x k grid of algebra elements: the inverse of ``operator_entries``."""
+    k, shape = len(entries), entries[0][0].shape
+    flats = [np.block([[e.blocks[b] for e in row] for row in entries]) for b in range(shape.num_blocks)]
+    return ModuleOperator(AlgebraElement(BlockShape(k * n for n in shape), flats), k)
+
+
 def operator_entries(s: ModuleOperator) -> list[list[AlgebraElement]]:
     """The k x k grid of algebra elements of an operator, cut out of its flat blocks (batches per member)."""
     return [[AlgebraElement(s.shape, [f[..., i * n : (i + 1) * n, j * n : (j + 1) * n]
                                       for n, f in zip(s.shape, s.flat.blocks)])
              for j in range(s.k)] for i in range(s.k)]
+
+
+def entrywise_operator(r: np.random.Generator, shape: BlockShape, k: int, norm: float | None = None) -> ModuleOperator:
+    """A Gaussian operator from k^2 single element draws, row by row, rescaled to ``norm`` unless it is None.
+
+    The oracle of ``sampling.random_operator``, which draws the same numbers.
+    """
+    s = operator_from_entries([[random_element(r, shape) for _ in range(k)] for _ in range(k)])
+    return s if norm is None else ModuleOperator((norm / s.norm()) * s.flat, k)
+
+
+def slotwise_vectors(r: np.random.Generator, shape: BlockShape, k: int, count: int) -> ModuleVector:
+    """A batch of ``count`` Gaussian vectors, each from k single element draws, stacked.
+
+    The oracle of ``sampling.random_vector``, which draws the same numbers.
+    """
+    vs = [vector_from_entries([random_element(r, shape) for _ in range(k)]) for _ in range(count)]
+    return ModuleVector(shape, k, [np.stack(bs) for bs in zip(*(v.stacked for v in vs))])
+
+
+def blockwise_state(r: np.random.Generator, shape: BlockShape, rank: int | None = None) -> PositiveFunctional:
+    """A state of normalized Gaussian density ``g g*``, with g drawn block by block as ``n_b x min(rank, n_b)``.
+
+    With ``rank`` None it is the oracle of ``sampling.random_state``, which draws the same numbers.
+    """
+    blocks = []
+    for n in shape:
+        g = gaussian(r, (n, n if rank is None else min(rank, n)))
+        blocks.append(g @ g.conj().T)
+    rho = AlgebraElement(shape, blocks)
+    mass = sum(np.trace(b).real for b in rho.blocks)
+    return PositiveFunctional((1.0 / mass) * rho)
+
+
+def automorphism_flow(r: np.random.Generator, shape: BlockShape, norm: float = 1.0) -> FlowGenerator:
+    """A random automorphism flow: one random Hermitian generator of the given norm on both sides."""
+    h = random_hermitian(r, shape, norm)
+    return FlowGenerator(h, h)
 
 
 def basis_operators(basis: SubalgebraBasis) -> list[ModuleOperator]:

@@ -17,7 +17,6 @@ from cstarflow import (
     CommutingPair,
     FamilyNotFaithfulError,
     ImplementedFlow,
-    ModuleOperator,
     PositiveFunctional,
     SampledUnitaryGroup,
     SmearingPlan,
@@ -57,7 +56,7 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import diag_flow, e12, induced_dense, load_config
+from conftest import diag_flow, e12, induced_dense, load_config, operator_from_entries
 
 SHAPES = (BlockShape([2, 3]), BlockShape([4]), BlockShape([3, 2]), BlockShape([2, 2, 2]))
 
@@ -220,7 +219,7 @@ def test_criterion_6_stone_round_trip():
     for spread in (4.0, 5.0, 6.0):
         # log spectrum {spread, 0}: the top phase exceeds pi at t0 = 1
         diag = np.diag([spread, 0.0]).astype(complex)
-        k_op = ModuleOperator.from_entries([[AlgebraElement.from_blocks([diag])]])
+        k_op = operator_from_entries([[AlgebraElement.from_blocks([diag])]])
         from cstarflow import op_exp
 
         t_op = op_exp(k_op)

@@ -40,7 +40,7 @@ from cstarflow.algebra import stack
 from cstarflow.sampling import random_element, random_flow, random_vector, rng
 from cstarflow.stone import SampledUnitaryGroup
 
-from conftest import diag_flow, e12, failing_svd, still_flow, zeros
+from conftest import automorphism_flow, diag_flow, e12, failing_svd, still_flow, zeros
 
 EPS = np.finfo(float).eps
 
@@ -142,7 +142,7 @@ class TestSmearQuadrature:
         # node tables must stay finite and the relative error small; an
         # automorphism flow keeps the zero frequencies, so the smear is not 0
         r = rng(20)
-        g = random_flow(r, BlockShape([2]), 2.0, automorphism=True)
+        g = automorphism_flow(r, BlockShape([2]), 2.0)
         x = random_element(r, BlockShape([2]))
         z = 0.1 + 0.6j
         plan = SmearingPlan.for_flow(g, 6e-4, z)
@@ -397,7 +397,7 @@ class TestContinuationInvariants:
         # lines and converge to the unit as the damping relaxes
         r = rng(22)
         shape = BlockShape([2, 2])
-        g = random_flow(r, shape, 2.0, automorphism=True)
+        g = automorphism_flow(r, shape, 2.0)
         one = identity(shape)
         z = 0.4 + 0.8j
         prev_gap = math.inf

@@ -52,6 +52,7 @@ from conftest import (
     induced_dense,
     matrix_unit_operators,
     operator_entries,
+    operator_from_entries,
     unitary_defect,
     vector_coordinates,
     vector_entries,
@@ -109,7 +110,7 @@ class TestOperatorBasics:
 
     def test_projection_not_strictly_positive(self):
         shape = BlockShape([2])
-        p = ModuleOperator.from_entries(
+        p = operator_from_entries(
             [
                 [identity(shape), zeros(shape)],
                 [zeros(shape), zeros(shape)],
@@ -159,7 +160,7 @@ class TestOpPower:
         assert (op_power(t, 0.0) - one).norm() <= 1e-12
 
     def test_diagonal_square_root(self):
-        t = ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.diag([4.0, 9.0])])]])
+        t = operator_from_entries([[AlgebraElement.from_blocks([np.diag([4.0, 9.0])])]])
         out = op_power(t, 0.5)
         np.testing.assert_allclose(operator_entries(out)[0][0].blocks[0], np.diag([2.0, 3.0]), atol=1e-12)
 
@@ -176,7 +177,7 @@ class TestOpPower:
 
     def test_rejects_non_positive(self):
         shape = BlockShape([2])
-        p = ModuleOperator.from_entries([[zeros(shape)]])
+        p = operator_from_entries([[zeros(shape)]])
         with pytest.raises(NotStrictlyPositiveError):
             op_power(p, 0.5)
 
@@ -228,7 +229,7 @@ class TestSubalgebraBasis:
     def test_degenerate_algebra_rejected(self):
         shape = BlockShape([2])
         p_mat = np.diag([1.0, 0.0]).astype(complex)
-        p = ModuleOperator.from_entries([[AlgebraElement.from_blocks([p_mat])]])
+        p = operator_from_entries([[AlgebraElement.from_blocks([p_mat])]])
         with pytest.raises(ValueError, match="degenerate"):
             SubalgebraBasis([p])
 
@@ -254,8 +255,8 @@ class TestAffiliation:
         d2 = AlgebraElement.from_blocks([np.diag([-0.1, 0.4])])
         z = zeros(shape)
         gens = [
-            ModuleOperator.from_entries([[d1, z], [z, d2]]),
-            ModuleOperator.from_entries([[d2, z], [z, d1]]),
+            operator_from_entries([[d1, z], [z, d2]]),
+            operator_from_entries([[d2, z], [z, d1]]),
             identity_operator(shape, 2),
         ]
         basis = SubalgebraBasis(gens)
@@ -274,7 +275,7 @@ class TestAffiliation:
         shape = BlockShape([2])
         basis = SubalgebraBasis([identity_operator(shape, 1)])
         with pytest.raises(NotStrictlyPositiveError):
-            affiliation_test(ModuleOperator.from_entries([[zeros(shape)]]), basis, [1.0])
+            affiliation_test(operator_from_entries([[zeros(shape)]]), basis, [1.0])
 
 
 class TestModuleInvariants:
@@ -349,7 +350,7 @@ def _sum_elements(elems):
 
 def grid_product(s, t):
     k = s.k
-    return ModuleOperator.from_entries(
+    return operator_from_entries(
         [
             [_sum_elements([operator_entries(s)[i][m] @ operator_entries(t)[m][j] for m in range(k)]) for j in range(k)]
             for i in range(k)
@@ -402,7 +403,7 @@ class TestFlatAgainstGrid:
     def test_grid_round_trips_bitwise(self, k):
         r = rng(130 + k)
         s, v = random_operator(r, self.SHAPE, k), random_vector(r, self.SHAPE, k)
-        for a, b in zip(ModuleOperator.from_entries(operator_entries(s)).flat.blocks, s.flat.blocks):
+        for a, b in zip(operator_from_entries(operator_entries(s)).flat.blocks, s.flat.blocks):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(vector_from_entries(vector_entries(v)).stacked, v.stacked):
             np.testing.assert_array_equal(a, b)
@@ -420,7 +421,7 @@ class TestFlatAgainstGrid:
                 for e, want in zip(row, member_row):
                     for a, b in zip(e.blocks, want.blocks):
                         np.testing.assert_array_equal(a[m], b)
-        for a, b in zip(ModuleOperator.from_entries(operator_entries(batch)).flat.blocks, batch.flat.blocks):
+        for a, b in zip(operator_from_entries(operator_entries(batch)).flat.blocks, batch.flat.blocks):
             np.testing.assert_array_equal(a, b)
 
 
@@ -517,8 +518,8 @@ def span_inside_generators():
     d2 = AlgebraElement.from_blocks([np.diag([-0.1, 0.4])])
     z = zeros(shape)
     return [
-        ModuleOperator.from_entries([[d1, z], [z, d2]]),
-        ModuleOperator.from_entries([[d2, z], [z, d1]]),
+        operator_from_entries([[d1, z], [z, d2]]),
+        operator_from_entries([[d2, z], [z, d1]]),
         identity_operator(shape, 2),
     ]
 
@@ -659,7 +660,7 @@ class TestLeaksAgainstSequential:
 
     def test_failing_diagonal_carrier(self):
         basis = SubalgebraBasis(diagonal_units(BlockShape([2]), 1))
-        mix = ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
+        mix = operator_from_entries([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
         assert not affiliation_test(mix, basis, PROBE_GRID)
         assert not sequential_affiliation(mix, basis, PROBE_GRID)
         zs = 1j * np.array(PROBE_GRID)

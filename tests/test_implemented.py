@@ -39,14 +39,21 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import Z_GRIDS, basis_operators, failing_svd, matrix_unit_operators, operator_entries
+from conftest import (
+    Z_GRIDS,
+    basis_operators,
+    failing_svd,
+    matrix_unit_operators,
+    operator_entries,
+    operator_from_entries,
+)
 from test_hilbmod import CLOSURE_CASES, carrier_positive
 
 EPS = np.finfo(float).eps
 
 
 def diag_op(*vals: float) -> ModuleOperator:
-    return ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.diag(vals).astype(complex)])]])
+    return operator_from_entries([[AlgebraElement.from_blocks([np.diag(vals).astype(complex)])]])
 
 
 def full_basis(shape: BlockShape, k: int) -> SubalgebraBasis:
@@ -99,7 +106,7 @@ class TestImplementedEvaluate:
         shape = BlockShape([2])
         s = diag_op(1.0, 2.0)
         f = ImplementedFlow(s, s, diagonal_basis(shape, 1))
-        off_diagonal = ModuleOperator.from_entries(
+        off_diagonal = operator_from_entries(
             [[AlgebraElement.from_blocks([np.array([[0.0, 1.0], [0.0, 0.0]])])]]
         )
         with pytest.raises(NotInAlgebraError):
@@ -109,7 +116,7 @@ class TestImplementedEvaluate:
         shape = BlockShape([2])
         # S mixes the basis the diagonal carrier lives in
         mix = np.array([[2.0, 0.6], [0.6, 1.0]])
-        s = ModuleOperator.from_entries([[AlgebraElement.from_blocks([mix])]])
+        s = operator_from_entries([[AlgebraElement.from_blocks([mix])]])
         one = identity_operator(shape, 1)
         with pytest.raises(InvarianceViolationError):
             ImplementedFlow(s, one, diagonal_basis(shape, 1))
@@ -157,7 +164,7 @@ class TestProbeAgainstSequential:
 
     def test_failing_diagonal_carrier(self):
         shape = BlockShape([2])
-        mix = ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
+        mix = operator_from_entries([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
         one = identity_operator(shape, 1)
         assert probe_verdict(mix, one, diagonal_basis(shape, 1)) == implemented_mod.PROBE_TIMES[0]
 
@@ -198,7 +205,7 @@ class TestToleranceWitnesses:
         one = identity_operator(self.shape, 1)
         for eps, accepted in ((0.99e-8, True), (1.01e-8, False)):
             h = eps * np.array([[0.0, 1.0], [1.0, 0.0]])
-            s = op_exp(ModuleOperator.from_entries([[AlgebraElement.from_blocks([h])]]))
+            s = op_exp(operator_from_entries([[AlgebraElement.from_blocks([h])]]))
             leaks = carrier.leaks(power(s.flat, 1j * np.array(implemented_mod.PROBE_TIMES)))
             assert leaks.max() == pytest.approx(np.sin(eps), rel=1e-6)
             if accepted:
@@ -302,7 +309,7 @@ class TestContinuationFormula:
     def test_worked_diagonal_instance(self):
         s = diag_op(np.e, 1.0)
         f = ImplementedFlow(s, s, full_basis(BlockShape([2]), 1))
-        e12_op = ModuleOperator.from_entries(
+        e12_op = operator_from_entries(
             [[AlgebraElement.from_blocks([np.array([[0.0, 1.0], [0.0, 0.0]])])]]
         )
         cont = op_power(s, 1j * 1j) @ e12_op @ op_power(s, -1j * 1j)

@@ -16,11 +16,14 @@ from cstarflow.sampling import (
     random_commuting_flows,
     random_elements,
     random_flow,
+    random_operator,
+    random_state,
     random_unitary,
+    random_vector,
     rng,
 )
 
-from conftest import counting_svd
+from conftest import automorphism_flow, blockwise_state, counting_svd, entrywise_operator, slotwise_vectors
 
 EPS = np.finfo(float).eps
 
@@ -68,19 +71,47 @@ def test_commuting_flows_take_the_stream_block_by_block(shape):
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_a_stack_of_draws_finishes_as_each_draw(shape):
     r = rng(5)
-    raws = [(draw_elements(r, shape, 3), draw_flow(r, shape), draw_flow(r, shape, automorphism=True),
-             draw_commuting(r, shape)) for _ in range(4)]
-    xs_raw, flow_raw, auto_raw, comm_raw = (np.array(column) for column in zip(*raws))
-    xs, g, auto = elements(shape, xs_raw, 1.0), flows(shape, flow_raw, 2.0), flows(shape, auto_raw, 0.5)
+    raws = [(draw_elements(r, shape, 3), draw_flow(r, shape), draw_commuting(r, shape)) for _ in range(4)]
+    xs_raw, flow_raw, comm_raw = (np.array(column) for column in zip(*raws))
+    xs, g = elements(shape, xs_raw, 1.0), flows(shape, flow_raw, 2.0)
     alpha, beta = commuting_flows(shape, comm_raw, 1.5)
-    assert auto.h_left is auto.h_right
-    for i, (x_raw, f_raw, a_raw, c_raw) in enumerate(raws):
+    for i, (x_raw, f_raw, c_raw) in enumerate(raws):
         assert same(xs[i], elements(shape, x_raw, 1.0))
-        for batch, member in ((g, flows(shape, f_raw, 2.0)), (auto, flows(shape, a_raw, 0.5)),
-                              *zip((alpha, beta), commuting_flows(shape, c_raw, 1.5))):
+        for batch, member in ((g, flows(shape, f_raw, 2.0)), *zip((alpha, beta), commuting_flows(shape, c_raw, 1.5))):
             assert same(batch.h_left.value[i], member.h_left.value)
             assert same(batch.h_right.value[i], member.h_right.value)
 
+
+# each module value drawn in one stream call, and its oracle from single draws (tests/conftest.py), as arrays
+MODULE_DRAWS = {
+    "operator": (lambda r, shape, k: random_operator(r, shape, k).flat.blocks,
+                 lambda r, shape, k: entrywise_operator(r, shape, k).flat.blocks),
+    "operator_rescaled": (lambda r, shape, k: random_operator(r, shape, k, 0.5).flat.blocks,
+                          lambda r, shape, k: entrywise_operator(r, shape, k, 0.5).flat.blocks),
+    "vector": (lambda r, shape, k: random_vector(r, shape, k).stacked,
+               lambda r, shape, k: [b[0] for b in slotwise_vectors(r, shape, k, 1).stacked]),
+    "vector_batch": (lambda r, shape, k: random_vector(r, shape, k, 20).stacked,
+                     lambda r, shape, k: slotwise_vectors(r, shape, k, 20).stacked),
+    "state": (lambda r, shape, k: random_state(r, shape).rho.blocks,
+              lambda r, shape, k: blockwise_state(r, shape).rho.blocks),
+    # an automorphism flow's generator is the left one of a two-sided flow's draw
+    "automorphism": (lambda r, shape, k: random_flow(r, shape, 0.5).h_left.value.blocks,
+                     lambda r, shape, k: automorphism_flow(r, shape, 0.5).h_right.value.blocks),
+}
+
+
+@pytest.mark.parametrize("kind", MODULE_DRAWS)
+@pytest.mark.parametrize("shape, k", [(BlockShape([1]), 1), (BlockShape([3, 2]), 3), (BlockShape([4, 1, 2]), 4)],
+                         ids=["1_k1", "32_k3", "412_k4"])
+def test_module_values_take_the_stream_as_single_draws(kind, shape, k):
+    one_call, single_draws = MODULE_DRAWS[kind]
+    r, r_oracle = rng(6), rng(6)
+    got, want = one_call(r, shape, k), single_draws(r_oracle, shape, k)
+    assert len(got) == len(want) == shape.num_blocks
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    if kind != "automorphism":  # a two-sided flow draws a second element
+        assert np.array_equal(r.standard_normal(8), r_oracle.standard_normal(8))
 
 
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "batch"])

@@ -51,10 +51,12 @@ from cstarflow.sampling import (
 )
 
 from conftest import (
+    blockwise_state,
     exact_intertwining_residual,
     induced_dense,
     matrix_unit_operators,
     operator_entries,
+    operator_from_entries,
     vector_from_coordinates,
     vector_from_entries,
     zeros,
@@ -64,7 +66,7 @@ stone_mod = importlib.import_module("cstarflow.stone")  # not the function ``sto
 
 
 def diag_module_operator(*vals: float) -> ModuleOperator:
-    return ModuleOperator.from_entries([[AlgebraElement.from_blocks([np.diag(vals).astype(complex)])]])
+    return operator_from_entries([[AlgebraElement.from_blocks([np.diag(vals).astype(complex)])]])
 
 
 class TestRecoverGenerator:
@@ -587,7 +589,7 @@ def block_map_matrix(loc: Localization) -> np.ndarray:
 
 def oracle_state(r, dims, rank, dead_block):
     """Random state of the given rank, with block ``dead_block`` unseen."""
-    blocks = list(random_state(r, BlockShape(dims), rank).rho.blocks)
+    blocks = list(blockwise_state(r, BlockShape(dims), rank).rho.blocks)
     if dead_block is not None:
         blocks[dead_block] = np.zeros_like(blocks[dead_block])
     return PositiveFunctional(AlgebraElement.from_blocks(blocks))
@@ -642,7 +644,7 @@ class TestDenseOracle:
 def test_localize_gram_identity_and_rank_hypothesis(seed, dims, k, rank):
     r = rng(seed)
     shape = BlockShape(dims)
-    omega = random_state(r, shape, rank)
+    omega = blockwise_state(r, shape, rank)
     loc = localize(omega, k)
     kept = tuple(n if rank is None else min(rank, n) for n in dims)
     assert loc.ranks == kept
