@@ -32,7 +32,14 @@ scaled element ``c x`` carries ``|c| norm(x)`` when ``x``'s norm is
 already known (and finite), and a member or sub-batch ``x[i]`` carries
 the batch's norms.  And a unitary factor leaves the norm unchanged, so a
 caller that needs only the norm of a ``sandwich`` takes it of
-``F o (U* x V)`` without rotating back (``flows.conjugate_norm``).
+``F o (U* x V)`` without rotating back (``flows.conjugate_norm``).  A
+large stack (members * n^3 at least ``_SPLIT_WORK`` = 2^18, and chunks
+large enough that numpy releases the GIL around them) splits its members
+into contiguous chunks, one per usable CPU, the first on the calling
+thread and the others on a thread pool; the values are concatenated in
+member order.  Each member is still its own gesdd call on the same
+matrix, so every norm is bit-for-bit the value of an unsplit call, on any
+number of cores.
 
 Tolerances follow double-precision headroom at desk scale (block
 dimensions up to 64): ``HERM_TOL`` and ``POS_TOL_FACTOR`` are relative
@@ -45,12 +52,18 @@ pure function, so everything here is safe for concurrent use.  Because
 the blocks are read-only, an element computes its norm, its Hermitian
 defect ``norm(x - x*)`` and its eigendecomposition at most once and keeps
 them: the stored values cannot go stale, and a race between two threads
-only repeats the same pure work.
+only repeats the same pure work.  The one shared state is the pool of a
+split norm: made, under a lock, by the first stack that splits (which
+imports ``concurrent.futures`` only then), and forgotten in a forked
+child, whose next split makes its own.  Its threads run numpy's SVD
+alone and never call back into the package.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -269,19 +282,98 @@ def _kept(values) -> float | np.ndarray:
     return values
 
 
+# A stack of members n x m splits its members over the usable CPUs when members * n * m * min(n, m)
+# reaches _SPLIT_WORK and each chunk keeps members * min(n, m) of at least _GIL_FREE_SIZE.
+# Measured on a shared 2-core x86-64 host, numpy 2.4.6, one OpenBLAS thread:
+# - numpy releases the GIL around a stacked SVD only when members * min(n, m) exceeds 500
+#   (7 x 71 x 71 holds it, 7 x 72 x 72 does not); a chunk that holds it runs after the others,
+#   not beside them, and 2 x 64 x 64 split in two took 1.5-1.8 times its serial time;
+# - a chunk's handoff to the pool and back costs 30-50 us, and two chunks that both release the
+#   GIL take 0.55-0.72 of the serial time, from 0.2 ms saved at 501 x 2 x 2 to 3 ms at 16 x 64 x 64;
+# - the first split costs about 8 ms more, to import concurrent.futures and start the pool, and
+#   0.4-0.5 MB.
+# So every split the chunk rule admits wins once the pool runs, and the work floor decides which
+# stacks start it: 2^18 = 64 x 16^3, about the smallest stack of 16 x 16 blocks whose chunks
+# release the GIL (63 members, 0.6 ms saved a call).  A stack of smaller blocks that the chunk rule
+# admits, such as the 650 x 3 x 3 grid norms of the bundled verify config (work 2^14), saves too
+# little a call to pay for the pool.
+_SPLIT_WORK = 2**18
+_GIL_FREE_SIZE = 501
+_pool = None  # the ThreadPoolExecutor of split stacks, made by the first one
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist here, so the next split makes its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split_pool(workers: int):
+    """The pool of split stacks, made with ``workers`` threads if there is none yet."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cstarflow-svd")
+        return _pool
+
+
+def _top_singular_values(b: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of a stack, by numpy alone: a pool thread runs it,
+    and calls no cstarflow function."""
+    return np.linalg.svd(b, compute_uv=False)[..., 0]
+
+
+def _split_top_singular_values(b: np.ndarray, parts: int) -> np.ndarray:
+    """``_top_singular_values`` of a stack ``(..., n, m)``, its members in ``parts`` contiguous chunks:
+    the first on this thread, the others on the pool.  Each member is still its own gesdd call, so
+    each value is the one an unsplit call gives."""
+    chunks = np.array_split(b.reshape(-1, *b.shape[-2:]), parts)
+    pool = _split_pool(_usable_cpus() - 1)
+    futures = [pool.submit(_top_singular_values, c) for c in chunks[1:]]
+    try:
+        first = _top_singular_values(chunks[0])
+    finally:
+        for f in futures:
+            f.exception()  # wait for every chunk, so that none still runs once this call returns or raises
+    return np.concatenate([first, *(f.result() for f in futures)]).reshape(b.shape[:-2])
+
+
+def _parts(b: np.ndarray) -> int:
+    """How many chunks the members of a stack split into: one per usable CPU when the stack reaches
+    ``_SPLIT_WORK``, but no chunk under ``_GIL_FREE_SIZE``; 1 (no split) otherwise."""
+    n, m = b.shape[-2:]
+    members = math.prod(b.shape[:-2])
+    if members < 2 or members * n * m * min(n, m) < _SPLIT_WORK:
+        return 1
+    return max(1, min(_usable_cpus(), members * min(n, m) // _GIL_FREE_SIZE))
+
+
 def largest_singular_value(b: np.ndarray) -> float | np.ndarray:
     """Spectral norm of a matrix, or of each matrix of a stack ``(..., n, m)``.
 
     LAPACK gesdd with singular values only, through ``np.linalg.svd``: a
     float for one matrix, an array of the leading shape for a stack.  An
-    all-zero input has norm 0 without an SVD.  Raises ``EigFailureError``
-    naming the blocks when the SVD fails (a NaN entry, or no convergence)
-    or returns NaN (an infinite entry).
+    all-zero input has norm 0 without an SVD.  A large stack (``_parts``)
+    splits its members over the usable CPUs, with the same values.  Raises
+    ``EigFailureError`` naming the blocks when the SVD fails (a NaN entry,
+    or no convergence) or returns NaN (an infinite entry).
     """
     if not np.count_nonzero(b):
         return 0.0 if b.ndim == 2 else np.zeros(b.shape[:-2])
+    parts = _parts(b)
     try:
-        s = np.linalg.svd(b, compute_uv=False)[..., 0]
+        s = _split_top_singular_values(b, parts) if parts > 1 else _top_singular_values(b)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError(f"singular values of {_described(b)} failed: {exc}") from exc
     if np.isnan(s).any():  # LAPACK's answer to an infinite entry

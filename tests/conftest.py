@@ -19,6 +19,7 @@ from cstarflow import (
     SubalgebraBasis,
     identity_operator,
 )
+from cstarflow import algebra
 from cstarflow.algebra import largest_singular_value
 from cstarflow.cli import ScenarioConfig, validate
 from cstarflow.sampling import gaussian, random_element, random_hermitian, rng
@@ -56,6 +57,15 @@ def counting_svd(calls: list):
         return _svd(a, *args, **kwargs)
 
     return svd
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No split-norm thread pool at the start of the test; the one the test starts is shut down at its end."""
+    monkeypatch.setattr(algebra, "_pool", None)
+    yield
+    if algebra._pool is not None:
+        algebra._pool.shutdown()
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

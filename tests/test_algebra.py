@@ -1,5 +1,10 @@
 """Block algebra core: *-operations, norms, functional calculus, powers."""
 
+import concurrent.futures
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,6 +27,7 @@ from cstarflow import (
     power,
     spectral,
 )
+from cstarflow import algebra
 from cstarflow.algebra import HERM_TOL, largest_singular_value, stack
 from cstarflow.hilbmod import identity_operator
 from cstarflow.sampling import gaussian, random_element, random_hermitian, rng
@@ -182,6 +188,141 @@ class TestElementNorms:
             stack([random_element(rng(0), BlockShape([2])), random_element(rng(0), BlockShape([3]))])
         with pytest.raises(ShapeMismatchError, match=r"expected \(2, 3, 3\)"):
             AlgebraElement(BlockShape([2, 3]), [np.zeros((2, 2, 2)), np.zeros((3, 3, 3))])
+
+
+def _one_svd_per_member(b: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of a stack, one ``np.linalg.svd`` call per member."""
+    flat = b.reshape(-1, *b.shape[-2:])
+    return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in flat]).reshape(b.shape[:-2])
+
+
+def _complex_stack(seed: int, shape: tuple) -> np.ndarray:
+    r = np.random.default_rng(seed)
+    return r.standard_normal(shape) + 1j * r.standard_normal(shape)
+
+
+def _norm_in_child(b: np.ndarray, want: np.ndarray) -> None:
+    """The target of a forked child: exit 0 when the norms of ``b`` are ``want``."""
+    sys.exit(0 if np.array_equal(largest_singular_value(b), want) else 1)
+
+
+class TestSplitNorms:
+    """A large stack splits its members over a thread pool; each value is the one its own SVD gives."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the usable CPU count the split sees, whatever the host has."""
+        return lambda count: monkeypatch.setattr(algebra, "_usable_cpus", lambda: count)
+
+    @pytest.mark.parametrize(
+        "count, shape, parts",
+        [
+            (2, (16, 64, 64), 2),
+            (2, (3, 7, 48, 48), 2),
+            (2, (17, 64, 64), 2),  # 9 and 8 members
+            (3, (17, 96, 96), 3),  # 6, 6 and 5 members
+            (2, (4, 64, 64), 1),  # chunks of 2 x 64 would hold the GIL
+            (1, (16, 64, 64), 1),
+        ],
+    )
+    def test_bitwise_the_per_member_svds(self, cpus, count, shape, parts):
+        cpus(count)
+        b = _complex_stack(1, shape)
+        assert algebra._parts(b) == parts
+        assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+
+    @pytest.mark.parametrize("view", [lambda b: b.swapaxes(-1, -2), lambda b: b[::2], lambda b: b.conj()[1::2, ::-1]])
+    def test_bitwise_on_a_non_contiguous_view(self, cpus, view):
+        cpus(2)
+        b = view(_complex_stack(2, (32, 64, 64)))
+        assert not b.flags.c_contiguous and algebra._parts(b) == 2
+        assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+
+    def test_batch_norm_is_the_member_norms_taken_one_at_a_time(self, cpus):
+        cpus(2)
+        r = rng(11)
+        shape = BlockShape([64, 8])
+        batch = stack([random_element(r, shape) for _ in range(16)])
+        want = [AlgebraElement(shape, [b[i] for b in batch.blocks]).norm() for i in range(16)]
+        assert np.array_equal(batch.norm(), want)
+
+    @pytest.mark.parametrize("bad, text", [(np.nan, "failed: SVD did not converge"), (np.inf, "are NaN")])
+    def test_a_non_finite_member_on_the_pool_is_a_numerical_breakdown(self, cpus, bad, text):
+        cpus(2)
+        b = _complex_stack(3, (16, 64, 64))
+        b[13, 2, 5] = bad  # members 8-15 are the chunk the pool takes
+        with pytest.raises(EigFailureError, match=f"^singular values of 16 stacked 64x64 blocks {text}$"):
+            largest_singular_value(b)
+        good = _complex_stack(4, (16, 64, 64))
+        assert np.array_equal(largest_singular_value(good), _one_svd_per_member(good))
+
+    def test_an_svd_failure_on_the_pool_is_a_numerical_breakdown(self, cpus, monkeypatch):
+        cpus(2)
+        svd = np.linalg.svd
+
+        def failing_off_the_main_thread(a, compute_uv=True):
+            if threading.current_thread() is not threading.main_thread():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, compute_uv=compute_uv)
+
+        b = _complex_stack(5, (16, 64, 64))
+        monkeypatch.setattr(np.linalg, "svd", failing_off_the_main_thread)
+        with pytest.raises(EigFailureError, match="^singular values of 16 stacked 64x64 blocks failed: SVD did not converge$"):
+            largest_singular_value(b)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+
+    # Python 3.12 warns on any fork of a process that runs threads, and forking one is this test's point
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_child_forked_after_a_split_takes_a_large_norm(self, cpus):
+        # the parent's pool threads do not exist in a forked child; a child that submitted to that pool would wait forever
+        cpus(2)
+        b = _complex_stack(6, (16, 64, 64))
+        want = largest_singular_value(b)
+        assert algebra._pool is not None
+        child = multiprocessing.get_context("fork").Process(target=_norm_in_child, args=(b, want))
+        child.start()
+        try:
+            child.join(timeout=30)
+            assert not child.is_alive(), "the forked child still runs its first large norm"
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+    def test_threads_racing_to_the_first_split_share_one_pool(self, cpus, monkeypatch, fresh_pool):
+        cpus(2)
+        made = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                time.sleep(0.01)  # widen the window between the check for a pool and its creation
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        b = _complex_stack(7, (16, 64, 64))
+        want = _one_svd_per_member(b)
+        results = []
+        start = threading.Barrier(4)
+
+        def norms():
+            start.wait(timeout=10)
+            results.extend(np.array_equal(largest_singular_value(b), want) for _ in range(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=norms) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (results, len(made)) == ([True] * 12, 1)
 
 
 class TestScaledNorms:

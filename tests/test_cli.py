@@ -1074,12 +1074,34 @@ def test_a_drawn_config_is_refused_or_ends_in_a_verdict(raw):
 
 def test_smear_workload_run_takes_one_norm_per_cap(tmp_path, monkeypatch):
     # core_rescale returns the norm(alpha_z(x)) it took, so the cap check takes no SVD of its own:
-    # a smear workload config ([64], three widths, one z) takes 62 SVDs in 16 calls, 63 in 17 before
+    # a smear workload config ([64], three widths, one z) takes 62 SVDs in 16 stacks, 63 in 17 before.
+    # A large stack splits over the usable CPUs, so the stacks are counted as largest_singular_value
+    # takes them (its 2 other inputs, the generators' Hermitian defects, are exact zeros and take no
+    # SVD), and the SVDs member by member at np.linalg.svd
     raw = next(raw for raw in _workload_specs() if raw["experiment"] == "converge" and raw["shape"] == [64])
-    calls = []
+    stacks, calls = [], []
+    norm = algebra_mod.largest_singular_value
+
+    def counted(b):
+        stacks.append(np.count_nonzero(b) > 0)
+        return norm(b)
+
+    monkeypatch.setattr(algebra_mod, "largest_singular_value", counted)
     monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
     run(validate(raw)[0], tmp_path, quiet=True)
-    assert (len(calls), sum(math.prod(shape[:-2]) for shape in calls)) == (16, 62)
+    assert (stacks.count(True), sum(math.prod(shape[:-2]) for shape in calls)) == (16, 62)
+
+
+def test_runs_of_small_stacks_never_start_the_split_pool(tmp_path, fresh_pool):
+    # their largest stacks, 650 3x3 grid norms of the bundled verify config and 11 20x20 of a
+    # gns workload config, are far under algebra._SPLIT_WORK
+    raws = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+    specs = _workload_specs()
+    raws += [next(raw for raw in specs if (raw["experiment"], raw["shape"]) == workload)
+             for workload in (("stone", [10, 6]), ("implemented", [3]))]
+    for i, raw in enumerate(raws):
+        run(validate(raw)[0], tmp_path / str(i), quiet=True)
+    assert algebra_mod._pool is None
 
 
 def _shifted(flow: FlowGenerator, delta: float) -> FlowGenerator:
@@ -1099,6 +1121,7 @@ def _wrapped(module, name: str, wrap):
     return lambda monkeypatch: monkeypatch.setattr(module, name, wrap(getattr(module, name)))
 
 
+algebra_mod = importlib.import_module("cstarflow.algebra")
 cli_mod = importlib.import_module("cstarflow.cli")
 composition_mod = importlib.import_module("cstarflow.composition")
 implemented_mod = importlib.import_module("cstarflow.implemented")
