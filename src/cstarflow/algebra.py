@@ -61,6 +61,7 @@ alone and never call back into the package.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -185,8 +186,8 @@ class AlgebraElement:
         A float for a single element and an array of shape ``B`` for a
         batch, both from ``largest_singular_value``.  The value is kept on
         the element, so the SVDs run on the first call only.  Raises
-        ``EigFailureError`` when the SVD fails (a NaN entry, or no
-        convergence) or returns a NaN singular value (an infinite entry).
+        ``EigFailureError`` for an entry that is NaN or infinite, and when
+        the SVD fails (no convergence) or returns a NaN singular value.
         """
         if self._norm is None:
             object.__setattr__(self, "_norm", _over_blocks(largest_singular_value(b) for b in self.blocks))
@@ -270,7 +271,7 @@ def _scaled_norm(c, norm: float | np.ndarray) -> float | np.ndarray | None:
 def _over_blocks(values) -> float | np.ndarray:
     """The largest of per-block values, per member: a float, or a read-only array of shape ``B``."""
     values = list(values)
-    return float(max(values)) if np.ndim(values[0]) == 0 else _kept(np.max(values, axis=0))
+    return float(max(values)) if np.ndim(values[0]) == 0 else _kept(functools.reduce(np.maximum, values))
 
 
 def _kept(values) -> float | np.ndarray:
@@ -366,17 +367,24 @@ def largest_singular_value(b: np.ndarray) -> float | np.ndarray:
     float for one matrix, an array of the leading shape for a stack.  An
     all-zero input has norm 0 without an SVD.  A large stack (``_parts``)
     splits its members over the usable CPUs, with the same values.  Raises
-    ``EigFailureError`` naming the blocks when the SVD fails (a NaN entry,
-    or no convergence) or returns NaN (an infinite entry).
+    ``EigFailureError`` naming the blocks for an entry that is NaN or
+    infinite, before LAPACK sees it (its scaling routine would print to
+    stdout), and when the SVD fails (no convergence) or returns NaN.
     """
-    if not np.count_nonzero(b):
-        return 0.0 if b.ndim == 2 else np.zeros(b.shape[:-2])
+    # one pass over the entries: the sum of their squared moduli is positive and finite unless they are
+    # all zero, one is not finite, or the squares under- or overflow; only then are the entries read again
+    squares = float(np.vdot(b, b).real)
+    if not 0.0 < squares < math.inf:
+        if not np.isfinite(b).all():
+            raise EigFailureError(f"singular values of {_described(b)} not taken: an entry is NaN or infinite")
+        if not np.count_nonzero(b):
+            return 0.0 if b.ndim == 2 else np.zeros(b.shape[:-2])
     parts = _parts(b)
     try:
         s = _split_top_singular_values(b, parts) if parts > 1 else _top_singular_values(b)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError(f"singular values of {_described(b)} failed: {exc}") from exc
-    if np.isnan(s).any():  # LAPACK's answer to an infinite entry
+    if np.isnan(s).any():
         raise EigFailureError(f"singular values of {_described(b)} are NaN")
     return float(s) if b.ndim == 2 else s
 

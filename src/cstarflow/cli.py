@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, BlockShape, HermitianElement, power
+from .algebra import AlgebraElement, BlockShape, HermitianElement, power, stack
 from .continuation import (
     MAX_NODES,
     STRIP_SIZE,
@@ -91,7 +91,8 @@ from .stone import (
 MAX_FLAT_SIZE = 2**18
 # Stacked z-grid of tensor and implemented, grid points x dense size per point:
 # 2**22 complex entries is 64 MiB per stack, and a check holds about three.
-# verify and tensor run their instances in batches that stay within it.
+# verify and tensor run their instances, and converge its widths, in batches
+# that stay within it.
 MAX_GRID_SIZE = 2**22
 # Growth exponent of one factor a run forms, |Im z| nu for a continuation or
 # r^2 (Im z)^2 for a smear envelope. It is derived from the float range, not a
@@ -152,7 +153,7 @@ class ExitReport:
         if check is None:
             raise KeyError(f"{self.experiment} declares no check {name!r}")
         ratio = residual / scale
-        top = float(np.max(ratio)) if isinstance(ratio, np.ndarray) else ratio
+        top = float(ratio.max()) if isinstance(ratio, np.ndarray) else ratio
         if top > check.measured or math.isnan(top):
             check.measured = top
         self.observed.add(name)
@@ -434,13 +435,18 @@ def _weight(dims) -> int:
     return sum(m**3 + 128 * m * m + 16**3 for m in dims)
 
 
+def _batches(count: int, entries: int) -> list[range]:
+    """``range(count)`` in consecutive batches of at least one member, at most ``MAX_GRID_SIZE`` over the
+    ``entries`` one member stacks."""
+    size = max(1, MAX_GRID_SIZE // entries)
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def _in_batches(cfg: ScenarioConfig, report: ExitReport, entries: int, batch: Callable) -> tuple[list[tuple], dict]:
-    """The CSV rows of ``batch(cfg, r, members, report)`` over the instances in stream order, in batches
-    of at least one instance, at most ``MAX_GRID_SIZE`` over the ``entries`` one instance stacks."""
+    """The CSV rows of ``batch(cfg, r, members, report)`` over the instances in stream order, in the
+    ``_batches`` of the ``entries`` one instance stacks."""
     r = sampling.rng(cfg.seed)
-    size, count = max(1, MAX_GRID_SIZE // entries), cfg.instances
-    return [row for start in range(0, count, size)
-            for row in batch(cfg, r, range(start, min(start + size, count)), report)], {}
+    return [row for members in _batches(cfg.instances, entries) for row in batch(cfg, r, members, report)], {}
 
 
 def _exp_verify(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple], dict]:
@@ -504,9 +510,12 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
     r = sampling.rng(cfg.seed)
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
+    # the widths in _batches of at most MAX_GRID_SIZE entries, each batch one closed-form smear and one
+    # stacked norm per check (_smear_batch)
+    batches = [cfg.r_list[b.start:b.stop] for b in _batches(len(cfg.r_list), cfg.shape.dim)]
     # the smear errors at z = 0, their ratios and the approximants do not depend on z
-    # one width at a time: a grid.r list of any length holds one smear
-    errs = {rr: (smear_oracle(g, x, rr, 0.0) - x).norm() for rr in cfg.r_list}
+    errs = dict(zip(cfg.r_list, np.concatenate(
+        [(smear_oracle(g, x, np.array(rs), 0.0) - x).norm() for rs in batches]).tolist()))
     floor, top = RATIO_FLOOR * x.norm(), 1e-2 * x.norm()
     ratios = np.array([errs[2 * rr] / errs[rr] for rr in cfg.r_list
                        if 2 * rr in errs and errs[rr] <= top and min(errs[rr], errs[2 * rr]) > floor])
@@ -516,15 +525,7 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
     ys = smear_oracle(g, x, min(cfg.r_list) * 2.0 ** np.arange(16), 0.0)
     rows: list[tuple] = []
     for z in cfg.z_grid():
-        for rr in cfg.r_list:
-            plan = SmearingPlan.for_flow(g, rr, z)
-            quad = smear_quadrature(g, x, plan)
-            err_quad = (quad - smear_oracle(g, x, rr, z)).norm()
-            envelope = x.norm() * math.exp(rr * rr * z.imag * z.imag)
-            bound_rhs = envelope * (1.0 + 1e-8)
-            rows.append((z.real, z.imag, rr, plan.nodes, err_quad, errs[rr], bound_rhs))
-            report.observe("quad_vs_oracle", err_quad, envelope)
-            report.observe("norm_bound", quad.norm(), bound_rhs)
+        rows += [row for rs in batches for row in _smear_batch(g, x, z, rs, errs, report)]
         rescaled, nax = core_rescale(g, z, x, ys)
         # x_n = lam_n y_n carries |lam_n| norm(y_n), so this cap reads the rescaling's arithmetic
         report.observe("core_rescale_cap_x", rescaled.norm() - x.norm(), x.norm())
@@ -533,6 +534,26 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
         report.observe("core_rescale_cap_continuation", continue_exact(g, z, rescaled).norm() - nax, nax)
         report.observe("core_rescale_convergence", (rescaled[-1] - x).norm())
     return rows, {}
+
+
+def _smear_batch(g: FlowGenerator, x: AlgebraElement, z: complex, rs: list[float], errs: dict,
+                 report: ExitReport) -> list[tuple]:
+    """Observe quad_vs_oracle and norm_bound at ``z`` for the batch of widths ``rs``, and return its CSV rows.
+
+    Each width takes its own plan and quadrature call; the quadratures are stacked against one closed-form
+    smear of the batch, so each check takes one stacked norm.  The batch's stacks are freed on return,
+    before the core rescaling forms its own.
+    """
+    plans = [SmearingPlan.for_flow(g, rr, z) for rr in rs]
+    quads = stack([smear_quadrature(g, x, plan) for plan in plans])
+    err_quad = (quads - smear_oracle(g, x, np.array(rs), z)).norm()
+    # math.exp width by width: numpy's exp rounds about 5 % of values to another last digit
+    envelope = np.array([x.norm() * math.exp(rr * rr * z.imag * z.imag) for rr in rs])
+    bound_rhs = envelope * (1.0 + 1e-8)
+    report.observe("quad_vs_oracle", err_quad, envelope)
+    report.observe("norm_bound", quads.norm(), bound_rhs)
+    return [(z.real, z.imag, rr, plan.nodes, err, errs[rr], rhs)
+            for rr, plan, err, rhs in zip(rs, plans, err_quad.tolist(), bound_rhs.tolist())]
 
 
 def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
@@ -552,12 +573,13 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
         costs.append((GROWTH, (r * im) * (r * im),
                       f"the smear envelope exp(r^2 (Im z)^2) at {where} has growth exponent"))
     # dense operations: 55 once and 5 per r; per z, 132 for core_rescale and 10 per r, and the node sums, a
-    # column of one each (n^2 + 128 n). The loop over r calls the library one r at a time: 2**19 per r and
-    # per (z, r), about 0.2 ms at n = 2
+    # column of one each (n^2 + 128 n). The Python a width costs beyond these: 10**4 once, in the batch of
+    # smear errors at z = 0 (measured 2 us at n = 2), and 3 * 10**5 per (z, r), for its plan and its
+    # quadrature call (measured 78-100 us)
     points, widths = len(cfg.z_re) * len(cfg.z_im), len(cfg.r_list)
     ops = 55 + 5 * widths + points * (132 + 10 * widths)
     node = sum(n * n + 128 * n for n in cfg.shape)
-    cost = ops * _weight(cfg.shape) + points * nodes * node + (1 + points) * widths * 2**19
+    cost = ops * _weight(cfg.shape) + points * nodes * node + widths * (10**4 + points * 3 * 10**5)
     costs.append((TIME, cost, f"{_amount(points)} z-grid points at {_amount(widths)} widths r with {_amount(nodes)}"
                               f" quadrature nodes, {_amount(ops)} dense operations on {_shape(cfg)}, have time cost"))
     return costs

@@ -12,8 +12,9 @@ class ShapeMismatchError(CstarflowError):
 class EigFailureError(CstarflowError):
     """An eigendecomposition or a singular-value decomposition failed.
 
-    LAPACK reported a failure (no convergence, or a NaN entry in the
-    input) or returned NaN (an infinite entry in the input), or a
+    A norm's input holds an entry that is NaN or infinite (refused before
+    LAPACK runs), LAPACK reported a failure (no convergence, or a NaN
+    entry in an eigendecomposition's input) or returned NaN, or a
     randomized norm estimate met a non-finite probe norm.
     """
 

@@ -44,7 +44,7 @@ from cstarflow.cli import (
     run,
     validate,
 )
-from cstarflow.continuation import MAX_NODES, STRIP_SIZE
+from cstarflow.continuation import MAX_NODES, STRIP_SIZE, SmearingPlan, smear_oracle, smear_quadrature
 from cstarflow.errors import BranchAmbiguityError, ConfigInvalidError, NotAGroupError
 from cstarflow.flows import FlowGenerator
 from cstarflow.hilbmod import identity_operator, op_log
@@ -1074,7 +1074,8 @@ def test_a_drawn_config_is_refused_or_ends_in_a_verdict(raw):
 
 def test_smear_workload_run_takes_one_norm_per_cap(tmp_path, monkeypatch):
     # core_rescale returns the norm(alpha_z(x)) it took, so the cap check takes no SVD of its own:
-    # a smear workload config ([64], three widths, one z) takes 62 SVDs in 16 stacks, 63 in 17 before.
+    # a smear workload config ([64], three widths, one z) takes 62 SVDs in 10 stacks. The widths are one
+    # batch, so the smear errors at z = 0, quad_vs_oracle and norm_bound take one stack of three each.
     # A large stack splits over the usable CPUs, so the stacks are counted as largest_singular_value
     # takes them (its 2 other inputs, the generators' Hermitian defects, are exact zeros and take no
     # SVD), and the SVDs member by member at np.linalg.svd
@@ -1089,7 +1090,7 @@ def test_smear_workload_run_takes_one_norm_per_cap(tmp_path, monkeypatch):
     monkeypatch.setattr(algebra_mod, "largest_singular_value", counted)
     monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
     run(validate(raw)[0], tmp_path, quiet=True)
-    assert (stacks.count(True), sum(math.prod(shape[:-2]) for shape in calls)) == (16, 62)
+    assert (stacks.count(True), sum(math.prod(shape[:-2]) for shape in calls)) == (10, 62)
 
 
 def test_runs_of_small_stacks_never_start_the_split_pool(tmp_path, fresh_pool):
@@ -1306,6 +1307,54 @@ def test_batches_write_the_bytes_of_one_batch(name, size, tmp_path, monkeypatch)
                         sizes.append(len(members)) or batch(cfg, r, members, report))
     run(config, tmp_path / "batched", quiet=True)
     assert sizes == [size] * (config.instances // size) + [1] * (config.instances % size)
+    for path in (tmp_path / "whole").iterdir():
+        assert (tmp_path / "batched" / path.name).read_bytes() == path.read_bytes()
+
+
+# five widths, 2.0 twice, on a 2 x 2 z-grid; at Im z = 0.16, numpy's exp (2.4.6, x86-64) rounds the
+# envelopes exp(r^2 (Im z)^2) of widths 2 and 5 to another last digit than math.exp does
+WIDE_CONVERGE = {"experiment": "converge", "seed": 21, "shape": [3, 2], "flow": {"kind": "random", "norm": 1.5},
+                 "grid": {"r": [0.7, 2.0, 0.35, 2.0, 5.0], "z_re": [-0.4, 0.6], "z_im": [0.0, 0.16]}}
+
+
+def test_converge_batches_write_the_values_of_one_width_at_a_time(tmp_path):
+    config, problems = validate(WIDE_CONVERGE)
+    assert problems == []
+    assert run(config, tmp_path, quiet=True).passed
+    r = rng(config.seed)
+    g = config.flow(r)
+    x = random_element(r, config.shape, 1.0)
+    errs = {rr: (smear_oracle(g, x, rr, 0.0) - x).norm() for rr in config.r_list}
+    rows, quad_vs_oracle, norm_bound = [], 0.0, 0.0
+    for z in config.z_grid():
+        for rr in config.r_list:
+            plan = SmearingPlan.for_flow(g, rr, z)
+            quad = smear_quadrature(g, x, plan)
+            err = (quad - smear_oracle(g, x, rr, z)).norm()
+            envelope = x.norm() * math.exp(rr * rr * z.imag * z.imag)
+            bound_rhs = envelope * (1.0 + 1e-8)
+            rows.append(",".join(map(repr, (z.real, z.imag, rr, plan.nodes, err, errs[rr], bound_rhs))))
+            quad_vs_oracle, norm_bound = max(quad_vs_oracle, err / envelope), max(norm_bound, quad.norm() / bound_rhs)
+    assert (tmp_path / "converge.csv").read_text().splitlines()[1:] == rows
+    checks = {c["name"]: c["measured"] for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    assert (checks["quad_vs_oracle"], checks["norm_bound"]) == (quad_vs_oracle, norm_bound)
+
+
+def test_converge_width_batches_write_the_bytes_of_one_batch(tmp_path, monkeypatch):
+    config, _ = validate(WIDE_CONVERGE)
+    run(config, tmp_path / "whole", quiet=True)
+    # two widths per batch: the five go in batches of 2, 2 and 1
+    monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", 2 * config.shape.dim)
+    widths, members = [], []
+    oracle, norm = cli_mod.smear_oracle, algebra_mod.largest_singular_value
+    monkeypatch.setattr(cli_mod, "smear_oracle", lambda g, x, r, z: widths.append(np.size(r)) or oracle(g, x, r, z))
+    monkeypatch.setattr(algebra_mod, "largest_singular_value",
+                        lambda b: members.append(math.prod(b.shape[:-2])) or norm(b))
+    run(config, tmp_path / "batched", quiet=True)
+    # at z = 0 the batches of smear errors and the 16 core-rescaling approximants, then the batches at each z
+    assert widths == [2, 2, 1, 16] + [2, 2, 1] * 4
+    # the approximants are one stack of 16 at any grid budget; MAX_FLAT_SIZE keeps them within the real one
+    assert max(m for m in members if m != 16) * config.shape.dim <= cli_mod.MAX_GRID_SIZE
     for path in (tmp_path / "whole").iterdir():
         assert (tmp_path / "batched" / path.name).read_bytes() == path.read_bytes()
 
