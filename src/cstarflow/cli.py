@@ -30,6 +30,14 @@ last digits of a residual can move with the thread count.  With OpenBLAS,
 ``verify`` at shape [128] with 9 instances writes different bytes under 1
 and 2 threads (``inverse`` 8.09e-15 against 7.76e-15), while the five
 bundled configs are byte-identical under both.
+
+Each output file is rewritten in place (``_write``): opened without
+``O_TRUNC``, cut to the length of its new bytes and written, so it holds
+the bytes of a run into an empty directory whatever it held before.
+Truncating to zero first, as ``Path.write_text`` does, took about 85 us of
+a 100 us overwrite on ext4 mounted with ``discard``; this takes about 8 us
+a file.  A run killed mid-write leaves a file of the new length whose
+bytes mix old and new, where a truncating write left a short file.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import argparse
 import difflib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -395,15 +404,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write(path: Path, text: str) -> None:
+    """Rewrite ``path`` in place with the UTF-8 bytes of ``text``: cut it to their length, then write them
+    (the module docstring says why).  A new file gets the mode ``open`` gives under the umask."""
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        os.ftruncate(f.fileno(), len(data))
+        f.write(data)  # a buffered write retries a short one
+
+
 def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------- experiments
@@ -573,13 +591,15 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
         costs.append((GROWTH, (r * im) * (r * im),
                       f"the smear envelope exp(r^2 (Im z)^2) at {where} has growth exponent"))
     # dense operations: 55 once and 5 per r; per z, 132 for core_rescale and 10 per r, and the node sums, a
-    # column of one each (n^2 + 128 n). The Python a width costs beyond these: 10**4 once, in the batch of
-    # smear errors at z = 0 (measured 2 us at n = 2), and 3 * 10**5 per (z, r), for its plan and its
-    # quadrature call (measured 78-100 us)
+    # column of one each (n^2 + 128 n). The Python beyond these: 10**4 per r, in the batch of smear errors
+    # at z = 0 (measured 2 us at n = 2); 3 * 10**5 per (z, r), for a width's plan and quadrature call (a pair
+    # measured 103-114 us in all at n = 2 and is charged 124 us); and 5 * 10**5 per z, for core_rescale's
+    # (a z-point with one width measured 407-467 us in all at n = 2 and is charged 512 us)
     points, widths = len(cfg.z_re) * len(cfg.z_im), len(cfg.r_list)
     ops = 55 + 5 * widths + points * (132 + 10 * widths)
     node = sum(n * n + 128 * n for n in cfg.shape)
-    cost = ops * _weight(cfg.shape) + points * nodes * node + widths * (10**4 + points * 3 * 10**5)
+    python = widths * 10**4 + points * (widths * 3 * 10**5 + 5 * 10**5)
+    cost = ops * _weight(cfg.shape) + points * nodes * node + python
     costs.append((TIME, cost, f"{_amount(points)} z-grid points at {_amount(widths)} widths r with {_amount(nodes)}"
                               f" quadrature nodes, {_amount(ops)} dense operations on {_shape(cfg)}, have time cost"))
     return costs

@@ -26,6 +26,7 @@ The smear obeys ``norm(x(r, z)) <= norm(x) exp(r^2 (Im z)^2)`` and
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -73,16 +74,28 @@ class SmearingPlan:
 def _require_positive(value, what: str) -> None:
     """``ValueError`` naming ``value`` unless it, or every entry of an array, is positive and finite.
 
-    Written so that NaN fails it: ``value <= 0`` is False for NaN.
+    Written so that NaN fails it: ``value <= 0`` is False for NaN.  A float is checked with ``math``, in
+    about a thirtieth of the time an array takes.
     """
-    v = np.asarray(value, dtype=float)
-    if not (np.isfinite(v) & (v > 0)).all():
+    if isinstance(value, float):
+        ok = math.isfinite(value) and value > 0
+    else:
+        v = np.asarray(value, dtype=float)
+        ok = (np.isfinite(v) & (v > 0)).all()
+    if not ok:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def _require_finite(value, what: str) -> None:
-    """``ValueError`` naming ``value`` unless it, or every entry of an array, is finite (both parts of a complex)."""
-    if not np.isfinite(np.asarray(value, dtype=complex)).all():
+    """``ValueError`` naming ``value`` unless it, or every entry of an array, is finite (both parts of a complex).
+
+    A float or a complex is checked with ``cmath``, as ``_require_positive`` checks a float.
+    """
+    if isinstance(value, (float, complex)):
+        ok = cmath.isfinite(value)
+    else:
+        ok = np.isfinite(np.asarray(value, dtype=complex)).all()
+    if not ok:
         raise ValueError(f"{what} must be finite, got {value}")
 
 
@@ -91,7 +104,8 @@ def min_nodes(g: FlowGenerator, r: float, z: complex) -> int:
 
     For a batch of flows, ``nu_max`` is the largest member's, so the nodes serve every member.
     """
-    return admissible_nodes(float(np.max(g.generator_norm())), r, z)
+    nu_max = g.generator_norm()
+    return admissible_nodes(nu_max if isinstance(nu_max, float) else float(np.max(nu_max)), r, z)
 
 
 def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
@@ -117,9 +131,17 @@ def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
 
 
 def _trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights ``h exp(-s^2)`` of the ``n``-point trapezoidal rule on ``[-L, L]``."""
-    s = np.linspace(-L, L, n)
-    return s, (2.0 * L / (n - 1)) * np.exp(-s * s)
+    """Nodes and weights ``h exp(-s^2)`` of the ``n``-point trapezoidal rule on ``[-L, L]``.
+
+    The nodes are ``np.linspace(-L, L, n)`` bit for bit, formed as linspace forms them (``j h - L``, the last
+    node set to ``L``) without its per-call overhead.
+    """
+    h = 2.0 * L / (n - 1)
+    s = np.arange(n, dtype=float)
+    s *= h
+    s += -L
+    s[-1] = L
+    return s, h * np.exp(-s * s)
 
 
 def continue_exact(g: FlowGenerator, z, x: AlgebraElement) -> AlgebraElement:

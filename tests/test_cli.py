@@ -758,6 +758,11 @@ class TestChecks:
         assert table == {(name, check): bound for name, e in EXPERIMENTS.items() for check, bound in e.checks.items()}
 
 
+def _breaks(u, t0):
+    """A ``recover`` that breaks off."""
+    raise BranchAmbiguityError("halving did not stabilize after 8 steps from t0=1.0")
+
+
 class TestMain:
     def test_list_exits_zero(self, capsys):
         assert main(["list"]) == 0
@@ -903,10 +908,7 @@ class TestMain:
     def test_numerical_breakdown_exits_three(self, tmp_path, monkeypatch, capsys):
         import cstarflow.cli as cli_mod
 
-        def breaks(u, t0):
-            raise BranchAmbiguityError("halving did not stabilize after 8 steps from t0=1.0")
-
-        monkeypatch.setattr(cli_mod, "recover", breaks)
+        monkeypatch.setattr(cli_mod, "recover", _breaks)
         out = tmp_path / "out"
         assert main(["run", str(CONFIG_DIR / "stone.json"), "--out", str(out), "--quiet"]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -1438,6 +1440,65 @@ class TestArtifacts:
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"
         ).read_bytes()
+
+
+def _tree(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _forbid_write_text(monkeypatch):
+    """Make ``Path.write_text``, which truncates a file to zero before it writes, fail the test."""
+    def truncating_write(*args, **kwargs):
+        raise AssertionError("an output went through Path.write_text")
+
+    monkeypatch.setattr(Path, "write_text", truncating_write)
+
+
+class TestOverwrite:
+    """A run rewrites its outputs in place (``cli._write``): the bytes are those of a run into an empty
+    directory, whatever the files held before."""
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_a_run_over_longer_stale_files_writes_the_bytes_of_a_fresh_one(self, name, tmp_path, monkeypatch):
+        config = load_config(CONFIG_DIR / f"{name}.json")
+        run(config, tmp_path / "fresh", quiet=True)
+        fresh = _tree(tmp_path / "fresh")
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        for file, data in fresh.items():
+            (stale / file).write_bytes(b"\xffnot this run\r\n" * (len(data) // 8 + 100))
+        _forbid_write_text(monkeypatch)
+        run(config, stale, quiet=True)
+        assert _tree(stale) == fresh
+
+    def test_a_file_is_rewritten_with_longer_then_shorter_text(self, tmp_path):
+        path = tmp_path / "f.csv"
+        for text in ("a,b\n1,2\n", "a,b\n1,2\n3.0,4.0\n5,6\n", "x\n", ""):
+            cli_mod._write(path, text)
+            assert path.read_bytes() == text.encode()
+
+    def test_an_error_report_replaces_a_longer_report(self, tmp_path, monkeypatch, capsys):
+        stale = tmp_path / "stale"
+        argv = ["run", str(CONFIG_DIR / "stone.json"), "--quiet", "--out"]
+        assert main([*argv, str(stale)]) == 0
+        report = stale / "report.json"
+        report.write_bytes(report.read_bytes() + b" " * 4096)
+        monkeypatch.setattr(cli_mod, "recover", _breaks)
+        _forbid_write_text(monkeypatch)
+        assert main([*argv, str(stale)]) == 3
+        assert main([*argv, str(tmp_path / "fresh")]) == 3
+        assert json.loads(report.read_text())["status"] == "error"
+        assert report.read_bytes() == (tmp_path / "fresh" / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+    def test_a_new_file_gets_the_mode_write_text_gives(self, mask, tmp_path):
+        old = os.umask(mask)
+        try:
+            cli_mod._write(tmp_path / "new.json", "{}\n")
+            (tmp_path / "reference.json").write_text("{}\n")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "reference.json").stat().st_mode
 
 
 def _assert_loads_no_scipy(body: str):

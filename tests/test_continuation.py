@@ -35,7 +35,16 @@ from cstarflow import (
     vector_smear,
     weak_continuation_check,
 )
-from cstarflow.continuation import MAX_NODES, STRIP_GRID, A, L, _trapezoid, admissible_nodes
+from cstarflow.continuation import (
+    MAX_NODES,
+    STRIP_GRID,
+    A,
+    L,
+    _require_finite,
+    _require_positive,
+    _trapezoid,
+    admissible_nodes,
+)
 from cstarflow.algebra import stack
 from cstarflow.sampling import random_element, random_flow, random_vector, rng
 from cstarflow.stone import SampledUnitaryGroup
@@ -547,7 +556,7 @@ def test_guards_refuse_non_finite_and_non_positive_values(call, value):
 
 
 # each smear input that is not finite, or a node count that is not an integer, and the refusal
-# naming it: unrefused, a NaN or float node count fails later in np.linspace, and a NaN center
+# naming it: unrefused, a NaN or float node count fails later in _trapezoid, and a NaN center
 # gives NaN entries
 SMEAR_REFUSALS = {
     "nan_nodes": (lambda: SmearingPlan(1.0, 0.0, math.nan), "node count must be an integer, got nan"),
@@ -571,6 +580,32 @@ SMEAR_REFUSALS = {
 def test_smear_inputs_are_finite_and_node_counts_integers(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _refusal(check, value) -> str | None:
+    try:
+        check(value, "w")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308, 2.0])
+def test_a_number_is_checked_as_its_array_is(value):
+    # a float or a complex goes through math, anything else through numpy: both refuse the same values
+    # with the same message
+    for check, numbers in ((_require_positive, (value, np.float64(value))),
+                           (_require_finite, (value, np.float64(value), complex(value, 1.0), complex(1.0, value)))):
+        for number in numbers:
+            assert _refusal(check, number) == _refusal(check, np.array(number))
+
+
+def test_trapezoid_nodes_are_linspace_bit_for_bit():
+    for n in [*range(2, 1025), *range(1025, MAX_NODES, 61), MAX_NODES]:
+        s, w = _trapezoid(n)
+        nodes = np.linspace(-L, L, n)
+        assert s.tobytes() == nodes.tobytes(), n
+        assert w.tobytes() == ((2.0 * L / (n - 1)) * np.exp(-nodes * nodes)).tobytes(), n
 
 
 def test_a_numpy_integer_node_count_is_a_node_count():
