@@ -55,16 +55,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, BlockShape, HermitianElement, power, stack
+from .algebra import AlgebraElement, BlockShape, HermitianElement, power
 from .continuation import (
     MAX_NODES,
     STRIP_SIZE,
-    SmearingPlan,
+    _smear_quadratures,
     admissible_nodes,
     continue_exact,
     core_rescale,
+    min_nodes,
     smear_oracle,
-    smear_quadrature,
     three_lines_check,
 )
 from .composition import CommutingPair, gamma_continuation_check, tensor_continuation_check, tensor_flow
@@ -528,9 +528,11 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
     r = sampling.rng(cfg.seed)
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
-    # the widths in _batches of at most MAX_GRID_SIZE entries, each batch one closed-form smear and one
-    # stacked norm per check (_smear_batch)
-    batches = [cfg.r_list[b.start:b.stop] for b in _batches(len(cfg.r_list), cfg.shape.dim)]
+    # the widths in _batches of at most MAX_GRID_SIZE entries (_smear_batch): a width's dense size, and its two phase
+    # tables of n_b x nodes per block at the largest count at max|z_im|, the narrowest or the widest width's
+    entries = cfg.shape.dim + 2 * sum(cfg.shape) * max(
+        admissible_nodes(cfg.nu_max(), r, cfg.im_max() * 1j) for r in (min(cfg.r_list), max(cfg.r_list)))
+    batches = [cfg.r_list[b.start:b.stop] for b in _batches(len(cfg.r_list), entries)]
     # the smear errors at z = 0, their ratios and the approximants do not depend on z
     errs = dict(zip(cfg.r_list, np.concatenate(
         [(smear_oracle(g, x, np.array(rs), 0.0) - x).norm() for rs in batches]).tolist()))
@@ -558,20 +560,19 @@ def _smear_batch(g: FlowGenerator, x: AlgebraElement, z: complex, rs: list[float
                  report: ExitReport) -> list[tuple]:
     """Observe quad_vs_oracle and norm_bound at ``z`` for the batch of widths ``rs``, and return its CSV rows.
 
-    Each width takes its own plan and quadrature call; the quadratures are stacked against one closed-form
-    smear of the batch, so each check takes one stacked norm.  The batch's stacks are freed on return,
-    before the core rescaling forms its own.
-    """
-    plans = [SmearingPlan.for_flow(g, rr, z) for rr in rs]
-    quads = stack([smear_quadrature(g, x, plan) for plan in plans])
-    err_quad = (quads - smear_oracle(g, x, np.array(rs), z)).norm()
+    The batch is one quadrature call, at each width's admissible node count, and one closed-form smear, so each
+    check takes one stacked norm.  Its stacks are freed on return, before the core rescaling forms its own."""
+    r = np.array(rs)
+    nodes = min_nodes(g, r, z)
+    quads = _smear_quadratures(g, x, r, z, nodes)
+    err_quad = (quads - smear_oracle(g, x, r, z)).norm()
     # math.exp width by width: numpy's exp rounds about 5 % of values to another last digit
     envelope = np.array([x.norm() * math.exp(rr * rr * z.imag * z.imag) for rr in rs])
     bound_rhs = envelope * (1.0 + 1e-8)
     report.observe("quad_vs_oracle", err_quad, envelope)
     report.observe("norm_bound", quads.norm(), bound_rhs)
-    return [(z.real, z.imag, rr, plan.nodes, err, errs[rr], rhs)
-            for rr, plan, err, rhs in zip(rs, plans, err_quad.tolist(), bound_rhs.tolist())]
+    return [(z.real, z.imag, rr, count, err, errs[rr], rhs)
+            for rr, count, err, rhs in zip(rs, nodes.tolist(), err_quad.tolist(), bound_rhs.tolist())]
 
 
 def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
@@ -591,10 +592,10 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
         costs.append((GROWTH, (r * im) * (r * im),
                       f"the smear envelope exp(r^2 (Im z)^2) at {where} has growth exponent"))
     # dense operations: 55 once and 5 per r; per z, 132 for core_rescale and 10 per r, and the node sums, a
-    # column of one each (n^2 + 128 n). The Python beyond these: 10**4 per r, in the batch of smear errors
-    # at z = 0 (measured 2 us at n = 2); 3 * 10**5 per (z, r), for a width's plan and quadrature call (a pair
-    # measured 103-114 us in all at n = 2 and is charged 124 us); and 5 * 10**5 per z, for core_rescale's
-    # (a z-point with one width measured 407-467 us in all at n = 2 and is charged 512 us)
+    # column of one each (n^2 + 128 n). The rest: 10**4 per r, in the batch of smear errors at z = 0 (2 us at
+    # n = 2); 3 * 10**5 per (z, r), a width's share of the quadrature batch (at n = 2, 193 us in all where no two
+    # widths share a node count, charged 209 us; 20 us where they do); and 5 * 10**5 per z, for core_rescale's
+    # Python (a z-point with one width took 445 us in all at n = 2, and is charged 512 us)
     points, widths = len(cfg.z_re) * len(cfg.z_im), len(cfg.r_list)
     ops = 55 + 5 * widths + points * (132 + 10 * widths)
     node = sum(n * n + 128 * n for n in cfg.shape)

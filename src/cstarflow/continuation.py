@@ -4,21 +4,18 @@ The continuation ``alpha_z`` of a generator-pair flow is entire at finite
 dimension, with domain the whole algebra, computed as
 ``exp(izH_l) x exp(-izH_r)``.
 
-The Gaussian smear of ``x`` at width parameter ``r > 0`` and complex
-center ``z`` is
+The Gaussian smear of ``x`` at width parameter ``r > 0`` and complex center ``z`` is
 
     x(r, z) = (r / sqrt(pi)) * integral exp(-r^2 (t - z)^2) alpha_t(x) dt
 
-evaluated two independent ways, each as an entrywise factor on ``x`` in
-the joint eigenbasis of the generators (``algebra.sandwich``), with
-``nu = lam_j - mu_k``: a trapezoidal node sum of phases
-``sum_j c_j exp(i t_j nu)`` over ``t_j = Re z + s_j / r`` (the complex
-shift is handled analytically by the weight factor
-``exp(2ir(Im z)s_j + r^2(Im z)^2)``, valid because the integrand is
-entire), and the closed-form Gaussian Fourier factor
-``exp(i nu z - nu^2 / (4 r^2))``.  The two share only the
-eigendecomposition, so the closed form doubles as the brute-force oracle
-for the quadrature.
+evaluated two independent ways, each as an entrywise factor on ``x`` in the joint eigenbasis of the
+generators (``algebra.sandwich``), with ``nu = lam_j - mu_k``: a trapezoidal node sum of phases
+``sum_j c_j exp(i t_j nu)`` over ``t_j = Re z + s_j / r`` (the complex shift is handled analytically by
+the weight factor ``exp(2ir(Im z)s_j + r^2(Im z)^2)``, valid because the integrand is entire), and the
+closed-form Gaussian Fourier factor ``exp(i nu z - nu^2 / (4 r^2))``.  The two share only the
+eigendecomposition, so the closed form doubles as the brute-force oracle for the quadrature.  Both take a
+batch of widths about one center in one call.  The quadrature groups the widths by node count, and a group's
+phase tables are (widths x nodes x n) per block; ``cli`` sizes its batches of widths to bound them.
 
 The smear obeys ``norm(x(r, z)) <= norm(x) exp(r^2 (Im z)^2)`` and
 ``alpha_y(x(r, z)) = x(r, z + y)``.
@@ -37,8 +34,8 @@ from .errors import NodesTooFewError, NotSeparatingError
 from .flows import FlowGenerator, conjugate, conjugate_norm
 
 L, A = 6.0, 12.0  # half-width and alias margin of the trapezoidal rule (see admissible_nodes)
-# Phase tables are nodes x n per block: at n = 64 the cap keeps each at
-# 16 MiB, far above the largest plan in the benchmarks (87).
+# A group of widths has phase tables of widths x nodes x n per block: at n = 64 the cap keeps one
+# width's at 16 MiB, and cli's batches of widths bound a group's (the benchmarks' largest plan has 87).
 MAX_NODES = 2**14
 # three_lines_check samples the strip on a STRIP_GRID x STRIP_GRID grid; with z itself
 # for the bound, it forms STRIP_SIZE elements per member.
@@ -72,24 +69,16 @@ class SmearingPlan:
 
 
 def _require_positive(value, what: str) -> None:
-    """``ValueError`` naming ``value`` unless it, or every entry of an array, is positive and finite.
-
-    Written so that NaN fails it: ``value <= 0`` is False for NaN.  A float is checked with ``math``, in
-    about a thirtieth of the time an array takes.
-    """
-    if isinstance(value, float):
-        ok = math.isfinite(value) and value > 0
-    else:
-        v = np.asarray(value, dtype=float)
-        ok = (np.isfinite(v) & (v > 0)).all()
-    if not ok:
+    """``ValueError`` naming ``value`` unless it, or every entry of an array, is positive and finite (NaN fails)."""
+    v = np.asarray(value, dtype=float)
+    if not (np.isfinite(v) & (v > 0)).all():
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def _require_finite(value, what: str) -> None:
     """``ValueError`` naming ``value`` unless it, or every entry of an array, is finite (both parts of a complex).
 
-    A float or a complex is checked with ``cmath``, as ``_require_positive`` checks a float.
+    A float or a complex, as ``cli.validate`` checks each width, is checked with ``cmath`` in a thirtieth of the time.
     """
     if isinstance(value, (float, complex)):
         ok = cmath.isfinite(value)
@@ -99,17 +88,14 @@ def _require_finite(value, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value}")
 
 
-def min_nodes(g: FlowGenerator, r: float, z: complex) -> int:
-    """Admissible trapezoidal node count for the flow ``g``, at ``nu_max = norm(H_l) + norm(H_r)``.
-
-    For a batch of flows, ``nu_max`` is the largest member's, so the nodes serve every member.
-    """
-    nu_max = g.generator_norm()
-    return admissible_nodes(nu_max if isinstance(nu_max, float) else float(np.max(nu_max)), r, z)
+def min_nodes(g: FlowGenerator, r, z: complex):
+    """Admissible trapezoidal node count for the flow ``g``, at ``nu_max = norm(H_l) + norm(H_r)``, one per width of
+    an array of r.  For a batch of flows, ``nu_max`` is the largest member's, so the nodes serve every member."""
+    return admissible_nodes(float(np.max(g.generator_norm())), r, z)
 
 
-def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
-    """Admissible trapezoidal node count for frequencies up to ``nu_max``.
+def admissible_nodes(nu_max: float, r, z: complex):
+    """Admissible trapezoidal node count for frequencies up to ``nu_max``; an array of r gives one count per width.
 
     ``2 ceil(L (2B + A) / (2 pi)) + 1`` with ``B = nu_max/(2r) + r |Im z|``.  An entry of
     the smear factor is ``e^{r^2 (Im z)^2} / sqrt(pi)`` times ``h sum_j e^{-s_j^2 + i w s_j}``
@@ -122,26 +108,19 @@ def admissible_nodes(nu_max: float, r: float, z: complex) -> int:
     beyond ``[-L, L]`` weigh at most ``sqrt(pi) erfc(L)``.  So each entry is off by at most
     ``2 e^{-A^2/4} (1 + 2 e^{-3A^2/4}) + erfc(L)``, 4.8e-16 of the envelope, before rounding,
     and a norm by ``sqrt(n) <= 23`` times that under the CLI's dense-size budget: about
-    1e-14, far below the ``quad_vs_oracle`` bound of 1e-8.
+    1e-14, far below the ``quad_vs_oracle`` bound of 1e-8.  One width's count is an exact integer, however large.
     """
     _require_finite(nu_max, "largest frequency nu_max")
     _require_finite(z, "smear center z")
     budget = nu_max / (2.0 * r) + r * abs(complex(z).imag)
-    return 2 * math.ceil(L * (2.0 * budget + A) / (2.0 * math.pi)) + 1
+    half = L * (2.0 * budget + A) / (2.0 * math.pi)
+    return 2 * (math.ceil(half) if isinstance(half, float) else np.ceil(half).astype(int)) + 1
 
 
 def _trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights ``h exp(-s^2)`` of the ``n``-point trapezoidal rule on ``[-L, L]``.
-
-    The nodes are ``np.linspace(-L, L, n)`` bit for bit, formed as linspace forms them (``j h - L``, the last
-    node set to ``L``) without its per-call overhead.
-    """
-    h = 2.0 * L / (n - 1)
-    s = np.arange(n, dtype=float)
-    s *= h
-    s += -L
-    s[-1] = L
-    return s, h * np.exp(-s * s)
+    """Nodes and weights ``h exp(-s^2)`` of the ``n``-point trapezoidal rule on ``[-L, L]``."""
+    s = np.linspace(-L, L, n)
+    return s, (2.0 * L / (n - 1)) * np.exp(-s * s)
 
 
 def continue_exact(g: FlowGenerator, z, x: AlgebraElement) -> AlgebraElement:
@@ -163,19 +142,35 @@ def smear_quadrature(g: FlowGenerator, x: AlgebraElement, plan: SmearingPlan) ->
     on the quadrature error is below the ``quad_vs_oracle`` bound of 1e-8 relative to
     ``norm(x) exp(r^2 (Im z)^2)``, as ``admissible_nodes`` derives.
     """
-    r, z = plan.r, complex(plan.z)
-    needed = min_nodes(g, r, z)
+    needed = min_nodes(g, plan.r, plan.z)
     if plan.nodes < needed:
         raise NodesTooFewError(f"plan has {plan.nodes} nodes, needs >= {needed}")
-    s, w = _trapezoid(plan.nodes)
-    growth = math.exp(r * r * z.imag * z.imag)
-    coeff = w * np.exp(2j * r * z.imag * s) * (growth / math.sqrt(math.pi))
-    t = z.real + s / r
+    return _smear_quadratures(g, x, plan.r, plan.z, plan.nodes)
 
-    def node_sum(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        return np.exp(1j * (lam[..., :, None] * t)) @ (coeff[:, None] * np.exp(-1j * (t[:, None] * mu[..., None, :])))
 
-    return sandwich(g.spectral_left, g.spectral_right, x, node_sum)
+def _smear_quadratures(g: FlowGenerator, x: AlgebraElement, r, z: complex, nodes) -> AlgebraElement:
+    """``smear_quadrature`` about one center ``z`` at each width of ``r`` (whose shape joins the batch, ahead of the
+    flow's and ``x``'s), on the count of ``nodes`` in its place, at least its ``min_nodes``.  Per block, ``x`` is
+    rotated into the eigenbasis once, the widths of one count share one stacked node sum, and the batch rotates
+    back as one stack.  No rule is padded, so each member takes the products of its own call."""
+    r, counts, z = np.asarray(r), np.ravel(nodes), complex(z)
+    batch = np.broadcast_shapes(g.spectral_left.eigenvalues[0].shape[:-1], x.blocks[0].shape[:-2])
+    rs = r.reshape(-1, *[1] * len(batch), 1)
+    # math.exp width by width: numpy's exp rounds some arguments to another last digit
+    scale = np.array([math.exp(rr * rr * z.imag * z.imag) for rr in r.ravel().tolist()]) / math.sqrt(math.pi)
+    groups = [(np.flatnonzero(counts == count), *_trapezoid(count)) for count in set(counts.tolist())]
+    rules = [(m, z.real + s / rs[m], w * np.exp(2j * rs[m] * z.imag * s) * scale.reshape(rs.shape)[m])
+             for m, s, w in groups]
+
+    def node_sums(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        sums = np.empty((counts.size, *batch, lam.shape[-1], mu.shape[-1]), dtype=complex)
+        for members, t, coeff in rules:
+            sums[members] = np.exp(1j * (lam[..., :, None] * t[..., None, :])) @ (
+                coeff[..., :, None] * np.exp(-1j * (t[..., :, None] * mu[..., None, :])))
+        return sums.reshape(*r.shape, *sums.shape[1:])
+
+    # x gains r's axis: numpy rounds a one-entry block's product with its factor apart when their ndims differ
+    return sandwich(g.spectral_left, g.spectral_right, x if r.ndim == 0 else x[None], node_sums)
 
 
 def smear_oracle(g: FlowGenerator, x: AlgebraElement, r, z) -> AlgebraElement:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarflow.algebra import AlgebraElement, BlockShape, HermitianElement, identity
+from cstarflow.algebra import AlgebraElement, BlockShape, HermitianElement, identity, stack
 from cstarflow.cli import (
     COMMON,
     COND,
@@ -1144,11 +1144,13 @@ def _scaled_rescale(rescaled: tuple, c: float) -> tuple:
 
 
 def _drifted_smears(monkeypatch):
-    """Both smears centered at z + 0.01/r: a kernel with a first moment, whose error falls like 1/r, not 1/r^2."""
-    oracle, quadrature = cli_mod.smear_oracle, cli_mod.smear_quadrature
+    """Both smears centered at z + 0.01/r: a kernel with a first moment, whose error falls like 1/r, not 1/r^2.
+
+    The quadratures take one width per call, each about its own drifted center."""
+    oracle, quadratures = cli_mod.smear_oracle, cli_mod._smear_quadratures
     monkeypatch.setattr(cli_mod, "smear_oracle", lambda g, x, r, z: oracle(g, x, r, z + 0.01 / np.asarray(r)))
-    monkeypatch.setattr(cli_mod, "smear_quadrature", lambda g, x, plan: quadrature(
-        g, x, dataclasses.replace(plan, z=plan.z + 0.01 / plan.r)))
+    monkeypatch.setattr(cli_mod, "_smear_quadratures", lambda g, x, r, z, nodes: stack(
+        [quadratures(g, x, r[i:i + 1], z + 0.01 / r[i], nodes[i:i + 1])[0] for i in range(r.size)]))
 
 
 def _grown_recovery(monkeypatch):
@@ -1186,11 +1188,11 @@ WITNESS_FAULTS = {
                                                    lambda loc, a_om, a: exact(loc, a_om, a + 1e-5 * identity_operator(
                                                        a.shape, a.k))), {"localized_middle"}),
     # a quadrature shrunk by 1e-5 still meets the norm bound, and misses the closed form
-    ("converge", "quad_vs_oracle"): (_wrapped(cli_mod, "smear_quadrature", lambda exact: lambda g, x, plan:
-                                              (1.0 - 1e-5) * exact(g, x, plan)), {"quad_vs_oracle"}),
+    ("converge", "quad_vs_oracle"): (_wrapped(cli_mod, "_smear_quadratures", lambda exact: lambda g, x, *rule:
+                                              (1.0 - 1e-5) * exact(g, x, *rule)), {"quad_vs_oracle"}),
     # a quadrature grown by 1e3 breaks the norm bound, and misses the closed form as well
-    ("converge", "norm_bound"): (_wrapped(cli_mod, "smear_quadrature", lambda exact: lambda g, x, plan:
-                                          1e3 * exact(g, x, plan)), {"norm_bound", "quad_vs_oracle"}),
+    ("converge", "norm_bound"): (_wrapped(cli_mod, "_smear_quadratures", lambda exact: lambda g, x, *rule:
+                                          1e3 * exact(g, x, *rule)), {"norm_bound", "quad_vs_oracle"}),
     ("converge", "convergence_ratio"): (_drifted_smears, {"convergence_ratio"}),
     ("converge", "core_rescale_cap_x"): (LONG_RESCALE, {"core_rescale_cap_x", "core_rescale_cap_continuation"}),
     ("converge", "core_rescale_cap_continuation"): (
@@ -1345,8 +1347,9 @@ def test_converge_batches_write_the_values_of_one_width_at_a_time(tmp_path):
 def test_converge_width_batches_write_the_bytes_of_one_batch(tmp_path, monkeypatch):
     config, _ = validate(WIDE_CONVERGE)
     run(config, tmp_path / "whole", quiet=True)
-    # two widths per batch: the five go in batches of 2, 2 and 1
-    monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", 2 * config.shape.dim)
+    # two widths per batch: the five go in batches of 2, 2 and 1. A width holds its dense size 13 and two phase
+    # tables of n_b x 41 nodes per block (r = 0.35 at max|z_im| = 0.16 has the largest count)
+    monkeypatch.setattr(cli_mod, "MAX_GRID_SIZE", 2 * (13 + 2 * 5 * 41))
     widths, members = [], []
     oracle, norm = cli_mod.smear_oracle, algebra_mod.largest_singular_value
     monkeypatch.setattr(cli_mod, "smear_oracle", lambda g, x, r, z: widths.append(np.size(r)) or oracle(g, x, r, z))

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstarflow import (
@@ -42,6 +42,7 @@ from cstarflow.continuation import (
     L,
     _require_finite,
     _require_positive,
+    _smear_quadratures,
     _trapezoid,
     admissible_nodes,
 )
@@ -535,6 +536,48 @@ def test_smear_norm_bound_hypothesis(smear):
     assert smear_oracle(g, x, rr, z).norm() <= bound
 
 
+# A batch of widths about one center: distinct widths, then each width of the batch one of them (so some
+# repeat), the flows' norm (nu = 2 norm), the center with Im z below, at or above 0, and which widths
+# take the batch's largest count in place of their own, so that widths of unequal minimal counts share one.
+WIDTH_BATCHES = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2)]),
+    st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    st.floats(0.1, 3.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.floats(0.05, 1.0),
+    st.lists(st.booleans(), min_size=8, max_size=8),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(WIDTH_BATCHES, st.sampled_from([1, 2]))
+# one width on a one-entry block, whose product with its factor numpy rounds apart from the others'
+@example((0, (1, 2), [0.5], [0], 1.0, 0.3, 1.0, 0.5, [False] * 8), 1)
+def test_smears_of_a_batch_of_widths_are_each_widths_own_hypothesis(batch, flows):
+    seed, dims, distinct, picks, norm, re, sign, im, lifted = batch
+    r = rng(seed)
+    shape = BlockShape(dims)
+    members = [random_flow(r, shape, norm) for _ in range(flows)]
+    g = members[0] if flows == 1 else FlowGenerator(HermitianElement(stack([f.h_left.value for f in members])),
+                                                    HermitianElement(stack([f.h_right.value for f in members])))
+    x = random_element(r, shape)
+    z = complex(re, sign * im)
+    widths = np.array([distinct[i % len(distinct)] for i in picks])
+    needed = min_nodes(g, widths, z)
+    nodes = np.where(lifted[:widths.size], needed.max(), needed)
+    smears = _smear_quadratures(g, x, widths, z, nodes)
+    # the widths' axis leads, ahead of the flows'
+    assert smears.blocks[0].shape[:-2] == ((widths.size,) if flows == 1 else (widths.size, flows))
+    for i, (rr, count) in enumerate(zip(widths.tolist(), nodes.tolist())):
+        own = smear_quadrature(g, x, SmearingPlan(rr, z, count))
+        assert all(np.array_equal(p, q) for p, q in zip(smears[i].blocks, own.blocks))
+    with pytest.raises(NodesTooFewError, match=f"plan has {needed[-1] - 1} nodes, needs >= {needed[-1]}"):
+        smear_quadrature(g, x, SmearingPlan(widths[-1], z, int(needed[-1]) - 1))
+
+
 # each guard of a width, smearing index or start time, called with the value under test
 GUARDS = {
     "SmearingPlan": lambda v: SmearingPlan(v, 0.0, 9),
@@ -592,8 +635,8 @@ def _refusal(check, value) -> str | None:
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308, 2.0])
 def test_a_number_is_checked_as_its_array_is(value):
-    # a float or a complex goes through math, anything else through numpy: both refuse the same values
-    # with the same message
+    # _require_finite takes a float or a complex through cmath, anything else through numpy: both refuse the
+    # same values with the same message, as _require_positive does
     for check, numbers in ((_require_positive, (value, np.float64(value))),
                            (_require_finite, (value, np.float64(value), complex(value, 1.0), complex(1.0, value)))):
         for number in numbers:

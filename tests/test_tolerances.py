@@ -19,8 +19,10 @@ from cstarflow import (
     ModuleOperator,
     NotCommutingError,
     SampledUnitaryGroup,
+    SmearingPlan,
     recover,
 )
+from cstarflow.cli import validate
 from cstarflow.stone import hermitian_matrix_power
 
 
@@ -100,3 +102,17 @@ def test_max_halvings_is_8(needed):
     else:
         with pytest.raises(BranchAmbiguityError, match="halving did not stabilize after 8 steps"):
             recover(u, 1.0)
+
+
+def test_max_nodes_is_16384():
+    assert SmearingPlan(1.0, 0.5j, 16384).nodes == 16384
+    with pytest.raises(ValueError, match="16384"):
+        SmearingPlan(1.0, 0.5j, 16385)
+
+
+@pytest.mark.parametrize("r, nodes", [(0.000467, 16383), (0.00046696, 16385)])
+def test_max_nodes_caps_a_converge_rule_at_16384(r, nodes):
+    # nu_max = 4 at z = 0: the rule's budget 2 / r is 4282.7 for 16383 nodes and 4283.0 for 16385
+    _, problems = validate({"experiment": "converge", "seed": 1, "shape": [2], "grid": {"r": [r], "z_im": [0.0]}})
+    refused = [f"grid.r = {r!r} with max|z_im| = 0.0 needs {nodes} quadrature nodes, above the cap of 16384"]
+    assert problems == ([] if nodes < 16384 else refused)
