@@ -34,7 +34,8 @@ the batch's norms.  And a unitary factor leaves the norm unchanged, so a
 caller that needs only the norm of a ``sandwich`` takes it of
 ``F o (U* x V)`` without rotating back (``flows.conjugate_norm``).  A
 large stack (members * n^3 at least ``_SPLIT_WORK`` = 2^18, and chunks
-large enough that numpy releases the GIL around them) splits its members
+large enough that numpy releases the GIL around them; under a BLAS of more
+than one thread, members of at most 64 x 64) splits its members
 into contiguous chunks, one per usable CPU, the first on the calling
 thread and the others on a thread pool; the values are concatenated in
 member order.  Each member is still its own gesdd call on the same
@@ -56,7 +57,9 @@ only repeats the same pure work.  The one shared state is the pool of a
 split norm: made, under a lock, by the first stack that splits (which
 imports ``concurrent.futures`` only then), and forgotten in a forked
 child, whose next split makes its own.  Its threads run numpy's SVD
-alone and never call back into the package.
+alone and never call back into the package.  The BLAS thread count that
+decides a split of large members is read once and kept; two threads
+that race to read it first read the same count.
 """
 
 from __future__ import annotations
@@ -300,6 +303,12 @@ def _kept(values) -> float | np.ndarray:
 # little a call to pay for the pool.
 _SPLIT_WORK = 2**18
 _GIL_FREE_SIZE = 501
+# Under a multithreaded BLAS, the pool's threads and BLAS's own compete for the cores, and a split pays only on
+# small members.  With 2 OpenBLAS threads on the same host, unsplit -> split took 8.7 -> 4.5 ms at 16 x 64 x 64,
+# 39.6 -> 40.6 ms at 16 x 96 x 96, 70.7 -> 73.6 ms at 16 x 128 x 128 and 121.6 -> 133.7 ms at 8 x 256 x 256.  So
+# above one BLAS thread only members with min(n, m) <= _MULTI_BLAS_SIZE split; at one thread, or where the count
+# cannot be read, the rule above alone decides.
+_MULTI_BLAS_SIZE = 64
 _pool = None  # the ThreadPoolExecutor of split stacks, made by the first one
 _pool_lock = threading.Lock()
 
@@ -316,6 +325,25 @@ if hasattr(os, "register_at_fork"):
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS (``scipy_openblas_get_num_threads64_`` in
+    ``numpy.libs/libscipy_openblas64_*.so``, through ``ctypes``), read once, by the first stack that would
+    split and whose split depends on it; None where numpy bundles no such library or it exports no such function."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
 
 
 def _split_pool(workers: int):
@@ -352,10 +380,13 @@ def _split_top_singular_values(b: np.ndarray, parts: int) -> np.ndarray:
 
 def _parts(b: np.ndarray) -> int:
     """How many chunks the members of a stack split into: one per usable CPU when the stack reaches
-    ``_SPLIT_WORK``, but no chunk under ``_GIL_FREE_SIZE``; 1 (no split) otherwise."""
+    ``_SPLIT_WORK``, but no chunk under ``_GIL_FREE_SIZE``, and under a BLAS of more than one thread only
+    members of at most ``_MULTI_BLAS_SIZE``; 1 (no split) otherwise."""
     n, m = b.shape[-2:]
     members = math.prod(b.shape[:-2])
     if members < 2 or members * n * m * min(n, m) < _SPLIT_WORK:
+        return 1
+    if min(n, m) > _MULTI_BLAS_SIZE and (_blas_threads() or 1) > 1:
         return 1
     return max(1, min(_usable_cpus(), members * min(n, m) // _GIL_FREE_SIZE))
 

@@ -414,10 +414,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, "\n".join([",".join(columns), *[",".join(map(_fmt, row)) for row in rows], ""]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -592,13 +589,15 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
         costs.append((GROWTH, (r * im) * (r * im),
                       f"the smear envelope exp(r^2 (Im z)^2) at {where} has growth exponent"))
     # dense operations: 55 once and 5 per r; per z, 132 for core_rescale and 10 per r, and the node sums, a
-    # column of one each (n^2 + 128 n). The rest: 10**4 per r, in the batch of smear errors at z = 0 (2 us at
-    # n = 2); 3 * 10**5 per (z, r), a width's share of the quadrature batch (at n = 2, 193 us in all where no two
-    # widths share a node count, charged 209 us; 20 us where they do); and 5 * 10**5 per z, for core_rescale's
-    # Python (a z-point with one width took 445 us in all at n = 2, and is charged 512 us)
+    # column of one each and a call's share (n^2 + 192 n + 256: one width's quadrature on 4001 nodes took up to
+    # 192, 532 and 4833 ns a node at n = 2, 8 and 64, best of 7 x 200 on one BLAS thread, and is charged 225, 650
+    # and 5824 ns). The rest: 10**4 per r, in the batch of smear errors at z = 0 (2 us at n = 2); 3 * 10**5 per
+    # (z, r), a width's share of the quadrature batch (at n = 2, 193 us in all where no two widths share a node
+    # count, charged 321 us; 20 us where they do); and 5 * 10**5 per z, for core_rescale's Python (a z-point with
+    # one width took 445 us in all at n = 2, and is charged 512 us)
     points, widths = len(cfg.z_re) * len(cfg.z_im), len(cfg.r_list)
     ops = 55 + 5 * widths + points * (132 + 10 * widths)
-    node = sum(n * n + 128 * n for n in cfg.shape)
+    node = sum(n * n + 192 * n + 256 for n in cfg.shape)
     python = widths * 10**4 + points * (widths * 3 * 10**5 + 5 * 10**5)
     cost = ops * _weight(cfg.shape) + points * nodes * node + python
     costs.append((TIME, cost, f"{_amount(points)} z-grid points at {_amount(widths)} widths r with {_amount(nodes)}"

@@ -60,10 +60,13 @@ class ImplementedFlow:
     """Carrier subalgebra plus the strictly positive implementing pair.
 
     The carrier is a ``BlockCarrier`` or a ``SubalgebraBasis``; only its
-    ``residual`` and ``leaks`` are read.  Construction verifies that
-    conjugation preserves the carrier at the probe times, on the whole
-    basis in one ``leaks`` call (``InvarianceViolationError`` naming the
-    first probe time that fails).
+    ``dim``, ``residual`` and ``leaks`` are read.  Construction verifies that
+    conjugation preserves a proper carrier (``dim`` below that of
+    ``M_k(A)``) at the probe times, on the whole basis in one ``leaks``
+    call (``InvarianceViolationError`` naming the first probe time that
+    fails).  A carrier of full dimension is all of ``M_k(A)``, which every
+    conjugation preserves, so it is not probed.  ``ShapeMismatchError``
+    unless the carrier has the shape and module rank of ``s``.
     """
 
     s: ModuleOperator
@@ -72,6 +75,9 @@ class ImplementedFlow:
 
     def __post_init__(self):
         _require_implementing_pair(self.s, self.t)
+        _same_module(self.carrier, self.s)
+        if self.carrier.dim == self.s.flat.shape.dim:
+            return
         times = np.array(PROBE_TIMES)
         leaks = self.carrier.leaks(power(self.s.flat, 1j * times), power(self.t.flat, -1j * times))
         # the bound is INVARIANCE_TOL * max(1, norm(b)) for each basis element b,

@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -232,7 +234,8 @@ class TestSplitNorms:
 
     @pytest.fixture
     def cpus(self, monkeypatch):
-        """Set the usable CPU count the split sees, whatever the host has."""
+        """Set the usable CPU count the split sees, with one BLAS thread, whatever the host has."""
+        monkeypatch.setattr(algebra, "_blas_threads", lambda: 1)
         return lambda count: monkeypatch.setattr(algebra, "_usable_cpus", lambda: count)
 
     @pytest.mark.parametrize(
@@ -251,6 +254,27 @@ class TestSplitNorms:
         b = _complex_stack(1, shape)
         assert algebra._parts(b) == parts
         assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+
+    @pytest.mark.parametrize("threads", [1, 2, None])
+    @pytest.mark.parametrize("shape", [(16, 64, 64), (16, 64, 96), (16, 65, 65), (16, 96, 96)])
+    def test_a_multithreaded_blas_splits_only_members_up_to_64(self, cpus, monkeypatch, threads, shape):
+        cpus(2)
+        monkeypatch.setattr(algebra, "_blas_threads", lambda: threads)
+        split, unsplit = [], algebra._split_top_singular_values
+        monkeypatch.setattr(algebra, "_split_top_singular_values", lambda b, parts: split.append(b.shape) or unsplit(b, parts))
+        b = _complex_stack(8, shape)
+        assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+        assert split == ([] if threads == 2 and min(shape[1:]) > 64 else [shape])
+
+    def test_the_blas_thread_count_is_read_at_a_split_not_at_import(self):
+        # numpy's bundled OpenBLAS reads 1 under OPENBLAS_NUM_THREADS=1; a numpy without it reads None
+        code = ("import cstarflow.algebra as a; print(a._blas_threads.cache_info().currsize, a._blas_threads(),"
+                " a._blas_threads.cache_info().misses)")
+        src = os.path.dirname(os.path.dirname(algebra.__file__))
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.split() in (["0", "1", "1"], ["0", "None", "1"])
 
     @pytest.mark.parametrize("view", [lambda b: b.swapaxes(-1, -2), lambda b: b[::2], lambda b: b.conj()[1::2, ::-1]])
     def test_bitwise_on_a_non_contiguous_view(self, cpus, view):

@@ -1,5 +1,7 @@
 """Hilbert modules: inner products, adjointable operators, subalgebras."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -765,6 +767,58 @@ def test_block_carrier_matches_closure_hypothesis(seed, dims, k):
     # a partition of each k n_b: cut after each position with probability 1/2
     parts = [np.diff([0, *np.flatnonzero(r.random(k * n - 1) < 0.5) + 1, k * n]) for n in dims]
     assert_matches_closure(rotated_carrier(seed, BlockShape(dims), k, parts), seed)
+
+
+def residual_through_every_block(carrier: BlockCarrier, s: ModuleOperator) -> float:
+    """``BlockCarrier.residual`` with every block rotated, a block of one part too."""
+    sq = sum(float(np.sum(np.abs((algebra._adjoint(u) @ f @ u)[~same]) ** 2))
+             for u, same, f in zip(carrier.unitaries, carrier._same_part, s.flat.blocks))
+    return float(np.sqrt(sq))
+
+
+def leaks_through_every_block(carrier: BlockCarrier, left: AlgebraElement, right: AlgebraElement | None = None):
+    """``BlockCarrier.leaks`` with ``U* L U`` and ``U* R U`` formed on every block, a block of one part too."""
+    out = []
+    for b, (u, same, p) in enumerate(zip(carrier.unitaries, carrier._same_part, carrier.parts)):
+        starts = np.cumsum((0, *p[:-1]))
+        u_star = algebra._adjoint(u)
+        l_sq = np.abs(u_star @ left.blocks[b] @ u) ** 2
+        r_sq = np.eye(len(u)) if right is None else np.abs(u_star @ right.blocks[b] @ u) ** 2
+        col_mass = np.add.reduceat(l_sq, starts, axis=-2)
+        row_mass = np.add.reduceat(r_sq, starts, axis=-1).swapaxes(-1, -2)
+        squared = col_mass.swapaxes(-1, -2) @ ((1.0 - np.eye(len(p))) @ row_mass)
+        out.append(squared[..., same])
+    return np.sqrt(np.concatenate(out, axis=-1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=3),
+       st.integers(1, 2), st.sampled_from(["none", "batch", "single"]))
+def test_one_part_blocks_in_closed_form_hypothesis(seed, blocks, k, right_kind):
+    # a block of one part, or a cut after each position with probability 1/2 (at least one where k n_b > 1)
+    r = rng(seed)
+    shape = BlockShape([n for n, _ in blocks])
+    parts = []
+    for n, whole in blocks:
+        cuts = np.flatnonzero(r.random(k * n - 1) < 0.5) + 1
+        if not whole and k * n > 1 and not cuts.size:
+            cuts = np.array([k * n // 2])
+        parts.append((k * n,) if whole else tuple(np.diff([0, *cuts, k * n])))
+    carrier = BlockCarrier(shape, k, [random_unitary(r, k * n) for n in shape], parts)
+    flat = BlockShape([k * n for n in shape])
+
+    def unitaries(*batch: int) -> AlgebraElement:
+        return AlgebraElement(flat, [np.array([random_unitary(r, m) for _ in range(math.prod(batch))]).reshape(*batch, m, m)
+                                     for m in flat])
+
+    left = unitaries(2)
+    right = {"none": None, "batch": unitaries(2), "single": unitaries()}[right_kind]
+    got = carrier.leaks(left, right)
+    assert np.array_equal(got, leaks_through_every_block(carrier, left, right))
+    one_part = np.concatenate([np.full(int(same.sum()), len(p) == 1) for p, same in zip(carrier.parts, carrier._same_part)])
+    assert got.shape == (2, carrier.dim) and not got[:, one_part].any()
+    for x in (random_operator(r, shape, k), carrier_element(carrier, seed)):
+        assert carrier.residual(x) == residual_through_every_block(carrier, x)
 
 
 class TestBlockCarrierConstructor:

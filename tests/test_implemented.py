@@ -18,6 +18,7 @@ from cstarflow import (
     InvarianceViolationError,
     ModuleOperator,
     NotInAlgebraError,
+    ShapeMismatchError,
     SubalgebraBasis,
     continue_exact,
     identity_operator,
@@ -167,6 +168,64 @@ class TestProbeAgainstSequential:
         mix = operator_from_entries([[AlgebraElement.from_blocks([np.array([[2.0, 0.6], [0.6, 1.0]])])]])
         one = identity_operator(shape, 1)
         assert probe_verdict(mix, one, diagonal_basis(shape, 1)) == implemented_mod.PROBE_TIMES[0]
+
+
+class TestProbeOnlyProperCarriers:
+    """Construction raises S and T to the probe times only for a carrier below the dimension of M_k(A)."""
+
+    @staticmethod
+    def counted_powers(monkeypatch) -> list:
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return power(*args)
+
+        monkeypatch.setattr(implemented_mod, "power", counted)
+        return calls
+
+    @pytest.mark.parametrize("carrier", [BlockCarrier.full, full_basis])
+    def test_a_carrier_of_full_dimension_raises_no_power(self, monkeypatch, carrier):
+        shape, r = BlockShape([2, 1]), rng(80)
+        s, t = (random_positive_operator(r, shape, 2, cond=50.0) for _ in range(2))
+        c = carrier(shape, 2)
+        assert c.dim == s.flat.shape.dim
+        calls = self.counted_powers(monkeypatch)
+        f = ImplementedFlow(s, t, c)
+        assert calls == []
+        x = random_operator(r, shape, 2)
+        assert implemented_evaluate(f, 0.5, x).norm() > 0.0
+
+    @pytest.mark.parametrize("carrier", [
+        lambda: BlockCarrier.full(BlockShape([3]), 1),
+        lambda: BlockCarrier.full(BlockShape([1]), 2),  # the flat shape of S, at another module rank
+        lambda: BlockCarrier(BlockShape([1]), 1, [np.eye(1)], [(1,)]),
+        lambda: full_basis(BlockShape([1]), 2),
+    ])
+    def test_a_carrier_of_another_shape_or_rank_is_refused(self, carrier):
+        r = rng(82)
+        s, t = (random_positive_operator(r, BlockShape([2]), 1, cond=10.0) for _ in range(2))
+        c = carrier()
+        with pytest.raises(ShapeMismatchError):
+            ImplementedFlow(s, t, c)
+        if isinstance(c, BlockCarrier):
+            with pytest.raises(ShapeMismatchError):
+                c.residual(s)
+        if c.k == 1:  # otherwise the carrier's flat blocks are those of S
+            with pytest.raises(ShapeMismatchError):
+                c.leaks(s.flat)
+
+    def test_a_proper_carrier_raises_both_sides_to_the_probe_times(self, monkeypatch):
+        u = random_unitary(rng(81), 2)
+        carrier = BlockCarrier(BlockShape([2]), 1, [u], [(1, 1)])
+        s, t = (ModuleOperator(AlgebraElement.from_blocks([u @ np.diag(d) @ u.conj().T]), 1)
+                for d in ((2.0, 1.0), (3.0, 0.5)))
+        calls = self.counted_powers(monkeypatch)
+        ImplementedFlow(s, t, carrier)
+        times = np.array(implemented_mod.PROBE_TIMES)
+        (left, left_times), (right, right_times) = calls
+        assert left is s.flat and right is t.flat
+        assert np.array_equal(left_times, 1j * times) and np.array_equal(right_times, -1j * times)
 
 
 class TestToleranceWitnesses:
