@@ -413,21 +413,15 @@ class BlockCarrier:
         ``U E_ac U*`` is the sum of ``|L'_ia|^2 |R'_cl|^2`` over i and l in different
         sub-blocks, summed as ``sum_j P_ja sum_(j' != j) Q_j'c`` with
         ``P_ja = sum_(i in j) |L'_ia|^2`` and ``Q_j'c = sum_(l in j') |R'_cl|^2``:
-        only off-block terms, so never negative.  A block of one part has no off-block term: its
-        members leak exactly 0, and ``L'`` and ``R'`` are not formed for it.  ``ShapeMismatchError``
-        unless ``left`` and ``right`` are over the carrier's flat shape.
+        only off-block terms, so never negative.  A block of one part has no off-block term, so
+        ``1 - I`` is ``[[0]]`` there and its members leak exactly 0.  ``ShapeMismatchError`` unless
+        ``left`` and ``right`` are over the carrier's flat shape.
         """
         flat = _flat_shape(self.shape, self.k)
         if left.shape != flat or right is not None and right.shape != flat:
             raise ShapeMismatchError(f"leaks of a carrier over flat blocks {flat.block_dims} take elements over them")
-        batch = left.blocks[0].shape[:-2]
-        if right is not None:
-            batch = np.broadcast_shapes(batch, right.blocks[0].shape[:-2])
         out = []
         for b, (u, same, p) in enumerate(zip(self.unitaries, self._same_part, self.parts)):
-            if len(p) == 1:
-                out.append(np.zeros((*batch, len(u) ** 2)))
-                continue
             starts = np.cumsum((0, *p[:-1]))
             u_star = _adjoint(u)
             l_sq = np.abs(u_star @ left.blocks[b] @ u) ** 2
