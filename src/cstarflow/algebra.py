@@ -23,24 +23,33 @@ numpy's fixed cost per call once.
 ``PositiveFunctional`` is a positive functional on the algebra, given by
 a density element ``rho``: ``a -> sum_b tr(rho_b a_b)``.
 
-Every norm is an exact largest singular value from LAPACK's gesdd with
-singular values only, called through ``np.linalg.svd`` by
-``largest_singular_value``, so the module needs numpy alone.  ``norm`` is a
-float for a single element and an array of shape ``B`` for a batch.  Two
-exact identities spare SVDs without making any norm an estimate.  A
-scaled element ``c x`` carries ``|c| norm(x)`` when ``x``'s norm is
-already known (and finite), and a member or sub-batch ``x[i]`` carries
-the batch's norms.  And a unitary factor leaves the norm unchanged, so a
-caller that needs only the norm of a ``sandwich`` takes it of
-``F o (U* x V)`` without rotating back (``flows.conjugate_norm``).  A
-large stack (members * n^3 at least ``_SPLIT_WORK`` = 2^18, and chunks
-large enough that numpy releases the GIL around them; under a BLAS of more
-than one thread, members of at most 64 x 64) splits its members
-into contiguous chunks, one per usable CPU, the first on the calling
-thread and the others on a thread pool; the values are concatenated in
-member order.  Each member is still its own gesdd call on the same
-matrix, so every norm is bit-for-bit the value of an unsplit call, on any
-number of cores.
+Every norm is a largest singular value, taken by
+``largest_singular_value`` as the square root of the largest eigenvalue
+of each matrix's Gram (``B* B``, or ``B B*`` when that side is smaller):
+one stacked ``matmul`` and one ``np.linalg.eigvalsh`` (LAPACK heevd) per
+stack, so the module needs numpy alone.  Forming the Gram moves its
+largest eigenvalue by at most O(n eps) times the norm squared (Weyl's
+inequality), so the largest singular value keeps the relative accuracy
+of an SVD's; only the small singular values lose theirs, and no norm
+reads them (Demmel, *Applied Numerical Linear Algebra*, SIAM 1997,
+ch. 5).  A member whose squares would under- or overflow is scaled by a
+power of two first and scaled back after, which is exact.  Only the
+independent oracle ``stone.hermitian_matrix_power`` takes an SVD.
+``norm`` is a float for a single element and an array of shape ``B``
+for a batch.  Two exact identities spare norms without making any norm
+an estimate.  A scaled element ``c x`` carries ``|c| norm(x)`` when
+``x``'s norm is already known (and finite), and a member or sub-batch
+``x[i]`` carries the batch's norms.  And a unitary factor leaves the
+norm unchanged, so a caller that needs only the norm of a ``sandwich``
+takes it of ``F o (U* x V)`` without rotating back
+(``flows.conjugate_norm``).  A large stack (members * n^3 at least
+``_SPLIT_WORK`` = 2^20, and chunks large enough that numpy releases the
+GIL around them; under a BLAS of more than one thread, members of at
+most 64 x 64) splits its members into contiguous chunks, one per usable
+CPU, the first on the calling thread and the others on a thread pool;
+the values are concatenated in member order.  Each member is still its
+own Gram product and eigenvalue call on the same matrix, so every norm
+is bit-for-bit the value of an unsplit call, on any number of cores.
 
 Tolerances follow double-precision headroom at desk scale (block
 dimensions up to 64): ``HERM_TOL`` and ``POS_TOL_FACTOR`` are relative
@@ -56,10 +65,11 @@ them: the stored values cannot go stale, and a race between two threads
 only repeats the same pure work.  The one shared state is the pool of a
 split norm: made, under a lock, by the first stack that splits (which
 imports ``concurrent.futures`` only then), and forgotten in a forked
-child, whose next split makes its own.  Its threads run numpy's SVD
-alone and never call back into the package.  The BLAS thread count that
-decides a split of large members is read once and kept; two threads
-that race to read it first read the same count.
+child, whose next split makes its own.  Its threads run numpy's
+``matmul`` and ``eigvalsh`` alone and never call back into the
+package.  The BLAS thread count that decides a split of large members
+is read once and kept; two threads that race to read it first read the
+same count.
 """
 
 from __future__ import annotations
@@ -188,9 +198,9 @@ class AlgebraElement:
 
         A float for a single element and an array of shape ``B`` for a
         batch, both from ``largest_singular_value``.  The value is kept on
-        the element, so the SVDs run on the first call only.  Raises
+        the element, so LAPACK runs on the first call only.  Raises
         ``EigFailureError`` for an entry that is NaN or infinite, and when
-        the SVD fails (no convergence) or returns a NaN singular value.
+        the eigenvalue call fails (no convergence) or returns NaN.
         """
         if self._norm is None:
             object.__setattr__(self, "_norm", _over_blocks(largest_singular_value(b) for b in self.blocks))
@@ -226,7 +236,7 @@ class AlgebraElement:
         """Scale by a number, or each member by its entry of an array of shape ``B``.
 
         When this element's norm is already known, the result carries
-        ``|c| norm(x)`` (per member), so its ``norm`` takes no SVD.  A
+        ``|c| norm(x)`` (per member), so its ``norm`` reaches no LAPACK.  A
         value that is not finite (an overflow, or a NaN ``c``) is not kept,
         and the result's ``norm`` goes through ``largest_singular_value``.
         """
@@ -288,27 +298,35 @@ def _kept(values) -> float | np.ndarray:
 
 # A stack of members n x m splits its members over the usable CPUs when members * n * m * min(n, m)
 # reaches _SPLIT_WORK and each chunk keeps members * min(n, m) of at least _GIL_FREE_SIZE.
-# Measured on a shared 2-core x86-64 host, numpy 2.4.6, one OpenBLAS thread:
-# - numpy releases the GIL around a stacked SVD only when members * min(n, m) exceeds 500
-#   (7 x 71 x 71 holds it, 7 x 72 x 72 does not); a chunk that holds it runs after the others,
-#   not beside them, and 2 x 64 x 64 split in two took 1.5-1.8 times its serial time;
-# - a chunk's handoff to the pool and back costs 30-50 us, and two chunks that both release the
-#   GIL take 0.55-0.72 of the serial time, from 0.2 ms saved at 501 x 2 x 2 to 3 ms at 16 x 64 x 64;
+# Measured for the Gram kernel on a shared 2-core x86-64 host, numpy 2.4.6, one OpenBLAS thread, as
+# the median of 40 alternating serial and split calls, split / serial:
+# - matmul releases the GIL at every size, but eigvalsh, like gesdd, only when members * min(n, m)
+#   exceeds 500 (7 x 71 x 71 and 250 x 2 x 2 hold it, 7 x 72 x 72 and 251 x 2 x 2 do not); a chunk
+#   that holds it runs after the others, not beside them, and 7 x 71 x 71 split in two took 1.2-1.3
+#   times its serial time;
+# - eigvalsh of small members gains little from a second thread even with the GIL released (alone, at
+#   1024 x 8 x 8, it read 1.00), where gesdd halved: stacks of work 2^18 (64 x 16 x 16, 512 x 8 x 8)
+#   read 0.91-1.16 and of 2^19 (1024 x 8 x 8, 128 x 16 x 16, 42 x 24 x 24) 0.68-1.19, where gesdd
+#   read 0.51-0.57; from 2^20 every stack measured won, 0.83-0.95 at 32 x 32 x 32, 256 x 16 x 16 and
+#   2048 x 8 x 8 and 0.55-0.59 at 16 x 64 x 64 (2.2-3.8 ms saved);
 # - the first split costs about 8 ms more, to import concurrent.futures and start the pool, and
 #   0.4-0.5 MB.
-# So every split the chunk rule admits wins once the pool runs, and the work floor decides which
-# stacks start it: 2^18 = 64 x 16^3, about the smallest stack of 16 x 16 blocks whose chunks
-# release the GIL (63 members, 0.6 ms saved a call).  A stack of smaller blocks that the chunk rule
-# admits, such as the 650 x 3 x 3 grid norms of the bundled verify config (work 2^14), saves too
-# little a call to pay for the pool.
-_SPLIT_WORK = 2**18
+# So the work floor is 2^20 = 16 x 64^3 / 4, the smallest work at which every stack measured gained.
+# The 16 x 64 x 64 continued norms of a converge run at n = 64 split; the 650 x 3 x 3 grid norms of the
+# bundled verify config (work 2^14) do not.
+_SPLIT_WORK = 2**20
 _GIL_FREE_SIZE = 501
-# Under a multithreaded BLAS, the pool's threads and BLAS's own compete for the cores, and a split pays only on
-# small members.  With 2 OpenBLAS threads on the same host, unsplit -> split took 8.7 -> 4.5 ms at 16 x 64 x 64,
-# 39.6 -> 40.6 ms at 16 x 96 x 96, 70.7 -> 73.6 ms at 16 x 128 x 128 and 121.6 -> 133.7 ms at 8 x 256 x 256.  So
-# above one BLAS thread only members with min(n, m) <= _MULTI_BLAS_SIZE split; at one thread, or where the count
-# cannot be read, the rule above alone decides.
+# Under a multithreaded BLAS, the pool's threads and BLAS's own compete for the cores.  With 2 OpenBLAS threads on
+# the same host, split / serial read 0.86-1.01 at 32 x 32 x 32, 1.04 at 16 x 64 x 64, 0.94-0.97 at 16 x 96 x 96,
+# 0.99-1.02 at 16 x 128 x 128 and 1.21-1.37 at 8 x 256 x 256.  Up to 128 the split is within about 5 % either
+# way, and it loses by a fifth or more on large members.  So above one BLAS thread only members with
+# min(n, m) <= _MULTI_BLAS_SIZE split; at one thread, or where the count cannot be read, the rule above alone
+# decides.
 _MULTI_BLAS_SIZE = 64
+# A Gram squares the entries.  While the squared moduli of a whole stack sum to within this band, no
+# member's Gram overflows, and a member whose largest eigenvalue is at least the floor loses nothing to
+# the products that underflow (they are below 2^-1022, against an eigenvalue of 2^-900 or more).
+_SQUARES_BAND = (2.0**-900, 2.0**900)
 _pool = None  # the ThreadPoolExecutor of split stacks, made by the first one
 _pool_lock = threading.Lock()
 
@@ -353,20 +371,24 @@ def _split_pool(workers: int):
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cstarflow-svd")
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cstarflow-norm")
         return _pool
 
 
 def _top_singular_values(b: np.ndarray) -> np.ndarray:
-    """The largest singular value of each matrix of a stack, by numpy alone: a pool thread runs it,
-    and calls no cstarflow function."""
-    return np.linalg.svd(b, compute_uv=False)[..., 0]
+    """The largest singular value of each matrix of a stack ``(..., n, m)``: the square root of the largest
+    eigenvalue of its Gram on the smaller side, ``B* B`` for ``m <= n`` and ``B B*`` otherwise, from one
+    stacked ``matmul`` and one ``eigvalsh``.  By numpy alone: a pool thread runs it, and calls no cstarflow
+    function.  The stack is made contiguous first, so a member's value does not depend on its layout."""
+    b = np.ascontiguousarray(b)
+    gram = _adjoint(b) @ b if b.shape[-1] <= b.shape[-2] else b @ _adjoint(b)
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
 
 
 def _split_top_singular_values(b: np.ndarray, parts: int) -> np.ndarray:
     """``_top_singular_values`` of a stack ``(..., n, m)``, its members in ``parts`` contiguous chunks:
-    the first on this thread, the others on the pool.  Each member is still its own gesdd call, so
-    each value is the one an unsplit call gives."""
+    the first on this thread, the others on the pool.  Each member is still its own Gram product and
+    eigenvalue call, so each value is the one an unsplit call gives."""
     chunks = np.array_split(b.reshape(-1, *b.shape[-2:]), parts)
     pool = _split_pool(_usable_cpus() - 1)
     futures = [pool.submit(_top_singular_values, c) for c in chunks[1:]]
@@ -376,6 +398,31 @@ def _split_top_singular_values(b: np.ndarray, parts: int) -> np.ndarray:
         for f in futures:
             f.exception()  # wait for every chunk, so that none still runs once this call returns or raises
     return np.concatenate([first, *(f.result() for f in futures)]).reshape(b.shape[:-2])
+
+
+def _stacked_top_singular_values(b: np.ndarray) -> np.ndarray:
+    """``_top_singular_values`` of a stack, split over the pool when ``_parts`` says so."""
+    parts = _parts(b)
+    return _split_top_singular_values(b, parts) if parts > 1 else _top_singular_values(b)
+
+
+def _rescaled_top_singular_values(b: np.ndarray) -> np.ndarray:
+    """``_top_singular_values`` of a stack ``(members, n, m)`` whose Grams would under- or overflow.
+
+    Each member is scaled by the power of two that brings its largest real or imaginary part into
+    [1/2, 1), and its value scaled back: a power of two moves only the exponent, so the scaling adds
+    no rounding.  The scale goes on in two steps, as ``2**1073``, the factor that brings the smallest
+    subnormal to 1/2, overflows.  A zero member is 0 without LAPACK.
+    """
+    peak = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=(-2, -1))
+    exponent = np.frexp(peak)[1]
+    out = np.zeros(len(b))
+    live = np.flatnonzero(peak)
+    if live.size:
+        k = -exponent[live][:, None, None]
+        scaled = b[live] * np.ldexp(1.0, k // 2) * np.ldexp(1.0, k - k // 2)
+        out[live] = np.ldexp(_stacked_top_singular_values(scaled), exponent[live])
+    return out
 
 
 def _parts(b: np.ndarray) -> int:
@@ -394,30 +441,46 @@ def _parts(b: np.ndarray) -> int:
 def largest_singular_value(b: np.ndarray) -> float | np.ndarray:
     """Spectral norm of a matrix, or of each matrix of a stack ``(..., n, m)``.
 
-    LAPACK gesdd with singular values only, through ``np.linalg.svd``: a
-    float for one matrix, an array of the leading shape for a stack.  An
-    all-zero input has norm 0 without an SVD.  A large stack (``_parts``)
-    splits its members over the usable CPUs, with the same values.  Raises
-    ``EigFailureError`` naming the blocks for an entry that is NaN or
-    infinite, before LAPACK sees it (its scaling routine would print to
-    stdout), and when the SVD fails (no convergence) or returns NaN.
+    The square root of the largest eigenvalue of each member's Gram
+    (``_top_singular_values``): a float for one matrix, an array of the
+    leading shape for a stack.  The Gram's rounding moves that eigenvalue
+    by O(n eps) times the norm squared (Weyl), so the value keeps the
+    relative accuracy of an SVD's; only the small singular values, which
+    no norm reads, lose theirs.  An all-zero input has norm 0 without
+    LAPACK.  While the squared moduli of the whole stack sum to within
+    ``_SQUARES_BAND``, no Gram overflows, and only the members whose
+    largest eigenvalue falls below the band are taken again, scaled by a
+    power of two; outside the band every member is.  A large stack
+    (``_parts``) splits its members over the usable CPUs, with the same
+    values.  Raises ``EigFailureError`` naming the blocks for an entry
+    that is NaN or infinite, before LAPACK sees it (its scaling routine
+    would print to stdout), and when the eigenvalue call fails (no
+    convergence) or returns NaN.
     """
-    # one pass over the entries: the sum of their squared moduli is positive and finite unless they are
-    # all zero, one is not finite, or the squares under- or overflow; only then are the entries read again
+    # one pass over the entries gives the sum of their squared moduli; only outside the band (all zero, one
+    # entry not finite, or squares that under- or overflow) are the entries read again
     squares = float(np.vdot(b, b).real)
-    if not 0.0 < squares < math.inf:
+    in_band = _SQUARES_BAND[0] <= squares <= _SQUARES_BAND[1]
+    if not in_band:
         if not np.isfinite(b).all():
             raise EigFailureError(f"singular values of {_described(b)} not taken: an entry is NaN or infinite")
         if not np.count_nonzero(b):
             return 0.0 if b.ndim == 2 else np.zeros(b.shape[:-2])
-    parts = _parts(b)
     try:
-        s = _split_top_singular_values(b, parts) if parts > 1 else _top_singular_values(b)
+        if in_band:
+            s = _stacked_top_singular_values(b)
+            if (s >= _SQUARES_BAND[0] ** 0.5).all():  # no member's Gram below the band, and no NaN
+                return float(s) if b.ndim == 2 else s
+            s = np.reshape(s, -1)
+            low = np.flatnonzero(s < _SQUARES_BAND[0] ** 0.5)
+            s[low] = _rescaled_top_singular_values(b.reshape(-1, *b.shape[-2:])[low])
+        else:
+            s = _rescaled_top_singular_values(b.reshape(-1, *b.shape[-2:]))
     except np.linalg.LinAlgError as exc:
         raise EigFailureError(f"singular values of {_described(b)} failed: {exc}") from exc
     if np.isnan(s).any():
         raise EigFailureError(f"singular values of {_described(b)} are NaN")
-    return float(s) if b.ndim == 2 else s
+    return float(s[0]) if b.ndim == 2 else s.reshape(b.shape[:-2])
 
 
 def _described(b: np.ndarray) -> str:

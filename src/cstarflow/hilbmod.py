@@ -373,7 +373,9 @@ class BlockCarrier:
                 raise ValueError(f"block {b}: parts {p} sum to {sum(p)}, not k n_b = {n}")
             if np.shape(u) != (n, n):
                 raise ValueError(f"block {b}: unitary has shape {np.shape(u)}, not {(n, n)}")
-            defect = float(np.max(np.abs(_adjoint(np.asarray(u)) @ u - np.eye(n))))
+            u, eye = np.asarray(u), np.eye(n)
+            # an exact identity, as ``full`` passes, has defect exactly 0 without the product
+            defect = 0.0 if (u == eye).all() else float(np.max(np.abs(_adjoint(u) @ u - eye)))
             if not defect <= UNITARY_TOL:
                 raise ValueError(f"block {b}: unitary defect {defect:.3e} above {UNITARY_TOL:.0e}")
         object.__setattr__(self, "unitaries", tuple(_frozen(u) for u in self.unitaries))

@@ -99,7 +99,7 @@ def _hermitians(x: AlgebraElement, norm: float) -> list[HermitianElement]:
     """The Hermitian parts ``(x + x*)/2`` of a batch, each rescaled to ``norm``, one per index of its last axis.
 
     That axis is moved to the front before the parts are normed, so that each
-    part is a member ``hs[j]`` and keeps its norm from the one batched SVD.
+    part is a member ``hs[j]`` and keeps its norm from the one batched norm call.
     """
     parts = 0.5 * (x + x.star())
     hs = _rescaled(AlgebraElement._adopt(x.shape, [np.moveaxis(b, -3, 0) for b in parts.blocks]), norm)

@@ -39,24 +39,27 @@ Z_POINTS = st.one_of(
 Z_GRIDS = st.lists(Z_POINTS, min_size=1, max_size=9)
 
 
-_svd = np.linalg.svd
+_eigvalsh = np.linalg.eigvalsh
 
 
-def failing_svd(a, compute_uv=True):
-    """``np.linalg.svd`` that fails on a stack of matrices, as the batched norms of a check pass one."""
+def failing_eigvalsh(a, UPLO="L"):
+    """``np.linalg.eigvalsh`` that fails on a stack of matrices, as the Grams of a check's batched norms are one."""
     if np.ndim(a) >= 3:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return _svd(a, compute_uv=compute_uv)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return _eigvalsh(a, UPLO)
 
 
-def counting_svd(calls: list):
-    """``np.linalg.svd`` that appends the shape of each input to ``calls``."""
+def counting_eigvalsh(calls: list):
+    """``np.linalg.eigvalsh``, the LAPACK call of every norm, that appends the shape of each input to ``calls``.
 
-    def svd(a, *args, **kwargs):
+    A norm passes it the Gram of each member on its smaller side, so a square stack records its own shape.
+    """
+
+    def eigvalsh(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return _svd(a, *args, **kwargs)
+        return _eigvalsh(a, *args, **kwargs)
 
-    return svd
+    return eigvalsh
 
 
 @pytest.fixture

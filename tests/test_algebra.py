@@ -1,6 +1,7 @@
 """Block algebra core: *-operations, norms, functional calculus, powers."""
 
 import concurrent.futures
+import importlib
 import multiprocessing
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +33,13 @@ from cstarflow import (
 )
 from cstarflow import algebra
 from cstarflow.algebra import HERM_TOL, largest_singular_value, stack
+from cstarflow.cli import run
 from cstarflow.hilbmod import identity_operator
 from cstarflow.sampling import gaussian, random_element, random_hermitian, rng
 
-from conftest import counting_svd, e12, zeros
+from conftest import counting_eigvalsh, e12, load_config, zeros
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 EPS = np.finfo(float).eps
 NOT_FINITE = "not taken: an entry is NaN or infinite"
@@ -107,7 +112,7 @@ class TestOpNorm:
 
     def test_second_call_does_not_reach_lapack(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         x = random_element(rng(4), BlockShape([3, 2]))
         first = x.norm()
         assert calls == [(3, 3), (2, 2)]
@@ -149,7 +154,7 @@ class TestOpNorm:
 
     def test_zero_block_is_exactly_zero_without_an_svd(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         assert largest_singular_value(np.zeros((3, 3), dtype=complex)) == 0.0
         assert AlgebraElement.from_blocks([np.zeros((2, 2)), [[-2.0]]]).norm() == 2.0
         assert calls == [(1, 1)]
@@ -178,7 +183,7 @@ class TestOpNorm:
         assert largest_singular_value(b[0]) == _one_svd_per_member(b[0])
 
     def test_nan_singular_values_are_a_numerical_breakdown(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv=True: np.full(a.shape[:-1], np.nan))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, UPLO="L": np.full(a.shape[:-1], np.nan))
         with pytest.raises(EigFailureError, match="^singular values of a 2x2 block are NaN$"):
             largest_singular_value(np.eye(2))
 
@@ -194,7 +199,7 @@ class TestElementNorms:
         got = batch.norm().tolist()
         assert [v.hex() for v in got] == [v.hex() for v in want]
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         assert batch.norm().tolist() == got
         assert calls == []
 
@@ -202,7 +207,7 @@ class TestElementNorms:
         r = rng(10)
         batch = stack([random_element(r, BlockShape([3, 2])) for _ in range(4)])
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         assert batch.norm().shape == (4,)
         assert calls == [(4, 3, 3), (4, 2, 2)]
 
@@ -219,6 +224,12 @@ def _one_svd_per_member(b: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in flat]).reshape(b.shape[:-2])
 
 
+def _one_kernel_call_per_member(b: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of a stack, one call of the norm kernel per member."""
+    flat = b.reshape(-1, *b.shape[-2:])
+    return np.array([algebra._top_singular_values(m) for m in flat]).reshape(b.shape[:-2])
+
+
 def _complex_stack(seed: int, shape: tuple) -> np.ndarray:
     r = np.random.default_rng(seed)
     return r.standard_normal(shape) + 1j * r.standard_normal(shape)
@@ -230,7 +241,7 @@ def _norm_in_child(b: np.ndarray, want: np.ndarray) -> None:
 
 
 class TestSplitNorms:
-    """A large stack splits its members over a thread pool; each value is the one its own SVD gives."""
+    """A large stack splits its members over a thread pool; each value is the one its own kernel call gives."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -253,7 +264,7 @@ class TestSplitNorms:
         cpus(count)
         b = _complex_stack(1, shape)
         assert algebra._parts(b) == parts
-        assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+        assert np.array_equal(largest_singular_value(b), _one_kernel_call_per_member(b))
 
     @pytest.mark.parametrize("threads", [1, 2, None])
     @pytest.mark.parametrize("shape", [(16, 64, 64), (16, 64, 96), (16, 65, 65), (16, 96, 96)])
@@ -263,7 +274,7 @@ class TestSplitNorms:
         split, unsplit = [], algebra._split_top_singular_values
         monkeypatch.setattr(algebra, "_split_top_singular_values", lambda b, parts: split.append(b.shape) or unsplit(b, parts))
         b = _complex_stack(8, shape)
-        assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+        assert np.array_equal(largest_singular_value(b), _one_kernel_call_per_member(b))
         assert split == ([] if threads == 2 and min(shape[1:]) > 64 else [shape])
 
     def test_the_blas_thread_count_is_read_at_a_split_not_at_import(self):
@@ -281,7 +292,7 @@ class TestSplitNorms:
         cpus(2)
         b = view(_complex_stack(2, (32, 64, 64)))
         assert not b.flags.c_contiguous and algebra._parts(b) == 2
-        assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+        assert np.array_equal(largest_singular_value(b), _one_kernel_call_per_member(b))
 
     def test_batch_norm_is_the_member_norms_taken_one_at_a_time(self, cpus):
         cpus(2)
@@ -299,23 +310,24 @@ class TestSplitNorms:
         with pytest.raises(EigFailureError, match=f"^singular values of 16 stacked 64x64 blocks {NOT_FINITE}$"):
             largest_singular_value(b)
         good = _complex_stack(4, (16, 64, 64))
-        assert np.array_equal(largest_singular_value(good), _one_svd_per_member(good))
+        assert np.array_equal(largest_singular_value(good), _one_kernel_call_per_member(good))
 
     def test_an_svd_failure_on_the_pool_is_a_numerical_breakdown(self, cpus, monkeypatch):
         cpus(2)
-        svd = np.linalg.svd
+        eigvalsh = np.linalg.eigvalsh
 
-        def failing_off_the_main_thread(a, compute_uv=True):
+        def failing_off_the_main_thread(a, UPLO="L"):
             if threading.current_thread() is not threading.main_thread():
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(a, compute_uv=compute_uv)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a, UPLO)
 
         b = _complex_stack(5, (16, 64, 64))
-        monkeypatch.setattr(np.linalg, "svd", failing_off_the_main_thread)
-        with pytest.raises(EigFailureError, match="^singular values of 16 stacked 64x64 blocks failed: SVD did not converge$"):
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_off_the_main_thread)
+        with pytest.raises(EigFailureError,
+                           match="^singular values of 16 stacked 64x64 blocks failed: Eigenvalues did not converge$"):
             largest_singular_value(b)
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert np.array_equal(largest_singular_value(b), _one_kernel_call_per_member(b))
 
     # Python 3.12 warns on any fork of a process that runs threads, and forking one is this test's point
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -348,7 +360,7 @@ class TestSplitNorms:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
         b = _complex_stack(7, (16, 64, 64))
-        want = _one_svd_per_member(b)
+        want = _one_kernel_call_per_member(b)
         results = []
         start = threading.Barrier(4)
 
@@ -379,7 +391,7 @@ class TestScaledNorms:
         batch = stack([x, random_element(r, BlockShape([3, 2]))])
         x.norm(), batch.norm()
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         assert (-2.5 * x).norm() == 2.5 * x.norm()
         assert ((1 - 1j) * x).norm() == abs(1 - 1j) * x.norm()
         assert (np.array([2.0, 0.5j]) * batch).norm().tolist() == (np.array([2.0, 0.5]) * batch.norm()).tolist()
@@ -390,7 +402,7 @@ class TestScaledNorms:
         op = identity_operator(BlockShape([2]), 2)
         op.norm()
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         assert (3.0 * op).norm() == 3.0
         assert calls == []
         x = random_element(rng(15), BlockShape([3, 2]), 2.0)  # scaled to norm 2 by one batched SVD
@@ -402,7 +414,7 @@ class TestScaledNorms:
         batch = stack([random_element(r, BlockShape([3, 2])) for _ in range(4)])
         norms = batch.norm()
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         assert batch[2].norm() == norms[2]
         assert batch[1:3].norm().tolist() == norms[1:3].tolist()
         assert batch[norms > np.median(norms)].norm().tolist() == norms[norms > np.median(norms)].tolist()
@@ -415,7 +427,7 @@ class TestScaledNorms:
         xab = stack([stack([random_element(r, shape) for _ in range(3)]) for _ in range(4)])
         norms = xab.norm()
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         assert xab[:, 0].norm().tolist() == norms[:, 0].tolist()
         assert xab[1, 2].norm() == norms[1, 2]
         assert calls == []
@@ -428,7 +440,7 @@ class TestScaledNorms:
         batch = stack([random_element(rng(17), BlockShape([2])) for _ in range(3)])
         batch.norm()
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         picked = batch[index]
         assert picked.norm().tolist() == AlgebraElement(picked.shape, picked.blocks).norm().tolist()
         assert calls == [(3, 2, 2), (3, 2, 2)]
@@ -436,7 +448,7 @@ class TestScaledNorms:
     def test_without_a_known_norm_the_product_takes_its_own(self, monkeypatch):
         x = random_element(rng(13), BlockShape([2]))
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         (3.0 * x).norm()
         assert calls == [(2, 2)]
 
@@ -498,6 +510,62 @@ def test_is_hermitian_agrees_with_the_defect_svd_rule(seed, dims, kind, size, to
     defect = max(scipy.linalg.svdvals(b - b.conj().T)[0] for b in x.blocks)
     norm = max(scipy.linalg.svdvals(b)[0] for b in x.blocks)
     assert x.is_hermitian(tol) == (defect <= tol * max(norm, 1e-300))
+
+
+def _oracle_member(r: np.random.Generator, kind: str, n: int, m: int) -> np.ndarray:
+    """One n x m member of the kind the norm kernel finds hardest."""
+    g = r.standard_normal((n, m)) + 1j * r.standard_normal((n, m))
+    if kind == "rank_one":
+        return np.outer(g[:, 0], g[0].conj())
+    if kind == "isometry":  # every singular value equal, then split by 1e-12: near-equal top values
+        q = np.linalg.qr(g)[0] if n >= m else np.linalg.qr(g.conj().T)[0].conj().T
+        return r.uniform(0.5, 2.0) * q + 1e-12 * g
+    return {"gaussian": 1.0, "zero": 0.0, "tiny": 1e-170, "huge": 1e170}[kind] * g
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.lists(st.sampled_from(["gaussian", "rank_one", "isometry", "zero", "tiny", "huge"]), min_size=1, max_size=6),
+)
+def test_largest_singular_value_matches_the_svd_oracle(seed, n, m, kinds):
+    # the Gram's rounding moves its largest eigenvalue by O(max(n, m) eps) relative, and its square root
+    # halves that; tiny and huge members take the power-of-two scaling, inside a stack of O(1) members
+    r = np.random.default_rng(seed)
+    b = np.stack([_oracle_member(r, kind, n, m) for kind in kinds])
+    want = np.linalg.svd(b, compute_uv=False)[..., 0]
+    got = largest_singular_value(b)
+    assert got.shape == (len(kinds),)
+    assert np.all(np.abs(got - want) <= (4 + 2 * max(n, m)) * EPS * want)
+    assert [v.hex() for v in got[want == 0]] == ["0x0.0p+0"] * int(np.sum(want == 0))
+    assert [largest_singular_value(member) for member in b] == pytest.approx(got, rel=(4 + 2 * max(n, m)) * EPS)
+
+
+def test_every_norm_of_the_bundled_configs_takes_no_svd(tmp_path, monkeypatch):
+    # the norms a run of each bundled config takes, taken again with np.linalg.svd refused: the same values
+    taken = []
+    norm = algebra.largest_singular_value
+
+    def recorded(b):
+        value = norm(b)
+        taken.append((b, value))
+        return value
+
+    monkeypatch.setattr(algebra, "largest_singular_value", recorded)
+    monkeypatch.setattr(importlib.import_module("cstarflow.stone"), "largest_singular_value", recorded)
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        run(load_config(path), tmp_path / path.stem, quiet=True)
+    monkeypatch.undo()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a norm called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    assert len(taken) > 100
+    for b, value in taken:
+        assert np.array_equal(largest_singular_value(b), value)
 
 
 class TestHermCalculus:
@@ -576,7 +644,7 @@ class TestPower:
     def test_second_power_takes_no_singular_values(self, monkeypatch):
         calls = []
         t = spectral(random_hermitian(rng(7), BlockShape([3, 2]), 1.0)).apply(np.exp)
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         power(t, [0.5])
         assert calls == [(3, 3), (2, 2)] * 2  # the Hermitian defect and the norm
         power(t, [1j])

@@ -52,7 +52,7 @@ from cstarflow.sampling import random_element, random_hermitian, random_positive
 from cstarflow.serialize import element_to_payload
 from cstarflow.stone import PROBES, PositiveFunctional
 
-from conftest import counting_svd, load_config
+from conftest import counting_eigvalsh, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -1075,12 +1075,12 @@ def test_a_drawn_config_is_refused_or_ends_in_a_verdict(raw):
 
 
 def test_smear_workload_run_takes_one_norm_per_cap(tmp_path, monkeypatch):
-    # core_rescale returns the norm(alpha_z(x)) it took, so the cap check takes no SVD of its own:
-    # a smear workload config ([64], three widths, one z) takes 62 SVDs in 10 stacks. The widths are one
-    # batch, so the smear errors at z = 0, quad_vs_oracle and norm_bound take one stack of three each.
+    # core_rescale returns the norm(alpha_z(x)) it took, so the cap check takes no norm of its own:
+    # a smear workload config ([64], three widths, one z) takes 62 member norms in 10 stacks. The widths are
+    # one batch, so the smear errors at z = 0, quad_vs_oracle and norm_bound take one stack of three each.
     # A large stack splits over the usable CPUs, so the stacks are counted as largest_singular_value
-    # takes them (its 2 other inputs, the generators' Hermitian defects, are exact zeros and take no
-    # SVD), and the SVDs member by member at np.linalg.svd
+    # takes them (its 2 other inputs, the generators' Hermitian defects, are exact zeros and reach no
+    # LAPACK), and the member norms one by one at np.linalg.eigvalsh, which takes each member's Gram
     raw = next(raw for raw in _workload_specs() if raw["experiment"] == "converge" and raw["shape"] == [64])
     stacks, calls = [], []
     norm = algebra_mod.largest_singular_value
@@ -1090,7 +1090,7 @@ def test_smear_workload_run_takes_one_norm_per_cap(tmp_path, monkeypatch):
         return norm(b)
 
     monkeypatch.setattr(algebra_mod, "largest_singular_value", counted)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
     run(validate(raw)[0], tmp_path, quiet=True)
     assert (stacks.count(True), sum(math.prod(shape[:-2]) for shape in calls)) == (10, 62)
 

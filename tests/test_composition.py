@@ -41,7 +41,7 @@ from cstarflow.sampling import (
     rng,
 )
 
-from conftest import Z_GRIDS, diag_flow, failing_svd, still_flow
+from conftest import Z_GRIDS, diag_flow, failing_eigvalsh, still_flow
 
 EPS = np.finfo(float).eps
 
@@ -145,7 +145,7 @@ class TestGammaGrid:
         r = rng(20)
         pair = CommutingPair(*random_commuting_flows(r, BlockShape([2]), 1.0))
         x = random_element(r, BlockShape([2]))
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         # two residuals per grid point
         with pytest.raises(EigFailureError, match="6 stacked 2x2 blocks"):
             gamma_continuation_check(pair, [0.5j, 1.0, -1.0 + 0.5j], x)
@@ -314,7 +314,7 @@ class TestTensorGrid:
         shape = BlockShape([2])
         tf = tensor_flow(random_flow(r, shape, 1.0), random_flow(r, shape, 1.0))
         x, y = random_element(r, shape), random_element(r, shape)
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         with pytest.raises(EigFailureError, match="2 stacked 4x4 blocks"):
             tensor_continuation_check(tf, [0.5j, 1.0], x, y)
 

@@ -50,7 +50,7 @@ from cstarflow.algebra import stack
 from cstarflow.sampling import random_element, random_flow, random_vector, rng
 from cstarflow.stone import SampledUnitaryGroup
 
-from conftest import automorphism_flow, diag_flow, e12, failing_svd, still_flow, zeros
+from conftest import automorphism_flow, diag_flow, e12, failing_eigvalsh, still_flow, zeros
 
 EPS = np.finfo(float).eps
 
@@ -221,7 +221,7 @@ class TestThreeLines:
     def test_failed_batched_svd_is_a_numerical_breakdown(self, monkeypatch):
         g = random_flow(rng(13), BlockShape([2]), 1.0)
         x = random_element(rng(14), BlockShape([2]))
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         with pytest.raises(EigFailureError, match="26 stacked 2x2 blocks"):
             three_lines_check(g, x, 0.5j)
 
@@ -285,7 +285,7 @@ class TestCoreRescale:
         ys = smear_oracle(g, x, 2.0 ** np.arange(14), 0.0)
         out, nax = core_rescale(g, z, x, ys)
         assert nax == pytest.approx(ax.norm(), rel=1e-12)
-        # out carries |lam_n| norm(y_n); a fresh copy takes the SVD of each x_n
+        # out carries |lam_n| norm(y_n); a fresh copy takes the norm of each x_n afresh
         assert np.all(AlgebraElement(shape, out.blocks).norm() <= x.norm() * (1 + 1e-12))
         assert np.all(continue_exact(g, z, out).norm() <= ax.norm() * (1 + 1e-12))
         assert (out[-1] - x).norm() <= 1e-6

@@ -50,7 +50,7 @@ from cstarflow.sampling import (
 from conftest import (
     basis_operators,
     carrier_units,
-    counting_svd,
+    counting_eigvalsh,
     induced_dense,
     matrix_unit_operators,
     operator_entries,
@@ -138,7 +138,7 @@ class TestOperatorBasics:
 
     def test_norm_is_kept_on_the_operator(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(np.linalg, "svd", counting_svd(calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh(calls))
         s = random_operator(rng(5), BlockShape([2, 1]), 2)
         first = s.norm()
         assert calls == [(4, 4), (2, 2)]
@@ -832,6 +832,14 @@ class TestBlockCarrierConstructor:
         self.build(unitaries=[np.eye(4), (1 + 2.5e-11) * np.eye(2)])
         with pytest.raises(ValueError, match="block 1: unitary defect 2.000e-10"):
             self.build(unitaries=[np.eye(4), (1 + 1e-10) * np.eye(2)])
+
+    def test_only_an_exact_identity_skips_the_unitary_check(self):
+        # the identity's defect is exactly 0 without U* U; one entry off it takes the full check
+        self.build(unitaries=[np.eye(4, dtype=complex), np.eye(2)])
+        near = np.eye(2)
+        near[0, 1] = np.nan
+        with pytest.raises(ValueError, match="block 1: unitary defect nan above"):
+            self.build(unitaries=[np.eye(4), near])
 
     def test_one_unitary_and_partition_per_block(self):
         with pytest.raises(ValueError, match="one unitary and one partition for each of 2 blocks"):

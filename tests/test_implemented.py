@@ -43,7 +43,7 @@ from cstarflow.sampling import (
 from conftest import (
     Z_GRIDS,
     basis_operators,
-    failing_svd,
+    failing_eigvalsh,
     matrix_unit_operators,
     operator_entries,
     operator_from_entries,
@@ -348,7 +348,7 @@ class TestContinuationGrid:
 
     def test_failed_batched_svd_is_a_numerical_breakdown(self, monkeypatch):
         f, x = random_implemented(9, [2], 2)
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         with pytest.raises(EigFailureError, match="2 stacked 4x4 blocks"):
             implemented_continuation_check(f, [1j, -0.5], x)
 
