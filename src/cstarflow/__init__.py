@@ -64,6 +64,7 @@ from .flows import (
     conjugate,
     conjugate_norm,
     evaluate,
+    in_eigenbasis,
     left_companion,
     right_companion,
 )

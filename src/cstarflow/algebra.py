@@ -6,7 +6,9 @@ blocks; the norm is the largest singular value over the blocks, which is
 the C*-norm of the direct sum.  Hermitian functional calculus and complex
 powers of strictly positive elements are built on blockwise
 eigendecompositions, and so is ``sandwich``, the one kernel behind every
-two-sided spectral map ``x -> U (F o (U* x V)) V*``.
+two-sided spectral map ``x -> U (F o (U* x V)) V*``.  Eigendata may mark
+an eigenvector matrix as the identity (None), as the diagonal generators
+of ``flows.in_eigenbasis`` do; the kernels then take no product with it.
 
 One ``AlgebraElement`` may also hold a batch of elements: each block then
 has leading batch axes, ``(*B, n, n)``, with one batch shape ``B`` for all
@@ -188,6 +190,14 @@ class AlgebraElement:
         if self._norm is not None and on_batch_axes:
             object.__setattr__(out, "_norm", _kept(np.asarray(self._norm)[i]))
         return out
+
+    def _with_norm_of(self, x: "AlgebraElement") -> "AlgebraElement":
+        """This element, which a unitary conjugation of ``x`` formed, now carrying ``x``'s norm, taken on ``x``
+        (broadcast to this batch): the norm is unitarily invariant, so that is its value up to rounding."""
+        norm, batch = x.norm(), self.blocks[0].shape[:-2]
+        object.__setattr__(self, "_norm", norm if batch == x.blocks[0].shape[:-2] else
+                           _kept(np.broadcast_to(norm, batch)))
+        return self
 
     def star(self) -> "AlgebraElement":
         """Adjoint: blockwise conjugate transpose."""
@@ -535,12 +545,15 @@ class SpectralDecomposition:
     """Blockwise eigendata ``H_k = U_k diag(lam_k) U_k*`` with unitary U_k.
 
     Eigenvalues are real and ascending within each block; for a batch,
-    ``lam_k`` and ``U_k`` carry its batch axes.
+    ``lam_k`` and ``U_k`` carry its batch axes.  An eigenvector matrix of
+    None marks ``U_k`` as the identity, as for the diagonal generators of
+    ``flows.in_eigenbasis``: ``sandwich``, ``_eigenbasis`` and the
+    functional calculus then take no products with it.
     """
 
     shape: BlockShape
     eigenvalues: tuple[np.ndarray, ...]
-    eigenvectors: tuple[np.ndarray, ...]
+    eigenvectors: tuple[np.ndarray | None, ...]
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
         """``f`` applied to the eigenvalues in the eigenbasis."""
@@ -549,8 +562,17 @@ class SpectralDecomposition:
         ))
 
     def _calculus(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """``U diag(v) U*`` per block; leading axes of ``v`` join the batch."""
-        return [(u * v[..., None, :]) @ _adjoint(u) for v, u in zip(values, self.eigenvectors)]
+        """``U diag(v) U*`` per block; leading axes of ``v`` join the batch.  ``diag(v)`` itself where U is None."""
+        return [np.eye(v.shape[-1]) * v[..., None, :] if u is None else (u * v[..., None, :]) @ _adjoint(u)
+                for v, u in zip(values, self.eigenvectors)]
+
+    def _diagonal(self, h: AlgebraElement) -> HermitianElement:
+        """``diag(lam)`` per block: ``U* h U`` for this decomposition of ``h``, with the eigenvalues and
+        identity-marked eigenvectors as its own decomposition, and ``h``'s norm, taken on ``h``."""
+        sd = SpectralDecomposition(self.shape, self.eigenvalues, (None,) * self.shape.num_blocks)
+        d = AlgebraElement._adopt(self.shape, sd._calculus(self.eigenvalues))._with_norm_of(h)
+        object.__setattr__(d, "_spectral", sd)
+        return HermitianElement(d)
 
 
 def spectral(h: HermitianElement | AlgebraElement) -> SpectralDecomposition:
@@ -591,7 +613,7 @@ def sandwich(left: SpectralDecomposition, right: SpectralDecomposition, x: Algeb
     result, and a single ``x`` is rotated into the eigenbasis once.
     """
     parts = zip(left.eigenvectors, right.eigenvectors, _eigenbasis(left, right, x, factor))
-    return AlgebraElement._adopt(x.shape, [u @ m @ _adjoint(v) for u, v, m in parts])
+    return AlgebraElement._adopt(x.shape, [_rotated(u, m, None if v is None else _adjoint(v)) for u, v, m in parts])
 
 
 def _eigenbasis(left: SpectralDecomposition, right: SpectralDecomposition, x: AlgebraElement,
@@ -602,10 +624,22 @@ def _eigenbasis(left: SpectralDecomposition, right: SpectralDecomposition, x: Al
     sandwich itself: a caller that needs only that norm skips the two
     products per block that rotate back.
     """
+    return [factor(lam, mu) * m for lam, mu, m in zip(left.eigenvalues, right.eigenvalues, _into(left, right, x))]
+
+
+def _into(left: SpectralDecomposition, right: SpectralDecomposition, x: AlgebraElement) -> list[np.ndarray]:
+    """The blocks ``U* x V`` of ``x`` in the joint eigenbasis of ``left`` and ``right``."""
     if not left.shape == right.shape == x.shape:
         raise ShapeMismatchError("element and eigendata live over different shapes")
-    parts = zip(left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors, x.blocks)
-    return [factor(lam, mu) * (_adjoint(u) @ xb @ v) for lam, u, mu, v, xb in parts]
+    parts = zip(left.eigenvectors, right.eigenvectors, x.blocks)
+    return [_rotated(None if u is None else _adjoint(u), xb, v) for u, v, xb in parts]
+
+
+def _rotated(a: np.ndarray | None, m: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``a @ m @ b``, where a factor of None is the identity and takes no product."""
+    if a is not None:
+        m = a @ m
+    return m if b is None else m @ b
 
 
 def eigenvalues(h: HermitianElement | AlgebraElement) -> np.ndarray:

@@ -69,7 +69,7 @@ from .continuation import (
 )
 from .composition import CommutingPair, gamma_continuation_check, tensor_continuation_check, tensor_flow
 from .errors import ConfigInvalidError, CstarflowError
-from .flows import FlowGenerator, evaluate, left_companion, right_companion
+from .flows import FlowGenerator, evaluate, in_eigenbasis, left_companion, right_companion
 from .hilbmod import (
     BlockCarrier,
     ModuleOperator,
@@ -525,6 +525,12 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
     r = sampling.rng(cfg.seed)
     g = cfg.flow(r)
     x = cfg.element if cfg.element is not None else sampling.random_element(r, cfg.shape, 1.0)
+    # the run takes place in the flow's eigenbasis, where a smear, an approximant and a continuation are each one
+    # entrywise factor, with no products to rotate out and back. Every check reads norms, which a unitary does not
+    # change, so each reads the rotating route's value up to rounding; the generators' norms (node counts) and x's
+    # (envelopes, floors, bound_rhs) are carried over bit for bit, and quadrature and closed form still share only
+    # the eigendecomposition
+    g, x = in_eigenbasis(g, x)
     # the widths in _batches of at most MAX_GRID_SIZE entries (_smear_batch): a width's dense size, and its two phase
     # tables of n_b x nodes per block at the largest count at max|z_im|, the narrowest or the widest width's
     entries = cfg.shape.dim + 2 * sum(cfg.shape) * max(
@@ -546,8 +552,9 @@ def _exp_converge(cfg: ScenarioConfig, report: ExitReport) -> tuple[list[tuple],
         rescaled, nax = core_rescale(g, z, x, ys)
         # x_n = lam_n y_n carries |lam_n| norm(y_n), so this cap reads the rescaling's arithmetic
         report.observe("core_rescale_cap_x", rescaled.norm() - x.norm(), x.norm())
-        # the continuation is applied to each x_n itself, not taken as lam_n alpha_z(y_n): that
-        # would meet the cap by the choice of lam_n, and the check would no longer test the continuation
+        # the continuation is applied to each x_n itself (in the eigenbasis, its own entrywise factor on x_n), not
+        # taken as lam_n alpha_z(y_n): that would meet the cap by the choice of lam_n, and the check would no longer
+        # test the continuation
         report.observe("core_rescale_cap_continuation", continue_exact(g, z, rescaled).norm() - nax, nax)
         report.observe("core_rescale_convergence", (rescaled[-1] - x).norm())
     return rows, {}
@@ -589,12 +596,14 @@ def _costs_converge(cfg: ScenarioConfig) -> list[Cost]:
         costs.append((GROWTH, (r * im) * (r * im),
                       f"the smear envelope exp(r^2 (Im z)^2) at {where} has growth exponent"))
     # dense operations: 55 once and 5 per r; per z, 132 for core_rescale and 10 per r, and the node sums, a
-    # column of one each and a call's share (n^2 + 192 n + 256: one width's quadrature on 4001 nodes took up to
-    # 192, 532 and 4833 ns a node at n = 2, 8 and 64, best of 7 x 200 on one BLAS thread, and is charged 225, 650
-    # and 5824 ns). The rest: 10**4 per r, in the batch of smear errors at z = 0 (2 us at n = 2); 3 * 10**5 per
-    # (z, r), a width's share of the quadrature batch (at n = 2, 193 us in all where no two widths share a node
-    # count, charged 321 us; 20 us where they do); and 5 * 10**5 per z, for core_rescale's Python (a z-point with
-    # one width took 445 us in all at n = 2, and is charged 512 us)
+    # column of one each and a call's share (n^2 + 192 n + 256). Measured on the run's route, in the flow's
+    # eigenbasis, on one BLAS thread, as the least of 5 rounds of a best of 7 on a shared 2-core x86-64 host: one
+    # width's quadrature on 4001 nodes took 133, 424 and 3790 ns a node at n = 2, 8 and 64, and is charged 225,
+    # 650 and 5824 ns. The rest: 10**4 per r, in the batch of smear errors at z = 0 (2.8 us a width in all at
+    # n = 2, charged 11.6 us with its 5 dense operations); 3 * 10**5 per (z, r), a width's share of the quadrature
+    # batch (at n = 2, in a batch of 20 widths, 33 us a width where no two share a node count and 14 us where all
+    # do, each charged 128-130 us with its nodes); and 5 * 10**5 per z, for core_rescale's Python (a z-point with
+    # one width of 33 nodes took 366 us in all at n = 2, charged 517 us, and 8.6 ms at n = 64, charged 39.8 ms)
     points, widths = len(cfg.z_re) * len(cfg.z_im), len(cfg.r_list)
     ops = 55 + 5 * widths + points * (132 + 10 * widths)
     node = sum(n * n + 192 * n + 256 for n in cfg.shape)

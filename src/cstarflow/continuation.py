@@ -19,6 +19,13 @@ phase tables are (widths x nodes x n) per block; ``cli`` sizes its batches of wi
 
 The smear obeys ``norm(x(r, z)) <= norm(x) exp(r^2 (Im z)^2)`` and
 ``alpha_y(x(r, z)) = x(r, z + y)``.
+
+Both statements are basis-free, and ``cli``'s converge experiment takes its smears, approximants and
+continuations on ``flows.in_eigenbasis(g, x)``: the diagonal flow unitarily equivalent to ``g`` and ``U* x V``.  Its
+eigenvectors are marked as the identity, so a smear, an approximant or a continuation is one entrywise
+factor with no products, and every element stays in the eigenbasis.  A unitary leaves a norm unchanged,
+so each norm a check reads is the rotating route's value up to rounding; the generators' norms (the node
+counts) and ``norm(x)`` (the envelopes) are carried over bit for bit.
 """
 
 from __future__ import annotations
@@ -152,7 +159,8 @@ def _smear_quadratures(g: FlowGenerator, x: AlgebraElement, r, z: complex, nodes
     """``smear_quadrature`` about one center ``z`` at each width of ``r`` (whose shape joins the batch, ahead of the
     flow's and ``x``'s), on the count of ``nodes`` in its place, at least its ``min_nodes``.  Per block, ``x`` is
     rotated into the eigenbasis once, the widths of one count share one stacked node sum, and the batch rotates
-    back as one stack.  No rule is padded, so each member takes the products of its own call."""
+    back as one stack (neither rotation is taken for a flow from ``flows.in_eigenbasis``).  No rule is padded, so
+    each member takes the products of its own call."""
     r, counts, z = np.asarray(r), np.ravel(nodes), complex(z)
     batch = np.broadcast_shapes(g.spectral_left.eigenvalues[0].shape[:-1], x.blocks[0].shape[:-2])
     rs = r.reshape(-1, *[1] * len(batch), 1)

@@ -10,6 +10,10 @@ and the constructor does not admit non-isometric flows.  Generators may
 be batches of elements (see :mod:`cstarflow.algebra`): the flow is then a
 batch of flows, one per member, and evaluation acts per member.
 
+``in_eigenbasis`` gives the unitarily equivalent flow of the diagonal
+generators ``diag(lam)`` and ``diag(mu)``, whose sandwiches are entrywise
+factors with no products, together with the element in that basis.
+
 With ``H_l = H_r`` the flow is an automorphism group.  The companion
 flows ``(H_l, H_l)`` and ``(H_r, H_r)`` make every flow in this family
 semi-multiplicative:
@@ -30,6 +34,7 @@ from .algebra import (
     HermitianElement,
     SpectralDecomposition,
     _eigenbasis,
+    _into,
     _per_member,
     sandwich,
     spectral,
@@ -94,6 +99,23 @@ def conjugate_norm(g: FlowGenerator, z, x: AlgebraElement) -> float | np.ndarray
     block (``EigFailureError`` when it fails or returns NaN).
     """
     return AlgebraElement._adopt(x.shape, _eigenbasis(g.spectral_left, g.spectral_right, x, _phases(z))).norm()
+
+
+def in_eigenbasis(g: FlowGenerator, x: AlgebraElement) -> tuple[FlowGenerator, AlgebraElement]:
+    """The flow ``g`` and the element ``x`` in the joint eigenbasis of the generators: ``(g', U* x V)``.
+
+    ``g'`` is generated by ``diag(lam)`` and ``diag(mu)``, unitarily
+    equivalent to ``g`` (``alpha'_z(U* y V) = U* alpha_z(y) V``), and its
+    eigendata mark the eigenvectors as the identity, so each of its
+    sandwiches is one entrywise factor, with no products.  A norm is
+    unitarily invariant, so ``g'``'s generators carry ``g``'s generator
+    norms and ``U* x V`` carries ``x``'s norm, each taken on the original:
+    node counts and envelopes read from them are the same bits.  Every
+    other norm of ``g'`` reads the value of ``g``'s route up to rounding.
+    """
+    left, right = g.spectral_left, g.spectral_right
+    g_diagonal = FlowGenerator(left._diagonal(g.h_left.value), right._diagonal(g.h_right.value))
+    return g_diagonal, AlgebraElement._adopt(x.shape, _into(left, right, x))._with_norm_of(x)
 
 
 def evaluate(g: FlowGenerator, t, x: AlgebraElement) -> AlgebraElement:

@@ -31,6 +31,7 @@ import random
 import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 from cstarflow.cli import COMMON, EXPERIMENTS, main
 
@@ -78,18 +79,19 @@ def outcome(raw: dict, tmp: Path) -> tuple[str, list[str]]:
     return "exit 1", [f"{raw['experiment']}.{c['name']}" for c in checks if not c["passed"]]
 
 
-def census() -> str:
-    draw, count = random.Random(SEED), COUNT
+def census(seed: int = SEED, count: int = COUNT, drawn: Callable[[random.Random], dict] = drawn_config) -> str:
+    """The printout of ``count`` configs that ``drawn`` draws, one after another, from ``random.Random(seed)``."""
+    draw = random.Random(seed)
     exits, misses, patterns = Counter(), Counter(), Counter()
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(count):
-            exit_, missed = outcome(drawn_config(draw), Path(tmp))
+            exit_, missed = outcome(drawn(draw), Path(tmp))
             exits[exit_] += 1
             misses.update(missed)
             if missed:
                 patterns[" + ".join(missed)] += 1
     admitted = count - exits["exit 2"]
-    lines = [f"census of {count} configs, seed {SEED}",
+    lines = [f"census of {count} configs, seed {seed}",
              f"refused (exit 2): {exits['exit 2']}",
              f"admitted: {admitted}"]
     lines += [f"  {exit_}: {n}" for exit_, n in sorted(exits.items()) if exit_ != "exit 2"]

@@ -32,7 +32,7 @@ from cstarflow import (
     spectral,
 )
 from cstarflow import algebra
-from cstarflow.algebra import HERM_TOL, largest_singular_value, stack
+from cstarflow.algebra import HERM_TOL, SpectralDecomposition, largest_singular_value, sandwich, stack
 from cstarflow.cli import run
 from cstarflow.hilbmod import identity_operator
 from cstarflow.sampling import gaussian, random_element, random_hermitian, rng
@@ -181,6 +181,19 @@ class TestOpNorm:
         b = scale * np.array([[[1.0, 0.5j], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]])
         assert np.array_equal(largest_singular_value(b), _one_svd_per_member(b))
         assert largest_singular_value(b[0]) == _one_svd_per_member(b[0])
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    @pytest.mark.parametrize("scale", [1e-161, 1e-160, 1e-158])
+    def test_a_member_whose_gram_is_subnormal_keeps_its_norm(self, scale, stacked):
+        # entries near 1e-160 square to subnormals, where a Gram keeps few digits: alone, the squared moduli
+        # sum to below _SQUARES_BAND, and stacked with O(1) members, inside it, with the member's largest
+        # eigenvalue below the band's floor; either way the member is scaled by a power of two first
+        r = np.random.default_rng(160)
+        tiny = scale * (r.standard_normal((4, 4)) + 1j * r.standard_normal((4, 4)))
+        b = np.stack([tiny, *(r.standard_normal((2, 4, 4)) + 1j * r.standard_normal((2, 4, 4)))]) if stacked else tiny
+        want = np.linalg.svd(b, compute_uv=False)[..., 0]
+        # the bound of test_largest_singular_value_matches_the_svd_oracle at n = m = 4
+        assert np.all(np.abs(largest_singular_value(b) - want) <= (4 + 2 * 4) * EPS * want)
 
     def test_nan_singular_values_are_a_numerical_breakdown(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, UPLO="L": np.full(a.shape[:-1], np.nan))
@@ -593,6 +606,30 @@ class TestHermCalculus:
         assert (sd.apply(lambda lam: lam) - h.value).norm() <= 1e-9 * max(1.0, h.norm())
         for u in sd.eigenvectors:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 6), min_size=1, max_size=3), st.sampled_from([(), (3,)]),
+       st.complex_numbers(max_magnitude=2.0))
+def test_identity_marked_eigenvectors_take_the_values_of_explicit_identities(seed, dims, batch, z):
+    # None for U takes no product; a product with an exact identity adds only exact zeros to each entry,
+    # so the two give the same entries, whether one side, the other or both are marked
+    r = np.random.default_rng(seed)
+    shape = BlockShape(dims)
+    lams = [np.sort(r.standard_normal((*batch, n))) for n in dims]
+
+    def eigendata(marked):
+        return SpectralDecomposition(shape, tuple(lams), tuple(None if marked else np.eye(n, dtype=complex)
+                                                              for n in dims))
+
+    x = random_element(rng(seed), shape)
+    phases = lambda lam, mu: np.exp(1j * z * (lam[..., :, None] - mu[..., None, :]))
+    explicit = sandwich(eigendata(False), eigendata(False), x, phases)
+    for left, right in ((True, True), (True, False), (False, True)):
+        marked = sandwich(eigendata(left), eigendata(right), x, phases)
+        assert all((p == q).all() for p, q in zip(marked.blocks, explicit.blocks))
+    assert all((p == q).all() for p, q in zip(eigendata(True).apply(np.exp).blocks,
+                                              eigendata(False).apply(np.exp).blocks))
 
 
 class TestPower:

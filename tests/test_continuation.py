@@ -27,6 +27,7 @@ from cstarflow import (
     evaluate,
     identity,
     identity_operator,
+    in_eigenbasis,
     min_nodes,
     smear_oracle,
     recover,
@@ -534,6 +535,77 @@ def test_smear_norm_bound_hypothesis(smear):
     bound = x.norm() * math.exp(rr * rr * im * im) * (1 + 1e-8)
     assert smear_quadrature(g, x, SmearingPlan.for_flow(g, rr, z)).norm() <= bound
     assert smear_oracle(g, x, rr, z).norm() <= bound
+
+
+# Flows of 1-2 blocks of n <= 12, their norm, a width r and a center z, for the eigenbasis route of converge.
+EIGENBASIS_ROUTES = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 12), min_size=1, max_size=2),
+    st.floats(0.1, 5.0),
+    st.floats(0.1, 10.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.0, 1.0),
+)
+# The stages of each value that the two routes do not share, counted to first order, each worth at most
+# n gamma_{n+2} of its operand's norm (see the property below):
+# - ||x(r, 0) - x||: rotating the smear back (2), the rounding of U* x V against x (2 products, 2 for U and V
+#   not quite unitary), U and V on the difference (2, of a difference up to 2 ||x||), two subtractions (2),
+#   two norms (4, of values up to 2 ||x||);
+# - ||quadrature - closed form||: rotating each back (4), U and V on the difference (4), two subtractions (2),
+#   two norms (4), every value up to 2 E;
+# - ||quadrature||: rotating it back (2), U and V (2), two norms (2);
+# - ||alpha_z(y)||: y rotated back, into the eigenbasis again and U and V on it (6, times the growth w), the
+#   continuation rotated back (2), U and V (2), two norms (2).
+ROUTE_STAGES = {"smear_error": 16, "quad_vs_oracle": 14, "quad_norm": 6, "continued_norm": 12}
+
+
+@settings(max_examples=40, deadline=None)
+@given(EIGENBASIS_ROUTES)
+def test_the_eigenbasis_route_reads_the_norms_of_the_rotating_one_hypothesis(route):
+    """``in_eigenbasis(g, x)`` gives the norms of ``g`` and ``x`` bit for bit, and every other value within
+    c n gamma_{n+2} of its scale, with c the stage count of ``ROUTE_STAGES``.
+
+    The bound, for blocks of n at most the largest dimension, u = eps/2 and gamma_k = k u / (1 - k u):
+    - A product of M by a computed eigenvector matrix, whose rows have unit norm to rounding, is off in each entry
+      by at most gamma_{n+2} sum_k |u_ik| |m_kj| <= gamma_{n+2} ||M|| (the complex inner product, Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.6, and Cauchy-Schwarz), so by at most
+      n gamma_{n+2} ||M|| in the norm (Frobenius over n^2 entries).
+    - ``eigh``'s eigenvectors are unitary to ||U* U - I|| <= p(n) u and ``eigvalsh`` is backward stable to
+      p(n) u ||A||, for a modestly growing p(n) (LAPACK Users' Guide, sec. 4.7): both are taken at the same
+      n gamma_{n+2}, so U and V on a value move its norm by 2 n gamma_{n+2}, and a norm, from its Gram, by
+      n gamma_{n+2}.
+    - A subtraction rounds each entry by u, n gamma_{n+2} in the norm.
+    The smear at z = 0 is an average of diagonal unitary conjugations, so it does not raise a norm; the
+    quadrature and the closed form stay within E = ||x|| exp(r^2 (Im z)^2) (their weights sum to the envelope),
+    and the continuation's factor exp(iz(lam_j - mu_k)) = a_j b_k moves a norm by at most
+    w = exp(|Im z| (||H_l|| + ||H_r||)).  Terms of second order in n gamma_{n+2} (at most 2e-14 here) are
+    covered by the factor 1 + c n gamma_{n+2}.
+    """
+    seed, dims, norm, rr, re, im = route
+    r = rng(seed)
+    shape = BlockShape(dims)
+    g = random_flow(r, shape, norm)
+    x = random_element(r, shape)
+    z = complex(re, im)
+    gh, xh = in_eigenbasis(g, x)
+    assert (gh.h_left.norm(), gh.h_right.norm(), xh.norm()) == (g.h_left.norm(), g.h_right.norm(), x.norm())
+    plan = SmearingPlan.for_flow(g, rr, z)
+    assert SmearingPlan.for_flow(gh, rr, z) == plan
+
+    def values(g, x):
+        y = smear_oracle(g, x, rr, 0.0)
+        quad = smear_quadrature(g, x, plan)
+        return {"smear_error": (y - x).norm(), "quad_vs_oracle": (quad - smear_oracle(g, x, rr, z)).norm(),
+                "quad_norm": quad.norm(), "continued_norm": continue_exact(g, z, y).norm()}
+
+    n, u = max(dims), EPS / 2
+    per_stage = n * (n + 2) * u / (1 - (n + 2) * u)
+    envelope = x.norm() * math.exp(rr * rr * im * im)
+    scales = {"smear_error": x.norm(), "quad_vs_oracle": envelope, "quad_norm": envelope,
+              "continued_norm": x.norm() * math.exp(abs(im) * float(g.generator_norm()))}
+    rotating, eigenbasis = values(g, x), values(gh, xh)
+    for name, c in ROUTE_STAGES.items():
+        assert abs(rotating[name] - eigenbasis[name]) <= c * per_stage * (1 + c * per_stage) * scales[name], name
 
 
 # A batch of widths about one center: distinct widths, then each width of the batch one of them (so some

@@ -16,6 +16,7 @@ from cstarflow import (
     conjugate_norm,
     evaluate,
     identity,
+    in_eigenbasis,
     left_companion,
     right_companion,
 )
@@ -236,3 +237,39 @@ def test_conjugate_norm_is_the_norm_of_the_conjugate(seed, dims, layout, z_im):
     # the rounding of both routes scales with the largest phase, exp(|Im z| nu), times norm(x)
     scale = np.asarray(x.norm()) * np.exp(np.abs(np.imag(z)) * float(g.generator_norm()))
     assert np.all(np.abs(got - want) <= 4 * max(dims) * EPS * scale)
+
+
+def test_in_eigenbasis_marks_its_diagonal_generators_eigenvectors_without_eigh(monkeypatch):
+    r = rng(41)
+    shape = BlockShape([3, 2])
+    g, x = random_flow(r, shape, 2.0), random_element(r, shape)
+    gh, xh = in_eigenbasis(g, x)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh called on a diagonal generator")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    for h, sd in ((gh.h_left, g.spectral_left), (gh.h_right, g.spectral_right)):
+        own = gh.spectral_left if h is gh.h_left else gh.spectral_right
+        assert own.eigenvectors == (None, None) and all(a is b for a, b in zip(own.eigenvalues, sd.eigenvalues))
+        assert all(np.array_equal(b, np.diag(lam)) for b, lam in zip(h.value.blocks, sd.eigenvalues))
+    # U* x V, as the rotating route forms it
+    want = [u.conj().swapaxes(-1, -2) @ b @ v for u, v, b in
+            zip(g.spectral_left.eigenvectors, g.spectral_right.eigenvectors, x.blocks)]
+    assert all(np.array_equal(p, q) for p, q in zip(xh.blocks, want))
+
+
+def test_in_eigenbasis_of_a_batch_of_flows_carries_the_norm_of_one_element_to_each_member():
+    r = rng(42)
+    shape = BlockShape([3, 2])
+    members = [random_flow(r, shape, 1.0) for _ in range(3)]
+    g = FlowGenerator(HermitianElement(stack([f.h_left.value for f in members])),
+                      HermitianElement(stack([f.h_right.value for f in members])))
+    x = random_element(r, shape)
+    gh, xh = in_eigenbasis(g, x)
+    assert np.array_equal(xh.norm(), np.full(3, x.norm())) and xh[1].norm() == x.norm()
+    assert np.array_equal(gh.generator_norm(), g.generator_norm())
+    # each member's continuation keeps its norm, up to the rounding of the two routes
+    z = 0.4 - 0.3j
+    scale = x.norm() * np.exp(0.3 * g.generator_norm())
+    assert np.all(np.abs(conjugate(gh, z, xh).norm() - conjugate(g, z, x).norm()) <= 4 * 3 * EPS * scale)
